@@ -2,26 +2,95 @@
    FIFO scheduling over one shared Engine.  See server.mli.
 
    Locking model: one server mutex guards every mutable field (queue,
-   counters, latency samples).  Requests execute on the calling thread
+   counters, latency histograms).  Requests execute on the calling thread
    outside the lock; the lock is only held to admit, to release, and to
    snapshot.  Waiters block on [sched], re-checking eligibility after
    every broadcast (a release, a close, or shutdown). *)
 
-(* latency accumulator: raw samples (ms), newest first *)
-type lat = {
-  mutable samples : float list;
-  mutable n : int;
-  mutable sum : float;
-  mutable max : float;
+type summary = {
+  count : int;
+  mean_ms : float;
+  p50_ms : float;
+  p95_ms : float;
+  p99_ms : float;
+  max_ms : float;
 }
 
-let lat_create () = { samples = []; n = 0; sum = 0.0; max = 0.0 }
+(* Latency accumulator of fixed size: exact count/sum/min/max plus a
+   histogram indexed by the sample's own float exponent and top mantissa
+   bits (no logarithm per sample).  Bucket 0 holds [0, floor_ms); above
+   it every power of two splits into [2^sub_bits] equal buckets, the
+   last one also holding everything past the top.  A bucket stands for
+   its midpoint, within half a bucket width — 1/2^(sub_bits+1) of its
+   lower edge — of every value in it. *)
+module Latency = struct
+  let floor_ms = 1.0 /. 1024.0 (* a power of two: scaling by it is exact *)
+  let sub_bits = 5
+  let octaves = 30 (* up to 2^20 ms, about 17 minutes *)
+  let n_buckets = 1 + (octaves lsl sub_bits)
+  let relative_error = 1.0 /. float_of_int (2 lsl sub_bits)
 
-let lat_add l ms =
-  l.samples <- ms :: l.samples;
-  l.n <- l.n + 1;
-  l.sum <- l.sum +. ms;
-  if ms > l.max then l.max <- ms
+  (* an all-float record is stored flat: updates box nothing *)
+  type exact = { mutable sum : float; mutable min : float; mutable max : float }
+  type t = { counts : int array; mutable n : int; exact : exact }
+
+  let create () =
+    { counts = Array.make n_buckets 0; n = 0; exact = { sum = 0.0; min = infinity; max = 0.0 } }
+
+  (* ms / floor_ms >= 1 has a biased exponent of 1023 + octave *)
+  let bucket ms =
+    if not (ms >= floor_ms) then 0
+    else
+      let bits = Int64.bits_of_float (ms /. floor_ms) in
+      let v = Int64.to_int (Int64.shift_right_logical bits (52 - sub_bits)) in
+      min (n_buckets - 1) (1 + v - (1023 lsl sub_bits))
+
+  let midpoint i =
+    if i = 0 then floor_ms /. 2.0
+    else
+      let octave = (i - 1) lsr sub_bits and m = (i - 1) land ((1 lsl sub_bits) - 1) in
+      Float.ldexp
+        (floor_ms *. (1.0 +. ((float_of_int m +. 0.5) /. float_of_int (1 lsl sub_bits))))
+        octave
+
+  let add l ms =
+    let i = bucket ms in
+    l.counts.(i) <- l.counts.(i) + 1;
+    l.n <- l.n + 1;
+    let e = l.exact in
+    e.sum <- e.sum +. ms;
+    if ms < e.min then e.min <- ms;
+    if ms > e.max then e.max <- ms
+
+  (* nearest rank: the bucket holding the ceil(q n)-th smallest sample,
+     its midpoint clamped to the exact [min, max] *)
+  let percentile l q =
+    let rank = max 1 (int_of_float (ceil (q *. float_of_int l.n))) in
+    let rec find i seen =
+      let seen = seen + l.counts.(i) in
+      if seen >= rank || i = n_buckets - 1 then i else find (i + 1) seen
+    in
+    Float.min l.exact.max (Float.max l.exact.min (midpoint (find 0 0)))
+
+  let summary l =
+    if l.n = 0 then
+      { count = 0; mean_ms = 0.0; p50_ms = 0.0; p95_ms = 0.0; p99_ms = 0.0; max_ms = 0.0 }
+    else
+      {
+        count = l.n;
+        mean_ms = l.exact.sum /. float_of_int l.n;
+        p50_ms = percentile l 0.50;
+        p95_ms = percentile l 0.95;
+        p99_ms = percentile l 0.99;
+        max_ms = l.exact.max;
+      }
+
+  (* [(midpoint, count)] of the non-empty buckets, ascending *)
+  let buckets l =
+    List.filter_map
+      (fun i -> if l.counts.(i) = 0 then None else Some (midpoint i, l.counts.(i)))
+      (List.init n_buckets Fun.id)
+end
 
 (* one side's counters: the server or one session *)
 type side = {
@@ -30,8 +99,8 @@ type side = {
   mutable queued : int;
   mutable completed : int;
   mutable failed : int;
-  queue_wait : lat;
-  service : lat;
+  queue_wait : Latency.t;
+  service : Latency.t;
 }
 
 let side_create () =
@@ -41,8 +110,8 @@ let side_create () =
     queued = 0;
     completed = 0;
     failed = 0;
-    queue_wait = lat_create ();
-    service = lat_create ();
+    queue_wait = Latency.create ();
+    service = Latency.create ();
   }
 
 type session = {
@@ -209,8 +278,8 @@ let release sess ~queue_wait_ms ~service_ms ~ok =
       sess.s_in_flight <- sess.s_in_flight - 1;
       List.iter
         (fun s ->
-          lat_add s.queue_wait queue_wait_ms;
-          lat_add s.service service_ms;
+          Latency.add s.queue_wait queue_wait_ms;
+          Latency.add s.service service_ms;
           if ok then s.completed <- s.completed + 1 else s.failed <- s.failed + 1)
         [ t.side; sess.s_side ];
       Condition.broadcast t.sched)
@@ -262,15 +331,6 @@ let explain_analyze ?options sess ~view_name ~stylesheet =
 (* Observability                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type summary = {
-  count : int;
-  mean_ms : float;
-  p50_ms : float;
-  p95_ms : float;
-  p99_ms : float;
-  max_ms : float;
-}
-
 type snapshot = {
   accepted : int;
   rejected : int;
@@ -283,28 +343,6 @@ type snapshot = {
   service : summary;
 }
 
-(* nearest-rank percentile over a sorted array *)
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else sorted.(min (n - 1) (max 0 (int_of_float (ceil (q *. float_of_int n)) - 1)))
-
-let summarize l =
-  if l.n = 0 then
-    { count = 0; mean_ms = 0.0; p50_ms = 0.0; p95_ms = 0.0; p99_ms = 0.0; max_ms = 0.0 }
-  else begin
-    let sorted = Array.of_list l.samples in
-    Array.sort compare sorted;
-    {
-      count = l.n;
-      mean_ms = l.sum /. float_of_int l.n;
-      p50_ms = percentile sorted 0.50;
-      p95_ms = percentile sorted 0.95;
-      p99_ms = percentile sorted 0.99;
-      max_ms = l.max;
-    }
-  end
-
 let snapshot_side (side : side) ~in_flight ~queue_depth =
   {
     accepted = side.accepted;
@@ -314,8 +352,8 @@ let snapshot_side (side : side) ~in_flight ~queue_depth =
     failed = side.failed;
     in_flight;
     queue_depth;
-    queue_wait = summarize side.queue_wait;
-    service = summarize side.service;
+    queue_wait = Latency.summary side.queue_wait;
+    service = Latency.summary side.service;
   }
 
 let snapshot t =
@@ -337,18 +375,20 @@ let bucket_name prefix i =
     Printf.sprintf "%s_le_%gms" prefix bucket_bounds.(i)
   else Printf.sprintf "%s_gt_%gms" prefix bucket_bounds.(Array.length bucket_bounds - 1)
 
-let bucketize m prefix samples =
+(* coarse buckets from the fine ones: a fine bucket counts where its
+   midpoint falls *)
+let bucketize m prefix l =
   let counts = Array.make (Array.length bucket_bounds + 1) 0 in
   List.iter
-    (fun ms ->
+    (fun (ms, c) ->
       let rec slot i =
         if i >= Array.length bucket_bounds then i
         else if ms <= bucket_bounds.(i) then i
         else slot (i + 1)
       in
       let i = slot 0 in
-      counts.(i) <- counts.(i) + 1)
-    samples;
+      counts.(i) <- counts.(i) + c)
+    (Latency.buckets l);
   Array.iteri (fun i c -> Metrics.set_counter m (bucket_name prefix i) c) counts
 
 let metrics t =
@@ -372,8 +412,8 @@ let metrics t =
           ("max_queue", t.max_queue);
           ("per_session_cap", t.per_session_cap);
         ];
-      bucketize m "queue_wait" side.queue_wait.samples;
-      bucketize m "service" side.service.samples;
+      bucketize m "queue_wait" side.queue_wait;
+      bucketize m "service" side.service;
       (* the shared engine's result cache, so one scrape sees both the
          admission picture and the cache hit rate behind it *)
       List.iter
@@ -381,11 +421,11 @@ let metrics t =
         (Engine.result_cache_counters t.eng);
       List.iter
         (fun (prefix, l) ->
-          let s = summarize l in
+          let s = Latency.summary l in
           Metrics.add_ms m (prefix ^ "_p50_ms") s.p50_ms;
           Metrics.add_ms m (prefix ^ "_p95_ms") s.p95_ms;
           Metrics.add_ms m (prefix ^ "_p99_ms") s.p99_ms;
-          Metrics.add_ms m (prefix ^ "_total_ms") l.sum)
+          Metrics.add_ms m (prefix ^ "_total_ms") l.Latency.exact.sum)
         [ ("queue_wait", side.queue_wait); ("service", side.service) ];
       List.iter
         (fun sess ->

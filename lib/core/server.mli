@@ -111,8 +111,9 @@ val explain_analyze :
 
 (** {1 Observability} *)
 
-(** Latency distribution summary, milliseconds (nearest-rank
-    percentiles over all recorded samples). *)
+(** Latency distribution summary, milliseconds.  [count], [mean_ms]
+    and [max_ms] are exact; the percentiles are nearest-rank over all
+    recorded samples, read from a {!Latency} histogram. *)
 type summary = {
   count : int;
   mean_ms : float;
@@ -121,6 +122,33 @@ type summary = {
   p99_ms : float;
   max_ms : float;
 }
+
+(** The fixed-size accumulator behind every queue-wait and service-time
+    distribution: exact count, sum, min and max plus a histogram that
+    splits every power of two from [2^-10] ms (about 1 µs) up to
+    [2^20] ms (about 17 minutes) into 32 equal buckets.  Its size never
+    grows with the number of samples.
+
+    A reported percentile is the midpoint of the bucket holding the
+    exact nearest-rank sample, clamped to the exact min and max.  For
+    samples from [2^-10] ms to [2^20] ms it is within
+    {!Latency.relative_error} (1/64, about 1.6 %) of the exact value,
+    relatively; below [2^-10] ms it is within [2^-10] ms absolutely.
+    Metrics' coarse [_le_]/[_gt_] counters are summed from these
+    buckets, so a sample within that error of a coarse bound may be
+    counted on either side of it. *)
+module Latency : sig
+  type t
+
+  val create : unit -> t
+  val add : t -> float -> unit
+  (** Record one latency, milliseconds. *)
+
+  val summary : t -> summary
+
+  val relative_error : float
+  (** Largest relative error of a reported percentile, 1/64. *)
+end
 
 (** One side's counters and distributions — the whole server or one
     session.  [queued] counts requests that had to wait (it is not a

@@ -97,6 +97,22 @@ let xpath_round f =
   else Float.floor (f +. 0.5)
 
 (* ------------------------------------------------------------------ *)
+(* ORDER BY bookkeeping (shared by both executors)                     *)
+(* ------------------------------------------------------------------ *)
+
+(* EXPLAIN ANALYZE's ordering strategy: one tick per Sort open or
+   XMLAgg ORDER BY group, presorted when its input was already in key
+   order *)
+let note_order (sop : Stats.op_stats option) presorted =
+  match sop with
+  | None -> ()
+  | Some s ->
+      if presorted then s.Stats.presorted <- s.Stats.presorted + 1
+      else s.Stats.sorted <- s.Stats.sorted + 1
+
+let dir_cmp d c = match d with Asc -> c | Desc -> -c
+
+(* ------------------------------------------------------------------ *)
 (* Hash-join key hashing (shared by both executors)                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -425,8 +441,9 @@ and run_node ctx (outer : row) (p : plan) : row list =
                   false)
             probe_rows)
   | Aggregate { group_by; aggs; input } ->
+      let sop = match ctx.stats with None -> None | Some st -> Stats.find st p in
       let rows = run_in ctx ~outer input in
-      if group_by = [] then [ eval_agg_group ctx outer group_by aggs rows [] ]
+      if group_by = [] then [ eval_agg_group ctx sop outer group_by aggs rows [] ]
       else
         let groups = Hashtbl.create 16 in
         let order = ref [] in
@@ -442,24 +459,11 @@ and run_node ctx (outer : row) (p : plan) : row list =
         List.rev_map
           (fun key ->
             let members = List.rev !(Hashtbl.find groups key) in
-            eval_agg_group ctx outer group_by aggs members key)
+            eval_agg_group ctx sop outer group_by aggs members key)
           !order
   | Sort (keys, input) ->
-      let rows = run_in ctx ~outer input in
-      let decorated =
-        List.map (fun r -> (List.map (fun (k, d) -> (eval_expr_in ctx r k, d)) keys, r)) rows
-      in
-      let cmp (ka, _) (kb, _) =
-        let rec go = function
-          | [] -> 0
-          | ((va, d), (vb, _)) :: rest -> (
-              let c = Value.compare_key va vb in
-              let c = match d with Asc -> c | Desc -> -c in
-              match c with 0 -> go rest | c -> c)
-        in
-        go (List.combine ka kb)
-      in
-      List.map snd (List.stable_sort cmp decorated)
+      let sop = match ctx.stats with None -> None | Some st -> Stats.find st p in
+      sort_rows_in ctx sop keys (run_in ctx ~outer input)
   | Limit (n, input) ->
       let rec take n = function
         | [] -> []
@@ -510,7 +514,25 @@ and run_in ctx ?(outer = []) (p : plan) : row list =
           | _ -> ());
           rows)
 
-and eval_agg_group ctx outer group_by aggs members key =
+(* ORDER BY over assoc rows: always a full stable sort (the reference
+   path); whether the input was already in order is only counted *)
+and sort_rows_in ctx sop keys rows =
+  let decorated =
+    List.map (fun r -> (List.map (fun (k, d) -> (eval_expr_in ctx r k, d)) keys, r)) rows
+  in
+  let cmp (ka, _) (kb, _) =
+    let rec go = function
+      | [] -> 0
+      | ((va, d), (vb, _)) :: rest -> (
+          match dir_cmp d (Value.compare_key va vb) with 0 -> go rest | c -> c)
+    in
+    go (List.combine ka kb)
+  in
+  let rec in_order = function a :: (b :: _ as rest) -> cmp a b <= 0 && in_order rest | _ -> true in
+  note_order sop (in_order decorated);
+  List.map snd (List.stable_sort cmp decorated)
+
+and eval_agg_group ctx sop outer group_by aggs members key =
   (* group columns: re-evaluate on a member row to keep value types; fall
      back to the string key for an (impossible in practice) empty group *)
   let group_cols =
@@ -569,26 +591,7 @@ and eval_agg_group ctx outer group_by aggs members key =
               if vs = [] then Value.Null
               else Value.Float (List.fold_left ( +. ) 0.0 vs /. float_of_int (List.length vs))
           | Xml_agg (e, order) ->
-              let members =
-                if order = [] then members
-                else
-                  let decorated =
-                    List.map
-                      (fun r -> (List.map (fun (k, d) -> (eval_expr_in ctx r k, d)) order, r))
-                      members
-                  in
-                  let cmp (ka, _) (kb, _) =
-                    let rec go = function
-                      | [] -> 0
-                      | ((va, d), (vb, _)) :: rest -> (
-                          let c = Value.compare_key va vb in
-                          let c = match d with Asc -> c | Desc -> -c in
-                          match c with 0 -> go rest | c -> c)
-                    in
-                    go (List.combine ka kb)
-                  in
-                  List.map snd (List.stable_sort cmp decorated)
-              in
+              let members = if order = [] then members else sort_rows_in ctx sop order members in
               xml_value ~streaming:ctx.xml_streaming (fun sink ->
                   List.iter (fun r -> emit_content sink (eval_expr_in ctx r e)) members)
           | String_agg (e, sep) ->
@@ -651,10 +654,13 @@ let check_distinct what names =
       else Hashtbl.add seen n ())
     names
 
-(* drain a cursor to a row list (subqueries, blocking operators) *)
+(* drain a cursor to a row list (subqueries, blocking operators); the
+   list is built once, back to front, from the batches newest first *)
 let drain_cursor (next : cursor) : Value.t array list =
-  let rec go acc =
-    match next () with None -> List.concat (List.rev acc) | Some b -> go (Array.to_list b :: acc)
+  let rec go batches =
+    match next () with
+    | None -> List.fold_left (fun acc b -> Array.fold_right List.cons b acc) [] batches
+    | Some b -> go (b :: batches)
   in
   go []
 
@@ -718,16 +724,77 @@ let instrumented_open (s : Stats.op_stats) open_ (outer : Value.t array) : curso
     (match b with Some rows -> s.Stats.rows <- s.Stats.rows + Array.length rows | None -> ());
     b
 
-let sort_cmp_keys kfs (ka : Value.t array) (kb : Value.t array) =
-  let n = Array.length kfs in
+let sort_cmp_keys dirs (ka : Value.t array) (kb : Value.t array) =
+  let n = Array.length dirs in
   let rec go i =
     if i >= n then 0
     else
-      let c = Value.compare_key ka.(i) kb.(i) in
-      let c = match snd kfs.(i) with Asc -> c | Desc -> -c in
+      let c = dir_cmp dirs.(i) (Value.compare_key ka.(i) kb.(i)) in
       if c <> 0 then c else go (i + 1)
   in
   go 0
+
+(* [rows_in_order kfs dirs rows]: a stable sort on the keys would leave
+   [rows] as they are.  One pass over adjacent rows, keys evaluated in
+   place (no decorated arrays); a single key compares directly, with an
+   Int/Int shortcut. *)
+let rows_in_order (kfs : (Value.t array -> Value.t) array) dirs (rows : Value.t array list) =
+  match (kfs, rows) with
+  | _, ([] | [ _ ]) -> true
+  | [| kf |], r :: rest ->
+      let le a b =
+        match (a, b) with Value.Int x, Value.Int y -> x <= y | _ -> Value.compare_key a b <= 0
+      in
+      let ordered = match dirs.(0) with Asc -> le | Desc -> fun a b -> le b a in
+      let rec go prev = function
+        | [] -> true
+        | r :: rest ->
+            let k = kf r in
+            ordered prev k && go k rest
+      in
+      go (kf r) rest
+  | _ ->
+      let n = Array.length kfs in
+      let rec cmp a b i =
+        if i >= n then 0
+        else
+          let c = dir_cmp dirs.(i) (Value.compare_key (kfs.(i) a) (kfs.(i) b)) in
+          if c <> 0 then c else cmp a b (i + 1)
+      in
+      let rec go = function a :: (b :: _ as rest) -> cmp a b 0 <= 0 && go rest | _ -> true in
+      go rows
+
+(* Rows of one ORDER BY in key order.  Input that already is in order —
+   a scan over the heap order the key was stored in, as the publishing
+   views' document order is — comes back untouched after one in-place
+   pass; otherwise decorate + stable sort.  Stability makes both
+   outcomes identical.  Keys that run a subquery ([pure] false) are
+   decorated first, so the subquery runs once per row, and checked for
+   order there. *)
+let order_rows sop kfs dirs ~pure rows =
+  if pure && rows_in_order kfs dirs rows then (
+    note_order sop true;
+    rows)
+  else
+    let dec = Array.of_list (List.map (fun r -> (Array.map (fun kf -> kf r) kfs, r)) rows) in
+    let cmp (ka, _) (kb, _) = sort_cmp_keys dirs ka kb in
+    let n = Array.length dec in
+    let rec in_order i = i >= n - 1 || (cmp dec.(i) dec.(i + 1) <= 0 && in_order (i + 1)) in
+    (* pure keys were checked in place already *)
+    let presorted = (not pure) && in_order 0 in
+    note_order sop presorted;
+    if not presorted then Array.stable_sort cmp dec;
+    Array.fold_right (fun (_, r) acc -> r :: acc) dec []
+
+(* a comparison operator as a test on a three-way comparison result *)
+let cmp_test : binop -> int -> bool = function
+  | Eq -> fun c -> c = 0
+  | Neq -> fun c -> c <> 0
+  | Lt -> fun c -> c < 0
+  | Leq -> fun c -> c <= 0
+  | Gt -> fun c -> c > 0
+  | Geq -> fun c -> c >= 0
+  | _ -> invalid_arg "cmp_test"
 
 (** Compile an expression against a layout into a closure over physical
     rows.  All column references — including those inside never-taken
@@ -739,21 +806,21 @@ let rec cexpr ctx (lay : Layout.t) (e : expr) : Value.t array -> Value.t =
   | Col (alias, name) ->
       let s = resolve_slot lay alias name in
       fun r -> Array.unsafe_get r s
-  | Not e ->
-      let f = cexpr ctx lay e in
-      fun r -> Value.Int (if bool_of_value (f r) then 0 else 1)
+  | Not _ | Binop ((And | Or), _, _) ->
+      let p = cpred ctx lay e in
+      fun r -> Value.Int (if p r then 1 else 0)
   | Is_null e ->
       let f = cexpr ctx lay e in
       fun r -> Value.Int (if Value.is_null (f r) then 1 else 0)
   | Binop (op, a, b) -> cbinop ctx lay op a b
   | Fn (f, args) -> cfn ctx lay f args
   | Case (whens, els) ->
-      let whens = List.map (fun (c, r) -> (cexpr ctx lay c, cexpr ctx lay r)) whens in
+      let whens = List.map (fun (c, r) -> (cpred ctx lay c, cexpr ctx lay r)) whens in
       let els = Option.map (cexpr ctx lay) els in
       fun r ->
         let rec go = function
           | [] -> ( match els with Some f -> f r | None -> Value.Null)
-          | (c, t) :: rest -> if bool_of_value (c r) then t r else go rest
+          | (c, t) :: rest -> if c r then t r else go rest
         in
         go whens
   | Xml_element (name, attrs, kids) ->
@@ -821,11 +888,39 @@ let rec cexpr ctx (lay : Layout.t) (e : expr) : Value.t array -> Value.t =
       let cp = cplan ctx lay p in
       fun r -> Value.Int (if drain_cursor (cp.c_open r) = [] then 0 else 1)
 
+(** Compile a condition to an unboxed test: [cpred ctx lay e r] is
+    [bool_of_value (cexpr ctx lay e r)] — NULL and failed comparisons are
+    false, [NOT] negates that — without building the [Value.Int] truth
+    value or the [compare_sql] option for Int/Int comparisons. *)
+and cpred ctx lay (e : expr) : Value.t array -> bool =
+  match e with
+  | Binop (And, a, b) ->
+      let pa = cpred ctx lay a and pb = cpred ctx lay b in
+      fun r -> pa r && pb r
+  | Binop (Or, a, b) ->
+      let pa = cpred ctx lay a and pb = cpred ctx lay b in
+      fun r -> pa r || pb r
+  | Not e ->
+      let p = cpred ctx lay e in
+      fun r -> not (p r)
+  | Binop (((Eq | Neq | Lt | Leq | Gt | Geq) as op), a, b) ->
+      let fa = cexpr ctx lay a and fb = cexpr ctx lay b in
+      let test = cmp_test op in
+      fun r -> (
+        match (fa r, fb r) with
+        | Value.Int x, Value.Int y -> test (Int.compare x y)
+        | va, vb -> ( match Value.compare_sql va vb with Some c -> test c | None -> false))
+  | Is_null e ->
+      let f = cexpr ctx lay e in
+      fun r -> Value.is_null (f r)
+  | _ ->
+      let f = cexpr ctx lay e in
+      fun r -> bool_of_value (f r)
+
 and cbinop ctx lay op a b =
   let fa = cexpr ctx lay a and fb = cexpr ctx lay b in
   match op with
-  | And -> fun r -> Value.Int (if bool_of_value (fa r) && bool_of_value (fb r) then 1 else 0)
-  | Or -> fun r -> Value.Int (if bool_of_value (fa r) || bool_of_value (fb r) then 1 else 0)
+  | And | Or -> assert false (* cexpr compiles these through [cpred] *)
   | Concat -> fun r -> Value.Str (Value.to_string (fa r) ^ Value.to_string (fb r))
   | Fdiv ->
       fun r -> (
@@ -857,16 +952,7 @@ and cbinop ctx lay op a b =
         | Value.Int x, Value.Int y -> Value.Int (iop x y)
         | va, vb -> Value.Float (fop (Value.to_float va) (Value.to_float vb)))
   | (Eq | Neq | Lt | Leq | Gt | Geq) as op ->
-      let test =
-        match op with
-        | Eq -> fun c -> c = 0
-        | Neq -> fun c -> c <> 0
-        | Lt -> fun c -> c < 0
-        | Leq -> fun c -> c <= 0
-        | Gt -> fun c -> c > 0
-        | Geq -> fun c -> c >= 0
-        | _ -> assert false
-      in
+      let test = cmp_test op in
       fun r -> (
         match Value.compare_sql (fa r) (fb r) with
         | None -> Value.Null
@@ -916,7 +1002,7 @@ and cfn ctx lay f args =
         go cs
   | name, n -> err "unknown scalar function %s/%d" name n
 
-and cagg ctx lay (a : agg) : Value.t array list -> Value.t =
+and cagg ctx sop lay (a : agg) : Value.t array list -> Value.t =
   match a with
   | Count_star -> fun ms -> Value.Int (List.length ms)
   | Count e ->
@@ -962,17 +1048,11 @@ and cagg ctx lay (a : agg) : Value.t array list -> Value.t =
         else Value.Float (List.fold_left ( +. ) 0.0 vs /. float_of_int (List.length vs))
   | Xml_agg (e, order) ->
       let f = cexpr ctx lay e in
-      let kfs = Array.of_list (List.map (fun (k, d) -> (cexpr ctx lay k, d)) order) in
+      let kfs = Array.of_list (List.map (fun (k, _) -> cexpr ctx lay k) order) in
+      let dirs = Array.of_list (List.map snd order) in
+      let pure = List.for_all (fun (k, _) -> subplans_of_expr k = []) order in
       fun ms ->
-        let ms =
-          if Array.length kfs = 0 then ms
-          else
-            let dec =
-              Array.of_list (List.map (fun r -> (Array.map (fun (kf, _) -> kf r) kfs, r)) ms)
-            in
-            Array.stable_sort (fun (ka, _) (kb, _) -> sort_cmp_keys kfs ka kb) dec;
-            Array.to_list (Array.map snd dec)
-        in
+        let ms = if order = [] then ms else order_rows sop kfs dirs ~pure ms in
         xml_value ~streaming:ctx.cxml_streaming (fun sink ->
             List.iter (fun r -> emit_content sink (f r)) ms)
   | String_agg (e, sep) ->
@@ -1053,16 +1133,27 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
         { c_layout = lay; c_open = open_ }
     | Filter (cond, input) ->
         let ci = cplan ctx outer_lay input in
-        let fc = cexpr ctx ci.c_layout cond in
+        let fc = cpred ctx ci.c_layout cond in
         let open_ outer =
           let next = ci.c_open outer in
+          (* a batch whose rows all pass is passed on as it is *)
           let rec pull () =
             match next () with
             | None -> None
-            | Some b -> (
-                let kept = ref [] in
-                Array.iter (fun r -> if bool_of_value (fc r) then kept := r :: !kept) b;
-                match !kept with [] -> pull () | ks -> Some (Array.of_list (List.rev ks)))
+            | Some b ->
+                let n = Array.length b in
+                let rec pass i = if i < n && fc b.(i) then pass (i + 1) else i in
+                let m = pass 0 in
+                if m = n then Some b
+                else begin
+                  let kept = Array.copy b and k = ref m in
+                  for i = m + 1 to n - 1 do
+                    if fc b.(i) then (
+                      kept.(!k) <- b.(i);
+                      incr k)
+                  done;
+                  if !k = 0 then pull () else Some (Array.sub kept 0 !k)
+                end
           in
           pull
         in
@@ -1103,7 +1194,7 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
            join layout (first-match-wins gives the inner side precedence,
            exactly like the interpreted [irow @ orow]) *)
         let ci = cplan ctx co.c_layout ip in
-        let fcond = Option.map (cexpr ctx ci.c_layout) join_cond in
+        let fcond = Option.map (cpred ctx ci.c_layout) join_cond in
         let open_ outer =
           let onext = co.c_open outer in
           let obatch = ref [||] and oidx = ref 0 in
@@ -1125,7 +1216,7 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
                 | Some ib ->
                     (match fcond with
                     | None -> Array.iter push ib
-                    | Some f -> Array.iter (fun r -> if bool_of_value (f r) then push r) ib);
+                    | Some f -> Array.iter (fun r -> if f r then push r) ib);
                     inner_drain ()
               in
               inner_drain ();
@@ -1276,7 +1367,7 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
         check_distinct "aggregate output" (List.map snd group_by @ List.map snd aggs);
         let ci = cplan ctx outer_lay input in
         let gfs = List.map (fun (e, _) -> cexpr ctx ci.c_layout e) group_by in
-        let afs = List.map (fun (a, _) -> cagg ctx ci.c_layout a) aggs in
+        let afs = List.map (fun (a, _) -> cagg ctx sopt ci.c_layout a) aggs in
         let ng = List.length gfs and na = List.length afs in
         let k = Layout.width outer_lay in
         let lay =
@@ -1320,14 +1411,13 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
         { c_layout = lay; c_open = open_ }
     | Sort (keys, input) ->
         let ci = cplan ctx outer_lay input in
-        let kfs = Array.of_list (List.map (fun (k, d) -> (cexpr ctx ci.c_layout k, d)) keys) in
+        let kfs = Array.of_list (List.map (fun (k, _) -> cexpr ctx ci.c_layout k) keys) in
+        let dirs = Array.of_list (List.map snd keys) in
+        let pure = List.for_all (fun (k, _) -> subplans_of_expr k = []) keys in
         let open_ outer =
           let next = ci.c_open outer in
           lazy_array_cursor ctx.cbatch (fun () ->
-              let rows = Array.of_list (drain_cursor next) in
-              let dec = Array.map (fun r -> (Array.map (fun (kf, _) -> kf r) kfs, r)) rows in
-              Array.stable_sort (fun (ka, _) (kb, _) -> sort_cmp_keys kfs ka kb) dec;
-              Array.map snd dec)
+              Array.of_list (order_rows sopt kfs dirs ~pure (drain_cursor next)))
         in
         { c_layout = ci.c_layout; c_open = open_ }
     | Limit (n, input) ->

@@ -18,6 +18,10 @@ type op_stats = {
   mutable heap_rows : int;  (** heap rows fetched (scan operators) *)
   mutable build_rows : int;  (** rows hashed into the build table (hash join) *)
   mutable probe_hits : int;  (** matches found while probing (hash join) *)
+  mutable presorted : int;
+      (** ORDER BY inputs already in key order, so the sort was skipped
+          (Sort opens, XMLAgg ORDER BY groups of an Aggregate) *)
+  mutable sorted : int;  (** ORDER BY inputs that had to be sorted *)
   mutable time_ms : float;  (** inclusive wall time, milliseconds *)
 }
 
@@ -30,6 +34,8 @@ let fresh_op () =
     heap_rows = 0;
     build_rows = 0;
     probe_hits = 0;
+    presorted = 0;
+    sorted = 0;
     time_ms = 0.0;
   }
 
@@ -124,6 +130,8 @@ let merge_into ~(into : t) (src : t) : unit =
           de.op.heap_rows <- de.op.heap_rows + se.op.heap_rows;
           de.op.build_rows <- de.op.build_rows + se.op.build_rows;
           de.op.probe_hits <- de.op.probe_hits + se.op.probe_hits;
+          de.op.presorted <- de.op.presorted + se.op.presorted;
+          de.op.sorted <- de.op.sorted + se.op.sorted;
           de.op.time_ms <- de.op.time_ms +. se.op.time_ms)
     src.entries
 
@@ -146,9 +154,12 @@ let annotation (s : op_stats) : string =
        Printf.sprintf " probes=%d btree_nodes=%d" s.btree_probes s.btree_nodes
      else "")
     ^ (if s.heap_rows > 0 then Printf.sprintf " heap_rows=%d" s.heap_rows else "")
+    ^ (if s.build_rows > 0 || s.probe_hits > 0 then
+         Printf.sprintf " build_rows=%d probe_hits=%d" s.build_rows s.probe_hits
+       else "")
     ^
-    if s.build_rows > 0 || s.probe_hits > 0 then
-      Printf.sprintf " build_rows=%d probe_hits=%d" s.build_rows s.probe_hits
+    if s.presorted > 0 || s.sorted > 0 then
+      Printf.sprintf " presorted=%d sorted=%d" s.presorted s.sorted
     else ""
   in
   Printf.sprintf "actual=%d loops=%d time=%.3fms%s" s.rows s.loops s.time_ms extra
@@ -162,9 +173,10 @@ let to_json (t : t) : string =
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
         (Printf.sprintf
-           {|{"id":%d,"op":"%s","rows":%d,"loops":%d,"btree_probes":%d,"btree_nodes":%d,"heap_rows":%d,"build_rows":%d,"probe_hits":%d,"time_ms":%.4f}|}
+           {|{"id":%d,"op":"%s","rows":%d,"loops":%d,"btree_probes":%d,"btree_nodes":%d,"heap_rows":%d,"build_rows":%d,"probe_hits":%d,"presorted":%d,"sorted":%d,"time_ms":%.4f}|}
            e.id (String.escaped e.label) e.op.rows e.op.loops e.op.btree_probes
-           e.op.btree_nodes e.op.heap_rows e.op.build_rows e.op.probe_hits e.op.time_ms))
+           e.op.btree_nodes e.op.heap_rows e.op.build_rows e.op.probe_hits e.op.presorted
+           e.op.sorted e.op.time_ms))
     t.entries;
   Buffer.add_char buf ']';
   Buffer.contents buf

@@ -11,6 +11,10 @@ type op_stats = {
   mutable heap_rows : int;  (** heap rows fetched (scan operators) *)
   mutable build_rows : int;  (** rows hashed into the build table (hash join) *)
   mutable probe_hits : int;  (** matches found while probing (hash join) *)
+  mutable presorted : int;
+      (** ORDER BY inputs already in key order, so the sort was skipped
+          (Sort opens, XMLAgg ORDER BY groups of an Aggregate) *)
+  mutable sorted : int;  (** ORDER BY inputs that had to be sorted *)
   mutable time_ms : float;  (** inclusive wall time, milliseconds *)
 }
 

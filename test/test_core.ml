@@ -675,6 +675,31 @@ let test_dbonerow_explain_analyze () =
   (* the full-scan plan still matches the functional baseline *)
   check Alcotest.(list string) "full-scan rewrite correct" f (PL.run_rewrite db c2)
 
+let test_ordering_strategy_explain () =
+  (* the records view publishes rows ORDER BY id, the key the heap is
+     loaded in: avts's XMLAgg skips its sort, in both executors; a row
+     inserted with the smallest id lands at the heap's end, and the same
+     plan then sorts *)
+  let dv = Xdb_xsltmark.Data.records_db 200 in
+  let db = dv.Xdb_xsltmark.Data.db in
+  let ss = (Option.get (Xdb_xsltmark.Cases.find "avts")).Xdb_xsltmark.Cases.stylesheet in
+  let c = PL.compile db dv.Xdb_xsltmark.Data.view ss in
+  let strategy expected =
+    List.iter
+      (fun interpreted ->
+        let text = PL.explain_analyze ~interpreted db c in
+        if not (contains expected text) then
+          Alcotest.failf "expected %s (interpreted=%b) in:\n%s" expected interpreted text)
+      [ false; true ]
+  in
+  strategy "presorted=1 sorted=0";
+  T.insert_values (Xdb_rel.Database.table db "rows")
+    [ Xdb_rel.Value.Int 1; Xdb_rel.Value.Int 0; Xdb_rel.Value.Str "late";
+      Xdb_rel.Value.Int 5; Xdb_rel.Value.Str "c" ];
+  strategy "presorted=0 sorted=1";
+  check Alcotest.(list string) "sorted rewrite = functional" (PL.run_functional db c)
+    (PL.run_rewrite db c)
+
 let test_nan_condition_differential () =
   (* regression: 0/0 = NaN reaching a CASE condition in the SQL path; the
      executor treated NaN as true while the functional baseline (XPath
@@ -1589,6 +1614,44 @@ let prop_server_accounting =
       && snap.SV.in_flight = 0
       && snap.SV.queue_depth = 0)
 
+(* the latency accumulator stays one size however many samples it
+   takes, and its percentiles sit within the documented relative error
+   of the exact nearest-rank values *)
+let test_server_latency_histogram () =
+  let l = SV.Latency.create () in
+  let words () = Obj.reachable_words (Obj.repr l) in
+  let empty = words () in
+  let n = 1_000_000 in
+  let rng = Random.State.make [| 42 |] in
+  (* log-uniform over 1e-3 .. 1e4 ms, plus exact zeros (immediate admits) *)
+  let samples =
+    Array.init n (fun i ->
+        if i mod 10 = 0 then 0.0 else 10.0 ** (Random.State.float rng 7.0 -. 3.0))
+  in
+  Array.iter (SV.Latency.add l) samples;
+  check ci "accumulator size unchanged after 1M samples" empty (words ());
+  let s = SV.Latency.summary l in
+  Array.sort compare samples;
+  let exact q = samples.(min (n - 1) (max 0 (int_of_float (ceil (q *. float_of_int n)) - 1))) in
+  check ci "count exact" n s.SV.count;
+  check (Alcotest.float 0.0) "max exact" samples.(n - 1) s.SV.max_ms;
+  check (Alcotest.float 1e-6) "mean exact"
+    (Array.fold_left ( +. ) 0.0 samples /. float_of_int n)
+    s.SV.mean_ms;
+  List.iter
+    (fun (q, got) ->
+      let want = exact q in
+      if Float.abs (got -. want) > SV.Latency.relative_error *. want then
+        Alcotest.failf "p%g: histogram %g vs exact %g (allowed %.4f relative)" (q *. 100.0)
+          got want SV.Latency.relative_error)
+    [ (0.50, s.SV.p50_ms); (0.95, s.SV.p95_ms); (0.99, s.SV.p99_ms) ];
+  (* all-zero waits report exactly zero *)
+  let z = SV.Latency.create () in
+  for _ = 1 to 1000 do
+    SV.Latency.add z 0.0
+  done;
+  check (Alcotest.float 0.0) "zero waits stay zero" 0.0 (SV.Latency.summary z).SV.p99_ms
+
 (* property: pipeline equivalence across random dept/emp instances *)
 let prop_pipeline_equivalence =
   QCheck.Test.make ~name:"functional = rewrite on random instances" ~count:20
@@ -1637,6 +1700,8 @@ let () =
           Alcotest.test_case "registry LRU eviction" `Quick test_registry_lru_eviction;
           Alcotest.test_case "dbonerow EXPLAIN ANALYZE" `Quick test_dbonerow_explain_analyze;
           Alcotest.test_case "NaN condition differential" `Quick test_nan_condition_differential;
+          Alcotest.test_case "EXPLAIN ANALYZE ordering strategy" `Quick
+            test_ordering_strategy_explain;
           QCheck_alcotest.to_alcotest prop_pipeline_equivalence;
         ] );
       ( "parallel",
@@ -1671,6 +1736,8 @@ let () =
             test_engine_pool_race;
           Alcotest.test_case "mixed-verb smoke under 4 domains" `Quick
             test_server_mixed_smoke;
+          Alcotest.test_case "bounded latency histogram" `Quick
+            test_server_latency_histogram;
           QCheck_alcotest.to_alcotest prop_server_accounting;
         ] );
     ]

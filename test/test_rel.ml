@@ -1687,6 +1687,217 @@ let test_run_arrays_layout () =
   check cb "qualified name absent above projection" true
     (Xdb_rel.Layout.slot_opt layout ~alias:"e" "ename" = None)
 
+(* ORDER BY differential: Sort and XMLAgg(... ORDER BY ...) over heap
+   orders that are presorted, reversed, tied, NULL-keyed and mixed
+   Int/Float/Str, one or two keys, ASC/DESC — the compiled executor
+   (which skips the sort for input already in order) must return what the
+   interpreted one (which always sorts) returns, and both must report the
+   same ordering strategy *)
+let test_ordering_differential () =
+  let shapes =
+    [
+      ("presorted", fun i _ -> (V.Int i, V.Int (i mod 3)));
+      ("reversed", fun i n -> (V.Int (n - i), V.Int (i mod 3)));
+      ("tied", fun i _ -> (V.Int (i / 4), V.Int (7 * i mod 5)));
+      ("null-keyed", fun i _ -> ((if i mod 3 = 0 then V.Null else V.Int i), V.Int (i mod 2)));
+      ( "mixed",
+        fun i _ ->
+          ( (match i mod 3 with
+            | 0 -> V.Int i
+            | 1 -> V.Float (float_of_int i -. 0.5)
+            | _ -> V.Str (Printf.sprintf "s%03d" (i mod 7))),
+            match i mod 2 with 0 -> V.Float 1.5 | _ -> V.Int 1 ) );
+    ]
+  in
+  let k1 = A.qcol "t" "k1" and k2 = A.qcol "t" "k2" in
+  (* a correlated subquery key, evaluated once per row by both executors *)
+  let sub_k1 =
+    A.Scalar_subquery
+      (A.Project ([ (k1, "v") ], A.Values { cols = [ "d" ]; rows = [ [ V.Int 0 ] ] }))
+  in
+  let orders =
+    [
+      [ (k1, A.Asc) ];
+      [ (k1, A.Desc) ];
+      [ (k1, A.Asc); (k2, A.Desc) ];
+      [ (k1, A.Desc); (k2, A.Asc) ];
+      [ (k2, A.Asc); (k1, A.Asc) ];
+      [ (sub_k1, A.Asc) ];
+    ]
+  in
+  let scan = A.Seq_scan { table = "t"; alias = "t" } in
+  let item = A.Xml_element ("r", [ ("id", A.col "id") ], [ A.col "k1" ]) in
+  let plans keys =
+    [
+      ( "Sort",
+        A.Project
+          ( [ (A.col "id", "id"); (A.col "k1", "k1"); (A.col "k2", "k2") ],
+            A.Sort (keys, scan) ) );
+      ( "XMLAgg",
+        A.Aggregate { group_by = []; aggs = [ (A.Xml_agg (item, keys), "x") ]; input = scan } );
+      ( "grouped XMLAgg",
+        A.Aggregate
+          {
+            group_by = [ (A.col "g", "g") ];
+            aggs = [ (A.Xml_agg (item, keys), "x") ];
+            input = scan;
+          } );
+    ]
+  in
+  let render rows =
+    String.concat ";"
+      (List.map (fun r -> String.concat "," (List.map (fun (n, v) -> n ^ "=" ^ V.show v) r)) rows)
+  in
+  let order_counts stats =
+    List.map (fun (e : ST.entry) -> (e.ST.label, e.ST.op.ST.presorted, e.ST.op.ST.sorted))
+      (ST.entries stats)
+  in
+  List.iter
+    (fun (shape, gen) ->
+      List.iter
+        (fun n ->
+          let db = DB.create () in
+          let t =
+            DB.create_table db "t"
+              (List.map
+                 (fun c -> { T.col_name = c; col_type = V.Tint })
+                 [ "id"; "k1"; "k2"; "g" ])
+          in
+          for i = 0 to n - 1 do
+            let a, b = gen i n in
+            T.insert_values t [ V.Int i; a; b; V.Int (i mod 2) ]
+          done;
+          List.iteri
+            (fun oi keys ->
+              List.iter
+                (fun (what, plan) ->
+                  let label = Printf.sprintf "%s %s, %d rows, order #%d" what shape n oi in
+                  let crows, cstats = E.run_analyzed db plan in
+                  let irows, istats = E.run_interpreted_analyzed db plan in
+                  check cs (label ^ ": compiled = interpreted") (render irows) (render crows);
+                  check cs
+                    (label ^ ": compiled = interpreted (streamed)")
+                    (render (E.run_interpreted ~xml_streaming:true db plan))
+                    (render crows);
+                  check cb (label ^ ": same ordering strategy") true
+                    (order_counts cstats = order_counts istats))
+                (plans keys))
+            orders)
+        [ 0; 1; 2; 37; E.default_batch_size + 3 ])
+    shapes;
+  (* the fast path is really taken: one presorted key, one reversed *)
+  let db = DB.create () in
+  let t = DB.create_table db "t" [ { T.col_name = "k1"; col_type = V.Tint } ] in
+  for i = 0 to 99 do
+    T.insert_values t [ V.Int i ]
+  done;
+  let strategy dir =
+    let plan = A.Sort ([ (k1, dir) ], scan) in
+    let _, stats = E.run_analyzed db plan in
+    match ST.find stats plan with
+    | Some s -> (s.ST.presorted, s.ST.sorted)
+    | None -> Alcotest.fail "Sort not registered"
+  in
+  check Alcotest.(pair int int) "ascending heap, ASC: presorted" (1, 0) (strategy A.Asc);
+  check Alcotest.(pair int int) "ascending heap, DESC: sorted" (0, 1) (strategy A.Desc)
+
+(* predicate differential: random Filter / CASE / nested-loop join
+   conditions over a small typed table holding NULLs, Int/Float mixes,
+   numeric and non-numeric strings.  The compiled executor's unboxed
+   predicates must select exactly the rows the interpreted executor's
+   value-level evaluation selects (or fail with the same error). *)
+let pred_db () =
+  let db = DB.create () in
+  let t =
+    DB.create_table db "p"
+      (List.map (fun c -> { T.col_name = c; col_type = V.Tint }) [ "id"; "a"; "b"; "c" ])
+  in
+  (* a and b: NULL, numbers and numeric strings; c: strings, of which
+     the non-numeric ones fail a comparison with a number *)
+  let nums =
+    [|
+      V.Null; V.Int 0; V.Int 1; V.Int 2; V.Int (-1); V.Float 1.0; V.Float 0.5; V.Float 0.0;
+      V.Float Float.nan; V.Str "1"; V.Str "2.5";
+    |]
+  in
+  let strs = [| V.Str "abc"; V.Null; V.Str ""; V.Str "1"; V.Str "b" |] in
+  for i = 0 to 10 do
+    T.insert_values t [ V.Int i; nums.(i); nums.((5 * i + 3) mod 11); strs.(i mod 5) ]
+  done;
+  db
+
+let gen_pred : A.expr QCheck.Gen.t =
+  let open QCheck.Gen in
+  let col = frequency [ (3, return "a"); (3, return "b"); (1, return "c") ] in
+  let operand =
+    frequency
+      [
+        (4, map2 (fun al c -> A.Col (Some al, c)) (oneofl [ "o"; "i" ]) col);
+        ( 2,
+          oneofl
+            [
+              A.Const V.Null; A.const_int 0; A.const_int 1; A.Const (V.Float 1.0);
+              A.Const (V.Float 0.5); A.const_str "1"; A.const_str "b";
+            ] );
+      ]
+  in
+  let cmp =
+    map3
+      (fun op a b -> A.Binop (op, a, b))
+      (oneofl A.[ Eq; Neq; Lt; Leq; Gt; Geq ])
+      operand operand
+  in
+  fix
+    (fun self d ->
+      if d = 0 then frequency [ (5, cmp); (1, operand); (1, map (fun e -> A.Is_null e) operand) ]
+      else
+        frequency
+          [
+            (3, cmp);
+            (1, operand);
+            (2, map2 (fun a b -> A.Binop (A.And, a, b)) (self (d - 1)) (self (d - 1)));
+            (2, map2 (fun a b -> A.Binop (A.Or, a, b)) (self (d - 1)) (self (d - 1)));
+            (2, map (fun a -> A.Not a) (self (d - 1)));
+          ])
+    3
+
+let prop_predicate_differential =
+  let db = pred_db () in
+  let scan alias = A.Seq_scan { table = "p"; alias } in
+  let ids = [ (A.qcol "o" "id", "oid"); (A.qcol "i" "id", "iid") ] in
+  let cross = A.Nested_loop { outer = scan "o"; inner = scan "i"; join_cond = None } in
+  let outcome run plan =
+    match run plan with
+    | rows ->
+        Ok (List.map (fun r -> String.concat "," (List.map (fun (n, v) -> n ^ "=" ^ V.show v) r)) rows)
+    | exception V.Type_error m -> Error m
+  in
+  QCheck.Test.make ~name:"unboxed predicates ≡ interpreted selection" ~count:300
+    (QCheck.make
+       ~print:(fun (p, q) -> A.expr_sql p ^ "  |  " ^ A.expr_sql q)
+       QCheck.Gen.(pair gen_pred gen_pred))
+    (fun (p, q) ->
+      let plans =
+        [
+          A.Project (ids, A.Filter (p, cross));
+          A.Project (ids, A.Nested_loop { outer = scan "o"; inner = scan "i"; join_cond = Some p });
+          A.Project
+            ( ids
+              @ [
+                  ( A.Case ([ (p, A.const_str "p"); (q, A.const_str "q") ], Some (A.const_str "-")),
+                    "case" );
+                  (A.Case ([ (A.Not p, A.const_int 1) ], None), "notp");
+                  (p, "pv");
+                ],
+              cross );
+        ]
+      in
+      List.for_all
+        (fun plan ->
+          let c = outcome (E.run db) plan and i = outcome (E.run_interpreted db) plan in
+          c = i || QCheck.Test.fail_reportf "plan %s differs" (A.plan_sql plan))
+        plans)
+
 let () =
   Alcotest.run "relational"
     [
@@ -1725,6 +1936,8 @@ let () =
           Alcotest.test_case "plan-open dead CASE branch" `Quick test_compile_dead_case_branch;
           Alcotest.test_case "batch boundaries" `Quick test_batch_boundaries;
           Alcotest.test_case "run_arrays layout" `Quick test_run_arrays_layout;
+          Alcotest.test_case "ORDER BY differential" `Quick test_ordering_differential;
+          QCheck_alcotest.to_alcotest prop_predicate_differential;
         ] );
       ( "instrumentation",
         [

@@ -446,11 +446,22 @@ xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
            s ~view_name:"dept_emp" ~stylesheet:ss)
           .EN.output
       in
+      (* the functional VM over the re-published view: an oracle that
+         shares no code with the rewrite plan's XMLAgg ORDER BY (random
+         INSERTs land out of empno order, so the plan's sort fallback runs
+         as well as its presorted path) *)
+      let functional () =
+        (EN.transform
+           ~options:{ EN.default_run_options with EN.result_cache = false; interpreted = true }
+           s ~view_name:"dept_emp" ~stylesheet:ss)
+          .EN.output
+      in
       ignore (cached ());
       List.for_all
         (fun stmt ->
           ignore (EN.execute s stmt);
-          cached () = recomputed () && cached () = recomputed ())
+          let r = recomputed () in
+          cached () = r && cached () = r && functional () = r)
         stmts)
 
 (* fuzz: the SQL parser must be total over printable garbage *)
