@@ -18,8 +18,10 @@
 
     Each scan binds both the bare column name and the [alias.column]
     qualified form, so correlated subqueries can reference outer tables
-    the way paper Table 7 does ([DEPTNO = DEPT.DEPTNO]); correlation
-    bindings ride as the physical tail of each row.
+    the way paper Table 7 does ([DEPTNO = DEPT.DEPTNO]).  A compiled
+    operator's rows hold only its own slots; the correlation row is the
+    environment its cursor was opened on, and expressions read outer
+    columns from it in place.
 
     Both executors accept an optional {!Stats.t} collector; when present
     every operator records rows produced, loops, B-tree probe counts and
@@ -618,11 +620,13 @@ let default_batch_size = 1024
 (** A batch cursor: [None] at end of stream; batches are never empty. *)
 type cursor = unit -> Value.t array array option
 
-(** A compiled plan: its output layout plus an open function taking the
-    physical outer (correlation) row.  Opening yields a fresh cursor, so
-    one compilation serves many executions (correlated subqueries open
-    once per outer row). *)
-type compiled = { c_layout : Layout.t; c_open : Value.t array -> cursor }
+(** A compiled plan: its output layout (own columns, then the
+    environment's), its own width, and an open function taking the
+    environment row.  Cursor rows hold the own slots only; layout slot
+    [s >= c_own] is environment slot [s - c_own].  Opening yields a fresh
+    cursor, so one compilation serves many executions (correlated
+    subqueries open once per outer row). *)
+type compiled = { c_layout : Layout.t; c_own : int; c_open : Value.t array -> cursor }
 
 type cctx = {
   cdb : Database.t;
@@ -664,11 +668,9 @@ let drain_cursor (next : cursor) : Value.t array list =
   in
   go []
 
-(* chunked cursor over an indexed row source, appending the outer tail to
-   every produced row; rows are shared (not copied) when there is no tail *)
-let chunked_cursor ~batch ~count ~get (outer : Value.t array) : cursor =
+(* chunked cursor over an indexed row source; rows are shared, not copied *)
+let chunked_cursor ~batch ~count ~get : cursor =
   let pos = ref 0 in
-  let k = Array.length outer in
   fun () ->
     let n = count () in
     if !pos >= n then None
@@ -676,17 +678,27 @@ let chunked_cursor ~batch ~count ~get (outer : Value.t array) : cursor =
       let len = min batch (n - !pos) in
       let base = !pos in
       pos := base + len;
-      let make j =
-        let r : Value.t array = get (base + j) in
-        if k = 0 then r
-        else (
-          let m = Array.length r in
-          let out = Array.make (m + k) Value.Null in
-          Array.blit r 0 out 0 m;
-          Array.blit outer 0 out m k;
-          out)
-      in
-      Some (Array.init len make))
+      Some (Array.init len (fun j -> get (base + j))))
+
+(* [with_env own env r] — the first [own] slots of [r], then [env]: the
+   environment a subplan opens on, or a joined row.  Shares [r] or [env]
+   when the other part is empty (rows are never mutated). *)
+let with_env own (env : Value.t array) (r : Value.t array) =
+  let k = Array.length env in
+  if own = 0 then env
+  else if k = 0 then r
+  else (
+    let out = Array.make (own + k) Value.Null in
+    Array.blit r 0 out 0 own;
+    Array.blit env 0 out own k;
+    out)
+
+(* a reader for slot [s] of such a layout, taking [env] then the row *)
+let slot_reader own s : Value.t array -> Value.t array -> Value.t =
+  if s < own then fun _ r -> Array.unsafe_get r s
+  else
+    let s = s - own in
+    fun env _ -> Array.unsafe_get env s
 
 (* cursor over a lazily computed materialised result (Sort/Limit/Aggregate
    compute everything on the first pull, then emit in batches) *)
@@ -709,13 +721,47 @@ let lazy_array_cursor batch (compute : unit -> Value.t array array) : cursor =
       pos := !pos + len;
       Some b)
 
+(* a cursor over the rows [each] pushes for every row of [next], in input
+   order, handed on in batches of about [batch] rows (the joins) *)
+let flat_map_cursor batch (next : cursor) each : cursor =
+  let obatch = ref [||] and oidx = ref 0 in
+  let outer_done = ref false in
+  let buf = ref [] and nbuf = ref 0 in
+  let push r =
+    buf := r :: !buf;
+    incr nbuf
+  in
+  let rec fill () =
+    if !nbuf >= batch then ()
+    else if !oidx < Array.length !obatch then (
+      let row = (!obatch).(!oidx) in
+      incr oidx;
+      each push row;
+      fill ())
+    else if not !outer_done then
+      match next () with
+      | None -> outer_done := true
+      | Some b ->
+          obatch := b;
+          oidx := 0;
+          fill ()
+  in
+  fun () ->
+    fill ();
+    if !nbuf = 0 then None
+    else (
+      let out = Array.of_list (List.rev !buf) in
+      buf := [];
+      nbuf := 0;
+      Some out)
+
 (* per-open instrumentation: loops per open, rows per batch, inclusive
    wall time around open and every pull (child time is included, like the
    interpreted executor's inclusive accounting) *)
-let instrumented_open (s : Stats.op_stats) open_ (outer : Value.t array) : cursor =
+let instrumented_open (s : Stats.op_stats) open_ (env : Value.t array) : cursor =
   let t0 = Unix.gettimeofday () in
   s.Stats.loops <- s.Stats.loops + 1;
-  let next = open_ outer in
+  let next = open_ env in
   s.Stats.time_ms <- s.Stats.time_ms +. ((Unix.gettimeofday () -. t0) *. 1000.0);
   fun () ->
     let t0 = Unix.gettimeofday () in
@@ -734,11 +780,12 @@ let sort_cmp_keys dirs (ka : Value.t array) (kb : Value.t array) =
   in
   go 0
 
-(* [rows_in_order kfs dirs rows]: a stable sort on the keys would leave
-   [rows] as they are.  One pass over adjacent rows, keys evaluated in
-   place (no decorated arrays); a single key compares directly, with an
+(* [rows_in_order env kfs dirs rows]: a stable sort on the keys would
+   leave [rows] as they are.  One pass over adjacent rows, keys evaluated
+   in place (no decorated arrays); a single key compares directly, with an
    Int/Int shortcut. *)
-let rows_in_order (kfs : (Value.t array -> Value.t) array) dirs (rows : Value.t array list) =
+let rows_in_order env (kfs : (Value.t array -> Value.t array -> Value.t) array) dirs
+    (rows : Value.t array list) =
   match (kfs, rows) with
   | _, ([] | [ _ ]) -> true
   | [| kf |], r :: rest ->
@@ -749,16 +796,16 @@ let rows_in_order (kfs : (Value.t array -> Value.t) array) dirs (rows : Value.t 
       let rec go prev = function
         | [] -> true
         | r :: rest ->
-            let k = kf r in
+            let k = kf env r in
             ordered prev k && go k rest
       in
-      go (kf r) rest
+      go (kf env r) rest
   | _ ->
       let n = Array.length kfs in
       let rec cmp a b i =
         if i >= n then 0
         else
-          let c = dir_cmp dirs.(i) (Value.compare_key (kfs.(i) a) (kfs.(i) b)) in
+          let c = dir_cmp dirs.(i) (Value.compare_key (kfs.(i) env a) (kfs.(i) env b)) in
           if c <> 0 then c else cmp a b (i + 1)
       in
       let rec go = function a :: (b :: _ as rest) -> cmp a b 0 <= 0 && go rest | _ -> true in
@@ -771,12 +818,12 @@ let rows_in_order (kfs : (Value.t array -> Value.t) array) dirs (rows : Value.t 
    outcomes identical.  Keys that run a subquery ([pure] false) are
    decorated first, so the subquery runs once per row, and checked for
    order there. *)
-let order_rows sop kfs dirs ~pure rows =
-  if pure && rows_in_order kfs dirs rows then (
+let order_rows sop env kfs dirs ~pure rows =
+  if pure && rows_in_order env kfs dirs rows then (
     note_order sop true;
     rows)
   else
-    let dec = Array.of_list (List.map (fun r -> (Array.map (fun kf -> kf r) kfs, r)) rows) in
+    let dec = Array.of_list (List.map (fun r -> (Array.map (fun kf -> kf env r) kfs, r)) rows) in
     let cmp (ka, _) (kb, _) = sort_cmp_keys dirs ka kb in
     let n = Array.length dec in
     let rec in_order i = i >= n - 1 || (cmp dec.(i) dec.(i + 1) <= 0 && in_order (i + 1)) in
@@ -796,57 +843,67 @@ let cmp_test : binop -> int -> bool = function
   | Geq -> fun c -> c >= 0
   | _ -> invalid_arg "cmp_test"
 
-(** Compile an expression against a layout into a closure over physical
-    rows.  All column references — including those inside never-taken
-    CASE branches and correlated subqueries — resolve now; failures are
+(* a compiled constructor's attributes and content, emitted without
+   allocating an iteration closure per constructor call *)
+let rec emit_attrs sink env r = function
+  | [] -> ()
+  | (aq, af) :: rest ->
+      (match af env r with
+      | Value.Null -> ()
+      | v -> sink.E.emit (E.Attr (aq, Value.to_string v)));
+      emit_attrs sink env r rest
+
+let rec emit_kids sink env r = function
+  | [] -> ()
+  | kf :: rest ->
+      emit_content sink (kf env r);
+      emit_kids sink env r rest
+
+(** Compile an expression against a layout (the row's [own] slots, then
+    the environment's) into a closure over the environment and the row.
+    All column references — including those inside never-taken CASE
+    branches and correlated subqueries — resolve now; failures are
     plan-open [Exec_error]s listing the available columns. *)
-let rec cexpr ctx (lay : Layout.t) (e : expr) : Value.t array -> Value.t =
+let rec cexpr ctx (lay : Layout.t) own (e : expr) : Value.t array -> Value.t array -> Value.t =
   match e with
-  | Const v -> fun _ -> v
-  | Col (alias, name) ->
-      let s = resolve_slot lay alias name in
-      fun r -> Array.unsafe_get r s
+  | Const v -> fun _ _ -> v
+  | Col (alias, name) -> slot_reader own (resolve_slot lay alias name)
   | Not _ | Binop ((And | Or), _, _) ->
-      let p = cpred ctx lay e in
-      fun r -> Value.Int (if p r then 1 else 0)
+      let p = cpred ctx lay own e in
+      fun env r -> Value.Int (if p env r then 1 else 0)
   | Is_null e ->
-      let f = cexpr ctx lay e in
-      fun r -> Value.Int (if Value.is_null (f r) then 1 else 0)
-  | Binop (op, a, b) -> cbinop ctx lay op a b
-  | Fn (f, args) -> cfn ctx lay f args
+      let f = cexpr ctx lay own e in
+      fun env r -> Value.Int (if Value.is_null (f env r) then 1 else 0)
+  | Binop (op, a, b) -> cbinop ctx lay own op a b
+  | Fn (f, args) -> cfn ctx lay own f args
   | Case (whens, els) ->
-      let whens = List.map (fun (c, r) -> (cpred ctx lay c, cexpr ctx lay r)) whens in
-      let els = Option.map (cexpr ctx lay) els in
-      fun r ->
+      let whens = List.map (fun (c, r) -> (cpred ctx lay own c, cexpr ctx lay own r)) whens in
+      let els = Option.map (cexpr ctx lay own) els in
+      fun env r ->
         let rec go = function
-          | [] -> ( match els with Some f -> f r | None -> Value.Null)
-          | (c, t) :: rest -> if c r then t r else go rest
+          | [] -> ( match els with Some f -> f env r | None -> Value.Null)
+          | (c, t) :: rest -> if c env r then t env r else go rest
         in
         go whens
   | Xml_element (name, attrs, kids) ->
       let qn = X.qname name in
-      let attrs = List.map (fun (an, ae) -> (X.qname an, cexpr ctx lay ae)) attrs in
-      let kids = List.map (cexpr ctx lay) kids in
+      let attrs = List.map (fun (an, ae) -> (X.qname an, cexpr ctx lay own ae)) attrs in
+      let kids = List.map (cexpr ctx lay own) kids in
       let streaming = ctx.cxml_streaming in
-      fun r ->
+      fun env r ->
         xml_value ~streaming (fun sink ->
             sink.E.emit (E.Start_element qn);
-            List.iter
-              (fun (aq, af) ->
-                match af r with
-                | Value.Null -> ()
-                | v -> sink.E.emit (E.Attr (aq, Value.to_string v)))
-              attrs;
-            List.iter (fun kf -> emit_content sink (kf r)) kids;
+            emit_attrs sink env r attrs;
+            emit_kids sink env r kids;
             sink.E.emit E.End_element)
   | Xml_forest fields ->
-      let fields = List.map (fun (n, fe) -> (X.qname n, cexpr ctx lay fe)) fields in
+      let fields = List.map (fun (n, fe) -> (X.qname n, cexpr ctx lay own fe)) fields in
       let streaming = ctx.cxml_streaming in
-      fun r ->
+      fun env r ->
         xml_value ~streaming (fun sink ->
             List.iter
               (fun (qn, ff) ->
-                match ff r with
+                match ff env r with
                 | Value.Null -> ()
                 | v ->
                     sink.E.emit (E.Start_element qn);
@@ -854,77 +911,84 @@ let rec cexpr ctx (lay : Layout.t) (e : expr) : Value.t array -> Value.t =
                     sink.E.emit E.End_element)
               fields)
   | Xml_concat es ->
-      let fs = List.map (cexpr ctx lay) es in
+      let fs = List.map (cexpr ctx lay own) es in
       let streaming = ctx.cxml_streaming in
-      fun r -> xml_value ~streaming (fun sink -> List.iter (fun f -> emit_content sink (f r)) fs)
+      fun env r ->
+        xml_value ~streaming (fun sink -> emit_kids sink env r fs)
   | Xml_text e ->
-      let f = cexpr ctx lay e in
+      let f = cexpr ctx lay own e in
       let streaming = ctx.cxml_streaming in
-      fun r ->
+      fun env r ->
         xml_value ~streaming (fun sink ->
-            match f r with
+            match f env r with
             | Value.Null -> ()
             | v -> sink.E.emit (E.Text (Value.to_string v)))
   | Xml_comment e ->
-      let f = cexpr ctx lay e in
+      let f = cexpr ctx lay own e in
       let streaming = ctx.cxml_streaming in
-      fun r -> xml_value ~streaming (fun sink -> sink.E.emit (E.Comment (Value.to_string (f r))))
+      fun env r ->
+        xml_value ~streaming (fun sink -> sink.E.emit (E.Comment (Value.to_string (f env r))))
   | Xml_pi (t, e) ->
-      let f = cexpr ctx lay e in
+      let f = cexpr ctx lay own e in
       let streaming = ctx.cxml_streaming in
-      fun r -> xml_value ~streaming (fun sink -> sink.E.emit (E.Pi (t, Value.to_string (f r))))
+      fun env r ->
+        xml_value ~streaming (fun sink -> sink.E.emit (E.Pi (t, Value.to_string (f env r))))
   | Scalar_subquery p ->
       let cp = cplan ctx lay p in
       let first =
-        match Layout.entries cp.c_layout with [] -> None | (_, s) :: _ -> Some s
+        match Layout.entries cp.c_layout with
+        | [] -> None
+        | (_, s) :: _ -> Some (slot_reader cp.c_own s)
       in
-      fun r -> (
+      fun env r -> (
+        let senv = with_env own env r in
         (* full drain, like the interpreted executor, so per-operator
            actual-row counts agree between the two *)
-        match drain_cursor (cp.c_open r) with
+        match drain_cursor (cp.c_open senv) with
         | [] -> Value.Null
-        | row :: _ -> ( match first with None -> Value.Null | Some s -> row.(s)))
+        | row :: _ -> ( match first with None -> Value.Null | Some f -> f senv row))
   | Exists p ->
       let cp = cplan ctx lay p in
-      fun r -> Value.Int (if drain_cursor (cp.c_open r) = [] then 0 else 1)
+      fun env r -> Value.Int (if drain_cursor (cp.c_open (with_env own env r)) = [] then 0 else 1)
 
-(** Compile a condition to an unboxed test: [cpred ctx lay e r] is
-    [bool_of_value (cexpr ctx lay e r)] — NULL and failed comparisons are
-    false, [NOT] negates that — without building the [Value.Int] truth
-    value or the [compare_sql] option for Int/Int comparisons. *)
-and cpred ctx lay (e : expr) : Value.t array -> bool =
+(** Compile a condition to an unboxed test: [cpred ctx lay own e env r]
+    is [bool_of_value (cexpr ctx lay own e env r)] — NULL and failed
+    comparisons are false, [NOT] negates that — without building the
+    [Value.Int] truth value or the [compare_sql] option for Int/Int
+    comparisons. *)
+and cpred ctx lay own (e : expr) : Value.t array -> Value.t array -> bool =
   match e with
   | Binop (And, a, b) ->
-      let pa = cpred ctx lay a and pb = cpred ctx lay b in
-      fun r -> pa r && pb r
+      let pa = cpred ctx lay own a and pb = cpred ctx lay own b in
+      fun env r -> pa env r && pb env r
   | Binop (Or, a, b) ->
-      let pa = cpred ctx lay a and pb = cpred ctx lay b in
-      fun r -> pa r || pb r
+      let pa = cpred ctx lay own a and pb = cpred ctx lay own b in
+      fun env r -> pa env r || pb env r
   | Not e ->
-      let p = cpred ctx lay e in
-      fun r -> not (p r)
+      let p = cpred ctx lay own e in
+      fun env r -> not (p env r)
   | Binop (((Eq | Neq | Lt | Leq | Gt | Geq) as op), a, b) ->
-      let fa = cexpr ctx lay a and fb = cexpr ctx lay b in
+      let fa = cexpr ctx lay own a and fb = cexpr ctx lay own b in
       let test = cmp_test op in
-      fun r -> (
-        match (fa r, fb r) with
+      fun env r -> (
+        match (fa env r, fb env r) with
         | Value.Int x, Value.Int y -> test (Int.compare x y)
         | va, vb -> ( match Value.compare_sql va vb with Some c -> test c | None -> false))
   | Is_null e ->
-      let f = cexpr ctx lay e in
-      fun r -> Value.is_null (f r)
+      let f = cexpr ctx lay own e in
+      fun env r -> Value.is_null (f env r)
   | _ ->
-      let f = cexpr ctx lay e in
-      fun r -> bool_of_value (f r)
+      let f = cexpr ctx lay own e in
+      fun env r -> bool_of_value (f env r)
 
-and cbinop ctx lay op a b =
-  let fa = cexpr ctx lay a and fb = cexpr ctx lay b in
+and cbinop ctx lay own op a b =
+  let fa = cexpr ctx lay own a and fb = cexpr ctx lay own b in
   match op with
   | And | Or -> assert false (* cexpr compiles these through [cpred] *)
-  | Concat -> fun r -> Value.Str (Value.to_string (fa r) ^ Value.to_string (fb r))
+  | Concat -> fun env r -> Value.Str (Value.to_string (fa env r) ^ Value.to_string (fb env r))
   | Fdiv ->
-      fun r -> (
-        match (fa r, fb r) with
+      fun env r -> (
+        match (fa env r, fb env r) with
         | Value.Null, _ | _, Value.Null -> Value.Null
         | va, vb -> Value.Float (Value.to_float va /. Value.to_float vb))
   | (Add | Sub | Mul | Div | Mod) as op ->
@@ -946,128 +1010,137 @@ and cbinop ctx lay op a b =
         | Mod -> Float.rem
         | _ -> assert false
       in
-      fun r -> (
-        match (fa r, fb r) with
+      fun env r -> (
+        match (fa env r, fb env r) with
         | Value.Null, _ | _, Value.Null -> Value.Null
         | Value.Int x, Value.Int y -> Value.Int (iop x y)
         | va, vb -> Value.Float (fop (Value.to_float va) (Value.to_float vb)))
   | (Eq | Neq | Lt | Leq | Gt | Geq) as op ->
       let test = cmp_test op in
-      fun r -> (
-        match Value.compare_sql (fa r) (fb r) with
+      fun env r -> (
+        match Value.compare_sql (fa env r) (fb env r) with
         | None -> Value.Null
         | Some c -> Value.Int (if test c then 1 else 0))
 
-and cfn ctx lay f args =
-  let cs = List.map (cexpr ctx lay) args in
+and cfn ctx lay own f args =
+  let cs = List.map (cexpr ctx lay own) args in
   let f1 () = match cs with [ f ] -> f | _ -> assert false in
   match (String.lowercase_ascii f, List.length args) with
   | "concat", _ ->
-      fun r -> Value.Str (String.concat "" (List.map (fun f -> Value.to_string (f r)) cs))
+      fun env r -> Value.Str (String.concat "" (List.map (fun f -> Value.to_string (f env r)) cs))
   | "upper", 1 ->
       let f0 = f1 () in
-      fun r -> Value.Str (String.uppercase_ascii (Value.to_string (f0 r)))
+      fun env r -> Value.Str (String.uppercase_ascii (Value.to_string (f0 env r)))
   | "lower", 1 ->
       let f0 = f1 () in
-      fun r -> Value.Str (String.lowercase_ascii (Value.to_string (f0 r)))
+      fun env r -> Value.Str (String.lowercase_ascii (Value.to_string (f0 env r)))
   | "length", 1 ->
       let f0 = f1 () in
-      fun r -> Value.Int (String.length (Value.to_string (f0 r)))
+      fun env r -> Value.Int (String.length (Value.to_string (f0 env r)))
   | "abs", 1 ->
       let f0 = f1 () in
-      fun r -> (
-        match f0 r with
+      fun env r -> (
+        match f0 env r with
         | Value.Int i -> Value.Int (abs i)
         | x -> Value.Float (Float.abs (Value.to_float x)))
   | "round", 1 ->
       let f0 = f1 () in
-      fun r -> (
-        match f0 r with
+      fun env r -> (
+        match f0 env r with
         | Value.Null -> Value.Null
         | x -> Value.Float (xpath_round (Value.to_float x)))
   | "floor", 1 ->
       let f0 = f1 () in
-      fun r -> (
-        match f0 r with Value.Null -> Value.Null | x -> Value.Float (Float.floor (Value.to_float x)))
+      fun env r -> (
+        match f0 env r with
+        | Value.Null -> Value.Null
+        | x -> Value.Float (Float.floor (Value.to_float x)))
   | "ceiling", 1 ->
       let f0 = f1 () in
-      fun r -> (
-        match f0 r with Value.Null -> Value.Null | x -> Value.Float (Float.ceil (Value.to_float x)))
+      fun env r -> (
+        match f0 env r with
+        | Value.Null -> Value.Null
+        | x -> Value.Float (Float.ceil (Value.to_float x)))
   | "coalesce", _ ->
-      fun r ->
+      fun env r ->
         let rec go = function
           | [] -> Value.Null
-          | f :: rest -> ( match f r with Value.Null -> go rest | x -> x)
+          | f :: rest -> ( match f env r with Value.Null -> go rest | x -> x)
         in
         go cs
   | name, n -> err "unknown scalar function %s/%d" name n
 
-and cagg ctx sop lay (a : agg) : Value.t array list -> Value.t =
+and cagg ctx sop lay own (a : agg) : Value.t array -> Value.t array list -> Value.t =
   match a with
-  | Count_star -> fun ms -> Value.Int (List.length ms)
+  | Count_star -> fun _ ms -> Value.Int (List.length ms)
   | Count e ->
-      let f = cexpr ctx lay e in
-      fun ms -> Value.Int (List.length (List.filter (fun r -> not (Value.is_null (f r))) ms))
+      let f = cexpr ctx lay own e in
+      fun env ms ->
+        Value.Int (List.length (List.filter (fun r -> not (Value.is_null (f env r))) ms))
   | Sum e ->
-      let f = cexpr ctx lay e in
-      fun ms ->
-        let vs = List.filter_map (fun r -> match f r with Value.Null -> None | v -> Some v) ms in
+      let f = cexpr ctx lay own e in
+      fun env ms ->
+        let vs =
+          List.filter_map (fun r -> match f env r with Value.Null -> None | v -> Some v) ms
+        in
         if vs = [] then Value.Null
         else if List.for_all (function Value.Int _ -> true | _ -> false) vs then
           Value.Int (List.fold_left (fun acc v -> acc + Value.to_int v) 0 vs)
         else Value.Float (List.fold_left (fun acc v -> acc +. Value.to_float v) 0.0 vs)
   | Min e ->
-      let f = cexpr ctx lay e in
-      fun ms ->
+      let f = cexpr ctx lay own e in
+      fun env ms ->
         List.fold_left
           (fun acc r ->
-            match (acc, f r) with
+            match (acc, f env r) with
             | acc, Value.Null -> acc
             | Value.Null, v -> v
             | acc, v -> if Value.compare_key v acc < 0 then v else acc)
           Value.Null ms
   | Max e ->
-      let f = cexpr ctx lay e in
-      fun ms ->
+      let f = cexpr ctx lay own e in
+      fun env ms ->
         List.fold_left
           (fun acc r ->
-            match (acc, f r) with
+            match (acc, f env r) with
             | acc, Value.Null -> acc
             | Value.Null, v -> v
             | acc, v -> if Value.compare_key v acc > 0 then v else acc)
           Value.Null ms
   | Avg e ->
-      let f = cexpr ctx lay e in
-      fun ms ->
+      let f = cexpr ctx lay own e in
+      fun env ms ->
         let vs =
           List.filter_map
-            (fun r -> match f r with Value.Null -> None | v -> Some (Value.to_float v))
+            (fun r -> match f env r with Value.Null -> None | v -> Some (Value.to_float v))
             ms
         in
         if vs = [] then Value.Null
         else Value.Float (List.fold_left ( +. ) 0.0 vs /. float_of_int (List.length vs))
   | Xml_agg (e, order) ->
-      let f = cexpr ctx lay e in
-      let kfs = Array.of_list (List.map (fun (k, _) -> cexpr ctx lay k) order) in
+      let f = cexpr ctx lay own e in
+      let kfs = Array.of_list (List.map (fun (k, _) -> cexpr ctx lay own k) order) in
       let dirs = Array.of_list (List.map snd order) in
       let pure = List.for_all (fun (k, _) -> subplans_of_expr k = []) order in
-      fun ms ->
-        let ms = if order = [] then ms else order_rows sop kfs dirs ~pure ms in
+      fun env ms ->
+        let ms = if order = [] then ms else order_rows sop env kfs dirs ~pure ms in
         xml_value ~streaming:ctx.cxml_streaming (fun sink ->
-            List.iter (fun r -> emit_content sink (f r)) ms)
+            List.iter (fun r -> emit_content sink (f env r)) ms)
   | String_agg (e, sep) ->
-      let f = cexpr ctx lay e in
-      fun ms ->
+      let f = cexpr ctx lay own e in
+      fun env ms ->
         Value.Str
           (String.concat sep
              (List.filter_map
-                (fun r -> match f r with Value.Null -> None | v -> Some (Value.to_string v))
+                (fun r -> match f env r with Value.Null -> None | v -> Some (Value.to_string v))
                 ms))
 
 (** Compile one operator against the layout of its correlation
-    environment.  The returned layout is own columns first, outer row as
-    the physical tail — the slot-level image of the interpreted
-    executor's [bindings @ outer]. *)
+    environment.  The returned layout is own columns first, then the
+    environment's — the slot-level image of the interpreted executor's
+    [bindings @ outer] — but the rows the operator emits hold only the
+    own slots: outer columns are read from the environment row the
+    cursor was opened on. *)
 and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
   let sopt = match ctx.cstats with None -> None | Some st -> Stats.find st p in
   let c =
@@ -1085,15 +1158,13 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
               (lo, fun () -> max 0 (min hi (Table.size tbl) - lo))
           | _ -> (0, fun () -> Table.size tbl)
         in
-        let open_ outer =
+        let open_ _ =
           (match sopt with
           | Some s -> s.Stats.heap_rows <- s.Stats.heap_rows + count ()
           | None -> ());
-          chunked_cursor ~batch:ctx.cbatch ~count
-            ~get:(fun i -> Table.unsafe_row tbl (base + i))
-            outer
+          chunked_cursor ~batch:ctx.cbatch ~count ~get:(fun i -> Table.unsafe_row tbl (base + i))
         in
-        { c_layout = lay; c_open = open_ }
+        { c_layout = lay; c_own = Array.length names; c_open = open_ }
     | Index_scan { table; alias; index_column; lo; hi } ->
         let tbl = Database.table ctx.cdb table in
         let idx =
@@ -1104,21 +1175,22 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
         let names = Array.map (fun c -> c.Table.col_name) tbl.Table.columns in
         let lay = Layout.concat (Layout.of_columns ~alias names) outer_lay in
         (* bounds are correlation expressions: compiled against the outer
-           layout, evaluated once per open on the outer row *)
+           layout (no own slots), evaluated once per open on the
+           environment *)
         let cbound = function
           | Unbounded -> fun _ -> Btree.Unbounded
           | Incl e ->
-              let f = cexpr ctx outer_lay e in
-              fun o -> Btree.Inclusive (f o)
+              let f = cexpr ctx outer_lay 0 e in
+              fun env -> Btree.Inclusive (f env env)
           | Excl e ->
-              let f = cexpr ctx outer_lay e in
-              fun o -> Btree.Exclusive (f o)
+              let f = cexpr ctx outer_lay 0 e in
+              fun env -> Btree.Exclusive (f env env)
         in
         let blo = cbound lo and bhi = cbound hi in
-        let open_ outer =
+        let open_ env =
           let tree = idx.Table.tree in
           let probes0 = Btree.probes tree and nodes0 = Btree.node_visits tree in
-          let rids = Btree.range_rids tree ~lo:(blo outer) ~hi:(bhi outer) in
+          let rids = Btree.range_rids tree ~lo:(blo env) ~hi:(bhi env) in
           (match sopt with
           | Some s ->
               s.Stats.btree_probes <- s.Stats.btree_probes + (Btree.probes tree - probes0);
@@ -1128,27 +1200,26 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
           chunked_cursor ~batch:ctx.cbatch
             ~count:(fun () -> Array.length rids)
             ~get:(fun i -> Table.unsafe_row tbl rids.(i))
-            outer
         in
-        { c_layout = lay; c_open = open_ }
+        { c_layout = lay; c_own = Array.length names; c_open = open_ }
     | Filter (cond, input) ->
         let ci = cplan ctx outer_lay input in
-        let fc = cpred ctx ci.c_layout cond in
-        let open_ outer =
-          let next = ci.c_open outer in
+        let fc = cpred ctx ci.c_layout ci.c_own cond in
+        let open_ env =
+          let next = ci.c_open env in
           (* a batch whose rows all pass is passed on as it is *)
           let rec pull () =
             match next () with
             | None -> None
             | Some b ->
                 let n = Array.length b in
-                let rec pass i = if i < n && fc b.(i) then pass (i + 1) else i in
+                let rec pass i = if i < n && fc env b.(i) then pass (i + 1) else i in
                 let m = pass 0 in
                 if m = n then Some b
                 else begin
                   let kept = Array.copy b and k = ref m in
                   for i = m + 1 to n - 1 do
-                    if fc b.(i) then (
+                    if fc env b.(i) then (
                       kept.(!k) <- b.(i);
                       incr k)
                   done;
@@ -1157,20 +1228,21 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
           in
           pull
         in
-        { c_layout = ci.c_layout; c_open = open_ }
+        { ci with c_open = open_ }
     | Project (fields, input) ->
         check_distinct "projection output" (List.map snd fields);
         let ci = cplan ctx outer_lay input in
-        let fs = Array.of_list (List.map (fun (e, _) -> cexpr ctx ci.c_layout e) fields) in
+        let fs =
+          Array.of_list (List.map (fun (e, _) -> cexpr ctx ci.c_layout ci.c_own e) fields)
+        in
         let nf = Array.length fs in
         let lay =
           Layout.concat
             (Layout.of_list ~width:nf (List.mapi (fun i (_, n) -> (n, i)) fields))
             outer_lay
         in
-        let k = Layout.width outer_lay in
-        let open_ outer =
-          let next = ci.c_open outer in
+        let open_ env =
+          let next = ci.c_open env in
           fun () ->
             match next () with
             | None -> None
@@ -1178,67 +1250,40 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
                 Some
                   (Array.map
                      (fun r ->
-                       let out = Array.make (nf + k) Value.Null in
+                       let out = Array.make nf Value.Null in
                        for i = 0 to nf - 1 do
-                         out.(i) <- (Array.unsafe_get fs i) r
+                         out.(i) <- (Array.unsafe_get fs i) env r
                        done;
-                       if k > 0 then Array.blit outer 0 out nf k;
                        out)
                      b)
         in
-        { c_layout = lay; c_open = open_ }
+        { c_layout = lay; c_own = nf; c_open = open_ }
     | Nested_loop { outer = op; inner = ip; join_cond } ->
         let co = cplan ctx outer_lay op in
-        (* the inner side is correlated on the outer side's rows; its rows
-           physically end with the outer row, so its layout already is the
-           join layout (first-match-wins gives the inner side precedence,
-           exactly like the interpreted [irow @ orow]) *)
+        (* the inner side is correlated on the outer side's rows: it opens
+           once per outer row on that row followed by [env], and its
+           layout already is the join layout (first-match-wins gives the
+           inner side precedence, exactly like the interpreted
+           [irow @ orow]); joined rows are [irow ++ orow] *)
         let ci = cplan ctx co.c_layout ip in
-        let fcond = Option.map (cpred ctx ci.c_layout) join_cond in
-        let open_ outer =
-          let onext = co.c_open outer in
-          let obatch = ref [||] and oidx = ref 0 in
-          let outer_done = ref false in
-          let buf = ref [] and nbuf = ref 0 in
-          let push r =
-            buf := r :: !buf;
-            incr nbuf
-          in
-          let rec fill () =
-            if !nbuf >= ctx.cbatch then ()
-            else if !oidx < Array.length !obatch then (
-              let orow = (!obatch).(!oidx) in
-              incr oidx;
-              let inext = ci.c_open orow in
+        let iw = ci.c_own and ow = co.c_own in
+        let fcond = Option.map (cpred ctx ci.c_layout iw) join_cond in
+        let open_ env =
+          flat_map_cursor ctx.cbatch (co.c_open env) (fun push orow ->
+              let ienv = with_env ow env orow in
+              let inext = ci.c_open ienv in
               let rec inner_drain () =
                 match inext () with
                 | None -> ()
                 | Some ib ->
                     (match fcond with
-                    | None -> Array.iter push ib
-                    | Some f -> Array.iter (fun r -> if f r then push r) ib);
+                    | None -> Array.iter (fun r -> push (with_env iw orow r)) ib
+                    | Some f -> Array.iter (fun r -> if f ienv r then push (with_env iw orow r)) ib);
                     inner_drain ()
               in
-              inner_drain ();
-              fill ())
-            else if not !outer_done then
-              match onext () with
-              | None -> outer_done := true
-              | Some b ->
-                  obatch := b;
-                  oidx := 0;
-                  fill ()
-          in
-          fun () ->
-            fill ();
-            if !nbuf = 0 then None
-            else (
-              let out = Array.of_list (List.rev !buf) in
-              buf := [];
-              nbuf := 0;
-              Some out)
+              inner_drain ())
         in
-        { c_layout = ci.c_layout; c_open = open_ }
+        { c_layout = ci.c_layout; c_own = iw + ow; c_open = open_ }
     | Hash_join { outer = op; inner = ip; keys; kind } ->
         let co = cplan ctx outer_lay op in
         (* both sides are compiled against the enclosing environment only
@@ -1246,21 +1291,24 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
            once per probe row); key expressions resolve against their own
            side's layout *)
         let ci = cplan ctx outer_lay ip in
-        let okeys = Array.of_list (List.map (fun (ok, _) -> cexpr ctx co.c_layout ok) keys) in
-        let ikeys = Array.of_list (List.map (fun (_, ik) -> cexpr ctx ci.c_layout ik) keys) in
-        (* build rows end with the enclosing outer row; only their own
-           slots join the output (the probe row carries the tail) *)
-        let own_w = Layout.width ci.c_layout - Layout.width outer_lay in
-        let pw = Layout.width co.c_layout in
-        let lay =
-          match kind with
-          | Inner | Left_outer -> Layout.concat (Layout.prefix ci.c_layout own_w) co.c_layout
-          | Semi | Anti -> co.c_layout
+        let okeys =
+          Array.of_list (List.map (fun (ok, _) -> cexpr ctx co.c_layout co.c_own ok) keys)
         in
-        let open_ outer =
+        let ikeys =
+          Array.of_list (List.map (fun (_, ik) -> cexpr ctx ci.c_layout ci.c_own ik) keys)
+        in
+        (* joined rows are the build row's own slots, then the probe row's *)
+        let iw = ci.c_own and pw = co.c_own in
+        let null_build = Array.make iw Value.Null in
+        let lay, own =
+          match kind with
+          | Inner | Left_outer -> (Layout.concat (Layout.prefix ci.c_layout iw) co.c_layout, iw + pw)
+          | Semi | Anti -> (co.c_layout, pw)
+        in
+        let open_ env =
           (* build phase: hash the whole build side on its key tuple *)
           let tbl = Hashtbl.create 64 in
-          let inext = ci.c_open outer in
+          let inext = ci.c_open env in
           let rec build () =
             match inext () with
             | None -> ()
@@ -1270,7 +1318,7 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
                     (match sopt with
                     | Some s -> s.Stats.build_rows <- s.Stats.build_rows + 1
                     | None -> ());
-                    let kvs = Array.map (fun f -> f irow) ikeys in
+                    let kvs = Array.map (fun f -> f env irow) ikeys in
                     if not (Array.exists Value.is_null kvs) then (
                       let key = hash_key_string kvs in
                       let cell =
@@ -1288,7 +1336,7 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
           build ();
           Hashtbl.iter (fun _ c -> c := List.rev !c) tbl;
           let probe prow =
-            let kvs = Array.map (fun f -> f prow) okeys in
+            let kvs = Array.map (fun f -> f env prow) okeys in
             if Array.exists Value.is_null kvs then []
             else
               match Hashtbl.find_opt tbl (hash_key_string kvs) with
@@ -1300,76 +1348,34 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
             | Some s -> s.Stats.probe_hits <- s.Stats.probe_hits + n
             | None -> ()
           in
-          let join_out irow prow =
-            let out = Array.make (own_w + pw) Value.Null in
-            Array.blit irow 0 out 0 own_w;
-            Array.blit prow 0 out own_w pw;
-            out
-          in
           (* probe phase: stream the probe side in batches *)
-          let onext = co.c_open outer in
-          let obatch = ref [||] and oidx = ref 0 in
-          let outer_done = ref false in
-          let buf = ref [] and nbuf = ref 0 in
-          let push r =
-            buf := r :: !buf;
-            incr nbuf
-          in
-          let rec fill () =
-            if !nbuf >= ctx.cbatch then ()
-            else if !oidx < Array.length !obatch then (
-              let prow = (!obatch).(!oidx) in
-              incr oidx;
-              (match kind with
+          flat_map_cursor ctx.cbatch (co.c_open env) (fun push prow ->
+              match kind with
               | Inner ->
                   let ms = probe prow in
                   hit (List.length ms);
-                  List.iter (fun (irow, _) -> push (join_out irow prow)) ms
+                  List.iter (fun (irow, _) -> push (with_env iw prow irow)) ms
               | Left_outer -> (
                   match probe prow with
-                  | [] ->
-                      let out = Array.make (own_w + pw) Value.Null in
-                      Array.blit prow 0 out own_w pw;
-                      push out
+                  | [] -> push (with_env iw prow null_build)
                   | ms ->
                       hit (List.length ms);
-                      List.iter (fun (irow, _) -> push (join_out irow prow)) ms)
+                      List.iter (fun (irow, _) -> push (with_env iw prow irow)) ms)
               | Semi -> (
                   match probe prow with
                   | [] -> ()
                   | _ :: _ ->
                       hit 1;
                       push prow)
-              | Anti -> (
-                  match probe prow with
-                  | [] -> push prow
-                  | _ :: _ -> hit 1));
-              fill ())
-            else if not !outer_done then
-              match onext () with
-              | None -> outer_done := true
-              | Some b ->
-                  obatch := b;
-                  oidx := 0;
-                  fill ()
-          in
-          fun () ->
-            fill ();
-            if !nbuf = 0 then None
-            else (
-              let out = Array.of_list (List.rev !buf) in
-              buf := [];
-              nbuf := 0;
-              Some out)
+              | Anti -> ( match probe prow with [] -> push prow | _ :: _ -> hit 1))
         in
-        { c_layout = lay; c_open = open_ }
+        { c_layout = lay; c_own = own; c_open = open_ }
     | Aggregate { group_by; aggs; input } ->
         check_distinct "aggregate output" (List.map snd group_by @ List.map snd aggs);
         let ci = cplan ctx outer_lay input in
-        let gfs = List.map (fun (e, _) -> cexpr ctx ci.c_layout e) group_by in
-        let afs = List.map (fun (a, _) -> cagg ctx sopt ci.c_layout a) aggs in
+        let gfs = List.map (fun (e, _) -> cexpr ctx ci.c_layout ci.c_own e) group_by in
+        let afs = List.map (fun (a, _) -> cagg ctx sopt ci.c_layout ci.c_own a) aggs in
         let ng = List.length gfs and na = List.length afs in
-        let k = Layout.width outer_lay in
         let lay =
           Layout.concat
             (Layout.of_list ~width:(ng + na)
@@ -1377,15 +1383,14 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
                @ List.mapi (fun i (_, n) -> (n, ng + i)) aggs))
             outer_lay
         in
-        let open_ outer =
-          let next = ci.c_open outer in
+        let open_ env =
+          let next = ci.c_open env in
           let make_group members key =
-            let out = Array.make (ng + na + k) Value.Null in
+            let out = Array.make (ng + na) Value.Null in
             (match members with
-            | m :: _ -> List.iteri (fun i gf -> out.(i) <- gf m) gfs
+            | m :: _ -> List.iteri (fun i gf -> out.(i) <- gf env m) gfs
             | [] -> List.iteri (fun i ks -> out.(i) <- Value.Str ks) key);
-            List.iteri (fun i af -> out.(ng + i) <- af members) afs;
-            if k > 0 then Array.blit outer 0 out (ng + na) k;
+            List.iteri (fun i af -> out.(ng + i) <- af env members) afs;
             out
           in
           lazy_array_cursor ctx.cbatch (fun () ->
@@ -1396,7 +1401,7 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
                 let order = ref [] in
                 List.iter
                   (fun r ->
-                    let key = List.map (fun gf -> Value.to_string (gf r)) gfs in
+                    let key = List.map (fun gf -> Value.to_string (gf env r)) gfs in
                     match Hashtbl.find_opt groups key with
                     | None ->
                         order := key :: !order;
@@ -1408,22 +1413,24 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
                      (fun key -> make_group (List.rev !(Hashtbl.find groups key)) key)
                      !order)))
         in
-        { c_layout = lay; c_open = open_ }
+        { c_layout = lay; c_own = ng + na; c_open = open_ }
     | Sort (keys, input) ->
         let ci = cplan ctx outer_lay input in
-        let kfs = Array.of_list (List.map (fun (k, _) -> cexpr ctx ci.c_layout k) keys) in
+        let kfs =
+          Array.of_list (List.map (fun (k, _) -> cexpr ctx ci.c_layout ci.c_own k) keys)
+        in
         let dirs = Array.of_list (List.map snd keys) in
         let pure = List.for_all (fun (k, _) -> subplans_of_expr k = []) keys in
-        let open_ outer =
-          let next = ci.c_open outer in
+        let open_ env =
+          let next = ci.c_open env in
           lazy_array_cursor ctx.cbatch (fun () ->
-              Array.of_list (order_rows sopt kfs dirs ~pure (drain_cursor next)))
+              Array.of_list (order_rows sopt env kfs dirs ~pure (drain_cursor next)))
         in
-        { c_layout = ci.c_layout; c_open = open_ }
+        { ci with c_open = open_ }
     | Limit (n, input) ->
         let ci = cplan ctx outer_lay input in
-        let open_ outer =
-          let next = ci.c_open outer in
+        let open_ env =
+          let next = ci.c_open env in
           lazy_array_cursor ctx.cbatch (fun () ->
               (* the interpreted executor materialises the child fully
                  before truncating; do the same so per-operator actual-row
@@ -1435,7 +1442,7 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
               in
               Array.of_list (take n rows))
         in
-        { c_layout = ci.c_layout; c_open = open_ }
+        { ci with c_open = open_ }
     | Values { cols; rows } ->
         check_distinct "VALUES columns" cols;
         let nc = List.length cols in
@@ -1453,13 +1460,10 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
             (Layout.of_list ~width:nc (List.mapi (fun i c -> (c, i)) cols))
             outer_lay
         in
-        let open_ outer =
-          chunked_cursor ~batch:ctx.cbatch
-            ~count:(fun () -> Array.length data)
-            ~get:(fun i -> data.(i))
-            outer
+        let open_ _ =
+          chunked_cursor ~batch:ctx.cbatch ~count:(fun () -> Array.length data) ~get:(Array.get data)
         in
-        { c_layout = lay; c_open = open_ }
+        { c_layout = lay; c_own = nc; c_open = open_ }
   in
   match sopt with
   | None -> c
@@ -1515,28 +1519,23 @@ let run_arrays_analyzed db ?batch_size ?xml_streaming ?partition (p : plan) :
   let c = compile db ~stats ?batch_size ?xml_streaming ?partition p in
   ((c.c_layout, drain_cursor (c.c_open [||])), stats)
 
-(* an externally supplied assoc environment becomes a physical outer row *)
-let outer_env (outer : row) =
-  (Layout.of_bindings (List.map fst outer), Array.of_list (List.map snd outer))
+(* an externally supplied assoc environment becomes an environment row;
+   result rows get its bindings back as their tail *)
+let run_assoc db ?stats (outer : row) (p : plan) : row list =
+  let env = Array.of_list (List.map snd outer) in
+  let c = compile db ?stats ~outer:(Layout.of_bindings (List.map fst outer)) p in
+  List.map
+    (fun r -> Layout.to_assoc c.c_layout (with_env c.c_own env r))
+    (drain_cursor (c.c_open env))
 
-let run db ?(outer = []) (p : plan) : row list =
-  let olay, orow = outer_env outer in
-  let c = compile db ~outer:olay p in
-  List.map (Layout.to_assoc c.c_layout) (drain_cursor (c.c_open orow))
+let run db ?(outer = []) (p : plan) : row list = run_assoc db outer p
 
 (** [run_analyzed db plan] — execute with per-operator instrumentation;
     returns the rows and the filled collector (EXPLAIN ANALYZE). *)
 let run_analyzed db ?(outer = []) (p : plan) : row list * Stats.t =
   let stats = Stats.create p in
-  let olay, orow = outer_env outer in
-  let c = compile db ~stats ~outer:olay p in
-  (List.map (Layout.to_assoc c.c_layout) (drain_cursor (c.c_open orow)), stats)
+  (run_assoc db ~stats outer p, stats)
 
 (** First column of each result row — convenient for single-column queries. *)
 let run_column db ?(outer = []) p =
-  let olay, orow = outer_env outer in
-  let c = compile db ~outer:olay p in
-  let rows = drain_cursor (c.c_open orow) in
-  match Layout.entries c.c_layout with
-  | [] -> List.map (fun _ -> Value.Null) rows
-  | (_, s) :: _ -> List.map (fun r -> r.(s)) rows
+  List.map (function [] -> Value.Null | (_, v) :: _ -> v) (run_assoc db outer p)

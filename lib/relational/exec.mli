@@ -11,7 +11,9 @@
 
     Each scan binds both the bare column name and the [alias.column]
     qualified form, so correlated subqueries can reference outer tables
-    the way paper Table 7 does. *)
+    the way paper Table 7 does.  A compiled operator's rows hold only
+    its own slots; a correlated subplan opens on its environment row and
+    reads outer columns there in place. *)
 
 type row = (string * Value.t) list
 
@@ -78,10 +80,16 @@ val compile :
     columns, listing the columns that are available. *)
 
 val compiled_layout : compiled -> Layout.t
-(** Output layout: own columns first, outer correlation row as tail. *)
+(** Output layout: own columns first, then the [outer] layout the plan
+    was compiled against. *)
 
 val open_cursor : compiled -> ?outer:Value.t array -> unit -> cursor
-(** Open one execution over the physical outer row (default empty). *)
+(** Open one execution on the environment row [outer] (one value per
+    slot of the [outer] layout; default empty).  The cursor yields rows
+    that hold the plan's {e own} slots only — the layout slots below
+    [width (compiled_layout c) - width outer] — never the environment:
+    a caller that needs an outer value reads it from [outer] itself.
+    Rows may be shared with the table's storage; do not mutate them. *)
 
 val run_arrays :
   Database.t ->

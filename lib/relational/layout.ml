@@ -39,8 +39,10 @@ let of_columns ~alias names =
 
 (** [concat a b] — rows of [a] with rows of [b] appended: [b]'s slots are
     shifted past [a]'s width, and [a]'s names shadow [b]'s.  This is how
-    every operator carries its correlation bindings: own columns first,
-    outer row as the tail. *)
+    every operator sees its correlation bindings: own columns first, then
+    the environment's.  The compiled executor never builds that row: its
+    operators emit the own slots only and read the rest from the
+    environment row they were opened on. *)
 let concat a b =
   if b.width = 0 && Array.length b.entries = 0 then a
   else
@@ -53,7 +55,7 @@ let concat a b =
 (** [prefix t w] — the layout of the first [w] slots only: entries whose
     slot lies below [w], resolution order preserved.  Inverse of {!concat}
     on the left operand — how the hash join recovers the build side's own
-    columns from build rows that carry a correlation tail. *)
+    columns from the build layout, which ends with the environment's. *)
 let prefix t w =
   {
     entries = Array.of_seq (Seq.filter (fun (_, s) -> s < w) (Array.to_seq t.entries));

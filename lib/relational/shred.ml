@@ -278,8 +278,9 @@ let slot_int a i =
 let slot_str a i =
   match a.(i) with Value.Str s -> s | _ -> err "malformed shred row (str slot %d)" i
 
-(* scan rows keep the table's column order in slots 0..9 (outer
-   correlation values, if appended, sit past them) *)
+(* scan rows keep the table's column order in slots 0..9; rows from a
+   per-context step plan hold only these own slots (the correlation
+   values stay in the environment row the cursor was opened on) *)
 let node_of_slots a =
   {
     docid = slot_int a 0; pre = slot_int a 1; post = slot_int a 2; parent = slot_int a 3;

@@ -1898,6 +1898,413 @@ let prop_predicate_differential =
           c = i || QCheck.Test.fail_reportf "plan %s differs" (A.plan_sql plan))
         plans)
 
+(* correlation differential: random plans whose scalar and EXISTS
+   subqueries nest up to three deep inside every operator, correlated on
+   the rows around them.  Column references are drawn from everything in
+   scope at their depth — own columns and every enclosing binding — and
+   scans, projections, groups and VALUES reuse names ("a", "id", the
+   aliases "t"/"u"/"v") so inner bindings shadow outer ones.  Compiled
+   rows, DOM and streamed, must equal the interpreted executor's, with
+   identical per-operator actual rows and loops.  Names starting with
+   'x' hold XML or strings and stay out of scalar positions. *)
+let corr_db () =
+  let db = DB.create () in
+  let table name cols rows =
+    let t =
+      DB.create_table db name (List.map (fun c -> { T.col_name = c; col_type = V.Tint }) cols)
+    in
+    List.iter (T.insert_values t) rows;
+    ignore (T.create_index t ~name:(name ^ "_id") ~column:"id")
+  in
+  let n = V.Null and i k = V.Int k in
+  table "t" [ "id"; "a"; "b" ]
+    [ [ i 0; i 1; n ]; [ i 1; i 2; i 0 ]; [ i 2; n; i 1 ]; [ i 3; i 1; i 2 ]; [ i 4; i 3; n ] ];
+  table "u" [ "id"; "a"; "c" ] [ [ i 2; i 2; i 5 ]; [ i 1; n; i 1 ]; [ i 0; i 1; n ]; [ i 2; i 2; i 0 ] ];
+  db
+
+let corr_cols = function "t" -> [ "id"; "a"; "b" ] | _ -> [ "id"; "a"; "c" ]
+
+let col_of name =
+  match String.index_opt name '.' with
+  | Some k -> A.Col (Some (String.sub name 0 k), String.sub name (k + 1) (String.length name - k - 1))
+  | None -> A.Col (None, name)
+
+let is_xml name = name.[0] = 'x'
+
+(* [gen_scalar sub scope n]: a scalar expression over [scope] (names in
+   resolution order) whose subqueries nest at most [sub] deep *)
+let rec gen_scalar sub scope n : A.expr QCheck.Gen.t =
+  let open QCheck.Gen in
+  let names = List.filter (fun s -> not (is_xml s)) scope in
+  let leaf =
+    frequency
+      ([ (2, map A.const_int (int_range (-1) 4)); (1, return (A.Const V.Null)) ]
+      @ if names = [] then [] else [ (6, map col_of (oneofl names)) ])
+  in
+  if n <= 0 then leaf
+  else
+    let self = gen_scalar sub scope (n / 2) in
+    frequency
+      ([
+         (3, leaf);
+         (2, map3 (fun op a b -> A.Binop (op, a, b)) (oneofl A.[ Add; Sub; Mul ]) self self);
+         (3, map3 (fun op a b -> A.Binop (op, a, b)) (oneofl A.[ Eq; Neq; Lt; Leq; Gt; Geq ]) self self);
+         (1, map3 (fun op a b -> A.Binop (op, a, b)) (oneofl A.[ And; Or ]) self self);
+         (1, map (fun a -> A.Not a) self);
+         (1, map (fun a -> A.Is_null a) self);
+         (1, map3 (fun c r e -> A.Case ([ (c, r) ], Some e)) self self self);
+       ]
+      @
+      if sub <= 0 then []
+      else
+        [
+          ( 3,
+            map
+              (fun (p, own) -> A.Scalar_subquery (scalar_first p own scope))
+              (gen_plan (sub - 1) 2 scope) );
+          (2, map (fun (p, _) -> A.Exists p) (gen_plan (sub - 1) 2 scope));
+        ])
+
+(* an XML constructor: scalar attribute, content drawn from any binding
+   (XML ones included) or from a subquery that may return XML *)
+and gen_xml sub scope : A.expr QCheck.Gen.t =
+  let open QCheck.Gen in
+  let content =
+    frequency
+      ((2, gen_scalar sub scope 1) :: (if scope = [] then [] else [ (2, map col_of (oneofl scope)) ])
+      @
+      if sub <= 0 then []
+      else [ (2, map (fun (p, _) -> A.Scalar_subquery p) (gen_plan (sub - 1) 2 scope)) ])
+  in
+  map2 (fun a k -> A.Xml_element ("e", [ ("k", a) ], [ k ])) (gen_scalar sub scope 1) content
+
+(* a subquery in scalar position must not return XML: project a scalar
+   column over it when its first binding is an XML one *)
+and scalar_first p own env =
+  match own @ env with
+  | first :: _ when is_xml first ->
+      let v =
+        match List.filter (fun s -> not (is_xml s)) (own @ env) with
+        | s :: _ -> col_of s
+        | [] -> A.const_int 0
+      in
+      A.Project ([ (v, "v") ], p)
+  | _ -> p
+
+(* [gen_plan sub n env]: a plan over environment [env] with about [n]
+   operators, paired with the names of its own columns *)
+and gen_plan sub n env : (A.plan * string list) QCheck.Gen.t =
+  let open QCheck.Gen in
+  let own_of table alias = List.concat_map (fun c -> [ c; alias ^ "." ^ c ]) (corr_cols table) in
+  let alias = oneofl [ "t"; "u"; "v" ] in
+  let scan =
+    map2 (fun table alias -> (A.Seq_scan { table; alias }, own_of table alias)) (oneofl [ "t"; "u" ]) alias
+  in
+  let bound =
+    frequency
+      [
+        (1, return A.Unbounded);
+        (2, map (fun e -> A.Incl e) (gen_scalar 0 env 1));
+        (1, map (fun e -> A.Excl e) (gen_scalar 0 env 1));
+      ]
+  in
+  let index_scan =
+    map4
+      (fun table alias lo hi ->
+        (A.Index_scan { table; alias; index_column = "id"; lo; hi }, own_of table alias))
+      (oneofl [ "t"; "u" ]) alias bound bound
+  in
+  let values =
+    oneofl [ []; [ "v" ]; [ "v"; "a" ] ] >>= fun cols ->
+    list_size (int_bound 3)
+      (flatten_l (List.map (fun _ -> oneofl [ V.Null; V.Int 0; V.Int 1; V.Int 2 ]) cols))
+    >|= fun rows -> (A.Values { cols; rows }, cols)
+  in
+  let leaf = frequency [ (3, scan); (2, index_scan); (1, values) ] in
+  let expr scope = gen_scalar sub scope 2 in
+  let fields scope =
+    list_size (int_range 1 3) (oneofl [ "p"; "q"; "a"; "id"; "x0"; "x1" ]) >>= fun names ->
+    let names = List.sort_uniq compare names in
+    flatten_l
+      (List.map
+         (fun nm -> map (fun e -> (e, nm)) (if is_xml nm then gen_xml sub scope else expr scope))
+         names)
+  in
+  let aggs scope =
+    let e = expr scope in
+    let pool =
+      [
+        (return A.Count_star, "n"); (map (fun e -> A.Count e) e, "c");
+        (map (fun e -> A.Sum e) e, "s"); (map (fun e -> A.Min e) e, "mn");
+        (map (fun e -> A.Max e) e, "a"); (map (fun e -> A.Avg e) e, "av");
+        (map (fun e -> A.String_agg (e, ",")) e, "xs");
+        ( map2 (fun x k -> A.Xml_agg (x, k)) (gen_xml sub scope)
+            (list_size (int_bound 1) (pair e (oneofl A.[ Asc; Desc ]))),
+          "xa" );
+      ]
+    in
+    list_size (int_range 1 2) (oneofl pool) >>= fun picked ->
+    let picked = List.sort_uniq (fun (_, a) (_, b) -> compare a b) picked in
+    flatten_l (List.map (fun (g, nm) -> map (fun a -> (a, nm)) g) picked)
+  in
+  if n <= 0 then leaf
+  else
+    let child = gen_plan sub (n - 1) env in
+    frequency
+      [
+        (2, leaf);
+        (2, child >>= fun (p, own) -> map (fun c -> (A.Filter (c, p), own)) (expr (own @ env)));
+        ( 2,
+          child >>= fun (p, own) ->
+          map (fun fs -> (A.Project (fs, p), List.map snd fs)) (fields (own @ env)) );
+        ( 2,
+          gen_plan sub (n / 2) env >>= fun (op, oown) ->
+          gen_plan sub (n / 2) (oown @ env) >>= fun (ip, iown) ->
+          opt (expr (iown @ oown @ env)) >|= fun join_cond ->
+          (A.Nested_loop { outer = op; inner = ip; join_cond }, iown @ oown) );
+        ( 2,
+          gen_plan sub (n / 2) env >>= fun (op, oown) ->
+          gen_plan sub (n / 2) env >>= fun (ip, iown) ->
+          list_size (int_range 1 2) (pair (expr (oown @ env)) (expr (iown @ env))) >>= fun keys ->
+          oneofl A.[ Inner; Left_outer; Semi; Anti ] >|= fun kind ->
+          ( A.Hash_join { outer = op; inner = ip; keys; kind },
+            match kind with Inner | Left_outer -> iown @ oown | Semi | Anti -> oown ) );
+        ( 2,
+          child >>= fun (p, own) ->
+          let scope = own @ env in
+          list_size (int_bound 1) (map (fun e -> (e, "g")) (expr scope)) >>= fun group_by ->
+          aggs scope >|= fun aggs ->
+          (A.Aggregate { group_by; aggs; input = p }, List.map snd group_by @ List.map snd aggs) );
+        ( 1,
+          child >>= fun (p, own) ->
+          list_size (int_range 1 2) (pair (expr (own @ env)) (oneofl A.[ Asc; Desc ]))
+          >|= fun keys -> (A.Sort (keys, p), own) );
+        (1, child >>= fun (p, own) -> map (fun k -> (A.Limit (k, p), own)) (int_bound 3));
+      ]
+
+(* [(rows, work)] upper bounds of one execution of [p], subqueries
+   included: random plans above a work budget are redrawn, so nested
+   correlated subqueries stay cheap to run three ways *)
+let rec plan_cost db (p : A.plan) : int * int =
+  let subs sps = List.fold_left (fun acc sp -> acc + snd (plan_cost db sp)) 1 sps in
+  let ecs es = List.fold_left (fun acc e -> acc + subs (A.subplans_of_expr e)) 0 es in
+  let size table = T.size (DB.table db table) in
+  let over i f =
+    let r, w = plan_cost db i in
+    f r w
+  in
+  match p with
+  | A.Seq_scan { table; _ } -> (size table, size table)
+  | A.Index_scan { table; lo; hi; _ } ->
+      let b = function A.Unbounded -> [] | A.Incl e | A.Excl e -> [ e ] in
+      (size table, size table + ecs (b lo @ b hi))
+  | A.Values { rows; _ } -> (List.length rows, 1)
+  | A.Filter (c, i) -> over i (fun r w -> (r, w + (r * ecs [ c ])))
+  | A.Project (fs, i) -> over i (fun r w -> (r, w + (r * ecs (List.map fst fs))))
+  | A.Sort (ks, i) -> over i (fun r w -> (r, w + (r * ecs (List.map fst ks))))
+  | A.Limit (k, i) -> over i (fun r w -> (min k r, w))
+  | A.Aggregate { group_by; aggs; input } ->
+      over input (fun r w ->
+          let per_row =
+            List.fold_left
+              (fun acc (a, _) -> acc + subs (A.subplans_of_agg a))
+              (ecs (List.map fst group_by))
+              aggs
+          in
+          ((if group_by = [] then 1 else r), w + (r * per_row)))
+  | A.Nested_loop { outer; inner; join_cond } ->
+      let ro, wo = plan_cost db outer and ri, wi = plan_cost db inner in
+      (ro * ri, wo + (ro * (wi + (ri * ecs (Option.to_list join_cond)))))
+  | A.Hash_join { outer; inner; keys; kind } ->
+      let ro, wo = plan_cost db outer and ri, wi = plan_cost db inner in
+      ( (match kind with A.Inner | A.Left_outer -> ro * max 1 ri | A.Semi | A.Anti -> ro),
+        wo + wi + (ro * ecs (List.map fst keys)) + (ri * ecs (List.map snd keys)) )
+
+let prop_correlation_differential =
+  let db = corr_db () in
+  let rec bounded st =
+    let ((p, _) as r) = gen_plan 3 3 [] st in
+    if snd (plan_cost db p) <= 20_000 then r else bounded st
+  in
+  (* the bindings a name can reach: the interpreted nested loop repeats
+     the outer row's bindings behind the inner row's, where first-match
+     resolution never sees them *)
+  let render rows =
+    let visible r =
+      List.rev
+        (List.fold_left (fun acc (n, v) -> if List.mem_assoc n acc then acc else (n, v) :: acc) [] r)
+    in
+    String.concat ";"
+      (List.map
+         (fun r -> String.concat "," (List.map (fun (n, v) -> n ^ "=" ^ V.show v) (visible r)))
+         rows)
+  in
+  let counts stats =
+    List.map (fun (e : ST.entry) -> (e.ST.label, e.ST.op.ST.rows, e.ST.op.ST.loops)) (ST.entries stats)
+  in
+  QCheck.Test.make ~name:"correlated subplans ≡ interpreted (rows, streamed rows, per-operator counts)"
+    ~count:300
+    (QCheck.make ~print:(fun (p, _) -> A.plan_sql p) bounded)
+    (fun (plan, _) ->
+      let irows, istats = E.run_interpreted_analyzed db plan in
+      let crows, cstats = E.run_analyzed db plan in
+      let layout, srows = E.run_arrays ~xml_streaming:true db plan in
+      let i = render irows in
+      (render crows = i
+      || QCheck.Test.fail_reportf "compiled rows %s\ninterpreted rows %s" (render crows) i)
+      && (render (List.map (Xdb_rel.Layout.to_assoc layout) srows) = i
+         || QCheck.Test.fail_report "streamed rows differ")
+      && (counts cstats = counts istats || QCheck.Test.fail_report "per-operator counts differ"))
+
+(* the assoc entry points hand the caller's outer bindings back as the
+   tail of every row, whatever the compiled rows hold *)
+let test_outer_bindings_returned () =
+  let db = setup_db () in
+  let outer = [ ("d.deptno", V.Int 10); ("k", V.Str "kk") ] in
+  let emps =
+    A.Filter (A.(qcol "e" "deptno" =. qcol "d" "deptno"), A.Seq_scan { table = "emp"; alias = "e" })
+  in
+  let render rows =
+    List.map (fun r -> String.concat "," (List.map (fun (n, v) -> n ^ "=" ^ V.show v) r)) rows
+  in
+  let expected = render (E.run_interpreted db ~outer emps) in
+  check Alcotest.(list string) "run" expected (render (E.run db ~outer emps));
+  check Alcotest.(list string) "run_analyzed" expected (render (fst (E.run_analyzed db ~outer emps)));
+  check cb "rows end with the outer bindings" true
+    (List.for_all (fun r -> List.assoc "k" r = V.Str "kk") (E.run db ~outer emps));
+  check Alcotest.(list int) "run_column: first own column" [ 7782; 7934 ]
+    (List.map V.to_int (E.run_column db ~outer emps));
+  (* no own columns: the first column is the first outer binding *)
+  check Alcotest.(list int) "run_column over VALUES ()" [ 10; 10 ]
+    (List.map V.to_int (E.run_column db ~outer (A.Values { cols = []; rows = [ []; [] ] })))
+
+(* a subquery with no own columns returns its first environment column —
+   at depth one (the dept row) and at depth two (the emp row, followed by
+   the dept row, in the subplan's environment) *)
+let test_subquery_first_slot_outer () =
+  let db = setup_db () in
+  let no_cols = A.Values { cols = []; rows = [ [] ] } in
+  let first_emp =
+    A.Project
+      ( [ (A.Scalar_subquery no_cols, "w") ],
+        A.Filter
+          (A.(qcol "e" "deptno" =. qcol "d" "deptno"), A.Seq_scan { table = "emp"; alias = "e" })
+      )
+  in
+  let plan =
+    A.Project
+      ( [ (A.Scalar_subquery no_cols, "v"); (A.Scalar_subquery first_emp, "w") ],
+        A.Seq_scan { table = "dept"; alias = "d" } )
+  in
+  let rows = E.run db plan in
+  check Alcotest.(list int) "depth one: d.deptno" [ 10; 40 ]
+    (List.map (fun r -> V.to_int (List.assoc "v" r)) rows);
+  check Alcotest.(list int) "depth two: first e.empno" [ 7782; 7954 ]
+    (List.map (fun r -> V.to_int (List.assoc "w" r)) rows);
+  check cb "compiled = interpreted" true (rows = E.run_interpreted db plan)
+
+(* chart's shape: one streamed XMLAgg per outer row, built by a
+   correlated subquery and serialised only after every row (and so every
+   later inner open) is done.  Each stream must still read its own outer
+   row — what a shared "current outer row" cell would get wrong. *)
+let test_streams_serialised_after_all_opens () =
+  let db = setup_db () in
+  let items =
+    A.Aggregate
+      {
+        group_by = [];
+        aggs =
+          [
+            ( A.Xml_agg
+                (A.Xml_element ("item", [ ("dept", A.qcol "d" "dname") ], [ A.qcol "e" "ename" ]), []),
+              "items" );
+          ];
+        input =
+          A.Filter
+            (A.(qcol "e" "deptno" =. qcol "d" "deptno"), A.Seq_scan { table = "emp"; alias = "e" });
+      }
+  in
+  let plan = A.Project ([ (A.Scalar_subquery items, "x") ], A.Seq_scan { table = "dept"; alias = "d" }) in
+  let serialise (_, rows) = List.map (fun r -> V.to_string r.(0)) rows in
+  let streamed = E.run_arrays ~xml_streaming:true db plan in
+  check cb "results are unserialised streams" true
+    (List.for_all (fun r -> match r.(0) with V.Xml_stream _ -> true | _ -> false) (snd streamed));
+  let expected =
+    [
+      "<item dept=\"ACCOUNTING\">CLARK</item><item dept=\"ACCOUNTING\">MILLER</item>";
+      "<item dept=\"OPERATIONS\">SMITH</item>";
+    ]
+  in
+  check Alcotest.(list string) "streamed, serialised last" expected (serialise streamed);
+  check Alcotest.(list string) "DOM" expected (serialise (E.run_arrays db plan));
+  check Alcotest.(list string) "interpreted, streamed" expected
+    (List.map (fun r -> V.to_string (List.assoc "x" r)) (E.run_interpreted ~xml_streaming:true db plan))
+
+(* scans hand out the table's own row arrays; no plan may write to them *)
+let test_plans_leave_table_rows_unchanged () =
+  let db = setup_db () in
+  let snapshot name =
+    let t = DB.table db name in
+    List.init (T.size t) (fun rid -> Array.copy (T.row t rid))
+  in
+  let before = List.map snapshot [ "dept"; "emp" ] in
+  let scan t a = A.Seq_scan { table = t; alias = a } in
+  let plans =
+    [
+      A.Project
+        ( [ (A.Binop (A.Add, A.col "sal", A.const_int 1), "sal"); (A.col "ename", "deptno") ],
+          A.Nested_loop
+            { outer = scan "dept" "d"; inner = scan "emp" "e";
+              join_cond = Some A.(qcol "e" "deptno" =. qcol "d" "deptno") } );
+      A.Hash_join
+        { outer = scan "dept" "d"; inner = scan "emp" "e";
+          keys = [ (A.qcol "d" "deptno", A.qcol "e" "deptno") ]; kind = A.Left_outer };
+      A.Sort ([ (A.col "sal", A.Desc) ], scan "emp" "e");
+      A.Aggregate
+        { group_by = [ (A.col "deptno", "deptno") ]; aggs = [ (A.Sum (A.col "sal"), "sal") ];
+          input = scan "emp" "e" };
+    ]
+  in
+  List.iter (fun p -> ignore (E.run db p); ignore (E.run_arrays ~xml_streaming:true db p)) plans;
+  check cb "table rows unchanged" true (List.map snapshot [ "dept"; "emp" ] = before);
+  check cb "a scan shares the table's row" true
+    (match E.run_arrays db (scan "emp" "e") with
+    | _, r :: _ -> r == T.row (DB.table db "emp") 0
+    | _ -> false)
+
+(* Exec.open_cursor yields the plan's own slots only: the correlation
+   values stay in the environment row the caller passed *)
+let test_open_cursor_own_slots () =
+  let db = setup_db () in
+  let outer = Xdb_rel.Layout.of_columns ~alias:"c" [| "deptno" |] in
+  let plan =
+    A.Filter (A.(col "deptno" =. qcol "c" "deptno"), A.Seq_scan { table = "emp"; alias = "e" })
+  in
+  let c = E.compile db ~outer plan in
+  let own = Xdb_rel.Layout.width (E.compiled_layout c) - Xdb_rel.Layout.width outer in
+  check ci "own width: emp's four columns" 4 own;
+  let next = E.open_cursor c ~outer:[| V.Int 10 |] () in
+  let rec drain acc = match next () with None -> acc | Some b -> drain (acc @ Array.to_list b) in
+  let rows = drain [] in
+  check Alcotest.(list int) "dept 10" [ 7782; 7934 ] (List.map (fun r -> V.to_int r.(0)) rows);
+  check cb "rows hold own slots only" true (List.for_all (fun r -> Array.length r = own) rows)
+
+(* Shred's per-context steps decode candidate rows from their own slots
+   (the node table's columns); the correlation row is never appended,
+   so a decoder reading past the own width fails on every axis here *)
+let test_shred_per_context_own_slots () =
+  let doc = Xdb_xml.Parser.parse "<r><a id=\"1\"><b>7</b><c>2</c></a><a id=\"3\"><b>8</b>t</a></r>" in
+  let t = SH.create (DB.create ()) in
+  let docid = SH.shred t doc in
+  let ctx = Xdb_xpath.Eval.make_context doc in
+  List.iter
+    (fun q ->
+      check Alcotest.(list string) q
+        (SH.serialize_dom (Xdb_xpath.Eval.select ctx q))
+        (SH.serialize t (SH.select t ~batch:false ~docid q)))
+    batch_axis_exprs;
+  check cb "per-context plans ran" true ((SH.counters t).SH.rel_steps > 0)
+
 let () =
   Alcotest.run "relational"
     [
@@ -1938,6 +2345,13 @@ let () =
           Alcotest.test_case "run_arrays layout" `Quick test_run_arrays_layout;
           Alcotest.test_case "ORDER BY differential" `Quick test_ordering_differential;
           QCheck_alcotest.to_alcotest prop_predicate_differential;
+          QCheck_alcotest.to_alcotest prop_correlation_differential;
+          Alcotest.test_case "outer bindings returned" `Quick test_outer_bindings_returned;
+          Alcotest.test_case "subquery first slot is outer" `Quick test_subquery_first_slot_outer;
+          Alcotest.test_case "streams serialised after all opens" `Quick
+            test_streams_serialised_after_all_opens;
+          Alcotest.test_case "table rows unchanged" `Quick test_plans_leave_table_rows_unchanged;
+          Alcotest.test_case "open_cursor own slots" `Quick test_open_cursor_own_slots;
         ] );
       ( "instrumentation",
         [
@@ -1993,5 +2407,7 @@ let () =
           Alcotest.test_case "XSLTMark differential" `Quick test_shred_differential_xsltmark;
           QCheck_alcotest.to_alcotest prop_shred_differential;
           QCheck_alcotest.to_alcotest prop_shred_batch_differential;
+          Alcotest.test_case "per-context steps read own slots" `Quick
+            test_shred_per_context_own_slots;
         ] );
     ]
