@@ -46,6 +46,17 @@ let lower_bound keys k =
   done;
   !lo
 
+(* position of the first key > k (upper bound); in an internal node, the
+   child whose subtree holds k — separators equal the first key of their
+   right subtree *)
+let upper_bound keys k =
+  let lo = ref 0 and hi = ref (Array.length keys) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if cmp keys.(mid) k <= 0 then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
 type split = No_split | Split of key * node
 
 let array_insert a i x =
@@ -71,8 +82,7 @@ let rec insert_node node k row : split =
           l.rows <- Array.sub l.rows 0 mid;
           Split (rkeys.(0), Leaf { keys = rkeys; rows = rrows }))
   | Internal n ->
-      let i = lower_bound n.keys k in
-      let i = if i < Array.length n.keys && cmp n.keys.(i) k <= 0 then i + 1 else i in
+      let i = upper_bound n.keys k in
       (match insert_node n.kids.(i) k row with
       | No_split -> No_split
       | Split (sep, right) ->
@@ -125,9 +135,7 @@ let remove t k rid =
           true)
         else false
     | Internal n ->
-        let i = lower_bound n.keys k in
-        let i = if i < Array.length n.keys && cmp n.keys.(i) k <= 0 then i + 1 else i in
-        go n.kids.(i)
+        go n.kids.(upper_bound n.keys k)
   in
   let removed = go t.root in
   if removed then t.count <- t.count - 1;
@@ -143,9 +151,7 @@ let find t k =
         let i = lower_bound l.keys k in
         if i < Array.length l.keys && cmp l.keys.(i) k = 0 then List.rev l.rows.(i) else []
     | Internal n ->
-        let i = lower_bound n.keys k in
-        let i = if i < Array.length n.keys && cmp n.keys.(i) k <= 0 then i + 1 else i in
-        go n.kids.(i)
+        go n.kids.(upper_bound n.keys k)
   in
   go t.root
 
@@ -163,131 +169,80 @@ let below_hi hi k =
   | Inclusive b -> cmp k b <= 0
   | Exclusive b -> cmp k b < 0
 
-(** [range t ~lo ~hi] — (key, row-id) pairs in key order within the bounds.
-    Row ids under one key come back in insertion order. *)
-let range t ~lo ~hi =
+(* The one range descent: [each key rids] for every key within the
+   bounds, in key order, [rids] as stored (newest first).  An internal
+   node's children [lower_bound lo .. upper_bound hi] are the ones that
+   can intersect the range, and a leaf's keys within it are one slice,
+   both found by binary search.  Counts as one probe. *)
+let walk t ~lo ~hi each =
   Atomic.incr t.probes;
-  let out = ref [] in
-  let rec go n =
+  let rec go node =
     Atomic.incr t.node_visits;
-    match n with
+    match node with
     | Leaf l ->
-        Array.iteri
-          (fun i k ->
-            if above_lo lo k && below_hi hi k then
-              List.iter (fun r -> out := (k, r) :: !out) (List.rev l.rows.(i)))
-          l.keys
+        let keys = l.keys in
+        let first =
+          match lo with
+          | Unbounded -> 0
+          | Inclusive b -> lower_bound keys b
+          | Exclusive b -> upper_bound keys b
+        in
+        let stop =
+          match hi with
+          | Unbounded -> Array.length keys
+          | Inclusive b -> upper_bound keys b
+          | Exclusive b -> lower_bound keys b
+        in
+        for i = first to stop - 1 do
+          each keys.(i) l.rows.(i)
+        done
     | Internal n ->
-        (* visit only children that can intersect the range *)
-        Array.iteri
-          (fun i kid ->
-            let lo_ok =
-              i = Array.length n.keys
-              ||
-              match lo with
-              | Unbounded -> true
-              | Inclusive b | Exclusive b -> cmp n.keys.(i) b >= 0
-            in
-            let hi_ok =
-              i = 0
-              ||
-              match hi with
-              | Unbounded -> true
-              | Inclusive b | Exclusive b -> cmp n.keys.(i - 1) b <= 0
-            in
-            if lo_ok && hi_ok then go kid)
-          n.kids
-  in
-  go t.root;
-  List.rev !out
-
-(** [range_rids t ~lo ~hi] — row ids only, in the same order {!range}
-    yields them, collected without the intermediate (key, rid) list.
-    This is the batch executor's index-scan cursor: the rid array is
-    filled in one traversal and then chunked into row batches. *)
-let range_rids t ~lo ~hi =
-  Atomic.incr t.probes;
-  let buf = ref (Array.make 64 0) in
-  let n = ref 0 in
-  let push rid =
-    if !n = Array.length !buf then (
-      let bigger = Array.make (2 * !n) 0 in
-      Array.blit !buf 0 bigger 0 !n;
-      buf := bigger);
-    !buf.(!n) <- rid;
-    incr n
-  in
-  let rec go node =
-    Atomic.incr t.node_visits;
-    match node with
-    | Leaf l ->
-        Array.iteri
-          (fun i k ->
-            if above_lo lo k && below_hi hi k then
-              List.iter push (List.rev l.rows.(i)))
-          l.keys
-    | Internal nd ->
-        Array.iteri
-          (fun i kid ->
-            let lo_ok =
-              i = Array.length nd.keys
-              ||
-              match lo with
-              | Unbounded -> true
-              | Inclusive b | Exclusive b -> cmp nd.keys.(i) b >= 0
-            in
-            let hi_ok =
-              i = 0
-              ||
-              match hi with
-              | Unbounded -> true
-              | Inclusive b | Exclusive b -> cmp nd.keys.(i - 1) b <= 0
-            in
-            if lo_ok && hi_ok then go kid)
-          nd.kids
-  in
-  go t.root;
-  Array.sub !buf 0 !n
-
-(** [iter_range t ~lo ~hi f] — apply [f key rid] to each entry within the
-    bounds, in {!range} order, materialising nothing.  The structural-join
-    passes of [Shred] drive their staircase interval sweeps and merged
-    point probes through this, so a batch step never allocates an
-    intermediate rid list — and a caller whose key encodes the row's
-    position (the packed [dpre]/[dnk] keys) can resolve the row without
-    fetching it.  Counts as one probe. *)
-let iter_range t ~lo ~hi f =
-  Atomic.incr t.probes;
-  let rec go node =
-    Atomic.incr t.node_visits;
-    match node with
-    | Leaf l ->
-        Array.iteri
-          (fun i k ->
-            if above_lo lo k && below_hi hi k then
-              List.iter (f k) (List.rev l.rows.(i)))
-          l.keys
-    | Internal nd ->
-        Array.iteri
-          (fun i kid ->
-            let lo_ok =
-              i = Array.length nd.keys
-              ||
-              match lo with
-              | Unbounded -> true
-              | Inclusive b | Exclusive b -> cmp nd.keys.(i) b >= 0
-            in
-            let hi_ok =
-              i = 0
-              ||
-              match hi with
-              | Unbounded -> true
-              | Inclusive b | Exclusive b -> cmp nd.keys.(i - 1) b <= 0
-            in
-            if lo_ok && hi_ok then go kid)
-          nd.kids
+        let first =
+          match lo with Unbounded -> 0 | Inclusive b | Exclusive b -> lower_bound n.keys b
+        in
+        let last =
+          match hi with
+          | Unbounded -> Array.length n.keys
+          | Inclusive b | Exclusive b -> upper_bound n.keys b
+        in
+        for i = first to last do
+          go n.kids.(i)
+        done
   in
   go t.root
+
+(** [iter_range t ~lo ~hi f] — apply [f key rid] to each entry within the
+    bounds, in key order, row ids under one key in insertion order,
+    materialising nothing.  The structural-join passes of [Shred] drive
+    their staircase interval sweeps and merged point probes through this,
+    so a batch step never allocates an intermediate rid list — and a
+    caller whose key encodes the row's position (the packed [dpre]/[dnk]
+    keys) can resolve the row without fetching it. *)
+let iter_range t ~lo ~hi f =
+  walk t ~lo ~hi (fun k -> function [ r ] -> f k r | rids -> List.iter (f k) (List.rev rids))
+
+(** [range t ~lo ~hi] — (key, row-id) pairs in {!iter_range} order. *)
+let range t ~lo ~hi =
+  let out = ref [] in
+  iter_range t ~lo ~hi (fun k r -> out := (k, r) :: !out);
+  List.rev !out
+
+(** [range_rids t ~lo ~hi] — row ids only, in {!iter_range} order: the
+    batch executor's index-scan cursor.  The walk keeps each key's rid
+    list as stored; the array is then allocated at its exact size and
+    filled from the back. *)
+let range_rids t ~lo ~hi =
+  let lists = ref [] and n = ref 0 in
+  walk t ~lo ~hi (fun _ rids ->
+      lists := rids :: !lists;
+      n := !n + List.length rids);
+  let out = Array.make !n 0 and pos = ref !n in
+  let put rid =
+    decr pos;
+    Array.unsafe_set out !pos rid
+  in
+  List.iter (List.iter put) !lists;
+  out
 
 (** All entries in key order. *)
 let to_list t = range t ~lo:Unbounded ~hi:Unbounded
@@ -299,6 +254,16 @@ let node_visits t = Atomic.get t.node_visits
 let reset_counters t =
   Atomic.set t.probes 0;
   Atomic.set t.node_visits 0
+
+type shape = Leaf_keys of key array | Node_keys of key array * shape array
+
+(** The keys of every node, tree-shaped (tests: reference walks). *)
+let shape t =
+  let rec go = function
+    | Leaf l -> Leaf_keys (Array.copy l.keys)
+    | Internal n -> Node_keys (Array.copy n.keys, Array.map go n.kids)
+  in
+  go t.root
 
 (** Tree height, for tests and EXPLAIN cost estimates. *)
 let height t =

@@ -35,7 +35,7 @@ type bound = Unbounded | Inclusive of key | Exclusive of key
 
 val range : t -> lo:bound -> hi:bound -> (key * int) list
 (** Entries within the bounds, in key order (row ids under one key in
-    insertion order).  Only subtrees intersecting the range are visited. *)
+    insertion order).  Counts as one probe. *)
 
 val range_rids : t -> lo:bound -> hi:bound -> int array
 (** Row ids within the bounds, in {!range} order, without the
@@ -44,9 +44,12 @@ val range_rids : t -> lo:bound -> hi:bound -> int array
 
 val iter_range : t -> lo:bound -> hi:bound -> (key -> int -> unit) -> unit
 (** Apply [f key rid] to each entry within the bounds, in {!range} order,
-    materialising nothing — the cursor of [Shred]'s set-at-a-time
+    materialising nothing.  [range], [range_rids] and [iter_range] share
+    one walk: each internal node's children that can intersect the range
+    ([lower_bound lo] to [upper_bound hi]) and each leaf's slice within
+    it are found by binary search.  The cursor of [Shred]'s set-at-a-time
     structural joins (staircase interval sweeps, merged [dparent]
-    probes).  A caller whose key encodes the row's position (the packed
+    probes): a caller whose key encodes the row's position (the packed
     [dpre]/[dnk] keys) can resolve the row from the key alone, skipping
     the heap fetch.  Counts as one probe. *)
 
@@ -65,6 +68,12 @@ val node_visits : t -> int
 
 val reset_counters : t -> unit
 (** Zero {!probes} and {!node_visits}. *)
+
+type shape = Leaf_keys of key array | Node_keys of key array * shape array
+
+val shape : t -> shape
+(** A copy of every node's keys, tree-shaped — for tests that check the
+    range walk's {!node_visits} against a reference descent. *)
 
 val height : t -> int
 (** Tree height (≥ 1), for tests and cost estimates. *)

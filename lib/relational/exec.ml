@@ -91,13 +91,6 @@ let emit_content sink = function
 let xml_value ~streaming produce =
   if streaming then Value.Xml_stream produce else Value.Xml (Value.stream_to_nodes produce)
 
-(* XPath 1.0 round(): round(-0.2) and round(-0.5) are negative zero;
-   NaN, ±∞, ±0 and integers pass through unchanged *)
-let xpath_round f =
-  if Float.is_nan f || Float.is_integer f then f
-  else if f >= -0.5 && f < 0.0 then -0.0
-  else Float.floor (f +. 0.5)
-
 (* ------------------------------------------------------------------ *)
 (* ORDER BY bookkeeping (shared by both executors)                     *)
 (* ------------------------------------------------------------------ *)
@@ -300,7 +293,7 @@ and eval_fn ctx env f args =
   | "round", 1 -> (
       match v 0 with
       | Value.Null -> Value.Null
-      | x -> Value.Float (xpath_round (Value.to_float x)))
+      | x -> Value.Float (Xdb_xpath.Value.round_number (Value.to_float x)))
   | "floor", 1 -> (
       match v 0 with Value.Null -> Value.Null | x -> Value.Float (Float.floor (Value.to_float x)))
   | "ceiling", 1 -> (
@@ -843,8 +836,8 @@ let cmp_test : binop -> int -> bool = function
   | Geq -> fun c -> c >= 0
   | _ -> invalid_arg "cmp_test"
 
-(* a compiled constructor's attributes and content, emitted without
-   allocating an iteration closure per constructor call *)
+(* a compiled constructor's attributes and content, written to the sink
+   without allocating an iteration closure per constructor call *)
 let rec emit_attrs sink env r = function
   | [] -> ()
   | (aq, af) :: rest ->
@@ -855,9 +848,27 @@ let rec emit_attrs sink env r = function
 
 let rec emit_kids sink env r = function
   | [] -> ()
-  | kf :: rest ->
-      emit_content sink (kf env r);
+  | em :: rest ->
+      em sink env r;
       emit_kids sink env r rest
+
+(* CASE in content position: the first branch whose test holds, else the
+   ELSE branch, else nothing *)
+let rec emit_case sink env r els = function
+  | [] -> ( match els with Some em -> em sink env r | None -> ())
+  | (c, em) :: rest -> if c env r then em sink env r else emit_case sink env r els rest
+
+(* XMLForest: one element per non-NULL field *)
+let rec emit_fields sink env r = function
+  | [] -> ()
+  | (start, ff) :: rest ->
+      (match ff env r with
+      | Value.Null -> ()
+      | v ->
+          sink.E.emit start;
+          emit_content sink v;
+          sink.E.emit E.End_element);
+      emit_fields sink env r rest
 
 (** Compile an expression against a layout (the row's [own] slots, then
     the environment's) into a closure over the environment and the row.
@@ -885,54 +896,10 @@ let rec cexpr ctx (lay : Layout.t) own (e : expr) : Value.t array -> Value.t arr
           | (c, t) :: rest -> if c env r then t env r else go rest
         in
         go whens
-  | Xml_element (name, attrs, kids) ->
-      let qn = X.qname name in
-      let attrs = List.map (fun (an, ae) -> (X.qname an, cexpr ctx lay own ae)) attrs in
-      let kids = List.map (cexpr ctx lay own) kids in
+  | Xml_element _ | Xml_forest _ | Xml_concat _ | Xml_text _ | Xml_comment _ | Xml_pi _ ->
+      let em = cemit ctx lay own e in
       let streaming = ctx.cxml_streaming in
-      fun env r ->
-        xml_value ~streaming (fun sink ->
-            sink.E.emit (E.Start_element qn);
-            emit_attrs sink env r attrs;
-            emit_kids sink env r kids;
-            sink.E.emit E.End_element)
-  | Xml_forest fields ->
-      let fields = List.map (fun (n, fe) -> (X.qname n, cexpr ctx lay own fe)) fields in
-      let streaming = ctx.cxml_streaming in
-      fun env r ->
-        xml_value ~streaming (fun sink ->
-            List.iter
-              (fun (qn, ff) ->
-                match ff env r with
-                | Value.Null -> ()
-                | v ->
-                    sink.E.emit (E.Start_element qn);
-                    emit_content sink v;
-                    sink.E.emit E.End_element)
-              fields)
-  | Xml_concat es ->
-      let fs = List.map (cexpr ctx lay own) es in
-      let streaming = ctx.cxml_streaming in
-      fun env r ->
-        xml_value ~streaming (fun sink -> emit_kids sink env r fs)
-  | Xml_text e ->
-      let f = cexpr ctx lay own e in
-      let streaming = ctx.cxml_streaming in
-      fun env r ->
-        xml_value ~streaming (fun sink ->
-            match f env r with
-            | Value.Null -> ()
-            | v -> sink.E.emit (E.Text (Value.to_string v)))
-  | Xml_comment e ->
-      let f = cexpr ctx lay own e in
-      let streaming = ctx.cxml_streaming in
-      fun env r ->
-        xml_value ~streaming (fun sink -> sink.E.emit (E.Comment (Value.to_string (f env r))))
-  | Xml_pi (t, e) ->
-      let f = cexpr ctx lay own e in
-      let streaming = ctx.cxml_streaming in
-      fun env r ->
-        xml_value ~streaming (fun sink -> sink.E.emit (E.Pi (t, Value.to_string (f env r))))
+      fun env r -> xml_value ~streaming (fun sink -> em sink env r)
   | Scalar_subquery p ->
       let cp = cplan ctx lay p in
       let first =
@@ -950,6 +917,49 @@ let rec cexpr ctx (lay : Layout.t) own (e : expr) : Value.t array -> Value.t arr
   | Exists p ->
       let cp = cplan ctx lay p in
       fun env r -> Value.Int (if drain_cursor (cp.c_open (with_env own env r)) = [] then 0 else 1)
+
+(** Compile an expression in content position to a writer: [cemit ctx
+    lay own e sink env r] emits what [emit_content sink (cexpr ctx lay own
+    e env r)] emits, but nested constructors, [XMLConcat] items and CASE
+    branches write straight to the sink — no producer closure, no
+    [Value.Xml_stream] box and no DOM per nested constructor.  A CASE with
+    no matching branch and no ELSE emits nothing (its value is NULL). *)
+and cemit ctx lay own (e : expr) : E.sink -> Value.t array -> Value.t array -> unit =
+  match e with
+  | Xml_element (name, attrs, kids) ->
+      let start = E.Start_element (X.qname name) in
+      let attrs = List.map (fun (an, ae) -> (X.qname an, cexpr ctx lay own ae)) attrs in
+      let kids = List.map (cemit ctx lay own) kids in
+      fun sink env r ->
+        sink.E.emit start;
+        emit_attrs sink env r attrs;
+        emit_kids sink env r kids;
+        sink.E.emit E.End_element
+  | Xml_forest fields ->
+      let fields =
+        List.map (fun (n, fe) -> (E.Start_element (X.qname n), cexpr ctx lay own fe)) fields
+      in
+      fun sink env r -> emit_fields sink env r fields
+  | Xml_concat es ->
+      let ems = List.map (cemit ctx lay own) es in
+      fun sink env r -> emit_kids sink env r ems
+  | Xml_text e ->
+      let f = cexpr ctx lay own e in
+      fun sink env r -> (
+        match f env r with Value.Null -> () | v -> sink.E.emit (E.Text (Value.to_string v)))
+  | Xml_comment e ->
+      let f = cexpr ctx lay own e in
+      fun sink env r -> sink.E.emit (E.Comment (Value.to_string (f env r)))
+  | Xml_pi (t, e) ->
+      let f = cexpr ctx lay own e in
+      fun sink env r -> sink.E.emit (E.Pi (t, Value.to_string (f env r)))
+  | Case (whens, els) ->
+      let whens = List.map (fun (c, b) -> (cpred ctx lay own c, cemit ctx lay own b)) whens in
+      let els = Option.map (cemit ctx lay own) els in
+      fun sink env r -> emit_case sink env r els whens
+  | _ ->
+      let f = cexpr ctx lay own e in
+      fun sink env r -> emit_content sink (f env r)
 
 (** Compile a condition to an unboxed test: [cpred ctx lay own e env r]
     is [bool_of_value (cexpr ctx lay own e env r)] — NULL and failed
@@ -1027,7 +1037,18 @@ and cfn ctx lay own f args =
   let f1 () = match cs with [ f ] -> f | _ -> assert false in
   match (String.lowercase_ascii f, List.length args) with
   | "concat", _ ->
-      fun env r -> Value.Str (String.concat "" (List.map (fun f -> Value.to_string (f env r)) cs))
+      (* one buffer per compiled [concat]: cleared, filled with each
+         argument's text, copied out.  A compiled plan runs on one domain
+         at a time, and an argument never re-enters its own [concat]. *)
+      let b = Buffer.create 64 and cs = Array.of_list cs in
+      fun env r ->
+        Buffer.clear b;
+        for i = 0 to Array.length cs - 1 do
+          match cs.(i) env r with
+          | Value.Str s -> Buffer.add_string b s
+          | v -> Buffer.add_string b (Value.to_string v)
+        done;
+        Value.Str (Buffer.contents b)
   | "upper", 1 ->
       let f0 = f1 () in
       fun env r -> Value.Str (String.uppercase_ascii (Value.to_string (f0 env r)))
@@ -1048,7 +1069,7 @@ and cfn ctx lay own f args =
       fun env r -> (
         match f0 env r with
         | Value.Null -> Value.Null
-        | x -> Value.Float (xpath_round (Value.to_float x)))
+        | x -> Value.Float (Xdb_xpath.Value.round_number (Value.to_float x)))
   | "floor", 1 ->
       let f0 = f1 () in
       fun env r -> (
@@ -1118,14 +1139,13 @@ and cagg ctx sop lay own (a : agg) : Value.t array -> Value.t array list -> Valu
         if vs = [] then Value.Null
         else Value.Float (List.fold_left ( +. ) 0.0 vs /. float_of_int (List.length vs))
   | Xml_agg (e, order) ->
-      let f = cexpr ctx lay own e in
+      let em = cemit ctx lay own e in
       let kfs = Array.of_list (List.map (fun (k, _) -> cexpr ctx lay own k) order) in
       let dirs = Array.of_list (List.map snd order) in
       let pure = List.for_all (fun (k, _) -> subplans_of_expr k = []) order in
       fun env ms ->
         let ms = if order = [] then ms else order_rows sop env kfs dirs ~pure ms in
-        xml_value ~streaming:ctx.cxml_streaming (fun sink ->
-            List.iter (fun r -> emit_content sink (f env r)) ms)
+        xml_value ~streaming:ctx.cxml_streaming (fun sink -> List.iter (fun r -> em sink env r) ms)
   | String_agg (e, sep) ->
       let f = cexpr ctx lay own e in
       fun env ms ->

@@ -44,14 +44,9 @@ let to_float = function
       | None -> terr "cannot cast %S to FLOAT" s)
   | v -> terr "cannot cast %s to FLOAT" (value_type_name v)
 
-(* float → string matching XPath 1.0 string(number) so that SQL results
-   compare equal with XQuery-evaluated results *)
-let float_to_string f =
-  if Float.is_nan f then "NaN"
-  else if f = Float.infinity then "Infinity"
-  else if f = Float.neg_infinity then "-Infinity"
-  else if Float.is_integer f && Float.abs f < 1e16 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.12g" f
+(* float → string: XPath 1.0 string(number), so that SQL results compare
+   equal with XQuery-evaluated results *)
+let float_to_string = Xdb_xpath.Value.string_of_number
 
 (** Materialize a streamed XMLType into nodes (for paths that need a DOM,
     e.g. casting back into XPath context). *)
@@ -62,7 +57,7 @@ let stream_to_nodes produce =
 
 let to_string = function
   | Null -> ""
-  | Int i -> string_of_int i
+  | Int i -> Xdb_xpath.Value.format_int i
   | Float f -> float_to_string f
   | Str s -> s
   | Xml nodes -> Xdb_xml.Serializer.node_list_to_string nodes

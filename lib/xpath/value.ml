@@ -26,18 +26,36 @@ let sort_nodes nodes =
 
 let nodes ns = Nodes (sort_nodes ns)
 
-(** XPath number→string conversion: integers print without a decimal point,
-    [NaN] prints as "NaN", infinities as "Infinity"/"-Infinity". *)
+(* digits of [m <= 0]; [m mod 10] is in [-9, 0] *)
+let rec count_digits m k = if m > -10 then k else count_digits (m / 10) (k + 1)
+
+let rec write_digits b m i =
+  Bytes.unsafe_set b i (Char.unsafe_chr (48 - (m mod 10)));
+  if m <= -10 then write_digits b (m / 10) (i - 1)
+
+(** [format_int n] — [n] in decimal, as [string_of_int n] prints it,
+    without going through C printf.  Digits are counted first, so the
+    result string is the only allocation.  Works on the non-positive
+    image of [n] ([-n] overflows for [min_int]). *)
+let format_int n =
+  let m = if n < 0 then n else -n in
+  let len = count_digits m 1 + if n < 0 then 1 else 0 in
+  let b = Bytes.create len in
+  write_digits b m (len - 1);
+  if n < 0 then Bytes.unsafe_set b 0 '-';
+  Bytes.unsafe_to_string b
+
+(** XPath number→string conversion (XPath 1.0 §4.2): integers print
+    without a decimal point, both zeros as "0", [NaN] as "NaN" and the
+    infinities as "Infinity"/"-Infinity". *)
 let string_of_number f =
   if Float.is_nan f then "NaN"
   else if f = Float.infinity then "Infinity"
   else if f = Float.neg_infinity then "-Infinity"
   else if Float.is_integer f && Float.abs f < 1e16 then
-    Printf.sprintf "%.0f" f
-  else
-    (* shortest representation that round-trips *)
-    let s = Printf.sprintf "%.12g" f in
-    s
+    (* exact in an OCaml int; [int_of_float (-0.)] is 0 *)
+    format_int (int_of_float f)
+  else Printf.sprintf "%.12g" f
 
 let number_of_string s =
   let s = String.trim s in

@@ -15,8 +15,13 @@ val sort_nodes : Xdb_xml.Types.node list -> Xdb_xml.Types.node list
 val nodes : Xdb_xml.Types.node list -> t
 (** Node-set constructor ({!sort_nodes} applied). *)
 
+val format_int : int -> string
+(** [format_int n] is [string_of_int n], written without C printf:
+    one allocation of exactly the result's length; [min_int] safe. *)
+
 val string_of_number : float -> string
-(** XPath number→string: integers bare, NaN/Infinity spelled out. *)
+(** XPath number→string (§4.2): integers bare (through {!format_int}),
+    both zeros as ["0"], NaN/Infinity spelled out. *)
 
 val number_of_string : string -> float
 (** XPath string→number: trimmed; NaN on failure. *)

@@ -726,6 +726,36 @@ let test_nan_condition_differential () =
   (* NaN is false: no <hit> elements anywhere *)
   check cb "no hits emitted" false (contains "<hit>" (String.concat "" f))
 
+let test_negative_zero_differential () =
+  (* XPath 1.0 §4.2: both zeros convert to the string "0".  round() of a
+     value in [-0.5, 0) and 0 * (0 - 1) are negative zero; the
+     functional VM and the SQL rewrite share the number formatter and
+     must both print 0, in attribute values and in text (the SQL
+     rewrite has no unary minus, hence the subtractions) *)
+  let stylesheet =
+    {|<?xml version="1.0"?>
+<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+<xsl:template match="table">
+<out><xsl:apply-templates select="row"/></out>
+</xsl:template>
+<xsl:template match="row">
+<r a="{round(id - id - 0.2)}" b="{(id - id) * (0 - 1)}"><xsl:value-of select="round(0 - 0.2)"/>|<xsl:value-of
+ select="0 * (0 - 1)"/>|<xsl:value-of select="round(id div (0 - 1000000))"/></r>
+</xsl:template>
+<xsl:template match="text()"/>
+</xsl:stylesheet>|}
+  in
+  let dv = Xdb_xsltmark.Data.records_db 5 in
+  let db = dv.Xdb_xsltmark.Data.db in
+  let c = PL.compile db dv.Xdb_xsltmark.Data.view stylesheet in
+  check cb "SQL plan produced" true (c.PL.sql_plan <> None);
+  let f = PL.run_functional db c in
+  let r = PL.run_rewrite db c in
+  check Alcotest.(list string) "functional = rewrite" f r;
+  let out = String.concat "" r in
+  check cb "zeros print 0" true (contains {|<r a="0" b="0">0|0|0</r>|} out);
+  check cb "no -0 anywhere" false (contains "-0" out)
+
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel execution (PR 5)                                    *)
 (* ------------------------------------------------------------------ *)
@@ -1703,6 +1733,7 @@ let () =
           Alcotest.test_case "EXPLAIN ANALYZE ordering strategy" `Quick
             test_ordering_strategy_explain;
           QCheck_alcotest.to_alcotest prop_pipeline_equivalence;
+          Alcotest.test_case "negative zero prints 0" `Quick test_negative_zero_differential;
         ] );
       ( "parallel",
         [

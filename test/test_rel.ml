@@ -162,6 +162,143 @@ let prop_btree_remove_model =
       && in_range 0 30 = model_range 0 30
       && in_range 5 15 = model_range 5 15)
 
+(* qcheck: the range walk ([range], [range_rids], [iter_range]) against
+   a model list under random inserts and removes.  Keys mix NULL, Int,
+   Float and Str (Int 2 and Float 2. are one key) from a domain wide
+   enough for three-level trees and narrow enough for duplicates;
+   bounds cover every kind, absent keys and [lo > hi].  Each probe's
+   node visits must equal a reference walk over [BT.shape] that tests
+   every child and every leaf key linearly. *)
+type btree_op = Ins of V.t | Del of int | Del_absent of V.t * int
+
+let gen_key : V.t QCheck.Gen.t =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return V.Null);
+        (3, map (fun i -> V.Int i) (int_range (-60) 60));
+        (6, map (fun i -> V.Float (float_of_int i /. 4.)) (int_range (-2000) 2000));
+        (3, map (fun i -> V.Str (Printf.sprintf "k%02d" i)) (int_bound 40));
+      ])
+
+let show_bound = function
+  | BT.Unbounded -> "*"
+  | BT.Inclusive k -> "[" ^ V.show k
+  | BT.Exclusive k -> "(" ^ V.show k
+
+let prop_btree_range_walk =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [ (7, map (fun k -> Ins k) gen_key); (2, map (fun i -> Del i) nat);
+        (1, map2 (fun k i -> Del_absent (k, i)) gen_key (int_bound 5)) ]
+  in
+  let bound =
+    frequency
+      [ (1, return BT.Unbounded); (3, map (fun k -> BT.Inclusive k) gen_key);
+        (3, map (fun k -> BT.Exclusive k) gen_key) ]
+  in
+  let gen =
+    pair (list_size (int_range 0 3000) op) (list_size (int_range 1 12) (pair bound bound))
+  in
+  let print (ops, probes) =
+    Printf.sprintf "%d ops; probes %s" (List.length ops)
+      (String.concat " " (List.map (fun (lo, hi) -> show_bound lo ^ ".." ^ show_bound hi) probes))
+  in
+  let cmp = V.compare_key in
+  let above lo k =
+    match lo with
+    | BT.Unbounded -> true
+    | BT.Inclusive b -> cmp k b >= 0
+    | BT.Exclusive b -> cmp k b > 0
+  in
+  let below hi k =
+    match hi with
+    | BT.Unbounded -> true
+    | BT.Inclusive b -> cmp k b <= 0
+    | BT.Exclusive b -> cmp k b < 0
+  in
+  let bound_key = function BT.Unbounded -> None | BT.Inclusive b | BT.Exclusive b -> Some b in
+  (* the reference descent: every node on the way counts, a child is
+     entered unless its separators rule it out, leaf keys are tested one
+     by one (only the count matters here) *)
+  let rec ref_visits lo hi = function
+    | BT.Leaf_keys _ -> 1
+    | BT.Node_keys (keys, kids) ->
+        let nk = Array.length keys in
+        let n = ref 1 in
+        Array.iteri
+          (fun i kid ->
+            let lo_ok =
+              i = nk || match bound_key lo with None -> true | Some b -> cmp keys.(i) b >= 0
+            in
+            let hi_ok =
+              i = 0 || match bound_key hi with None -> true | Some b -> cmp keys.(i - 1) b <= 0
+            in
+            if lo_ok && hi_ok then n := !n + ref_visits lo hi kid)
+          kids;
+        !n
+  in
+  QCheck.Test.make ~name:"btree range walk matches model and reference visits" ~count:200
+    (QCheck.make ~print gen)
+    (fun (ops, probes) ->
+      let t = BT.create () in
+      (* model: (key, rid) newest first; rids are unique *)
+      let model = ref [] and next_rid = ref 0 in
+      List.iter
+        (function
+          | Ins k ->
+              BT.insert t k !next_rid;
+              model := (k, !next_rid) :: !model;
+              incr next_rid
+          | Del i -> (
+              match !model with
+              | [] -> ()
+              | m ->
+                  let k, rid = List.nth m (i mod List.length m) in
+                  if not (BT.remove t k rid) then
+                    QCheck.Test.fail_report "present entry not removed";
+                  model := List.filter (fun (_, r) -> r <> rid) m)
+          | Del_absent (k, i) ->
+              (* a rid never handed out *)
+              if BT.remove t k (-1 - i) then QCheck.Test.fail_report "absent entry removed")
+        ops;
+      let model = List.rev !model in
+      let same_entries got want =
+        List.length got = List.length want
+        && List.for_all2 (fun (k, r) (k', r') -> r = r' && cmp k k' = 0) got want
+      in
+      BT.check_invariants t
+      && List.for_all
+           (fun (lo, hi) ->
+             let want =
+               List.filter (fun (k, _) -> above lo k && below hi k) model
+               |> List.stable_sort (fun (a, _) (b, _) -> cmp a b)
+             in
+             let visits = ref_visits lo hi (BT.shape t) in
+             let probe f =
+               let p0 = BT.probes t and n0 = BT.node_visits t in
+               let r = f () in
+               (r, BT.probes t - p0, BT.node_visits t - n0)
+             in
+             let ranged, p1, n1 = probe (fun () -> BT.range t ~lo ~hi) in
+             let rids, p2, n2 = probe (fun () -> BT.range_rids t ~lo ~hi) in
+             let iterated, p3, n3 =
+               probe (fun () ->
+                   let acc = ref [] in
+                   BT.iter_range t ~lo ~hi (fun k r -> acc := (k, r) :: !acc);
+                   List.rev !acc)
+             in
+             (same_entries ranged want || QCheck.Test.fail_report "range differs from the model")
+             && (Array.to_list rids = List.map snd want
+                || QCheck.Test.fail_report "range_rids differs from the model")
+             && (same_entries iterated want
+                || QCheck.Test.fail_report "iter_range differs from the model")
+             && ((p1, p2, p3) = (1, 1, 1) || QCheck.Test.fail_report "a walk is not one probe")
+             && ((n1, n2, n3) = (visits, visits, visits)
+                || QCheck.Test.fail_reportf "node visits %d/%d/%d, reference %d" n1 n2 n3 visits))
+           ((BT.Unbounded, BT.Unbounded) :: probes))
+
 (* ------------------------------------------------------------------ *)
 (* tables and executor                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -2156,6 +2293,157 @@ let prop_correlation_differential =
          || QCheck.Test.fail_report "streamed rows differ")
       && (counts cstats = counts istats || QCheck.Test.fail_report "per-operator counts differ"))
 
+(* emitter differential: random SQL/XML constructor trees over [t] —
+   attributes that are NULL, Int, Float, Str or [concat]; XMLForest
+   fields that may be NULL; CASE in content position with and without
+   ELSE; XMLAgg ... ORDER BY nested through correlated subqueries; and
+   correlated scalar subqueries inside attributes and content.  The
+   compiled executor's streamed output, its DOM output and the
+   interpreted executor's (DOM and streamed) serialise to the same
+   bytes, with the same per-operator counters; a streamed value replays
+   identically, also after a [bool_of_value] probe. *)
+let gen_publish : A.plan QCheck.Gen.t =
+  let open QCheck.Gen in
+  let names = oneofl [ "e"; "f"; "g" ] in
+  let rec scalar d scope =
+    let leaf =
+      frequency
+        [
+          (1, return (A.Const V.Null));
+          (1, map A.const_int (int_range (-2) 3));
+          (1, map (fun f -> A.Const (V.Float f)) (oneofl [ 2.5; -0.0; 3.0; -1.25; 1e20; 0.1 ]));
+          (1, map (fun s -> A.Const (V.Str s)) (oneofl [ ""; "s"; "a<b&\"c\"\t" ]));
+          (4, map col_of (oneofl scope));
+          (1, map (fun c -> A.Binop (A.Fdiv, col_of c, A.const_int 2)) (oneofl scope));
+        ]
+    in
+    if d <= 0 then leaf
+    else
+      frequency
+        [
+          (4, leaf);
+          ( 2,
+            map (fun args -> A.Fn ("concat", args)) (list_size (int_range 1 3) (scalar (d - 1) scope))
+          );
+          ( 1,
+            correlated scope >>= fun (from, inner) ->
+            map
+              (fun e -> A.Scalar_subquery (A.Project ([ (e, "v") ], from)))
+              (scalar (d - 1) inner) );
+        ]
+  (* rows of [t] or [u] correlated on an outer column, by a filter or an
+     index probe; the subquery's scope is its own columns, then [scope] *)
+  and correlated scope =
+    let alias = Printf.sprintf "s%d" (List.length scope) in
+    pair (oneofl [ "t"; "u" ]) (pair (oneofl scope) bool) >|= fun (table, (outer, probe)) ->
+    let from =
+      if probe then
+        A.Index_scan
+          { table; alias; index_column = "id"; lo = A.Incl (col_of outer); hi = A.Unbounded }
+      else
+        A.Filter
+          (A.Binop (A.Leq, A.qcol alias "id", col_of outer), A.Seq_scan { table; alias })
+    in
+    (from, List.map (fun c -> alias ^ "." ^ c) (corr_cols table) @ scope)
+  and agg d scope =
+    correlated scope >>= fun (from, inner) ->
+    let own = List.filteri (fun i _ -> i < 3) inner in
+    pair (elem d inner) (list_size (int_range 0 2) (pair (oneofl own) (oneofl A.[ Asc; Desc ])))
+    >|= fun (x, order) ->
+    A.Scalar_subquery
+      (A.Aggregate
+         {
+           group_by = [];
+           aggs = [ (A.Xml_agg (x, List.map (fun (c, dir) -> (col_of c, dir)) order), "xa") ];
+           input = from;
+         })
+  and elem d scope =
+    let attr = pair (oneofl [ "k"; "m"; "n" ]) (scalar 2 scope) in
+    let kids = list_size (int_range 0 3) (content (d - 1) scope) in
+    triple names (list_size (int_range 0 3) attr) kids
+    >|= fun (n, attrs, kids) ->
+    A.Xml_element (n, List.sort_uniq (fun (a, _) (b, _) -> compare a b) attrs, kids)
+  and content d scope =
+    let num =
+      frequency [ (1, map A.const_int (int_range (-1) 3)); (2, map col_of (oneofl scope)) ]
+    in
+    let test =
+      frequency
+        [
+          (3, triple (oneofl A.[ Eq; Lt; Geq ]) num num >|= fun (op, a, b) -> A.Binop (op, a, b));
+          (1, map (fun c -> A.Is_null (col_of c)) (oneofl scope));
+        ]
+    in
+    if d <= 0 then scalar 1 scope
+    else
+      frequency
+        [
+          (2, scalar 1 scope);
+          (3, elem d scope);
+          ( 1,
+            map
+              (fun fs -> A.Xml_forest (List.sort_uniq (fun (a, _) (b, _) -> compare a b) fs))
+              (list_size (int_range 1 3) (pair names (scalar 1 scope))) );
+          ( 2,
+            pair (list_size (int_range 1 2) (pair test (content (d - 1) scope)))
+              (opt (content (d - 1) scope))
+            >|= fun (whens, els) -> A.Case (whens, els) );
+          (1, map (fun es -> A.Xml_concat es) (list_size (int_range 0 3) (content (d - 1) scope)));
+          (1, map (fun e -> A.Xml_text e) (scalar 1 scope));
+          (1, return (A.Xml_comment (A.Const (V.Str "note"))));
+          (2, agg (d - 1) scope);
+        ]
+  in
+  let top = [ "t.id"; "t.a"; "t.b" ] and scan = A.Seq_scan { table = "t"; alias = "t" } in
+  frequency
+    [
+      (3, map (fun x -> A.Project ([ (x, "x") ], scan)) (elem 3 top));
+      ( 1,
+        pair (elem 3 top) (oneofl A.[ Asc; Desc ]) >|= fun (x, dir) ->
+        A.Aggregate
+          {
+            group_by = [];
+            aggs = [ (A.Xml_agg (x, [ (A.qcol "t" "a", dir) ]), "x") ];
+            input = scan;
+          } );
+    ]
+
+let prop_emitter_differential =
+  let db = corr_db () in
+  let counts stats =
+    List.map
+      (fun (e : ST.entry) ->
+        let o = e.ST.op in
+        ( e.ST.label,
+          [ o.ST.rows; o.ST.loops; o.ST.btree_probes; o.ST.btree_nodes; o.ST.heap_rows;
+            o.ST.presorted; o.ST.sorted ] ))
+      (ST.entries stats)
+  in
+  let serialise rows = List.map (fun r -> V.to_string (List.assoc "x" r)) rows in
+  QCheck.Test.make ~name:"constructor emitters ≡ interpreted (bytes, DOM and streamed, counters)"
+    ~count:300
+    (QCheck.make ~print:A.plan_sql gen_publish)
+    (fun plan ->
+      let irows, istats = E.run_interpreted_analyzed db plan in
+      let expected = serialise irows in
+      let crows, cstats = E.run_analyzed db plan in
+      let (_, srows), sstats = E.run_arrays_analyzed ~xml_streaming:true db plan in
+      let streamed = List.map (fun r -> r.(0)) srows in
+      (* serialising runs the streams' subqueries: once, before the counts *)
+      let first = List.map V.to_string streamed in
+      let dom_values = List.map (fun r -> List.assoc "x" r) crows in
+      (serialise crows = expected || QCheck.Test.fail_report "compiled DOM bytes differ")
+      && (first = expected || QCheck.Test.fail_report "compiled streamed bytes differ")
+      && (serialise (E.run_interpreted ~xml_streaming:true db plan) = expected
+         || QCheck.Test.fail_report "interpreted streamed bytes differ")
+      && (counts cstats = counts istats || QCheck.Test.fail_report "compiled counters differ")
+      && (counts sstats = counts istats || QCheck.Test.fail_report "streamed counters differ")
+      && (List.map V.to_string streamed = first || QCheck.Test.fail_report "replay differs")
+      && (List.map E.bool_of_value streamed = List.map E.bool_of_value dom_values
+         || QCheck.Test.fail_report "bool_of_value differs")
+      && (List.map V.to_string streamed = first
+         || QCheck.Test.fail_report "replay after bool_of_value differs"))
+
 (* the assoc entry points hand the caller's outer bindings back as the
    tail of every row, whatever the compiled rows hold *)
 let test_outer_bindings_returned () =
@@ -2322,6 +2610,7 @@ let () =
           Alcotest.test_case "remove" `Quick test_btree_remove;
           QCheck_alcotest.to_alcotest prop_btree_remove_model;
           QCheck_alcotest.to_alcotest prop_btree_model;
+          QCheck_alcotest.to_alcotest prop_btree_range_walk;
         ] );
       ( "executor",
         [
@@ -2352,6 +2641,7 @@ let () =
             test_streams_serialised_after_all_opens;
           Alcotest.test_case "table rows unchanged" `Quick test_plans_leave_table_rows_unchanged;
           Alcotest.test_case "open_cursor own slots" `Quick test_open_cursor_own_slots;
+          QCheck_alcotest.to_alcotest prop_emitter_differential;
         ] );
       ( "instrumentation",
         [

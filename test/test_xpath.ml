@@ -101,6 +101,14 @@ let test_number_string () =
   check cs "infinity" "Infinity" (V.string_of_number Float.infinity);
   check cs "fraction" "2.5" (V.string_of_number 2.5)
 
+(* XPath 1.0 §4.2: positive and negative zero both convert to "0" *)
+let test_negative_zero_string () =
+  check cs "string(-0)" "0" (eval_str "string(-0)");
+  check cs "string(round(-0.2))" "0" (eval_str "string(round(-0.2))");
+  check cs "string(0 * -1)" "0" (eval_str "string(0 * -1)");
+  check cs "string_of_number (-0.)" "0" (V.string_of_number (-0.0));
+  check cs "still negative below zero" "-1" (eval_str "string(round(-0.6))")
+
 let test_string_number () =
   check cf "simple" 42.0 (V.number_of_string " 42 ");
   check cb "garbage is NaN" true (Float.is_nan (V.number_of_string "x"));
@@ -343,6 +351,31 @@ let prop_descendant_parent_inverse =
       | None -> true
       | Some n -> List.memq root (E.axis_nodes XP.Ancestor n))
 
+(* the printf-free formatter is [string_of_int] on every int *)
+let prop_format_int =
+  let edges = [ min_int; max_int; 0; 9; -9; 10; -10; min_int + 1; max_int - 1 ] in
+  QCheck.Test.make ~name:"format_int = string_of_int" ~count:1000
+    QCheck.(oneof [ int; small_signed_int; oneofl edges ])
+    (fun n -> V.format_int n = string_of_int n)
+
+(* integral numbers below 1e16 print as "%.0f" did, except -0 → "0" *)
+let prop_integral_number_string =
+  let integral =
+    QCheck.Gen.(
+      oneof
+        [
+          map float_of_int (int_range (-1_000_000) 1_000_000);
+          map (fun f -> Float.trunc f) (float_range (-9.999e15) 9.999e15);
+          map (fun e -> Float.pow 10. (float_of_int e) -. 1.) (int_range 0 15);
+          oneofl [ 0.0; -0.0; 9.999999999999998e15; -9.999999999999998e15 ];
+        ])
+  in
+  QCheck.Test.make ~name:"integral string_of_number = %.0f, zeros print 0" ~count:1000
+    (QCheck.make ~print:string_of_float integral)
+    (fun f ->
+      let expected = if f = 0.0 then "0" else Printf.sprintf "%.0f" f in
+      V.string_of_number f = expected)
+
 let prop_xpath_parser_total =
   QCheck.Test.make ~name:"xpath parser is total" ~count:400
     QCheck.(string_gen_of_size Gen.(int_bound 40) Gen.printable)
@@ -368,6 +401,7 @@ let () =
           Alcotest.test_case "string→number" `Quick test_string_number;
           Alcotest.test_case "boolean conversion" `Quick test_boolean_conversion;
           Alcotest.test_case "comparisons" `Quick test_comparisons;
+          Alcotest.test_case "negative zero prints 0" `Quick test_negative_zero_string;
         ] );
       ( "axes",
         [
@@ -397,5 +431,11 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_sort_idempotent; prop_descendant_parent_inverse; prop_xpath_parser_total ] );
+          [
+            prop_sort_idempotent;
+            prop_descendant_parent_inverse;
+            prop_xpath_parser_total;
+            prop_format_int;
+            prop_integral_number_string;
+          ] );
     ]
