@@ -20,9 +20,9 @@
     - [shredscale]  — DOM tree walk vs interval-encoded shredded storage
                       with axis range scans, 8k/64k-node documents,
                       descendant and value-predicate lookups, byte-identity
-                      asserted (BENCH_PR6.json); each leg also timed
-                      through the correlated per-context plans vs the
-                      set-at-a-time batch evaluator (BENCH_PR8.json);
+                      asserted (BENCH_PR6.json); the set-at-a-time batch
+                      evaluator's speedups over the DOM walk per query
+                      shape (BENCH_PR8.json);
     - [joinscale]   — hash join vs forced nested loop (non-indexed
                       dimension) and vs index nested loop (indexed
                       dimension) on a join-heavy publishing shape at
@@ -957,12 +957,11 @@ let parscale ?(sizes = [ 8_000; 64_000 ]) ?(jobs_list = [ 1; 2; 4 ]) () =
 let shredscale ?(sizes = [ 800; 6_400 ]) () =
   let module SH = Xdb_rel.Shred in
   Printf.printf "%s\nshredscale: DOM tree walk vs shredded index range scan\n%s\n" hrule hrule;
-  Printf.printf "%8s %12s %12s %12s %12s %8s %10s\n" "nodes" "query" "dom_ms" "perctx_ms"
-    "batch_ms" "speedup" "identical";
+  Printf.printf "%8s %12s %12s %12s %8s %10s\n" "nodes" "query" "dom_ms" "batch_ms"
+    "speedup" "identical";
   let legs = ref [] and csv_rows = ref [] in
-  (* per-probe vs batched legs for BENCH_PR8: same query shapes, the
-     set-at-a-time evaluator against the correlated per-context plans
-     and the DOM walk *)
+  (* batched legs for BENCH_PR8: same query shapes, the set-at-a-time
+     evaluator against the DOM walk *)
   let legs8 = ref [] and summaries8 = ref [] in
   let summaries =
     List.map
@@ -997,21 +996,19 @@ let shredscale ?(sizes = [ 800; 6_400 ]) () =
           (fun (label, t, docid, ctx, q) ->
             let _, nodes = SH.stats t in
             let shred_out = SH.serialize t (SH.select t ~docid q) in
-            let pc_out = SH.serialize t (SH.select t ~batch:false ~docid q) in
             let dom_out = SH.serialize_dom (Xdb_xpath.Eval.select ctx q) in
-            let identical = shred_out = dom_out && pc_out = dom_out in
+            let identical = shred_out = dom_out in
             all_identical := !all_identical && identical;
             assert identical;
             let dom_ms = time_ms (fun () -> ignore (Xdb_xpath.Eval.select ctx q)) in
-            let pc_ms = time_ms (fun () -> ignore (SH.select t ~batch:false ~docid q)) in
             let shred_ms = time_ms (fun () -> ignore (SH.select t ~docid q)) in
             let speedup = dom_ms /. shred_ms in
             if label = "lookup" then lookup_speedup := speedup;
             by_label := (label, speedup) :: !by_label;
             tot_dom := !tot_dom +. dom_ms;
             tot_shred := !tot_shred +. shred_ms;
-            Printf.printf "%8d %12s %12.4f %12.4f %12.4f %7.2fx %10b\n" nodes label dom_ms
-              pc_ms shred_ms speedup identical;
+            Printf.printf "%8d %12s %12.4f %12.4f %7.2fx %10b\n" nodes label dom_ms shred_ms
+              speedup identical;
             legs :=
               Printf.sprintf
                 {|{"nodes":%d,"query":"%s","xpath":"%s","dom_ms":%.4f,"shred_ms":%.4f,"speedup":%.3f,"identical":%b}|}
@@ -1019,16 +1016,15 @@ let shredscale ?(sizes = [ 800; 6_400 ]) () =
               :: !legs;
             legs8 :=
               Printf.sprintf
-                {|{"nodes":%d,"query":"%s","xpath":"%s","dom_ms":%.4f,"percontext_ms":%.4f,"batch_ms":%.4f,"speedup_vs_dom":%.3f,"speedup_vs_percontext":%.3f,"identical":%b}|}
-                nodes label (json_escape q) dom_ms pc_ms shred_ms speedup (pc_ms /. shred_ms)
-                identical
+                {|{"nodes":%d,"query":"%s","xpath":"%s","dom_ms":%.4f,"batch_ms":%.4f,"speedup_vs_dom":%.3f,"identical":%b}|}
+                nodes label (json_escape q) dom_ms shred_ms speedup identical
               :: !legs8;
             csv_rows :=
-              Printf.sprintf "%d,%s,%.4f,%.4f,%.4f,%.3f,%b" nodes label dom_ms pc_ms shred_ms
-                speedup identical
+              Printf.sprintf "%d,%s,%.4f,%.4f,%.3f,%b" nodes label dom_ms shred_ms speedup
+                identical
               :: !csv_rows)
           queries;
-        Printf.printf "%8d %12s %12.4f %25.4f %7.2fx\n" nodes "TOTAL" !tot_dom !tot_shred
+        Printf.printf "%8d %12s %12.4f %12.4f %7.2fx\n" nodes "TOTAL" !tot_dom !tot_shred
           (!tot_dom /. !tot_shred);
         let sp l = try List.assoc l !by_label with Not_found -> 0.0 in
         summaries8 :=
@@ -1043,7 +1039,7 @@ let shredscale ?(sizes = [ 800; 6_400 ]) () =
           !lookup_speedup !all_identical)
       sizes
   in
-  csv_out "shredscale.csv" "nodes,query,dom_ms,percontext_ms,batch_ms,speedup,identical"
+  csv_out "shredscale.csv" "nodes,query,dom_ms,batch_ms,speedup,identical"
     (List.rev !csv_rows);
   let oc = open_out "BENCH_PR6.json" in
   Printf.fprintf oc

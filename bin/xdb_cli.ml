@@ -267,7 +267,7 @@ let shred_cmd =
     Arg.(
       value & flag
       & info [ "explain" ]
-          ~doc:"With $(b,--query), print the access path each location step compiles to.")
+          ~doc:"With $(b,--query), print the strategy each location step evaluates with.")
   in
   let run verbose files case size query explain_steps =
     setup_logs verbose;
@@ -317,10 +317,9 @@ let shred_cmd =
               | Xdb_xpath.Ast.Path { steps; _ } ->
                   List.iter
                     (fun (st : Xdb_xpath.Ast.step) ->
-                      Printf.printf "-- step %s\n   batch: %s\n%s\n"
+                      Printf.printf "-- step %s\n   batch: %s\n"
                         (Xdb_xpath.Ast.step_to_string st)
-                        (Xdb_rel.Shred.batch_explain st)
-                        (Xdb_rel.Shred.explain_step s st))
+                        (Xdb_rel.Shred.batch_explain st))
                     steps
               | _ -> prerr_endline "(--explain: not a path expression)"))
   in

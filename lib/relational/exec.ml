@@ -1522,10 +1522,6 @@ let compile db ?stats ?(outer = Layout.empty) ?(batch_size = default_batch_size)
     }
     outer p
 
-let compiled_layout (c : compiled) = c.c_layout
-
-let open_cursor (c : compiled) ?(outer = [||]) () : cursor = c.c_open outer
-
 (** [run_arrays db plan] — compiled execution to physical rows plus their
     layout; the allocation-light entry point for hot paths. *)
 let run_arrays db ?batch_size ?xml_streaming ?partition (p : plan) :

@@ -47,9 +47,6 @@ val scan_bindings : Table.t -> string -> Value.t array -> row
 val default_batch_size : int
 (** Rows per batch exchanged between operators (1024). *)
 
-type cursor = unit -> Value.t array array option
-(** Batch cursor: [None] at end of stream; batches are never empty. *)
-
 type compiled
 (** A plan after the column-resolution pass: fixed output layout,
     expressions compiled to closures, ready to open. *)
@@ -78,18 +75,6 @@ val compile :
     every matching scan is windowed and results change.
     @raise Exec_error at plan-open time for unknown or ambiguous
     columns, listing the columns that are available. *)
-
-val compiled_layout : compiled -> Layout.t
-(** Output layout: own columns first, then the [outer] layout the plan
-    was compiled against. *)
-
-val open_cursor : compiled -> ?outer:Value.t array -> unit -> cursor
-(** Open one execution on the environment row [outer] (one value per
-    slot of the [outer] layout; default empty).  The cursor yields rows
-    that hold the plan's {e own} slots only — the layout slots below
-    [width (compiled_layout c) - width outer] — never the environment:
-    a caller that needs an outer value reads it from [outer] itself.
-    Rows may be shared with the table's storage; do not mutate them. *)
 
 val run_arrays :
   Database.t ->

@@ -1,19 +1,19 @@
 (* Interval-encoded XML shredding: node-per-row storage with pre/post
-   numbering, packed composite keys, and location steps compiled once per
-   shape into correlated plans the optimizer answers with B-tree range
-   scans.  See shred.mli for the encoding contract. *)
+   numbering, packed composite keys, and location steps answered over
+   each document's cached pre-ordered rows (B-tree interval sweeps for
+   descendants).  See shred.mli for the encoding contract. *)
 
 module X = Xdb_xml.Types
 module XA = Xdb_xpath.Ast
 module AR = Xdb_xpath.Axis_range
 module XE = Xdb_xpath.Eval
 module XV = Xdb_xpath.Value
-module A = Algebra
 
 exception Shred_error of string
 exception Unsupported of string
 
 let err fmt = Printf.ksprintf (fun m -> raise (Shred_error m)) fmt
+let unsupported fmt = Printf.ksprintf (fun m -> raise (Unsupported m)) fmt
 
 type node = {
   docid : int;
@@ -43,13 +43,6 @@ let pack_dnk docid nid pre = (((docid lsl name_bits) lor nid) lsl pre_bits) lor 
 (* Handle                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type plan_key = {
-  pk_axis : XA.axis;
-  pk_kinds : AR.kind_filter;
-  pk_named : bool;
-  pk_dnk : bool;
-}
-
 (* a reconstructed document: the DOM tree plus both directions of the
    pre ↔ node correspondence (DOM orders are stamped with [pre], so a DOM
    interpreter result maps back to its row through [order]) *)
@@ -61,30 +54,20 @@ type rebuilt = {
 }
 
 type t = {
-  db : Database.t;
   tbl : Table.t;
   names_tbl : Table.t;
   names : (string, int) Hashtbl.t;
   mutable next_nid : int;
   mutable next_docid : int;
   doc_meta : (int, node) Hashtbl.t;
-  plans : (plan_key, Exec.compiled) Hashtbl.t;
   rebuilt_cache : (int, rebuilt) Hashtbl.t;
   rows_cache : (int, node array * int array) Hashtbl.t;
-      (** pre-ordered decoded rows + pre → index, per docid — the batch
-          evaluator's working set, built {e without} the DOM *)
-  outer_layout : Layout.t;
+      (** pre-ordered decoded rows + pre → index, per docid — what every
+          step reads, built {e without} the DOM *)
   mutable n_batch : int;
   mutable n_rel : int;
   mutable n_fallback : int;
 }
-
-let scan_alias = "s"
-let outer_alias = "c"
-
-(* per-context-node correlation row; plans reference these via [c.*] *)
-let outer_cols =
-  [| "pre"; "post"; "parent"; "dpre"; "dpost"; "dparent"; "doclo"; "dochi"; "nklo"; "nkhi"; "name" |]
 
 let int_col n = { Table.col_name = n; col_type = Value.Tint }
 let str_col n = { Table.col_name = n; col_type = Value.Tstr }
@@ -93,30 +76,26 @@ let columns =
   [
     int_col "docid"; int_col "pre"; int_col "post"; int_col "parent"; int_col "level";
     str_col "kind"; str_col "name"; str_col "prefix"; str_col "uri"; str_col "value";
-    int_col "dpre"; int_col "dparent"; int_col "dnk";
+    int_col "dpre"; int_col "dnk";
   ]
 
 let create ?(table = "xmlnodes") db =
   let tbl = Database.create_table db table columns in
   ignore (Table.create_index tbl ~name:(table ^ "_dpre_idx") ~column:"dpre");
-  ignore (Table.create_index tbl ~name:(table ^ "_dparent_idx") ~column:"dparent");
   ignore (Table.create_index tbl ~name:(table ^ "_dnk_idx") ~column:"dnk");
   let names_tbl =
     Database.create_table db (table ^ "_names") [ int_col "nid"; str_col "name" ]
   in
   let t =
     {
-      db;
       tbl;
       names_tbl;
       names = Hashtbl.create 64;
       next_nid = 0;
       next_docid = 1;
       doc_meta = Hashtbl.create 16;
-      plans = Hashtbl.create 32;
       rebuilt_cache = Hashtbl.create 16;
       rows_cache = Hashtbl.create 16;
-      outer_layout = Layout.of_columns ~alias:outer_alias outer_cols;
       n_batch = 0;
       n_rel = 0;
       n_fallback = 0;
@@ -238,7 +217,6 @@ let shred t (doc : X.node) : int =
              Value.Int p.p_level; Value.Str p.p_kind; Value.Str p.p_name;
              Value.Str p.p_prefix; Value.Str p.p_uri; Value.Str p.p_value;
              Value.Int (pack_dpre docid p.p_pre);
-             Value.Int (if p.p_parent < 0 then -1 else pack_dpre docid p.p_parent);
              Value.Int (pack_dnk docid nid p.p_pre);
            |]))
     pending;
@@ -278,9 +256,7 @@ let slot_int a i =
 let slot_str a i =
   match a.(i) with Value.Str s -> s | _ -> err "malformed shred row (str slot %d)" i
 
-(* scan rows keep the table's column order in slots 0..9; rows from a
-   per-context step plan hold only these own slots (the correlation
-   values stay in the environment row the cursor was opened on) *)
+(* a node-table row keeps the node's fields in slots 0..9 *)
 let node_of_slots a =
   {
     docid = slot_int a 0; pre = slot_int a 1; post = slot_int a 2; parent = slot_int a 3;
@@ -297,8 +273,7 @@ let tables t = [ t.tbl.Table.tbl_name; t.names_tbl.Table.tbl_name ]
     and batch-row caches are dropped (they hold decoded copies of rows
     that may have changed or moved), the docid directory is re-derived
     from the document rows now present, and the name dictionary is
-    re-read from the names table.  Compiled step plans survive — they
-    depend on the table's shape, not its rows. *)
+    re-read from the names table. *)
 let invalidate_caches t =
   Hashtbl.reset t.rebuilt_cache;
   Hashtbl.reset t.rows_cache;
@@ -399,7 +374,7 @@ let rebuilt t docid =
 
 let reconstruct t docid = (rebuilt t docid).dom
 
-(* the batch evaluator's working set: decoded rows in pre order plus the
+(* every step's working set: decoded rows in pre order plus the
    pre → index map, without building the DOM (reusing the rebuilt cache's
    arrays when a reconstruction already paid for them) *)
 let doc_rows_ix t docid =
@@ -453,105 +428,6 @@ let children t (c : node) =
   List.rev !acc
 
 (* ------------------------------------------------------------------ *)
-(* Step plans                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let s_ c = A.qcol scan_alias c
-let c_ c = A.qcol outer_alias c
-
-let aop : AR.op -> A.binop = function
-  | AR.Eq -> A.Eq
-  | AR.Lt -> A.Lt
-  | AR.Leq -> A.Leq
-  | AR.Gt -> A.Gt
-  | AR.Geq -> A.Geq
-
-(* the packed image of a context anchor *)
-let packed_anchor = function
-  | AR.Ctx_pre -> "dpre"
-  | AR.Ctx_post -> "dpost"
-  | AR.Ctx_parent -> "dparent"
-
-let plain_anchor = function
-  | AR.Ctx_pre -> "pre"
-  | AR.Ctx_post -> "post"
-  | AR.Ctx_parent -> "parent"
-
-(* name-tested descendants scan the [dnk] index: the name id is packed
-   into the key, so the interval probe lands only on rows already
-   carrying the right name *)
-let use_dnk axis (spec : AR.spec) =
-  spec.name <> None
-  && (spec.kinds = AR.K_elem || spec.kinds = AR.K_attr)
-  && match axis with XA.Descendant | XA.Descendant_or_self -> true | _ -> false
-
-let build_plan t axis (spec : AR.spec) ~via_dnk =
-  let conds =
-    List.map
-      (fun { AR.col; op; anchor } ->
-        match col with
-        | AR.Pre when via_dnk ->
-            let rhs = match anchor with AR.Ctx_pre -> "nklo" | _ -> "nkhi" in
-            A.Binop (aop op, s_ "dnk", c_ rhs)
-        | AR.Pre -> A.Binop (aop op, s_ "dpre", c_ (packed_anchor anchor))
-        | AR.Parent -> A.Binop (aop op, s_ "dparent", c_ (packed_anchor anchor))
-        | AR.Post -> A.Binop (aop op, s_ "post", c_ (plain_anchor anchor)))
-      spec.conds
-  in
-  (* close one-sided document-order ranges with the document's bounds so a
-     range probe never leaks into neighbouring documents *)
-  let has op_test col_test =
-    List.exists (fun c -> col_test c.AR.col && op_test c.AR.op) spec.conds
-  in
-  let eq_confined =
-    has (fun o -> o = AR.Eq) (fun c -> c = AR.Pre || c = AR.Parent)
-  in
-  let guards =
-    if eq_confined || via_dnk then []
-    else
-      (if has (fun o -> o = AR.Gt || o = AR.Geq) (fun c -> c = AR.Pre) then []
-       else [ A.Binop (A.Geq, s_ "dpre", c_ "doclo") ])
-      @
-      if has (fun o -> o = AR.Lt || o = AR.Leq) (fun c -> c = AR.Pre) then []
-      else [ A.Binop (A.Leq, s_ "dpre", c_ "dochi") ]
-  in
-  let kind_conj =
-    match spec.kinds with
-    | AR.K_elem -> [ A.(s_ "kind" =. const_str "elem") ]
-    | AR.K_attr -> [ A.(s_ "kind" =. const_str "attr") ]
-    | AR.K_text -> [ A.(s_ "kind" =. const_str "text") ]
-    | AR.K_comment -> [ A.(s_ "kind" =. const_str "comment") ]
-    | AR.K_pi -> [ A.(s_ "kind" =. const_str "pi") ]
-    | AR.K_non_attr -> [ A.Binop (A.Neq, s_ "kind", A.const_str "attr") ]
-  in
-  let name_conj =
-    if spec.name <> None && not via_dnk then [ A.(s_ "name" =. c_ "name") ] else []
-  in
-  ignore axis;
-  A.Filter
-    ( Cost.conjoin (conds @ guards @ kind_conj @ name_conj),
-      A.Seq_scan { table = table_name t; alias = scan_alias } )
-
-let compiled_plan t axis (spec : AR.spec) ~via_dnk =
-  let key =
-    { pk_axis = axis; pk_kinds = spec.kinds; pk_named = spec.name <> None; pk_dnk = via_dnk }
-  in
-  match Hashtbl.find_opt t.plans key with
-  | Some c -> c
-  | None ->
-      let plan = Optimizer.optimize t.db (build_plan t axis spec ~via_dnk) in
-      let compiled = Exec.compile t.db ~outer:t.outer_layout plan in
-      Hashtbl.add t.plans key compiled;
-      compiled
-
-let explain_step t (step : XA.step) =
-  match AR.compile step.axis step.test with
-  | None -> "<empty>"
-  | Some spec ->
-      let via_dnk = use_dnk step.axis spec in
-      A.explain (Optimizer.optimize t.db (build_plan t step.axis spec ~via_dnk))
-
-(* ------------------------------------------------------------------ *)
 (* Step evaluation                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -577,18 +453,6 @@ let doc_order_dedup rows =
     in
     dedup sorted
 
-let collect_cursor cur =
-  let acc = ref [] in
-  let rec loop () =
-    match cur () with
-    | None -> ()
-    | Some batch ->
-        Array.iter (fun row -> acc := node_of_slots row :: !acc) batch;
-        loop ()
-  in
-  loop ();
-  List.rev !acc
-
 let kind_matches (kf : AR.kind_filter) (r : node) =
   match kf with
   | AR.K_elem -> r.kind = "elem"
@@ -604,54 +468,69 @@ let row_matches (spec : AR.spec) (r : node) =
   kind_matches spec.kinds r
   && match spec.name with None -> true | Some n -> String.equal r.name n
 
-(* candidate source of one step, with everything per-step — spec analysis,
-   name-id resolution, the compiled plan — hoisted out of the per-context
-   closure; candidates arrive in proximity order *)
-let step_source t (axis : XA.axis) (spec : AR.spec) : node -> node list =
-  if axis = XA.Self then fun r -> if row_matches spec r then [ r ] else []
-  else
-    let needs_parent = List.exists (fun c -> c.AR.anchor = AR.Ctx_parent) spec.conds in
-    let via_dnk = use_dnk axis spec in
-    let nid =
-      if not via_dnk then Some 0
-      else Hashtbl.find_opt t.names (Option.get spec.name)
-    in
-    match nid with
-    | None -> fun _ -> [] (* name never seen: statically empty *)
-    | Some nid ->
-        let compiled = compiled_plan t axis spec ~via_dnk in
-        let name = Value.Str (Option.value spec.name ~default:"") in
-        fun r ->
-          if r.kind = "attr" && not spec.attr_ok then
-            raise
-              (Unsupported
-                 (Printf.sprintf "%s axis from an attribute context node"
-                    (XA.axis_name axis)));
-          if needs_parent && r.parent < 0 then []
-          else (
-            t.n_rel <- t.n_rel + 1;
-            let doc = doc_node t r.docid in
-            let nklo = if via_dnk then pack_dnk r.docid nid r.pre else 0
-            and nkhi = if via_dnk then pack_dnk r.docid nid r.post else 0 in
-            let outer =
-              [|
-                Value.Int r.pre; Value.Int r.post; Value.Int r.parent;
-                Value.Int (pack_dpre r.docid r.pre); Value.Int (pack_dpre r.docid r.post);
-                Value.Int (if r.parent < 0 then -1 else pack_dpre r.docid r.parent);
-                Value.Int (pack_dpre r.docid 0); Value.Int (pack_dpre r.docid doc.post);
-                Value.Int nklo; Value.Int nkhi; name;
-              |]
-            in
-            let cands = collect_cursor (Exec.open_cursor compiled ~outer ()) in
-            if spec.reverse then List.rev cands else cands)
+(* does candidate [r] satisfy one interval condition against context [c] *)
+let cond_holds (c : node) (r : node) { AR.col; op; anchor } =
+  let x = match col with AR.Pre -> r.pre | AR.Post -> r.post | AR.Parent -> r.parent
+  and y =
+    match anchor with AR.Ctx_pre -> c.pre | AR.Ctx_post -> c.post | AR.Ctx_parent -> c.parent
+  in
+  match op with
+  | AR.Eq -> x = y
+  | AR.Lt -> x < y
+  | AR.Leq -> x <= y
+  | AR.Gt -> x > y
+  | AR.Geq -> x >= y
+
+(* every row an axis's conditions can hold on from context [c], in
+   document order, read off the cached pre-ordered rows: owned-row walks
+   for child and sibling axes, parent links upward, and a bounded slice
+   of the rows array for descendant, following and preceding *)
+let iter_axis t (axis : XA.axis) (c : node) (f : node -> unit) =
+  match axis with
+  | XA.Self -> f c
+  | XA.Child | XA.Attribute -> iter_owned t c f
+  | XA.Following_sibling | XA.Preceding_sibling ->
+      Option.iter (fun p -> iter_owned t p f) (parent_row t c)
+  | XA.Parent -> Option.iter f (parent_row t c)
+  | XA.Ancestor | XA.Ancestor_or_self ->
+      let rec up acc r = match parent_row t r with Some p -> up (p :: acc) p | None -> acc in
+      List.iter f (up (if axis = XA.Ancestor_or_self then [ c ] else []) c)
+  | XA.Descendant | XA.Descendant_or_self | XA.Following | XA.Preceding ->
+      let rows, row_ix = doc_rows_ix t c.docid in
+      (* the first row past [c]'s subtree: the ticks between [c.post] and
+         it are ancestors' exit ticks, so this is O(depth) *)
+      let rec after pre =
+        if pre >= Array.length row_ix then Array.length rows
+        else if row_ix.(pre) >= 0 then row_ix.(pre)
+        else after (pre + 1)
+      in
+      let lo, hi =
+        match axis with
+        | XA.Following -> (after (c.post + 1), Array.length rows)
+        | XA.Preceding -> (0, row_ix.(c.pre))
+        | _ -> (row_ix.(c.pre), after (c.post + 1))
+      in
+      for i = lo to hi - 1 do
+        f rows.(i)
+      done
+  | XA.Namespace -> ()
+
+(* one step from one context row: the axis's candidates that pass its
+   {!AR} conditions and the kind/name test, in proximity order *)
+let step_source t (axis : XA.axis) (spec : AR.spec) (c : node) : node list =
+  if c.kind = "attr" && not spec.attr_ok then
+    unsupported "%s axis from an attribute context node" (XA.axis_name axis);
+  t.n_rel <- t.n_rel + 1;
+  let acc = ref [] in
+  iter_axis t axis c (fun r ->
+      if List.for_all (cond_holds c r) spec.conds && row_matches spec r then acc := r :: !acc);
+  if spec.reverse then !acc else List.rev !acc
 
 (* ---- the relational expression subset (mirrors Eval/Value semantics) - *)
 
 module Smap = XE.Smap
 
 type value = V_num of float | V_str of string | V_bool of bool | V_rows of node list
-
-let unsupported fmt = Printf.ksprintf (fun m -> raise (Unsupported m)) fmt
 
 let value_number = function
   | V_num f -> f
@@ -675,13 +554,13 @@ let value_string = function
 
 let value_rows = function V_rows rs -> Some rs | _ -> None
 
-(* the evaluation environment threaded through every step: [batch]
-   selects the set-at-a-time engine, [vars]/[current] come from the XSLT
-   VM ([current] stays on the instruction's context node while predicate
-   evaluation moves [r], mirroring Eval's context record) *)
-type env = { batch : bool; vars : value Smap.t; current : node option }
+(* the evaluation environment threaded through every step: [vars] and
+   [current] come from the XSLT VM ([current] stays on the instruction's
+   context node while predicate evaluation moves [r], mirroring Eval's
+   context record) *)
+type env = { vars : value Smap.t; current : node option }
 
-let base_env = { batch = true; vars = Smap.empty; current = None }
+let base_env = { vars = Smap.empty; current = None }
 
 let num_cmp op x y =
   match op with
@@ -742,15 +621,13 @@ let pcompare op a b =
 (* Between steps a context is a sorted, duplicate-free node list (the
    doc_order_dedup invariant), i.e. an ascending sequence of (docid, pre)
    intervals — exactly what the staircase merges below exploit.  Each
-   batch step costs one pass over the context instead of one compiled
-   plan open per context node. *)
+   batch step costs one pass over the context instead of one walk per
+   context node. *)
 
 let index_tree t col =
   match Table.find_index t.tbl col with
   | Some idx -> idx.Table.tree
   | None -> err "missing %s index on %s" col (table_name t)
-
-let decode t rid = node_of_slots (Table.unsafe_row t.tbl rid)
 
 let batch_axis_ok : XA.axis -> bool = function
   | XA.Self | XA.Child | XA.Attribute | XA.Parent | XA.Descendant
@@ -758,12 +635,10 @@ let batch_axis_ok : XA.axis -> bool = function
       true
   | _ -> false
 
-(* one merged [dparent]-index sweep: ascending context nodes, one point
-   probe each ({!Btree.iter_range}, nothing materialised); distinct
-   parents own disjoint child blocks ordered like their parents, so the
-   result is already in document order unless the contexts nest *)
+(* one owned-row walk per context node over the cached rows array;
+   distinct parents own disjoint child blocks ordered like their parents,
+   so the result is already in document order unless the contexts nest *)
 let batch_child t (spec : AR.spec) (ctx : node list) : node list =
-  let tree = index_tree t "dparent" in
   let acc = ref [] in
   let nested = ref false in
   let curdoc = ref min_int and maxpost = ref min_int in
@@ -775,14 +650,18 @@ let batch_child t (spec : AR.spec) (ctx : node list) : node list =
       end
       else if c.pre < !maxpost then nested := true;
       if c.post > !maxpost then maxpost := c.post;
-      let key = Value.Int (pack_dpre c.docid c.pre) in
-      Btree.iter_range tree ~lo:(Btree.Inclusive key) ~hi:(Btree.Inclusive key)
-        (fun _key rid ->
-          let r = decode t rid in
-          if row_matches spec r then acc := r :: !acc))
+      iter_owned t c (fun r -> if row_matches spec r then acc := r :: !acc))
     ctx;
   let out = List.rev !acc in
   if !nested then List.sort doc_order_cmp out else out
+
+(* name-tested descendants scan the [dnk] index: the name id is packed
+   into the key, so the interval probe lands only on rows already
+   carrying the right name *)
+let use_dnk axis (spec : AR.spec) =
+  spec.name <> None
+  && (spec.kinds = AR.K_elem || spec.kinds = AR.K_attr)
+  && match axis with XA.Descendant | XA.Descendant_or_self -> true | _ -> false
 
 (* the staircase merge: a context interval starting inside the running
    cover is nested in an earlier context's interval, so its descendants
@@ -1004,22 +883,17 @@ let rec eval_step t env rows (step : XA.step) =
   match AR.compile step.axis step.test with
   | None -> []
   | Some spec ->
-      if
-        env.batch && batch_axis_ok step.axis
-        && List.for_all batchable_pred step.XA.predicates
-      then
+      if batch_axis_ok step.axis && List.for_all batchable_pred step.XA.predicates then
         let cands = batch_axis t step.axis spec rows in
         List.fold_left (fun cs p -> batch_filter t env cs p) cands step.XA.predicates
       else
-        let candidates = step_source t step.axis spec in
-        let out =
-          List.concat_map
-            (fun r ->
-              let cands = candidates r in
-              List.fold_left (fun cs p -> filter_pred t env cs p) cands step.XA.predicates)
-            rows
-        in
-        doc_order_dedup out
+        doc_order_dedup
+          (List.concat_map
+             (fun r ->
+               List.fold_left
+                 (fun cs p -> filter_pred t env cs p)
+                 (step_source t step.axis spec r) step.XA.predicates)
+             rows)
 
 and eval_steps t env rows steps = List.fold_left (eval_step t env) rows steps
 
@@ -1175,10 +1049,10 @@ and pcall t env r ~position ~size f args =
       match env.current with Some c -> V_rows [ c ] | None -> V_rows [ r ])
   | _ -> unsupported "function %s()" f
 
-let axis_step t ?(batch = true) rows step = eval_step t { base_env with batch } rows step
+let axis_step t rows step = eval_step t base_env rows step
 
-let eval_expr t ?(batch = true) ?(vars = Smap.empty) ?(position = 1) ?(size = 1) r e =
-  peval t { batch; vars; current = Some r } r ~position ~size e
+let eval_expr t ?(vars = Smap.empty) ?(position = 1) ?(size = 1) r e =
+  peval t { vars; current = Some r } r ~position ~size e
 
 (* ------------------------------------------------------------------ *)
 (* Match patterns over rows (the shredded transform path)               *)
@@ -1220,7 +1094,7 @@ let row_predicates_hold t env (step : XA.step) (r : node) =
           List.exists (fun x -> x.docid = r.docid && x.pre = r.pre) survivors)
 
 let pattern_matches t ?(vars = Smap.empty) (pat : Xdb_xpath.Pattern.t) (r : node) =
-  let env = { batch = true; vars; current = Some r } in
+  let env = { vars; current = Some r } in
   let ops =
     {
       Xdb_xpath.Pattern.no_parent = parent_row t;
@@ -1276,14 +1150,14 @@ let batch_explain (step : XA.step) =
   match AR.compile step.XA.axis step.XA.test with
   | None -> "statically empty"
   | Some spec ->
-      if not (batch_axis_ok step.XA.axis) then "per-context plan (axis outside the batch subset)"
+      if not (batch_axis_ok step.XA.axis) then "per-context walk (axis outside the batch subset)"
       else if not (List.for_all batchable_pred step.XA.predicates) then
-        "per-context plan (positional predicate)"
+        "per-context walk (positional predicate)"
       else
         let how =
           match step.XA.axis with
           | XA.Self -> "context-row filter"
-          | XA.Child | XA.Attribute -> "merged dparent point probes"
+          | XA.Child | XA.Attribute -> "owned-row walk over the rows array"
           | XA.Descendant | XA.Descendant_or_self ->
               if use_dnk step.XA.axis spec then "staircase dnk interval sweep"
               else "staircase dpre interval sweep"
@@ -1306,12 +1180,11 @@ let batch_explain (step : XA.step) =
 (* Queries                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let select t ?(batch = true) ~docid expr_s =
+let select t ~docid expr_s =
   let doc = doc_node t docid in
-  let env = { base_env with batch } in
   try
     match Xdb_xpath.Parser.parse expr_s with
-    | XA.Path { absolute = _; steps } -> eval_steps t env [ doc ] steps
+    | XA.Path { absolute = _; steps } -> eval_steps t base_env [ doc ] steps
     | _ -> raise (Unsupported "non-path expression")
   with Unsupported _ ->
     (* outside the relational subset: answer over the reconstructed tree

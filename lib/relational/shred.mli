@@ -5,31 +5,33 @@
 
     A document decomposes into rows
     [(docid, pre, post, parent, level, kind, name, prefix, uri, value)]
-    plus three derived packed-key columns kept index-friendly as single
-    integers:
+    plus two derived packed-key columns kept index-friendly as single
+    integers, each B-tree indexed:
 
-    - [dpre    = docid·2^24 + pre] — document-order key,
-    - [dparent = docid·2^24 + parent] — child/sibling clustering key,
-    - [dnk     = (docid·2^12 + nid)·2^24 + pre] — name-interval key,
+    - [dpre = docid·2^24 + pre] — document-order key,
+    - [dnk  = (docid·2^12 + nid)·2^24 + pre] — name-interval key,
       where [nid] is the dictionary id of the node's name.
 
-    Location steps compile (via {!Xdb_xpath.Axis_range}) to conjunctive
-    filters over these columns.  Two execution strategies share that
-    translation:
+    Steps read each document's decoded rows, cached in pre order, and
+    decide membership with the interval conditions of
+    {!Xdb_xpath.Axis_range}.  Two strategies share those conditions:
 
-    - {b Set-at-a-time} (the default): the context node-set is a sorted
-      (docid, pre) sequence, and a whole step is answered in one pass —
-      a staircase merge of [dpre]/[dnk] interval sweeps for descendant
-      (context intervals covered by an earlier interval are skipped), a
-      single merged [dparent]-index sweep of point probes for child, a
-      marked parent-chain walk for ancestor, and a zero-probe sort-merge
-      pass over the pre-ordered rows array for the common value-predicate
-      shapes ([@k='v'], [child='v']).
-    - {b Per-context} (axes or predicates outside the batch subset, or
-      [~batch:false]): each step compiles {e once} per shape into a
-      correlated plan (outer alias ["c"] carries the context node's
-      values) opened per context node, answered by {!Optimizer}-chosen
-      {!Algebra.Index_scan} range probes.
+    - {b Set-at-a-time} (axes self, child, attribute, parent, descendant,
+      ancestor and their -or-self forms, under position-free
+      predicates): the context node-set is a sorted (docid, pre)
+      sequence, and a whole step is answered in one pass — a staircase
+      merge of [dpre]/[dnk] interval sweeps for descendant (context
+      intervals covered by an earlier interval are skipped), an
+      owned-row walk per context for child, a marked parent-chain walk
+      for ancestor, and a zero-probe sort-merge pass over the rows array
+      for the common value-predicate shapes ([@k='v'], [child='v']).
+    - {b Per-context walk} (sibling, following and preceding axes, and
+      positional predicates): each context node's candidates are read
+      off the rows — owned-row walks for child and sibling axes, parent
+      links for parent and ancestor, a bounded slice of the rows array
+      for descendant, following and preceding — and kept when they pass
+      the step's conditions; predicates then count positions among one
+      context's candidates.
 
     Constructs outside the relational subset raise {!Unsupported};
     {!select} then falls back to the DOM interpreter over the
@@ -69,7 +71,7 @@ val name_bits : int
     names per store). *)
 
 val create : ?table:string -> Database.t -> t
-(** Create the node table (default name ["xmlnodes"]), its three indexes
+(** Create the node table (default name ["xmlnodes"]), its two indexes
     and the [<table>_names] dictionary table in [db]. *)
 
 val table_name : t -> string
@@ -84,8 +86,7 @@ val invalidate_caches : t -> unit
 (** Resynchronise in-memory state with the node table after direct DML
     against it: drops the reconstruction and batch-row caches,
     re-derives the docid directory from the document rows present, and
-    re-reads the name dictionary.  Compiled step plans survive (they
-    depend on the table's shape, not its rows). *)
+    re-reads the name dictionary. *)
 
 val shred : t -> Xdb_xml.Types.node -> int
 (** Decompose a document into rows (pre-order insertion, so index scans
@@ -105,7 +106,7 @@ val stats : t -> int * int
 
 type counter_totals = {
   batch_steps : int;  (** set-at-a-time step evaluations (one per step) *)
-  rel_steps : int;  (** per-context correlated plan openings *)
+  rel_steps : int;  (** per-context walks (one per context node and step) *)
   dom_fallbacks : int;  (** whole-expression DOM fallbacks *)
 }
 
@@ -131,10 +132,10 @@ val subtree : t -> node -> Xdb_xml.Types.node
     slice [pre .. post] — the only materialisation the relational
     transform path performs (for [xsl:copy-of] and friends). *)
 
-val axis_step : t -> ?batch:bool -> node list -> Xdb_xpath.Ast.step -> node list
+val axis_step : t -> node list -> Xdb_xpath.Ast.step -> node list
 (** Evaluate one location step over a context node-set, set-at-a-time
-    when the axis and predicates allow it (per-context otherwise, or
-    always with [~batch:false]); predicates applied per the XPath
+    when the axis and predicates allow it (per-context walks otherwise);
+    predicates applied per the XPath
     positional rules, results merged in document order without
     duplicates.
     @raise Unsupported for constructs outside the relational subset or
@@ -157,7 +158,6 @@ val value_rows : value -> node list option
 
 val eval_expr :
   t ->
-  ?batch:bool ->
   ?vars:value Smap.t ->
   ?position:int ->
   ?size:int ->
@@ -178,9 +178,9 @@ val pattern_matches : t -> ?vars:value Smap.t -> Xdb_xpath.Pattern.t -> node -> 
     @raise Unsupported for pattern predicates outside the relational
     subset. *)
 
-val select : t -> ?batch:bool -> docid:int -> string -> node list
+val select : t -> docid:int -> string -> node list
 (** Parse and evaluate a path expression with the document row as context
-    node ([~batch:false] forces the per-context strategy).  Falls back to
+    node.  Falls back to
     the (DOM) {!Xdb_xpath.Eval} interpreter over the reconstructed
     document when translation raises {!Unsupported} — the result is
     identical either way, in document order.
@@ -197,12 +197,7 @@ val serialize_dom : Xdb_xml.Types.node list -> string list
 (** The same rendering applied to DOM interpreter results — the other
     side of the byte comparison. *)
 
-val explain_step : t -> Xdb_xpath.Ast.step -> string
-(** The optimised access path a step's per-context plan compiles to
-    ({!Algebra.explain}), or ["<empty>"] for statically empty steps —
-    lets tests assert an [Index_scan] was chosen. *)
-
 val batch_explain : Xdb_xpath.Ast.step -> string
 (** The set-at-a-time strategy the step evaluates with (staircase sweep,
-    merged point probes, …), or why it stays on the per-context plan —
+    owned-row walk, …), or why it takes the per-context walk —
     the [batch] column of [xdb_cli shred --explain]. *)

@@ -7,12 +7,12 @@
     [pre ∈ (ctx.pre, ctx.post)], ancestor is the inverse containment.
     This module is the pure translation (axis, node test) → condition
     list; the relational layer maps conditions onto B-tree-indexed
-    columns (see [Xdb_rel.Shred]).  Consumers read a compiled {!spec}
-    two ways: [Shred]'s per-context plans bind the conditions as
-    correlated sargable conjuncts (one plan open per context node),
-    while its set-at-a-time batch evaluator uses the same spec as the
-    row filter of one merged pass over a whole sorted context
-    (staircase interval sweeps, merged parent probes). *)
+    columns (see [Xdb_rel.Shred]).  [Shred] reads a compiled {!spec}
+    two ways: its per-context walks keep each candidate row (read off a
+    document's cached pre-ordered rows) that passes the conditions
+    against one context node, and its set-at-a-time batch evaluator
+    uses the kind/name part as the row filter of one merged pass over a
+    whole sorted context (staircase interval sweeps, owned-row walks). *)
 
 (** Candidate-row column a condition constrains. *)
 type col = Pre | Post | Parent
@@ -35,8 +35,8 @@ type spec = {
   name : string option;
       (** required element/attribute local name, or PI target *)
   reverse : bool;
-      (** reverse axis: candidates (which arrive in document order from an
-          ascending range scan) must be reversed for proximity order *)
+      (** reverse axis: candidates (which arrive in document order) must
+          be reversed for proximity order *)
   attr_ok : bool;
       (** whether the conditions are also correct from an attribute
           context node (sibling/following/preceding are not: attributes

@@ -1584,25 +1584,10 @@ let test_shred_roundtrip () =
   check ci "two docs" 2 n_docs;
   (* 11 nodes (incl. document + attribute rows) + 3 nodes *)
   check ci "one row per node" 14 n_rows;
-  check Alcotest.(list int) "doc ids" [ 1; 2 ] (SH.doc_ids t)
-
-let test_shred_axis_plans () =
-  let t = SH.create (DB.create ()) in
-  ignore (SH.shred t (Xdb_xml.Parser.parse "<r><a><b/></a></r>"));
-  let step s =
-    match Xdb_xpath.Parser.parse s with
-    | Xdb_xpath.Ast.Path { steps = [ st ]; _ } -> st
-    | _ -> Alcotest.fail "expected a one-step path"
-  in
-  let ex s = SH.explain_step t (step s) in
-  check cb "child = dparent point probe" true (contains (ex "child::a") "idx(dparent)");
-  check cb "unnamed descendant = dpre range" true
-    (contains (ex "descendant::node()") "idx(dpre)");
-  check cb "named descendant = dnk range" true (contains (ex "descendant::a") "idx(dnk)");
-  check cb "ancestor = dpre range" true (contains (ex "ancestor::node()") "idx(dpre)");
-  check cb "following is index-driven" true (contains (ex "following::node()") "IndexScan");
-  check cb "preceding is index-driven" true (contains (ex "preceding::node()") "IndexScan");
-  check cs "namespace axis is statically empty" "<empty>" (ex "namespace::node()")
+  check Alcotest.(list int) "doc ids" [ 1; 2 ] (SH.doc_ids t);
+  check ci "namespace axis is statically empty" 0
+    (List.length (SH.select t ~docid:id "//a/namespace::node()"));
+  check ci "without a DOM fallback" 0 (SH.counters t).SH.dom_fallbacks
 
 let test_shred_name_capacity () =
   let kids = List.init 5000 (fun i -> XB.elem (Printf.sprintf "n%d" i) []) in
@@ -1659,10 +1644,9 @@ let prop_shred_differential =
     (QCheck.make gen_doc ~print:Xdb_xml.Serializer.to_string)
     (fun doc -> shred_matches_dom doc diff_exprs)
 
-(* three-way differential over every axis in the batch subset: the
-   set-at-a-time evaluator, the per-context plans ([~batch:false]) and
-   the DOM interpreter must agree byte-for-byte, including on each
-   sort-merge value-predicate form *)
+(* differential over every axis in the batch subset: the set-at-a-time
+   evaluator and the DOM interpreter must agree byte-for-byte, including
+   on each sort-merge value-predicate form *)
 let batch_axis_exprs =
   [
     "//a/self::*"; "//b/self::node()";
@@ -1679,25 +1663,62 @@ let batch_axis_exprs =
   ]
 
 let prop_shred_batch_differential =
-  QCheck.Test.make
-    ~name:"batched ≡ per-context ≡ DOM over random documents (batch axes)" ~count:25
+  QCheck.Test.make ~name:"batched ≡ DOM over random documents (batch axes)" ~count:25
     (QCheck.make gen_doc ~print:Xdb_xml.Serializer.to_string)
-    (fun doc ->
-      let t = SH.create (DB.create ()) in
-      let docid = SH.shred t doc in
+    (fun doc -> shred_matches_dom doc batch_axis_exprs)
+
+(* positional predicates take the per-context walk on every axis; the
+   attribute-context steps cover parent links from an attribute and the
+   sibling axes' DOM fallback *)
+let positional_exprs =
+  List.concat_map
+    (fun axis ->
+      List.concat_map
+        (fun pred ->
+          [ Printf.sprintf "//b/%s::node()%s" axis pred; Printf.sprintf "//a/%s::*%s" axis pred ])
+        [ "[1]"; "[last()]"; "[position()>1]" ])
+    [
+      "child"; "parent"; "descendant"; "ancestor"; "ancestor-or-self"; "following";
+      "following-sibling"; "preceding"; "preceding-sibling";
+    ]
+  @ [ "//@id/parent::*"; "//@id/ancestor::*[1]"; "//@id/following-sibling::*" ]
+
+let prop_shred_positional_differential =
+  QCheck.Test.make ~name:"per-context walks ≡ DOM over random documents" ~count:25
+    (QCheck.make gen_doc ~print:Xdb_xml.Serializer.to_string)
+    (fun doc -> shred_matches_dom doc positional_exprs)
+
+(* following/preceding from each document's edge nodes: the rows of the
+   other document stored beside it never leak into the answer *)
+let test_shred_two_documents () =
+  let docs =
+    List.map Xdb_xml.Parser.parse
+      [ "<r><a x=\"1\">t</a><b><c/></b></r>"; "<s><d/>u<e><f y=\"2\"/></e></s>" ]
+  in
+  let t = SH.create (DB.create ()) in
+  let ids = List.map (SH.shred t) docs in
+  List.iter2
+    (fun docid doc ->
       let ctx = Xdb_xpath.Eval.make_context doc in
-      List.for_all
+      List.iter
         (fun q ->
-          let batched = SH.serialize t (SH.select t ~docid q) in
-          let percontext = SH.serialize t (SH.select t ~batch:false ~docid q) in
-          let dom = SH.serialize_dom (Xdb_xpath.Eval.select ctx q) in
-          (batched = dom && percontext = dom)
-          || QCheck.Test.fail_reportf "query %s: batched %s / per-context %s / dom %s"
-               q
-               (String.concat "|" batched)
-               (String.concat "|" percontext)
-               (String.concat "|" dom))
-        batch_axis_exprs)
+          let rows = SH.select t ~docid q in
+          check cb (q ^ ": own document only") true
+            (List.for_all (fun r -> r.SH.docid = docid) rows);
+          check Alcotest.(list string) q
+            (SH.serialize_dom (Xdb_xpath.Eval.select ctx q))
+            (SH.serialize t rows))
+        [
+          "/following::node()"; "/preceding::node()"; "/*/following::node()";
+          "/*/preceding::node()"; "/*/node()[1]/following::node()";
+          "//node()[not(following::node())]/preceding::node()";
+          "//node()[not(following::node())]/preceding::*[1]";
+          "//node()[not(preceding::node())]/following::node()[last()]";
+        ];
+      check cb "last node has preceding rows" true
+        (SH.select t ~docid "//node()[not(following::node())]/preceding::node()" <> []))
+    ids docs;
+  check ci "no DOM fallback" 0 (SH.counters t).SH.dom_fallbacks
 
 let test_shred_differential_xsltmark () =
   let doc = Xdb_xsltmark.Data.records_doc 40 in
@@ -1715,10 +1736,11 @@ let test_shred_differential_xsltmark () =
   let c = SH.counters t in
   check cb "evaluated batched" true (c.SH.batch_steps > 0);
   check ci "no fallback needed" 0 c.SH.dom_fallbacks;
-  (* the same query forced per-context exercises the correlated plans *)
-  ignore (SH.select t ~batch:false ~docid "//row[id]");
+  (* a positional predicate takes the per-context walk *)
+  ignore (SH.select t ~docid "/table/row[id='3']/following-sibling::row[1]/name");
   let c2 = SH.counters t in
-  check cb "per-context plans ran" true (c2.SH.rel_steps > c.SH.rel_steps)
+  check cb "per-context walks ran" true (c2.SH.rel_steps > c.SH.rel_steps);
+  check ci "still no fallback" 0 c2.SH.dom_fallbacks
 
 (* ------------------------------------------------------------------ *)
 (* compiled executor: plan-open resolution, batch boundaries           *)
@@ -2560,39 +2582,6 @@ let test_plans_leave_table_rows_unchanged () =
     | _, r :: _ -> r == T.row (DB.table db "emp") 0
     | _ -> false)
 
-(* Exec.open_cursor yields the plan's own slots only: the correlation
-   values stay in the environment row the caller passed *)
-let test_open_cursor_own_slots () =
-  let db = setup_db () in
-  let outer = Xdb_rel.Layout.of_columns ~alias:"c" [| "deptno" |] in
-  let plan =
-    A.Filter (A.(col "deptno" =. qcol "c" "deptno"), A.Seq_scan { table = "emp"; alias = "e" })
-  in
-  let c = E.compile db ~outer plan in
-  let own = Xdb_rel.Layout.width (E.compiled_layout c) - Xdb_rel.Layout.width outer in
-  check ci "own width: emp's four columns" 4 own;
-  let next = E.open_cursor c ~outer:[| V.Int 10 |] () in
-  let rec drain acc = match next () with None -> acc | Some b -> drain (acc @ Array.to_list b) in
-  let rows = drain [] in
-  check Alcotest.(list int) "dept 10" [ 7782; 7934 ] (List.map (fun r -> V.to_int r.(0)) rows);
-  check cb "rows hold own slots only" true (List.for_all (fun r -> Array.length r = own) rows)
-
-(* Shred's per-context steps decode candidate rows from their own slots
-   (the node table's columns); the correlation row is never appended,
-   so a decoder reading past the own width fails on every axis here *)
-let test_shred_per_context_own_slots () =
-  let doc = Xdb_xml.Parser.parse "<r><a id=\"1\"><b>7</b><c>2</c></a><a id=\"3\"><b>8</b>t</a></r>" in
-  let t = SH.create (DB.create ()) in
-  let docid = SH.shred t doc in
-  let ctx = Xdb_xpath.Eval.make_context doc in
-  List.iter
-    (fun q ->
-      check Alcotest.(list string) q
-        (SH.serialize_dom (Xdb_xpath.Eval.select ctx q))
-        (SH.serialize t (SH.select t ~batch:false ~docid q)))
-    batch_axis_exprs;
-  check cb "per-context plans ran" true ((SH.counters t).SH.rel_steps > 0)
-
 let () =
   Alcotest.run "relational"
     [
@@ -2640,7 +2629,6 @@ let () =
           Alcotest.test_case "streams serialised after all opens" `Quick
             test_streams_serialised_after_all_opens;
           Alcotest.test_case "table rows unchanged" `Quick test_plans_leave_table_rows_unchanged;
-          Alcotest.test_case "open_cursor own slots" `Quick test_open_cursor_own_slots;
           QCheck_alcotest.to_alcotest prop_emitter_differential;
         ] );
       ( "instrumentation",
@@ -2692,12 +2680,12 @@ let () =
       ( "shredding",
         [
           Alcotest.test_case "shred/reconstruct roundtrip" `Quick test_shred_roundtrip;
-          Alcotest.test_case "axis steps pick index range scans" `Quick test_shred_axis_plans;
           Alcotest.test_case "name dictionary capacity" `Quick test_shred_name_capacity;
           Alcotest.test_case "XSLTMark differential" `Quick test_shred_differential_xsltmark;
           QCheck_alcotest.to_alcotest prop_shred_differential;
           QCheck_alcotest.to_alcotest prop_shred_batch_differential;
-          Alcotest.test_case "per-context steps read own slots" `Quick
-            test_shred_per_context_own_slots;
+          QCheck_alcotest.to_alcotest prop_shred_positional_differential;
+          Alcotest.test_case "two documents: following/preceding stay inside" `Quick
+            test_shred_two_documents;
         ] );
     ]
