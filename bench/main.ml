@@ -18,7 +18,7 @@
                       many-documents sharding, byte-identity asserted
                       (BENCH_PR5.json);
     - [shredscale]  — DOM tree walk vs interval-encoded shredded storage
-                      with axis range scans, 8k/64k-node documents,
+                      with staircase sweeps, 8k/64k-node documents,
                       descendant and value-predicate lookups, byte-identity
                       asserted (BENCH_PR6.json); the set-at-a-time batch
                       evaluator's speedups over the DOM walk per query
@@ -944,19 +944,19 @@ let parscale ?(sizes = [ 8_000; 64_000 ]) ?(jobs_list = [ 1; 2; 4 ]) () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* shredscale: DOM walk vs shredded index range scan (BENCH_PR6)       *)
+(* shredscale: DOM walk vs shredded staircase sweeps (BENCH_PR6)        *)
 (* ------------------------------------------------------------------ *)
 
 (* The records document shredded into interval-encoded node rows
    (Xdb_rel.Shred), then XPath lookups answered two ways: the DOM
-   interpreter walking the resident tree vs axis range scans over the
-   B-tree indexed rows.  Byte-identity (through the common attribute
+   interpreter walking the resident tree vs staircase sweeps over the
+   pre-ordered rows array and its name postings.  Byte-identity (through the common attribute
    rendering of Shred.serialize/serialize_dom) is asserted on every leg
    before timing.  CI gates the large-size descendant lookups: the
    shredded range scan must beat the DOM walk. *)
 let shredscale ?(sizes = [ 800; 6_400 ]) () =
   let module SH = Xdb_rel.Shred in
-  Printf.printf "%s\nshredscale: DOM tree walk vs shredded index range scan\n%s\n" hrule hrule;
+  Printf.printf "%s\nshredscale: DOM tree walk vs shredded staircase sweeps\n%s\n" hrule hrule;
   Printf.printf "%8s %12s %12s %12s %8s %10s\n" "nodes" "query" "dom_ms" "batch_ms"
     "speedup" "identical";
   let legs = ref [] and csv_rows = ref [] in
@@ -967,15 +967,15 @@ let shredscale ?(sizes = [ 800; 6_400 ]) () =
     List.map
       (fun n ->
         let doc = D.records_doc n in
-        let t = SH.create (Xdb_rel.Database.create ()) in
+        let t = SH.create () in
         let docid = SH.shred t doc in
         let _, nodes = SH.stats t in
         let ctx = Xdb_xpath.Eval.make_context doc in
         (* a second document where the looked-up name is rare (one <name>
-           per region, ~1/500 nodes): the descendant lookup the dnk index
-           exists for, vs a full DOM walk *)
+           per region, ~1/500 nodes): the descendant lookup the name
+           postings exist for, vs a full DOM walk *)
         let sales = D.sales_doc (n / 50) 100 in
-        let ts = SH.create (Xdb_rel.Database.create ()) in
+        let ts = SH.create () in
         let sales_docid = SH.shred ts sales in
         let sales_ctx = Xdb_xpath.Eval.make_context sales in
         let target = string_of_int (n / 2) in

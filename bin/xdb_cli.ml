@@ -289,8 +289,7 @@ let shred_cmd =
         let ids = List.map (Xdb_core.Engine.store_shredded engine) docs in
         let s = Xdb_core.Engine.shred_store engine in
         let ndocs, nrows = Xdb_rel.Shred.stats s in
-        Printf.printf "shredded %d document(s) into %d node row(s) (table %s)\n" ndocs nrows
-          (Xdb_rel.Shred.table_name s);
+        Printf.printf "shredded %d document(s) into %d node row(s)\n" ndocs nrows;
         match query with
         | None -> ()
         | Some q ->
@@ -326,8 +325,8 @@ let shred_cmd =
   Cmd.v
     (Cmd.info "shred"
        ~doc:
-         "Store documents interval-encoded (one node row per XML node, B-tree indexed) and \
-          query them with XPath axis range scans")
+         "Store documents interval-encoded (one pre-ordered node row per XML node) and \
+          query them with XPath steps over those rows")
     Term.(const run $ verbose $ files $ case $ size $ query $ explain_steps)
 
 (* ------------------------------------------------------------------ *)

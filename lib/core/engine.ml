@@ -90,9 +90,9 @@ type t = {
           concurrent caller asking for a different [jobs] must not shut
           the cached pool down under a run still draining it *)
   mutable pool : Parallel.t option;  (** created lazily on first jobs > 1 run *)
-  shred_lock : Mutex.t;  (** guards the [shred] field only — never held
-          across an [rw] acquisition (lock order is rw before shred_lock) *)
-  mutable shred : Xdb_rel.Shred.t option;  (** created lazily on first store *)
+  shred : Xdb_rel.Shred.t;
+      (** the engine's shred store: beside the catalog, not in it, so its
+          writes are versioned under [shred_dep] *)
   sql_lock : Mutex.t;  (** guards [xslt_views] *)
   mutable xslt_views : Sql_front.xslt_view list;
 }
@@ -106,8 +106,7 @@ let create ?capacity ?result_capacity ?(options = Options.default) db =
     rw = Rw.create ();
     pool_lock = Mutex.create ();
     pool = None;
-    shred_lock = Mutex.create ();
-    shred = None;
+    shred = Xdb_rel.Shred.create ();
     sql_lock = Mutex.create ();
     xslt_views = [];
   }
@@ -350,38 +349,19 @@ let publish ?(options = default_run_options) t ~view_name =
 (* Shredded storage                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* one shred store per engine, its node table living in the engine's
-   database next to the published views' base tables.  Creation takes
-   the writer side: it creates tables in the shared catalog. *)
-let shred_store t =
-  Mutex.lock t.shred_lock;
-  let existing = t.shred in
-  Mutex.unlock t.shred_lock;
-  match existing with
-  | Some s -> s
-  | None ->
-      Rw.write t.rw (fun () ->
-          Mutex.lock t.shred_lock;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock t.shred_lock)
-            (fun () ->
-              match t.shred with
-              | Some s -> s
-              | None ->
-                  let s =
-                    Xdb_error.wrap ~stage:"shred" (fun () -> Xdb_rel.Shred.create t.db)
-                  in
-                  t.shred <- Some s;
-                  s))
+let shred_store t = t.shred
+
+(* the data-version key of the whole shred store: the result-cache
+   dependency of shredded transforms (no SQL table can carry this name) *)
+let shred_dep = "<shred store>"
 
 let store_shredded t doc =
   let s = shred_store t in
   Rw.write t.rw (fun () ->
       let docid = Xdb_error.wrap ~stage:"shred" (fun () -> Xdb_rel.Shred.shred s doc) in
-      (* Shred writes straight through Table.insert, which does not go
-         through the DML layer — version the node tables here so cached
-         shredded transforms over "all documents" notice the new one *)
-      List.iter (Xdb_rel.Database.bump_data_version t.db) (Xdb_rel.Shred.tables s);
+      (* a new document changes what "all documents" means for cached
+         shredded transforms *)
+      Xdb_rel.Database.bump_data_version t.db shred_dep;
       docid)
 
 let transform_shredded_src ?(options = default_run_options) t ~docids ~stylesheet =
@@ -413,8 +393,7 @@ let transform_shredded_src ?(options = default_run_options) t ~docids ~styleshee
             ^ "\x00" ^ stylesheet
           in
           let output =
-            serve_cached t options ~metrics ~view:"" ~key
-              ~deps:(Xdb_rel.Shred.tables s) run
+            serve_cached t options ~metrics ~view:"" ~key ~deps:[ shred_dep ] run
           in
           { output; metrics })
 
@@ -522,20 +501,6 @@ let sql_ctx t : Sql_front.ctx =
           ~stylesheet);
   }
 
-(* after a DML write to one of the shred store's node tables, its
-   reconstruction/meta caches describe rows that may no longer exist *)
-let invalidate_shred_after_dml t stmt =
-  match Xdb_sql.Engine.dml_target stmt with
-  | None -> ()
-  | Some table -> (
-      Mutex.lock t.shred_lock;
-      let shred = t.shred in
-      Mutex.unlock t.shred_lock;
-      match shred with
-      | Some s when List.mem table (Xdb_rel.Shred.tables s) ->
-          Xdb_rel.Shred.invalidate_caches s
-      | _ -> ())
-
 let execute t text =
   let stmt =
     Xdb_error.wrap ~stage:"parse" (fun () -> Xdb_sql.Parser.parse text)
@@ -545,12 +510,9 @@ let execute t text =
   in
   match stmt with
   | Xdb_sql.Ast.Select _ -> Rw.read t.rw run_it
-  | Xdb_sql.Ast.Analyze _ | Xdb_sql.Ast.Create_view _ -> Rw.write t.rw run_it
-  | Xdb_sql.Ast.Insert _ | Xdb_sql.Ast.Update _ | Xdb_sql.Ast.Delete _ ->
-      Rw.write t.rw (fun () ->
-          let r = run_it () in
-          invalidate_shred_after_dml t stmt;
-          r)
+  | Xdb_sql.Ast.Analyze _ | Xdb_sql.Ast.Create_view _ | Xdb_sql.Ast.Insert _
+  | Xdb_sql.Ast.Update _ | Xdb_sql.Ast.Delete _ ->
+      Rw.write t.rw run_it
 
 let registry_counters t = Registry.counters t.registry
 let result_cache_counters t = Result_cache.counters t.rc

@@ -163,22 +163,21 @@ val publish : ?options:run_options -> t -> view_name:string -> run_result
 (** {1 Shredded document storage}
 
     Documents stored node-per-row with interval (pre/post) numbering
-    ({!Xdb_rel.Shred}): XPath axes over them become B-tree range scans
-    instead of tree walks, and transforms run directly over the node
-    rows through the shredded XSLTVM ({!Shred_vm}).  One engine owns at
-    most one shred store, created lazily in the engine's database on
-    first use. *)
+    ({!Xdb_rel.Shred}): XPath axes over them become slices of each
+    document's pre-ordered rows instead of tree walks, and transforms run
+    directly over the node rows through the shredded XSLTVM
+    ({!Shred_vm}).  Each engine owns one shred store; it is not part of
+    the SQL catalog. *)
 
 val shred_store : t -> Xdb_rel.Shred.t
-(** The engine's shred store (created on first call, taking the writer
-    side).  @raise Xdb_error.Error when the node table cannot be
-    created. *)
+(** The engine's shred store. *)
 
 val store_shredded : t -> Xdb_xml.Types.node -> int
 (** Decompose a document into interval-encoded node rows; returns its
-    docid.  Takes the writer side and bumps the node tables' data
-    versions, so cached shredded transforms notice the new document.
-    @raise Xdb_error.Error on capacity overflow. *)
+    docid.  Takes the writer side and bumps the store's data version
+    (the result-cache dependency of every shredded transform), so cached
+    shredded transforms notice the new document.
+    @raise Xdb_error.Error on shredding failures. *)
 
 val transform_shredded :
   ?options:run_options -> ?docids:int list -> t -> stylesheet:string -> run_result
@@ -195,7 +194,7 @@ val transform_shredded :
 
 val query_shredded : t -> docid:int -> string -> string list
 (** Evaluate an XPath expression over a stored document by relational
-    axis range scans (DOM-interpreter fallback outside the supported
+    axis steps over its rows (DOM-interpreter fallback outside the supported
     subset — identical answers either way) and serialize each result
     node.  @raise Xdb_error.Error on parse/evaluation failures. *)
 

@@ -375,13 +375,13 @@ let transform_via_xquery (dc : doc_compiled) doc =
 
 (** Shredded evaluation: run the shredded XSLTVM ({!Shred_vm}) per stored
     document — template matching and select iteration execute as
-    set-at-a-time scans over the node table, the input document is never
+    set-at-a-time steps over the node rows, the input document is never
     rebuilt.  A document whose stylesheet evaluation leaves the
     relational subset ({!Shred_vm.Fallback}) is reconstructed and run
     through the DOM VM instead, so output is always byte-identical to
     {!transform_functional} over the original documents.
 
-    The shred handle's caches are not domain-safe, so the relational
+    The shred handle's step counters are not domain-safe, so the relational
     path is sequential; a multi-domain [pool] selects the legacy
     reconstruct-then-VM strategy, domain-parallel across documents.
 

@@ -148,7 +148,7 @@ val run_shredded :
   string list
 (** Shredded evaluation: run the shredded XSLTVM ({!Shred_vm}) per stored
     document — template matching and select iteration execute as
-    set-at-a-time scans over the node table; the input document is never
+    set-at-a-time steps over the node rows; the input document is never
     rebuilt.  A document whose evaluation leaves the relational subset
     ({!Shred_vm.Fallback}) is reconstructed and run through the DOM VM,
     so output is always byte-identical to {!transform_functional} over

@@ -2,7 +2,7 @@
     on relational node rows.  Template match patterns run through
     {!Xdb_rel.Shred.pattern_matches} and select/test expressions through
     {!Xdb_rel.Shred.eval_expr}, so matching and select iteration execute
-    as set-at-a-time scans over the node table — the input document is
+    as set-at-a-time steps over the node rows — the input document is
     never rebuilt.  The only DOM the interpreter touches is (a) the result
     fragment it constructs and (b) {!Xdb_rel.Shred.subtree} copies of the
     subtrees a template actually serialises ([xsl:copy-of] / built-in

@@ -1,7 +1,7 @@
 (** The shredded XSLTVM: {!Xdb_xslt.Vm} semantics executed over relational
     node rows ({!Xdb_rel.Shred}).  Template matching runs through
     {!Xdb_rel.Shred.pattern_matches} and select/test expressions through
-    {!Xdb_rel.Shred.eval_expr} — set-at-a-time scans over the node table —
+    {!Xdb_rel.Shred.eval_expr} — set-at-a-time steps over the node rows —
     so the input document is never rebuilt; only subtrees a template
     actually copies are materialised ({!Xdb_rel.Shred.subtree}).
 

@@ -213,11 +213,7 @@ let walk t ~lo ~hi each =
 
 (** [iter_range t ~lo ~hi f] — apply [f key rid] to each entry within the
     bounds, in key order, row ids under one key in insertion order,
-    materialising nothing.  The structural-join passes of [Shred] drive
-    their staircase interval sweeps and merged point probes through this,
-    so a batch step never allocates an intermediate rid list — and a
-    caller whose key encodes the row's position (the packed [dpre]/[dnk]
-    keys) can resolve the row without fetching it. *)
+    materialising nothing. *)
 let iter_range t ~lo ~hi f =
   walk t ~lo ~hi (fun k -> function [ r ] -> f k r | rids -> List.iter (f k) (List.rev rids))
 

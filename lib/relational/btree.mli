@@ -47,10 +47,7 @@ val iter_range : t -> lo:bound -> hi:bound -> (key -> int -> unit) -> unit
     materialising nothing.  [range], [range_rids] and [iter_range] share
     one walk: each internal node's children that can intersect the range
     ([lower_bound lo] to [upper_bound hi]) and each leaf's slice within
-    it are found by binary search.  The cursor of [Shred]'s staircase
-    interval sweeps: a caller whose key encodes the row's position (the
-    packed [dpre]/[dnk] keys) can resolve the row from the key alone,
-    skipping the heap fetch.  Counts as one probe. *)
+    it are found by binary search.  Counts as one probe. *)
 
 val to_list : t -> (key * int) list
 (** All entries in key order. *)

@@ -1,7 +1,8 @@
-(* Interval-encoded XML shredding: node-per-row storage with pre/post
-   numbering, packed composite keys, and location steps answered over
-   each document's cached pre-ordered rows (B-tree interval sweeps for
-   descendants).  See shred.mli for the encoding contract. *)
+(* Interval-encoded XML shredding: one pre/post numbered row per node,
+   each document stored once as its pre-ordered rows array with per-name
+   postings, and location steps answered over those rows (staircase
+   slices and postings sweeps for descendants).  See shred.mli for the
+   encoding contract. *)
 
 module X = Xdb_xml.Types
 module XA = Xdb_xpath.Ast
@@ -29,97 +30,28 @@ type node = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Packed keys                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let pre_bits = 24
-let name_bits = 12
-let max_ticks = 1 lsl pre_bits
-let max_names = 1 lsl name_bits
-let pack_dpre docid pre = (docid lsl pre_bits) lor pre
-let pack_dnk docid nid pre = (((docid lsl name_bits) lor nid) lsl pre_bits) lor pre
-
-(* ------------------------------------------------------------------ *)
 (* Handle                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* a reconstructed document: the DOM tree plus both directions of the
-   pre ↔ node correspondence (DOM orders are stamped with [pre], so a DOM
-   interpreter result maps back to its row through [order]) *)
-type rebuilt = {
-  dom : X.node;
-  rows : node array;  (** pre order *)
+(* one stored document: what every step, reconstruction and copy reads *)
+type doc = {
+  rows : node array;  (** pre order; [rows.(0)] is the document row *)
   row_ix : int array;  (** pre → index into [rows], -1 for post-only ticks *)
-  by_pre : X.node option array;
+  postings : (string, int array) Hashtbl.t;
+      (** name → ascending [rows] indices of the elements and attributes
+          carrying it *)
 }
 
 type t = {
-  tbl : Table.t;
-  names_tbl : Table.t;
-  names : (string, int) Hashtbl.t;
-  mutable next_nid : int;
+  docs : (int, doc) Hashtbl.t;
   mutable next_docid : int;
-  doc_meta : (int, node) Hashtbl.t;
-  rebuilt_cache : (int, rebuilt) Hashtbl.t;
-  rows_cache : (int, node array * int array) Hashtbl.t;
-      (** pre-ordered decoded rows + pre → index, per docid — what every
-          step reads, built {e without} the DOM *)
   mutable n_batch : int;
   mutable n_rel : int;
   mutable n_fallback : int;
 }
 
-let int_col n = { Table.col_name = n; col_type = Value.Tint }
-let str_col n = { Table.col_name = n; col_type = Value.Tstr }
-
-let columns =
-  [
-    int_col "docid"; int_col "pre"; int_col "post"; int_col "parent"; int_col "level";
-    str_col "kind"; str_col "name"; str_col "prefix"; str_col "uri"; str_col "value";
-    int_col "dpre"; int_col "dnk";
-  ]
-
-let create ?(table = "xmlnodes") db =
-  let tbl = Database.create_table db table columns in
-  ignore (Table.create_index tbl ~name:(table ^ "_dpre_idx") ~column:"dpre");
-  ignore (Table.create_index tbl ~name:(table ^ "_dnk_idx") ~column:"dnk");
-  let names_tbl =
-    Database.create_table db (table ^ "_names") [ int_col "nid"; str_col "name" ]
-  in
-  let t =
-    {
-      tbl;
-      names_tbl;
-      names = Hashtbl.create 64;
-      next_nid = 0;
-      next_docid = 1;
-      doc_meta = Hashtbl.create 16;
-      rebuilt_cache = Hashtbl.create 16;
-      rows_cache = Hashtbl.create 16;
-      n_batch = 0;
-      n_rel = 0;
-      n_fallback = 0;
-    }
-  in
-  (* nid 0 is the unnamed kinds' slot, so packed [dnk] keys cluster them *)
-  Hashtbl.add t.names "" 0;
-  t.next_nid <- 1;
-  Table.insert_values names_tbl [ Value.Int 0; Value.Str "" ];
-  t
-
-let table_name t = t.tbl.Table.tbl_name
-
-let intern t name =
-  match Hashtbl.find_opt t.names name with
-  | Some nid -> nid
-  | None ->
-      let nid = t.next_nid in
-      if nid >= max_names then
-        err "name dictionary overflow: more than %d distinct names" max_names;
-      t.next_nid <- nid + 1;
-      Hashtbl.add t.names name nid;
-      Table.insert_values t.names_tbl [ Value.Int nid; Value.Str name ];
-      nid
+let create () =
+  { docs = Hashtbl.create 16; next_docid = 1; n_batch = 0; n_rel = 0; n_fallback = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Shredding                                                           *)
@@ -204,42 +136,41 @@ let shred t (doc : X.node) : int =
      go pre 1 doc;
      close p
    end);
-  if !counter > max_ticks then
-    err "document too large to shred: %d counter ticks exceed 2^%d" !counter pre_bits;
-  let pending = List.rev !acc in
-  List.iter
-    (fun p ->
-      let nid = intern t p.p_name in
-      ignore
-        (Table.insert t.tbl
-           [|
-             Value.Int docid; Value.Int p.p_pre; Value.Int p.p_post; Value.Int p.p_parent;
-             Value.Int p.p_level; Value.Str p.p_kind; Value.Str p.p_name;
-             Value.Str p.p_prefix; Value.Str p.p_uri; Value.Str p.p_value;
-             Value.Int (pack_dpre docid p.p_pre);
-             Value.Int (pack_dnk docid nid p.p_pre);
-           |]))
-    pending;
-  let doc_row =
-    match pending with
-    | p :: _ ->
-        { docid; pre = p.p_pre; post = p.p_post; parent = p.p_parent; level = p.p_level;
-          kind = p.p_kind; name = p.p_name; prefix = p.p_prefix; uri = p.p_uri;
-          value = p.p_value }
-    | [] -> err "empty document"
+  let rows =
+    Array.of_list
+      (List.rev_map
+         (fun p ->
+           { docid; pre = p.p_pre; post = p.p_post; parent = p.p_parent; level = p.p_level;
+             kind = p.p_kind; name = p.p_name; prefix = p.p_prefix; uri = p.p_uri;
+             value = p.p_value })
+         !acc)
   in
-  Hashtbl.replace t.doc_meta docid doc_row;
+  let row_ix = Array.make !counter (-1) in
+  Array.iteri (fun i r -> row_ix.(r.pre) <- i) rows;
+  (* postings collected back to front, so each list comes out ascending *)
+  let lists = Hashtbl.create 16 in
+  for i = Array.length rows - 1 downto 0 do
+    let r = rows.(i) in
+    if r.kind = "elem" || r.kind = "attr" then
+      Hashtbl.replace lists r.name
+        (i :: Option.value ~default:[] (Hashtbl.find_opt lists r.name))
+  done;
+  let postings = Hashtbl.create (Hashtbl.length lists) in
+  Hashtbl.iter (fun name ixs -> Hashtbl.add postings name (Array.of_list ixs)) lists;
+  Hashtbl.replace t.docs docid { rows; row_ix; postings };
   t.next_docid <- docid + 1;
   docid
 
-let doc_ids t = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.doc_meta [])
+let doc_ids t = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.docs [])
 
-let doc_node t docid =
-  match Hashtbl.find_opt t.doc_meta docid with
+let doc t docid =
+  match Hashtbl.find_opt t.docs docid with
   | Some d -> d
   | None -> err "unknown docid %d" docid
 
-let stats t = (Hashtbl.length t.doc_meta, Table.size t.tbl)
+let doc_node t docid = (doc t docid).rows.(0)
+let stats t =
+  (Hashtbl.length t.docs, Hashtbl.fold (fun _ d n -> n + Array.length d.rows) t.docs 0)
 
 type counter_totals = { batch_steps : int; rel_steps : int; dom_fallbacks : int }
 
@@ -247,71 +178,8 @@ let counters t =
   { batch_steps = t.n_batch; rel_steps = t.n_rel; dom_fallbacks = t.n_fallback }
 
 (* ------------------------------------------------------------------ *)
-(* Row decoding                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let slot_int a i =
-  match a.(i) with Value.Int n -> n | _ -> err "malformed shred row (int slot %d)" i
-
-let slot_str a i =
-  match a.(i) with Value.Str s -> s | _ -> err "malformed shred row (str slot %d)" i
-
-(* a node-table row keeps the node's fields in slots 0..9 *)
-let node_of_slots a =
-  {
-    docid = slot_int a 0; pre = slot_int a 1; post = slot_int a 2; parent = slot_int a 3;
-    level = slot_int a 4; kind = slot_str a 5; name = slot_str a 6; prefix = slot_str a 7;
-    uri = slot_str a 8; value = slot_str a 9;
-  }
-
-(** Tables the store owns inside its database: DML against either one
-    goes through the engine's shred-invalidation hook. *)
-let tables t = [ t.tbl.Table.tbl_name; t.names_tbl.Table.tbl_name ]
-
-(** [invalidate_caches t] — resynchronise the in-memory working state
-    with the node table after direct DML against it: the reconstruction
-    and batch-row caches are dropped (they hold decoded copies of rows
-    that may have changed or moved), the docid directory is re-derived
-    from the document rows now present, and the name dictionary is
-    re-read from the names table. *)
-let invalidate_caches t =
-  Hashtbl.reset t.rebuilt_cache;
-  Hashtbl.reset t.rows_cache;
-  Hashtbl.reset t.doc_meta;
-  Table.iter
-    (fun _ row ->
-      match row.(5) with
-      | Value.Str "doc" ->
-          let r = node_of_slots row in
-          Hashtbl.replace t.doc_meta r.docid r
-      | _ -> ())
-    t.tbl;
-  let maxdoc = Hashtbl.fold (fun k _ m -> max k m) t.doc_meta 0 in
-  t.next_docid <- max t.next_docid (maxdoc + 1);
-  Hashtbl.reset t.names;
-  t.next_nid <- 1;
-  Table.iter
-    (fun _ row ->
-      match (row.(0), row.(1)) with
-      | Value.Int nid, Value.Str name ->
-          Hashtbl.replace t.names name nid;
-          if nid >= t.next_nid then t.next_nid <- nid + 1
-      | _ -> ())
-    t.names_tbl
-
-(* ------------------------------------------------------------------ *)
 (* Reconstruction                                                      *)
 (* ------------------------------------------------------------------ *)
-
-let doc_rows t docid =
-  let doc = doc_node t docid in
-  match Table.find_index t.tbl "dpre" with
-  | None -> err "missing dpre index on %s" (table_name t)
-  | Some idx ->
-      let lo = Btree.Inclusive (Value.Int (pack_dpre docid 0)) in
-      let hi = Btree.Inclusive (Value.Int (pack_dpre docid doc.post)) in
-      let rids = Btree.range_rids idx.Table.tree ~lo ~hi in
-      Array.map (fun rid -> node_of_slots (Table.unsafe_row t.tbl rid)) rids
 
 let kind_of_row r =
   match r.kind with
@@ -323,37 +191,35 @@ let kind_of_row r =
   | "pi" -> X.Pi (r.name, r.value)
   | k -> err "unknown node kind %S" k
 
-let rebuild t docid : rebuilt =
-  let rows = doc_rows t docid in
+(* a fresh DOM copy of one row's subtree, built from the rows-array slice
+   [pre .. post]; [stamp] sets each node's document order to its [pre],
+   so a DOM interpreter result maps back to its row through [row_ix] *)
+let build ~stamp t (r0 : node) : X.node =
+  let { rows; row_ix; _ } = doc t r0.docid in
   let n = Array.length rows in
-  if n = 0 then err "no rows for docid %d" docid;
-  let span = rows.(0).post + 1 in
-  let row_ix = Array.make span (-1) in
-  Array.iteri (fun i r -> row_ix.(r.pre) <- i) rows;
-  let by_pre = Array.make span None in
-  let i = ref 0 in
-  let rec build () : X.node =
+  let i = ref row_ix.(r0.pre) in
+  let make r =
+    let xn = X.make (kind_of_row r) in
+    if stamp then xn.X.order <- r.pre;
+    xn
+  in
+  let rec go () : X.node =
     let r = rows.(!i) in
     incr i;
-    let xn = X.make (kind_of_row r) in
-    xn.X.order <- r.pre;
-    by_pre.(r.pre) <- Some xn;
+    let xn = make r in
     (match r.kind with
     | "doc" | "elem" ->
         let attrs = ref [] in
         while !i < n && rows.(!i).kind = "attr" && rows.(!i).parent = r.pre do
-          let a = rows.(!i) in
+          let an = make rows.(!i) in
           incr i;
-          let an = X.make (kind_of_row a) in
-          an.X.order <- a.pre;
           an.X.parent <- Some xn;
-          by_pre.(a.pre) <- Some an;
           attrs := an :: !attrs
         done;
         xn.X.attributes <- List.rev !attrs;
         let kids = ref [] in
         while !i < n && rows.(!i).pre < r.post do
-          let k = build () in
+          let k = go () in
           k.X.parent <- Some xn;
           kids := k :: !kids
         done;
@@ -361,41 +227,13 @@ let rebuild t docid : rebuilt =
     | _ -> ());
     xn
   in
-  let dom = build () in
-  { dom; rows; row_ix; by_pre }
+  go ()
 
-let rebuilt t docid =
-  match Hashtbl.find_opt t.rebuilt_cache docid with
-  | Some rb -> rb
-  | None ->
-      let rb = rebuild t docid in
-      Hashtbl.add t.rebuilt_cache docid rb;
-      rb
-
-let reconstruct t docid = (rebuilt t docid).dom
-
-(* every step's working set: decoded rows in pre order plus the
-   pre → index map, without building the DOM (reusing the rebuilt cache's
-   arrays when a reconstruction already paid for them) *)
-let doc_rows_ix t docid =
-  match Hashtbl.find_opt t.rows_cache docid with
-  | Some v -> v
-  | None ->
-      let rows, row_ix =
-        match Hashtbl.find_opt t.rebuilt_cache docid with
-        | Some rb -> (rb.rows, rb.row_ix)
-        | None ->
-            let rows = doc_rows t docid in
-            if Array.length rows = 0 then err "no rows for docid %d" docid;
-            let row_ix = Array.make (rows.(0).post + 1) (-1) in
-            Array.iteri (fun i r -> row_ix.(r.pre) <- i) rows;
-            (rows, row_ix)
-      in
-      Hashtbl.add t.rows_cache docid (rows, row_ix);
-      (rows, row_ix)
+let subtree t r = build ~stamp:false t r
+let reconstruct t docid = build ~stamp:true t (doc_node t docid)
 
 let row_by_pre t docid pre =
-  let rows, row_ix = doc_rows_ix t docid in
+  let { rows; row_ix; _ } = doc t docid in
   if pre < 0 || pre >= Array.length row_ix then None
   else
     let ix = row_ix.(pre) in
@@ -405,10 +243,10 @@ let parent_row t (r : node) = if r.parent < 0 then None else row_by_pre t r.doci
 
 (* direct children (attributes included) off the pre-ordered rows array:
    first owned row sits right after the owner, each sibling starts at the
-   tick after the previous subtree's last — O(1) per child, no probe *)
+   tick after the previous subtree's last — O(1) per child *)
 let iter_owned t (c : node) (f : node -> unit) =
   if c.post > c.pre then begin
-    let rows, row_ix = doc_rows_ix t c.docid in
+    let { rows; row_ix; _ } = doc t c.docid in
     let rec go ix =
       if ix >= 0 && ix < Array.length rows then begin
         let r = rows.(ix) in
@@ -436,7 +274,7 @@ let doc_order_cmp a b =
   if c <> 0 then c else Int.compare a.pre b.pre
 
 (* a single forward step from one context node arrives already sorted and
-   distinct (B-tree rids come back in key = document order), so the common
+   distinct (the rows array is in pre = document order), so the common
    case is a linear scan that confirms order and allocates nothing *)
 let doc_order_dedup rows =
   let rec strictly_sorted = function
@@ -481,10 +319,17 @@ let cond_holds (c : node) (r : node) { AR.col; op; anchor } =
   | AR.Gt -> x > y
   | AR.Geq -> x >= y
 
+(* the first row at or after tick [pre]: from just past a subtree, the
+   ticks skipped are ancestors' exit ticks, so this is O(depth) *)
+let rec row_at_or_after d pre =
+  if pre >= Array.length d.row_ix then Array.length d.rows
+  else if d.row_ix.(pre) >= 0 then d.row_ix.(pre)
+  else row_at_or_after d (pre + 1)
+
 (* every row an axis's conditions can hold on from context [c], in
-   document order, read off the cached pre-ordered rows: owned-row walks
-   for child and sibling axes, parent links upward, and a bounded slice
-   of the rows array for descendant, following and preceding *)
+   document order, read off the pre-ordered rows: owned-row walks for
+   child and sibling axes, parent links upward, and a bounded slice of
+   the rows array for descendant, following and preceding *)
 let iter_axis t (axis : XA.axis) (c : node) (f : node -> unit) =
   match axis with
   | XA.Self -> f c
@@ -496,22 +341,15 @@ let iter_axis t (axis : XA.axis) (c : node) (f : node -> unit) =
       let rec up acc r = match parent_row t r with Some p -> up (p :: acc) p | None -> acc in
       List.iter f (up (if axis = XA.Ancestor_or_self then [ c ] else []) c)
   | XA.Descendant | XA.Descendant_or_self | XA.Following | XA.Preceding ->
-      let rows, row_ix = doc_rows_ix t c.docid in
-      (* the first row past [c]'s subtree: the ticks between [c.post] and
-         it are ancestors' exit ticks, so this is O(depth) *)
-      let rec after pre =
-        if pre >= Array.length row_ix then Array.length rows
-        else if row_ix.(pre) >= 0 then row_ix.(pre)
-        else after (pre + 1)
-      in
+      let d = doc t c.docid in
       let lo, hi =
         match axis with
-        | XA.Following -> (after (c.post + 1), Array.length rows)
-        | XA.Preceding -> (0, row_ix.(c.pre))
-        | _ -> (row_ix.(c.pre), after (c.post + 1))
+        | XA.Following -> (row_at_or_after d (c.post + 1), Array.length d.rows)
+        | XA.Preceding -> (0, d.row_ix.(c.pre))
+        | _ -> (d.row_ix.(c.pre), row_at_or_after d (c.post + 1))
       in
       for i = lo to hi - 1 do
-        f rows.(i)
+        f d.rows.(i)
       done
   | XA.Namespace -> ()
 
@@ -624,18 +462,13 @@ let pcompare op a b =
    batch step costs one pass over the context instead of one walk per
    context node. *)
 
-let index_tree t col =
-  match Table.find_index t.tbl col with
-  | Some idx -> idx.Table.tree
-  | None -> err "missing %s index on %s" col (table_name t)
-
 let batch_axis_ok : XA.axis -> bool = function
   | XA.Self | XA.Child | XA.Attribute | XA.Parent | XA.Descendant
   | XA.Descendant_or_self | XA.Ancestor | XA.Ancestor_or_self ->
       true
   | _ -> false
 
-(* one owned-row walk per context node over the cached rows array;
+(* one owned-row walk per context node over the rows array;
    distinct parents own disjoint child blocks ordered like their parents,
    so the result is already in document order unless the contexts nest *)
 let batch_child t (spec : AR.spec) (ctx : node list) : node list =
@@ -655,65 +488,65 @@ let batch_child t (spec : AR.spec) (ctx : node list) : node list =
   let out = List.rev !acc in
   if !nested then List.sort doc_order_cmp out else out
 
-(* name-tested descendants scan the [dnk] index: the name id is packed
-   into the key, so the interval probe lands only on rows already
-   carrying the right name *)
-let use_dnk axis (spec : AR.spec) =
+(* name-tested descendants read the name's postings instead of the
+   rows: the sweep lands only on rows already carrying the right name *)
+let use_postings axis (spec : AR.spec) =
   spec.name <> None
   && (spec.kinds = AR.K_elem || spec.kinds = AR.K_attr)
   && match axis with XA.Descendant | XA.Descendant_or_self -> true | _ -> false
 
+(* the first position of ascending [p] holding a value ≥ [x] *)
+let first_geq (p : int array) x =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if p.(mid) < x then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length p)
+
 (* the staircase merge: a context interval starting inside the running
    cover is nested in an earlier context's interval, so its descendants
-   were already swept — skip it.  Each maximal interval costs one index
-   range sweep ([dnk] when the name id is packed into the key, [dpre]
-   otherwise); output is sorted and distinct by construction. *)
+   were already swept — skip it.  Each maximal interval is one slice
+   [lo, hi) of row indices, read straight off the rows array or, for a
+   name test, off the name's postings from a binary-searched start;
+   output is sorted and distinct by construction. *)
 let batch_descendant t axis (spec : AR.spec) (ctx : node list) : node list =
-  let or_self = axis = XA.Descendant_or_self in
-  let via_dnk = use_dnk axis spec in
-  let nid =
-    if via_dnk then Hashtbl.find_opt t.names (Option.get spec.name) else Some 0
-  in
-  match nid with
-  | None -> [] (* name never seen: statically empty *)
-  | Some nid ->
-      let tree = index_tree t (if via_dnk then "dnk" else "dpre") in
-      let acc = ref [] in
-      let curdoc = ref min_int and cover = ref min_int in
-      let rows = ref [||] and row_ix = ref [||] in
-      let pre_mask = max_ticks - 1 in
-      List.iter
-        (fun c ->
-          if c.docid <> !curdoc then begin
-            curdoc := c.docid;
-            cover := min_int;
-            let r, ix = doc_rows_ix t c.docid in
-            rows := r;
-            row_ix := ix
-          end;
-          if c.pre > !cover then begin
-            let key pre =
-              Value.Int
-                (if via_dnk then pack_dnk c.docid nid pre else pack_dpre c.docid pre)
-            in
-            let lo =
-              if or_self then Btree.Inclusive (key c.pre) else Btree.Exclusive (key c.pre)
-            and hi =
-              if or_self then Btree.Inclusive (key c.post) else Btree.Exclusive (key c.post)
-            in
-            (* the sweep's keys carry the row's pre in their low bits, so
-               each hit resolves through the cached pre-ordered rows
-               array — no per-entry heap fetch or decode *)
-            Btree.iter_range tree ~lo ~hi (fun key _rid ->
-                match key with
-                | Value.Int k ->
-                    let r = !rows.(!row_ix.(k land pre_mask)) in
-                    if row_matches spec r then acc := r :: !acc
-                | _ -> ());
-            cover := c.post
-          end)
-        ctx;
-      List.rev !acc
+  let skip_self = if axis = XA.Descendant_or_self then 0 else 1 in
+  let name = if use_postings axis spec then spec.name else None in
+  let acc = ref [] in
+  let curdoc = ref min_int and cover = ref min_int in
+  List.iter
+    (fun c ->
+      if c.docid <> !curdoc then begin
+        curdoc := c.docid;
+        cover := min_int
+      end;
+      if c.pre > !cover then begin
+        let d = doc t c.docid in
+        let keep i =
+          let r = d.rows.(i) in
+          if row_matches spec r then acc := r :: !acc
+        in
+        let lo = d.row_ix.(c.pre) + skip_self and hi = row_at_or_after d (c.post + 1) in
+        (match name with
+        | None ->
+            for i = lo to hi - 1 do
+              keep i
+            done
+        | Some n -> (
+            match Hashtbl.find_opt d.postings n with
+            | None -> () (* name absent from the document: statically empty *)
+            | Some p ->
+                let j = ref (first_geq p lo) in
+                while !j < Array.length p && p.(!j) < hi do
+                  keep p.(!j);
+                  incr j
+                done));
+        cover := c.post
+      end)
+    ctx;
+  List.rev !acc
 
 let batch_parent t (spec : AR.spec) (ctx : node list) : node list =
   let acc = ref [] in
@@ -735,12 +568,11 @@ let batch_ancestor t axis (spec : AR.spec) (ctx : node list) : node list =
   let acc = ref [] in
   List.iter
     (fun c ->
-      let _, row_ix = doc_rows_ix t c.docid in
       let marks =
         match Hashtbl.find_opt seen c.docid with
         | Some b -> b
         | None ->
-            let b = Bytes.make (Array.length row_ix) '\000' in
+            let b = Bytes.make (Array.length (doc t c.docid).row_ix) '\000' in
             Hashtbl.add seen c.docid b;
             b
       in
@@ -850,7 +682,7 @@ let lit_holds test (s : string) =
 
 (* merge the sorted candidates against the pre-ordered rows array: each
    candidate's owned rows are a contiguous sibling walk starting right
-   after it, so the whole pass is one linear merge — no index probes *)
+   after it, so the whole pass is one linear merge *)
 let apply_value_pred t (src, test) cands =
   match src with
   | `Self -> List.filter (fun r -> lit_holds test r.value) cands
@@ -1105,46 +937,6 @@ let pattern_matches t ?(vars = Smap.empty) (pat : Xdb_xpath.Pattern.t) (r : node
   in
   Xdb_xpath.Pattern.matches_gen ops pat r
 
-(* ------------------------------------------------------------------ *)
-(* Subtree copy (what a template's copy-of materialises)                *)
-(* ------------------------------------------------------------------ *)
-
-(* a fresh DOM copy of one row's subtree, built from the rows-array slice
-   [pre .. post] — the only reconstruction the relational transform path
-   ever performs *)
-let subtree t (r0 : node) : X.node =
-  match r0.kind with
-  | "attr" | "text" | "comment" | "pi" -> X.make (kind_of_row r0)
-  | _ ->
-      let rows, row_ix = doc_rows_ix t r0.docid in
-      let n = Array.length rows in
-      let i = ref row_ix.(r0.pre) in
-      let rec build () : X.node =
-        let r = rows.(!i) in
-        incr i;
-        let xn = X.make (kind_of_row r) in
-        (match r.kind with
-        | "doc" | "elem" ->
-            let attrs = ref [] in
-            while !i < n && rows.(!i).kind = "attr" && rows.(!i).parent = r.pre do
-              let an = X.make (kind_of_row rows.(!i)) in
-              incr i;
-              an.X.parent <- Some xn;
-              attrs := an :: !attrs
-            done;
-            xn.X.attributes <- List.rev !attrs;
-            let kids = ref [] in
-            while !i < n && rows.(!i).pre < r.post do
-              let k = build () in
-              k.X.parent <- Some xn;
-              kids := k :: !kids
-            done;
-            xn.X.children <- List.rev !kids
-        | _ -> ());
-        xn
-      in
-      build ()
-
 (* the batch strategy a step evaluates with (CLI --explain) *)
 let batch_explain (step : XA.step) =
   match AR.compile step.XA.axis step.XA.test with
@@ -1159,8 +951,8 @@ let batch_explain (step : XA.step) =
           | XA.Self -> "context-row filter"
           | XA.Child | XA.Attribute -> "owned-row walk over the rows array"
           | XA.Descendant | XA.Descendant_or_self ->
-              if use_dnk step.XA.axis spec then "staircase dnk interval sweep"
-              else "staircase dpre interval sweep"
+              if use_postings step.XA.axis spec then "staircase name-postings sweep"
+              else "staircase slice of the rows array"
           | XA.Parent -> "parent map over the rows array"
           | XA.Ancestor | XA.Ancestor_or_self -> "marked parent-chain walk"
           | _ -> assert false
@@ -1181,22 +973,24 @@ let batch_explain (step : XA.step) =
 (* ------------------------------------------------------------------ *)
 
 let select t ~docid expr_s =
-  let doc = doc_node t docid in
+  let root = doc_node t docid in
   try
     match Xdb_xpath.Parser.parse expr_s with
-    | XA.Path { absolute = _; steps } -> eval_steps t base_env [ doc ] steps
+    | XA.Path { absolute = _; steps } -> eval_steps t base_env [ root ] steps
     | _ -> raise (Unsupported "non-path expression")
   with Unsupported _ ->
-    (* outside the relational subset: answer over the reconstructed tree
-       and map the DOM result back through its pre stamps *)
+    (* outside the relational subset: answer over a freshly reconstructed
+       tree and map the DOM result back through its pre stamps *)
     t.n_fallback <- t.n_fallback + 1;
-    let rb = rebuilt t docid in
-    let nodes = XE.select (XE.make_context rb.dom) expr_s in
+    let { rows; row_ix; _ } = doc t docid in
+    let nodes = XE.select (XE.make_context (reconstruct t docid)) expr_s in
     List.map
       (fun (n : X.node) ->
-        let ix = if n.X.order >= 0 && n.X.order < Array.length rb.row_ix then rb.row_ix.(n.X.order) else -1 in
+        let ix =
+          if n.X.order >= 0 && n.X.order < Array.length row_ix then row_ix.(n.X.order) else -1
+        in
         if ix < 0 then err "DOM fallback produced a node outside the stored document";
-        rb.rows.(ix))
+        rows.(ix))
       nodes
 
 (* ------------------------------------------------------------------ *)
@@ -1220,11 +1014,7 @@ let serialize t nodes =
   List.map
     (fun r ->
       if r.kind = "attr" then attr_string ~prefix:r.prefix ~name:r.name ~value:r.value
-      else
-        let rb = rebuilt t r.docid in
-        match rb.by_pre.(r.pre) with
-        | Some n -> Xdb_xml.Serializer.to_string n
-        | None -> err "result row %d/%d has no reconstructed node" r.docid r.pre)
+      else Xdb_xml.Serializer.to_string (subtree t r))
     nodes
 
 let serialize_dom nodes =

@@ -1,27 +1,28 @@
 (** Interval-encoded ("shredded") XML storage: one relational row per XML
-    node, pre/post numbered, with B-tree indexes that turn XPath axes
-    into range scans (paper §7.4 "tree storage"; the numbering scheme of
-    the DOM-based mapping and RadegastXDB lines of work in PAPERS.md).
+    node, pre/post numbered, so XPath axes become interval conditions
+    over rows (paper §7.4 "tree storage"; the numbering scheme of the
+    DOM-based mapping and RadegastXDB lines of work in PAPERS.md).
 
     A document decomposes into rows
-    [(docid, pre, post, parent, level, kind, name, prefix, uri, value)]
-    plus two derived packed-key columns kept index-friendly as single
-    integers, each B-tree indexed:
+    [(docid, pre, post, parent, level, kind, name, prefix, uri, value)],
+    stored once, by {!shred}, as three per-document structures:
 
-    - [dpre = docid·2^24 + pre] — document-order key,
-    - [dnk  = (docid·2^12 + nid)·2^24 + pre] — name-interval key,
-      where [nid] is the dictionary id of the node's name.
+    - the rows array, in pre order (document order),
+    - the [pre → index] map into it ([-1] on post-only exit ticks),
+    - per-name postings: for each name, the ascending row indices of the
+      elements and attributes carrying it.
 
-    Steps read each document's decoded rows, cached in pre order, and
-    decide membership with the interval conditions of
-    {!Xdb_xpath.Axis_range}.  Two strategies share those conditions:
+    Steps read only those structures and decide membership with the
+    interval conditions of {!Xdb_xpath.Axis_range}.  Two strategies
+    share those conditions:
 
     - {b Set-at-a-time} (axes self, child, attribute, parent, descendant,
       ancestor and their -or-self forms, under position-free
       predicates): the context node-set is a sorted (docid, pre)
       sequence, and a whole step is answered in one pass — a staircase
-      merge of [dpre]/[dnk] interval sweeps for descendant (context
-      intervals covered by an earlier interval are skipped), an
+      merge for descendant (context intervals covered by an earlier
+      interval are skipped; each remaining interval is a slice of the
+      rows array, or of the name's postings for a name test), an
       owned-row walk per context for child, a marked parent-chain walk
       for ancestor, and a zero-probe sort-merge pass over the rows array
       for the common value-predicate shapes ([@k='v'], [child='v']).
@@ -34,9 +35,11 @@
       context's candidates.
 
     Constructs outside the relational subset raise {!Unsupported};
-    {!select} then falls back to the DOM interpreter over the
-    reconstructed document, so answers never degrade — only speed.
-    {!counters} reports how often each strategy ran. *)
+    {!select} then falls back to the DOM interpreter over a document
+    reconstructed for that call, so answers never degrade — only speed.
+    No DOM is kept: {!reconstruct}, {!subtree} and {!serialize} build
+    fresh trees from the rows.  {!counters} reports how often each
+    strategy ran.  The store is not visible to SQL. *)
 
 exception Shred_error of string
 
@@ -62,38 +65,14 @@ type node = {
   value : string;
 }
 
-val pre_bits : int
-(** Bits of [pre] inside the packed keys (24: ≤ 16M counter ticks per
-    document). *)
-
-val name_bits : int
-(** Bits of the name-dictionary id inside [dnk] (12: ≤ 4096 distinct
-    names per store). *)
-
-val create : ?table:string -> Database.t -> t
-(** Create the node table (default name ["xmlnodes"]), its two indexes
-    and the [<table>_names] dictionary table in [db]. *)
-
-val table_name : t -> string
-
-val tables : t -> string list
-(** The tables the store owns in its database — the node table and the
-    name-dictionary table.  DML against either one must be followed by
-    {!invalidate_caches}; these are also the data-version dependencies
-    of cached shredded-transform results. *)
-
-val invalidate_caches : t -> unit
-(** Resynchronise in-memory state with the node table after direct DML
-    against it: drops the reconstruction and batch-row caches,
-    re-derives the docid directory from the document rows present, and
-    re-reads the name dictionary. *)
+val create : unit -> t
+(** An empty store. *)
 
 val shred : t -> Xdb_xml.Types.node -> int
-(** Decompose a document into rows (pre-order insertion, so index scans
-    yield document order) and return its docid (1-based).  A non-document
-    root is wrapped in a synthetic document row.
-    @raise Shred_error when a capacity bound ({!pre_bits}/{!name_bits})
-    would be exceeded. *)
+(** Decompose a document into its rows array, pre map and name postings
+    and return its docid (1-based).  A non-document root is wrapped in a
+    synthetic document row.  The store keeps no reference to the input
+    tree. *)
 
 val doc_ids : t -> int list
 (** Stored docids, ascending. *)
@@ -115,14 +94,14 @@ val counters : t -> counter_totals
     of [xdb_cli shred --explain] and the engine metrics. *)
 
 val reconstruct : t -> int -> Xdb_xml.Types.node
-(** Rebuild the document tree from its rows (cached per docid; document
-    order stamped from [pre], so node order comparisons work).  The
-    inverse of {!shred}: reconstruct ∘ shred is deep-equal to the
+(** Rebuild the document tree from its rows (a fresh tree per call;
+    document order stamped from [pre], so node order comparisons work).
+    The inverse of {!shred}: reconstruct ∘ shred is deep-equal to the
     original. *)
 
 val children : t -> node -> node list
 (** Direct children (attributes excluded) read off the pre-ordered rows
-    array — O(1) per child, no index probe. *)
+    array — O(1) per child. *)
 
 val parent_row : t -> node -> node option
 (** The parent row, [None] on document rows. *)
@@ -180,15 +159,15 @@ val pattern_matches : t -> ?vars:value Smap.t -> Xdb_xpath.Pattern.t -> node -> 
 
 val select : t -> docid:int -> string -> node list
 (** Parse and evaluate a path expression with the document row as context
-    node.  Falls back to
-    the (DOM) {!Xdb_xpath.Eval} interpreter over the reconstructed
-    document when translation raises {!Unsupported} — the result is
-    identical either way, in document order.
+    node.  Falls back to the (DOM) {!Xdb_xpath.Eval} interpreter over a
+    document reconstructed for the call when translation raises
+    {!Unsupported}, mapping its nodes back to rows through their [pre]
+    stamps — the result is identical either way, in document order.
     @raise Xdb_xpath.Parser.Parse_error on malformed expressions;
     @raise Invalid_argument when the expression is not a node-set. *)
 
 val serialize : t -> node list -> string list
-(** Serialize each result node from the reconstructed tree (attributes
+(** Serialize each result node from a fresh {!subtree} copy (attributes
     render as [name="value"], which bare attribute nodes cannot via
     {!Xdb_xml.Serializer}) — the byte-comparison form of the differential
     tests. *)

@@ -296,10 +296,6 @@ let run_dml db (stmt : statement) : result =
   | Delete { table; where } -> run_delete db ~table ~where
   | Select _ | Create_view _ | Analyze _ -> invalid_arg "run_dml: not a DML statement"
 
-let dml_target = function
-  | Insert { table; _ } | Update { table; _ } | Delete { table; _ } -> Some table
-  | Select _ | Create_view _ | Analyze _ -> None
-
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)

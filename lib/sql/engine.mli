@@ -49,9 +49,5 @@ val run_dml : Xdb_rel.Database.t -> Ast.statement -> result
     @raise Sql_error / [Table_error] on validation failures;
     [Invalid_argument] if the statement is not DML. *)
 
-val dml_target : Ast.statement -> string option
-(** Target table of a DML statement, [None] for non-DML — the hook the
-    engine uses to invalidate shred-store caches after writes. *)
-
 val render : result -> string
 (** Fixed-width rendering for CLI/example output, note included. *)

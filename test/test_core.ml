@@ -1162,7 +1162,7 @@ let test_run_source_verb () =
   check (Alcotest.list cs) "Shredded None = all docs" all.EN.output one.EN.output;
   let wrapper = EN.transform_shredded engine2 ~stylesheet:ss in
   check (Alcotest.list cs) "wrapper ≡ run" all.EN.output wrapper.EN.output;
-  (* storing another document bumps the node tables' versions, so the
+  (* storing another document bumps the store's data version, so the
      cached all-documents result is invalidated, not served stale *)
   ignore (EN.store_shredded engine2 (Xdb_xsltmark.Data.records_doc 5));
   let all2 = EN.run engine2 (EN.Shredded None) ~stylesheet:ss in

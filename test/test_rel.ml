@@ -1569,8 +1569,7 @@ module SH = Xdb_rel.Shred
 module XB = Xdb_xml.Builder
 
 let test_shred_roundtrip () =
-  let db = DB.create () in
-  let t = SH.create db in
+  let t = SH.create () in
   let doc =
     Xdb_xml.Parser.parse "<a b=\"1\"><c>x<d/>y</c><?pi data?><!--n--><e>z</e></a>"
   in
@@ -1589,13 +1588,6 @@ let test_shred_roundtrip () =
     (List.length (SH.select t ~docid:id "//a/namespace::node()"));
   check ci "without a DOM fallback" 0 (SH.counters t).SH.dom_fallbacks
 
-let test_shred_name_capacity () =
-  let kids = List.init 5000 (fun i -> XB.elem (Printf.sprintf "n%d" i) []) in
-  let doc = XB.document (XB.elem "r" kids) in
-  let t = SH.create (DB.create ()) in
-  check cb "name dictionary overflow raises" true
-    (match SH.shred t doc with exception SH.Shred_error _ -> true | _ -> false)
-
 (* queries covering every supported axis and predicate form, plus a few
    that must fall back to the DOM interpreter *)
 let diff_exprs =
@@ -1611,7 +1603,7 @@ let diff_exprs =
   ]
 
 let shred_matches_dom doc exprs =
-  let t = SH.create (DB.create ()) in
+  let t = SH.create () in
   let docid = SH.shred t doc in
   let ctx = Xdb_xpath.Eval.make_context doc in
   List.for_all
@@ -1638,6 +1630,19 @@ let gen_doc : X.node QCheck.Gen.t =
       >>= fun attrs -> return (XB.elem ~attrs nm kids)
   in
   map XB.document (go 3)
+
+(* every document is stored after another one, so its rows never start
+   the store *)
+let prop_shred_roundtrip =
+  QCheck.Test.make ~name:"reconstruct ∘ shred = id (random)" ~count:50
+    (QCheck.make
+       QCheck.Gen.(pair gen_doc gen_doc)
+       ~print:(fun (a, b) -> Xdb_xml.Serializer.to_string a ^ " then " ^ Xdb_xml.Serializer.to_string b))
+    (fun (first, doc) ->
+      let t = SH.create () in
+      let id1 = SH.shred t first in
+      let id2 = SH.shred t doc in
+      X.deep_equal doc (SH.reconstruct t id2) && X.deep_equal first (SH.reconstruct t id1))
 
 let prop_shred_differential =
   QCheck.Test.make ~name:"shredded ≡ DOM interpreter over random documents" ~count:25
@@ -1695,7 +1700,7 @@ let test_shred_two_documents () =
     List.map Xdb_xml.Parser.parse
       [ "<r><a x=\"1\">t</a><b><c/></b></r>"; "<s><d/>u<e><f y=\"2\"/></e></s>" ]
   in
-  let t = SH.create (DB.create ()) in
+  let t = SH.create () in
   let ids = List.map (SH.shred t) docs in
   List.iter2
     (fun docid doc ->
@@ -1718,7 +1723,33 @@ let test_shred_two_documents () =
       check cb "last node has preceding rows" true
         (SH.select t ~docid "//node()[not(following::node())]/preceding::node()" <> []))
     ids docs;
-  check ci "no DOM fallback" 0 (SH.counters t).SH.dom_fallbacks
+  check ci "no DOM fallback" 0 (SH.counters t).SH.dom_fallbacks;
+  (* a top-level union is outside the relational subset: the DOM
+     fallback's nodes map back to the second document's rows through
+     their pre stamps *)
+  let q = "//*[contains(.,'u')] | //@y" in
+  let docid = List.nth ids 1 in
+  let rows = SH.select t ~docid q in
+  check cb "fallback: own document only" true
+    (rows <> [] && List.for_all (fun r -> r.SH.docid = docid) rows);
+  check Alcotest.(list string) q
+    (SH.serialize_dom (Xdb_xpath.Eval.select (Xdb_xpath.Eval.make_context (List.nth docs 1)) q))
+    (SH.serialize t rows);
+  check ci "one DOM fallback" 1 (SH.counters t).SH.dom_fallbacks
+
+(* names are plain postings keys: no bound on how many a store holds *)
+let test_shred_many_names () =
+  let kids = List.init 5000 (fun i -> XB.elem (Printf.sprintf "n%d" i) []) in
+  let doc = XB.document (XB.elem "r" kids) in
+  let t = SH.create () in
+  let docid = SH.shred t doc in
+  let ctx = Xdb_xpath.Eval.make_context doc in
+  List.iter
+    (fun (q, expected) ->
+      let shredded = SH.serialize t (SH.select t ~docid q) in
+      check Alcotest.(list string) (q ^ " = DOM") (SH.serialize_dom (Xdb_xpath.Eval.select ctx q)) shredded;
+      check Alcotest.(list string) q expected shredded)
+    [ ("//n4999", [ "<n4999/>" ]); ("/r/n0/following-sibling::*[1]", [ "<n1/>" ]) ]
 
 let test_shred_differential_xsltmark () =
   let doc = Xdb_xsltmark.Data.records_doc 40 in
@@ -1730,7 +1761,7 @@ let test_shred_differential_xsltmark () =
          "//row/category/preceding-sibling::*[1]"; "//name/following-sibling::value";
          "//row[position()=2]/name"; "//category[.='A']";
        ]);
-  let t = SH.create (DB.create ()) in
+  let t = SH.create () in
   let docid = SH.shred t doc in
   ignore (SH.select t ~docid "//row[id]");
   let c = SH.counters t in
@@ -2680,7 +2711,8 @@ let () =
       ( "shredding",
         [
           Alcotest.test_case "shred/reconstruct roundtrip" `Quick test_shred_roundtrip;
-          Alcotest.test_case "name dictionary capacity" `Quick test_shred_name_capacity;
+          Alcotest.test_case "five thousand distinct names" `Quick test_shred_many_names;
+          QCheck_alcotest.to_alcotest prop_shred_roundtrip;
           Alcotest.test_case "XSLTMark differential" `Quick test_shred_differential_xsltmark;
           QCheck_alcotest.to_alcotest prop_shred_differential;
           QCheck_alcotest.to_alcotest prop_shred_batch_differential;
