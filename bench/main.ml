@@ -891,11 +891,11 @@ let parscale ?(sizes = [ 8_000; 64_000 ]) ?(jobs_list = [ 1; 2; 4 ]) () =
             List.iter
               (fun jobs ->
                 Xdb_core.Parallel.with_pool ~jobs (fun pool ->
-                    let out = PL.run_rewrite_parallel ~pool dv.D.db comp in
+                    let out = PL.run_rewrite ~pool dv.D.db comp in
                     let identical = out = seq in
                     assert identical;
                     let ms =
-                      time_ms (fun () -> ignore (PL.run_rewrite_parallel ~pool dv.D.db comp))
+                      time_ms (fun () -> ignore (PL.run_rewrite ~pool dv.D.db comp))
                     in
                     if jobs = List.hd jobs_list then base_ms := ms;
                     let tot = List.assoc jobs totals in

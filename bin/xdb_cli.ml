@@ -171,7 +171,9 @@ let transform_cmd =
     with_engine_errors (fun () ->
         let engine = Xdb_core.Engine.create (Xdb_rel.Database.create ()) in
         ignore (Xdb_core.Engine.store_shredded engine doc);
-        let r = Xdb_core.Engine.transform_shredded ~options:opts engine ~stylesheet in
+        let r =
+          Xdb_core.Engine.run ~options:opts engine (Xdb_core.Engine.Shredded None) ~stylesheet
+        in
         List.iter print_endline r.Xdb_core.Engine.output;
         print_metrics r.Xdb_core.Engine.metrics;
         Xdb_core.Engine.shutdown engine)

@@ -142,6 +142,11 @@ let use_pool t jobs f =
       in
       f pool)
 
+(* [f (Some pool)] over the engine's pool when [jobs > 1], [f None]
+   otherwise: [jobs] sizes the pool and never picks a code path *)
+let with_jobs t options f =
+  if options.jobs > 1 then use_pool t options.jobs (fun pool -> f (Some pool)) else f None
+
 let shutdown t =
   Mutex.lock t.pool_lock;
   Fun.protect
@@ -250,15 +255,9 @@ let transform_deps t view_name compiled =
 
 let transform_body ~options ?metrics t compiled =
   Xdb_error.wrap ~stage:"exec" (fun () ->
-      if options.jobs > 1 then
-        use_pool t options.jobs (fun pool ->
-            if options.interpreted then
-              Pipeline.run_functional_parallel ?metrics ~pool t.db compiled
-            else
-              Pipeline.run_rewrite_parallel ?metrics ~streaming:options.streaming ~pool t.db
-                compiled)
-      else if options.interpreted then Pipeline.run_functional ?metrics t.db compiled
-      else Pipeline.run_rewrite ?metrics ~streaming:options.streaming t.db compiled)
+      with_jobs t options (fun pool ->
+          if options.interpreted then Pipeline.run_functional ?metrics ?pool t.db compiled
+          else Pipeline.run_rewrite ?metrics ~streaming:options.streaming ?pool t.db compiled))
 
 (* key ingredients: view + stylesheet text.  streaming/jobs/interpreted
    are deliberately absent — the engine's execution strategies are
@@ -290,53 +289,25 @@ let publish ?(options = default_run_options) t ~view_name =
         let view =
           Xdb_error.wrap ~stage:"publish" (fun () -> Registry.find_view t.registry view_name)
         in
-        let serialize_range ?metrics ~lo ~hi () =
+        let serialize ?metrics part =
+          let row_range = Option.map (fun (_, lo, hi) -> (lo, hi)) part in
           let staged name f =
             match metrics with None -> f () | Some m -> Metrics.time m name f
           in
           if options.streaming then
             staged "publish_stream" (fun () ->
-                P.materialize_serialized t.db ~indent ~row_range:(lo, hi) view)
+                P.materialize_serialized t.db ~indent ?row_range view)
           else
             staged "publish_dom" (fun () ->
                 List.map
                   (fun d ->
                     Xdb_xml.Serializer.node_list_to_string ~indent d.Xdb_xml.Types.children)
-                  (P.materialize t.db ~row_range:(lo, hi) view))
+                  (P.materialize t.db ?row_range view))
         in
         let run () =
           Xdb_error.wrap ~stage:"serialize" (fun () ->
-              let total =
-                Xdb_rel.Table.size (Xdb_rel.Database.table t.db view.P.base_table)
-              in
-              if options.jobs > 1 then
-                use_pool t options.jobs (fun pool ->
-                    let ranges =
-                      Array.of_list
-                        (Parallel.chunk_ranges ~total ~chunks:(4 * Parallel.jobs pool))
-                    in
-                    let n = Array.length ranges in
-                    let task_metrics =
-                      match metrics with
-                      | None -> [||]
-                      | Some _ -> Array.init n (fun _ -> Metrics.create ())
-                    in
-                    let results =
-                      Parallel.run pool
-                        (fun i ->
-                          let m =
-                            if task_metrics = [||] then None else Some task_metrics.(i)
-                          in
-                          let lo, hi = ranges.(i) in
-                          serialize_range ?metrics:m ~lo ~hi ())
-                        n
-                    in
-                    (match metrics with
-                    | Some m ->
-                        Array.iter (fun tm -> Metrics.merge_into ~into:m tm) task_metrics
-                    | None -> ());
-                    List.concat (Array.to_list results))
-              else serialize_range ?metrics ~lo:0 ~hi:total ())
+              with_jobs t options (fun pool ->
+                  Pipeline.over_ranges ?metrics ?pool t.db (Some view.P.base_table) serialize))
         in
         (* indent changes the bytes, so it is part of the key *)
         let key = "P\x00" ^ view_name ^ "\x00" ^ if indent then "i" else "-" in
@@ -364,7 +335,7 @@ let store_shredded t doc =
       Xdb_rel.Database.bump_data_version t.db shred_dep;
       docid)
 
-let transform_shredded_src ?(options = default_run_options) t ~docids ~stylesheet =
+let run_shredded_source ?(options = default_run_options) t ~docids ~stylesheet =
   let s = shred_store t in
   let metrics = metrics_of options in
   Rw.read t.rw (fun () ->
@@ -382,10 +353,8 @@ let transform_shredded_src ?(options = default_run_options) t ~docids ~styleshee
           in
           let run () =
             Xdb_error.wrap ~stage:"exec" (fun () ->
-                if options.jobs > 1 then
-                  use_pool t options.jobs (fun pool ->
-                      Pipeline.run_shredded ?metrics ~pool s prog docids)
-                else Pipeline.run_shredded ?metrics s prog docids)
+                with_jobs t options (fun pool ->
+                    Pipeline.run_shredded ?metrics ?pool s prog docids))
           in
           let key =
             "S\x00"
@@ -422,10 +391,7 @@ let transform ?(options = default_run_options) t ~view_name ~stylesheet =
 let run ?options t source ~stylesheet =
   match source with
   | View view_name -> transform ?options t ~view_name ~stylesheet
-  | Shredded docids -> transform_shredded_src ?options t ~docids ~stylesheet
-
-let transform_shredded ?options ?docids t ~stylesheet =
-  transform_shredded_src ?options t ~docids ~stylesheet
+  | Shredded docids -> run_shredded_source ?options t ~docids ~stylesheet
 
 (* ------------------------------------------------------------------ *)
 (* Explain                                                             *)
@@ -439,19 +405,8 @@ let explain_analyze_stmt ?(options = default_run_options) ?metrics t stmt =
   Rw.read t.rw (fun () ->
       let compiled = stmt_compiled ?metrics t stmt in
       Xdb_error.wrap ~stage:"exec" (fun () ->
-          if options.jobs > 1 && not options.interpreted then
-            use_pool t options.jobs (fun pool ->
-                match
-                  Pipeline.run_rewrite_parallel_analyzed ~streaming:options.streaming ~pool
-                    t.db compiled
-                with
-                | _, Some stats ->
-                    (* per-domain collectors merged by operator id: actual row
-                       counts match a sequential analyzed run *)
-                    let plan = Option.get compiled.Pipeline.sql_plan in
-                    Xdb_rel.Optimizer.explain_analyze t.db plan stats
-                | _, None -> Pipeline.explain_analyze ~interpreted:false t.db compiled)
-          else Pipeline.explain_analyze ~interpreted:options.interpreted t.db compiled))
+          with_jobs t options (fun pool ->
+              Pipeline.explain_analyze ~interpreted:options.interpreted ?pool t.db compiled)))
 
 let explain_analyze ?options ?metrics t ~view_name ~stylesheet =
   explain_analyze_stmt ?options ?metrics t (prepare ?metrics t ~view_name ~stylesheet)

@@ -40,9 +40,9 @@ type t
 
 (** How a transform (or publish) runs.  [streaming] (default true) routes
     XML result construction through output events instead of per-row
-    DOMs; [jobs] (default 1) is the number of domains the run may use —
-    partitioned base-table execution when the plan admits it, sequential
-    fallback otherwise; [collect_metrics] (default false) attaches a
+    DOMs; [jobs] (default 1) sizes the domain pool a run may split over —
+    by base-table row ranges when the plan admits it, by document for
+    shredded sources — and never selects another strategy; [collect_metrics] (default false) attaches a
     fresh {!Metrics.t} to the run, returned in {!run_result};
     [interpreted] (default false) selects the reference paths: the
     functional VM evaluation for {!transform}, the interpreted assoc-row
@@ -73,8 +73,7 @@ type run_result = {
 
 (** What a transform reads: a registered XMLType view's published
     documents, or interval-shredded stored documents ([Shredded None] =
-    all of them).  Collapses the former [transform]/[transform_shredded]
-    + [?docids] split into one {!run} verb. *)
+    all of them). *)
 type source = View of string | Shredded of int list option
 
 val create :
@@ -144,8 +143,14 @@ val explain_analyze_stmt : ?options:run_options -> ?metrics:Metrics.t -> t -> st
 val run : ?options:run_options -> t -> source -> stylesheet:string -> run_result
 (** Transform a {!source} with [stylesheet] — the unified verb.
     [View v] prepares (through the plan cache) and evaluates;
-    [Shredded ids] runs the shredded XSLTVM over stored documents.
-    Cached results are served when [result_cache] and the dependency
+    [Shredded ids] runs the shredded XSLTVM over stored documents:
+    template matching and select iteration execute as set-at-a-time
+    scans over the node rows, with no document reconstruction on that
+    path; documents whose evaluation leaves the relational subset fall
+    back per document to reconstruct + DOM VM ([shred_vm_fallback_docs]
+    in metrics), so output is always byte-identical to transforming the
+    original documents directly.  [jobs > 1] runs the documents across
+    the pool.  Cached results are served when [result_cache] and the dependency
     tables' data versions still match.
     @raise Xdb_error.Error on any pipeline failure. *)
 
@@ -179,19 +184,6 @@ val store_shredded : t -> Xdb_xml.Types.node -> int
     shredded transforms notice the new document.
     @raise Xdb_error.Error on shredding failures. *)
 
-val transform_shredded :
-  ?options:run_options -> ?docids:int list -> t -> stylesheet:string -> run_result
-(** [run t (Shredded docids) ~stylesheet] — kept as a thin wrapper.
-    Template matching and select iteration execute as set-at-a-time
-    scans over the node rows, with no document reconstruction on that
-    path; documents whose evaluation leaves the relational subset fall
-    back per document to reconstruct + DOM VM ([shred_vm_fallback_docs]
-    in metrics), so output is always byte-identical to transforming the
-    original documents directly.  With [jobs > 1] the legacy
-    reconstruct-then-VM strategy runs domain-parallel across documents
-    instead (the shred store is not domain-safe).
-    @raise Xdb_error.Error on compile or execution failures. *)
-
 val query_shredded : t -> docid:int -> string -> string list
 (** Evaluate an XPath expression over a stored document by relational
     axis steps over its rows (DOM-interpreter fallback outside the supported
@@ -210,8 +202,8 @@ val explain_analyze :
     render estimated vs actual ({!Pipeline.explain_analyze});
     [metrics] records compile-stage timings as in {!prepare}.
     [interpreted] selects the reference executor.  With [jobs > 1] the
-    instrumented run itself is domain-parallel and the rendered stats are
-    the per-domain collectors merged by operator id — actual row counts
+    compiled run is split like {!transform} and the rendered stats are
+    the per-range collectors merged by operator id — actual row counts
     match a sequential run.
     @raise Xdb_error.Error on compile/execution failures. *)
 

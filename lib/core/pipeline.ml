@@ -90,17 +90,59 @@ let compile ?(options = Options.default) ?metrics db (view : P.view) stylesheet_
   | None -> ());
   { stylesheet; vm_prog; view; schema; translation; sql_plan; sql_fallback_reason }
 
+(* ------------------------------------------------------------------ *)
+(* Splitting a run by base-table row ranges                             *)
+(* ------------------------------------------------------------------ *)
+
+(* run [task ?metrics i] for [i] in [0, n) across [pool]'s domains, each
+   task with a private Metrics collector folded into [metrics] after the
+   join, so stage times reflect aggregate work *)
+let run_tasks ?metrics pool n task =
+  let task_metrics =
+    match metrics with None -> [||] | Some _ -> Array.init n (fun _ -> Metrics.create ())
+  in
+  let results =
+    Parallel.run pool
+      (fun i -> task ?metrics:(if task_metrics = [||] then None else Some task_metrics.(i)) i)
+      n
+  in
+  Option.iter (fun m -> Array.iter (fun tm -> Metrics.merge_into ~into:m tm) task_metrics) metrics;
+  results
+
+(** [over_ranges ?metrics ?pool db table task] — [task ?metrics None]
+    unless [pool] has more than one domain and [table] is given; then
+    [task] once per contiguous row-id range [Some (table, lo, hi)] (a few
+    per domain, so a skewed range cannot serialise the tail, but not so
+    many that per-range plan opens dominate), results concatenated in
+    range order. *)
+let over_ranges ?metrics ?pool db table task : string list =
+  match (pool, table) with
+  | Some pool, Some table when Parallel.jobs pool > 1 ->
+      let total = Xdb_rel.Table.size (Xdb_rel.Database.table db table) in
+      let ranges =
+        Array.of_list (Parallel.chunk_ranges ~total ~chunks:(4 * Parallel.jobs pool))
+      in
+      run_tasks ?metrics pool (Array.length ranges) (fun ?metrics i ->
+          let lo, hi = ranges.(i) in
+          task ?metrics (Some (table, lo, hi)))
+      |> Array.to_list |> List.concat
+  | _ -> task ?metrics None
+
 (** Functional evaluation: materialise + XSLTVM (the no-rewrite baseline).
     With [metrics], materialisation and transformation times are recorded
-    under [materialize]/[vm_transform]. *)
-let run_functional ?metrics db (c : compiled) : string list =
-  let docs = staged metrics "materialize" (fun () -> P.materialize db c.view) in
-  staged metrics "vm_transform" (fun () ->
-      List.map
-        (fun doc ->
-          let frag = Xdb_xslt.Vm.transform c.vm_prog doc in
-          Xdb_xml.Serializer.node_list_to_string frag.X.children)
-        docs)
+    under [materialize]/[vm_transform].  A multi-domain [pool] splits the
+    base-table rows, each domain materialising and transforming its own
+    range. *)
+let run_functional ?metrics ?pool db (c : compiled) : string list =
+  over_ranges ?metrics ?pool db (Some c.view.P.base_table) (fun ?metrics part ->
+      let row_range = Option.map (fun (_, lo, hi) -> (lo, hi)) part in
+      let docs = staged metrics "materialize" (fun () -> P.materialize db ?row_range c.view) in
+      staged metrics "vm_transform" (fun () ->
+          List.map
+            (fun doc ->
+              let frag = Xdb_xslt.Vm.transform c.vm_prog doc in
+              Xdb_xml.Serializer.node_list_to_string frag.X.children)
+            docs))
 
 (** Dynamic evaluation of the generated XQuery over materialised documents
     (whitespace stripping applied, mirroring the VM).  Each document's
@@ -139,35 +181,6 @@ let result_column (layout, rows) =
         (Xdb_rel.Exec.Exec_error
            (Printf.sprintf "plan produced no result column (available columns: %s)"
               (Xdb_rel.Layout.describe layout)))
-
-(** Rewrite evaluation: the SQL/XML plan when available, XQuery stage
-    otherwise.  With [metrics], plan execution time is recorded under
-    [sql_exec] (or the fallback's stages).  [streaming] (default true)
-    routes the plan's XML constructors through the event stream — output
-    is byte-identical to the DOM path, with no per-row result tree. *)
-let run_rewrite ?metrics ?(streaming = true) db (c : compiled) : string list =
-  match c.sql_plan with
-  | Some plan ->
-      staged metrics "sql_exec" (fun () ->
-          result_column (Xdb_rel.Exec.run_arrays db ~xml_streaming:streaming plan))
-  | None -> run_xquery_stage ?metrics db c
-
-(** Rewrite evaluation with per-operator instrumentation: returns the
-    results and the operator stats when a SQL/XML plan exists. *)
-let run_rewrite_analyzed ?metrics ?(streaming = true) db (c : compiled) :
-    string list * Xdb_rel.Stats.t option =
-  match c.sql_plan with
-  | Some plan ->
-      let out, stats =
-        staged metrics "sql_exec" (fun () ->
-            Xdb_rel.Exec.run_arrays_analyzed db ~xml_streaming:streaming plan)
-      in
-      (result_column out, Some stats)
-  | None -> (run_xquery_stage ?metrics db c, None)
-
-(* ------------------------------------------------------------------ *)
-(* Domain-parallel evaluation                                           *)
-(* ------------------------------------------------------------------ *)
 
 (* Seq_scans of [table] anywhere in the plan tree, correlated subplans
    included.  Exec.compile windows *every* matching Seq_scan, so the
@@ -212,7 +225,7 @@ let rec drives_partition table (p : A.plan) : bool =
   | A.Seq_scan { table = t; _ } -> t = table
   | A.Filter (_, i) | A.Project (_, i) -> drives_partition table i
   (* the probe side streams in order, so partitioning it and concatenating
-     preserves row order (the build side is evaluated whole per domain) *)
+     preserves row order (the build side is evaluated whole per range) *)
   | A.Nested_loop { outer; _ } | A.Hash_join { outer; _ } -> drives_partition table outer
   | A.Index_scan _ | A.Values _ | A.Aggregate _ | A.Sort _ | A.Limit _ -> false
 
@@ -227,100 +240,80 @@ let partition_table (c : compiled) : string option =
       let table = c.view.P.base_table in
       if drives_partition table plan && seq_scans_of table plan = 1 then Some table else None
 
-(* split [total] rows into ranges for [pool]: a few chunks per domain so a
-   skewed chunk cannot serialise the tail, but not so many that per-chunk
-   plan opens dominate *)
-let pool_ranges pool total =
-  Parallel.chunk_ranges ~total ~chunks:(4 * Parallel.jobs pool)
-
-(* run [task] over row ranges of [table] across the pool's domains, each
-   with a private Metrics collector (merged after the join, so stage times
-   reflect aggregate work), concatenating per-range results in order *)
-let parallel_over_ranges ?metrics pool db table task : string list =
-  let total = Xdb_rel.Table.size (Xdb_rel.Database.table db table) in
-  let ranges = Array.of_list (pool_ranges pool total) in
-  let n = Array.length ranges in
-  let task_metrics =
-    match metrics with
-    | None -> [||]
-    | Some _ -> Array.init n (fun _ -> Metrics.create ())
+(* how a split run opens each operator of [plan] (see
+   {!Xdb_rel.Stats.merge_into}): once per range along the driving chain
+   that {!drives_partition} walked, and whole per range on the hash-join
+   build sides hanging off it *)
+let split_marks (plan : A.plan) =
+  let marks = ref [] in
+  let rec chain (p : A.plan) =
+    marks := (p, `Driving) :: !marks;
+    match p with
+    | A.Filter (_, i) | A.Project (_, i) | A.Nested_loop { outer = i; _ } -> chain i
+    | A.Hash_join { outer; inner; _ } ->
+        List.iter
+          (fun (e : Xdb_rel.Stats.entry) -> marks := (e.node, `Shared) :: !marks)
+          (Xdb_rel.Stats.entries (Xdb_rel.Stats.create inner));
+        chain outer
+    | _ -> ()
   in
-  let results =
-    Parallel.run pool
-      (fun i ->
-        let m = if task_metrics = [||] then None else Some task_metrics.(i) in
-        let lo, hi = ranges.(i) in
-        task ?metrics:m ~lo ~hi ())
-      n
-  in
-  (match metrics with
-  | Some m -> Array.iter (fun tm -> Metrics.merge_into ~into:m tm) task_metrics
-  | None -> ());
-  List.concat (Array.to_list results)
+  chain plan;
+  fun p -> List.assq_opt p !marks
 
-(** Domain-parallel {!run_functional}: partitions the base-table rows
-    across the pool, each domain materialising and transforming its own
-    row range (private sinks and collectors), results concatenated in
-    table order — byte-identical to the sequential path.  With
-    [Parallel.jobs pool = 1] this is plain sequential execution. *)
-let run_functional_parallel ?metrics ~pool db (c : compiled) : string list =
-  if Parallel.jobs pool <= 1 then run_functional ?metrics db c
-  else
-    parallel_over_ranges ?metrics pool db c.view.P.base_table
-      (fun ?metrics ~lo ~hi () ->
-        let docs =
-          staged metrics "materialize" (fun () ->
-              P.materialize db ~row_range:(lo, hi) c.view)
-        in
-        staged metrics "vm_transform" (fun () ->
-            List.map
-              (fun doc ->
-                let frag = Xdb_xslt.Vm.transform c.vm_prog doc in
-                Xdb_xml.Serializer.node_list_to_string frag.X.children)
-              docs))
+(* the table a rewrite run splits over: only looked for when [pool] has
+   more than one domain, so a sequential run never walks the plan *)
+let split_table ?pool c =
+  match pool with Some p when Parallel.jobs p > 1 -> partition_table c | _ -> None
 
-(** Domain-parallel {!run_rewrite}: partitions the driving Seq_scan of the
-    SQL/XML plan by row-id ranges ({!Exec.compile}'s [partition]), one
-    compiled execution per range, each with its own streaming sink;
-    per-range results concatenate in row order, so output is
-    byte-identical to sequential.  Falls back to the sequential path when
-    the plan is not partitionable ({!partition_table}) or the pool has one
-    domain. *)
-let run_rewrite_parallel ?metrics ?(streaming = true) ~pool db (c : compiled) : string list =
-  match (c.sql_plan, partition_table c) with
-  | Some plan, Some table when Parallel.jobs pool > 1 ->
-      parallel_over_ranges ?metrics pool db table (fun ?metrics ~lo ~hi () ->
+(** Rewrite evaluation: the SQL/XML plan when available, XQuery stage
+    otherwise.  With [metrics], plan execution time is recorded under
+    [sql_exec] (or the fallback's stages).  [streaming] (default true)
+    routes the plan's XML constructors through the event stream — output
+    is byte-identical to the DOM path, with no per-row result tree.  A
+    multi-domain [pool] splits the driving Seq_scan by row-id ranges when
+    {!partition_table} allows it, one execution per range with its own
+    sink; output is byte-identical to the sequential run. *)
+let run_rewrite ?metrics ?(streaming = true) ?pool db (c : compiled) : string list =
+  match c.sql_plan with
+  | Some plan ->
+      over_ranges ?metrics ?pool db (split_table ?pool c) (fun ?metrics partition ->
           staged metrics "sql_exec" (fun () ->
               result_column
-                (Xdb_rel.Exec.run_arrays db ~xml_streaming:streaming
-                   ~partition:(table, lo, hi) plan)))
-  | _ -> run_rewrite ?metrics ~streaming db c
+                (Xdb_rel.Exec.run_arrays db ~xml_streaming:streaming ?partition plan)))
+  | None -> run_xquery_stage ?metrics db c
 
-(** {!run_rewrite_parallel} with per-operator instrumentation: each domain
-    fills a private {!Xdb_rel.Stats.t}; the collectors are summed by
-    operator id after the join ({!Xdb_rel.Stats.merge_into}), so actual
-    row counts match a sequential analyzed run. *)
-let run_rewrite_parallel_analyzed ?metrics ?(streaming = true) ~pool db (c : compiled) :
+(** Rewrite evaluation with per-operator instrumentation: returns the
+    results and the operator stats when a SQL/XML plan exists.  Split
+    runs fill one {!Xdb_rel.Stats.t} per range and merge them by
+    operator id ({!Xdb_rel.Stats.merge_into}), so actual rows and loops
+    match a sequential run. *)
+let run_rewrite_analyzed ?metrics ?(streaming = true) ?pool db (c : compiled) :
     string list * Xdb_rel.Stats.t option =
-  match (c.sql_plan, partition_table c) with
-  | Some plan, Some table when Parallel.jobs pool > 1 ->
-      let merged = Xdb_rel.Stats.create plan in
-      let lock = Mutex.create () in
-      let out =
-        parallel_over_ranges ?metrics pool db table (fun ?metrics ~lo ~hi () ->
-            let (res, stats) =
-              staged metrics "sql_exec" (fun () ->
-                  Xdb_rel.Exec.run_arrays_analyzed db ~xml_streaming:streaming
-                    ~partition:(table, lo, hi) plan)
-            in
-            let strings = result_column res in
-            Mutex.lock lock;
-            Xdb_rel.Stats.merge_into ~into:merged stats;
-            Mutex.unlock lock;
-            strings)
+  match c.sql_plan with
+  | Some plan -> (
+      let exec ?metrics partition =
+        let out, stats =
+          staged metrics "sql_exec" (fun () ->
+              Xdb_rel.Exec.run_arrays_analyzed db ~xml_streaming:streaming ?partition plan)
+        in
+        (result_column out, stats)
       in
-      (out, Some merged)
-  | _ -> run_rewrite_analyzed ?metrics ~streaming db c
+      match split_table ?pool c with
+      | None ->
+          let out, stats = exec ?metrics None in
+          (out, Some stats)
+      | table ->
+          let merged = Xdb_rel.Stats.create plan and lock = Mutex.create () in
+          let split = split_marks plan in
+          let out =
+            over_ranges ?metrics ?pool db table (fun ?metrics partition ->
+                let out, stats = exec ?metrics partition in
+                Mutex.protect lock (fun () ->
+                    Xdb_rel.Stats.merge_into ~split ~into:merged stats);
+                out)
+          in
+          (out, Some merged))
+  | None -> (run_xquery_stage ?metrics db c, None)
 
 (** Example 2: compose an XQuery child path over the XSLT view result and
     rewrite the composition down to one relational plan (paper Table 11). *)
@@ -379,11 +372,10 @@ let transform_via_xquery (dc : doc_compiled) doc =
     rebuilt.  A document whose stylesheet evaluation leaves the
     relational subset ({!Shred_vm.Fallback}) is reconstructed and run
     through the DOM VM instead, so output is always byte-identical to
-    {!transform_functional} over the original documents.
-
-    The shred handle's step counters are not domain-safe, so the relational
-    path is sequential; a multi-domain [pool] selects the legacy
-    reconstruct-then-VM strategy, domain-parallel across documents.
+    {!transform_functional} over the original documents.  A multi-domain
+    [pool] runs the same per-document evaluation across its domains
+    (stored documents are immutable; the store's step counters are
+    atomic).
 
     Stages: [shred_vm] (plus [reconstruct]/[vm_transform] for fallback
     documents).  Counters: [shred_vm_docs], [shred_vm_fallback_docs],
@@ -391,51 +383,36 @@ let transform_via_xquery (dc : doc_compiled) doc =
     [shred_rel_steps] / [shred_dom_fallbacks]. *)
 let run_shredded ?metrics ?pool (shred : Xdb_rel.Shred.t)
     (prog : Xdb_xslt.Compile.program) docids : string list =
-  let transform_dom docid =
-    let doc =
-      staged metrics "reconstruct" (fun () -> Xdb_rel.Shred.reconstruct shred docid)
-    in
-    staged metrics "vm_transform" (fun () ->
-        let frag = Xdb_xslt.Vm.transform prog doc in
-        Xdb_xml.Serializer.node_list_to_string frag.X.children)
+  let transform ?metrics docid =
+    let count name = Option.iter (fun m -> Metrics.incr m name) metrics in
+    match
+      staged metrics "shred_vm" (fun () ->
+          try Some (Shred_vm.transform_to_string prog shred docid)
+          with Shred_vm.Fallback reason ->
+            Log.debug (fun m -> m "shredded VM fallback for doc %d: %s" docid reason);
+            None)
+    with
+    | Some s ->
+        count "shred_vm_docs";
+        s
+    | None ->
+        count "shred_vm_fallback_docs";
+        let doc =
+          staged metrics "reconstruct" (fun () -> Xdb_rel.Shred.reconstruct shred docid)
+        in
+        staged metrics "vm_transform" (fun () ->
+            let frag = Xdb_xslt.Vm.transform prog doc in
+            Xdb_xml.Serializer.node_list_to_string frag.X.children)
   in
   let c0 = Xdb_rel.Shred.counters shred in
   let out =
     match pool with
-    | Some pool when Parallel.jobs pool > 1 && List.length docids > 1 ->
-        (* Shred.t is not domain-safe: parallel runs keep the legacy
-           reconstruct-then-VM strategy (reconstruction itself stays
-           sequential for the same reason) *)
-        let docs =
-          staged metrics "reconstruct" (fun () ->
-              List.map (Xdb_rel.Shred.reconstruct shred) docids)
-        in
-        staged metrics "vm_transform" (fun () ->
-            Parallel.map_list pool
-              (fun doc ->
-                let frag = Xdb_xslt.Vm.transform prog doc in
-                Xdb_xml.Serializer.node_list_to_string frag.X.children)
-              docs)
-    | _ ->
-        List.map
-          (fun docid ->
-            match
-              staged metrics "shred_vm" (fun () ->
-                  try Some (Shred_vm.transform_to_string prog shred docid)
-                  with Shred_vm.Fallback reason ->
-                    Log.debug (fun m ->
-                        m "shredded VM fallback for doc %d: %s" docid reason);
-                    None)
-            with
-            | Some s ->
-                (match metrics with Some m -> Metrics.incr m "shred_vm_docs" | None -> ());
-                s
-            | None ->
-                (match metrics with
-                | Some m -> Metrics.incr m "shred_vm_fallback_docs"
-                | None -> ());
-                transform_dom docid)
-          docids
+    | Some pool when Parallel.jobs pool > 1 ->
+        let docids = Array.of_list docids in
+        run_tasks ?metrics pool (Array.length docids) (fun ?metrics i ->
+            transform ?metrics docids.(i))
+        |> Array.to_list
+    | _ -> List.map (transform ?metrics) docids
   in
   (match metrics with
   | Some m ->
@@ -485,14 +462,15 @@ let explain (c : compiled) : string =
     render estimated vs actual rows, loops, B-tree probes and wall time
     per operator.  [interpreted] runs the reference assoc-row executor
     instead of the compiled one (the per-operator actual-row counts are
-    identical either way).  Reports the fallback reason when no plan
-    exists. *)
-let explain_analyze ?(interpreted = false) db (c : compiled) : string =
+    identical either way).  A multi-domain [pool] splits the compiled run
+    as {!run_rewrite_analyzed} does; the merged counts match a sequential
+    run.  Reports the fallback reason when no plan exists. *)
+let explain_analyze ?(interpreted = false) ?pool db (c : compiled) : string =
   match c.sql_plan with
   | Some plan ->
       let stats =
         if interpreted then snd (Xdb_rel.Exec.run_interpreted_analyzed db plan)
-        else snd (Xdb_rel.Exec.run_arrays_analyzed db plan)
+        else Option.get (snd (run_rewrite_analyzed ~streaming:false ?pool db c))
       in
       Xdb_rel.Optimizer.explain_analyze db plan stats
   | None ->

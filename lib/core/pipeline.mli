@@ -26,10 +26,12 @@ val compile :
     [parse]/[bytecode]/[schema]/[translate]/[sql_rewrite], plus
     [bytecode_ops]/[xquery_functions]/[sql_rewritable] counters. *)
 
-val run_functional : ?metrics:Metrics.t -> Xdb_rel.Database.t -> compiled -> string list
+val run_functional :
+  ?metrics:Metrics.t -> ?pool:Parallel.t -> Xdb_rel.Database.t -> compiled -> string list
 (** "XSLT no rewrite": materialise each view document, run the XSLTVM.
     One serialized result per base-table row.  Stages: [materialize],
-    [vm_transform].
+    [vm_transform].  A [pool] with more than one domain splits the base
+    rows as {!over_ranges} does.
 
     Prefer {!Engine.transform} with [interpreted = true]: this entry point
     is kept as the facade's engine room (and for existing tests). *)
@@ -40,72 +42,70 @@ val run_xquery_stage : ?metrics:Metrics.t -> Xdb_rel.Database.t -> compiled -> s
     [materialize], [xquery_eval]. *)
 
 val run_rewrite :
-  ?metrics:Metrics.t -> ?streaming:bool -> Xdb_rel.Database.t -> compiled -> string list
+  ?metrics:Metrics.t ->
+  ?streaming:bool ->
+  ?pool:Parallel.t ->
+  Xdb_rel.Database.t ->
+  compiled ->
+  string list
 (** "XSLT rewrite": execute the SQL/XML plan (B-tree access, no input
     materialisation); falls back to {!run_xquery_stage} when no plan
     exists.  Stage: [sql_exec] (or the fallback's stages).  [streaming]
     (default true) makes the plan's XML constructors emit output events
     drained straight into the result buffer — byte-identical to the DOM
-    path ([streaming:false]) with no per-row result tree.
+    path ([streaming:false]) with no per-row result tree.  A [pool] with
+    more than one domain splits the plan's driving Seq_scan by row-id
+    ranges ({!Xdb_rel.Exec.compile}'s [partition]) when
+    {!partition_table} allows it; sequential otherwise.
 
     Prefer {!Engine.transform}: the facade folds [metrics]/[streaming]
-    (and the parallelism knob) into one [run_options] record; this entry
+    (and the [jobs] pool size) into one [run_options] record; this entry
     point remains as its engine room. *)
 
 val run_rewrite_analyzed :
   ?metrics:Metrics.t ->
   ?streaming:bool ->
+  ?pool:Parallel.t ->
   Xdb_rel.Database.t ->
   compiled ->
   string list * Xdb_rel.Stats.t option
 (** {!run_rewrite} with per-operator instrumentation; the stats collector
-    is [None] when the pipeline fell back to the XQuery stage. *)
+    is [None] when the pipeline fell back to the XQuery stage.  A split
+    run sums its per-range collectors by operator id after the join, so
+    actual row counts match a sequential run. *)
 
-(** {1 Domain-parallel evaluation}
+(** {1 Splitting by row ranges}
 
     The rewrite path turns one transform call into a per-base-table-row
-    relational plan (paper §3) — embarrassingly parallel.  These variants
-    split the base table's row ids into contiguous ranges, run one
-    execution per range across a {!Parallel} pool (each with private
-    sinks and collectors), and concatenate results in range order, so
-    output is byte-identical to the sequential paths. *)
+    relational plan (paper §3) — embarrassingly parallel.  Given a
+    {!Parallel} pool of more than one domain, the runs above split the
+    base table's row ids into contiguous ranges, run one execution per
+    range (each with private sinks and collectors), and concatenate
+    results in range order, so output is byte-identical to the
+    sequential run.  [jobs] sizes the pool; it never selects a different
+    evaluation strategy. *)
 
 val partition_table : compiled -> string option
-(** The table whose rows a parallel execution may partition the SQL/XML
+(** The table whose rows a split execution may partition the SQL/XML
     plan over: the view's base table, provided it is the plan's driving
     scan (through Project/Filter/NestedLoop-outer only) and is
     seq-scanned exactly once in the whole tree (correlated subplans
-    included).  [None] otherwise — parallel entry points then fall back
-    to sequential execution. *)
+    included).  [None] otherwise — the rewrite runs then stay
+    sequential. *)
 
-val run_functional_parallel :
-  ?metrics:Metrics.t -> pool:Parallel.t -> Xdb_rel.Database.t -> compiled -> string list
-(** Domain-parallel {!run_functional}: each domain materialises and
-    transforms its own base-row range.  Sequential when the pool has one
-    domain. *)
-
-val run_rewrite_parallel :
+val over_ranges :
   ?metrics:Metrics.t ->
-  ?streaming:bool ->
-  pool:Parallel.t ->
+  ?pool:Parallel.t ->
   Xdb_rel.Database.t ->
-  compiled ->
+  string option ->
+  (?metrics:Metrics.t -> (string * int * int) option -> string list) ->
   string list
-(** Domain-parallel {!run_rewrite}: partitions the plan's driving
-    Seq_scan by row-id ranges ({!Xdb_rel.Exec.compile}'s [partition]).
-    Falls back to the sequential path when {!partition_table} is [None]
-    or the pool has one domain. *)
-
-val run_rewrite_parallel_analyzed :
-  ?metrics:Metrics.t ->
-  ?streaming:bool ->
-  pool:Parallel.t ->
-  Xdb_rel.Database.t ->
-  compiled ->
-  string list * Xdb_rel.Stats.t option
-(** {!run_rewrite_parallel} with per-operator instrumentation; per-domain
-    collectors are summed by operator id after the join, so actual row
-    counts match a sequential analyzed run. *)
+(** [over_ranges ?metrics ?pool db table task] — [task ?metrics None]
+    when [pool] is absent or has one domain, or [table] is [None].
+    Otherwise [task] runs once per contiguous row-id range
+    [Some (table, lo, hi)] of [table] (four per domain) across the pool,
+    each with a private {!Metrics.t} folded into [metrics] after the
+    join; results concatenate in range order. *)
 
 val compose :
   Xdb_rel.Database.t ->
@@ -152,9 +152,9 @@ val run_shredded :
     rebuilt.  A document whose evaluation leaves the relational subset
     ({!Shred_vm.Fallback}) is reconstructed and run through the DOM VM,
     so output is always byte-identical to {!transform_functional} over
-    the original documents.  A multi-domain [pool] selects the legacy
-    reconstruct-then-VM strategy (the shred handle is not domain-safe),
-    parallel across documents.
+    the original documents.  A [pool] with more than one domain runs the
+    same per-document evaluation across its domains, with private
+    {!Metrics.t} collectors merged after the join.
 
     Stages: [shred_vm] (plus [reconstruct]/[vm_transform] for fallback
     documents).  Counters: [shred_vm_docs], [shred_vm_fallback_docs],
@@ -166,9 +166,13 @@ val explain : compiled -> string
 (** Multi-section EXPLAIN: translation mode, execution graph, generated
     XQuery, SQL/XML plan (or the fallback reason). *)
 
-val explain_analyze : ?interpreted:bool -> Xdb_rel.Database.t -> compiled -> string
+val explain_analyze :
+  ?interpreted:bool -> ?pool:Parallel.t -> Xdb_rel.Database.t -> compiled -> string
 (** Execute the SQL/XML plan with instrumentation and render estimated vs
     actual rows, loops, B-tree probes and wall time per operator; reports
     the fallback reason when no plan exists.  [interpreted] (default
     false) runs the reference assoc-row executor instead of the compiled
-    batch executor; per-operator actual-row counts are identical. *)
+    batch executor; per-operator actual-row counts are identical.  A
+    multi-domain [pool] splits the compiled run as
+    {!run_rewrite_analyzed} does; the rendered counts are the merged
+    per-range collectors. *)

@@ -211,19 +211,14 @@ let walk t ~lo ~hi each =
   in
   go t.root
 
-(** [iter_range t ~lo ~hi f] — apply [f key rid] to each entry within the
-    bounds, in key order, row ids under one key in insertion order,
-    materialising nothing. *)
-let iter_range t ~lo ~hi f =
-  walk t ~lo ~hi (fun k -> function [ r ] -> f k r | rids -> List.iter (f k) (List.rev rids))
-
-(** [range t ~lo ~hi] — (key, row-id) pairs in {!iter_range} order. *)
+(** [range t ~lo ~hi] — (key, row-id) pairs within the bounds, in key
+    order, row ids under one key in insertion order. *)
 let range t ~lo ~hi =
   let out = ref [] in
-  iter_range t ~lo ~hi (fun k r -> out := (k, r) :: !out);
+  walk t ~lo ~hi (fun k rids -> List.iter (fun r -> out := (k, r) :: !out) (List.rev rids));
   List.rev !out
 
-(** [range_rids t ~lo ~hi] — row ids only, in {!iter_range} order: the
+(** [range_rids t ~lo ~hi] — row ids only, in {!range} order: the
     batch executor's index-scan cursor.  The walk keeps each key's rid
     list as stored; the array is then allocated at its exact size and
     filled from the back. *)

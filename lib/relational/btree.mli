@@ -40,14 +40,10 @@ val range : t -> lo:bound -> hi:bound -> (key * int) list
 val range_rids : t -> lo:bound -> hi:bound -> int array
 (** Row ids within the bounds, in {!range} order, without the
     intermediate (key, rid) list — the batch executor's index cursor.
-    Counts as one probe. *)
-
-val iter_range : t -> lo:bound -> hi:bound -> (key -> int -> unit) -> unit
-(** Apply [f key rid] to each entry within the bounds, in {!range} order,
-    materialising nothing.  [range], [range_rids] and [iter_range] share
-    one walk: each internal node's children that can intersect the range
-    ([lower_bound lo] to [upper_bound hi]) and each leaf's slice within
-    it are found by binary search.  Counts as one probe. *)
+    Counts as one probe.  [range] and [range_rids] share one walk: each
+    internal node's children that can intersect the range ([lower_bound
+    lo] to [upper_bound hi]) and each leaf's slice within it are found by
+    binary search. *)
 
 val to_list : t -> (key * int) list
 (** All entries in key order. *)

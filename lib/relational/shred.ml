@@ -45,13 +45,21 @@ type doc = {
 type t = {
   docs : (int, doc) Hashtbl.t;
   mutable next_docid : int;
-  mutable n_batch : int;
-  mutable n_rel : int;
-  mutable n_fallback : int;
+  (* step-strategy counters: the only state a read mutates, atomic so
+     reads on several domains at once lose no counts *)
+  n_batch : int Atomic.t;
+  n_rel : int Atomic.t;
+  n_fallback : int Atomic.t;
 }
 
 let create () =
-  { docs = Hashtbl.create 16; next_docid = 1; n_batch = 0; n_rel = 0; n_fallback = 0 }
+  {
+    docs = Hashtbl.create 16;
+    next_docid = 1;
+    n_batch = Atomic.make 0;
+    n_rel = Atomic.make 0;
+    n_fallback = Atomic.make 0;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Shredding                                                           *)
@@ -175,7 +183,11 @@ let stats t =
 type counter_totals = { batch_steps : int; rel_steps : int; dom_fallbacks : int }
 
 let counters t =
-  { batch_steps = t.n_batch; rel_steps = t.n_rel; dom_fallbacks = t.n_fallback }
+  {
+    batch_steps = Atomic.get t.n_batch;
+    rel_steps = Atomic.get t.n_rel;
+    dom_fallbacks = Atomic.get t.n_fallback;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Reconstruction                                                      *)
@@ -358,7 +370,7 @@ let iter_axis t (axis : XA.axis) (c : node) (f : node -> unit) =
 let step_source t (axis : XA.axis) (spec : AR.spec) (c : node) : node list =
   if c.kind = "attr" && not spec.attr_ok then
     unsupported "%s axis from an attribute context node" (XA.axis_name axis);
-  t.n_rel <- t.n_rel + 1;
+  Atomic.incr t.n_rel;
   let acc = ref [] in
   iter_axis t axis c (fun r ->
       if List.for_all (cond_holds c r) spec.conds && row_matches spec r then acc := r :: !acc);
@@ -591,7 +603,7 @@ let batch_ancestor t axis (spec : AR.spec) (ctx : node list) : node list =
   List.sort doc_order_cmp !acc
 
 let batch_axis t axis (spec : AR.spec) (ctx : node list) : node list =
-  t.n_batch <- t.n_batch + 1;
+  Atomic.incr t.n_batch;
   match axis with
   | XA.Self -> List.filter (row_matches spec) ctx
   | XA.Child | XA.Attribute -> batch_child t spec ctx
@@ -981,7 +993,7 @@ let select t ~docid expr_s =
   with Unsupported _ ->
     (* outside the relational subset: answer over a freshly reconstructed
        tree and map the DOM result back through its pre stamps *)
-    t.n_fallback <- t.n_fallback + 1;
+    Atomic.incr t.n_fallback;
     let { rows; row_ix; _ } = doc t docid in
     let nodes = XE.select (XE.make_context (reconstruct t docid)) expr_s in
     List.map

@@ -91,7 +91,10 @@ type counter_totals = {
 
 val counters : t -> counter_totals
 (** Execution-strategy counters since creation — the observability feed
-    of [xdb_cli shred --explain] and the engine metrics. *)
+    of [xdb_cli shred --explain] and the engine metrics.  They are the
+    only state a read mutates, and they count atomically: stored
+    documents never change after {!shred}, so reads may run on several
+    domains at once (writers need exclusive access). *)
 
 val reconstruct : t -> int -> Xdb_xml.Types.node
 (** Rebuild the document tree from its rows (a fresh tree per call;

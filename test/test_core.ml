@@ -840,10 +840,11 @@ let case_env ?(docs = 1) name size =
   let dv = Xdb_xsltmark.Cases.dbview_for ~docs case size in
   (dv.Xdb_xsltmark.Data.db, dv.Xdb_xsltmark.Data.view, case.Xdb_xsltmark.Cases.stylesheet)
 
-(* qcheck differential: the parallel paths must be byte-identical to the
-   sequential ones over every db-capable case — sharded into several
-   documents so partitioning really happens — jobs 2 and 4, with and
-   without ANALYZE statistics *)
+(* qcheck differential: the runs split over a pool must be byte-identical
+   to the sequential ones over every db-capable case — sharded into
+   several documents so partitioning really happens — jobs 2 and 4, with
+   and without ANALYZE statistics; the split instrumented run's merged
+   per-operator rows and loops equal the sequential run's *)
 let prop_parallel_equiv_sequential =
   QCheck.Test.make ~name:"parallel(jobs=2,4) = sequential over db cases" ~count:25
     QCheck.(
@@ -856,9 +857,20 @@ let prop_parallel_equiv_sequential =
       let c = PL.compile db view ss in
       let seq_r = PL.run_rewrite db c in
       let seq_f = PL.run_functional db c in
+      let actuals (out, stats) =
+        ( out,
+          Option.map
+            (fun st ->
+              List.map
+                (fun (e : Xdb_rel.Stats.entry) -> (e.label, e.op.rows, e.op.loops))
+                (Xdb_rel.Stats.entries st))
+            stats )
+      in
+      let seq_a = actuals (PL.run_rewrite_analyzed db c) in
       PAR.with_pool ~jobs (fun pool ->
-          PL.run_rewrite_parallel ~pool db c = seq_r
-          && PL.run_functional_parallel ~pool db c = seq_f))
+          PL.run_rewrite ~pool db c = seq_r
+          && PL.run_functional ~pool db c = seq_f
+          && actuals (PL.run_rewrite_analyzed ~pool db c) = seq_a))
 
 let test_exec_partition () =
   (* the Exec partition hook: per-range executions concatenate to the full
@@ -899,6 +911,36 @@ let test_exec_partition () =
     "merged stats = sequential signature"
     (Xdb_rel.Stats.rows_signature seq_stats)
     (Xdb_rel.Stats.rows_signature merged)
+
+(* a plan driven through a hash join's probe side splits over its base
+   rows; every range rebuilds the whole build side, so the merged stats
+   keep the build side's counters instead of adding them up *)
+let test_split_hash_join_stats () =
+  let db, view = setup_example1 () in
+  let c = PL.compile db view example1_stylesheet in
+  let plan =
+    A.Project
+      ( [ (A.qcol "emp" "ename", "result") ],
+        A.Hash_join
+          {
+            outer = A.Seq_scan { table = "dept"; alias = "dept" };
+            inner = A.Seq_scan { table = "emp"; alias = "emp" };
+            keys = [ (A.qcol "dept" "deptno", A.qcol "emp" "deptno") ];
+            kind = A.Left_outer;
+          } )
+  in
+  let c = { c with PL.sql_plan = Some plan } in
+  check cb "splits over dept" true (PL.partition_table c = Some "dept");
+  let actuals (out, stats) =
+    ( out,
+      List.map
+        (fun (e : Xdb_rel.Stats.entry) -> (e.label, e.op.rows, e.op.loops, e.op.heap_rows))
+        (Xdb_rel.Stats.entries (Option.get stats)) )
+  in
+  let seq = actuals (PL.run_rewrite_analyzed db c) in
+  PAR.with_pool ~jobs:3 (fun pool ->
+      check cb "split run ≡ sequential (output, rows, loops, heap rows)" true
+        (actuals (PL.run_rewrite_analyzed ~pool db c) = seq))
 
 let test_metrics_merge () =
   let a = Xdb_core.Metrics.create () and b = Xdb_core.Metrics.create () in
@@ -953,6 +995,30 @@ let test_registry_concurrent () =
   let after = Xdb_core.Registry.run reg ~view_name:"dept_emp" ~stylesheet:variants.(0) in
   check cb "usable after the hammering" true (after = reference)
 
+(* the [actual=]/[loops=] figures of every EXPLAIN ANALYZE line, in
+   order — what is fixed by the data, with the timings left out *)
+let actuals text =
+  let field key line =
+    let k = String.length key in
+    let rec find i =
+      if i + k > String.length line then None
+      else if String.sub line i k = key then
+        let j = ref (i + k) in
+        while !j < String.length line && line.[!j] >= '0' && line.[!j] <= '9' do
+          incr j
+        done;
+        Some (String.sub line (i + k) (!j - i - k))
+      else find (i + 1)
+    in
+    find 0
+  in
+  List.filter_map
+    (fun line ->
+      match (field "actual=" line, field "loops=" line) with
+      | Some a, Some l -> Some (a ^ "/" ^ l)
+      | _ -> None)
+    (String.split_on_char '\n' text)
+
 let test_engine_facade () =
   let db, view = setup_example1 () in
   let engine = EN.create db in
@@ -1002,10 +1068,17 @@ let test_engine_facade () =
   let ea options =
     EN.explain_analyze ~options engine ~view_name:"dept_emp" ~stylesheet:example1_stylesheet
   in
-  check cb "explain_analyze reports actuals" true
-    (contains "actual=" (ea EN.default_run_options));
-  check cb "parallel explain_analyze reports actuals" true
-    (contains "actual=" (ea { EN.default_run_options with EN.jobs = 3 }));
+  let sequential = ea EN.default_run_options in
+  check cb "explain_analyze reports actuals" true (contains "actual=" sequential);
+  (* the split run's per-range collectors merge by operator id: every
+     operator's actual=/loops= figures equal the sequential run's *)
+  check cb "plan splits by base rows" true
+    (PL.partition_table
+       (PL.compile db view example1_stylesheet)
+     <> None);
+  check (Alcotest.list cs) "parallel explain_analyze reports actuals"
+    (actuals sequential)
+    (actuals (ea { EN.default_run_options with EN.jobs = 3 }));
   check ci "cache served repeated prepares"
     (List.assoc "cache_misses" (EN.registry_counters engine))
     1;
@@ -1160,8 +1233,6 @@ let test_run_source_verb () =
   let all = EN.run engine2 (EN.Shredded None) ~stylesheet:ss in
   let one = EN.run engine2 (EN.Shredded (Some [ id ])) ~stylesheet:ss in
   check (Alcotest.list cs) "Shredded None = all docs" all.EN.output one.EN.output;
-  let wrapper = EN.transform_shredded engine2 ~stylesheet:ss in
-  check (Alcotest.list cs) "wrapper ≡ run" all.EN.output wrapper.EN.output;
   (* storing another document bumps the store's data version, so the
      cached all-documents result is invalidated, not served stale *)
   ignore (EN.store_shredded engine2 (Xdb_xsltmark.Data.records_doc 5));
@@ -1181,14 +1252,17 @@ let test_engine_shredded () =
   check (Alcotest.list ci) "docids are sequential" [ 1; 2; 3 ] ids;
   let dc = PL.compile_for_document identity_stylesheet ~example_doc:(List.hd docs) in
   let direct = List.map (PL.transform_functional dc) docs in
-  let r = EN.transform_shredded engine ~stylesheet:identity_stylesheet in
+  let shredded ?options ?docids engine =
+    EN.run ?options engine (EN.Shredded docids) ~stylesheet:identity_stylesheet
+  in
+  let r = shredded engine in
   check (Alcotest.list cs) "shredded transform ≡ direct VM transform" direct r.EN.output;
   (* sequential path: the relational VM handles every doc, batched *)
   (* metric-asserting reruns must recompute, not serve the cached bytes *)
   let rm =
-    EN.transform_shredded
+    shredded
       ~options:{ EN.default_run_options with EN.collect_metrics = true; result_cache = false }
-      engine ~stylesheet:identity_stylesheet
+      engine
   in
   check (Alcotest.list cs) "metrics run identical" direct rm.EN.output;
   (match rm.EN.metrics with
@@ -1205,19 +1279,7 @@ let test_engine_shredded () =
       check ci "no per-doc DOM fallback" 0 (ctr "shred_vm_fallback_docs");
       check cb "steps evaluated batched" true (ctr "shred_batch_steps" > 0);
       check ci "no per-context DOM fallback" 0 (ctr "shred_dom_fallbacks"));
-  let rp =
-    EN.transform_shredded
-      ~options:
-        { EN.default_run_options with EN.jobs = 3; collect_metrics = true; result_cache = false }
-      engine ~stylesheet:identity_stylesheet
-  in
-  check (Alcotest.list cs) "parallel shredded transform identical" direct rp.EN.output;
-  (match rp.EN.metrics with
-  | None -> Alcotest.fail "metrics requested but absent"
-  | Some m ->
-      check cb "reconstruct stage timed" true
-        (List.mem_assoc "reconstruct" (Xdb_core.Metrics.stages m)));
-  let r2 = EN.transform_shredded ~docids:[ 2 ] engine ~stylesheet:identity_stylesheet in
+  let r2 = shredded ~docids:[ 2 ] engine in
   check (Alcotest.list cs) "docids narrow the run" [ List.nth direct 1 ] r2.EN.output;
   (* relational XPath over the store answers like the DOM interpreter *)
   let q = "//row[2]/id" in
@@ -1229,8 +1291,60 @@ let test_engine_shredded () =
   (* an empty store transforms to nothing rather than failing *)
   let empty = EN.create (Xdb_rel.Database.create ()) in
   check (Alcotest.list cs) "empty store" []
-    (EN.transform_shredded empty ~stylesheet:identity_stylesheet).EN.output;
+    (shredded empty).EN.output;
   EN.shutdown empty;
+  EN.shutdown engine
+
+(* a shredded run over a pool runs each document's shredded VM (or its
+   per-document fallback) on the pool's domains: same bytes and the same
+   step-strategy totals as the sequential run.  Only the document with a
+   [special] element leaves the relational subset — its template reads a
+   constructed fragment variable inside an expression *)
+let test_shredded_parallel () =
+  let engine = EN.create (Xdb_rel.Database.create ()) in
+  let docs =
+    List.map Xdb_xml.Parser.parse
+      [
+        "<r><a>1</a><a>2</a></r>";
+        "<r><a>3</a><special>x</special><a>4</a></r>";
+        "<r><a>5</a></r>";
+      ]
+    @ [ Xdb_xsltmark.Data.records_doc 12 ]
+  in
+  List.iter (fun d -> ignore (EN.store_shredded engine d)) docs;
+  let ss =
+    {|<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+<xsl:template match="/*"><out><xsl:apply-templates select="*"/></out></xsl:template>
+<xsl:template match="a"><v><xsl:value-of select="."/></v></xsl:template>
+<xsl:template match="special"><xsl:variable name="f"><w><xsl:value-of select="."/></w></xsl:variable><s><xsl:value-of select="concat(string($f), '!')"/></s></xsl:template>
+</xsl:stylesheet>|}
+  in
+  let expected =
+    List.map
+      (fun d -> PL.transform_functional (PL.compile_for_document ss ~example_doc:d) d)
+      docs
+  in
+  let run jobs =
+    let r =
+      EN.run
+        ~options:
+          { EN.default_run_options with EN.jobs; collect_metrics = true; result_cache = false }
+        engine (EN.Shredded None) ~stylesheet:ss
+    in
+    let m = Option.get r.EN.metrics in
+    let ctr name = Option.value ~default:0 (List.assoc_opt name (Xdb_core.Metrics.counters m)) in
+    (r.EN.output, ctr)
+  in
+  let seq, seq_ctr = run 1 in
+  check (Alcotest.list cs) "sequential ≡ DOM VM" expected seq;
+  check ci "one document fell back" 1 (seq_ctr "shred_vm_fallback_docs");
+  let par, par_ctr = run 3 in
+  check (Alcotest.list cs) "jobs=3 ≡ jobs=1" seq par;
+  List.iter
+    (fun name -> check ci (name ^ " total") (seq_ctr name) (par_ctr name))
+    [ "shred_batch_steps"; "shred_rel_steps"; "shred_dom_fallbacks"; "shred_vm_fallback_docs" ];
+  check ci "every document counted once" (List.length docs)
+    (par_ctr "shred_vm_docs" + par_ctr "shred_vm_fallback_docs");
   EN.shutdown engine
 
 (* every XSLTMark case through the shredded path: byte-identical to the
@@ -1249,9 +1363,11 @@ let test_shredded_xsltmark_parity () =
       let dc = PL.compile_for_document c.MK.stylesheet ~example_doc:doc in
       let expected = PL.transform_functional dc doc in
       let r =
-        EN.transform_shredded
+        EN.run
           ~options:{ EN.default_run_options with EN.collect_metrics = true }
-          ~docids:[ docid ] engine ~stylesheet:c.MK.stylesheet
+          engine
+          (EN.Shredded (Some [ docid ]))
+          ~stylesheet:c.MK.stylesheet
       in
       check (Alcotest.list cs) ("shredded ≡ DOM: " ^ c.MK.name) [ expected ] r.EN.output;
       incr total;
@@ -1741,10 +1857,12 @@ let () =
           Alcotest.test_case "pool run / map_list" `Quick test_pool_run;
           Alcotest.test_case "pool exceptions & shutdown" `Quick test_pool_exception;
           Alcotest.test_case "Exec partition windows" `Quick test_exec_partition;
+          Alcotest.test_case "split hash-join stats" `Quick test_split_hash_join_stats;
           Alcotest.test_case "Metrics merge" `Quick test_metrics_merge;
           Alcotest.test_case "registry under contention" `Quick test_registry_concurrent;
           Alcotest.test_case "Engine facade" `Quick test_engine_facade;
           Alcotest.test_case "Engine shredded storage" `Quick test_engine_shredded;
+          Alcotest.test_case "shredded runs over a pool" `Quick test_shredded_parallel;
           Alcotest.test_case "shredded XSLTMark parity" `Quick
             test_shredded_xsltmark_parity;
           Alcotest.test_case "Xdb_error boundary" `Quick test_xdb_error;

@@ -162,7 +162,7 @@ let prop_btree_remove_model =
       && in_range 0 30 = model_range 0 30
       && in_range 5 15 = model_range 5 15)
 
-(* qcheck: the range walk ([range], [range_rids], [iter_range]) against
+(* qcheck: the range walk ([range], [range_rids]) against
    a model list under random inserts and removes.  Keys mix NULL, Int,
    Float and Str (Int 2 and Float 2. are one key) from a domain wide
    enough for three-level trees and narrow enough for duplicates;
@@ -283,20 +283,12 @@ let prop_btree_range_walk =
              in
              let ranged, p1, n1 = probe (fun () -> BT.range t ~lo ~hi) in
              let rids, p2, n2 = probe (fun () -> BT.range_rids t ~lo ~hi) in
-             let iterated, p3, n3 =
-               probe (fun () ->
-                   let acc = ref [] in
-                   BT.iter_range t ~lo ~hi (fun k r -> acc := (k, r) :: !acc);
-                   List.rev !acc)
-             in
              (same_entries ranged want || QCheck.Test.fail_report "range differs from the model")
              && (Array.to_list rids = List.map snd want
                 || QCheck.Test.fail_report "range_rids differs from the model")
-             && (same_entries iterated want
-                || QCheck.Test.fail_report "iter_range differs from the model")
-             && ((p1, p2, p3) = (1, 1, 1) || QCheck.Test.fail_report "a walk is not one probe")
-             && ((n1, n2, n3) = (visits, visits, visits)
-                || QCheck.Test.fail_reportf "node visits %d/%d/%d, reference %d" n1 n2 n3 visits))
+             && ((p1, p2) = (1, 1) || QCheck.Test.fail_report "a walk is not one probe")
+             && ((n1, n2) = (visits, visits)
+                || QCheck.Test.fail_reportf "node visits %d/%d, reference %d" n1 n2 visits))
            ((BT.Unbounded, BT.Unbounded) :: probes))
 
 (* ------------------------------------------------------------------ *)
@@ -1588,8 +1580,8 @@ let test_shred_roundtrip () =
     (List.length (SH.select t ~docid:id "//a/namespace::node()"));
   check ci "without a DOM fallback" 0 (SH.counters t).SH.dom_fallbacks
 
-(* queries covering every supported axis and predicate form, plus a few
-   that must fall back to the DOM interpreter *)
+(* queries covering every supported axis and predicate form, all
+   answered relationally ([contains]/[starts-with] included) *)
 let diff_exprs =
   [
     "/a"; "//*"; "//node()"; "//text()"; "//a"; "//a/b"; "//a/@id"; "//@id";
@@ -1598,21 +1590,31 @@ let diff_exprs =
     "//a/descendant::text()"; "//a/descendant-or-self::*"; "//a/parent::*";
     "//a/following-sibling::*"; "//a/preceding-sibling::*[1]"; "//b/following::text()";
     "//b/preceding::*"; "//a[.='7']"; "//a[b='7']"; "//a[not(@id)]"; "//*[count(b)>1]";
-    (* outside the relational subset: DOM fallback, still byte-identical *)
     "//a[contains(.,'1')]"; "//a[starts-with(name(),'a')]";
   ]
 
-let shred_matches_dom doc exprs =
+(* expressions that are not location paths leave the relational subset:
+   [Shred.select] answers them over a reconstructed tree and maps the
+   nodes back through their pre stamps (its DOM fallback) *)
+let fallback_exprs = [ "//*[contains(.,'1')] | //@id"; "//b | //a/text()"; "(//a)[2]" ]
+
+(* each query's answer is byte-identical to the DOM interpreter's; with
+   [fallback], each took the DOM fallback exactly when it says so *)
+let shred_matches_dom ?fallback doc exprs =
   let t = SH.create () in
   let docid = SH.shred t doc in
   let ctx = Xdb_xpath.Eval.make_context doc in
   List.for_all
     (fun q ->
+      let before = (SH.counters t).SH.dom_fallbacks in
       let shredded = SH.serialize t (SH.select t ~docid q) in
+      let fell_back = (SH.counters t).SH.dom_fallbacks > before in
       let dom = SH.serialize_dom (Xdb_xpath.Eval.select ctx q) in
-      shredded = dom
+      (shredded = dom
       || QCheck.Test.fail_reportf "query %s: shredded %s / dom %s" q
            (String.concat "|" shredded) (String.concat "|" dom))
+      && (Option.fold ~none:true ~some:(( = ) fell_back) fallback
+         || QCheck.Test.fail_reportf "query %s: DOM fallback %b" q fell_back))
     exprs
 
 let gen_doc : X.node QCheck.Gen.t =
@@ -1647,7 +1649,9 @@ let prop_shred_roundtrip =
 let prop_shred_differential =
   QCheck.Test.make ~name:"shredded ≡ DOM interpreter over random documents" ~count:25
     (QCheck.make gen_doc ~print:Xdb_xml.Serializer.to_string)
-    (fun doc -> shred_matches_dom doc diff_exprs)
+    (fun doc ->
+      shred_matches_dom ~fallback:false doc diff_exprs
+      && shred_matches_dom ~fallback:true doc fallback_exprs)
 
 (* differential over every axis in the batch subset: the set-at-a-time
    evaluator and the DOM interpreter must agree byte-for-byte, including
