@@ -118,10 +118,6 @@ let run pool f n =
       results
   end
 
-let map_list pool f xs =
-  let arr = Array.of_list xs in
-  Array.to_list (run pool (fun i -> f arr.(i)) (Array.length arr))
-
 let chunk_ranges ~total ~chunks =
   if total <= 0 then []
   else

@@ -34,10 +34,6 @@ val run : t -> (int -> 'a) -> int -> 'a array
     Tasks must not themselves call {!run} on the same pool. If one or more
     tasks raise, the first exception observed is re-raised after the join. *)
 
-val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-(** [map_list pool f xs] is [run] over the elements of [xs], preserving
-    order. *)
-
 val chunk_ranges : total:int -> chunks:int -> (int * int) list
 (** [chunk_ranges ~total ~chunks] splits [0 .. total-1] into at most
     [chunks] contiguous half-open ranges [(lo, hi)] covering the interval

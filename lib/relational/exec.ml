@@ -107,6 +107,27 @@ let note_order (sop : Stats.op_stats option) presorted =
 
 let dir_cmp d c = match d with Asc -> c | Desc -> -c
 
+(* the B-tree bounds of an index scan over [col], which stands for SQL
+   comparisons ([Value.compare_sql]): none is true against NULL, so a
+   NULL bound selects nothing and an open lower end starts above the NULL
+   keys (they sort first); a string compares with a numeric column as a
+   number *)
+let sql_bounds (col : Table.column) lo hi =
+  let key = function
+    | Value.Str _ as v when col.Table.col_type <> Value.Tstr -> Value.Float (Value.to_float v)
+    | v -> v
+  in
+  let bound = function
+    | Btree.Inclusive Value.Null | Btree.Exclusive Value.Null -> None
+    | Btree.Inclusive v -> Some (Btree.Inclusive (key v))
+    | Btree.Exclusive v -> Some (Btree.Exclusive (key v))
+    | Btree.Unbounded -> Some Btree.Unbounded
+  in
+  match (bound lo, bound hi) with
+  | Some Btree.Unbounded, Some hi -> Some (Btree.Exclusive Value.Null, hi)
+  | Some lo, Some hi -> Some (lo, hi)
+  | _ -> None
+
 (* ------------------------------------------------------------------ *)
 (* Hash-join key hashing (shared by both executors)                    *)
 (* ------------------------------------------------------------------ *)
@@ -336,7 +357,9 @@ and run_node ctx (outer : row) (p : plan) : row list =
             | Incl e -> Btree.Inclusive (eval_expr_in ctx outer e)
             | Excl e -> Btree.Exclusive (eval_expr_in ctx outer e)
           in
-          Btree.range idx.Table.tree ~lo:(bound lo) ~hi:(bound hi)
+          (match sql_bounds tbl.Table.columns.(idx.Table.idx_pos) (bound lo) (bound hi) with
+          | None -> []
+          | Some (lo, hi) -> Btree.range idx.Table.tree ~lo ~hi)
           |> List.map (fun (_, rid) -> scan_bindings tbl alias (Table.row tbl rid) @ outer))
   | Filter (cond, input) ->
       List.filter (fun r -> bool_of_value (eval_expr_in ctx r cond)) (run_in ctx ~outer input)
@@ -631,7 +654,20 @@ type cctx = {
          half-open row-id range [lo, hi).  Domain-parallel execution
          compiles one plan per range; the caller guarantees [table] is the
          plan's single driving scan (Pipeline.partition_table). *)
+  crowid : bool;
+      (* the plan projects [rowid_column]: scans append each row's id as
+         one more own slot (a copy of the row); otherwise they hand out
+         the table's own arrays *)
 }
+
+let rowid_column = "$rowid"
+
+(* does the top projection of [p] list [rowid_column]?  That is how a
+   DML plan asks for row ids; no other plan reads them *)
+let reads_rowid = function
+  | Project (fields, _) ->
+      List.exists (function Col (_, c), _ -> c = rowid_column | _ -> false) fields
+  | _ -> false
 
 let resolve_slot lay alias name =
   match Layout.slot_opt lay ?alias name with
@@ -672,6 +708,22 @@ let chunked_cursor ~batch ~count ~get : cursor =
       let base = !pos in
       pos := base + len;
       Some (Array.init len (fun j -> get (base + j))))
+
+(* a scan over [tbl]: its layout (the columns, then [rowid_column] when
+   the plan reads it, then the environment's), its own width, and its row
+   for a row id — the table's own array unless the id is appended *)
+let scan_parts ctx (tbl : Table.t) alias outer_lay =
+  let names = Array.map (fun c -> c.Table.col_name) tbl.Table.columns in
+  let n = Array.length names in
+  let cols = Layout.of_columns ~alias names in
+  if ctx.crowid then
+    ( Layout.concat (Layout.concat cols (Layout.of_bindings [ rowid_column ])) outer_lay,
+      n + 1,
+      fun rid ->
+        let out = Array.make (n + 1) (Value.Int rid) in
+        Array.blit (Table.unsafe_row tbl rid) 0 out 0 n;
+        out )
+  else (Layout.concat cols outer_lay, n, Table.unsafe_row tbl)
 
 (* [with_env own env r] — the first [own] slots of [r], then [env]: the
    environment a subplan opens on, or a joined row.  Shares [r] or [env]
@@ -1167,8 +1219,7 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
     match p with
     | Seq_scan { table; alias } ->
         let tbl = Database.table ctx.cdb table in
-        let names = Array.map (fun c -> c.Table.col_name) tbl.Table.columns in
-        let lay = Layout.concat (Layout.of_columns ~alias names) outer_lay in
+        let lay, own, row = scan_parts ctx tbl alias outer_lay in
         (* row-id window of this scan: the whole table, unless it is the
            partitioned driving scan of a domain-parallel execution *)
         let base, count =
@@ -1182,9 +1233,9 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
           (match sopt with
           | Some s -> s.Stats.heap_rows <- s.Stats.heap_rows + count ()
           | None -> ());
-          chunked_cursor ~batch:ctx.cbatch ~count ~get:(fun i -> Table.unsafe_row tbl (base + i))
+          chunked_cursor ~batch:ctx.cbatch ~count ~get:(fun i -> row (base + i))
         in
-        { c_layout = lay; c_own = Array.length names; c_open = open_ }
+        { c_layout = lay; c_own = own; c_open = open_ }
     | Index_scan { table; alias; index_column; lo; hi } ->
         let tbl = Database.table ctx.cdb table in
         let idx =
@@ -1192,8 +1243,7 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
           | Some i -> i
           | None -> err "no index on %s.%s" table index_column
         in
-        let names = Array.map (fun c -> c.Table.col_name) tbl.Table.columns in
-        let lay = Layout.concat (Layout.of_columns ~alias names) outer_lay in
+        let lay, own, row = scan_parts ctx tbl alias outer_lay in
         (* bounds are correlation expressions: compiled against the outer
            layout (no own slots), evaluated once per open on the
            environment *)
@@ -1207,10 +1257,15 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
               fun env -> Btree.Exclusive (f env env)
         in
         let blo = cbound lo and bhi = cbound hi in
+        let col = tbl.Table.columns.(idx.Table.idx_pos) in
         let open_ env =
           let tree = idx.Table.tree in
           let probes0 = Btree.probes tree and nodes0 = Btree.node_visits tree in
-          let rids = Btree.range_rids tree ~lo:(blo env) ~hi:(bhi env) in
+          let rids =
+            match sql_bounds col (blo env) (bhi env) with
+            | None -> [||]
+            | Some (lo, hi) -> Btree.range_rids tree ~lo ~hi
+          in
           (match sopt with
           | Some s ->
               s.Stats.btree_probes <- s.Stats.btree_probes + (Btree.probes tree - probes0);
@@ -1219,9 +1274,9 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
           | None -> ());
           chunked_cursor ~batch:ctx.cbatch
             ~count:(fun () -> Array.length rids)
-            ~get:(fun i -> Table.unsafe_row tbl rids.(i))
+            ~get:(fun i -> row rids.(i))
         in
-        { c_layout = lay; c_own = Array.length names; c_open = open_ }
+        { c_layout = lay; c_own = own; c_open = open_ }
     | Filter (cond, input) ->
         let ci = cplan ctx outer_lay input in
         let fc = cpred ctx ci.c_layout ci.c_own cond in
@@ -1519,6 +1574,7 @@ let compile db ?stats ?(outer = Layout.empty) ?(batch_size = default_batch_size)
       cbatch = max 1 batch_size;
       cxml_streaming = xml_streaming;
       cpartition = partition;
+      crowid = reads_rowid p;
     }
     outer p
 

@@ -47,6 +47,13 @@ val scan_bindings : Table.t -> string -> Value.t array -> row
 val default_batch_size : int
 (** Rows per batch exchanged between operators (1024). *)
 
+val rowid_column : string
+(** A hidden column of the compiled scans: the row id of the table row,
+    as an [Int].  The SQL grammar cannot name it.  A plan whose top
+    [Project] lists it (a DML row selection) can read it anywhere; its
+    scans copy each row with the id appended.  Every other plan's scans
+    hand out the table's own row arrays, and the name is unknown there. *)
+
 type compiled
 (** A plan after the column-resolution pass: fixed output layout,
     expressions compiled to closures, ready to open. *)

@@ -369,12 +369,16 @@ let iter_axis t (axis : XA.axis) (c : node) (f : node -> unit) =
    {!AR} conditions and the kind/name test, in proximity order *)
 let step_source t (axis : XA.axis) (spec : AR.spec) (c : node) : node list =
   if c.kind = "attr" && not spec.attr_ok then
-    unsupported "%s axis from an attribute context node" (XA.axis_name axis);
-  Atomic.incr t.n_rel;
-  let acc = ref [] in
-  iter_axis t axis c (fun r ->
-      if List.for_all (cond_holds c r) spec.conds && row_matches spec r then acc := r :: !acc);
-  if spec.reverse then !acc else List.rev !acc
+    match axis with
+    (* an attribute has no siblings (XPath 1.0 §2.2) *)
+    | XA.Following_sibling | XA.Preceding_sibling -> []
+    | _ -> unsupported "%s axis from an attribute context node" (XA.axis_name axis)
+  else (
+    Atomic.incr t.n_rel;
+    let acc = ref [] in
+    iter_axis t axis c (fun r ->
+        if List.for_all (cond_holds c r) spec.conds && row_matches spec r then acc := r :: !acc);
+    if spec.reverse then !acc else List.rev !acc)
 
 (* ---- the relational expression subset (mirrors Eval/Value semantics) - *)
 

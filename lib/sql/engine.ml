@@ -130,56 +130,6 @@ let run_analyze db target : result =
 (* DML                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* row-context evaluation of the restricted expression grammar: SET
-   right-hand sides and WHERE predicates over the target table's row.
-   Comparisons yield Int 1/0; NULL propagates SQL-style (a comparison
-   against NULL is false, arithmetic over NULL is NULL). *)
-let rec eval_row (tbl : T.t) (row : V.t array) = function
-  | Col (_, c) -> row.(col_pos tbl c)
-  | Str_lit s -> V.Str s
-  | Int_lit i -> V.Int i
-  | Null_lit -> V.Null
-  | Star -> err "* is not a value"
-  | Xml_transform _ | Xml_query _ -> err "XML functions are not supported in DML"
-  | Binop (op, a, b) -> (
-      let va = eval_row tbl row a and vb = eval_row tbl row b in
-      let bool_v b = if b then V.Int 1 else V.Int 0 in
-      let cmp f = bool_v (match V.compare_sql va vb with Some c -> f c | None -> false) in
-      let truthy = function
-        | V.Null | V.Int 0 -> false
-        | V.Float f -> f <> 0.0
-        | _ -> true
-      in
-      let arith fi ff =
-        match (va, vb) with
-        | V.Null, _ | _, V.Null -> V.Null
-        | V.Int x, V.Int y -> V.Int (fi x y)
-        | (V.Int _ | V.Float _), (V.Int _ | V.Float _) ->
-            V.Float (ff (V.to_float va) (V.to_float vb))
-        | _ -> err "arithmetic over non-numeric values"
-      in
-      match op with
-      | Eq -> cmp (fun c -> c = 0)
-      | Neq -> cmp (fun c -> c <> 0)
-      | Lt -> cmp (fun c -> c < 0)
-      | Leq -> cmp (fun c -> c <= 0)
-      | Gt -> cmp (fun c -> c > 0)
-      | Geq -> cmp (fun c -> c >= 0)
-      | And -> bool_v (truthy va && truthy vb)
-      | Or -> bool_v (truthy va || truthy vb)
-      | Add -> arith ( + ) ( +. )
-      | Sub -> arith ( - ) ( -. )
-      | Mul -> arith ( * ) ( *. )
-      | Div ->
-          if (match vb with V.Int 0 -> true | V.Float 0.0 -> true | _ -> false) then
-            err "division by zero"
-          else arith ( / ) ( /. ))
-
-let truthy = function
-  | V.Null | V.Int 0 -> false
-  | V.Float f -> f <> 0.0
-  | _ -> true
-
 (* coerce an evaluated value to the column's declared type, or fail the
    whole statement — called during the validation phase, before any
    mutation *)
@@ -194,10 +144,12 @@ let coerce_to_column tbl (col : T.column) v =
       err "type mismatch for %s.%s: %s value does not fit %s" tbl.T.tbl_name col.T.col_name
         (V.value_type_name v) (V.type_name col.T.col_type)
 
-let dml_note db table verb n =
-  Printf.sprintf "%d row(s) %s, %s data version %d%s" n verb table
+(* the note ends with the plan that picked the rows, if any *)
+let dml_note ?selection db table verb n =
+  Printf.sprintf "%d row(s) %s, %s data version %d%s%s" n verb table
     (Xdb_rel.Database.data_version db table)
     (if Xdb_rel.Database.stats_stale db table then " (statistics stale)" else "")
+    (match selection with Some p -> "; selection: " ^ A.plan_sql p | None -> "")
 
 let affected n note = { columns = [ "rows_affected" ]; rows = [ [ V.Int n ] ]; note = Some note }
 
@@ -205,6 +157,23 @@ let target_table db name =
   match Xdb_rel.Database.table_opt db name with
   | Some t -> t
   | None -> err "unknown table %S" name
+
+(* drain a DML plan on the compiled executor, before anything mutates:
+   its faults (unknown columns, division by zero, bad casts) fail the
+   statement *)
+let drain db plan =
+  try snd (E.run_arrays db plan) with E.Exec_error m | V.Type_error m -> err "%s" m
+
+(* the rows [where] picks, optimised like a SELECT (so a keyed predicate
+   becomes an index probe): each row's id, then the [fields] *)
+let selection db table where fields =
+  let scan = A.Seq_scan { table; alias = table } in
+  let filtered = match where with None -> scan | Some w -> A.Filter (plain_expr w, scan) in
+  let rid = (A.Col (None, E.rowid_column), E.rowid_column) in
+  Xdb_rel.Optimizer.optimize_deep db (A.Project (rid :: fields, filtered))
+
+(* the row id a selection row leads with *)
+let rid_of (r : V.t array) = match r.(0) with V.Int rid -> rid | _ -> assert false
 
 let run_insert db ~table ~columns ~values : result =
   let tbl = target_table db table in
@@ -215,27 +184,21 @@ let run_insert db ~table ~columns ~values : result =
     | None -> Array.init ncols (fun i -> i)
     | Some cols -> Array.of_list (List.map (col_pos tbl) cols)
   in
-  let rec check_const = function
-    | Col _ -> err "INSERT values must be constant expressions"
-    | Binop (_, a, b) ->
-        check_const a;
-        check_const b
-    | _ -> ()
-  in
-  let dummy = [||] in
   let rows =
     List.map
       (fun exprs ->
         if List.length exprs <> Array.length positions then
           err "INSERT arity mismatch: %d value(s) for %d column(s)" (List.length exprs)
             (Array.length positions);
+        (* constant expressions: projected over one row of no columns *)
+        let fields =
+          List.mapi (fun i e -> (plain_expr e, tbl.T.columns.(positions.(i)).T.col_name)) exprs
+        in
+        let vals = List.hd (drain db (A.Project (fields, A.Values { cols = []; rows = [ [] ] }))) in
         let row = Array.make ncols V.Null in
-        List.iteri
-          (fun i e ->
-            check_const e;
-            let pos = positions.(i) in
-            row.(pos) <- coerce_to_column tbl tbl.T.columns.(pos) (eval_row tbl dummy e))
-          exprs;
+        Array.iteri
+          (fun i pos -> row.(pos) <- coerce_to_column tbl tbl.T.columns.(pos) vals.(i))
+          positions;
         row)
       values
   in
@@ -249,41 +212,31 @@ let run_update db ~table ~sets ~where : result =
   let tbl = target_table db table in
   (* phase 1: resolve SET columns, select rows, evaluate and coerce every
      new value — any failure leaves the table untouched *)
-  let sets =
+  let targets = List.map (fun (c, _) -> col_pos tbl c) sets in
+  let plan = selection db table where (List.map (fun (c, e) -> (plain_expr e, c)) sets) in
+  let pending =
     List.map
-      (fun (c, e) ->
-        let pos = col_pos tbl c in
-        (pos, tbl.T.columns.(pos), e))
-      sets
+      (fun r ->
+        ( rid_of r,
+          List.mapi (fun i pos -> (pos, coerce_to_column tbl tbl.T.columns.(pos) r.(i + 1))) targets
+        ))
+      (drain db plan)
+    (* in heap order whatever the access path, so B-tree entries of
+       duplicate keys are re-inserted in the order a full scan gives *)
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   in
-  let pending = ref [] in
-  T.iter
-    (fun rid row ->
-      let matches = match where with None -> true | Some w -> truthy (eval_row tbl row w) in
-      if matches then
-        let news =
-          List.map (fun (pos, col, e) -> (pos, coerce_to_column tbl col (eval_row tbl row e))) sets
-        in
-        pending := (rid, news) :: !pending)
-    tbl;
   (* phase 2: mutate (index maintenance inside Table.update) *)
-  let pending = List.rev !pending in
   List.iter (fun (rid, news) -> T.update tbl rid news) pending;
   let n = List.length pending in
   if n > 0 then Xdb_rel.Database.bump_data_version db table;
-  affected n (dml_note db table "updated" n)
+  affected n (dml_note ~selection:plan db table "updated" n)
 
 let run_delete db ~table ~where : result =
   let tbl = target_table db table in
-  let rids = ref [] in
-  T.iter
-    (fun rid row ->
-      let matches = match where with None -> true | Some w -> truthy (eval_row tbl row w) in
-      if matches then rids := rid :: !rids)
-    tbl;
-  let n = T.delete tbl (List.rev !rids) in
+  let plan = selection db table where [] in
+  let n = T.delete tbl (List.map rid_of (drain db plan)) in
   if n > 0 then Xdb_rel.Database.bump_data_version db table;
-  affected n (dml_note db table "deleted" n)
+  affected n (dml_note ~selection:plan db table "deleted" n)
 
 (** [run_dml db stmt] — execute one INSERT/UPDATE/DELETE.  Validation is
     two-phase: positions, arities and value types are all checked before

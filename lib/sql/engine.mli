@@ -41,11 +41,15 @@ val run_analyze : Xdb_rel.Database.t -> string option -> result
 val run_dml : Xdb_rel.Database.t -> Ast.statement -> result
 (** Execute one INSERT/UPDATE/DELETE against its target table, with
     index maintenance and a [data_version] bump when at least one row
-    changed.  Validation is two-phase: column positions, arities and
-    value types are all checked {e before} the first row mutates, so a
-    failed statement leaves the table and its data version untouched.
-    The result is one [rows_affected] row; the note reports the table's
-    new data version (and whether its statistics went stale).
+    changed.  UPDATE and DELETE pick their rows with an optimised plan
+    on the compiled executor (a keyed WHERE is an index probe), which
+    also evaluates SET and VALUES expressions, with the executor's
+    semantics.  Validation is two-phase: column positions, arities,
+    expression evaluation and value types are all done {e before} the
+    first row mutates, so a failed statement leaves the table and its
+    data version untouched.  The result is one [rows_affected] row; the
+    note reports the table's new data version (and whether its
+    statistics went stale) and, for UPDATE/DELETE, the selection plan.
     @raise Sql_error / [Table_error] on validation failures;
     [Invalid_argument] if the statement is not DML. *)
 

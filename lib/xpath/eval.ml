@@ -54,6 +54,8 @@ let axis_nodes axis n =
   | Descendant_or_self -> n :: T.descendants n
   | Ancestor -> ancestors n []
   | Ancestor_or_self -> n :: ancestors n []
+  (* an attribute has no siblings (§2.2), though its owner is its parent *)
+  | (Following_sibling | Preceding_sibling) when T.is_attribute n -> []
   | Following_sibling -> (
       match n.T.parent with
       | None -> []

@@ -801,8 +801,6 @@ let test_pool_run () =
       (* deterministic index order regardless of executing domain *)
       let r = PAR.run pool (fun i -> i * i) 100 in
       Array.iteri (fun i v -> check ci "ordered result" (i * i) v) r;
-      check (Alcotest.list cs) "map_list preserves order" [ "a!"; "b!"; "c!" ]
-        (PAR.map_list pool (fun s -> s ^ "!") [ "a"; "b"; "c" ]);
       check cb "empty run" true (PAR.run pool (fun i -> i) 0 = [||]);
       (* the pool is reusable across runs *)
       check ci "second run" 10 (Array.length (PAR.run pool (fun i -> i) 10)));
@@ -1854,7 +1852,7 @@ let () =
       ( "parallel",
         [
           Alcotest.test_case "chunk_ranges" `Quick test_chunk_ranges;
-          Alcotest.test_case "pool run / map_list" `Quick test_pool_run;
+          Alcotest.test_case "pool run" `Quick test_pool_run;
           Alcotest.test_case "pool exceptions & shutdown" `Quick test_pool_exception;
           Alcotest.test_case "Exec partition windows" `Quick test_exec_partition;
           Alcotest.test_case "split hash-join stats" `Quick test_split_hash_join_stats;

@@ -1678,7 +1678,7 @@ let prop_shred_batch_differential =
 
 (* positional predicates take the per-context walk on every axis; the
    attribute-context steps cover parent links from an attribute and the
-   sibling axes' DOM fallback *)
+   sibling axes, empty from an attribute without a DOM fallback *)
 let positional_exprs =
   List.concat_map
     (fun axis ->
@@ -1690,12 +1690,15 @@ let positional_exprs =
       "child"; "parent"; "descendant"; "ancestor"; "ancestor-or-self"; "following";
       "following-sibling"; "preceding"; "preceding-sibling";
     ]
-  @ [ "//@id/parent::*"; "//@id/ancestor::*[1]"; "//@id/following-sibling::*" ]
+  @ [
+      "//@id/parent::*"; "//@id/ancestor::*[1]"; "//@id/following-sibling::*";
+      "//@id/preceding-sibling::*[1]";
+    ]
 
 let prop_shred_positional_differential =
   QCheck.Test.make ~name:"per-context walks ≡ DOM over random documents" ~count:25
     (QCheck.make gen_doc ~print:Xdb_xml.Serializer.to_string)
-    (fun doc -> shred_matches_dom doc positional_exprs)
+    (fun doc -> shred_matches_dom ~fallback:false doc positional_exprs)
 
 (* following/preceding from each document's edge nodes: the rows of the
    other document stored beside it never leak into the answer *)

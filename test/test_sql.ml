@@ -401,6 +401,57 @@ let test_dml_transform_visibility () =
   check cb "update visible through XMLTransform" true (before <> after);
   check cb "new salary rendered" true (contains "2451" (List.hd (List.hd after)))
 
+let rows_as_strings s sql = List.map (List.map V.to_string) (exec s sql).SQL.rows
+
+(* the paper schema with a B-tree on emp.deptno as well *)
+let make_keyed_engine () =
+  let s = make_engine () in
+  let emp = Xdb_rel.Database.table (EN.database s) "emp" in
+  ignore (T.create_index emp ~name:"emp_deptno_idx" ~column:"deptno");
+  s
+
+let test_keyed_dml_probes () =
+  let s = make_keyed_engine () in
+  let r = exec s "UPDATE emp SET sal = sal WHERE deptno = 10" in
+  let note = Option.get r.SQL.note in
+  check cb "update note keeps its prefix" true (contains "2 row(s) updated, emp data version" note);
+  check cb "update selection probes the index" true (contains "INDEX SCAN" note);
+  let r = exec s "DELETE FROM emp WHERE deptno = 40" in
+  let note = Option.get r.SQL.note in
+  check ci "one row deleted" 1 (affected r);
+  check cb "delete note keeps its prefix" true (contains "1 row(s) deleted, emp data version" note);
+  check cb "delete selection probes the index" true (contains "INDEX SCAN" note)
+
+(* the selection runs over the sal index while the statement moves sal
+   up the same index: each qualifying row changes exactly once *)
+let test_update_halloween () =
+  let s = make_engine () in
+  let r = exec s "UPDATE emp SET sal = sal + 1000 WHERE sal > 1000" in
+  check cb "range scan over the updated column" true
+    (contains "INDEX SCAN" (Option.get r.SQL.note));
+  check ci "three rows updated" 3 (affected r);
+  check
+    Alcotest.(list (list string))
+    "each row moved once"
+    [ [ "CLARK"; "3450" ]; [ "MILLER"; "2300" ]; [ "SMITH"; "5900" ] ]
+    (rows_as_strings s "SELECT ename, sal FROM emp")
+
+let test_unknown_where_column () =
+  let s = make_keyed_engine () in
+  check cb "unknown column fails although the probe finds no row" true
+    (sql_fails s "UPDATE emp SET sal = 1 WHERE deptno = 99 AND ghost = 1");
+  check cb "... in DELETE too" true (sql_fails s "DELETE FROM emp WHERE deptno = 99 AND ghost = 1");
+  ignore (exec s "DELETE FROM emp");
+  check cb "... and over an empty table" true (sql_fails s "UPDATE emp SET sal = 1 WHERE ghost = 1")
+
+let test_failed_set_is_atomic () =
+  let s = make_engine () in
+  let v0 = data_version s "emp" in
+  let before = rows_as_strings s "SELECT * FROM emp" in
+  check cb "division by zero fails as a SQL error" true (sql_fails s "UPDATE emp SET sal = sal / 0");
+  check Alcotest.(list (list string)) "rows untouched" before (rows_as_strings s "SELECT * FROM emp");
+  check ci "data version untouched" v0 (data_version s "emp")
+
 (* random DML interleaving: Engine.transform with the cache on must equal
    a forced recompute after every statement *)
 let prop_dml_cache_consistency =
@@ -464,6 +515,66 @@ xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
           cached () = r && cached () = r && functional () = r)
         stmts)
 
+(* random WHERE predicates (empty names, NULLs, comparisons against NULL
+   and against numeric strings, AND/OR): SELECT returns what a plain
+   filtered scan keeps (so an index probe never admits a NULL key and
+   compares a string bound as a number), DELETE removes exactly those
+   rows and UPDATE counts them — DML and SELECT share one truthiness *)
+let prop_dml_where_matches_select =
+  let pred_gen =
+    QCheck.Gen.(
+      let int_col = oneofl [ "sal"; "deptno"; "empno" ] in
+      let op = oneofl [ "="; "<>"; "<"; "<="; ">"; ">=" ] in
+      let atom =
+        oneof
+          [
+            oneofl [ "ename"; "sal"; "deptno"; "sal - 1300" ];
+            map2 (Printf.sprintf "ename %s %s") op (oneofl [ "''"; "'CLARK'"; "'M'"; "NULL" ]);
+            map3 (Printf.sprintf "%s %s %s") int_col op
+              (oneofl [ "0"; "10"; "1300"; "3000"; "NULL"; "'1300'"; "' 10 '" ]);
+            map2 (fun o c -> Printf.sprintf "sal %s %s" o c) op (oneofl [ "deptno"; "empno" ]);
+          ]
+      in
+      sized_size (int_bound 3)
+      @@ fix (fun self n ->
+             if n = 0 then atom
+             else
+               frequency
+                 [
+                   (1, atom);
+                   (2, map3 (Printf.sprintf "(%s) %s (%s)") (self (n - 1)) (oneofl [ "AND"; "OR" ])
+                         (self (n - 1)));
+                 ]))
+  in
+  QCheck.Test.make ~name:"DML WHERE picks the rows SELECT returns" ~count:200
+    (QCheck.make ~print:Fun.id pred_gen)
+    (fun p ->
+      let s = make_engine () in
+      ignore
+        (exec s
+           "INSERT INTO emp VALUES (8001, '', 0, 10), (8002, NULL, NULL, NULL), (8003, 'M', 1300, NULL)");
+      let all = rows_as_strings s "SELECT * FROM emp" in
+      let picked = rows_as_strings s ("SELECT * FROM emp WHERE " ^ p) in
+      let scanned =
+        match Xdb_sql.Parser.parse ("SELECT * FROM emp WHERE " ^ p) with
+        | Xdb_sql.Ast.Select { where = Some w; _ } ->
+            Xdb_rel.Exec.run (EN.database s)
+              (A.Filter (SQL.plain_expr w, A.Seq_scan { table = "emp"; alias = "emp" }))
+        | _ -> assert false
+      in
+      let updated = affected (exec s ("UPDATE emp SET sal = sal WHERE " ^ p)) in
+      ignore (exec s ("DELETE FROM emp WHERE " ^ p));
+      let left = rows_as_strings s "SELECT * FROM emp" in
+      (List.length scanned = List.length picked
+      || QCheck.Test.fail_reportf "the filtered scan kept %d row(s), SELECT returned %d"
+           (List.length scanned) (List.length picked))
+      && (updated = List.length picked
+         || QCheck.Test.fail_reportf "UPDATE counted %d row(s), SELECT returned %d" updated
+              (List.length picked))
+      && (left = List.filter (fun r -> not (List.mem r picked)) all
+         || QCheck.Test.fail_reportf "DELETE left %d row(s), SELECT returned %d of %d"
+              (List.length left) (List.length picked) (List.length all)))
+
 (* fuzz: the SQL parser must be total over printable garbage *)
 let prop_sql_parser_total =
   QCheck.Test.make ~name:"sql parser is total" ~count:300
@@ -502,10 +613,15 @@ let () =
           Alcotest.test_case "DML marks stats stale" `Quick test_dml_marks_stats_stale;
           Alcotest.test_case "writes visible through transforms" `Quick
             test_dml_transform_visibility;
+          Alcotest.test_case "keyed UPDATE/DELETE probe an index" `Quick test_keyed_dml_probes;
+          Alcotest.test_case "UPDATE over its own index (Halloween)" `Quick test_update_halloween;
+          Alcotest.test_case "unknown WHERE column fails" `Quick test_unknown_where_column;
+          Alcotest.test_case "failed SET evaluation is atomic" `Quick test_failed_set_is_atomic;
         ] );
       ( "fuzz",
         [
           QCheck_alcotest.to_alcotest prop_sql_parser_total;
           QCheck_alcotest.to_alcotest prop_dml_cache_consistency;
+          QCheck_alcotest.to_alcotest prop_dml_where_matches_select;
         ] );
     ]

@@ -182,6 +182,13 @@ let test_reverse_axis_proximity () =
   check cs "reverse-axis result sorts to document order" "empno"
     (name_of "employees/emp[1]/sal/preceding-sibling::*")
 
+(* an attribute's parent is its owner element, but it is not one of the
+   owner's children, so it has no siblings (XPath 1.0 §2.2) *)
+let test_attribute_siblings () =
+  check ci "attribute parent" 1 (count "@id/parent::dept");
+  check ci "no following siblings" 0 (count "@id/following-sibling::node()");
+  check ci "no preceding siblings" 0 (count "@id/preceding-sibling::node()")
+
 let test_chained_predicates () =
   check ci "two predicates" 1 (count "employees/emp[sal > 2000][2]");
   check cs "second highly paid" "SMITH" (eval_str "employees/emp[sal > 2000][2]/ename")
@@ -409,6 +416,7 @@ let () =
           Alcotest.test_case "positional predicates" `Quick test_positional_predicates;
           Alcotest.test_case "reverse-axis proximity order" `Quick test_reverse_axis_proximity;
           Alcotest.test_case "chained predicates" `Quick test_chained_predicates;
+          Alcotest.test_case "attributes have no siblings" `Quick test_attribute_siblings;
         ] );
       ( "functions",
         [
