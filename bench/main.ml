@@ -1268,9 +1268,10 @@ let rwbench ?(size = 2_000) ?(requests = 400) () =
     (engine, dv.D.view.Xdb_rel.Publish.view_name)
   in
   (* avts touches every row (recompute is O(n)), and its output renders
-     [name] but not [value] — so name-writes move the published bytes
-     while value-writes only invalidate, trapping any cache that checks
-     output identity instead of data versions *)
+     [name] but never reads [value] — so name-writes move the published
+     bytes (one member: the cache patches the page) while value-writes
+     leave them as they are (the cache keeps the page), trapping any
+     cache that serves a page the writes reached *)
   let stylesheet = (Option.get (M.find "avts")).M.stylesheet in
   let nocache = { EN.default_run_options with EN.result_cache = false } in
   (* part 1: cached read vs recompute, same request *)

@@ -213,51 +213,80 @@ let stmt_view stmt = stmt.st_view
 
 let metrics_of opts = if opts.collect_metrics then Some (Metrics.create ()) else None
 
-let stamp_hit metrics hit =
+let staged metrics name f = match metrics with None -> f () | Some m -> Metrics.time m name f
+
+let stamp_outcome metrics ~hit ~patched =
   match metrics with
   | None -> ()
-  | Some m -> Metrics.set_counter m "result_cache_hit" (if hit then 1 else 0)
+  | Some m ->
+      Metrics.set_counter m "result_cache_hit" (if hit then 1 else 0);
+      Metrics.set_counter m "result_cache_patched" (if patched then 1 else 0)
 
 (* serve from the result cache when enabled; recompute-and-store
-   otherwise.  Callers hold the read lock, so the data versions that
-   [store] snapshots are exactly the versions [run] computed against. *)
-let serve_cached t options ~metrics ~view ~key ~deps run =
-  if not options.result_cache then run ()
+   otherwise.  [run ~record] returns the output and, when asked to and
+   its run recorded them, where its patchable members lie: only an
+   output computed again is recorded, as one computed once is not known
+   to be read again.  Callers hold the read lock, so the data versions
+   that [store] snapshots are exactly the versions [run] computed
+   against. *)
+let serve_cached t options ~metrics ~view ~key ~deps ?footprint ?patch run =
+  if not options.result_cache then fst (run ~record:false)
   else
-    match Result_cache.find t.rc ~key with
-    | Some output ->
-        stamp_hit metrics true;
+    match Result_cache.find t.rc ~key ?footprint ?patch () with
+    | Result_cache.Hit output ->
+        stamp_outcome metrics ~hit:true ~patched:false;
         output
-    | None ->
-        let output = run () in
-        Result_cache.store t.rc ~view ~key ~deps output;
-        stamp_hit metrics false;
+    | Result_cache.Patched output ->
+        stamp_outcome metrics ~hit:false ~patched:true;
+        output
+    | (Result_cache.Miss | Result_cache.Dropped) as outcome ->
+        let output, members = run ~record:(outcome = Result_cache.Dropped) in
+        Result_cache.store t.rc ~view ~key ~deps ?members output;
+        stamp_outcome metrics ~hit:false ~patched:false;
         output
 
-let dedup tables = List.sort_uniq compare tables
-
-(* every table the transform's output depends on: the view's own tables
-   (base table + any expression/aggregate references — also what the
-   functional fallback materialises from) plus whatever the optimised
-   SQL/XML plan scans or probes *)
-let transform_deps t view_name compiled =
-  let view = Registry.find_view t.registry view_name in
-  let plan_tables =
-    match compiled.Pipeline.sql_plan with
-    | Some plan -> Xdb_rel.Algebra.tables_of plan
-    | None -> []
-  in
-  dedup (P.view_tables view @ plan_tables)
+let unrecorded run ~record:_ = (run (), None)
 
 (* ------------------------------------------------------------------ *)
 (* Transform                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let transform_body ~options ?metrics t compiled =
-  Xdb_error.wrap ~stage:"exec" (fun () ->
-      with_jobs t options (fun pool ->
-          if options.interpreted then Pipeline.run_functional ?metrics ?pool t.db compiled
-          else Pipeline.run_rewrite ?metrics ~streaming:options.streaming ?pool t.db compiled))
+let transform_body ~options ?metrics t compiled ~record =
+  let members = ref None in
+  let on_members = if record then Some (fun m -> members := Some m) else None in
+  let output =
+    Xdb_error.wrap ~stage:"exec" (fun () ->
+        with_jobs t options (fun pool ->
+            if options.interpreted then Pipeline.run_functional ?metrics ?pool t.db compiled
+            else
+              Pipeline.run_rewrite ?metrics ~streaming:options.streaming ?pool ?on_members t.db
+                compiled))
+  in
+  (output, !members)
+
+(* serve a compiled transform: on the compiled streaming path, writes
+   the plan never read keep the cached page, and writes only its
+   patchable members read patch it (timed as the [result_cache_patch]
+   stage) *)
+let serve_transform t options ~metrics ~view ~key compiled =
+  let patch =
+    match (compiled.Pipeline.sql_plan, compiled.Pipeline.footprint) with
+    | Some plan, Some footprint ->
+        Some
+          (fun output recorded rids ->
+            match Xdb_rel.Footprint.get footprint with
+            | { Xdb_rel.Footprint.members = Some m; _ } ->
+                staged metrics "result_cache_patch" (fun () ->
+                    Xdb_error.wrap ~stage:"exec" (fun () ->
+                        Xdb_rel.Exec.patch t.db plan m recorded ~rids output))
+            | _ -> None)
+    | _ -> None
+  in
+  let footprint =
+    if options.streaming && not options.interpreted then compiled.Pipeline.footprint else None
+  in
+  serve_cached t options ~metrics ~view ~key ~deps:compiled.Pipeline.deps ?footprint ?patch
+    (transform_body ~options ?metrics t compiled)
 
 (* key ingredients: view + stylesheet text.  streaming/jobs/interpreted
    are deliberately absent — the engine's execution strategies are
@@ -269,10 +298,9 @@ let transform_stmt ?(options = default_run_options) t stmt =
   let output =
     Rw.read t.rw (fun () ->
         let compiled = stmt_compiled ?metrics t stmt in
-        serve_cached t options ~metrics ~view:stmt.st_view
+        serve_transform t options ~metrics ~view:stmt.st_view
           ~key:(transform_key stmt.st_view stmt.st_stylesheet)
-          ~deps:(transform_deps t stmt.st_view compiled)
-          (fun () -> transform_body ~options ?metrics t compiled))
+          compiled)
   in
   { output; metrics }
 
@@ -291,14 +319,11 @@ let publish ?(options = default_run_options) t ~view_name =
         in
         let serialize ?metrics part =
           let row_range = Option.map (fun (_, lo, hi) -> (lo, hi)) part in
-          let staged name f =
-            match metrics with None -> f () | Some m -> Metrics.time m name f
-          in
           if options.streaming then
-            staged "publish_stream" (fun () ->
+            staged metrics "publish_stream" (fun () ->
                 P.materialize_serialized t.db ~indent ?row_range view)
           else
-            staged "publish_dom" (fun () ->
+            staged metrics "publish_dom" (fun () ->
                 List.map
                   (fun d ->
                     Xdb_xml.Serializer.node_list_to_string ~indent d.Xdb_xml.Types.children)
@@ -312,7 +337,8 @@ let publish ?(options = default_run_options) t ~view_name =
         (* indent changes the bytes, so it is part of the key *)
         let key = "P\x00" ^ view_name ^ "\x00" ^ if indent then "i" else "-" in
         serve_cached t options ~metrics ~view:view_name ~key
-          ~deps:(dedup (P.view_tables view)) run)
+          ~deps:(List.sort_uniq compare (P.view_tables view))
+          (unrecorded run))
   in
   { output; metrics }
 
@@ -362,7 +388,7 @@ let run_shredded_source ?(options = default_run_options) t ~docids ~stylesheet =
             ^ "\x00" ^ stylesheet
           in
           let output =
-            serve_cached t options ~metrics ~view:"" ~key ~deps:[ shred_dep ] run
+            serve_cached t options ~metrics ~view:"" ~key ~deps:[ shred_dep ] (unrecorded run)
           in
           { output; metrics })
 
@@ -381,10 +407,9 @@ let transform ?(options = default_run_options) t ~view_name ~stylesheet =
   let output =
     Rw.read t.rw (fun () ->
         let compiled = compile_view ?metrics t ~view_name ~stylesheet in
-        serve_cached t options ~metrics ~view:view_name
+        serve_transform t options ~metrics ~view:view_name
           ~key:(transform_key view_name stylesheet)
-          ~deps:(transform_deps t view_name compiled)
-          (fun () -> transform_body ~options ?metrics t compiled))
+          compiled)
   in
   { output; metrics }
 

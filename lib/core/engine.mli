@@ -68,7 +68,11 @@ type run_result = {
   output : string list;  (** one serialized result per base-table row *)
   metrics : Metrics.t option;
       (** present iff [collect_metrics]; its [result_cache_hit] counter
-          is 1 when the output was served from the result cache *)
+          is 1 when the output was served from the result cache (as
+          stored, or kept across writes the plan never reads), and its
+          [result_cache_patched] counter 1 when the cached output was
+          patched instead (the [result_cache_patch] stage times the
+          patch) *)
 }
 
 (** What a transform reads: a registered XMLType view's published
@@ -151,7 +155,10 @@ val run : ?options:run_options -> t -> source -> stylesheet:string -> run_result
     in metrics), so output is always byte-identical to transforming the
     original documents directly.  [jobs > 1] runs the documents across
     the pool.  Cached results are served when [result_cache] and the dependency
-    tables' data versions still match.
+    tables' data versions still match; with a compiled streaming plan
+    they are also kept across UPDATEs of columns the plan never reads,
+    and patched across UPDATEs of columns only the members of its
+    patchable XMLAgg read ({!Result_cache}).
     @raise Xdb_error.Error on any pipeline failure. *)
 
 val transform :

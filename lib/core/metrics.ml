@@ -37,8 +37,8 @@ let add_ms t stage ms =
 (** [time t stage f] — run [f], accumulate its wall time under [stage].
     The stage is charged even when [f] raises. *)
 let time t stage f =
-  let t0 = Unix.gettimeofday () in
-  Fun.protect ~finally:(fun () -> add_ms t stage ((Unix.gettimeofday () -. t0) *. 1000.0)) f
+  let t0 = Xdb_rel.Clock.now_ns () in
+  Fun.protect ~finally:(fun () -> add_ms t stage (Xdb_rel.Clock.ms_since t0)) f
 
 let incr ?(by = 1) t name =
   locked t (fun () -> t.counters <- update_assoc t.counters name (fun v -> v + by) 0)

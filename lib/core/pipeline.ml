@@ -35,6 +35,8 @@ type compiled = {
   translation : Xslt2xquery.result;
   sql_plan : A.plan option;
   sql_fallback_reason : string option;
+  deps : string list;
+  footprint : Xdb_rel.Footprint.memo option;
 }
 
 (* time a compile stage when a metrics collector is present *)
@@ -88,7 +90,13 @@ let compile ?(options = Options.default) ?metrics db (view : P.view) stylesheet_
       Metrics.incr ~by:(List.length translation.Xslt2xquery.query.Q.funs) m "xquery_functions";
       Metrics.incr ~by:(match sql_plan with Some _ -> 1 | None -> 0) m "sql_rewritable"
   | None -> ());
-  { stylesheet; vm_prog; view; schema; translation; sql_plan; sql_fallback_reason }
+  (* the view's own tables (what the functional fallback materialises
+     from) and whatever the plan scans or probes *)
+  let deps =
+    List.sort_uniq compare (P.view_tables view @ Option.fold ~none:[] ~some:A.tables_of sql_plan)
+  in
+  let footprint = Option.map Xdb_rel.Footprint.memo sql_plan in
+  { stylesheet; vm_prog; view; schema; translation; sql_plan; sql_fallback_reason; deps; footprint }
 
 (* ------------------------------------------------------------------ *)
 (* Splitting a run by base-table row ranges                             *)
@@ -161,16 +169,17 @@ let run_xquery_stage ?metrics db (c : compiled) : string list =
    once against the plan's layout instead of List.assoc per row.  Streamed
    XMLType results drain into one reused buffer per document — the "no
    intermediate tree" half of the Figure 3 argument, applied to output. *)
-let result_column (layout, rows) =
+let result_column ?record (layout, rows) =
   match Xdb_rel.Layout.slot_opt layout "result" with
   | Some s ->
       let buf = Buffer.create 1024 in
-      List.map
-        (fun (r : V.t array) ->
+      List.mapi
+        (fun doc (r : V.t array) ->
           match r.(s) with
           | V.Xml_stream produce ->
               Buffer.clear buf;
-              let sink = Xdb_xml.Events.serializing_sink buf in
+              let sink, pending = Xdb_xml.Events.content_sink buf in
+              Option.iter (fun rc -> Xdb_rel.Exec.record_document rc ~doc sink buf pending) record;
               produce sink;
               sink.Xdb_xml.Events.finish ();
               Buffer.contents buf
@@ -186,33 +195,12 @@ let result_column (layout, rows) =
    included.  Exec.compile windows *every* matching Seq_scan, so the
    partitioned table must be seq-scanned exactly once; index probes into
    the same table are harmless (they read whole rows by rid). *)
-let rec seq_scans_of table (p : A.plan) : int =
-  let in_exprs es =
-    List.fold_left
-      (fun acc e ->
-        List.fold_left (fun acc sp -> acc + seq_scans_of table sp) acc (A.subplans_of_expr e))
-      0 es
-  in
-  match p with
-  | A.Seq_scan { table = t; _ } -> if t = table then 1 else 0
-  | A.Index_scan _ | A.Values _ -> 0
-  | A.Filter (c, i) -> in_exprs [ c ] + seq_scans_of table i
-  | A.Project (fs, i) -> in_exprs (List.map fst fs) + seq_scans_of table i
-  | A.Nested_loop { outer; inner; join_cond } ->
-      (match join_cond with Some c -> in_exprs [ c ] | None -> 0)
-      + seq_scans_of table outer + seq_scans_of table inner
-  | A.Hash_join { outer; inner; keys; _ } ->
-      in_exprs (List.concat_map (fun (ok, ik) -> [ ok; ik ]) keys)
-      + seq_scans_of table outer + seq_scans_of table inner
-  | A.Aggregate { group_by; aggs; input } ->
-      in_exprs (List.map fst group_by)
-      + List.fold_left
-          (fun acc (a, _) ->
-            List.fold_left (fun acc sp -> acc + seq_scans_of table sp) acc (A.subplans_of_agg a))
-          0 aggs
-      + seq_scans_of table input
-  | A.Sort (ks, i) -> in_exprs (List.map fst ks) + seq_scans_of table i
-  | A.Limit (_, i) -> seq_scans_of table i
+let seq_scans_of table (p : A.plan) : int =
+  let n = ref 0 in
+  A.iter p ~expr:ignore ~plan:(function
+    | A.Seq_scan { table = t; _ } when t = table -> incr n
+    | _ -> ());
+  !n
 
 (* Is [table]'s Seq_scan the plan's driving scan, reachable through
    operators that commute with row-range partitioning?  Project and
@@ -273,13 +261,28 @@ let split_table ?pool c =
     multi-domain [pool] splits the driving Seq_scan by row-id ranges when
     {!partition_table} allows it, one execution per range with its own
     sink; output is byte-identical to the sequential run. *)
-let run_rewrite ?metrics ?(streaming = true) ?pool db (c : compiled) : string list =
+let run_rewrite ?metrics ?(streaming = true) ?pool ?on_members db (c : compiled) : string list =
   match c.sql_plan with
-  | Some plan ->
-      over_ranges ?metrics ?pool db (split_table ?pool c) (fun ?metrics partition ->
-          staged metrics "sql_exec" (fun () ->
-              result_column
-                (Xdb_rel.Exec.run_arrays db ~xml_streaming:streaming ?partition plan)))
+  | Some plan -> (
+      let table = split_table ?pool c in
+      (* a sequential streamed run records the patchable members *)
+      let recording =
+        match (on_members, c.footprint, table) with
+        | Some f, Some fp, None when streaming -> (
+            match Xdb_rel.Footprint.get fp with
+            | { Xdb_rel.Footprint.members = Some m; _ } -> Some (f, Xdb_rel.Exec.recorder m)
+            | _ -> None)
+        | _ -> None
+      in
+      let record = Option.map snd recording in
+      let out =
+        over_ranges ?metrics ?pool db table (fun ?metrics partition ->
+            staged metrics "sql_exec" (fun () ->
+                result_column ?record
+                  (Xdb_rel.Exec.run_arrays db ~xml_streaming:streaming ?partition ?record plan)))
+      in
+      Option.iter (fun (f, rc) -> Option.iter f (Xdb_rel.Exec.recorded rc plan)) recording;
+      out)
   | None -> run_xquery_stage ?metrics db c
 
 (** Rewrite evaluation with per-operator instrumentation: returns the

@@ -11,6 +11,10 @@ type compiled = {
   translation : Xslt2xquery.result;
   sql_plan : Xdb_rel.Algebra.plan option;
   sql_fallback_reason : string option;  (** why [sql_plan] is [None] *)
+  deps : string list;
+      (** every table the output depends on: the view's own tables (what
+          the functional path materialises from) and the plan's *)
+  footprint : Xdb_rel.Footprint.memo option;  (** of [sql_plan], computed on first use *)
 }
 
 val compile :
@@ -45,6 +49,7 @@ val run_rewrite :
   ?metrics:Metrics.t ->
   ?streaming:bool ->
   ?pool:Parallel.t ->
+  ?on_members:(Xdb_rel.Exec.members -> unit) ->
   Xdb_rel.Database.t ->
   compiled ->
   string list
@@ -56,7 +61,10 @@ val run_rewrite :
     path ([streaming:false]) with no per-row result tree.  A [pool] with
     more than one domain splits the plan's driving Seq_scan by row-id
     ranges ({!Xdb_rel.Exec.compile}'s [partition]) when
-    {!partition_table} allows it; sequential otherwise.
+    {!partition_table} allows it; sequential otherwise.  [on_members]
+    receives the recording of a sequential streamed run whose plan has a
+    patchable XMLAgg ({!Xdb_rel.Exec.patch}), when the run's members
+    allow one.
 
     Prefer {!Engine.transform}: the facade folds [metrics]/[streaming]
     (and the [jobs] pool size) into one [run_options] record; this entry

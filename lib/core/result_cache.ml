@@ -1,14 +1,18 @@
 (* Data-versioned transform/publish result cache.  See result_cache.mli. *)
 
+module DB = Xdb_rel.Database
+module FP = Xdb_rel.Footprint
+
 type entry = {
   view : string;  (** owning view name — schema-evolution invalidation handle *)
-  output : string list;
-  deps : (string * int) list;  (** (table, data version when stored) *)
+  mutable output : string list;
+  mutable deps : (string * int) list;  (** (table, data version when stored or re-stamped) *)
+  mutable members : Xdb_rel.Exec.members option;  (** where its patchable members lie *)
   mutable last_used : int;  (** recency tick for LRU eviction *)
 }
 
 type t = {
-  db : Xdb_rel.Database.t;
+  db : DB.t;
   lock : Mutex.t;  (** guards [cache], [tick] and entry recency *)
   cache : (string, entry) Hashtbl.t;
   capacity : int;
@@ -17,7 +21,14 @@ type t = {
   misses : int Atomic.t;
   invalidations : int Atomic.t;
   evictions : int Atomic.t;
+  kept : int Atomic.t;
+  patches : int Atomic.t;
 }
+
+type outcome = Hit of string list | Patched of string list | Miss | Dropped
+
+type patch =
+  string list -> Xdb_rel.Exec.members -> int list -> (string list * Xdb_rel.Exec.members) option
 
 let default_capacity = 256
 
@@ -32,6 +43,8 @@ let create ?(capacity = default_capacity) db =
     misses = Atomic.make 0;
     invalidations = Atomic.make 0;
     evictions = Atomic.make 0;
+    kept = Atomic.make 0;
+    patches = Atomic.make 0;
   }
 
 let locked t f =
@@ -61,32 +74,91 @@ let evict_over_capacity t =
         Atomic.incr t.evictions
   done
 
-let fresh t entry =
-  List.for_all (fun (tbl, v) -> Xdb_rel.Database.data_version t.db tbl = v) entry.deps
+let restamp t entry =
+  entry.deps <- List.map (fun (tbl, _) -> (tbl, DB.data_version t.db tbl)) entry.deps
 
-let find t ~key =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.cache key with
-      | Some entry when fresh t entry ->
-          touch t entry;
-          Atomic.incr t.hits;
-          Some entry.output
-      | Some _ ->
-          (* some dependency table was written since this was stored *)
-          Hashtbl.remove t.cache key;
+(* what the writes since [entry] was stored mean for it under
+   [footprint]: [`Fresh] (none), [`Keep] (none it reads), [`Patch rids]
+   (only the patchable members of these rows), or [`Drop] — also when a
+   write is not a logged UPDATE *)
+let judge t footprint entry =
+  let exception Drop in
+  let rids = ref [] and moved = ref false in
+  let judge_change tbl fp (changed, columns) =
+    match FP.classify fp ~table:tbl columns with
+    | FP.Irrelevant -> ()
+    | FP.Members -> rids := Array.to_list changed @ !rids
+    | FP.Recompute -> raise Drop
+  in
+  let judge_table (tbl, v) =
+    if DB.data_version t.db tbl <> v then (
+      moved := true;
+      match (footprint, DB.changes_since t.db tbl v) with
+      | Some fp, Some changes -> List.iter (judge_change tbl (FP.get fp)) changes
+      | _ -> raise Drop)
+  in
+  match List.iter judge_table entry.deps with
+  | () when not !moved -> `Fresh
+  | () -> if !rids = [] then `Keep else `Patch (List.sort_uniq compare !rids)
+  | exception Drop -> `Drop
+
+let find t ~key ?footprint ?patch () =
+  let verdict =
+    locked t (fun () ->
+        match Hashtbl.find_opt t.cache key with
+        | None -> `Miss
+        | Some entry -> (
+            match (judge t footprint entry, entry.members, patch) with
+            | ((`Fresh | `Keep) as v), _, _ ->
+                (* kept: no write since reached what the output was computed from *)
+                if v = `Keep then (
+                  restamp t entry;
+                  Atomic.incr t.kept);
+                touch t entry;
+                Atomic.incr t.hits;
+                `Hit entry.output
+            | `Patch rids, Some members, Some patch ->
+                `Patch (entry, entry.deps, entry.output, members, rids, patch)
+            | _ ->
+                Hashtbl.remove t.cache key;
+                Atomic.incr t.invalidations;
+                `Dropped))
+  in
+  match verdict with
+  | `Hit output -> Hit output
+  | `Miss ->
+      Atomic.incr t.misses;
+      Miss
+  | `Dropped ->
+      Atomic.incr t.misses;
+      Dropped
+  | `Patch (entry, seen, output, members, rids, patch) -> (
+      (* outside the lock: concurrent readers patch on their own, and a
+         patch is installed only over the entry at the versions it was
+         patched from — the first install wins *)
+      match patch output members rids with
+      | None ->
           Atomic.incr t.invalidations;
           Atomic.incr t.misses;
-          None
-      | None ->
-          Atomic.incr t.misses;
-          None)
+          locked t (fun () ->
+              match Hashtbl.find_opt t.cache key with
+              | Some e when e == entry && e.deps == seen -> Hashtbl.remove t.cache key
+              | _ -> ());
+          Dropped
+      | Some (output, members) ->
+          Atomic.incr t.patches;
+          locked t (fun () ->
+              if entry.deps == seen then (
+                entry.output <- output;
+                entry.members <- Some members;
+                restamp t entry;
+                touch t entry));
+          Patched output)
 
-let store t ~view ~key ~deps output =
-  let deps =
-    List.map (fun tbl -> (tbl, Xdb_rel.Database.data_version t.db tbl)) deps
-  in
+let store t ~view ~key ~deps ?members output =
+  let deps = List.map (fun tbl -> (tbl, DB.data_version t.db tbl)) deps in
   locked t (fun () ->
-      let entry = { view; output; deps; last_used = 0 } in
+      let entry = { view; output; deps; members; last_used = 0 } in
       touch t entry;
       Hashtbl.replace t.cache key entry;
       evict_over_capacity t)
@@ -110,4 +182,6 @@ let counters t =
     ("result_cache_misses", Atomic.get t.misses);
     ("result_cache_invalidations", Atomic.get t.invalidations);
     ("result_cache_evictions", Atomic.get t.evictions);
+    ("result_cache_kept", Atomic.get t.kept);
+    ("result_cache_patches", Atomic.get t.patches);
   ]

@@ -4,14 +4,18 @@
     the data size, instead of a plan execution.
 
     Each entry records the {!Xdb_rel.Database.data_version} of every
-    table its plan read when the output was computed.  {!find} serves
-    the entry only while all of those versions still match — a DML
-    write to any dependency table bumps its version and the next lookup
-    drops the entry (counted as an invalidation), forcing a recompute.
-    That makes staleness impossible by construction: cached bytes and
-    recomputed bytes can only differ if a dependency table was missed,
-    which the rwbench byte-identity gate and the qcheck interleaving
-    property both watch for.
+    table its output depends on.  While they all match, {!find} serves
+    the entry.  When some moved, the UPDATEs logged since
+    ({!Xdb_rel.Database.changes_since}) are judged by the requesting
+    plan's {!Xdb_rel.Footprint}: writes to columns the plan never reads
+    {e keep} the entry (re-stamped); writes to columns only its patchable
+    XMLAgg members read {e patch} it (the changed rows' members are
+    re-emitted and spliced in, {!Xdb_rel.Exec.patch}); anything else — an
+    INSERT, DELETE or replacement, a log that no longer reaches back, a
+    write to a filter, index, correlation or order column, no footprint
+    — drops it (an invalidation) and the output is recomputed.  Kept and
+    patched bytes equal recomputed ones; the qcheck interleavings in
+    test_sql compare them with a recompute and the functional VM.
 
     Entries also carry their owning view name so that re-registering a
     view (schema evolution — new spec, same table data) can invalidate
@@ -23,10 +27,12 @@
     [capacity] (counted in [result_cache_evictions]).
 
     Thread safety: one mutex guards the table and recency state, so
-    concurrent server sessions share one cache safely.  Counters are
-    atomics.  Version capture is only consistent because the engine
-    serializes DML against reads (writer lock): within a read no
-    dependency version can move between compute and {!store}. *)
+    concurrent server sessions share one cache safely; a patch is
+    computed outside it and installed only if the entry is still at the
+    versions it was patched from.  Counters are atomics.  Version
+    capture is only consistent because the engine serializes DML against
+    reads (writer lock): within a read no dependency version can move
+    between compute and {!store}. *)
 
 type t
 
@@ -34,14 +40,32 @@ val create : ?capacity:int -> Xdb_rel.Database.t -> t
 (** A cache over [db]'s data versions.  [capacity] (default 256) bounds
     the entry count before LRU eviction. *)
 
-val find : t -> key:string -> string list option
-(** Serve the cached output under [key] iff every dependency table's
-    data version still matches the stored snapshot.  A version mismatch
-    removes the entry and counts an invalidation (and a miss). *)
+type outcome =
+  | Hit of string list  (** served as stored, or kept *)
+  | Patched of string list
+  | Miss  (** absent: compute and {!store} *)
+  | Dropped  (** stored before, dropped now: recompute and {!store} *)
 
-val store : t -> view:string -> key:string -> deps:string list -> string list -> unit
+type patch =
+  string list -> Xdb_rel.Exec.members -> int list -> (string list * Xdb_rel.Exec.members) option
+(** [patch output members rids]: [output] with the members of the
+    updated rows [rids] re-emitted, and its new member recording; [None]
+    to recompute instead. *)
+
+val find :
+  t -> key:string -> ?footprint:Xdb_rel.Footprint.memo -> ?patch:patch -> unit -> outcome
+(** Look [key] up, judging any writes since it was stored by
+    [footprint] (without one, any write drops the entry).  A
+    members-only write is patched with [patch] when both the entry
+    recorded its members and [patch] is given; otherwise it drops the
+    entry too. *)
+
+val store :
+  t -> view:string -> key:string -> deps:string list -> ?members:Xdb_rel.Exec.members ->
+  string list -> unit
 (** Store [output] under [key], snapshotting the current data version
-    of every table in [deps].  [view] names the owning view for
+    of every table in [deps], with the member recording of the run that
+    computed it, if any.  [view] names the owning view for
     {!invalidate_view} ([""] for sources without one, e.g. shredded
     transforms). *)
 
@@ -56,6 +80,7 @@ val size : t -> int
 val counters : t -> (string * int) list
 (** Monotonic observability counters, stable order:
     [result_cache_hits] / [result_cache_misses] /
-    [result_cache_invalidations] / [result_cache_evictions]
-    (invalidated lookups count as both an invalidation and a miss, so
-    [hits + misses] is the total lookup count). *)
+    [result_cache_invalidations] / [result_cache_evictions] /
+    [result_cache_kept] / [result_cache_patches].  Kept lookups count as
+    hits too; a dropped entry counts as an invalidation and a miss; so
+    [hits + misses + patches] is the total lookup count. *)

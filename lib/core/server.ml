@@ -247,7 +247,7 @@ let acquire sess =
         t.waiting <- t.waiting @ [ (ticket, sess) ];
         t.side.queued <- t.side.queued + 1;
         sess.s_side.queued <- sess.s_side.queued + 1;
-        let t0 = Unix.gettimeofday () in
+        let t0 = Xdb_rel.Clock.now_ns () in
         let remove () =
           t.waiting <- List.filter (fun (k, _) -> k <> ticket) t.waiting;
           (* removal may unblock shutdown's drain wait or later waiters *)
@@ -268,7 +268,7 @@ let acquire sess =
             wait ())
         in
         wait ();
-        (Unix.gettimeofday () -. t0) *. 1000.0
+        Xdb_rel.Clock.ms_since t0
       end)
 
 let release sess ~queue_wait_ms ~service_ms ~ok =
@@ -289,9 +289,9 @@ let effective_options ?options sess =
 
 let submit sess f =
   let queue_wait_ms = acquire sess in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Xdb_rel.Clock.now_ns () in
   let finish ok = release sess ~queue_wait_ms
-      ~service_ms:((Unix.gettimeofday () -. t0) *. 1000.0) ~ok
+      ~service_ms:(Xdb_rel.Clock.ms_since t0) ~ok
   in
   match f sess.server.eng with
   | v ->

@@ -242,51 +242,120 @@ let subplans_of_agg = function
   | Count e | Sum e | Min e | Max e | Avg e | String_agg (e, _) -> subplans_of_expr e
   | Count_star -> []
 
+(* the walk behind [iter], below *)
+let rec walk ~skip ~plan ~expr p =
+  plan p;
+  match p with
+  | Seq_scan _ | Values _ -> ()
+  | Index_scan { lo; hi; _ } ->
+      iter_bound ~skip ~plan ~expr lo;
+      iter_bound ~skip ~plan ~expr hi
+  | Filter (e, i) ->
+      iter_expr ~skip ~plan ~expr e;
+      walk ~skip ~plan ~expr i
+  | Project (fs, i) ->
+      iter_named ~skip ~plan ~expr fs;
+      walk ~skip ~plan ~expr i
+  | Nested_loop { outer; inner; join_cond } ->
+      iter_opt ~skip ~plan ~expr join_cond;
+      walk ~skip ~plan ~expr outer;
+      walk ~skip ~plan ~expr inner
+  | Hash_join { outer; inner; keys; _ } ->
+      iter_pairs ~skip ~plan ~expr keys;
+      walk ~skip ~plan ~expr outer;
+      walk ~skip ~plan ~expr inner
+  | Aggregate { group_by; aggs; input } ->
+      iter_named ~skip ~plan ~expr group_by;
+      iter_aggs ~skip ~plan ~expr aggs;
+      walk ~skip ~plan ~expr input
+  | Sort (ks, i) ->
+      iter_named ~skip ~plan ~expr ks;
+      walk ~skip ~plan ~expr i
+  | Limit (_, i) -> walk ~skip ~plan ~expr i
+
+and iter_opt ~skip ~plan ~expr = function None -> () | Some e -> iter_expr ~skip ~plan ~expr e
+
+and iter_bound ~skip ~plan ~expr = function
+  | Unbounded -> ()
+  | Incl e | Excl e -> iter_expr ~skip ~plan ~expr e
+
+and iter_named : 'n. skip:_ -> plan:_ -> expr:_ -> (expr * 'n) list -> unit =
+ fun ~skip ~plan ~expr -> function
+  | [] -> ()
+  | (e, _) :: rest ->
+      iter_expr ~skip ~plan ~expr e;
+      iter_named ~skip ~plan ~expr rest
+
+and iter_attrs ~skip ~plan ~expr = function
+  | [] -> ()
+  | (_, e) :: rest ->
+      iter_expr ~skip ~plan ~expr e;
+      iter_attrs ~skip ~plan ~expr rest
+
+and iter_pairs ~skip ~plan ~expr = function
+  | [] -> ()
+  | (a, b) :: rest ->
+      iter_expr ~skip ~plan ~expr a;
+      iter_expr ~skip ~plan ~expr b;
+      iter_pairs ~skip ~plan ~expr rest
+
+and iter_exprs ~skip ~plan ~expr = function
+  | [] -> ()
+  | e :: rest ->
+      iter_expr ~skip ~plan ~expr e;
+      iter_exprs ~skip ~plan ~expr rest
+
+and iter_aggs ~skip ~plan ~expr = function
+  | [] -> ()
+  | (a, _) :: rest ->
+      (match a with
+      | Count_star -> ()
+      | Count e | Sum e | Min e | Max e | Avg e | String_agg (e, _) ->
+          iter_expr ~skip ~plan ~expr e
+      | Xml_agg (e, order) ->
+          iter_expr ~skip ~plan ~expr e;
+          iter_named ~skip ~plan ~expr order);
+      iter_aggs ~skip ~plan ~expr rest
+
+and iter_expr ~skip ~plan ~expr e =
+  match skip with
+  | Some s when s == e -> ()
+  | _ -> (
+      expr e;
+      match e with
+      | Col _ | Const _ -> ()
+      | Binop (_, a, b) ->
+          iter_expr ~skip ~plan ~expr a;
+          iter_expr ~skip ~plan ~expr b
+      | Not e | Is_null e | Xml_text e | Xml_comment e | Xml_pi (_, e) ->
+          iter_expr ~skip ~plan ~expr e
+      | Fn (_, es) | Xml_concat es -> iter_exprs ~skip ~plan ~expr es
+      | Case (whens, els) ->
+          iter_pairs ~skip ~plan ~expr whens;
+          iter_opt ~skip ~plan ~expr els
+      | Xml_element (_, attrs, kids) ->
+          iter_attrs ~skip ~plan ~expr attrs;
+          iter_exprs ~skip ~plan ~expr kids
+      | Xml_forest fs -> iter_attrs ~skip ~plan ~expr fs
+      | Scalar_subquery p | Exists p -> walk ~skip ~plan ~expr p)
+
+(** [iter ?skip ~plan ~expr p] — [plan] on every operator of [p] in
+    pre-order, [expr] on every expression node, descending into the
+    correlated subplans of expressions where they occur: an operator's
+    own expressions before its inputs.  The expression [skip]
+    (physically) and everything below it is left out.  Written without
+    local closures, so a walk allocates nothing of its own (plans
+    compiled per request are walked on the request path). *)
+let iter ?skip ~plan ~expr p = walk ~skip ~plan ~expr p
+
 (** Base tables a plan reads — scans of the plan tree and of every
-    correlated subplan, deduplicated in first-visit order.  The result
-    cache records the data versions of exactly these tables against a
-    cached transform result, so a write to any of them invalidates it. *)
-let tables_of plan =
+    correlated subplan, deduplicated in first-visit order. *)
+let tables_of p =
   let acc = ref [] in
-  let add t = if not (List.mem t !acc) then acc := t :: !acc in
-  let rec go_expr e = List.iter go (subplans_of_expr e)
-  and go_bound = function Unbounded -> () | Incl e | Excl e -> go_expr e
-  and go_fields fs = List.iter (fun (e, _) -> go_expr e) fs
-  and go = function
-    | Seq_scan { table; _ } -> add table
-    | Index_scan { table; lo; hi; _ } ->
-        add table;
-        go_bound lo;
-        go_bound hi
-    | Filter (e, p) ->
-        go_expr e;
-        go p
-    | Project (fs, p) ->
-        go_fields fs;
-        go p
-    | Nested_loop { outer; inner; join_cond } ->
-        go outer;
-        go inner;
-        Option.iter go_expr join_cond
-    | Hash_join { outer; inner; keys; _ } ->
-        go outer;
-        go inner;
-        List.iter
-          (fun (a, b) ->
-            go_expr a;
-            go_expr b)
-          keys
-    | Aggregate { group_by; aggs; input } ->
-        go_fields group_by;
-        List.iter (fun (a, _) -> List.iter go (subplans_of_agg a)) aggs;
-        go input
-    | Sort (keys, p) ->
-        List.iter (fun (e, _) -> go_expr e) keys;
-        go p
-    | Limit (_, p) -> go p
-    | Values _ -> ()
-  in
-  go plan;
+  iter p ~expr:ignore ~plan:(function
+    | Seq_scan { table; _ } | Index_scan { table; _ } ->
+        if not (List.mem table !acc) then acc := table :: !acc
+    | _ -> ());
   List.rev !acc
 
 (** Tree-shaped EXPLAIN output, descending into correlated subqueries.

@@ -3,7 +3,7 @@
 
     Concurrency contract (audited for domain-parallel execution): the
     catalog Hashtbls mutate only through {!create_table} /
-    {!set_table_stats} / {!bump_data_version} — i.e. during load, ANALYZE
+    {!set_table_stats} / {!bump_data_version} / {!log_update} — i.e. during load, ANALYZE
     and DML statements, all of which the engine runs on its writer side
     (no transform executes concurrently with them).  Between writes the
     catalog, every {!Table.t} (rows, indexes) and every
@@ -44,6 +44,19 @@ val bump_data_version : t -> string -> unit
 (** Record that [table]'s rows changed: bump its data version and mark
     its statistics stale (without touching [stats_version] — plans keep
     their cost-gated behavior until the next ANALYZE). *)
+
+val log_update : t -> string -> rids:int array -> columns:string list -> unit
+(** {!bump_data_version} for an UPDATE that overwrote [columns] of the
+    rows [rids] in place, and nothing else: the new version's entry in
+    the table's change log.  Every other bump ({!bump_data_version},
+    {!create_table}) logs its version as an unknown change. *)
+
+val changes_since : t -> string -> int -> (int array * string list) list option
+(** [changes_since db table v] — the (rows, columns) of every UPDATE that
+    made the versions after [v], oldest first ([Some []] when the
+    version has not moved); [None] when one of them was not such an
+    UPDATE (an INSERT, a DELETE, a replacement) or the fixed-size log no
+    longer holds it. *)
 
 val stats_stale : t -> string -> bool
 (** Has the table been written since its statistics were collected?

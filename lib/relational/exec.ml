@@ -107,26 +107,49 @@ let note_order (sop : Stats.op_stats option) presorted =
 
 let dir_cmp d c = match d with Asc -> c | Desc -> -c
 
-(* the B-tree bounds of an index scan over [col], which stands for SQL
-   comparisons ([Value.compare_sql]): none is true against NULL, so a
-   NULL bound selects nothing and an open lower end starts above the NULL
-   keys (they sort first); a string compares with a numeric column as a
-   number *)
-let sql_bounds (col : Table.column) lo hi =
-  let key = function
-    | Value.Str _ as v when col.Table.col_type <> Value.Tstr -> Value.Float (Value.to_float v)
-    | v -> v
+(* the row ids an index scan over [idx] yields for the bound values [lo]
+   and [hi], answering exactly as the SQL comparisons it stands for
+   ([Value.compare_sql]) do: none holds for NULL, so a NULL bound selects
+   nothing and an open lower end starts above the NULL keys (they sort
+   first).  The B-tree orders numbers and strings apart, while
+   [compare_sql] compares a string with a number as numbers (failing on
+   a string that is not one): a bound of the other class than the column
+   is answered by those comparisons over the heap, raising where the
+   filter would. *)
+let index_rids (tbl : Table.t) (idx : Table.index) lo hi : int array =
+  let pos = idx.Table.idx_pos in
+  let numeric = tbl.Table.columns.(pos).Table.col_type <> Value.Tstr in
+  let other_class = function
+    | Btree.Inclusive v | Btree.Exclusive v -> (
+        match v with
+        | Value.Str _ -> numeric
+        | Value.Int _ | Value.Float _ -> not numeric
+        | _ -> false)
+    | Btree.Unbounded -> false
   in
-  let bound = function
-    | Btree.Inclusive Value.Null | Btree.Exclusive Value.Null -> None
-    | Btree.Inclusive v -> Some (Btree.Inclusive (key v))
-    | Btree.Exclusive v -> Some (Btree.Exclusive (key v))
-    | Btree.Unbounded -> Some Btree.Unbounded
+  (* [v] within bound [b], from below when [sign] is 1, from above at -1 *)
+  let within sign v b =
+    match b with
+    | Btree.Unbounded -> true
+    | Btree.Inclusive b ->
+        Option.fold ~none:false ~some:(fun c -> sign * c >= 0) (Value.compare_sql v b)
+    | Btree.Exclusive b ->
+        Option.fold ~none:false ~some:(fun c -> sign * c > 0) (Value.compare_sql v b)
   in
-  match (bound lo, bound hi) with
-  | Some Btree.Unbounded, Some hi -> Some (Btree.Exclusive Value.Null, hi)
-  | Some lo, Some hi -> Some (lo, hi)
-  | _ -> None
+  if other_class lo || other_class hi then
+    Table.fold
+      (fun acc rid r ->
+        let v = r.(pos) in
+        if (not (Value.is_null v)) && within 1 v lo && within (-1) v hi then rid :: acc else acc)
+      [] tbl
+    |> List.rev |> Array.of_list
+  else
+    match (lo, hi) with
+    | (Btree.Inclusive Value.Null | Btree.Exclusive Value.Null), _
+    | _, (Btree.Inclusive Value.Null | Btree.Exclusive Value.Null) ->
+        [||]
+    | Btree.Unbounded, hi -> Btree.range_rids idx.Table.tree ~lo:(Btree.Exclusive Value.Null) ~hi
+    | lo, hi -> Btree.range_rids idx.Table.tree ~lo ~hi
 
 (* ------------------------------------------------------------------ *)
 (* Hash-join key hashing (shared by both executors)                    *)
@@ -357,10 +380,9 @@ and run_node ctx (outer : row) (p : plan) : row list =
             | Incl e -> Btree.Inclusive (eval_expr_in ctx outer e)
             | Excl e -> Btree.Exclusive (eval_expr_in ctx outer e)
           in
-          (match sql_bounds tbl.Table.columns.(idx.Table.idx_pos) (bound lo) (bound hi) with
-          | None -> []
-          | Some (lo, hi) -> Btree.range idx.Table.tree ~lo ~hi)
-          |> List.map (fun (_, rid) -> scan_bindings tbl alias (Table.row tbl rid) @ outer))
+          index_rids tbl idx (bound lo) (bound hi)
+          |> Array.to_list
+          |> List.map (fun rid -> scan_bindings tbl alias (Table.row tbl rid) @ outer))
   | Filter (cond, input) ->
       List.filter (fun r -> bool_of_value (eval_expr_in ctx r cond)) (run_in ctx ~outer input)
   | Project (fields, input) ->
@@ -512,9 +534,9 @@ and run_in ctx ?(outer = []) (p : plan) : row list =
           let probes0, nodes0 =
             match tree with Some t -> (Btree.probes t, Btree.node_visits t) | None -> (0, 0)
           in
-          let t0 = Unix.gettimeofday () in
+          let t0 = Clock.now_ns () in
           let rows = run_node ctx outer p in
-          s.Stats.time_ms <- s.Stats.time_ms +. ((Unix.gettimeofday () -. t0) *. 1000.0);
+          s.Stats.time_ms <- s.Stats.time_ms +. Clock.ms_since t0;
           s.Stats.loops <- s.Stats.loops + 1;
           let produced = List.length rows in
           s.Stats.rows <- s.Stats.rows + produced;
@@ -644,6 +666,30 @@ type cursor = unit -> Value.t array array option
     subqueries open once per outer row). *)
 type compiled = { c_layout : Layout.t; c_own : int; c_open : Value.t array -> cursor }
 
+(* one output document's members of the patchable XMLAgg, as the run
+   that serialized them saw them.  Offsets are content offsets: past the
+   [>] that closed a start tag left open before the first member. *)
+type doc_members = {
+  env : Value.t array;  (* the environment the aggregate opened on *)
+  drows : Value.t array array;  (* driving rows, in member order *)
+  ends : int array;  (* where each member's bytes end *)
+  start : int;  (* where the first member's bytes begin *)
+  opened : bool;  (* a start tag was open before the first member *)
+}
+
+type members = { mplan : plan; mdocs : (int * doc_members) list }
+
+(* what a recording run of [rtarget] saw, or (patch) its compiled emitter *)
+type recorder = {
+  rtarget : agg;
+  mutable emitter : (E.sink -> Value.t array -> Value.t array -> unit) option;
+  mutable current : (int * E.sink * Buffer.t * (unit -> bool)) option;
+      (* the document serializing now: its index, sink, buffer and
+         whether a start tag is open in it *)
+  mutable recorded : (int * doc_members) list;
+  mutable valid : bool;
+}
+
 type cctx = {
   cdb : Database.t;
   cstats : Stats.t option;
@@ -658,7 +704,33 @@ type cctx = {
       (* the plan projects [rowid_column]: scans append each row's id as
          one more own slot (a copy of the row); otherwise they hand out
          the table's own arrays *)
+  crecord : recorder option;
 }
+
+(* emit the aggregate's members [ms] into [sink], recording each one's
+   driving row and end offset when [sink] is the recorder's current
+   document and this is the document's first emission of the aggregate.
+   Any other emission (a probe, a string conversion, a DOM, a second
+   time) makes the run's recording unusable.  So does a wrapper that
+   self-closes because every member is empty: it has no member bytes. *)
+let record_members rc sink env ms emit =
+  match rc.current with
+  | Some (doc, s, buf, pending) when s == sink && not (List.mem_assoc doc rc.recorded) ->
+      let offset () = Buffer.length buf + if pending () then 1 else 0 in
+      let n = List.length ms in
+      let drows = Array.make n [||] and ends = Array.make n 0 in
+      let opened = pending () and start = offset () in
+      List.iteri
+        (fun i r ->
+          emit r;
+          drows.(i) <- r;
+          ends.(i) <- offset ())
+        ms;
+      if opened && pending () then rc.valid <- false
+      else rc.recorded <- (doc, { env; drows; ends; start; opened }) :: rc.recorded
+  | _ ->
+      rc.valid <- false;
+      List.iter emit ms
 
 let rowid_column = "$rowid"
 
@@ -804,14 +876,14 @@ let flat_map_cursor batch (next : cursor) each : cursor =
    wall time around open and every pull (child time is included, like the
    interpreted executor's inclusive accounting) *)
 let instrumented_open (s : Stats.op_stats) open_ (env : Value.t array) : cursor =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now_ns () in
   s.Stats.loops <- s.Stats.loops + 1;
   let next = open_ env in
-  s.Stats.time_ms <- s.Stats.time_ms +. ((Unix.gettimeofday () -. t0) *. 1000.0);
+  s.Stats.time_ms <- s.Stats.time_ms +. Clock.ms_since t0;
   fun () ->
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now_ns () in
     let b = next () in
-    s.Stats.time_ms <- s.Stats.time_ms +. ((Unix.gettimeofday () -. t0) *. 1000.0);
+    s.Stats.time_ms <- s.Stats.time_ms +. Clock.ms_since t0;
     (match b with Some rows -> s.Stats.rows <- s.Stats.rows + Array.length rows | None -> ());
     b
 
@@ -1195,9 +1267,19 @@ and cagg ctx sop lay own (a : agg) : Value.t array -> Value.t array list -> Valu
       let kfs = Array.of_list (List.map (fun (k, _) -> cexpr ctx lay own k) order) in
       let dirs = Array.of_list (List.map snd order) in
       let pure = List.for_all (fun (k, _) -> subplans_of_expr k = []) order in
+      let record =
+        match ctx.crecord with
+        | Some rc when rc.rtarget == a ->
+            rc.emitter <- Some em;
+            Some rc
+        | _ -> None
+      in
       fun env ms ->
         let ms = if order = [] then ms else order_rows sop env kfs dirs ~pure ms in
-        xml_value ~streaming:ctx.cxml_streaming (fun sink -> List.iter (fun r -> em sink env r) ms)
+        xml_value ~streaming:ctx.cxml_streaming (fun sink ->
+            match record with
+            | None -> List.iter (fun r -> em sink env r) ms
+            | Some rc -> record_members rc sink env ms (fun r -> em sink env r))
   | String_agg (e, sep) ->
       let f = cexpr ctx lay own e in
       fun env ms ->
@@ -1257,15 +1339,10 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
               fun env -> Btree.Exclusive (f env env)
         in
         let blo = cbound lo and bhi = cbound hi in
-        let col = tbl.Table.columns.(idx.Table.idx_pos) in
         let open_ env =
           let tree = idx.Table.tree in
           let probes0 = Btree.probes tree and nodes0 = Btree.node_visits tree in
-          let rids =
-            match sql_bounds col (blo env) (bhi env) with
-            | None -> [||]
-            | Some (lo, hi) -> Btree.range_rids tree ~lo ~hi
-          in
+          let rids = index_rids tbl idx (blo env) (bhi env) in
           (match sopt with
           | Some s ->
               s.Stats.btree_probes <- s.Stats.btree_probes + (Btree.probes tree - probes0);
@@ -1565,8 +1642,8 @@ let run_interpreted_analyzed db ?(outer = []) (p : plan) : row list * Stats.t =
     cursors.  [xml_streaming] makes XML constructors produce
     [Value.Xml_stream] (events on demand) instead of node trees.
     @raise Exec_error for unresolvable or ambiguous columns. *)
-let compile db ?stats ?(outer = Layout.empty) ?(batch_size = default_batch_size)
-    ?(xml_streaming = false) ?partition (p : plan) : compiled =
+let compile_ctx db ?stats ?(outer = Layout.empty) ?(batch_size = default_batch_size)
+    ?(xml_streaming = false) ?partition ?record (p : plan) : compiled =
   cplan
     {
       cdb = db;
@@ -1575,15 +1652,78 @@ let compile db ?stats ?(outer = Layout.empty) ?(batch_size = default_batch_size)
       cxml_streaming = xml_streaming;
       cpartition = partition;
       crowid = reads_rowid p;
+      crecord = record;
     }
     outer p
 
+let compile db ?stats ?outer ?batch_size ?xml_streaming ?partition p =
+  compile_ctx db ?stats ?outer ?batch_size ?xml_streaming ?partition p
+
 (** [run_arrays db plan] — compiled execution to physical rows plus their
     layout; the allocation-light entry point for hot paths. *)
-let run_arrays db ?batch_size ?xml_streaming ?partition (p : plan) :
+let run_arrays db ?batch_size ?xml_streaming ?partition ?record (p : plan) :
     Layout.t * Value.t array list =
-  let c = compile db ?batch_size ?xml_streaming ?partition p in
+  let c = compile_ctx db ?batch_size ?xml_streaming ?partition ?record p in
   (c.c_layout, drain_cursor (c.c_open [||]))
+
+(* ------------------------------------------------------------------ *)
+(* Member recording and patching                                       *)
+(* ------------------------------------------------------------------ *)
+
+let recorder (m : Footprint.members) =
+  { rtarget = m.Footprint.agg; emitter = None; current = None; recorded = []; valid = true }
+
+let record_document rc ~doc sink buf pending = rc.current <- Some (doc, sink, buf, pending)
+
+let recorded rc plan =
+  rc.current <- None;
+  if rc.valid then Some { mplan = plan; mdocs = rc.recorded } else None
+
+(* a write of more rows than this recomputes: each changed row is looked
+   up among the members by identity *)
+let max_patch_rows = 32
+
+let patch db plan (m : Footprint.members) (recorded : members) ~rids (output : string list) =
+  let rc = recorder m in
+  if recorded.mplan == plan && List.length rids <= max_patch_rows then
+    ignore (compile_ctx db ~xml_streaming:true ~record:rc plan);
+  match rc.emitter with
+  | Some em -> (
+      (* UPDATE overwrites rows in place: a changed rid's row is the very
+         array its member was emitted from *)
+      let changed = List.map (Table.row (Database.table db m.Footprint.table)) rids in
+      let out = Array.of_list output in
+      let exception Recompute in
+      (* one pass: the bytes between re-emitted members are copied as
+         they are, and each end moves by the growth so far *)
+      let patch_doc (i, dm) =
+        if not (Array.exists (fun r -> List.memq r changed) dm.drows) then (i, dm)
+        else
+          let old = out.(i) and n = Array.length dm.drows in
+          let b = Buffer.create (String.length old + 256) and ends = Array.copy dm.ends in
+          let copied = ref 0 and shift = ref 0 in
+          for j = 0 to n - 1 do
+            if List.memq dm.drows.(j) changed then (
+              let s0 = if j = 0 then dm.start else dm.ends.(j - 1) in
+              Buffer.add_substring b old !copied (s0 - !copied);
+              let at = Buffer.length b and sink = E.serializing_sink b in
+              em sink dm.env dm.drows.(j);
+              sink.E.finish ();
+              shift := !shift + Buffer.length b - at - (dm.ends.(j) - s0);
+              copied := dm.ends.(j));
+            ends.(j) <- dm.ends.(j) + !shift
+          done;
+          (* a wrapper over no member bytes self-closes: only a recompute
+             writes that *)
+          if dm.opened && n > 0 && ends.(n - 1) = dm.start then raise Recompute;
+          Buffer.add_substring b old !copied (String.length old - !copied);
+          out.(i) <- Buffer.contents b;
+          (i, { dm with ends })
+      in
+      match List.map patch_doc recorded.mdocs with
+      | docs -> Some (Array.to_list out, { recorded with mdocs = docs })
+      | exception Recompute -> None)
+  | _ -> None
 
 let run_arrays_analyzed db ?batch_size ?xml_streaming ?partition (p : plan) :
     (Layout.t * Value.t array list) * Stats.t =

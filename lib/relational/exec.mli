@@ -83,16 +83,55 @@ val compile :
     @raise Exec_error at plan-open time for unknown or ambiguous
     columns, listing the columns that are available. *)
 
+type recorder
+(** A run's record of the members of the plan's patchable XMLAgg
+    ({!Footprint.members}): per output document, the driving row of each
+    member and where its bytes end in the serialized result. *)
+
+type members
+(** What a recorder saw: see {!recorded}. *)
+
 val run_arrays :
   Database.t ->
   ?batch_size:int ->
   ?xml_streaming:bool ->
   ?partition:string * int * int ->
+  ?record:recorder ->
   Algebra.plan ->
   Layout.t * Value.t array list
 (** Compiled execution to physical rows plus their layout — the
     allocation-light entry point for hot paths.  [partition] as in
-    {!compile}. *)
+    {!compile}; [record] (with [xml_streaming]) records the members as
+    the rows' streamed results serialize ({!record_document}). *)
+
+val recorder : Footprint.members -> recorder
+
+val record_document :
+  recorder -> doc:int -> Xdb_xml.Events.sink -> Buffer.t -> (unit -> bool) -> unit
+(** Output document [doc] serializes next, into the sink over the buffer
+    of {!Xdb_xml.Events.content_sink}, with its open-tag test: offsets
+    are taken past a start tag the next content closes. *)
+
+val recorded : recorder -> Algebra.plan -> members option
+(** After the last document; [None] when the members were emitted other
+    than once per document straight into its sink, or every member of a
+    wrapper was empty (it self-closed). *)
+
+val patch :
+  Database.t ->
+  Algebra.plan ->
+  Footprint.members ->
+  members ->
+  rids:int list ->
+  string list ->
+  (string list * members) option
+(** [patch db plan m recorded ~rids output] — [output], as a run of
+    [plan] recorded it, with the members of the rows [rids] of the
+    driving table re-emitted by the compiled member emitter and spliced
+    in, and the new recording.  The rows were overwritten in place since,
+    in columns only the members read ({!Footprint.classify}).  [None]
+    (recompute) when [recorded] came from another plan, more than 32 rows
+    changed, or the patch would empty every member of a wrapper. *)
 
 val run_arrays_analyzed :
   Database.t ->

@@ -68,35 +68,7 @@ let create (plan : A.plan) : t =
     incr next;
     entries := { id; label = label_of_plan p; node = p; op = fresh_op () } :: !entries
   in
-  let rec subs es = List.iter (fun e -> List.iter go (A.subplans_of_expr e)) es
-  and go p =
-    add p;
-    match p with
-    | A.Seq_scan _ | A.Index_scan _ | A.Values _ -> ()
-    | A.Filter (c, i) ->
-        subs [ c ];
-        go i
-    | A.Project (fs, i) ->
-        subs (List.map fst fs);
-        go i
-    | A.Nested_loop { outer; inner; join_cond } ->
-        (match join_cond with Some c -> subs [ c ] | None -> ());
-        go outer;
-        go inner
-    | A.Hash_join { outer; inner; keys; _ } ->
-        subs (List.concat_map (fun (ok, ik) -> [ ok; ik ]) keys);
-        go outer;
-        go inner
-    | A.Aggregate { group_by; aggs; input } ->
-        subs (List.map fst group_by);
-        List.iter (fun (a, _) -> List.iter go (A.subplans_of_agg a)) aggs;
-        go input
-    | A.Sort (keys, i) ->
-        subs (List.map fst keys);
-        go i
-    | A.Limit (_, i) -> go i
-  in
-  go plan;
+  A.iter plan ~plan:add ~expr:ignore;
   { entries = List.rev !entries }
 
 (** Stats record of a plan node by physical identity ([==]); [None] for

@@ -228,7 +228,10 @@ let run_update db ~table ~sets ~where : result =
   (* phase 2: mutate (index maintenance inside Table.update) *)
   List.iter (fun (rid, news) -> T.update tbl rid news) pending;
   let n = List.length pending in
-  if n > 0 then Xdb_rel.Database.bump_data_version db table;
+  if n > 0 then
+    Xdb_rel.Database.log_update db table
+      ~rids:(Array.of_list (List.map fst pending))
+      ~columns:(List.sort_uniq compare (List.map fst sets));
   affected n (dml_note ~selection:plan db table "updated" n)
 
 let run_delete db ~table ~where : result =

@@ -138,7 +138,7 @@ let text_streaming_sink buf =
   let finish () = if !depth > 0 then serr "%d unclosed element(s) at end of output" !depth in
   { emit; finish }
 
-let streaming_sink ~meth buf =
+let streaming_sink_pending ~meth buf =
   let stack = ref [] in
   let pending = ref false in
   let close_pending () =
@@ -199,7 +199,10 @@ let streaming_sink ~meth buf =
   let finish () =
     if !stack <> [] then serr "%d unclosed element(s) at end of output" (List.length !stack)
   in
-  { emit; finish }
+  ({ emit; finish }, fun () -> !pending)
+
+let streaming_sink ~meth buf = fst (streaming_sink_pending ~meth buf)
+let content_sink buf = streaming_sink_pending ~meth:Xml buf
 
 (* ------------------------------------------------------------------ *)
 (* Serializing sink, indented form                                     *)

@@ -55,6 +55,12 @@ val serializing_sink : ?meth:output_method -> ?indent:bool -> Buffer.t -> sink
     child lookahead).  Defaults: [meth = Xml].
     @raise Serialize_error for ill-formed event streams (see above). *)
 
+val content_sink : Buffer.t -> sink * (unit -> bool)
+(** The streaming XML form of {!serializing_sink} (no indentation), and
+    whether a start tag is still open in [buf]: written without its
+    closing [>], which the next content event writes first (or the
+    matching [End_element] turns into [/>]). *)
+
 val to_string : ?meth:output_method -> ?indent:bool -> (sink -> unit) -> string
 (** [to_string produce] — run [produce] against a fresh serializing sink
     and return the buffer contents ([finish] included). *)

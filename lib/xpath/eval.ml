@@ -43,7 +43,7 @@ let rec ancestors n acc =
 (* nodes yielded in axis order (reverse axes yield reverse document order,
    i.e. proximity order, which is what positional predicates count in;
    [eval_step] re-sorts final node-sets to document order afterwards) *)
-let axis_nodes axis n =
+let rec axis_nodes axis n =
   match axis with
   | Self -> [ n ]
   | Child -> n.T.children
@@ -74,6 +74,16 @@ let axis_nodes axis n =
             | x :: rest -> if x == n then acc else before (x :: acc) rest
           in
           before [] p.T.children)
+  (* an attribute sits in document order right after its owner's start,
+     before the owner's children (§5.1): what follows it is the owner's
+     descendants, then what follows the owner; what precedes it is what
+     precedes the owner, which is its ancestor *)
+  | Following when T.is_attribute n -> (
+      match n.T.parent with
+      | None -> []
+      | Some owner -> T.descendants owner @ axis_nodes Following owner)
+  | Preceding when T.is_attribute n -> (
+      match n.T.parent with None -> [] | Some owner -> axis_nodes Preceding owner)
   | Following ->
       (* all nodes after n in document order, excluding descendants *)
       let rec collect m acc =

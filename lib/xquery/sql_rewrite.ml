@@ -249,8 +249,12 @@ and tr_agg env (e : expr) : A.expr =
                 | None -> fail "fn:%s over a non-scalar path" fname)
             | f -> fail "unsupported aggregate fn:%s" f
           in
-          A.Scalar_subquery
-            (A.Aggregate { group_by = []; aggs = [ (agg, "agg") ]; input = layers_plan layers })
+          let sub =
+            A.Scalar_subquery
+              (A.Aggregate { group_by = []; aggs = [ (agg, "agg") ]; input = layers_plan layers })
+          in
+          (* SQL's SUM of no rows is NULL; fn:sum of an empty sequence is 0 *)
+          if fname = "sum" then A.Fn ("coalesce", [ sub; A.Const (V.Int 0) ]) else sub
       | [] -> (
           (* aggregate over a singleton: count=1/0 by nullness, sum=value *)
           match P.scalar_column l.spec with

@@ -1096,32 +1096,72 @@ let test_result_cache_unit () =
   let db = Xdb_rel.Database.create () in
   ignore (Xdb_rel.Database.create_table db "t" [ { Xdb_rel.Table.col_name = "a"; col_type = Xdb_rel.Value.Tint } ]);
   let rc = RC.create ~capacity:2 db in
-  check cb "miss on empty" true (RC.find rc ~key:"k1" = None);
+  check cb "miss on empty" true (RC.find rc ~key:"k1" () = RC.Miss);
   RC.store rc ~view:"v" ~key:"k1" ~deps:[ "t" ] [ "out1" ];
-  check cb "hit while fresh" true (RC.find rc ~key:"k1" = Some [ "out1" ]);
+  check cb "hit while fresh" true (RC.find rc ~key:"k1" () = RC.Hit [ "out1" ]);
   (* a write to the dependency table invalidates on the next lookup *)
   Xdb_rel.Database.bump_data_version db "t";
-  check cb "stale after version bump" true (RC.find rc ~key:"k1" = None);
+  check cb "stale after version bump" true (RC.find rc ~key:"k1" () = RC.Dropped);
   check ci "entry dropped" 0 (RC.size rc);
   (* re-stored entries snapshot the new version *)
   RC.store rc ~view:"v" ~key:"k1" ~deps:[ "t" ] [ "out2" ];
-  check cb "fresh again" true (RC.find rc ~key:"k1" = Some [ "out2" ]);
+  check cb "fresh again" true (RC.find rc ~key:"k1" () = RC.Hit [ "out2" ]);
   (* view-level invalidation (schema evolution: no version movement) *)
   RC.invalidate_view rc "v";
-  check cb "gone after invalidate_view" true (RC.find rc ~key:"k1" = None);
+  check cb "gone after invalidate_view" true (RC.find rc ~key:"k1" () = RC.Miss);
   (* LRU bounding: capacity 2, third insert evicts the least recent *)
   RC.store rc ~view:"v" ~key:"a" ~deps:[ "t" ] [ "A" ];
   RC.store rc ~view:"v" ~key:"b" ~deps:[ "t" ] [ "B" ];
-  ignore (RC.find rc ~key:"a");
+  ignore (RC.find rc ~key:"a" ());
   (* touch a so b is the LRU victim *)
   RC.store rc ~view:"v" ~key:"c" ~deps:[ "t" ] [ "C" ];
   check ci "bounded" 2 (RC.size rc);
-  check cb "victim was the LRU entry" true (RC.find rc ~key:"b" = None);
-  check cb "recent survivor" true (RC.find rc ~key:"a" = Some [ "A" ]);
+  check cb "victim was the LRU entry" true (RC.find rc ~key:"b" () = RC.Miss);
+  check cb "recent survivor" true (RC.find rc ~key:"a" () = RC.Hit [ "A" ]);
   let ctr name = List.assoc name (RC.counters rc) in
   check cb "eviction counted" true (ctr "result_cache_evictions" >= 1);
   check cb "hits counted" true (ctr "result_cache_hits" >= 3);
   check cb "invalidations counted" true (ctr "result_cache_invalidations" >= 2)
+
+(* a members-only write: the patch is computed outside the cache mutex
+   and installed only over the entry at the versions it was patched from;
+   a patch that declines drops the entry *)
+let test_result_cache_patch_install () =
+  let module D = Xdb_xsltmark.Data in
+  let dv = D.records_db 50 in
+  let db = dv.D.db in
+  let c =
+    PL.compile db dv.D.view (Option.get (Xdb_xsltmark.Cases.find "metric")).Xdb_xsltmark.Cases.stylesheet
+  in
+  let recorded = ref None in
+  let out = PL.run_rewrite ~on_members:(fun m -> recorded := Some m) db c in
+  let members = Option.get !recorded and footprint = Option.get c.PL.footprint in
+  let rc = RC.create db in
+  let ctr name = List.assoc name (RC.counters rc) in
+  let write () =
+    ignore
+      (Xdb_sql.Engine.run_dml db (Xdb_sql.Parser.parse "UPDATE rows SET value = 1 WHERE id = 3"))
+  in
+  RC.store rc ~view:"v" ~key:"k" ~deps:c.PL.deps ~members out;
+  write ();
+  (* a second reader patches and installs while the first still patches *)
+  let inner () = RC.find rc ~key:"k" ~footprint ~patch:(fun _ m _ -> Some ([ "inner" ], m)) () in
+  let outer =
+    RC.find rc ~key:"k" ~footprint
+      ~patch:(fun _ m rids ->
+        check (Alcotest.list ci) "the written rid" [ 2 ] rids;
+        check cb "the inner reader patched" true (inner () = RC.Patched [ "inner" ]);
+        Some ([ "outer" ], m))
+      ()
+  in
+  check cb "each reader serves its own patch" true (outer = RC.Patched [ "outer" ]);
+  check cb "the first install stays" true (RC.find rc ~key:"k" ~footprint () = RC.Hit [ "inner" ]);
+  check ci "two patches counted" 2 (ctr "result_cache_patches");
+  write ();
+  check cb "a declined patch recomputes" true
+    (RC.find rc ~key:"k" ~footprint ~patch:(fun _ _ _ -> None) () = RC.Dropped);
+  check ci "the entry is gone" 0 (RC.size rc);
+  check ci "counted as an invalidation" 1 (ctr "result_cache_invalidations")
 
 let test_engine_result_cache () =
   let db, view = setup_example1 () in
@@ -1173,6 +1213,65 @@ let test_engine_result_cache () =
   ignore (EN.execute engine "INSERT INTO unrelated VALUES (1)");
   check ci "unrelated write keeps cache entries" 1 (hit_counter (t ()));
   EN.shutdown engine
+
+(* a cycle of the paper's Figure 3 pages over changing data: a value
+   UPDATE of one [rows] row keeps the avts page (it never reads
+   [rows.value]) and patches the metric page (only its members read it);
+   an amount UPDATE of one region's items recomputes chart and total
+   (aggregates).  The first cycle recomputes metric: a page computed
+   once is not recorded.  Every page served equals a forced recompute. *)
+let test_fig3_cycle_keeps_and_patches () =
+  let module D = Xdb_xsltmark.Data in
+  let rdv = D.records_db 300 and sdv = D.sales_db 20 5 in
+  let open_engine (dv : D.dbview) =
+    let e = EN.create dv.D.db in
+    EN.register_view e dv.D.view;
+    ignore (EN.execute e "ANALYZE");
+    e
+  in
+  let er = open_engine rdv and es = open_engine sdv in
+  let stylesheet name = (Option.get (Xdb_xsltmark.Cases.find name)).Xdb_xsltmark.Cases.stylesheet in
+  let page =
+    List.map
+      (fun (e, view_name, name) -> (name, e, EN.prepare e ~view_name ~stylesheet:(stylesheet name)))
+      [ (er, "records_vu", "avts"); (er, "records_vu", "metric"); (es, "sales_vu", "chart"); (es, "sales_vu", "total") ]
+  in
+  let with_metrics = { EN.default_run_options with EN.collect_metrics = true } in
+  let read () =
+    List.map
+      (fun (name, e, st) ->
+        let r = EN.transform_stmt ~options:with_metrics e st in
+        let m = Xdb_core.Metrics.counters (Option.get r.EN.metrics) in
+        let fresh =
+          EN.transform_stmt ~options:{ EN.default_run_options with EN.result_cache = false } e st
+        in
+        check (Alcotest.list cs) (name ^ " served = recomputed") fresh.EN.output r.EN.output;
+        (name, (List.assoc "result_cache_hit" m, List.assoc "result_cache_patched" m)))
+      page
+  in
+  let cycle i =
+    ignore (EN.execute er (Printf.sprintf "UPDATE rows SET value = %d WHERE id = 17" (4242 + i)));
+    ignore (EN.execute es (Printf.sprintf "UPDATE item SET amount = %d WHERE rid = 3" (77 + i)));
+    read ()
+  in
+  ignore (read ());
+  check
+    Alcotest.(list (pair string (pair int int)))
+    "first cycle: avts kept, metric recorded, chart and total recomputed"
+    [ ("avts", (1, 0)); ("metric", (0, 0)); ("chart", (0, 0)); ("total", (0, 0)) ]
+    (cycle 0);
+  let ctr e name = List.assoc name (EN.result_cache_counters e) in
+  let before = List.map (fun n -> ctr er n + ctr es n) [ "result_cache_kept"; "result_cache_patches" ] in
+  check
+    Alcotest.(list (pair string (pair int int)))
+    "avts kept, metric patched, chart and total recomputed"
+    [ ("avts", (1, 0)); ("metric", (0, 1)); ("chart", (0, 0)); ("total", (0, 0)) ]
+    (cycle 1);
+  check Alcotest.(list int) "one kept, one patch counted"
+    (List.map2 ( + ) before [ 1; 1 ])
+    (List.map (fun n -> ctr er n + ctr es n) [ "result_cache_kept"; "result_cache_patches" ]);
+  EN.shutdown er;
+  EN.shutdown es
 
 let test_prepared_statements () =
   let db, view = setup_example1 () in
@@ -1867,6 +1966,9 @@ let () =
           Alcotest.test_case "result cache unit" `Quick test_result_cache_unit;
           Alcotest.test_case "result cache through engine" `Quick
             test_engine_result_cache;
+          Alcotest.test_case "result cache patch install" `Quick test_result_cache_patch_install;
+          Alcotest.test_case "a Figure 3 cycle keeps, patches and recomputes" `Quick
+            test_fig3_cycle_keeps_and_patches;
           Alcotest.test_case "prepared statements" `Quick test_prepared_statements;
           Alcotest.test_case "run source verb" `Quick test_run_source_verb;
           QCheck_alcotest.to_alcotest prop_parallel_equiv_sequential;

@@ -1702,6 +1702,16 @@ let prop_shred_positional_differential =
 
 (* following/preceding from each document's edge nodes: the rows of the
    other document stored beside it never leak into the answer *)
+(* following/preceding from an attribute context: the owner's
+   descendants follow the attribute, the owner does not precede it
+   (XPath 1.0 §2.2/§5.1) — the same answers the DOM interpreter gives *)
+let test_shred_attribute_following_preceding () =
+  let t = SH.create () in
+  let docid = SH.shred t (Xdb_xml.Parser.parse {|<r><p/><a id="1"><b/><c/></a><d/></r>|}) in
+  let names q = List.map (fun r -> r.SH.name) (SH.select t ~docid q) in
+  check Alcotest.(list string) "//@id/following::*" [ "b"; "c"; "d" ] (names "//@id/following::*");
+  check Alcotest.(list string) "//@id/preceding::*" [ "p" ] (names "//@id/preceding::*")
+
 let test_shred_two_documents () =
   let docs =
     List.map Xdb_xml.Parser.parse
@@ -2620,6 +2630,86 @@ let test_plans_leave_table_rows_unchanged () =
     | _, r :: _ -> r == T.row (DB.table db "emp") 0
     | _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* Column footprints                                                   *)
+(* ------------------------------------------------------------------ *)
+
+module FP = Xdb_rel.Footprint
+
+(* the rewrite plans' shape: a wrapper per [base] row around the XMLAgg
+   of a driving scan of [t], correlated on [b], filtered on [f], ordered
+   by [k]; members render [v] (and whatever [extra] adds) *)
+let agg_plan ?(extra = []) ?(driving = A.Seq_scan { table = "t"; alias = "t" }) () =
+  let member = A.Xml_element ("m", [], A.Xml_text (A.qcol "t" "v") :: extra) in
+  let cond = A.(qcol "t" "b" =. qcol "base" "b" &&. (qcol "t" "f" >. const_int 0)) in
+  A.Project
+    ( [
+        ( A.Xml_element
+            ( "w",
+              [],
+              [
+                A.Scalar_subquery
+                  (A.Aggregate
+                     {
+                       group_by = [];
+                       aggs = [ (A.Xml_agg (member, [ (A.qcol "t" "k", A.Asc) ]), "result") ];
+                       input = A.Filter (cond, driving);
+                     });
+              ] ),
+          "result" );
+      ],
+      A.Seq_scan { table = "base"; alias = "base" } )
+
+let verdict =
+  Alcotest.testable
+    (fun f v ->
+      Format.pp_print_string f
+        (match v with FP.Irrelevant -> "irrelevant" | FP.Members -> "members" | FP.Recompute -> "recompute"))
+    ( = )
+
+(* a write reaches only what the plan reads; it patches only when the
+   member expression alone reads it, through the driving row *)
+let test_footprint_patch_rules () =
+  let fp = FP.of_plan (agg_plan ()) in
+  let is what table cols want = check verdict what want (FP.classify fp ~table cols) in
+  is "a column nothing reads" "t" [ "z" ] FP.Irrelevant;
+  is "a table the plan does not scan" "other" [ "v" ] FP.Irrelevant;
+  is "a member-only column" "t" [ "v" ] FP.Members;
+  is "with one nothing reads" "t" [ "z"; "v" ] FP.Members;
+  is "a filter column" "t" [ "f" ] FP.Recompute;
+  is "a correlation column" "t" [ "b" ] FP.Recompute;
+  is "an order key" "t" [ "k" ] FP.Recompute;
+  is "the outer table's correlation column" "base" [ "b" ] FP.Recompute;
+  let classify ?extra ?driving cols =
+    FP.classify (FP.of_plan (agg_plan ?extra ?driving ())) ~table:"t" cols
+  in
+  check verdict "an index scan's column" FP.Recompute
+    (classify [ "v" ]
+       ~driving:
+         (A.Index_scan
+            { table = "t"; alias = "t"; index_column = "v"; lo = A.Incl (A.const_int 1); hi = A.Unbounded }));
+  check verdict "a member subquery over the driving table" FP.Recompute
+    (classify [ "v" ]
+       ~extra:
+         [
+           A.Xml_text
+             (A.Scalar_subquery
+                (A.Aggregate
+                   { group_by = []; aggs = [ (A.Count_star, "n") ]; input = A.Seq_scan { table = "t"; alias = "t2" } }));
+         ]);
+  check verdict "an unqualified name counts against every table" FP.Recompute
+    (FP.classify
+       (FP.of_plan
+          (A.Filter (A.Binop (A.Gt, A.col "v", A.const_int 0), agg_plan ())))
+       ~table:"t" [ "v" ]);
+  check verdict "a member that is not markup" FP.Recompute
+    (FP.classify
+       (FP.of_plan
+          (A.Project
+             ( [ (A.Scalar_subquery (A.Aggregate { group_by = []; aggs = [ (A.Xml_agg (A.qcol "t" "v", []), "r") ]; input = A.Seq_scan { table = "t"; alias = "t" } }), "result") ],
+               A.Seq_scan { table = "base"; alias = "base" } )))
+       ~table:"t" [ "v" ])
+
 let () =
   Alcotest.run "relational"
     [
@@ -2715,6 +2805,9 @@ let () =
           Alcotest.test_case "path/value index" `Quick test_pathindex;
           Alcotest.test_case "path/value index dedup counting" `Quick test_pathindex_dedup;
         ] );
+      ( "footprint",
+        [ Alcotest.test_case "what a write reaches, what it patches" `Quick test_footprint_patch_rules ]
+      );
       ( "shredding",
         [
           Alcotest.test_case "shred/reconstruct roundtrip" `Quick test_shred_roundtrip;
@@ -2726,5 +2819,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_shred_positional_differential;
           Alcotest.test_case "two documents: following/preceding stay inside" `Quick
             test_shred_two_documents;
+          Alcotest.test_case "following/preceding from an attribute" `Quick
+            test_shred_attribute_following_preceding;
         ] );
     ]

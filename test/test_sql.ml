@@ -515,6 +515,132 @@ xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
           cached () = r && cached () = r && functional () = r)
         stmts)
 
+(* CI runs the suite again with XDB_TEST_JOBS=4: served pages then
+   alternate between one domain and that many *)
+let test_jobs =
+  match Option.bind (Sys.getenv_opt "XDB_TEST_JOBS") int_of_string_opt with
+  | Some n when n > 1 -> n
+  | _ -> 1
+
+let stylesheet_of name = (Option.get (Xdb_xsltmark.Cases.find name)).Xdb_xsltmark.Cases.stylesheet
+
+let xsl body =
+  {|<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">|} ^ body
+  ^ "</xsl:stylesheet>"
+
+(* members that are all empty unless a value is above 9990: the wrapper
+   self-closes, and a write can fill or empty it *)
+let sparse_members =
+  xsl
+    {|<xsl:template match="table"><big><xsl:for-each select="row"><xsl:if test="value &gt; 9990"><b id="{id}"><xsl:value-of select="value"/></b></xsl:if></xsl:for-each></big></xsl:template>|}
+
+(* each member counts rows of its own driving table: a value write
+   changes every member, so it must recompute, never patch *)
+let self_counting =
+  xsl
+    {|<xsl:template match="table"><s><xsl:for-each select="row"><r id="{id}"><xsl:value-of select="count(/table/row[value &gt; 5000])"/></r></xsl:for-each></s></xsl:template>|}
+
+(* random writes against the Figure 3 pages (avts, metric, chart, total)
+   and adversarial ones: dbaccess filters on the written value column,
+   alphabetize orders by name, and the two above.  Writes hit member-only,
+   filter, order and correlation columns, insert and delete rows, update
+   many rows at once, and overflow the change log with a burst of point
+   UPDATEs.  After every statement each page as served (kept, patched or
+   recomputed) equals a forced recompute and the functional VM. *)
+let prop_point_writes_keep_or_patch =
+  let records_pages =
+    [ ("avts", stylesheet_of "avts"); ("metric", stylesheet_of "metric");
+      ("dbaccess", stylesheet_of "dbaccess"); ("alphabetize", stylesheet_of "alphabetize");
+      ("sparse", sparse_members); ("self-counting", self_counting) ]
+  and sales_pages = [ ("chart", stylesheet_of "chart"); ("total", stylesheet_of "total") ] in
+  let records_stmt =
+    QCheck.Gen.(
+      let id = int_range 1 40 and v = int_range 0 10_000 in
+      frequency
+        [
+          (5, map2 (Printf.sprintf "UPDATE rows SET value = %d WHERE id = %d") v id);
+          (2, map2 (Printf.sprintf "UPDATE rows SET value = 9995 + %d WHERE id = %d") (int_bound 4) id);
+          (2, map2 (Printf.sprintf "UPDATE rows SET name = 'n%d' WHERE id = %d") v id);
+          (1, map2 (Printf.sprintf "UPDATE rows SET category = 'C%d' WHERE id = %d") (int_bound 3) id);
+          (1, map2 (Printf.sprintf "UPDATE rows SET id = %d WHERE id = %d") (int_range 41 60) id);
+          (1, map2 (Printf.sprintf "UPDATE rows SET tid = %d WHERE id = %d") (int_range 1 2) id);
+          (1, map (Printf.sprintf "UPDATE rows SET value = value + 7 WHERE id < %d") id);
+          (1, map2 (Printf.sprintf "INSERT INTO rows VALUES (1, %d, 'new', %d, 'A')") (int_range 61 80) v);
+          (1, map (Printf.sprintf "DELETE FROM rows WHERE id = %d") id);
+          (1, return "burst");
+        ])
+  and sales_stmt =
+    QCheck.Gen.(
+      let rid = int_range 0 5 in
+      frequency
+        [
+          (3, map2 (Printf.sprintf "UPDATE item SET amount = %d WHERE rid = %d") (int_range 1 500) rid);
+          (3, map2 (Printf.sprintf "UPDATE region SET rname = 'R%d' WHERE rid = %d") (int_bound 99) rid);
+          (1, map2 (Printf.sprintf "UPDATE region SET sid = %d WHERE rid = %d") (int_range 1 2) rid);
+          (1, map2 (Printf.sprintf "UPDATE region SET rid = %d WHERE rid = %d") (int_range 6 9) rid);
+          (1, map (Printf.sprintf "DELETE FROM item WHERE rid = %d") rid);
+        ])
+  in
+  let stmt_gen =
+    QCheck.Gen.(
+      oneof [ map (fun s -> (`Records, s)) records_stmt; map (fun s -> (`Sales, s)) sales_stmt ])
+  in
+  QCheck.Test.make ~name:"point writes keep or patch cached pages = recomputed = functional VM"
+    ~count:20
+    QCheck.(list_of_size Gen.(int_range 1 10) (make ~print:(fun (_, s) -> s) stmt_gen))
+    (fun stmts ->
+      let module D = Xdb_xsltmark.Data in
+      let open_engine (dv : D.dbview) =
+        let e = EN.create dv.D.db in
+        EN.register_view e dv.D.view;
+        ignore (EN.execute e "ANALYZE");
+        e
+      in
+      let er = open_engine (D.records_db ~docs:2 40) and es = open_engine (D.sales_db ~docs:2 6 3) in
+      let pages =
+        List.map (fun (n, ss) -> (n, er, "records_vu", ss)) records_pages
+        @ List.map (fun (n, ss) -> (n, es, "sales_vu", ss)) sales_pages
+      in
+      let read ~jobs ~after_burst =
+        List.for_all
+          (fun (name, e, view_name, stylesheet) ->
+            let run options = EN.transform ~options e ~view_name ~stylesheet in
+            let served =
+              run { EN.default_run_options with EN.jobs; collect_metrics = true }
+            in
+            let counters = Xdb_core.Metrics.counters (Option.get served.EN.metrics) in
+            let patched = List.assoc "result_cache_patched" counters = 1 in
+            let recomputed = run { EN.default_run_options with EN.result_cache = false } in
+            let functional =
+              run { EN.default_run_options with EN.result_cache = false; interpreted = true }
+            in
+            (served.EN.output = recomputed.EN.output
+            || QCheck.Test.fail_reportf "%s: served page differs from a recompute" name)
+            && (functional.EN.output = recomputed.EN.output
+               || QCheck.Test.fail_reportf "%s: recompute differs from the functional VM" name)
+            && ((not patched) || (name <> "self-counting" && not after_burst)
+               || QCheck.Test.fail_reportf "%s: patched%s" name
+                    (if after_burst then " across an overflowed change log" else "")))
+          pages
+      in
+      ignore (read ~jobs:1 ~after_burst:false);
+      let ok =
+        List.for_all
+          (fun (i, (db, stmt)) ->
+            let e = match db with `Records -> er | `Sales -> es in
+            if stmt = "burst" then
+              for k = 1 to 20 do
+                ignore
+                  (EN.execute e (Printf.sprintf "UPDATE rows SET value = %d WHERE id = %d" (k * 97) k))
+              done
+            else ignore (EN.execute e stmt);
+            read ~jobs:(if i mod 2 = 0 then 1 else test_jobs) ~after_burst:(stmt = "burst"))
+          (List.mapi (fun i s -> (i, s)) stmts)
+      in
+      EN.shutdown er;
+      EN.shutdown es;
+      ok)
+
 (* random WHERE predicates (empty names, NULLs, comparisons against NULL
    and against numeric strings, AND/OR): SELECT returns what a plain
    filtered scan keeps (so an index probe never admits a NULL key and
@@ -575,6 +701,71 @@ let prop_dml_where_matches_select =
          || QCheck.Test.fail_reportf "DELETE left %d row(s), SELECT returned %d of %d"
               (List.length left) (List.length picked) (List.length all)))
 
+(* random literal bounds of either type class against an indexed INT and
+   an indexed VARCHAR column (numeric and non-numeric strings, NULLs):
+   the optimised plan probes the index, and it keeps exactly the rows a
+   plain filtered scan keeps — or fails with the same error, as
+   [Value.compare_sql] does when it casts a non-numeric string *)
+let prop_index_probe_matches_filter =
+  let lit =
+    QCheck.Gen.oneofl [ "5"; "10"; "0"; "'2.5'"; "'5'"; "'10'"; "' 7 '"; "'abc'"; "''"; "NULL" ]
+  in
+  let op = QCheck.Gen.oneofl [ "="; "<"; "<="; ">"; ">=" ] in
+  let pred_gen =
+    QCheck.Gen.(
+      oneofl [ "n"; "s" ] >>= fun c ->
+      oneof
+        [
+          map2 (fun o l -> Printf.sprintf "%s %s %s" c o l) op lit;
+          map2 (fun o l -> Printf.sprintf "%s %s %s" l o c) op lit;
+          map2 (fun lo hi -> Printf.sprintf "%s > %s AND %s <= %s" c lo c hi) lit lit;
+        ])
+  in
+  let strs = QCheck.Gen.(list_size (int_range 0 6) (opt (oneofl [ "5"; "10"; " 7 "; "2.5"; "abc"; "" ]))) in
+  QCheck.Test.make ~name:"index probes ≡ filtered scans for mixed-type bounds" ~count:300
+    (QCheck.make
+       ~print:(fun (p, ss) ->
+         p ^ " over s = " ^ String.concat "," (List.map (Option.value ~default:"NULL") ss))
+       QCheck.Gen.(pair pred_gen strs))
+    (fun (p, ss) ->
+      let db = Xdb_rel.Database.create () in
+      let t =
+        Xdb_rel.Database.create_table db "mix"
+          [ { T.col_name = "n"; col_type = V.Tint }; { T.col_name = "s"; col_type = V.Tstr } ]
+      in
+      List.iteri
+        (fun i so ->
+          T.insert_values t
+            [ (if i mod 3 = 2 then V.Null else V.Int (i * 3)); (match so with Some x -> V.Str x | None -> V.Null) ])
+        ss;
+      ignore (T.create_index t ~name:"mix_n" ~column:"n");
+      ignore (T.create_index t ~name:"mix_s" ~column:"s");
+      let w =
+        match Xdb_sql.Parser.parse ("SELECT * FROM mix WHERE " ^ p) with
+        | Xdb_sql.Ast.Select { where = Some w; _ } -> SQL.plain_expr w
+        | _ -> assert false
+      in
+      let plan = A.Project ([ (A.Col (None, "n"), "n"); (A.Col (None, "s"), "s") ], A.Filter (w, A.Seq_scan { table = "mix"; alias = "mix" })) in
+      let optimised = Xdb_rel.Optimizer.optimize_deep db plan in
+      let outcome run =
+        match run () with
+        | rows -> Ok (List.sort compare (List.map (List.map (fun (_, v) -> V.to_string v)) rows))
+        | exception (Xdb_rel.Exec.Exec_error m | V.Type_error m) -> Error m
+      in
+      let reference = outcome (fun () -> Xdb_rel.Exec.run db plan) in
+      let show = function Ok rows -> Printf.sprintf "%d row(s)" (List.length rows) | Error m -> m in
+      (contains "INDEX SCAN" (A.plan_sql optimised)
+      || QCheck.Test.fail_reportf "no index probe: %s" (A.plan_sql optimised))
+      && List.for_all
+           (fun (name, run) ->
+             let got = outcome run in
+             got = reference
+             || QCheck.Test.fail_reportf "%s: %s, the filter: %s" name (show got) (show reference))
+           [
+             ("compiled probe", fun () -> Xdb_rel.Exec.run db optimised);
+             ("interpreted probe", fun () -> Xdb_rel.Exec.run_interpreted db optimised);
+           ])
+
 (* fuzz: the SQL parser must be total over printable garbage *)
 let prop_sql_parser_total =
   QCheck.Test.make ~name:"sql parser is total" ~count:300
@@ -622,6 +813,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_sql_parser_total;
           QCheck_alcotest.to_alcotest prop_dml_cache_consistency;
+          QCheck_alcotest.to_alcotest prop_point_writes_keep_or_patch;
           QCheck_alcotest.to_alcotest prop_dml_where_matches_select;
+          QCheck_alcotest.to_alcotest prop_index_probe_matches_filter;
         ] );
     ]

@@ -189,6 +189,31 @@ let test_attribute_siblings () =
   check ci "no following siblings" 0 (count "@id/following-sibling::node()");
   check ci "no preceding siblings" 0 (count "@id/preceding-sibling::node()")
 
+(* following/preceding from an attribute context (XPath 1.0 §2.2, §5.1):
+   the attribute sits right after its owner's start tag, so its owner's
+   descendants follow it and its owner (an ancestor) does not precede it *)
+let attr_axes_doc = {|<r><p/><a id="1"><b/><c/></a><d/></r>|}
+
+let attr_axes_cases = [ ("//@id/following::*", "b,c,d,"); ("//@id/preceding::*", "p,") ]
+
+let names_of ns = String.concat "" (List.map (fun n -> T.local_name n ^ ",") ns)
+
+let test_attribute_following_preceding () =
+  let d = Xdb_xml.Parser.parse attr_axes_doc in
+  List.iter
+    (fun (q, want) ->
+      check cs ("Eval " ^ q) want (names_of (E.select (E.make_context d) q));
+      (* the functional XSLT VM evaluates the same select *)
+      let ss =
+        Printf.sprintf
+          {|<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform"><xsl:template match="/"><xsl:for-each select="%s"><xsl:value-of select="name()"/>,</xsl:for-each></xsl:template></xsl:stylesheet>|}
+          q
+      in
+      let prog = Xdb_xslt.Compile.compile (Xdb_xslt.Parser.parse ss) in
+      check cs ("VM " ^ q) want
+        (Xdb_xml.Serializer.node_list_to_string (Xdb_xslt.Vm.transform prog d).T.children))
+    attr_axes_cases
+
 let test_chained_predicates () =
   check ci "two predicates" 1 (count "employees/emp[sal > 2000][2]");
   check cs "second highly paid" "SMITH" (eval_str "employees/emp[sal > 2000][2]/ename")
@@ -417,6 +442,8 @@ let () =
           Alcotest.test_case "reverse-axis proximity order" `Quick test_reverse_axis_proximity;
           Alcotest.test_case "chained predicates" `Quick test_chained_predicates;
           Alcotest.test_case "attributes have no siblings" `Quick test_attribute_siblings;
+          Alcotest.test_case "following/preceding from an attribute" `Quick
+            test_attribute_following_preceding;
         ] );
       ( "functions",
         [
