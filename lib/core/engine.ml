@@ -273,12 +273,12 @@ let serve_transform t options ~metrics ~view ~key compiled =
     match (compiled.Pipeline.sql_plan, compiled.Pipeline.footprint) with
     | Some plan, Some footprint ->
         Some
-          (fun output recorded rids ->
+          (fun output recorded changes ->
             match Xdb_rel.Footprint.get footprint with
             | { Xdb_rel.Footprint.members = Some m; _ } ->
                 staged metrics "result_cache_patch" (fun () ->
                     Xdb_error.wrap ~stage:"exec" (fun () ->
-                        Xdb_rel.Exec.patch t.db plan m recorded ~rids output))
+                        Xdb_rel.Exec.patch t.db plan m recorded ~changes output))
             | _ -> None)
     | _ -> None
   in

@@ -467,7 +467,9 @@ let explain (c : compiled) : string =
     instead of the compiled one (the per-operator actual-row counts are
     identical either way).  A multi-domain [pool] splits the compiled run
     as {!run_rewrite_analyzed} does; the merged counts match a sequential
-    run.  Reports the fallback reason when no plan exists. *)
+    run.  Ends with the plan's write footprint ({!Xdb_rel.Footprint.describe}
+    of the footprint the result cache judges with).  Reports the fallback
+    reason when no plan exists. *)
 let explain_analyze ?(interpreted = false) ?pool db (c : compiled) : string =
   match c.sql_plan with
   | Some plan ->
@@ -475,7 +477,19 @@ let explain_analyze ?(interpreted = false) ?pool db (c : compiled) : string =
         if interpreted then snd (Xdb_rel.Exec.run_interpreted_analyzed db plan)
         else Option.get (snd (run_rewrite_analyzed ~streaming:false ?pool db c))
       in
-      Xdb_rel.Optimizer.explain_analyze db plan stats
+      let footprint =
+        match c.footprint with
+        | None -> ""
+        | Some fp ->
+            let columns (t, _) =
+              let tbl = Xdb_rel.Database.table db t in
+              (t, Array.to_list (Array.map (fun c -> c.Xdb_rel.Table.col_name) tbl.Xdb_rel.Table.columns))
+            in
+            let fp = Xdb_rel.Footprint.get fp in
+            "-- write footprint (an UPDATE of each column, for a cached page):\n"
+            ^ Xdb_rel.Footprint.describe fp (List.map columns fp.Xdb_rel.Footprint.reads)
+      in
+      Xdb_rel.Optimizer.explain_analyze db plan stats ^ footprint
   | None ->
       Printf.sprintf "-- no SQL/XML plan to analyze%s\n"
         (match c.sql_fallback_reason with

@@ -183,4 +183,7 @@ val explain_analyze :
     batch executor; per-operator actual-row counts are identical.  A
     multi-domain [pool] splits the compiled run as
     {!run_rewrite_analyzed} does; the rendered counts are the merged
-    per-range collectors. *)
+    per-range collectors.  Ends with the write footprint: per column of
+    each table the plan scans, what an UPDATE of it does to a cached page
+    (keep, patch or recompute), rendered from the footprint the result
+    cache judges with. *)

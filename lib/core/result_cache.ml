@@ -28,7 +28,10 @@ type t = {
 type outcome = Hit of string list | Patched of string list | Miss | Dropped
 
 type patch =
-  string list -> Xdb_rel.Exec.members -> int list -> (string list * Xdb_rel.Exec.members) option
+  string list ->
+  Xdb_rel.Exec.members ->
+  (string * int list) list ->
+  (string list * Xdb_rel.Exec.members) option
 
 let default_capacity = 256
 
@@ -78,28 +81,31 @@ let restamp t entry =
   entry.deps <- List.map (fun (tbl, _) -> (tbl, DB.data_version t.db tbl)) entry.deps
 
 (* what the writes since [entry] was stored mean for it under
-   [footprint]: [`Fresh] (none), [`Keep] (none it reads), [`Patch rids]
-   (only the patchable members of these rows), or [`Drop] — also when a
-   write is not a logged UPDATE *)
+   [footprint]: [`Fresh] (none), [`Keep] (none it reads), [`Patch
+   changes] (only the members these rows reach, per table), or [`Drop]
+   — also when a write is not a logged UPDATE *)
 let judge t footprint entry =
   let exception Drop in
-  let rids = ref [] and moved = ref false in
+  let patched = ref [] and moved = ref false in
   let judge_change tbl fp (changed, columns) =
     match FP.classify fp ~table:tbl columns with
-    | FP.Irrelevant -> ()
-    | FP.Members -> rids := Array.to_list changed @ !rids
+    | FP.Irrelevant -> []
+    | FP.Driving | FP.Correlated _ -> Array.to_list changed
     | FP.Recompute -> raise Drop
   in
   let judge_table (tbl, v) =
     if DB.data_version t.db tbl <> v then (
       moved := true;
       match (footprint, DB.changes_since t.db tbl v) with
-      | Some fp, Some changes -> List.iter (judge_change tbl (FP.get fp)) changes
+      | Some fp, Some changes -> (
+          match List.concat_map (judge_change tbl (FP.get fp)) changes with
+          | [] -> ()
+          | rids -> patched := (tbl, List.sort_uniq compare rids) :: !patched)
       | _ -> raise Drop)
   in
   match List.iter judge_table entry.deps with
   | () when not !moved -> `Fresh
-  | () -> if !rids = [] then `Keep else `Patch (List.sort_uniq compare !rids)
+  | () -> if !patched = [] then `Keep else `Patch !patched
   | exception Drop -> `Drop
 
 let find t ~key ?footprint ?patch () =
@@ -117,8 +123,8 @@ let find t ~key ?footprint ?patch () =
                 touch t entry;
                 Atomic.incr t.hits;
                 `Hit entry.output
-            | `Patch rids, Some members, Some patch ->
-                `Patch (entry, entry.deps, entry.output, members, rids, patch)
+            | `Patch changes, Some members, Some patch ->
+                `Patch (entry, entry.deps, entry.output, members, changes, patch)
             | _ ->
                 Hashtbl.remove t.cache key;
                 Atomic.incr t.invalidations;
@@ -132,11 +138,11 @@ let find t ~key ?footprint ?patch () =
   | `Dropped ->
       Atomic.incr t.misses;
       Dropped
-  | `Patch (entry, seen, output, members, rids, patch) -> (
+  | `Patch (entry, seen, output, members, changes, patch) -> (
       (* outside the lock: concurrent readers patch on their own, and a
          patch is installed only over the entry at the versions it was
          patched from — the first install wins *)
-      match patch output members rids with
+      match patch output members changes with
       | None ->
           Atomic.incr t.invalidations;
           Atomic.incr t.misses;

@@ -9,7 +9,8 @@
     ({!Xdb_rel.Database.changes_since}) are judged by the requesting
     plan's {!Xdb_rel.Footprint}: writes to columns the plan never reads
     {e keep} the entry (re-stamped); writes to columns only its patchable
-    XMLAgg members read {e patch} it (the changed rows' members are
+    XMLAgg members read {e patch} it (the members the changed rows reach
+    — their own, or through a key of a correlated inner table — are
     re-emitted and spliced in, {!Xdb_rel.Exec.patch}); anything else — an
     INSERT, DELETE or replacement, a log that no longer reaches back, a
     write to a filter, index, correlation or order column, no footprint
@@ -47,10 +48,13 @@ type outcome =
   | Dropped  (** stored before, dropped now: recompute and {!store} *)
 
 type patch =
-  string list -> Xdb_rel.Exec.members -> int list -> (string list * Xdb_rel.Exec.members) option
-(** [patch output members rids]: [output] with the members of the
-    updated rows [rids] re-emitted, and its new member recording; [None]
-    to recompute instead. *)
+  string list ->
+  Xdb_rel.Exec.members ->
+  (string * int list) list ->
+  (string list * Xdb_rel.Exec.members) option
+(** [patch output members changes]: [output] with the members that the
+    updated rows reach re-emitted ([changes]: the rows per table), and
+    its new member recording; [None] to recompute instead. *)
 
 val find :
   t -> key:string -> ?footprint:Xdb_rel.Footprint.memo -> ?patch:patch -> unit -> outcome

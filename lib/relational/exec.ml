@@ -672,7 +672,10 @@ type compiled = { c_layout : Layout.t; c_own : int; c_open : Value.t array -> cu
 type doc_members = {
   env : Value.t array;  (* the environment the aggregate opened on *)
   drows : Value.t array array;  (* driving rows, in member order *)
-  ends : int array;  (* where each member's bytes end *)
+  ends : int array;  (* where each member's bytes end, before [shifts] *)
+  shifts : (int * int) list;
+      (* (j, d): the ends of member j and every later one moved by d
+         since [ends] was taken (patches that changed a member's length) *)
   start : int;  (* where the first member's bytes begin *)
   opened : bool;  (* a start tag was open before the first member *)
 }
@@ -727,7 +730,7 @@ let record_members rc sink env ms emit =
           ends.(i) <- offset ())
         ms;
       if opened && pending () then rc.valid <- false
-      else rc.recorded <- (doc, { env; drows; ends; start; opened }) :: rc.recorded
+      else rc.recorded <- (doc, { env; drows; ends; shifts = []; start; opened }) :: rc.recorded
   | _ ->
       rc.valid <- false;
       List.iter emit ms
@@ -1679,50 +1682,137 @@ let recorded rc plan =
   rc.current <- None;
   if rc.valid then Some { mplan = plan; mdocs = rc.recorded } else None
 
-(* a write of more rows than this recomputes: each changed row is looked
-   up among the members by identity *)
+(* a write of more rows than this recomputes *)
 let max_patch_rows = 32
 
-let patch db plan (m : Footprint.members) (recorded : members) ~rids (output : string list) =
+(* shifts kept before a patch folds them into a fresh [ends] *)
+let max_shifts = 32
+
+exception Other_class
+
+let numeric = function Value.(Int _ | Float _) -> true | _ -> false
+
+(* the index probe's equality ([index_rids], [Value.compare_sql]) on two
+   non-NULL keys, without allocating; [Other_class] for a number against
+   a string, which the probe answers by casting *)
+let same_key k v =
+  match (k, v) with
+  | Value.Int a, Value.Int b -> a = b
+  | Value.Str a, Value.Str b -> String.equal a b
+  | _ when numeric k && numeric v -> Float.equal (Value.to_float k) (Value.to_float v)
+  | _ -> raise Other_class
+
+(* which recorded driving rows the changed rows reach, one test per
+   table (and key).  UPDATE overwrites rows in place: a changed driving
+   row is the very array its member was emitted from.  A changed row of
+   an inner table reaches the driving rows whose key column equals its
+   own key column (unchanged by the write).  [Other_class] when a table
+   is neither driving nor keyed *)
+let reaches db (m : Footprint.members) changes =
+  List.concat_map
+    (fun (table, rids) ->
+      let tbl = Database.table db table in
+      let rows = List.map (Table.row tbl) rids in
+      if table = m.Footprint.table then [ (fun r -> List.memq r rows) ]
+      else
+        List.map
+          (fun (c, d) ->
+            let c = Table.column_pos tbl c
+            and d = Table.column_pos (Database.table db m.Footprint.table) d in
+            let keys =
+              Array.of_list
+                (List.sort_uniq compare
+                   (List.filter (fun k -> not (Value.is_null k)) (List.map (fun r -> r.(c)) rows)))
+            in
+            let rec reached v i = i < Array.length keys && (same_key keys.(i) v || reached v (i + 1)) in
+            fun r -> match r.(d) with Value.Null -> false | v -> reached v 0)
+          (match List.assoc_opt table m.Footprint.inner with
+          | Some keys -> keys
+          | None -> raise Other_class))
+    changes
+
+let rec any tests r = match tests with [] -> false | t :: ts -> t r || any ts r
+
+(* the collector's work for a word allocated straight in the major heap,
+   as OCaml 5's pacing books it: 3(100 + o)/2o of a mark-and-sweep cycle
+   of 1 + 100/(100 + o) units per heap word, for space overhead o (4 at
+   the default 120) *)
+let slice_work_per_word =
+  let o = float_of_int (Gc.get ()).Gc.space_overhead in
+  1.5 *. (100. +. o) /. o *. (1. +. (100. /. (100. +. o)))
+
+(* where member [k] ends now *)
+let end_of dm k =
+  List.fold_left (fun e (j, d) -> if j <= k then e + d else e) dm.ends.(k) dm.shifts
+
+let patch db plan (m : Footprint.members) (recorded : members) ~changes (output : string list) =
   let rc = recorder m in
-  if recorded.mplan == plan && List.length rids <= max_patch_rows then
+  let rows = List.fold_left (fun n (_, rids) -> n + List.length rids) 0 changes in
+  if recorded.mplan == plan && rows <= max_patch_rows then
     ignore (compile_ctx db ~xml_streaming:true ~record:rc plan);
   match rc.emitter with
   | Some em -> (
-      (* UPDATE overwrites rows in place: a changed rid's row is the very
-         array its member was emitted from *)
-      let changed = List.map (Table.row (Database.table db m.Footprint.table)) rids in
-      let out = Array.of_list output in
+      let out = Array.of_list output and written = ref 0 in
       let exception Recompute in
-      (* one pass: the bytes between re-emitted members are copied as
-         they are, and each end moves by the growth so far *)
-      let patch_doc (i, dm) =
-        if not (Array.exists (fun r -> List.memq r changed) dm.drows) then (i, dm)
+      (* the reached members first, then the document written once: the
+         bytes between them blitted as they are and each re-emitted
+         member's bytes in its place; a member whose length changed
+         shifts the ends from it on *)
+      let patch_doc tests (i, dm) =
+        let n = Array.length dm.drows in
+        let hits = ref [] in
+        for j = n - 1 downto 0 do
+          if any tests dm.drows.(j) then hits := j :: !hits
+        done;
+        if !hits = [] then (i, dm)
         else
-          let old = out.(i) and n = Array.length dm.drows in
-          let b = Buffer.create (String.length old + 256) and ends = Array.copy dm.ends in
-          let copied = ref 0 and shift = ref 0 in
-          for j = 0 to n - 1 do
-            if List.memq dm.drows.(j) changed then (
-              let s0 = if j = 0 then dm.start else dm.ends.(j - 1) in
-              Buffer.add_substring b old !copied (s0 - !copied);
-              let at = Buffer.length b and sink = E.serializing_sink b in
-              em sink dm.env dm.drows.(j);
-              sink.E.finish ();
-              shift := !shift + Buffer.length b - at - (dm.ends.(j) - s0);
-              copied := dm.ends.(j));
-            ends.(j) <- dm.ends.(j) + !shift
-          done;
+          let fresh = Buffer.create 256 in
+          let begins j = if j = 0 then dm.start else end_of dm (j - 1) in
+          let spans =
+            List.map
+              (fun j ->
+                let at = Buffer.length fresh and sink = E.serializing_sink fresh in
+                em sink dm.env dm.drows.(j);
+                sink.E.finish ();
+                let s0 = begins j and e0 = end_of dm j and len = Buffer.length fresh - at in
+                (j, s0, e0, at, len, len - (e0 - s0)))
+              !hits
+          in
+          let old = out.(i) in
+          let growth = List.fold_left (fun g (_, _, _, _, _, d) -> g + d) 0 spans in
+          let doc = Bytes.create (String.length old + growth) in
+          let rec splice copied shift = function
+            | [] -> Bytes.blit_string old copied doc (copied + shift) (String.length old - copied)
+            | (_, s0, e0, at, len, d) :: rest ->
+                Bytes.blit_string old copied doc (copied + shift) (s0 - copied);
+                Buffer.blit fresh at doc (s0 + shift) len;
+                splice e0 (shift + d) rest
+          in
+          splice 0 0 spans;
+          let shifts =
+            List.fold_left
+              (fun acc (j, _, _, _, _, d) -> if d = 0 then acc else (j, d) :: acc)
+              dm.shifts spans
+          in
+          let dm = { dm with shifts } in
           (* a wrapper over no member bytes self-closes: only a recompute
              writes that *)
-          if dm.opened && n > 0 && ends.(n - 1) = dm.start then raise Recompute;
-          Buffer.add_substring b old !copied (String.length old - !copied);
-          out.(i) <- Buffer.contents b;
-          (i, { dm with ends })
+          if dm.opened && end_of dm (n - 1) = dm.start then raise Recompute;
+          out.(i) <- Bytes.unsafe_to_string doc;
+          written := !written + (Bytes.length doc / 8);
+          if List.compare_length_with shifts max_shifts <= 0 then (i, dm)
+          else (i, { dm with ends = Array.init n (end_of dm); shifts = [] })
       in
-      match List.map patch_doc recorded.mdocs with
-      | docs -> Some (Array.to_list out, { recorded with mdocs = docs })
-      | exception Recompute -> None)
+      match List.map (patch_doc (reaches db m changes)) recorded.mdocs with
+      | docs ->
+          (* a patched document is allocated straight in the major heap;
+             pay the collector for it now, at its own pace, so that the
+             next request to cross a slice trigger (often a point write)
+             does not inherit the marking *)
+          if !written > 0 then
+            ignore (Gc.major_slice (int_of_float (slice_work_per_word *. float_of_int !written)));
+          Some (Array.to_list out, { recorded with mdocs = docs })
+      | exception (Recompute | Other_class) -> None)
   | _ -> None
 
 let run_arrays_analyzed db ?batch_size ?xml_streaming ?partition (p : plan) :

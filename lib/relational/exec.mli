@@ -122,16 +122,19 @@ val patch :
   Algebra.plan ->
   Footprint.members ->
   members ->
-  rids:int list ->
+  changes:(string * int list) list ->
   string list ->
   (string list * members) option
-(** [patch db plan m recorded ~rids output] — [output], as a run of
-    [plan] recorded it, with the members of the rows [rids] of the
-    driving table re-emitted by the compiled member emitter and spliced
-    in, and the new recording.  The rows were overwritten in place since,
-    in columns only the members read ({!Footprint.classify}).  [None]
-    (recompute) when [recorded] came from another plan, more than 32 rows
-    changed, or the patch would empty every member of a wrapper. *)
+(** [patch db plan m recorded ~changes output] — [output], as a run of
+    [plan] recorded it, with the members that the updated rows reach
+    re-emitted by the compiled member emitter and spliced in, and the
+    new recording.  [changes] lists, per table, the rows overwritten in
+    place since, in columns {!Footprint.classify} judged [Driving] (the
+    rows' own members) or [Correlated] (the members whose driving key
+    equals a row's key under the index probe's equality).  [None]
+    (recompute) when [recorded] came from another plan, more than 32
+    rows changed, a key is of the other type class, or the patch would
+    empty every member of a wrapper. *)
 
 val run_arrays_analyzed :
   Database.t ->

@@ -318,6 +318,12 @@ let row_matches (spec : AR.spec) (r : node) =
   kind_matches spec.kinds r
   && match spec.name with None -> true | Some n -> String.equal r.name n
 
+(* [row_matches] for candidate [r] of context [c]: node() also admits
+   the context itself when it is an attribute (self and the -or-self
+   axes, the only ones whose candidates include the context) *)
+let admits (spec : AR.spec) (c : node) (r : node) =
+  row_matches spec r || (spec.kinds = AR.K_non_attr && r.pre = c.pre && r.docid = c.docid)
+
 (* does candidate [r] satisfy one interval condition against context [c] *)
 let cond_holds (c : node) (r : node) { AR.col; op; anchor } =
   let x = match col with AR.Pre -> r.pre | AR.Post -> r.post | AR.Parent -> r.parent
@@ -368,17 +374,15 @@ let iter_axis t (axis : XA.axis) (c : node) (f : node -> unit) =
 (* one step from one context row: the axis's candidates that pass its
    {!AR} conditions and the kind/name test, in proximity order *)
 let step_source t (axis : XA.axis) (spec : AR.spec) (c : node) : node list =
-  if c.kind = "attr" && not spec.attr_ok then
-    match axis with
-    (* an attribute has no siblings (XPath 1.0 §2.2) *)
-    | XA.Following_sibling | XA.Preceding_sibling -> []
-    | _ -> unsupported "%s axis from an attribute context node" (XA.axis_name axis)
-  else (
-    Atomic.incr t.n_rel;
-    let acc = ref [] in
-    iter_axis t axis c (fun r ->
-        if List.for_all (cond_holds c r) spec.conds && row_matches spec r then acc := r :: !acc);
-    if spec.reverse then !acc else List.rev !acc)
+  match axis with
+  (* an attribute has no siblings (XPath 1.0 §2.2) *)
+  | (XA.Following_sibling | XA.Preceding_sibling) when c.kind = "attr" -> []
+  | _ ->
+      Atomic.incr t.n_rel;
+      let acc = ref [] in
+      iter_axis t axis c (fun r ->
+          if List.for_all (cond_holds c r) spec.conds && admits spec c r then acc := r :: !acc);
+      if spec.reverse then !acc else List.rev !acc
 
 (* ---- the relational expression subset (mirrors Eval/Value semantics) - *)
 
@@ -542,7 +546,7 @@ let batch_descendant t axis (spec : AR.spec) (ctx : node list) : node list =
         let d = doc t c.docid in
         let keep i =
           let r = d.rows.(i) in
-          if row_matches spec r then acc := r :: !acc
+          if admits spec c r then acc := r :: !acc
         in
         let lo = d.row_ix.(c.pre) + skip_self and hi = row_at_or_after d (c.post + 1) in
         (match name with
@@ -598,7 +602,7 @@ let batch_ancestor t axis (spec : AR.spec) (ctx : node list) : node list =
           match row_by_pre t c.docid pre with
           | None -> ()
           | Some r ->
-              if row_matches spec r then acc := r :: !acc;
+              if admits spec c r then acc := r :: !acc;
               walk r.parent
         end
       in
@@ -609,7 +613,7 @@ let batch_ancestor t axis (spec : AR.spec) (ctx : node list) : node list =
 let batch_axis t axis (spec : AR.spec) (ctx : node list) : node list =
   Atomic.incr t.n_batch;
   match axis with
-  | XA.Self -> List.filter (row_matches spec) ctx
+  | XA.Self -> List.filter (fun c -> admits spec c c) ctx
   | XA.Child | XA.Attribute -> batch_child t spec ctx
   | XA.Descendant | XA.Descendant_or_self -> batch_descendant t axis spec ctx
   | XA.Parent -> batch_parent t spec ctx

@@ -15,36 +15,35 @@ type spec = {
   kinds : kind_filter;
   name : string option;
   reverse : bool;
-  attr_ok : bool;
 }
 
 let c col op anchor = { col; op; anchor }
 
-(* (conditions, reverse axis?, correct from an attribute context?).
-   Descendant needs only the pre range: intervals nest, so a node
-   starting inside [ctx.pre, ctx.post] also ends inside it.  The
-   [Leq Ctx_post] of descendant-or-self is exact because a counter value
-   is never shared across nodes (a leaf's [post = pre] reuses its own). *)
-let axis_conds : Ast.axis -> (cond list * bool * bool) option = function
-  | Ast.Self -> Some ([ c Pre Eq Ctx_pre ], false, true)
-  | Ast.Child | Ast.Attribute -> Some ([ c Parent Eq Ctx_pre ], false, true)
-  | Ast.Parent -> Some ([ c Pre Eq Ctx_parent ], false, true)
-  | Ast.Descendant -> Some ([ c Pre Gt Ctx_pre; c Pre Lt Ctx_post ], false, true)
-  | Ast.Descendant_or_self -> Some ([ c Pre Geq Ctx_pre; c Pre Leq Ctx_post ], false, true)
-  | Ast.Ancestor -> Some ([ c Pre Lt Ctx_pre; c Post Gt Ctx_post ], true, true)
-  | Ast.Ancestor_or_self -> Some ([ c Pre Leq Ctx_pre; c Post Geq Ctx_post ], true, true)
-  | Ast.Following -> Some ([ c Pre Gt Ctx_post ], false, false)
-  | Ast.Preceding -> Some ([ c Pre Lt Ctx_pre; c Post Lt Ctx_pre ], true, false)
-  | Ast.Following_sibling -> Some ([ c Parent Eq Ctx_parent; c Pre Gt Ctx_pre ], false, false)
-  | Ast.Preceding_sibling -> Some ([ c Parent Eq Ctx_parent; c Pre Lt Ctx_pre ], true, false)
+(* (conditions, reverse axis?).  Descendant needs only the pre range:
+   intervals nest, so a node starting inside [ctx.pre, ctx.post] also
+   ends inside it.  The [Leq Ctx_post] of descendant-or-self is exact
+   because a counter value is never shared across nodes (a leaf's
+   [post = pre] reuses its own). *)
+let axis_conds : Ast.axis -> (cond list * bool) option = function
+  | Ast.Self -> Some ([ c Pre Eq Ctx_pre ], false)
+  | Ast.Child | Ast.Attribute -> Some ([ c Parent Eq Ctx_pre ], false)
+  | Ast.Parent -> Some ([ c Pre Eq Ctx_parent ], false)
+  | Ast.Descendant -> Some ([ c Pre Gt Ctx_pre; c Pre Lt Ctx_post ], false)
+  | Ast.Descendant_or_self -> Some ([ c Pre Geq Ctx_pre; c Pre Leq Ctx_post ], false)
+  | Ast.Ancestor -> Some ([ c Pre Lt Ctx_pre; c Post Gt Ctx_post ], true)
+  | Ast.Ancestor_or_self -> Some ([ c Pre Leq Ctx_pre; c Post Geq Ctx_post ], true)
+  | Ast.Following -> Some ([ c Pre Gt Ctx_post ], false)
+  | Ast.Preceding -> Some ([ c Pre Lt Ctx_pre; c Post Lt Ctx_pre ], true)
+  | Ast.Following_sibling -> Some ([ c Parent Eq Ctx_parent; c Pre Gt Ctx_pre ], false)
+  | Ast.Preceding_sibling -> Some ([ c Parent Eq Ctx_parent; c Pre Lt Ctx_pre ], true)
   | Ast.Namespace -> None
 
 let compile axis test =
   match axis_conds axis with
   | None -> None
-  | Some (conds, reverse, attr_ok) ->
+  | Some (conds, reverse) ->
       let attr_axis = axis = Ast.Attribute in
-      let spec kinds name = Some { conds; kinds; name; reverse; attr_ok } in
+      let spec kinds name = Some { conds; kinds; name; reverse } in
       (* mirrors [Eval.test_matches]: prefixes are ignored (no prefix
          environment), names match on the local part *)
       (match test with

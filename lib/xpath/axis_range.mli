@@ -26,7 +26,9 @@ type cond = { col : col; op : op; anchor : anchor }
 
 (** Node-kind restriction implied by the axis's principal node kind and
     the node test.  [K_non_attr] is [node()] on a principal-element axis:
-    any kind except attributes. *)
+    any kind except attributes — but the context node itself, an
+    attribute too, on self and the -or-self axes (the reader admits it:
+    the conditions alone cannot tell it from its owner's attributes). *)
 type kind_filter = K_elem | K_attr | K_text | K_comment | K_pi | K_non_attr
 
 type spec = {
@@ -37,12 +39,14 @@ type spec = {
   reverse : bool;
       (** reverse axis: candidates (which arrive in document order) must
           be reversed for proximity order *)
-  attr_ok : bool;
-      (** whether the conditions are also correct from an attribute
-          context node (sibling/following/preceding are not: attributes
-          take pre values inside their owner's interval, so the interval
-          arithmetic would disagree with the sibling-less DOM semantics) *)
 }
+(** The conditions hold from an attribute context node too, except on
+    the sibling axes: an attribute is a leaf ([post = pre]) numbered
+    inside its owner's interval before the owner's children, so
+    following is what lies past it and preceding what ends before it,
+    attribute rows excluded by kind (no principal-element axis admits
+    them).  An attribute has no siblings, while the sibling conditions
+    would answer the owner's children. *)
 
 val compile : Ast.axis -> Ast.node_test -> spec option
 (** [None] when the step is statically empty (the namespace axis, or a

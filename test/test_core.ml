@@ -1148,8 +1148,8 @@ let test_result_cache_patch_install () =
   let inner () = RC.find rc ~key:"k" ~footprint ~patch:(fun _ m _ -> Some ([ "inner" ], m)) () in
   let outer =
     RC.find rc ~key:"k" ~footprint
-      ~patch:(fun _ m rids ->
-        check (Alcotest.list ci) "the written rid" [ 2 ] rids;
+      ~patch:(fun _ m changes ->
+        check Alcotest.(list (pair string (list int))) "the written rid" [ ("rows", [ 2 ]) ] changes;
         check cb "the inner reader patched" true (inner () = RC.Patched [ "inner" ]);
         Some ([ "outer" ], m))
       ()
@@ -1217,9 +1217,11 @@ let test_engine_result_cache () =
 (* a cycle of the paper's Figure 3 pages over changing data: a value
    UPDATE of one [rows] row keeps the avts page (it never reads
    [rows.value]) and patches the metric page (only its members read it);
-   an amount UPDATE of one region's items recomputes chart and total
-   (aggregates).  The first cycle recomputes metric: a page computed
-   once is not recorded.  Every page served equals a forced recompute. *)
+   an amount UPDATE of one region's items patches chart and total (only
+   that region's member reads them, through its correlated [item]
+   probe).  The first cycle recomputes metric, chart and total: a page
+   computed once is not recorded.  Every page served equals a forced
+   recompute. *)
 let test_fig3_cycle_keeps_and_patches () =
   let module D = Xdb_xsltmark.Data in
   let rdv = D.records_db 300 and sdv = D.sales_db 20 5 in
@@ -1264,14 +1266,132 @@ let test_fig3_cycle_keeps_and_patches () =
   let before = List.map (fun n -> ctr er n + ctr es n) [ "result_cache_kept"; "result_cache_patches" ] in
   check
     Alcotest.(list (pair string (pair int int)))
-    "avts kept, metric patched, chart and total recomputed"
-    [ ("avts", (1, 0)); ("metric", (0, 1)); ("chart", (0, 0)); ("total", (0, 0)) ]
+    "avts kept, metric, chart and total patched"
+    [ ("avts", (1, 0)); ("metric", (0, 1)); ("chart", (0, 1)); ("total", (0, 1)) ]
     (cycle 1);
-  check Alcotest.(list int) "one kept, one patch counted"
-    (List.map2 ( + ) before [ 1; 1 ])
+  check Alcotest.(list int) "one kept, three patches counted"
+    (List.map2 ( + ) before [ 1; 3 ])
     (List.map (fun n -> ctr er n + ctr es n) [ "result_cache_kept"; "result_cache_patches" ]);
   EN.shutdown er;
   EN.shutdown es
+
+(* fig3-pages replayed at moderate scale: each cycle is the workload's
+   two point UPDATEs (one [rows.value] by id, one region's
+   [item.amount]), then the four prepared reports read once and served
+   three more times from the cache.  Every page served is compared with
+   a forced recompute, and every tenth cycle's with the functional VM.  From the second cycle on, avts is kept and
+   metric, chart and total are patched, and a read page probes the
+   B-trees at most 10 times (one bar and one total re-emitted, where a
+   recompute of chart and total probes once per region and aggregate). *)
+let test_fig3_replay_patches_every_page () =
+  let module D = Xdb_xsltmark.Data in
+  let rows = 2_000 and regions = 200 and items = 20 and cycles = 50 in
+  let rdv = D.records_db rows and sdv = D.sales_db regions items in
+  let open_engine (dv : D.dbview) =
+    let e = EN.create dv.D.db in
+    EN.register_view e dv.D.view;
+    e
+  in
+  let er = open_engine rdv and es = open_engine sdv in
+  let stylesheet name = (Option.get (Xdb_xsltmark.Cases.find name)).Xdb_xsltmark.Cases.stylesheet in
+  let page =
+    List.map
+      (fun (e, view_name, name) -> (name, e, EN.prepare e ~view_name ~stylesheet:(stylesheet name)))
+      [ (er, "records_vu", "avts"); (er, "records_vu", "metric"); (es, "sales_vu", "chart"); (es, "sales_vu", "total") ]
+  in
+  let probes () =
+    List.fold_left
+      (fun n (dv : D.dbview) ->
+        List.fold_left
+          (fun n t ->
+            List.fold_left
+              (fun n (ix : Xdb_rel.Table.index) -> n + Xdb_rel.Btree.probes ix.Xdb_rel.Table.tree)
+              n (Xdb_rel.Database.table dv.D.db t).Xdb_rel.Table.indexes)
+          n (Xdb_rel.Database.table_names dv.D.db))
+      0 [ rdv; sdv ]
+  in
+  let with_metrics = { EN.default_run_options with EN.collect_metrics = true } in
+  let rng = Random.State.make [| 22 |] in
+  let outcome = Alcotest.(list (pair string (pair int int))) in
+  List.iter (fun (_, e, st) -> ignore (EN.transform_stmt e st)) page;
+  for c = 1 to cycles do
+    ignore
+      (EN.execute er
+         (Printf.sprintf "UPDATE rows SET value = %d WHERE id = %d" (Random.State.int rng 10_000)
+            (1 + Random.State.int rng rows)));
+    ignore
+      (EN.execute es
+         (Printf.sprintf "UPDATE item SET amount = %d WHERE rid = %d" (1 + Random.State.int rng 500)
+            (Random.State.int rng regions)));
+    let p0 = probes () in
+    let served =
+      List.map
+        (fun (name, e, st) ->
+          let r = EN.transform_stmt ~options:with_metrics e st in
+          let m = Xdb_core.Metrics.counters (Option.get r.EN.metrics) in
+          (name, r.EN.output, (List.assoc "result_cache_hit" m, List.assoc "result_cache_patched" m)))
+        page
+    in
+    let read_probes = probes () - p0 in
+    List.iter2
+      (fun (name, e, st) (_, output, _) ->
+        let fresh =
+          EN.transform_stmt ~options:{ EN.default_run_options with EN.result_cache = false } e st
+        in
+        check (Alcotest.list cs) (Printf.sprintf "cycle %d: %s served = recomputed" c name)
+          fresh.EN.output output;
+        if c mod 10 = 0 then
+          check (Alcotest.list cs) (Printf.sprintf "cycle %d: %s served = functional VM" c name)
+            (EN.transform_stmt
+               ~options:{ EN.default_run_options with EN.result_cache = false; interpreted = true }
+               e st)
+              .EN.output output;
+        for _ = 1 to 3 do
+          check (Alcotest.list cs) (Printf.sprintf "cycle %d: %s cached = read" c name) output
+            (EN.transform_stmt e st).EN.output
+        done)
+      page served;
+    if c > 1 then (
+      check outcome
+        (Printf.sprintf "cycle %d: avts kept, metric, chart and total patched" c)
+        [ ("avts", (1, 0)); ("metric", (0, 1)); ("chart", (0, 1)); ("total", (0, 1)) ]
+        (List.map (fun (name, _, o) -> (name, o)) served);
+      if read_probes > 10 then
+        Alcotest.failf "cycle %d: a read page probed the B-trees %d times" c read_probes)
+  done;
+  EN.shutdown er;
+  EN.shutdown es
+
+(* a hundred patches that each change a member's length: the recorded
+   ends are kept as shifts and folded into fresh ends every 33; every
+   page served equals a forced recompute *)
+let test_patch_length_changes () =
+  let module D = Xdb_xsltmark.Data in
+  let dv = D.records_db 200 in
+  let e = EN.create dv.D.db in
+  EN.register_view e dv.D.view;
+  let st =
+    EN.prepare e ~view_name:"records_vu"
+      ~stylesheet:(Option.get (Xdb_xsltmark.Cases.find "metric")).Xdb_xsltmark.Cases.stylesheet
+  in
+  let with_metrics = { EN.default_run_options with EN.collect_metrics = true } in
+  let patched = ref 0 in
+  ignore (EN.transform_stmt e st);
+  for i = 1 to 100 do
+    ignore
+      (EN.execute e
+         (Printf.sprintf "UPDATE rows SET value = %d WHERE id = %d"
+            (if i mod 2 = 0 then 7 else 77777)
+            (1 + (i * 37 mod 200))));
+    let r = EN.transform_stmt ~options:with_metrics e st in
+    let m = Xdb_core.Metrics.counters (Option.get r.EN.metrics) in
+    patched := !patched + List.assoc "result_cache_patched" m;
+    check (Alcotest.list cs) (Printf.sprintf "write %d: served = recomputed" i)
+      (EN.transform_stmt ~options:{ EN.default_run_options with EN.result_cache = false } e st).EN.output
+      r.EN.output
+  done;
+  check ci "every read after the first patched" 99 !patched;
+  EN.shutdown e
 
 let test_prepared_statements () =
   let db, view = setup_example1 () in
@@ -1969,6 +2089,9 @@ let () =
           Alcotest.test_case "result cache patch install" `Quick test_result_cache_patch_install;
           Alcotest.test_case "a Figure 3 cycle keeps, patches and recomputes" `Quick
             test_fig3_cycle_keeps_and_patches;
+          Alcotest.test_case "fig3-pages replay: every served page = a recompute" `Quick
+            test_fig3_replay_patches_every_page;
+          Alcotest.test_case "patches that change a member's length" `Quick test_patch_length_changes;
           Alcotest.test_case "prepared statements" `Quick test_prepared_statements;
           Alcotest.test_case "run source verb" `Quick test_run_source_verb;
           QCheck_alcotest.to_alcotest prop_parallel_equiv_sequential;

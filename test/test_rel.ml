@@ -1700,17 +1700,127 @@ let prop_shred_positional_differential =
     (QCheck.make gen_doc ~print:Xdb_xml.Serializer.to_string)
     (fun doc -> shred_matches_dom ~fallback:false doc positional_exprs)
 
-(* following/preceding from each document's edge nodes: the rows of the
-   other document stored beside it never leak into the answer *)
 (* following/preceding from an attribute context: the owner's
    descendants follow the attribute, the owner does not precede it
-   (XPath 1.0 §2.2/§5.1) — the same answers the DOM interpreter gives *)
+   (XPath 1.0 §2.2/§5.1) — the same answers the DOM interpreter gives,
+   read off the rows without reconstructing the document *)
 let test_shred_attribute_following_preceding () =
   let t = SH.create () in
   let docid = SH.shred t (Xdb_xml.Parser.parse {|<r><p/><a id="1"><b/><c/></a><d/></r>|}) in
   let names q = List.map (fun r -> r.SH.name) (SH.select t ~docid q) in
   check Alcotest.(list string) "//@id/following::*" [ "b"; "c"; "d" ] (names "//@id/following::*");
-  check Alcotest.(list string) "//@id/preceding::*" [ "p" ] (names "//@id/preceding::*")
+  check Alcotest.(list string) "//@id/preceding::*" [ "p" ] (names "//@id/preceding::*");
+  check ci "no DOM fallback" 0 (SH.counters t).SH.dom_fallbacks
+
+(* the axis oracle: every axis but namespace, from every node of a
+   random document (attributes included), straight from its definition
+   over the rows' (pre, post, parent, level, kind) — intervals nest, an
+   element's post is its exit tick, an attribute is a leaf inside its
+   owner's — compared in document order with the DOM interpreter's
+   [Eval.axis_nodes] and with [Shred.axis_step], for node() *)
+let gen_axis_doc : X.node QCheck.Gen.t =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [
+        map (fun n -> XB.text (string_of_int n)) (int_bound 9);
+        map (fun () -> XB.comment "c") unit;
+        map (fun () -> XB.pi "p" "d") unit;
+      ]
+  in
+  let rec element depth =
+    oneofl [ "a"; "b" ] >>= fun nm ->
+    int_bound (if depth <= 0 then 0 else 3) >>= fun n_kids ->
+    list_repeat n_kids (frequency [ (1, leaf); (3, element (depth - 1)) ]) >>= fun kids ->
+    oneofl [ []; [ ("id", "1") ]; [ ("id", "2"); ("k", "v") ] ] >>= fun attrs ->
+    return (XB.elem ~attrs nm kids)
+  in
+  map XB.document (element 3)
+
+let oracle_axes =
+  Xdb_xpath.Ast.
+    [
+      Self; Child; Attribute; Parent; Descendant; Descendant_or_self; Ancestor;
+      Ancestor_or_self; Following; Preceding; Following_sibling; Preceding_sibling;
+    ]
+
+let region_axis (axis : Xdb_xpath.Ast.axis) (c : SH.node) (r : SH.node) =
+  let attr (n : SH.node) = n.SH.kind = "attr" in
+  let within (n : SH.node) (a : SH.node) = a.SH.pre < n.SH.pre && n.SH.pre < a.SH.post in
+  let descendant = (not (attr r)) && within r c and ancestor = within c r in
+  let self = r.SH.pre = c.SH.pre in
+  let sibling = (not (attr c)) && (not (attr r)) && c.SH.parent >= 0 && r.SH.parent = c.SH.parent in
+  match axis with
+  | Self -> self
+  | Child -> descendant && r.SH.level = c.SH.level + 1
+  | Attribute -> attr r && r.SH.parent = c.SH.pre
+  | Parent -> r.SH.pre = c.SH.parent
+  | Descendant -> descendant
+  | Descendant_or_self -> self || descendant
+  | Ancestor -> ancestor
+  | Ancestor_or_self -> self || ancestor
+  | Following -> (not (attr r)) && r.SH.pre > c.SH.pre && not descendant
+  | Preceding -> (not (attr r)) && r.SH.pre < c.SH.pre && not ancestor
+  | Following_sibling -> sibling && r.SH.pre > c.SH.pre
+  | Preceding_sibling -> sibling && r.SH.pre < c.SH.pre
+  | Namespace -> false
+
+let prop_axis_oracle =
+  QCheck.Test.make ~name:"axis oracle: region conditions = DOM = shredded, every context" ~count:40
+    (QCheck.make gen_axis_doc ~print:Xdb_xml.Serializer.to_string)
+    (fun doc ->
+      let t = SH.create () in
+      let docid = SH.shred t doc in
+      let step axis =
+        { Xdb_xpath.Ast.axis; test = Xdb_xpath.Ast.Node_type_test Xdb_xpath.Ast.Any_node; predicates = [] }
+      in
+      let by_pre = List.sort (fun (a : SH.node) b -> compare a.SH.pre b.SH.pre) in
+      let root = SH.doc_node t docid in
+      let nodes = SH.axis_step t [ root ] (step Descendant_or_self) in
+      let rows = by_pre (nodes @ SH.axis_step t nodes (step Attribute)) in
+      (* the DOM nodes in document order: each node, its attributes, its children *)
+      let rec dom_order (n : X.node) =
+        n :: List.concat_map dom_order (n.X.attributes @ n.X.children)
+      in
+      let dom = Array.of_list (dom_order doc) in
+      let index_of_dom n =
+        let rec find i = if dom.(i) == n then i else find (i + 1) in
+        find 0
+      in
+      let rows_a = Array.of_list rows in
+      let index_of_row (r : SH.node) =
+        let rec find i = if rows_a.(i).SH.pre = r.SH.pre then i else find (i + 1) in
+        find 0
+      in
+      let sorted l = List.sort compare l in
+      (Array.length dom = Array.length rows_a
+      || QCheck.Test.fail_reportf "%d DOM nodes, %d rows" (Array.length dom) (Array.length rows_a))
+      && List.for_all
+           (fun axis ->
+             let name = Xdb_xpath.Ast.axis_name axis in
+             List.for_all
+               (fun i ->
+                 let c = rows_a.(i) in
+                 let oracle =
+                   List.filter_map
+                     (fun j -> if region_axis axis c rows_a.(j) then Some j else None)
+                     (List.init (Array.length rows_a) Fun.id)
+                 in
+                 let eval = sorted (List.map index_of_dom (Xdb_xpath.Eval.axis_nodes axis dom.(i))) in
+                 let shred = sorted (List.map index_of_row (SH.axis_step t [ c ] (step axis))) in
+                 let show l = String.concat "," (List.map string_of_int l) in
+                 (eval = oracle
+                 || QCheck.Test.fail_reportf "%s from node %d: oracle [%s], DOM [%s]" name i
+                      (show oracle) (show eval))
+                 && (shred = oracle
+                    || QCheck.Test.fail_reportf "%s from node %d: oracle [%s], shredded [%s]" name i
+                         (show oracle) (show shred)))
+               (List.init (Array.length rows_a) Fun.id))
+           oracle_axes
+      && (SH.counters t).SH.dom_fallbacks = 0)
+
+(* following/preceding from each document's edge nodes: the rows of the
+   other document stored beside it never leak into the answer *)
 
 let test_shred_two_documents () =
   let docs =
@@ -2664,7 +2774,12 @@ let verdict =
   Alcotest.testable
     (fun f v ->
       Format.pp_print_string f
-        (match v with FP.Irrelevant -> "irrelevant" | FP.Members -> "members" | FP.Recompute -> "recompute"))
+        (match v with
+        | FP.Irrelevant -> "irrelevant"
+        | FP.Driving -> "driving"
+        | FP.Correlated keys ->
+            "correlated on " ^ String.concat "," (List.map (fun (c, d) -> c ^ "=" ^ d) keys)
+        | FP.Recompute -> "recompute"))
     ( = )
 
 (* a write reaches only what the plan reads; it patches only when the
@@ -2674,8 +2789,8 @@ let test_footprint_patch_rules () =
   let is what table cols want = check verdict what want (FP.classify fp ~table cols) in
   is "a column nothing reads" "t" [ "z" ] FP.Irrelevant;
   is "a table the plan does not scan" "other" [ "v" ] FP.Irrelevant;
-  is "a member-only column" "t" [ "v" ] FP.Members;
-  is "with one nothing reads" "t" [ "z"; "v" ] FP.Members;
+  is "a member-only column" "t" [ "v" ] FP.Driving;
+  is "with one nothing reads" "t" [ "z"; "v" ] FP.Driving;
   is "a filter column" "t" [ "f" ] FP.Recompute;
   is "a correlation column" "t" [ "b" ] FP.Recompute;
   is "an order key" "t" [ "k" ] FP.Recompute;
@@ -2709,6 +2824,58 @@ let test_footprint_patch_rules () =
              ( [ (A.Scalar_subquery (A.Aggregate { group_by = []; aggs = [ (A.Xml_agg (A.qcol "t" "v", []), "r") ]; input = A.Seq_scan { table = "t"; alias = "t" } }), "result") ],
                A.Seq_scan { table = "base"; alias = "base" } )))
        ~table:"t" [ "v" ])
+
+(* an aggregate over [input] as a member's text *)
+let member_sum ?(table = "i") input =
+  A.Xml_text
+    (A.Scalar_subquery
+       (A.Aggregate { group_by = []; aggs = [ (A.Sum (A.qcol table "amt"), "s") ]; input }))
+
+let keyed_probe ?(alias = "i") on =
+  A.Index_scan
+    { table = "i"; alias; index_column = "tid"; lo = A.Incl (A.qcol on "id"); hi = A.Incl (A.qcol on "id") }
+
+(* a write to a table the member reads through a subplan keyed on the
+   driving row patches the members whose key it reaches; any other inner
+   read recomputes *)
+let test_footprint_correlated_rules () =
+  let on_i ?(wrap = Fun.id) extra cols = FP.classify (FP.of_plan (wrap (agg_plan ~extra ()))) ~table:"i" cols in
+  let keyed = FP.Correlated [ ("tid", "id") ] in
+  check verdict "an index probe at the driving row" keyed (on_i [ member_sum (keyed_probe "t") ] [ "amt" ]);
+  check verdict "a column nothing reads" FP.Irrelevant (on_i [ member_sum (keyed_probe "t") ] [ "z" ]);
+  check verdict "the key column itself" FP.Recompute (on_i [ member_sum (keyed_probe "t") ] [ "tid" ]);
+  let filtered cond = A.Filter (cond, A.Seq_scan { table = "i"; alias = "i" }) in
+  check verdict "a filter conjunct over a scan, a SET column in another" keyed
+    (on_i [ member_sum (filtered A.(qcol "t" "id" =. qcol "i" "tid" &&. (qcol "i" "amt" >. const_int 250))) ] [ "amt" ]);
+  check verdict "an unkeyed scan" FP.Recompute
+    (on_i [ member_sum (A.Seq_scan { table = "i"; alias = "i" }) ] [ "amt" ]);
+  check verdict "keyed on the aggregate's environment" FP.Recompute
+    (on_i [ member_sum (filtered A.(qcol "i" "tid" =. qcol "base" "b")) ] [ "amt" ]);
+  check verdict "one keyed scan, one not" FP.Recompute
+    (on_i [ member_sum (keyed_probe "t"); member_sum (A.Seq_scan { table = "i"; alias = "i2" }) ] [ "amt" ]);
+  let nested =
+    A.Nested_loop
+      { outer = A.Seq_scan { table = "u"; alias = "u" }; inner = keyed_probe "u"; join_cond = None }
+  in
+  check verdict "nested correlation" FP.Recompute (on_i [ member_sum nested ] [ "amt" ]);
+  let shadowing =
+    A.Nested_loop
+      { outer = A.Seq_scan { table = "u"; alias = "t" }; inner = keyed_probe "t"; join_cond = None }
+  in
+  check verdict "the driving alias shadowed inside the member" FP.Recompute
+    (on_i [ member_sum shadowing ] [ "amt" ]);
+  let also_outside p = A.Filter (A.Exists (A.Seq_scan { table = "i"; alias = "i3" }), p) in
+  check verdict "the inner table scanned outside the member" FP.Recompute
+    (on_i ~wrap:also_outside [ member_sum (keyed_probe "t") ] [ "amt" ]);
+  (* a second scan of the driving table outside the member: its own
+     writes recompute, the keyed inner table's still patch *)
+  let driving_twice p = A.Filter (A.Exists (A.Seq_scan { table = "t"; alias = "t2" }), p) in
+  let fp = FP.of_plan (driving_twice (agg_plan ~extra:[ member_sum (keyed_probe "t") ] ())) in
+  check verdict "the driving table scanned twice" FP.Recompute (FP.classify fp ~table:"t" [ "v" ]);
+  check verdict "its keyed inner table" keyed (FP.classify fp ~table:"i" [ "amt" ]);
+  check Alcotest.string "rendered"
+    "  t.v: recompute\n  t.z: keep\n  i.tid: recompute\n  i.amt: patch (correlated as i.tid = t.id)\n"
+    (FP.describe fp [ ("t", [ "v"; "z" ]); ("i", [ "tid"; "amt" ]) ])
 
 let () =
   Alcotest.run "relational"
@@ -2806,7 +2973,10 @@ let () =
           Alcotest.test_case "path/value index dedup counting" `Quick test_pathindex_dedup;
         ] );
       ( "footprint",
-        [ Alcotest.test_case "what a write reaches, what it patches" `Quick test_footprint_patch_rules ]
+        [
+          Alcotest.test_case "what a write reaches, what it patches" `Quick test_footprint_patch_rules;
+          Alcotest.test_case "correlated inner tables" `Quick test_footprint_correlated_rules;
+        ]
       );
       ( "shredding",
         [
@@ -2821,5 +2991,6 @@ let () =
             test_shred_two_documents;
           Alcotest.test_case "following/preceding from an attribute" `Quick
             test_shred_attribute_following_preceding;
+          QCheck_alcotest.to_alcotest prop_axis_oracle;
         ] );
     ]

@@ -540,19 +540,43 @@ let self_counting =
   xsl
     {|<xsl:template match="table"><s><xsl:for-each select="row"><r id="{id}"><xsl:value-of select="count(/table/row[value &gt; 5000])"/></r></xsl:for-each></s></xsl:template>|}
 
+(* every bar sums all the document's item amounts: an inner read keyed
+   on another [region] scan, not on the driving row, so an amount write
+   must never patch *)
+let all_items_bars =
+  xsl
+    {|<xsl:template match="sales"><c><xsl:for-each select="region"><bar><xsl:value-of select="sum(/sales/region/item/amount)"/></bar></xsl:for-each></c></xsl:template>|}
+
+(* bars sum only the items above 250: the written amount is read by the
+   member's inner filter, and an amount write patches the bars it reaches *)
+let big_items_bars =
+  xsl
+    {|<xsl:template match="sales"><c><xsl:for-each select="region"><bar n="{name}"><xsl:value-of select="sum(item[amount &gt; 250]/amount)"/></bar></xsl:for-each></c></xsl:template>|}
+
 (* random writes against the Figure 3 pages (avts, metric, chart, total)
    and adversarial ones: dbaccess filters on the written value column,
-   alphabetize orders by name, and the two above.  Writes hit member-only,
-   filter, order and correlation columns, insert and delete rows, update
-   many rows at once, and overflow the change log with a burst of point
-   UPDATEs.  After every statement each page as served (kept, patched or
-   recomputed) equals a forced recompute and the functional VM. *)
+   alphabetize orders by name, and the four above.  Writes hit member-only,
+   filter, order and correlation columns (of the driving table and of the
+   correlated [item] table), columns no page reads, insert and delete
+   rows, update many rows at once, and overflow the change log with a
+   burst of point UPDATEs.  After every statement each page as served
+   (kept, patched or recomputed) equals a forced recompute and the
+   functional VM.  Per statement: a write moving [item.rid] (the
+   correlation column) never keeps or patches a sales page, a write of
+   [item.product] (read by none) keeps them all, the all-items page never
+   patches, and an [item.amount] write patches chart, total and the
+   big-items page whenever their entry was recorded (recomputed after a
+   drop on one domain, or patched since). *)
 let prop_point_writes_keep_or_patch =
   let records_pages =
     [ ("avts", stylesheet_of "avts"); ("metric", stylesheet_of "metric");
       ("dbaccess", stylesheet_of "dbaccess"); ("alphabetize", stylesheet_of "alphabetize");
       ("sparse", sparse_members); ("self-counting", self_counting) ]
-  and sales_pages = [ ("chart", stylesheet_of "chart"); ("total", stylesheet_of "total") ] in
+  and sales_pages =
+    [ ("chart", stylesheet_of "chart"); ("total", stylesheet_of "total");
+      ("all-items", all_items_bars); ("big-items", big_items_bars) ]
+  in
+  let keyed = [ "chart"; "total"; "big-items" ] in
   let records_stmt =
     QCheck.Gen.(
       let id = int_range 1 40 and v = int_range 0 10_000 in
@@ -575,6 +599,8 @@ let prop_point_writes_keep_or_patch =
       frequency
         [
           (3, map2 (Printf.sprintf "UPDATE item SET amount = %d WHERE rid = %d") (int_range 1 500) rid);
+          (1, map2 (Printf.sprintf "UPDATE item SET rid = %d WHERE rid = %d") rid rid);
+          (2, map2 (Printf.sprintf "UPDATE item SET product = 'q%d' WHERE rid = %d") (int_bound 99) rid);
           (3, map2 (Printf.sprintf "UPDATE region SET rname = 'R%d' WHERE rid = %d") (int_bound 99) rid);
           (1, map2 (Printf.sprintf "UPDATE region SET sid = %d WHERE rid = %d") (int_range 1 2) rid);
           (1, map2 (Printf.sprintf "UPDATE region SET rid = %d WHERE rid = %d") (int_range 6 9) rid);
@@ -601,40 +627,64 @@ let prop_point_writes_keep_or_patch =
         List.map (fun (n, ss) -> (n, er, "records_vu", ss)) records_pages
         @ List.map (fun (n, ss) -> (n, es, "sales_vu", ss)) sales_pages
       in
-      let read ~jobs ~after_burst =
+      let recorded = Hashtbl.create 8 in
+      let counter e name = List.assoc name (EN.result_cache_counters e) in
+      (* [item] moved: the statement changed rows of the correlated table *)
+      let read ~jobs ~after_burst ~stmt ~item_moved =
+        let item_write col = item_moved && String.starts_with ~prefix:("UPDATE item SET " ^ col) stmt in
         List.for_all
           (fun (name, e, view_name, stylesheet) ->
             let run options = EN.transform ~options e ~view_name ~stylesheet in
+            let kept0 = counter e "result_cache_kept"
+            and dropped0 = counter e "result_cache_invalidations" in
             let served =
               run { EN.default_run_options with EN.jobs; collect_metrics = true }
             in
+            let kept = counter e "result_cache_kept" > kept0
+            and dropped = counter e "result_cache_invalidations" > dropped0 in
             let counters = Xdb_core.Metrics.counters (Option.get served.EN.metrics) in
-            let patched = List.assoc "result_cache_patched" counters = 1 in
+            let patched = List.assoc "result_cache_patched" counters = 1
+            and hit = List.assoc "result_cache_hit" counters = 1 in
+            let was_recorded = Hashtbl.mem recorded name in
+            if patched || ((not hit) && dropped && jobs = 1) then Hashtbl.replace recorded name ()
+            else if not hit then Hashtbl.remove recorded name;
             let recomputed = run { EN.default_run_options with EN.result_cache = false } in
             let functional =
               run { EN.default_run_options with EN.result_cache = false; interpreted = true }
             in
+            let sales = view_name = "sales_vu" in
             (served.EN.output = recomputed.EN.output
             || QCheck.Test.fail_reportf "%s: served page differs from a recompute" name)
             && (functional.EN.output = recomputed.EN.output
                || QCheck.Test.fail_reportf "%s: recompute differs from the functional VM" name)
-            && ((not patched) || (name <> "self-counting" && not after_burst)
+            && ((not patched)
+                || (name <> "self-counting" && name <> "all-items" && not after_burst)
                || QCheck.Test.fail_reportf "%s: patched%s" name
-                    (if after_burst then " across an overflowed change log" else "")))
+                    (if after_burst then " across an overflowed change log" else ""))
+            && ((not (sales && item_write "rid")) || ((not patched) && not kept)
+               || QCheck.Test.fail_reportf "%s: kept or patched across a write of item.rid" name)
+            && ((not (sales && item_write "product")) || (hit && not patched)
+               || QCheck.Test.fail_reportf "%s: not kept across a write of item.product" name)
+            && ((not (List.mem name keyed && item_write "amount" && was_recorded)) || patched
+               || QCheck.Test.fail_reportf "%s: a recorded page not patched after %s" name stmt))
           pages
       in
-      ignore (read ~jobs:1 ~after_burst:false);
+      ignore (read ~jobs:1 ~after_burst:false ~stmt:"" ~item_moved:false);
+      let item_version () = Xdb_rel.Database.data_version (EN.database es) "item" in
       let ok =
         List.for_all
           (fun (i, (db, stmt)) ->
             let e = match db with `Records -> er | `Sales -> es in
+            let v0 = item_version () in
             if stmt = "burst" then
               for k = 1 to 20 do
                 ignore
                   (EN.execute e (Printf.sprintf "UPDATE rows SET value = %d WHERE id = %d" (k * 97) k))
               done
             else ignore (EN.execute e stmt);
-            read ~jobs:(if i mod 2 = 0 then 1 else test_jobs) ~after_burst:(stmt = "burst"))
+            read
+              ~jobs:(if i mod 2 = 0 then 1 else test_jobs)
+              ~after_burst:(stmt = "burst") ~stmt ~item_moved:(item_version () <> v0))
           (List.mapi (fun i s -> (i, s)) stmts)
       in
       EN.shutdown er;
