@@ -475,115 +475,6 @@ let planquality ?(n = 2_000) () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* execscale: interpreted vs compiled executor (BENCH_PR3)             *)
-(* ------------------------------------------------------------------ *)
-
-(* Scan-heavy leg timing the executor itself (no XSLT pipeline around
-   it): Project(expressions incl. CASE) over Filter over Seq_scan, at
-   three sizes.  The same plan runs through the interpreted reference
-   executor and the compiled layout/batch executor; rows must match
-   row-for-row and the per-operator actual-row counts (EXPLAIN ANALYZE)
-   must be identical, then the two are timed. *)
-let execscale ?(sizes = [ 2_000; 20_000; 100_000 ]) () =
-  let module R = Xdb_rel in
-  let module A = R.Algebra in
-  let module V = R.Value in
-  let build n =
-    let db = R.Database.create () in
-    let tbl =
-      R.Database.create_table db "items"
-        [
-          { R.Table.col_name = "id"; col_type = V.Tint };
-          { R.Table.col_name = "name"; col_type = V.Tstr };
-          { R.Table.col_name = "value"; col_type = V.Tint };
-          { R.Table.col_name = "category"; col_type = V.Tstr };
-          { R.Table.col_name = "qty"; col_type = V.Tint };
-        ]
-    in
-    let seed = ref 42 in
-    let rand m =
-      seed := ((!seed * 1103515245) + 12345) land 0x3FFFFFFF;
-      !seed mod m
-    in
-    for i = 0 to n - 1 do
-      R.Table.insert_values tbl
-        [
-          V.Int i;
-          V.Str (Printf.sprintf "item-%05d" i);
-          V.Int (rand 1000);
-          V.Str (String.make 1 (Char.chr (Char.code 'A' + rand 5)));
-          V.Int (1 + rand 9);
-        ]
-    done;
-    db
-  in
-  let plan =
-    A.Project
-      ( [
-          (A.Col (Some "i", "id"), "id");
-          (A.Col (None, "name"), "name");
-          (A.Binop (A.Mul, A.Col (None, "value"), A.Col (None, "qty")), "total");
-          ( A.Case
-              ( [
-                  ( A.Binop (A.Gt, A.Col (None, "value"), A.Const (V.Int 900)),
-                    A.Const (V.Str "hot") );
-                  ( A.Binop (A.Gt, A.Col (None, "value"), A.Const (V.Int 500)),
-                    A.Const (V.Str "warm") );
-                ],
-                Some (A.Const (V.Str "cold")) ),
-            "band" );
-          (A.Col (Some "i", "category"), "category");
-        ],
-        A.Filter
-          ( A.Binop
-              ( A.And,
-                A.Binop (A.Gt, A.Col (None, "value"), A.Const (V.Int 100)),
-                A.Binop (A.Neq, A.Col (None, "category"), A.Const (V.Str "E")) ),
-            A.Seq_scan { table = "items"; alias = "i" } ) )
-  in
-  Printf.printf "%s\nexecscale: interpreted vs compiled executor (batch=%d)\n%s\n" hrule
-    R.Exec.default_batch_size hrule;
-  Printf.printf "%8s %15s %13s %8s %10s %9s\n" "rows" "interpreted_ms" "compiled_ms" "speedup"
-    "rows_same" "ops_same";
-  let legs = ref [] and csv_rows = ref [] in
-  List.iter
-    (fun n ->
-      let db = build n in
-      (* correctness first: row-for-row identical results… *)
-      let irows = R.Exec.run_interpreted db plan in
-      let layout, arows = R.Exec.run_arrays db plan in
-      let rows_ok = List.map (R.Layout.to_assoc layout) arows = irows in
-      (* …and identical per-operator actual-row counts under ANALYZE *)
-      let _, st_i = R.Exec.run_interpreted_analyzed db plan in
-      let (_, _), st_c = R.Exec.run_arrays_analyzed db plan in
-      let ops_ok = R.Stats.rows_signature st_i = R.Stats.rows_signature st_c in
-      let interpreted_ms = time_ms (fun () -> ignore (R.Exec.run_interpreted db plan)) in
-      (* compiled time includes the column-resolution/compile pass *)
-      let compiled_ms = time_ms (fun () -> ignore (R.Exec.run_arrays db plan)) in
-      let speedup = interpreted_ms /. compiled_ms in
-      Printf.printf "%8d %15.2f %13.2f %7.2fx %10b %9b\n" n interpreted_ms compiled_ms speedup
-        rows_ok ops_ok;
-      legs :=
-        Printf.sprintf
-          {|{"rows":%d,"interpreted_ms":%.4f,"compiled_ms":%.4f,"speedup":%.2f,"rows_identical":%b,"operators_identical":%b,"batch_size":%d}|}
-          n interpreted_ms compiled_ms speedup rows_ok ops_ok R.Exec.default_batch_size
-        :: !legs;
-      csv_rows :=
-        Printf.sprintf "%d,%.4f,%.4f,%.2f,%b,%b" n interpreted_ms compiled_ms speedup rows_ok
-          ops_ok
-        :: !csv_rows)
-    sizes;
-  csv_out "execscale.csv"
-    "rows,interpreted_ms,compiled_ms,speedup,rows_identical,operators_identical"
-    (List.rev !csv_rows);
-  let oc = open_out "BENCH_PR3.json" in
-  Printf.fprintf oc "{\"bench\":\"BENCH_PR3\",\"host\":%s,\"legs\":[\n  %s\n]}\n" (host_json ())
-    (String.concat ",\n  " (List.rev !legs));
-  close_out oc;
-  print_endline "(written BENCH_PR3.json)";
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
 (* joinscale: hash join vs (index) nested loop (BENCH_PR9)             *)
 (* ------------------------------------------------------------------ *)
 
@@ -776,14 +667,15 @@ let alloc_bytes f =
   ignore (f ());
   Gc.allocated_bytes () -. a0
 
-(* Every db-capable bench case, publish and rewrite, with result
-   construction through the DOM vs streamed output events.  Outputs are
-   asserted byte-identical first; then wall time (median of 3) and
-   allocation (Gc.allocated_bytes delta over one run) per leg.  The
-   per-size totals are what CI gates on: streaming must not be slower
-   and must allocate strictly less at the large size. *)
+(* Every db-capable bench case's view, published by building each
+   document's DOM then serializing it vs streaming spec events straight
+   into the serializer.  Outputs are asserted byte-identical first; then
+   wall time (median of 3) and allocation (Gc.allocated_bytes delta over
+   one run) per leg.  The per-size totals are what CI gates on: streaming
+   must not be slower and must allocate strictly less at the large
+   size. *)
 let pubstream ?(sizes = [ 8_000; 64_000 ]) () =
-  Printf.printf "%s\npubstream: DOM vs streamed output events (publish + rewrite)\n%s\n" hrule
+  Printf.printf "%s\npubstream: DOM vs streamed output events (publish)\n%s\n" hrule
     hrule;
   Printf.printf "%8s %10s %8s %11s %11s %11s %11s\n" "rows" "case" "leg" "dom_ms" "stream_ms"
     "dom_MB" "stream_MB";
@@ -799,16 +691,12 @@ let pubstream ?(sizes = [ 8_000; 64_000 ]) () =
             let case = if name = "dbonerow" then M.dbonerow_for n else case in
             let dv = M.dbview_for case n in
             let db = dv.D.db and view = dv.D.view in
-            let comp = PL.compile db view case.M.stylesheet in
-            assert (comp.PL.sql_plan <> None);
             let publish_dom () =
               List.map
                 (fun d -> Xdb_xml.Serializer.node_list_to_string d.Xdb_xml.Types.children)
                 (Xdb_rel.Publish.materialize db view)
             in
             let publish_stream () = Xdb_rel.Publish.materialize_serialized db view in
-            let rewrite_dom () = PL.run_rewrite ~streaming:false db comp in
-            let rewrite_stream () = PL.run_rewrite ~streaming:true db comp in
             let leg label dom stream =
               assert (dom () = stream ());
               let dom_ms = time_ms dom and stream_ms = time_ms stream in
@@ -831,8 +719,7 @@ let pubstream ?(sizes = [ 8_000; 64_000 ]) () =
                   dom_alloc stream_alloc
                 :: !csv_rows
             in
-            leg "publish" publish_dom publish_stream;
-            leg "rewrite" rewrite_dom rewrite_stream)
+            leg "publish" publish_dom publish_stream)
           [ "dbonerow"; "avts"; "chart"; "metric"; "total" ];
         Printf.printf "%8d %10s %8s %11.3f %11.3f %11.2f %11.2f\n" n "TOTAL" "" tot.(0) tot.(1)
           (tot.(2) /. 1048576.0)
@@ -1421,7 +1308,6 @@ let () =
   if List.mem "fig2-smoke" targets then fig2 ~figure:"fig2-smoke" ~sizes:[ 2_000 ] ();
   if run "fig3" then fig3 ();
   if run "planquality" then planquality ();
-  if run "execscale" then execscale ();
   if run "joinscale" then joinscale ();
   (* CI gate leg: 100k rows only, so the forced nested loop stays cheap *)
   if List.mem "joinscale-smoke" targets then joinscale ~sizes:[ 100_000 ] ();

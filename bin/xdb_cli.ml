@@ -9,9 +9,8 @@
     - [explain]    — run one of the built-in XSLTMark-style cases against
                      its generated database and print the full pipeline
                      explanation (execution graph, XQuery, SQL plan);
-    - [publish]    — print a case's XMLType view documents, either by
-                     materializing trees or streaming output events
-                     straight into the serializer;
+    - [publish]    — print a case's XMLType view documents, streaming
+                     output events straight into the serializer;
     - [serve]      — run a closed-loop concurrent workload (N client
                      domains × a mixed case set) through [Xdb.Server]
                      sessions over one shared engine, with admission
@@ -51,23 +50,6 @@ let run_options_term =
       & info [ "metrics" ]
           ~doc:"Print the pipeline metrics record (per-stage timings and counters) as JSON.")
   in
-  let stream =
-    Arg.(
-      value & flag
-      & info [ "stream" ]
-          ~doc:
-            "Stream XML result construction through output events straight into the output \
-             buffer (no intermediate DOM).  Output is byte-identical either way.")
-  in
-  let interpreted =
-    Arg.(
-      value & flag
-      & info [ "interpreted" ]
-          ~doc:
-            "Use the reference paths: the functional VM evaluation for transforms, the \
-             interpreted assoc-row executor for $(b,--explain-analyze) (per-operator \
-             actual-row counts are identical; timings differ).")
-  in
   let jobs =
     Arg.(
       value & opt int 1
@@ -85,17 +67,15 @@ let run_options_term =
             "Bypass the data-versioned result cache: always recompute the output instead of \
              serving cached bytes when the dependency tables are unchanged.")
   in
-  let mk metrics stream interpreted jobs no_result_cache =
+  let mk metrics jobs no_result_cache =
     {
-      Xdb_core.Engine.streaming = stream;
-      jobs = max 1 jobs;
+      Xdb_core.Engine.jobs = max 1 jobs;
       collect_metrics = metrics;
-      interpreted;
       result_cache = not no_result_cache;
       indent = false;
     }
   in
-  Term.(const mk $ metrics $ stream $ interpreted $ jobs $ no_result_cache)
+  Term.(const mk $ metrics $ jobs $ no_result_cache)
 
 (* run [f], rendering facade errors as one line instead of a backtrace *)
 let with_engine_errors f =
@@ -152,8 +132,7 @@ let transform_cmd =
       & info [ "case" ] ~docv:"CASE"
           ~doc:
             "Transform a built-in db-capable benchmark case through the engine instead of a \
-             stylesheet/document file pair ($(b,--metrics)/$(b,--stream)/\
-             $(b,--interpreted)/$(b,--jobs) apply).")
+             stylesheet/document file pair ($(b,--metrics)/$(b,--jobs) apply).")
   in
   let size = Arg.(value & opt int 100 & info [ "n"; "size" ] ~doc:"Workload size (rows), with --case") in
   let shredded =
@@ -392,9 +371,9 @@ let explain_cmd =
       & info [ "explain-analyze" ]
           ~doc:
             "Execute the SQL/XML plan with instrumentation and print estimated vs actual rows, \
-             loops, B-tree probes and wall time per operator ($(b,--interpreted) selects the \
-             reference executor; $(b,--jobs) runs the instrumented execution domain-parallel \
-             with per-domain stats merged by operator).")
+             loops, B-tree probes and wall time per operator ($(b,--jobs) runs the \
+             instrumented execution domain-parallel with per-domain stats merged by \
+             operator).")
   in
   let collect_stats =
     Arg.(
@@ -576,7 +555,7 @@ let publish_cmd =
   in
   Cmd.v
     (Cmd.info "publish"
-       ~doc:"Print a case's XMLType view documents (DOM or streamed serialization)")
+       ~doc:"Print a case's XMLType view documents (streamed serialization)")
     Term.(const run $ verbose $ case $ size $ indent $ run_options_term)
 
 (* ------------------------------------------------------------------ *)

@@ -56,24 +56,9 @@ module Rw = struct
       f
 end
 
-type run_options = {
-  streaming : bool;
-  jobs : int;
-  collect_metrics : bool;
-  interpreted : bool;
-  result_cache : bool;
-  indent : bool;
-}
+type run_options = { jobs : int; collect_metrics : bool; result_cache : bool; indent : bool }
 
-let default_run_options =
-  {
-    streaming = true;
-    jobs = 1;
-    collect_metrics = false;
-    interpreted = false;
-    result_cache = true;
-    indent = false;
-  }
+let default_run_options = { jobs = 1; collect_metrics = false; result_cache = true; indent = false }
 
 type run_result = { output : string list; metrics : Metrics.t option }
 
@@ -257,17 +242,13 @@ let transform_body ~options ?metrics t compiled ~record =
   let output =
     Xdb_error.wrap ~stage:"exec" (fun () ->
         with_jobs t options (fun pool ->
-            if options.interpreted then Pipeline.run_functional ?metrics ?pool t.db compiled
-            else
-              Pipeline.run_rewrite ?metrics ~streaming:options.streaming ?pool ?on_members t.db
-                compiled))
+            Pipeline.run_rewrite ?metrics ?pool ?on_members t.db compiled))
   in
   (output, !members)
 
-(* serve a compiled transform: on the compiled streaming path, writes
-   the plan never read keep the cached page, and writes only its
-   patchable members read patch it (timed as the [result_cache_patch]
-   stage) *)
+(* serve a compiled transform: writes the plan never read keep the
+   cached page, and writes only its patchable members read patch it
+   (timed as the [result_cache_patch] stage) *)
 let serve_transform t options ~metrics ~view ~key compiled =
   let patch =
     match (compiled.Pipeline.sql_plan, compiled.Pipeline.footprint) with
@@ -282,15 +263,13 @@ let serve_transform t options ~metrics ~view ~key compiled =
             | _ -> None)
     | _ -> None
   in
-  let footprint =
-    if options.streaming && not options.interpreted then compiled.Pipeline.footprint else None
-  in
-  serve_cached t options ~metrics ~view ~key ~deps:compiled.Pipeline.deps ?footprint ?patch
+  serve_cached t options ~metrics ~view ~key ~deps:compiled.Pipeline.deps
+    ?footprint:compiled.Pipeline.footprint ?patch
     (transform_body ~options ?metrics t compiled)
 
-(* key ingredients: view + stylesheet text.  streaming/jobs/interpreted
-   are deliberately absent — the engine's execution strategies are
-   byte-identical by invariant (tested), so they may share entries. *)
+(* key ingredients: view + stylesheet text.  [jobs] is deliberately
+   absent — a split run is byte-identical to the sequential one (tested),
+   so they may share entries. *)
 let transform_key view_name stylesheet = "T\x00" ^ view_name ^ "\x00" ^ stylesheet
 
 let transform_stmt ?(options = default_run_options) t stmt =
@@ -319,15 +298,8 @@ let publish ?(options = default_run_options) t ~view_name =
         in
         let serialize ?metrics part =
           let row_range = Option.map (fun (_, lo, hi) -> (lo, hi)) part in
-          if options.streaming then
-            staged metrics "publish_stream" (fun () ->
-                P.materialize_serialized t.db ~indent ?row_range view)
-          else
-            staged metrics "publish_dom" (fun () ->
-                List.map
-                  (fun d ->
-                    Xdb_xml.Serializer.node_list_to_string ~indent d.Xdb_xml.Types.children)
-                  (P.materialize t.db ?row_range view))
+          staged metrics "publish_stream" (fun () ->
+              P.materialize_serialized t.db ~indent ?row_range view)
         in
         let run () =
           Xdb_error.wrap ~stage:"serialize" (fun () ->
@@ -431,7 +403,7 @@ let explain_analyze_stmt ?(options = default_run_options) ?metrics t stmt =
       let compiled = stmt_compiled ?metrics t stmt in
       Xdb_error.wrap ~stage:"exec" (fun () ->
           with_jobs t options (fun pool ->
-              Pipeline.explain_analyze ~interpreted:options.interpreted ?pool t.db compiled)))
+              Pipeline.explain_analyze ?pool t.db compiled)))
 
 let explain_analyze ?options ?metrics t ~view_name ~stylesheet =
   explain_analyze_stmt ?options ?metrics t (prepare ?metrics t ~view_name ~stylesheet)

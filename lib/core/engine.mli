@@ -4,8 +4,8 @@
     Wraps the {!Pipeline} entry points, the {!Registry} plan cache, the
     {!Result_cache} and the {!Parallel} domain pool behind a small verb
     set — {!create}, {!prepare}, {!run}, {!execute} — with one
-    {!run_options} record replacing the [?metrics]/[?streaming]/
-    [?indent]/[?docids] optional-label sprawl the lower layers accreted.
+    {!run_options} record replacing the [?metrics]/[?indent]/[?docids]
+    optional-label sprawl the lower layers accreted.
     All errors cross this boundary as {!Xdb_error.Error}; library
     internals keep their own exceptions.
 
@@ -38,31 +38,23 @@
 
 type t
 
-(** How a transform (or publish) runs.  [streaming] (default true) routes
-    XML result construction through output events instead of per-row
-    DOMs; [jobs] (default 1) sizes the domain pool a run may split over —
-    by base-table row ranges when the plan admits it, by document for
-    shredded sources — and never selects another strategy; [collect_metrics] (default false) attaches a
-    fresh {!Metrics.t} to the run, returned in {!run_result};
-    [interpreted] (default false) selects the reference paths: the
-    functional VM evaluation for {!transform}, the interpreted assoc-row
-    executor for {!explain_analyze}; [result_cache] (default true)
-    serves/stores data-versioned cached output — disable it to force
-    recomputation (the rwbench byte-identity check runs both ways);
-    [indent] (default false) pretty-prints {!publish} output (transforms
-    ignore it: stylesheet output is never reindented). *)
-type run_options = {
-  streaming : bool;
-  jobs : int;
-  collect_metrics : bool;
-  interpreted : bool;
-  result_cache : bool;
-  indent : bool;
-}
+(** How a transform (or publish) runs.  None of the fields selects an
+    evaluation strategy: a view transform always runs the SQL/XML rewrite
+    on the compiled executor, streaming its XML output, and a publish
+    always streams.  [jobs] (default 1) sizes the domain pool a run may
+    split over — by base-table row ranges when the plan admits it, by
+    document for shredded sources; [collect_metrics] (default false)
+    attaches a fresh {!Metrics.t} to the run, returned in {!run_result};
+    [result_cache] (default true) serves/stores data-versioned cached
+    output — disable it to force recomputation (the rwbench byte-identity
+    check runs both ways); [indent] (default false) pretty-prints
+    {!publish} output (transforms ignore it: stylesheet output is never
+    reindented). *)
+type run_options = { jobs : int; collect_metrics : bool; result_cache : bool; indent : bool }
 
 val default_run_options : run_options
-(** [{ streaming = true; jobs = 1; collect_metrics = false;
-      interpreted = false; result_cache = true; indent = false }] *)
+(** [{ jobs = 1; collect_metrics = false; result_cache = true;
+      indent = false }] *)
 
 type run_result = {
   output : string list;  (** one serialized result per base-table row *)
@@ -129,8 +121,8 @@ val stmt_view : stmt -> string
 
 val transform_stmt : ?options:run_options -> t -> stmt -> run_result
 (** Evaluate a prepared statement: the SQL/XML rewrite path (with
-    dynamic-XQuery fallback) by default, the functional VM path when
-    [interpreted], served from the result cache when possible.
+    dynamic-XQuery fallback), served from the result cache when
+    possible.
     [jobs > 1] partitions the base table across domains; output is
     byte-identical to the sequential run.
     @raise Xdb_error.Error on any pipeline failure. *)
@@ -155,8 +147,8 @@ val run : ?options:run_options -> t -> source -> stylesheet:string -> run_result
     in metrics), so output is always byte-identical to transforming the
     original documents directly.  [jobs > 1] runs the documents across
     the pool.  Cached results are served when [result_cache] and the dependency
-    tables' data versions still match; with a compiled streaming plan
-    they are also kept across UPDATEs of columns the plan never reads,
+    tables' data versions still match; with a SQL/XML plan they are
+    also kept across UPDATEs of columns the plan never reads,
     and patched across UPDATEs of columns only the members of its
     patchable XMLAgg read ({!Result_cache}).
     @raise Xdb_error.Error on any pipeline failure. *)
@@ -166,10 +158,9 @@ val transform :
 (** [run t (View view_name) ~stylesheet]. *)
 
 val publish : ?options:run_options -> t -> view_name:string -> run_result
-(** Materialise the view's documents (one string per base row):
-    streamed serialization when [streaming], DOM-then-serialize
-    otherwise; [jobs > 1] partitions the base rows across domains;
-    [indent] pretty-prints.  Cached per (view, indent) like transforms.
+(** Materialise the view's documents (one string per base row), spec
+    events streamed straight into the serializer; [jobs > 1] partitions
+    the base rows across domains; [indent] pretty-prints.  Cached per (view, indent) like transforms.
     @raise Xdb_error.Error on publish/serialize failures. *)
 
 (** {1 Shredded document storage}
@@ -208,10 +199,9 @@ val explain_analyze :
 (** Execute the SQL/XML plan with per-operator instrumentation and
     render estimated vs actual ({!Pipeline.explain_analyze});
     [metrics] records compile-stage timings as in {!prepare}.
-    [interpreted] selects the reference executor.  With [jobs > 1] the
-    compiled run is split like {!transform} and the rendered stats are
-    the per-range collectors merged by operator id — actual row counts
-    match a sequential run.
+    With [jobs > 1] the run is split like {!transform} and the rendered
+    stats are the per-range collectors merged by operator id — actual row
+    counts match a sequential run.
     @raise Xdb_error.Error on compile/execution failures. *)
 
 val registry_counters : t -> (string * int) list

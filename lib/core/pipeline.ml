@@ -138,19 +138,15 @@ let over_ranges ?metrics ?pool db table task : string list =
 
 (** Functional evaluation: materialise + XSLTVM (the no-rewrite baseline).
     With [metrics], materialisation and transformation times are recorded
-    under [materialize]/[vm_transform].  A multi-domain [pool] splits the
-    base-table rows, each domain materialising and transforming its own
-    range. *)
-let run_functional ?metrics ?pool db (c : compiled) : string list =
-  over_ranges ?metrics ?pool db (Some c.view.P.base_table) (fun ?metrics part ->
-      let row_range = Option.map (fun (_, lo, hi) -> (lo, hi)) part in
-      let docs = staged metrics "materialize" (fun () -> P.materialize db ?row_range c.view) in
-      staged metrics "vm_transform" (fun () ->
-          List.map
-            (fun doc ->
-              let frag = Xdb_xslt.Vm.transform c.vm_prog doc in
-              Xdb_xml.Serializer.node_list_to_string frag.X.children)
-            docs))
+    under [materialize]/[vm_transform]. *)
+let run_functional ?metrics db (c : compiled) : string list =
+  let docs = staged metrics "materialize" (fun () -> P.materialize db c.view) in
+  staged metrics "vm_transform" (fun () ->
+      List.map
+        (fun doc ->
+          let frag = Xdb_xslt.Vm.transform c.vm_prog doc in
+          Xdb_xml.Serializer.node_list_to_string frag.X.children)
+        docs)
 
 (** Dynamic evaluation of the generated XQuery over materialised documents
     (whitespace stripping applied, mirroring the VM).  Each document's
@@ -255,20 +251,19 @@ let split_table ?pool c =
 
 (** Rewrite evaluation: the SQL/XML plan when available, XQuery stage
     otherwise.  With [metrics], plan execution time is recorded under
-    [sql_exec] (or the fallback's stages).  [streaming] (default true)
-    routes the plan's XML constructors through the event stream — output
-    is byte-identical to the DOM path, with no per-row result tree.  A
-    multi-domain [pool] splits the driving Seq_scan by row-id ranges when
-    {!partition_table} allows it, one execution per range with its own
+    [sql_exec] (or the fallback's stages).  The plan's XML constructors
+    emit output events drained straight into each document's buffer, with
+    no per-row result tree.  A multi-domain [pool] splits the driving
+    Seq_scan by row-id ranges when {!partition_table} allows it, one execution per range with its own
     sink; output is byte-identical to the sequential run. *)
-let run_rewrite ?metrics ?(streaming = true) ?pool ?on_members db (c : compiled) : string list =
+let run_rewrite ?metrics ?pool ?on_members db (c : compiled) : string list =
   match c.sql_plan with
   | Some plan -> (
       let table = split_table ?pool c in
-      (* a sequential streamed run records the patchable members *)
+      (* a sequential run records the patchable members *)
       let recording =
         match (on_members, c.footprint, table) with
-        | Some f, Some fp, None when streaming -> (
+        | Some f, Some fp, None -> (
             match Xdb_rel.Footprint.get fp with
             | { Xdb_rel.Footprint.members = Some m; _ } -> Some (f, Xdb_rel.Exec.recorder m)
             | _ -> None)
@@ -279,7 +274,7 @@ let run_rewrite ?metrics ?(streaming = true) ?pool ?on_members db (c : compiled)
         over_ranges ?metrics ?pool db table (fun ?metrics partition ->
             staged metrics "sql_exec" (fun () ->
                 result_column ?record
-                  (Xdb_rel.Exec.run_arrays db ~xml_streaming:streaming ?partition ?record plan)))
+                  (Xdb_rel.Exec.run_arrays db ~xml_streaming:true ?partition ?record plan)))
       in
       Option.iter (fun (f, rc) -> Option.iter f (Xdb_rel.Exec.recorded rc plan)) recording;
       out)
@@ -290,14 +285,14 @@ let run_rewrite ?metrics ?(streaming = true) ?pool ?on_members db (c : compiled)
     runs fill one {!Xdb_rel.Stats.t} per range and merge them by
     operator id ({!Xdb_rel.Stats.merge_into}), so actual rows and loops
     match a sequential run. *)
-let run_rewrite_analyzed ?metrics ?(streaming = true) ?pool db (c : compiled) :
+let run_rewrite_analyzed ?metrics ?pool db (c : compiled) :
     string list * Xdb_rel.Stats.t option =
   match c.sql_plan with
   | Some plan -> (
       let exec ?metrics partition =
         let out, stats =
           staged metrics "sql_exec" (fun () ->
-              Xdb_rel.Exec.run_arrays_analyzed db ~xml_streaming:streaming ?partition plan)
+              Xdb_rel.Exec.run_arrays_analyzed db ~xml_streaming:true ?partition plan)
         in
         (result_column out, stats)
       in
@@ -463,20 +458,15 @@ let explain (c : compiled) : string =
 
 (** EXPLAIN ANALYZE: execute the SQL/XML plan with instrumentation and
     render estimated vs actual rows, loops, B-tree probes and wall time
-    per operator.  [interpreted] runs the reference assoc-row executor
-    instead of the compiled one (the per-operator actual-row counts are
-    identical either way).  A multi-domain [pool] splits the compiled run
-    as {!run_rewrite_analyzed} does; the merged counts match a sequential
+    per operator.  A multi-domain [pool] splits the run as
+    {!run_rewrite_analyzed} does; the merged counts match a sequential
     run.  Ends with the plan's write footprint ({!Xdb_rel.Footprint.describe}
     of the footprint the result cache judges with).  Reports the fallback
     reason when no plan exists. *)
-let explain_analyze ?(interpreted = false) ?pool db (c : compiled) : string =
+let explain_analyze ?pool db (c : compiled) : string =
   match c.sql_plan with
   | Some plan ->
-      let stats =
-        if interpreted then snd (Xdb_rel.Exec.run_interpreted_analyzed db plan)
-        else Option.get (snd (run_rewrite_analyzed ~streaming:false ?pool db c))
-      in
+      let stats = Option.get (snd (run_rewrite_analyzed ?pool db c)) in
       let footprint =
         match c.footprint with
         | None -> ""

@@ -30,15 +30,12 @@ val compile :
     [parse]/[bytecode]/[schema]/[translate]/[sql_rewrite], plus
     [bytecode_ops]/[xquery_functions]/[sql_rewritable] counters. *)
 
-val run_functional :
-  ?metrics:Metrics.t -> ?pool:Parallel.t -> Xdb_rel.Database.t -> compiled -> string list
+val run_functional : ?metrics:Metrics.t -> Xdb_rel.Database.t -> compiled -> string list
 (** "XSLT no rewrite": materialise each view document, run the XSLTVM.
     One serialized result per base-table row.  Stages: [materialize],
-    [vm_transform].  A [pool] with more than one domain splits the base
-    rows as {!over_ranges} does.
-
-    Prefer {!Engine.transform} with [interpreted = true]: this entry point
-    is kept as the facade's engine room (and for existing tests). *)
+    [vm_transform].  The paper's baseline, and the independent reference
+    the differential tests hold the rewrite path to; {!Engine} serves
+    every transform through {!run_rewrite}. *)
 
 val run_xquery_stage : ?metrics:Metrics.t -> Xdb_rel.Database.t -> compiled -> string list
 (** Evaluate the generated XQuery dynamically over materialised documents
@@ -47,7 +44,6 @@ val run_xquery_stage : ?metrics:Metrics.t -> Xdb_rel.Database.t -> compiled -> s
 
 val run_rewrite :
   ?metrics:Metrics.t ->
-  ?streaming:bool ->
   ?pool:Parallel.t ->
   ?on_members:(Xdb_rel.Exec.members -> unit) ->
   Xdb_rel.Database.t ->
@@ -55,24 +51,22 @@ val run_rewrite :
   string list
 (** "XSLT rewrite": execute the SQL/XML plan (B-tree access, no input
     materialisation); falls back to {!run_xquery_stage} when no plan
-    exists.  Stage: [sql_exec] (or the fallback's stages).  [streaming]
-    (default true) makes the plan's XML constructors emit output events
-    drained straight into the result buffer — byte-identical to the DOM
-    path ([streaming:false]) with no per-row result tree.  A [pool] with
-    more than one domain splits the plan's driving Seq_scan by row-id
+    exists.  Stage: [sql_exec] (or the fallback's stages).  The plan's
+    XML constructors emit output events drained straight into the result
+    buffer, with no per-row result tree.  A [pool] with more than one
+    domain splits the plan's driving Seq_scan by row-id
     ranges ({!Xdb_rel.Exec.compile}'s [partition]) when
     {!partition_table} allows it; sequential otherwise.  [on_members]
-    receives the recording of a sequential streamed run whose plan has a
+    receives the recording of a sequential run whose plan has a
     patchable XMLAgg ({!Xdb_rel.Exec.patch}), when the run's members
     allow one.
 
-    Prefer {!Engine.transform}: the facade folds [metrics]/[streaming]
-    (and the [jobs] pool size) into one [run_options] record; this entry
-    point remains as its engine room. *)
+    Prefer {!Engine.transform}: the facade folds [metrics] (and the
+    [jobs] pool size) into one [run_options] record; this entry point
+    remains as its engine room. *)
 
 val run_rewrite_analyzed :
   ?metrics:Metrics.t ->
-  ?streaming:bool ->
   ?pool:Parallel.t ->
   Xdb_rel.Database.t ->
   compiled ->
@@ -174,15 +168,11 @@ val explain : compiled -> string
 (** Multi-section EXPLAIN: translation mode, execution graph, generated
     XQuery, SQL/XML plan (or the fallback reason). *)
 
-val explain_analyze :
-  ?interpreted:bool -> ?pool:Parallel.t -> Xdb_rel.Database.t -> compiled -> string
+val explain_analyze : ?pool:Parallel.t -> Xdb_rel.Database.t -> compiled -> string
 (** Execute the SQL/XML plan with instrumentation and render estimated vs
     actual rows, loops, B-tree probes and wall time per operator; reports
-    the fallback reason when no plan exists.  [interpreted] (default
-    false) runs the reference assoc-row executor instead of the compiled
-    batch executor; per-operator actual-row counts are identical.  A
-    multi-domain [pool] splits the compiled run as
-    {!run_rewrite_analyzed} does; the rendered counts are the merged
+    the fallback reason when no plan exists.  A multi-domain [pool]
+    splits the run as {!run_rewrite_analyzed} does; the rendered counts are the merged
     per-range collectors.  Ends with the write footprint: per column of
     each table the plan scans, what an UPDATE of it does to a cached page
     (keep, patch or recompute), rendered from the footprint the result

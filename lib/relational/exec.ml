@@ -1,20 +1,11 @@
-(** Plan and expression evaluation.
+(** Plan and expression evaluation: the compiled executor.
 
-    Two executors share this module:
-
-    - the {b interpreted} executor (the original reference semantics):
-      rows are association lists from column names to values; every
-      column reference re-resolves its name per row with [List.assoc].
-      It remains the executable specification — differential tests and
-      the [execscale] bench run it as the baseline — and its expression
-      evaluator still serves {!Publish} during materialisation;
-    - the {b compiled} executor (the default behind {!run}): a plan-open
-      column-resolution pass assigns every operator output a fixed
-      {!Layout.t} (name → integer slot, qualified aliases resolved
-      statically), expressions compile to closures over [Value.t array]
-      rows, and operators exchange batches of ~{!default_batch_size}
-      rows.  Unresolvable references fail at plan-open time with the
-      available columns listed, instead of per-row [Exec_error]s.
+    A plan-open column-resolution pass assigns every operator output a
+    fixed {!Layout.t} (name → integer slot, qualified aliases resolved
+    statically), expressions compile to closures over [Value.t array]
+    rows, and operators exchange batches of ~{!default_batch_size} rows.
+    Unresolvable references fail at plan-open time with the available
+    columns listed.
 
     Each scan binds both the bare column name and the [alias.column]
     qualified form, so correlated subqueries can reference outer tables
@@ -23,10 +14,9 @@
     environment its cursor was opened on, and expressions read outer
     columns from it in place.
 
-    Both executors accept an optional {!Stats.t} collector; when present
-    every operator records rows produced, loops, B-tree probe counts and
-    inclusive wall time (EXPLAIN ANALYZE), and the two executors produce
-    identical per-operator actual-row counts. *)
+    An optional {!Stats.t} collector makes every operator record rows
+    produced, loops, B-tree probe counts and inclusive wall time
+    (EXPLAIN ANALYZE). *)
 
 module X = Xdb_xml.Types
 module E = Xdb_xml.Events
@@ -37,22 +27,6 @@ type row = (string * Value.t) list
 exception Exec_error of string
 
 let err fmt = Printf.ksprintf (fun m -> raise (Exec_error m)) fmt
-
-(** Execution context: database plus optional instrumentation.
-    [xml_streaming] selects the streamed XMLType representation for
-    constructor results (events on demand instead of node trees). *)
-type ctx = { db : Database.t; stats : Stats.t option; xml_streaming : bool }
-
-let lookup (env : row) alias name =
-  match alias with
-  | Some a -> (
-      match List.assoc_opt (a ^ "." ^ name) env with
-      | Some v -> v
-      | None -> err "unknown column %s.%s" a name)
-  | None -> (
-      match List.assoc_opt name env with
-      | Some v -> v
-      | None -> err "unknown column %s" name)
 
 let bool_of_value = function
   | Value.Null -> false
@@ -92,7 +66,7 @@ let xml_value ~streaming produce =
   if streaming then Value.Xml_stream produce else Value.Xml (Value.stream_to_nodes produce)
 
 (* ------------------------------------------------------------------ *)
-(* ORDER BY bookkeeping (shared by both executors)                     *)
+(* ORDER BY bookkeeping                                               *)
 (* ------------------------------------------------------------------ *)
 
 (* EXPLAIN ANALYZE's ordering strategy: one tick per Sort open or
@@ -152,7 +126,7 @@ let index_rids (tbl : Table.t) (idx : Table.index) lo hi : int array =
     | lo, hi -> Btree.range_rids idx.Table.tree ~lo ~hi
 
 (* ------------------------------------------------------------------ *)
-(* Hash-join key hashing (shared by both executors)                    *)
+(* Hash-join key hashing                                              *)
 (* ------------------------------------------------------------------ *)
 
 (* Bucket key for a tuple of join-key values.  Values that compare equal
@@ -185,176 +159,8 @@ let hash_keys_equal (a : Value.t array) (b : Value.t array) : bool =
   let rec go i = i >= n || (Value.equal_sql a.(i) b.(i) && go (i + 1)) in
   go 0
 
-(* Static own-binding names of a plan's rows, without the correlation
-   tail — what the interpreted LEFT OUTER hash join null-pads when a
-   probe row has no match (mirrors the compiled executor's own-slot
-   prefix of the build layout). *)
-let rec own_binding_names db (p : plan) : string list =
-  match p with
-  | Seq_scan { table; alias } | Index_scan { table; alias; _ } ->
-      Array.to_list (Database.table db table).Table.columns
-      |> List.concat_map (fun c -> [ c.Table.col_name; alias ^ "." ^ c.Table.col_name ])
-  | Filter (_, i) | Sort (_, i) | Limit (_, i) -> own_binding_names db i
-  | Project (fields, _) -> List.map snd fields
-  | Nested_loop { outer; inner; _ } -> own_binding_names db inner @ own_binding_names db outer
-  | Hash_join { outer; inner; kind = Inner | Left_outer; _ } ->
-      own_binding_names db inner @ own_binding_names db outer
-  | Hash_join { outer; kind = Semi | Anti; _ } -> own_binding_names db outer
-  | Aggregate { group_by; aggs; _ } -> List.map snd group_by @ List.map snd aggs
-  | Values { cols; _ } -> cols
-
-let rec eval_expr_in ctx (env : row) (e : expr) : Value.t =
-  match e with
-  | Const v -> v
-  | Col (alias, name) -> lookup env alias name
-  | Not e -> Value.Int (if bool_of_value (eval_expr_in ctx env e) then 0 else 1)
-  | Is_null e -> Value.Int (if Value.is_null (eval_expr_in ctx env e) then 1 else 0)
-  | Binop (op, a, b) -> eval_binop ctx env op a b
-  | Fn (f, args) -> eval_fn ctx env f args
-  | Case (whens, els) -> (
-      let rec go = function
-        | [] -> ( match els with Some e -> eval_expr_in ctx env e | None -> Value.Null)
-        | (c, r) :: rest ->
-            if bool_of_value (eval_expr_in ctx env c) then eval_expr_in ctx env r else go rest
-      in
-      go whens)
-  | Xml_element (name, attrs, kids) ->
-      xml_value ~streaming:ctx.xml_streaming (fun sink ->
-          sink.E.emit (E.Start_element (X.qname name));
-          List.iter
-            (fun (an, ae) ->
-              match eval_expr_in ctx env ae with
-              | Value.Null -> ()
-              | v -> sink.E.emit (E.Attr (X.qname an, Value.to_string v)))
-            attrs;
-          List.iter (fun ke -> emit_content sink (eval_expr_in ctx env ke)) kids;
-          sink.E.emit E.End_element)
-  | Xml_forest fields ->
-      xml_value ~streaming:ctx.xml_streaming (fun sink ->
-          List.iter
-            (fun (n, fe) ->
-              match eval_expr_in ctx env fe with
-              | Value.Null -> ()
-              | v ->
-                  sink.E.emit (E.Start_element (X.qname n));
-                  emit_content sink v;
-                  sink.E.emit E.End_element)
-            fields)
-  | Xml_concat es ->
-      xml_value ~streaming:ctx.xml_streaming (fun sink ->
-          List.iter (fun e -> emit_content sink (eval_expr_in ctx env e)) es)
-  | Xml_text e ->
-      xml_value ~streaming:ctx.xml_streaming (fun sink ->
-          match eval_expr_in ctx env e with
-          | Value.Null -> ()
-          | v -> sink.E.emit (E.Text (Value.to_string v)))
-  | Xml_comment e ->
-      xml_value ~streaming:ctx.xml_streaming (fun sink ->
-          sink.E.emit (E.Comment (Value.to_string (eval_expr_in ctx env e))))
-  | Xml_pi (t, e) ->
-      xml_value ~streaming:ctx.xml_streaming (fun sink ->
-          sink.E.emit (E.Pi (t, Value.to_string (eval_expr_in ctx env e))))
-  | Scalar_subquery p -> (
-      match run_in ctx ~outer:env p with
-      | [] -> Value.Null
-      | r :: _ -> ( match r with [] -> Value.Null | (_, v) :: _ -> v))
-  | Exists p -> Value.Int (if run_in ctx ~outer:env p = [] then 0 else 1)
-
-and eval_binop ctx env op a b =
-  match op with
-  | And ->
-      Value.Int
-        (if bool_of_value (eval_expr_in ctx env a) && bool_of_value (eval_expr_in ctx env b)
-         then 1
-         else 0)
-  | Or ->
-      Value.Int
-        (if bool_of_value (eval_expr_in ctx env a) || bool_of_value (eval_expr_in ctx env b)
-         then 1
-         else 0)
-  | Concat ->
-      Value.Str
-        (Value.to_string (eval_expr_in ctx env a) ^ Value.to_string (eval_expr_in ctx env b))
-  | Fdiv ->
-      let va = eval_expr_in ctx env a and vb = eval_expr_in ctx env b in
-      (match (va, vb) with
-      | Value.Null, _ | _, Value.Null -> Value.Null
-      | _ -> Value.Float (Value.to_float va /. Value.to_float vb))
-  | Add | Sub | Mul | Div | Mod -> (
-      let va = eval_expr_in ctx env a and vb = eval_expr_in ctx env b in
-      match (va, vb) with
-      | Value.Null, _ | _, Value.Null -> Value.Null
-      | Value.Int x, Value.Int y -> (
-          match op with
-          | Add -> Value.Int (x + y)
-          | Sub -> Value.Int (x - y)
-          | Mul -> Value.Int (x * y)
-          | Div -> if y = 0 then err "division by zero" else Value.Int (x / y)
-          | Mod -> if y = 0 then err "division by zero" else Value.Int (x mod y)
-          | _ -> assert false)
-      | _ ->
-          let x = Value.to_float va and y = Value.to_float vb in
-          let f =
-            match op with
-            | Add -> x +. y
-            | Sub -> x -. y
-            | Mul -> x *. y
-            | Div -> x /. y
-            | Mod -> Float.rem x y
-            | _ -> assert false
-          in
-          Value.Float f)
-  | Eq | Neq | Lt | Leq | Gt | Geq -> (
-      let va = eval_expr_in ctx env a and vb = eval_expr_in ctx env b in
-      match Value.compare_sql va vb with
-      | None -> Value.Null
-      | Some c ->
-          let b =
-            match op with
-            | Eq -> c = 0
-            | Neq -> c <> 0
-            | Lt -> c < 0
-            | Leq -> c <= 0
-            | Gt -> c > 0
-            | Geq -> c >= 0
-            | _ -> assert false
-          in
-          Value.Int (if b then 1 else 0))
-
-and eval_fn ctx env f args =
-  let v i = eval_expr_in ctx env (List.nth args i) in
-  match (String.lowercase_ascii f, List.length args) with
-  | "concat", _ ->
-      Value.Str
-        (String.concat "" (List.map (fun a -> Value.to_string (eval_expr_in ctx env a)) args))
-  | "upper", 1 -> Value.Str (String.uppercase_ascii (Value.to_string (v 0)))
-  | "lower", 1 -> Value.Str (String.lowercase_ascii (Value.to_string (v 0)))
-  | "length", 1 -> Value.Int (String.length (Value.to_string (v 0)))
-  | "abs", 1 -> (
-      match v 0 with
-      | Value.Int i -> Value.Int (abs i)
-      | x -> Value.Float (Float.abs (Value.to_float x)))
-  | "round", 1 -> (
-      match v 0 with
-      | Value.Null -> Value.Null
-      | x -> Value.Float (Xdb_xpath.Value.round_number (Value.to_float x)))
-  | "floor", 1 -> (
-      match v 0 with Value.Null -> Value.Null | x -> Value.Float (Float.floor (Value.to_float x)))
-  | "ceiling", 1 -> (
-      match v 0 with Value.Null -> Value.Null | x -> Value.Float (Float.ceil (Value.to_float x)))
-  | "coalesce", _ ->
-      let rec go = function
-        | [] -> Value.Null
-        | a :: rest -> ( match eval_expr_in ctx env a with Value.Null -> go rest | x -> x)
-      in
-      go args
-  | name, n -> err "unknown scalar function %s/%d" name n
-
-(* ------------------------------------------------------------------ *)
-(* Interpreted plan execution (reference semantics)                    *)
-(* ------------------------------------------------------------------ *)
-
-and scan_bindings (tbl : Table.t) alias (r : Value.t array) : row =
+(* the bindings of a scanned row: bare and alias-qualified names *)
+let scan_bindings (tbl : Table.t) alias (r : Value.t array) : row =
   let out = ref [] in
   Array.iteri
     (fun i c ->
@@ -362,292 +168,6 @@ and scan_bindings (tbl : Table.t) alias (r : Value.t array) : row =
       out := (alias ^ "." ^ c.Table.col_name, v) :: (c.Table.col_name, v) :: !out)
     tbl.Table.columns;
   List.rev !out
-
-(* one operator, uninstrumented *)
-and run_node ctx (outer : row) (p : plan) : row list =
-  let db = ctx.db in
-  match p with
-  | Seq_scan { table; alias } ->
-      let tbl = Database.table db table in
-      Table.fold (fun acc _ r -> (scan_bindings tbl alias r @ outer) :: acc) [] tbl |> List.rev
-  | Index_scan { table; alias; index_column; lo; hi } -> (
-      let tbl = Database.table db table in
-      match Table.find_index tbl index_column with
-      | None -> err "no index on %s.%s" table index_column
-      | Some idx ->
-          let bound = function
-            | Unbounded -> Btree.Unbounded
-            | Incl e -> Btree.Inclusive (eval_expr_in ctx outer e)
-            | Excl e -> Btree.Exclusive (eval_expr_in ctx outer e)
-          in
-          index_rids tbl idx (bound lo) (bound hi)
-          |> Array.to_list
-          |> List.map (fun rid -> scan_bindings tbl alias (Table.row tbl rid) @ outer))
-  | Filter (cond, input) ->
-      List.filter (fun r -> bool_of_value (eval_expr_in ctx r cond)) (run_in ctx ~outer input)
-  | Project (fields, input) ->
-      List.map
-        (fun r -> List.map (fun (e, n) -> (n, eval_expr_in ctx r e)) fields @ outer)
-        (run_in ctx ~outer input)
-  | Nested_loop { outer = op; inner = ip; join_cond } ->
-      let outer_rows = run_in ctx ~outer op in
-      List.concat_map
-        (fun orow ->
-          let inner_rows = run_in ctx ~outer:orow ip in
-          let joined = List.map (fun irow -> irow @ orow) inner_rows in
-          match join_cond with
-          | None -> joined
-          | Some c -> List.filter (fun r -> bool_of_value (eval_expr_in ctx r c)) joined)
-        outer_rows
-  | Hash_join { outer = op; inner = ip; keys; kind } ->
-      let sop = match ctx.stats with None -> None | Some st -> Stats.find st p in
-      let probe_rows = run_in ctx ~outer op in
-      let build_input = run_in ctx ~outer ip in
-      (* build rows carry the enclosing environment as their tail; strip it
-         so joined rows are [iown @ orow], the Nested_loop binding shape *)
-      let olen = List.length outer in
-      let rec take n l =
-        if n <= 0 then [] else match l with [] -> [] | x :: tl -> x :: take (n - 1) tl
-      in
-      let tbl = Hashtbl.create (max 16 (List.length build_input)) in
-      List.iter
-        (fun irow ->
-          (match sop with Some s -> s.Stats.build_rows <- s.Stats.build_rows + 1 | None -> ());
-          let kvs =
-            Array.of_list (List.map (fun (_, ik) -> eval_expr_in ctx irow ik) keys)
-          in
-          (* NULL keys never satisfy SQL equality: leave them out of the table *)
-          if not (Array.exists Value.is_null kvs) then (
-            let key = hash_key_string kvs in
-            let cell =
-              match Hashtbl.find_opt tbl key with
-              | Some c -> c
-              | None ->
-                  let c = ref [] in
-                  Hashtbl.add tbl key c;
-                  c
-            in
-            cell := (take (List.length irow - olen) irow, kvs) :: !cell))
-        build_input;
-      Hashtbl.iter (fun _ c -> c := List.rev !c) tbl;
-      let probe orow =
-        let kvs = Array.of_list (List.map (fun (ok, _) -> eval_expr_in ctx orow ok) keys) in
-        if Array.exists Value.is_null kvs then []
-        else
-          match Hashtbl.find_opt tbl (hash_key_string kvs) with
-          | None -> []
-          | Some cell ->
-              List.filter_map
-                (fun (iown, ikvs) -> if hash_keys_equal kvs ikvs then Some iown else None)
-                !cell
-      in
-      let hit n =
-        match sop with Some s -> s.Stats.probe_hits <- s.Stats.probe_hits + n | None -> ()
-      in
-      (match kind with
-      | Inner ->
-          List.concat_map
-            (fun orow ->
-              let ms = probe orow in
-              hit (List.length ms);
-              List.map (fun iown -> iown @ orow) ms)
-            probe_rows
-      | Left_outer ->
-          let null_own = List.map (fun n -> (n, Value.Null)) (own_binding_names db ip) in
-          List.concat_map
-            (fun orow ->
-              match probe orow with
-              | [] -> [ null_own @ orow ]
-              | ms ->
-                  hit (List.length ms);
-                  List.map (fun iown -> iown @ orow) ms)
-            probe_rows
-      | Semi ->
-          List.filter
-            (fun orow ->
-              match probe orow with
-              | [] -> false
-              | _ :: _ ->
-                  hit 1;
-                  true)
-            probe_rows
-      | Anti ->
-          List.filter
-            (fun orow ->
-              match probe orow with
-              | [] -> true
-              | _ :: _ ->
-                  hit 1;
-                  false)
-            probe_rows)
-  | Aggregate { group_by; aggs; input } ->
-      let sop = match ctx.stats with None -> None | Some st -> Stats.find st p in
-      let rows = run_in ctx ~outer input in
-      if group_by = [] then [ eval_agg_group ctx sop outer group_by aggs rows [] ]
-      else
-        let groups = Hashtbl.create 16 in
-        let order = ref [] in
-        List.iter
-          (fun r ->
-            let key = List.map (fun (e, _) -> Value.to_string (eval_expr_in ctx r e)) group_by in
-            (match Hashtbl.find_opt groups key with
-            | None ->
-                order := key :: !order;
-                Hashtbl.add groups key (ref [ r ])
-            | Some cell -> cell := r :: !cell))
-          rows;
-        List.rev_map
-          (fun key ->
-            let members = List.rev !(Hashtbl.find groups key) in
-            eval_agg_group ctx sop outer group_by aggs members key)
-          !order
-  | Sort (keys, input) ->
-      let sop = match ctx.stats with None -> None | Some st -> Stats.find st p in
-      sort_rows_in ctx sop keys (run_in ctx ~outer input)
-  | Limit (n, input) ->
-      let rec take n = function
-        | [] -> []
-        | x :: rest -> if n <= 0 then [] else x :: take (n - 1) rest
-      in
-      take n (run_in ctx ~outer input)
-  | Values { cols; rows } -> List.map (fun vs -> List.combine cols vs @ outer) rows
-
-(* operator dispatch: the instrumented path wraps [run_node] with wall-time
-   and row accounting; the plain path adds no overhead *)
-and run_in ctx ?(outer = []) (p : plan) : row list =
-  match ctx.stats with
-  | None -> run_node ctx outer p
-  | Some st -> (
-      match Stats.find st p with
-      | None -> run_node ctx outer p
-      | Some s ->
-          (* snapshot B-tree counters so probe/node-visit deltas can be
-             attributed to this index-scan execution *)
-          let tree =
-            match p with
-            | Index_scan { table; index_column; _ } -> (
-                match Table.find_index (Database.table ctx.db table) index_column with
-                | Some idx -> Some idx.Table.tree
-                | None -> None)
-            | _ -> None
-          in
-          let probes0, nodes0 =
-            match tree with Some t -> (Btree.probes t, Btree.node_visits t) | None -> (0, 0)
-          in
-          let t0 = Clock.now_ns () in
-          let rows = run_node ctx outer p in
-          s.Stats.time_ms <- s.Stats.time_ms +. Clock.ms_since t0;
-          s.Stats.loops <- s.Stats.loops + 1;
-          let produced = List.length rows in
-          s.Stats.rows <- s.Stats.rows + produced;
-          (match p with
-          | Seq_scan { table; _ } ->
-              s.Stats.heap_rows <-
-                s.Stats.heap_rows + Table.size (Database.table ctx.db table)
-          | Index_scan _ ->
-              s.Stats.heap_rows <- s.Stats.heap_rows + produced;
-              (match tree with
-              | Some t ->
-                  s.Stats.btree_probes <- s.Stats.btree_probes + (Btree.probes t - probes0);
-                  s.Stats.btree_nodes <- s.Stats.btree_nodes + (Btree.node_visits t - nodes0)
-              | None -> ())
-          | _ -> ());
-          rows)
-
-(* ORDER BY over assoc rows: always a full stable sort (the reference
-   path); whether the input was already in order is only counted *)
-and sort_rows_in ctx sop keys rows =
-  let decorated =
-    List.map (fun r -> (List.map (fun (k, d) -> (eval_expr_in ctx r k, d)) keys, r)) rows
-  in
-  let cmp (ka, _) (kb, _) =
-    let rec go = function
-      | [] -> 0
-      | ((va, d), (vb, _)) :: rest -> (
-          match dir_cmp d (Value.compare_key va vb) with 0 -> go rest | c -> c)
-    in
-    go (List.combine ka kb)
-  in
-  let rec in_order = function a :: (b :: _ as rest) -> cmp a b <= 0 && in_order rest | _ -> true in
-  note_order sop (in_order decorated);
-  List.map snd (List.stable_sort cmp decorated)
-
-and eval_agg_group ctx sop outer group_by aggs members key =
-  (* group columns: re-evaluate on a member row to keep value types; fall
-     back to the string key for an (impossible in practice) empty group *)
-  let group_cols =
-    match members with
-    | m :: _ -> List.map (fun (e, n) -> (n, eval_expr_in ctx m e)) group_by
-    | [] -> List.map2 (fun (_, n) k -> (n, Value.Str k)) group_by key
-  in
-  let agg_cols =
-    List.map
-      (fun (a, n) ->
-        let value =
-          match a with
-          | Count_star -> Value.Int (List.length members)
-          | Count e ->
-              Value.Int
-                (List.length
-                   (List.filter (fun r -> not (Value.is_null (eval_expr_in ctx r e))) members))
-          | Sum e ->
-              let vs =
-                List.filter_map
-                  (fun r ->
-                    match eval_expr_in ctx r e with Value.Null -> None | v -> Some v)
-                  members
-              in
-              if vs = [] then Value.Null
-              else if List.for_all (function Value.Int _ -> true | _ -> false) vs then
-                Value.Int (List.fold_left (fun acc v -> acc + Value.to_int v) 0 vs)
-              else Value.Float (List.fold_left (fun acc v -> acc +. Value.to_float v) 0.0 vs)
-          | Min e ->
-              List.fold_left
-                (fun acc r ->
-                  let v = eval_expr_in ctx r e in
-                  match (acc, v) with
-                  | _, Value.Null -> acc
-                  | Value.Null, v -> v
-                  | acc, v -> if Value.compare_key v acc < 0 then v else acc)
-                Value.Null members
-          | Max e ->
-              List.fold_left
-                (fun acc r ->
-                  let v = eval_expr_in ctx r e in
-                  match (acc, v) with
-                  | _, Value.Null -> acc
-                  | Value.Null, v -> v
-                  | acc, v -> if Value.compare_key v acc > 0 then v else acc)
-                Value.Null members
-          | Avg e ->
-              let vs =
-                List.filter_map
-                  (fun r ->
-                    match eval_expr_in ctx r e with
-                    | Value.Null -> None
-                    | v -> Some (Value.to_float v))
-                  members
-              in
-              if vs = [] then Value.Null
-              else Value.Float (List.fold_left ( +. ) 0.0 vs /. float_of_int (List.length vs))
-          | Xml_agg (e, order) ->
-              let members = if order = [] then members else sort_rows_in ctx sop order members in
-              xml_value ~streaming:ctx.xml_streaming (fun sink ->
-                  List.iter (fun r -> emit_content sink (eval_expr_in ctx r e)) members)
-          | String_agg (e, sep) ->
-              Value.Str
-                (String.concat sep
-                   (List.filter_map
-                      (fun r ->
-                        match eval_expr_in ctx r e with
-                        | Value.Null -> None
-                        | v -> Some (Value.to_string v))
-                      members))
-        in
-        (n, value))
-      aggs
-  in
-  group_cols @ agg_cols @ outer
 
 (* ------------------------------------------------------------------ *)
 (* Compiled plan execution: layouts, closures, batches                 *)
@@ -680,9 +200,18 @@ type doc_members = {
   opened : bool;  (* a start tag was open before the first member *)
 }
 
-type members = { mplan : plan; mdocs : (int * doc_members) list }
+(* [memit] is the member emitter the recording run compiled: it reads
+   the tables through the [Table.t]s [mplan] was compiled against, row by
+   row at call time, and holds no row of its own.  Compiled closures keep
+   scratch state (a [concat]'s buffer), so patches take [mlock] to run it *)
+type members = {
+  mplan : plan;
+  memit : E.sink -> Value.t array -> Value.t array -> unit;
+  mlock : Mutex.t;
+  mdocs : (int * doc_members) list;
+}
 
-(* what a recording run of [rtarget] saw, or (patch) its compiled emitter *)
+(* what a recording run of [rtarget] saw, and its compiled emitter *)
 type recorder = {
   rtarget : agg;
   mutable emitter : (E.sink -> Value.t array -> Value.t array -> unit) option;
@@ -876,8 +405,7 @@ let flat_map_cursor batch (next : cursor) each : cursor =
       Some out)
 
 (* per-open instrumentation: loops per open, rows per batch, inclusive
-   wall time around open and every pull (child time is included, like the
-   interpreted executor's inclusive accounting) *)
+   wall time around open and every pull (child time is included) *)
 let instrumented_open (s : Stats.op_stats) open_ (env : Value.t array) : cursor =
   let t0 = Clock.now_ns () in
   s.Stats.loops <- s.Stats.loops + 1;
@@ -1036,8 +564,8 @@ let rec cexpr ctx (lay : Layout.t) own (e : expr) : Value.t array -> Value.t arr
       in
       fun env r -> (
         let senv = with_env own env r in
-        (* full drain, like the interpreted executor, so per-operator
-           actual-row counts agree between the two *)
+        (* full drain, so the subplan's per-operator actual-row counts
+           are those of its whole result *)
         match drain_cursor (cp.c_open senv) with
         | [] -> Value.Null
         | row :: _ -> ( match first with None -> Value.Null | Some f -> f senv row))
@@ -1294,7 +822,7 @@ and cagg ctx sop lay own (a : agg) : Value.t array -> Value.t array list -> Valu
 
 (** Compile one operator against the layout of its correlation
     environment.  The returned layout is own columns first, then the
-    environment's — the slot-level image of the interpreted executor's
+    environment's — the slot-level image of an association row's
     [bindings @ outer] — but the rows the operator emits hold only the
     own slots: outer columns are read from the environment row the
     cursor was opened on. *)
@@ -1418,8 +946,8 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
         (* the inner side is correlated on the outer side's rows: it opens
            once per outer row on that row followed by [env], and its
            layout already is the join layout (first-match-wins gives the
-           inner side precedence, exactly like the interpreted
-           [irow @ orow]); joined rows are [irow ++ orow] *)
+           inner side precedence, exactly like an association
+           row's [irow @ orow]); joined rows are [irow ++ orow] *)
         let ci = cplan ctx co.c_layout ip in
         let iw = ci.c_own and ow = co.c_own in
         let fcond = Option.map (cpred ctx ci.c_layout iw) join_cond in
@@ -1587,9 +1115,9 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
         let open_ env =
           let next = ci.c_open env in
           lazy_array_cursor ctx.cbatch (fun () ->
-              (* the interpreted executor materialises the child fully
-                 before truncating; do the same so per-operator actual-row
-                 counts are identical under EXPLAIN ANALYZE *)
+              (* the child is materialised fully before truncating, so
+                 its per-operator actual-row counts are those of its whole
+                 result under EXPLAIN ANALYZE *)
               let rows = drain_cursor next in
               let rec take n = function
                 | [] -> []
@@ -1628,39 +1156,34 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
 (* Public entry points                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let eval_expr db (env : row) (e : expr) : Value.t =
-  eval_expr_in { db; stats = None; xml_streaming = false } env e
-
-(** Reference (interpreted) executor — the original assoc-row semantics. *)
-let run_interpreted db ?(outer = []) ?(xml_streaming = false) (p : plan) : row list =
-  run_in { db; stats = None; xml_streaming } ~outer p
-
-let run_interpreted_analyzed db ?(outer = []) (p : plan) : row list * Stats.t =
-  let stats = Stats.create p in
-  let rows = run_in { db; stats = Some stats; xml_streaming = false } ~outer p in
-  (rows, stats)
+let new_ctx ?stats ?(batch_size = default_batch_size) ?(xml_streaming = false) ?partition
+    ?record ~rowid db =
+  {
+    cdb = db;
+    cstats = stats;
+    cbatch = max 1 batch_size;
+    cxml_streaming = xml_streaming;
+    cpartition = partition;
+    crowid = rowid;
+    crecord = record;
+  }
 
 (** [compile db plan] — the plan-open pass: resolve every column
     reference to a slot, compile expressions to closures, build batch
     cursors.  [xml_streaming] makes XML constructors produce
     [Value.Xml_stream] (events on demand) instead of node trees.
     @raise Exec_error for unresolvable or ambiguous columns. *)
-let compile_ctx db ?stats ?(outer = Layout.empty) ?(batch_size = default_batch_size)
-    ?(xml_streaming = false) ?partition ?record (p : plan) : compiled =
-  cplan
-    {
-      cdb = db;
-      cstats = stats;
-      cbatch = max 1 batch_size;
-      cxml_streaming = xml_streaming;
-      cpartition = partition;
-      crowid = reads_rowid p;
-      crecord = record;
-    }
-    outer p
+let compile_ctx db ?stats ?(outer = Layout.empty) ?batch_size ?xml_streaming ?partition ?record
+    (p : plan) : compiled =
+  let rowid = reads_rowid p in
+  cplan (new_ctx ?stats ?batch_size ?xml_streaming ?partition ?record ~rowid db) outer p
 
 let compile db ?stats ?outer ?batch_size ?xml_streaming ?partition p =
   compile_ctx db ?stats ?outer ?batch_size ?xml_streaming ?partition p
+
+let compile_expr db (lay : Layout.t) (e : expr) : Value.t array -> Value.t =
+  let f = cexpr (new_ctx ~rowid:false db) lay 0 e in
+  fun env -> f env env
 
 (** [run_arrays db plan] — compiled execution to physical rows plus their
     layout; the allocation-light entry point for hot paths. *)
@@ -1680,7 +1203,10 @@ let record_document rc ~doc sink buf pending = rc.current <- Some (doc, sink, bu
 
 let recorded rc plan =
   rc.current <- None;
-  if rc.valid then Some { mplan = plan; mdocs = rc.recorded } else None
+  match rc.emitter with
+  | Some memit when rc.valid ->
+      Some { mplan = plan; memit; mlock = Mutex.create (); mdocs = rc.recorded }
+  | _ -> None
 
 (* a write of more rows than this recomputes *)
 let max_patch_rows = 32
@@ -1746,74 +1272,74 @@ let end_of dm k =
   List.fold_left (fun e (j, d) -> if j <= k then e + d else e) dm.ends.(k) dm.shifts
 
 let patch db plan (m : Footprint.members) (recorded : members) ~changes (output : string list) =
-  let rc = recorder m in
   let rows = List.fold_left (fun n (_, rids) -> n + List.length rids) 0 changes in
-  if recorded.mplan == plan && rows <= max_patch_rows then
-    ignore (compile_ctx db ~xml_streaming:true ~record:rc plan);
-  match rc.emitter with
-  | Some em -> (
-      let out = Array.of_list output and written = ref 0 in
-      let exception Recompute in
-      (* the reached members first, then the document written once: the
-         bytes between them blitted as they are and each re-emitted
-         member's bytes in its place; a member whose length changed
-         shifts the ends from it on *)
-      let patch_doc tests (i, dm) =
-        let n = Array.length dm.drows in
-        let hits = ref [] in
-        for j = n - 1 downto 0 do
-          if any tests dm.drows.(j) then hits := j :: !hits
-        done;
-        if !hits = [] then (i, dm)
-        else
-          let fresh = Buffer.create 256 in
-          let begins j = if j = 0 then dm.start else end_of dm (j - 1) in
-          let spans =
-            List.map
-              (fun j ->
-                let at = Buffer.length fresh and sink = E.serializing_sink fresh in
-                em sink dm.env dm.drows.(j);
-                sink.E.finish ();
-                let s0 = begins j and e0 = end_of dm j and len = Buffer.length fresh - at in
-                (j, s0, e0, at, len, len - (e0 - s0)))
-              !hits
-          in
-          let old = out.(i) in
-          let growth = List.fold_left (fun g (_, _, _, _, _, d) -> g + d) 0 spans in
-          let doc = Bytes.create (String.length old + growth) in
-          let rec splice copied shift = function
-            | [] -> Bytes.blit_string old copied doc (copied + shift) (String.length old - copied)
-            | (_, s0, e0, at, len, d) :: rest ->
-                Bytes.blit_string old copied doc (copied + shift) (s0 - copied);
-                Buffer.blit fresh at doc (s0 + shift) len;
-                splice e0 (shift + d) rest
-          in
-          splice 0 0 spans;
-          let shifts =
-            List.fold_left
-              (fun acc (j, _, _, _, _, d) -> if d = 0 then acc else (j, d) :: acc)
-              dm.shifts spans
-          in
-          let dm = { dm with shifts } in
-          (* a wrapper over no member bytes self-closes: only a recompute
-             writes that *)
-          if dm.opened && end_of dm (n - 1) = dm.start then raise Recompute;
-          out.(i) <- Bytes.unsafe_to_string doc;
-          written := !written + (Bytes.length doc / 8);
-          if List.compare_length_with shifts max_shifts <= 0 then (i, dm)
-          else (i, { dm with ends = Array.init n (end_of dm); shifts = [] })
-      in
-      match List.map (patch_doc (reaches db m changes)) recorded.mdocs with
-      | docs ->
-          (* a patched document is allocated straight in the major heap;
-             pay the collector for it now, at its own pace, so that the
-             next request to cross a slice trigger (often a point write)
-             does not inherit the marking *)
-          if !written > 0 then
-            ignore (Gc.major_slice (int_of_float (slice_work_per_word *. float_of_int !written)));
-          Some (Array.to_list out, { recorded with mdocs = docs })
-      | exception (Recompute | Other_class) -> None)
-  | _ -> None
+  if recorded.mplan != plan || rows > max_patch_rows then None
+  else
+    let em = recorded.memit in
+    let out = Array.of_list output and written = ref 0 in
+    let exception Recompute in
+    (* the reached members first, then the document written once: the
+       bytes between them blitted as they are and each re-emitted
+       member's bytes in its place; a member whose length changed
+       shifts the ends from it on *)
+    let patch_doc tests (i, dm) =
+      let n = Array.length dm.drows in
+      let hits = ref [] in
+      for j = n - 1 downto 0 do
+        if any tests dm.drows.(j) then hits := j :: !hits
+      done;
+      if !hits = [] then (i, dm)
+      else
+        let fresh = Buffer.create 256 in
+        let begins j = if j = 0 then dm.start else end_of dm (j - 1) in
+        let spans =
+          List.map
+            (fun j ->
+              let at = Buffer.length fresh and sink = E.serializing_sink fresh in
+              em sink dm.env dm.drows.(j);
+              sink.E.finish ();
+              let s0 = begins j and e0 = end_of dm j and len = Buffer.length fresh - at in
+              (j, s0, e0, at, len, len - (e0 - s0)))
+            !hits
+        in
+        let old = out.(i) in
+        let growth = List.fold_left (fun g (_, _, _, _, _, d) -> g + d) 0 spans in
+        let doc = Bytes.create (String.length old + growth) in
+        let rec splice copied shift = function
+          | [] -> Bytes.blit_string old copied doc (copied + shift) (String.length old - copied)
+          | (_, s0, e0, at, len, d) :: rest ->
+              Bytes.blit_string old copied doc (copied + shift) (s0 - copied);
+              Buffer.blit fresh at doc (s0 + shift) len;
+              splice e0 (shift + d) rest
+        in
+        splice 0 0 spans;
+        let shifts =
+          List.fold_left
+            (fun acc (j, _, _, _, _, d) -> if d = 0 then acc else (j, d) :: acc)
+            dm.shifts spans
+        in
+        let dm = { dm with shifts } in
+        (* a wrapper over no member bytes self-closes: only a recompute
+           writes that *)
+        if dm.opened && end_of dm (n - 1) = dm.start then raise Recompute;
+        out.(i) <- Bytes.unsafe_to_string doc;
+        written := !written + (Bytes.length doc / 8);
+        if List.compare_length_with shifts max_shifts <= 0 then (i, dm)
+        else (i, { dm with ends = Array.init n (end_of dm); shifts = [] })
+    in
+    match
+      let reached = reaches db m changes in
+      Mutex.protect recorded.mlock (fun () -> List.map (patch_doc reached) recorded.mdocs)
+    with
+    | docs ->
+        (* a patched document is allocated straight in the major heap;
+           pay the collector for it now, at its own pace, so that the
+           next request to cross a slice trigger (often a point write)
+           does not inherit the marking *)
+        if !written > 0 then
+          ignore (Gc.major_slice (int_of_float (slice_work_per_word *. float_of_int !written)));
+        Some (Array.to_list out, { recorded with mdocs = docs })
+    | exception (Recompute | Other_class) -> None
 
 let run_arrays_analyzed db ?batch_size ?xml_streaming ?partition (p : plan) :
     (Layout.t * Value.t array list) * Stats.t =

@@ -1,13 +1,10 @@
 (** Plan and expression evaluation.
 
-    Two executors live here.  The {b compiled} executor (behind {!run},
-    {!run_arrays} and friends) resolves every column reference to a slot
-    in a fixed {!Layout.t} when the plan is opened, compiles expressions
-    into closures over [Value.t array] rows, and pulls batches of
-    ~{!default_batch_size} rows between operators.  The {b interpreted}
-    executor ({!run_interpreted}) keeps the original association-list
-    row semantics and serves as the executable reference for
-    differential tests and benchmarks.
+    One executor: it resolves every column reference to a slot in a
+    fixed {!Layout.t} when the plan is opened, compiles expressions into
+    closures over [Value.t array] rows, and pulls batches of
+    ~{!default_batch_size} rows between operators.  {!run} and friends
+    hand rows back as association lists, {!run_arrays} as arrays.
 
     Each scan binds both the bare column name and the [alias.column]
     qualified form, so correlated subqueries can reference outer tables
@@ -32,15 +29,15 @@ val emit_content : Xdb_xml.Events.sink -> Value.t -> unit
     (XML forests replay node by node, scalars emit one text event, NULL
     emits nothing). *)
 
-val eval_expr : Database.t -> row -> Algebra.expr -> Value.t
-(** Evaluate a scalar/XML expression against a row environment, resolving
-    names per access (interpreted semantics — used by view
-    materialisation).  Correlated subqueries run with the row as their
-    outer environment.
-    @raise Exec_error on unknown columns or type errors. *)
-
 val scan_bindings : Table.t -> string -> Value.t array -> row
 (** Row bindings a scan produces: bare and alias-qualified names. *)
+
+val index_rids : Table.t -> Table.index -> Btree.bound -> Btree.bound -> int array
+(** The row ids an index scan yields for its bound values, in index
+    order, answering exactly as the SQL comparisons it stands for: a NULL
+    bound selects nothing, NULL keys are never selected, and a bound of
+    the other type class than the column is answered by those
+    comparisons over the heap. *)
 
 (** {1 Compiled execution} *)
 
@@ -82,6 +79,14 @@ val compile :
     every matching scan is windowed and results change.
     @raise Exec_error at plan-open time for unknown or ambiguous
     columns, listing the columns that are available. *)
+
+val compile_expr : Database.t -> Layout.t -> Algebra.expr -> Value.t array -> Value.t
+(** [compile_expr db layout e] — [e] compiled once against the rows of
+    [layout] (for an association row, {!Layout.of_bindings} of its names);
+    apply the result to each row, its values in the layout's slots.  XML
+    constructors build trees.  Correlated subqueries open on that row.
+    @raise Exec_error at compile time for unknown or ambiguous
+    columns. *)
 
 type recorder
 (** A run's record of the members of the plan's patchable XMLAgg
@@ -127,11 +132,12 @@ val patch :
   (string list * members) option
 (** [patch db plan m recorded ~changes output] — [output], as a run of
     [plan] recorded it, with the members that the updated rows reach
-    re-emitted by the compiled member emitter and spliced in, and the
-    new recording.  [changes] lists, per table, the rows overwritten in
-    place since, in columns {!Footprint.classify} judged [Driving] (the
-    rows' own members) or [Correlated] (the members whose driving key
-    equals a row's key under the index probe's equality).  [None]
+    re-emitted by the member emitter the recording run compiled and
+    spliced in, and the new recording.  [changes] lists, per table, the
+    rows overwritten in place since, in columns {!Footprint.classify}
+    judged [Driving] (the rows' own members) or [Correlated] (the members
+    whose driving key equals a row's key under the index probe's
+    equality).  [None]
     (recompute) when [recorded] came from another plan, more than 32
     rows changed, a key is of the other type class, or the patch would
     empty every member of a wrapper. *)
@@ -160,15 +166,3 @@ val run_analyzed : Database.t -> ?outer:row -> Algebra.plan -> row list * Stats.
 
 val run_column : Database.t -> ?outer:row -> Algebra.plan -> Value.t list
 (** First column of each result row. *)
-
-(** {1 Interpreted reference executor} *)
-
-val run_interpreted :
-  Database.t -> ?outer:row -> ?xml_streaming:bool -> Algebra.plan -> row list
-(** The original assoc-row executor: names resolved per row with
-    [List.assoc], one row at a time.  Reference semantics for
-    differential tests and the [execscale] benchmark baseline. *)
-
-val run_interpreted_analyzed : Database.t -> ?outer:row -> Algebra.plan -> row list * Stats.t
-(** {!run_interpreted} with per-operator instrumentation; produces the
-    same per-operator actual-row counts as {!run_analyzed}. *)

@@ -3,7 +3,7 @@
     The compiled executor represents rows as [Value.t array]; a layout is
     the static description of one operator's output rows.  Several names
     may share a slot — a scan binds each column both bare and
-    [alias.column]-qualified, exactly like the interpreted executor's
+    [alias.column]-qualified, exactly like {!Exec.scan_bindings}'
     association-list rows — and name resolution follows entry order, so
     the first match wins just as [List.assoc] did.  Layouts are built once
     at plan-open time; unresolvable references become plan-time errors
@@ -26,7 +26,7 @@ let of_list ~width entries = { entries = Array.of_list entries; width }
 
 (** [of_columns ~alias names] — the layout of a table scan: one slot per
     column, each bound under the bare name and the [alias.column] form
-    (bare first, matching the interpreted executor's binding order). *)
+    (bare first, matching {!Exec.scan_bindings}' binding order). *)
 let of_columns ~alias names =
   let n = Array.length names in
   let entries = Array.make (2 * n) ("", 0) in
@@ -88,7 +88,7 @@ let names t =
 let describe t = match names t with [] -> "<none>" | ns -> String.concat ", " ns
 
 (** [to_assoc t row] — the association-list view of a physical row, in
-    layout entry order (reproduces the interpreted executor's row shape). *)
+    layout entry order (the row shape of {!Exec.run}). *)
 let to_assoc t (row : Value.t array) : (string * Value.t) list =
   Array.fold_right (fun (n, s) acc -> (n, row.(s)) :: acc) t.entries []
 

@@ -3,8 +3,8 @@
 
     Several names may share one slot (a scan binds each column bare and
     [alias.column]-qualified); resolution follows entry order so the
-    first match wins, mirroring [List.assoc] over the interpreted
-    executor's association-list rows. *)
+    first match wins, mirroring [List.assoc] over association-list
+    rows. *)
 
 type t
 

@@ -50,12 +50,22 @@ let err fmt = Printf.ksprintf (fun m -> raise (Publish_error m)) fmt
 (* Materialisation                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* the names {!Exec.scan_bindings} binds for a row of [tbl], in order *)
+let scan_names (tbl : Table.t) alias =
+  List.map fst
+    (Exec.scan_bindings tbl alias (Array.make (Array.length tbl.Table.columns) Value.Null))
+
+(* an expression of the spec, compiled once against the names its
+   environment rows bind, evaluated per row on their values *)
+let compile_site db names e =
+  let f = Exec.compile_expr db (Layout.of_bindings names) e in
+  fun (env : Exec.row) -> f (Array.of_list (List.map snd env))
+
 (* detail rows an [Agg] iterates for one outer row: probe a B-tree on a
    correlation column when one exists (what the RDBMS does when evaluating
    the view), fall back to a scan; then residual correlations, the WHERE
    predicate and ORDER BY *)
-let agg_rows db (env : Exec.row) ~table ~alias ~correlate ~where ~order_by : Exec.row list =
-  let tbl = Database.table db table in
+let agg_rows (tbl : Table.t) (env : Exec.row) ~alias ~correlate ~where ~order_by : Exec.row list =
   let indexed_correlation =
     List.find_map
       (fun (inner_col, outer_col) ->
@@ -92,8 +102,7 @@ let agg_rows db (env : Exec.row) ~table ~alias ~correlate ~where ~order_by : Exe
   let rows =
     match where with
     | None -> rows
-    | Some cond ->
-        List.filter (fun irow -> Exec.bool_of_value (Exec.eval_expr db (irow @ env) cond)) rows
+    | Some cond -> List.filter (fun irow -> Exec.bool_of_value (cond (irow @ env))) rows
   in
   if order_by = [] then rows
   else
@@ -110,89 +119,95 @@ let agg_rows db (env : Exec.row) ~table ~alias ~correlate ~where ~order_by : Exe
         go (List.combine (key a) (key b)))
       rows
 
-(** [emit_spec db env spec sink] — the publishing spec as an event stream:
-    the single construction path.  Feeding a serializing sink publishes
-    with no intermediate tree; feeding a tree builder is exactly
-    {!materialize_spec}. *)
-let rec emit_spec db (env : Exec.row) spec (sink : E.sink) : unit =
+(* [emit_spec db names spec env sink] — the publishing spec as an event
+   stream over an environment row binding [names]: the single
+   construction path.  Its expressions (attribute values, [Text_expr],
+   [Agg] WHERE) compile when it is applied to [spec], once per
+   materialisation. *)
+let rec emit_spec db names spec : Exec.row -> E.sink -> unit =
   match spec with
-  | Text_const s -> sink.E.emit (E.Text s)
+  | Text_const s ->
+      let text = E.Text s in
+      fun _ sink -> sink.E.emit text
   | Text_col c -> (
-      match List.assoc_opt c env with
-      | None -> err "publishing spec references unknown column %s" c
-      | Some Value.Null -> ()
-      | Some v -> sink.E.emit (E.Text (Value.to_string v)))
+      fun env sink ->
+        match List.assoc_opt c env with
+        | None -> err "publishing spec references unknown column %s" c
+        | Some Value.Null -> ()
+        | Some v -> sink.E.emit (E.Text (Value.to_string v)))
   | Text_expr e -> (
-      match Exec.eval_expr db env e with
-      | Value.Null -> ()
-      | v -> sink.E.emit (E.Text (Value.to_string v)))
+      let f = compile_site db names e in
+      fun env sink ->
+        match f env with Value.Null -> () | v -> sink.E.emit (E.Text (Value.to_string v)))
   | Elem { name; attrs; content } ->
-      sink.E.emit (E.Start_element (X.qname name));
-      List.iter
-        (fun (an, ae) ->
-          match Exec.eval_expr db env ae with
-          | Value.Null -> ()
-          | v -> sink.E.emit (E.Attr (X.qname an, Value.to_string v)))
-        attrs;
-      List.iter (fun c -> emit_spec db env c sink) content;
-      sink.E.emit E.End_element
+      let start = E.Start_element (X.qname name) in
+      let attrs = List.map (fun (an, ae) -> (X.qname an, compile_site db names ae)) attrs in
+      let content = List.map (emit_spec db names) content in
+      fun env sink ->
+        sink.E.emit start;
+        List.iter
+          (fun (aq, f) ->
+            match f env with
+            | Value.Null -> ()
+            | v -> sink.E.emit (E.Attr (aq, Value.to_string v)))
+          attrs;
+        List.iter (fun c -> c env sink) content;
+        sink.E.emit E.End_element
   | Agg { table; alias; correlate; where; order_by; body } ->
-      List.iter
-        (fun irow -> emit_spec db (irow @ env) body sink)
-        (agg_rows db env ~table ~alias ~correlate ~where ~order_by)
+      let tbl = Database.table db table in
+      let names = scan_names tbl alias @ names in
+      let where = Option.map (compile_site db names) where in
+      let body = emit_spec db names body in
+      fun env sink ->
+        List.iter
+          (fun irow -> body (irow @ env) sink)
+          (agg_rows tbl env ~alias ~correlate ~where ~order_by)
 
-let materialize_spec db (env : Exec.row) spec : X.node list =
-  let b = E.tree_builder () in
-  emit_spec db env spec (E.builder_sink b);
-  E.builder_result b
-
-(* iterate the base rows a materialisation covers: the whole table, or the
-   half-open row-id window [lo, hi) when [row_range] is given (the
-   partition hook domain-parallel functional execution uses) *)
-let fold_base_rows ?row_range f acc tbl =
+(* [f acc env emit] over the base rows of [view], in table order: [env]
+   is the row's bindings and [emit] the view's spec compiled for them *)
+let fold_documents ?row_range db view f acc =
+  let tbl = Database.table db view.base_table in
+  let emit = emit_spec db (scan_names tbl view.base_alias) view.spec in
+  let step acc r = f acc (Exec.scan_bindings tbl view.base_alias r) emit in
   match row_range with
-  | None -> Table.fold (fun acc _ r -> f acc r) acc tbl
+  | None -> Table.fold (fun acc _ r -> step acc r) acc tbl
   | Some (lo, hi) ->
-      let lo = max 0 lo and hi = min hi (Table.size tbl) in
       let acc = ref acc in
-      for rid = lo to hi - 1 do
-        acc := f !acc (Table.unsafe_row tbl rid)
+      for rid = max 0 lo to min hi (Table.size tbl) - 1 do
+        acc := step !acc (Table.unsafe_row tbl rid)
       done;
       !acc
 
 (** [materialize db view] — one XML document (as a document node) per base
     table row, in table order.  This is the input the functional XSLT
-    evaluation consumes.  [row_range:(lo, hi)] restricts to that row-id
-    window (domain-parallel partitioning). *)
-let materialize db ?row_range view =
-  let tbl = Database.table db view.base_table in
-  fold_base_rows ?row_range
-    (fun acc r ->
-      let env = Exec.scan_bindings tbl view.base_alias r in
-      let nodes = materialize_spec db env view.spec in
+    evaluation consumes. *)
+let materialize db view =
+  fold_documents db view
+    (fun acc env emit ->
+      let b = E.tree_builder () in
+      emit env (E.builder_sink b);
       let doc = X.make X.Document in
-      List.iter (X.append_child doc) nodes;
+      List.iter (X.append_child doc) (E.builder_result b);
       X.reindex doc;
       doc :: acc)
-    [] tbl
+    []
   |> List.rev
 
 (** [materialize_serialized db view] — the documents of {!materialize} as
     serialized strings, one per base row, streaming spec events straight
-    into a reused buffer: no tree is ever built. *)
+    into a reused buffer: no tree is ever built.  [row_range:(lo, hi)]
+    restricts to that row-id window (domain-parallel partitioning). *)
 let materialize_serialized db ?(meth = E.Xml) ?(indent = false) ?row_range view :
     string list =
-  let tbl = Database.table db view.base_table in
   let buf = Buffer.create 1024 in
-  fold_base_rows ?row_range
-    (fun acc r ->
-      let env = Exec.scan_bindings tbl view.base_alias r in
+  fold_documents ?row_range db view
+    (fun acc env emit ->
       Buffer.clear buf;
       let sink = E.serializing_sink ~meth ~indent buf in
-      emit_spec db env view.spec sink;
+      emit env sink;
       sink.E.finish ();
       Buffer.contents buf :: acc)
-    [] tbl
+    []
   |> List.rev
 
 (* ------------------------------------------------------------------ *)

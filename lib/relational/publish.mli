@@ -32,21 +32,12 @@ type view = {
 
 exception Publish_error of string
 
-val emit_spec :
-  Database.t -> Exec.row -> spec -> Xdb_xml.Events.sink -> unit
-(** Evaluate a spec against a row environment as a stream of output
-    events — the single construction path.  Correlated [Agg] scans probe
-    a B-tree on a correlation column when one exists. *)
-
-val materialize_spec :
-  Database.t -> Exec.row -> spec -> Xdb_xml.Types.node list
-(** {!emit_spec} drained through the tree builder. *)
-
-val materialize : Database.t -> ?row_range:int * int -> view -> Xdb_xml.Types.node list
+val materialize : Database.t -> view -> Xdb_xml.Types.node list
 (** One XML document (a document node) per base-table row, in table
-    order — the input of the functional (no-rewrite) evaluation.
-    [row_range:(lo, hi)] restricts to the half-open row-id window
-    [lo, hi) — the partition hook domain-parallel execution uses. *)
+    order — the input of the functional (no-rewrite) evaluation.  The
+    spec's expressions (attribute values, [Text_expr], [Agg] WHERE) are
+    compiled once per call ({!Exec.compile_expr}); its [Agg] scans probe
+    a B-tree on a correlation column when one exists. *)
 
 val materialize_serialized :
   Database.t ->
@@ -57,8 +48,9 @@ val materialize_serialized :
   string list
 (** The documents of {!materialize}, already serialized: spec events
     stream into a reused buffer, one string per base row, no
-    intermediate tree.  Defaults: [meth = Xml], [indent = false];
-    [row_range] as in {!materialize}. *)
+    intermediate tree.  Defaults: [meth = Xml], [indent = false].
+    [row_range:(lo, hi)] restricts to the half-open row-id window
+    [lo, hi) — the partition hook domain-parallel publishing uses. *)
 
 val to_schema : view -> Xdb_schema.Types.t
 (** Structural information of the published documents: scalar content has

@@ -677,20 +677,25 @@ let test_dbonerow_explain_analyze () =
 
 let test_ordering_strategy_explain () =
   (* the records view publishes rows ORDER BY id, the key the heap is
-     loaded in: avts's XMLAgg skips its sort, in both executors; a row
+     loaded in: avts's XMLAgg skips its sort, and the reference executor
+     counts its input as presorted too; a row
      inserted with the smallest id lands at the heap's end, and the same
      plan then sorts *)
   let dv = Xdb_xsltmark.Data.records_db 200 in
   let db = dv.Xdb_xsltmark.Data.db in
   let ss = (Option.get (Xdb_xsltmark.Cases.find "avts")).Xdb_xsltmark.Cases.stylesheet in
   let c = PL.compile db dv.Xdb_xsltmark.Data.view ss in
+  let plan = Option.get c.PL.sql_plan in
   let strategy expected =
     List.iter
-      (fun interpreted ->
-        let text = PL.explain_analyze ~interpreted db c in
+      (fun (executor, text) ->
         if not (contains expected text) then
-          Alcotest.failf "expected %s (interpreted=%b) in:\n%s" expected interpreted text)
-      [ false; true ]
+          Alcotest.failf "expected %s (%s executor) in:\n%s" expected executor text)
+      [
+        ("compiled", PL.explain_analyze db c);
+        ( "reference",
+          Xdb_rel.Optimizer.explain_analyze db plan (snd (Ref_exec.run_analyzed db plan)) );
+      ]
   in
   strategy "presorted=1 sorted=0";
   T.insert_values (Xdb_rel.Database.table db "rows")
@@ -854,7 +859,6 @@ let prop_parallel_equiv_sequential =
       if analyze then ignore (Xdb_rel.Analyze.all db);
       let c = PL.compile db view ss in
       let seq_r = PL.run_rewrite db c in
-      let seq_f = PL.run_functional db c in
       let actuals (out, stats) =
         ( out,
           Option.map
@@ -867,7 +871,6 @@ let prop_parallel_equiv_sequential =
       let seq_a = actuals (PL.run_rewrite_analyzed db c) in
       PAR.with_pool ~jobs (fun pool ->
           PL.run_rewrite ~pool db c = seq_r
-          && PL.run_functional ~pool db c = seq_f
           && actuals (PL.run_rewrite_analyzed ~pool db c) = seq_a))
 
 let test_exec_partition () =
@@ -1027,8 +1030,11 @@ let test_engine_facade () =
   let base = (t ()).EN.output in
   check cb "engine produces documents" true (base <> []);
   check cb "no metrics unless asked" true ((t ()).EN.metrics = None);
+  check (Alcotest.list cs) "engine = functional VM"
+    (PL.run_functional db (PL.compile db view example1_stylesheet))
+    base;
   (* every run_options combination agrees byte-for-byte — with the result
-     cache bypassed, so each strategy genuinely recomputes *)
+     cache bypassed, so each run genuinely recomputes *)
   let nc = { EN.default_run_options with EN.result_cache = false } in
   List.iter
     (fun options ->
@@ -1037,29 +1043,24 @@ let test_engine_facade () =
       check cb "metrics iff collect_metrics" (options.EN.collect_metrics)
         (r.EN.metrics <> None))
     [
-      { nc with EN.streaming = false };
-      { nc with EN.interpreted = true };
+      nc;
       { nc with EN.jobs = 3 };
-      { nc with EN.jobs = 3; interpreted = true };
-      {
-        EN.streaming = false;
-        jobs = 2;
-        collect_metrics = true;
-        interpreted = false;
-        result_cache = false;
-        indent = false;
-      };
+      { nc with EN.collect_metrics = true };
+      { EN.jobs = 2; collect_metrics = true; result_cache = false; indent = false };
     ];
-  (* publish through the facade: DOM, streamed and parallel agree *)
+  (* publish through the facade: streamed and parallel agree with the
+     documents built as trees and then serialized *)
   let pub ?(options = EN.default_run_options) () =
     (EN.publish ~options engine ~view_name:"dept_emp").EN.output
   in
-  let dom = pub ~options:{ nc with EN.streaming = false } () in
+  let dom =
+    List.map
+      (fun d -> Xdb_xml.Serializer.node_list_to_string d.Xdb_xml.Types.children)
+      (Xdb_rel.Publish.materialize db view)
+  in
   check cb "published documents" true (dom <> []);
-  check (Alcotest.list cs) "streamed publish identical" dom
-    (pub ~options:{ nc with EN.streaming = true } ());
-  check (Alcotest.list cs) "parallel publish identical" dom
-    (pub ~options:{ nc with EN.streaming = true; jobs = 4 } ());
+  check (Alcotest.list cs) "streamed publish identical" dom (pub ~options:nc ());
+  check (Alcotest.list cs) "parallel publish identical" dom (pub ~options:{ nc with EN.jobs = 4 } ());
   (* explain / explain_analyze work and agree on actual row counts *)
   check cb "explain has a plan section" true
     (contains "SQL/XML plan" (EN.explain engine ~view_name:"dept_emp" ~stylesheet:example1_stylesheet));
@@ -1310,6 +1311,11 @@ let test_fig3_replay_patches_every_page () =
           n (Xdb_rel.Database.table_names dv.D.db))
       0 [ rdv; sdv ]
   in
+  (* the functional baseline: materialise the view, run the XSLTVM *)
+  let functional name =
+    let dv = if name = "chart" || name = "total" then sdv else rdv in
+    PL.run_functional dv.D.db (PL.compile dv.D.db dv.D.view (stylesheet name))
+  in
   let with_metrics = { EN.default_run_options with EN.collect_metrics = true } in
   let rng = Random.State.make [| 22 |] in
   let outcome = Alcotest.(list (pair string (pair int int))) in
@@ -1342,10 +1348,7 @@ let test_fig3_replay_patches_every_page () =
           fresh.EN.output output;
         if c mod 10 = 0 then
           check (Alcotest.list cs) (Printf.sprintf "cycle %d: %s served = functional VM" c name)
-            (EN.transform_stmt
-               ~options:{ EN.default_run_options with EN.result_cache = false; interpreted = true }
-               e st)
-              .EN.output output;
+            (functional name) output;
         for _ = 1 to 3 do
           check (Alcotest.list cs) (Printf.sprintf "cycle %d: %s cached = read" c name) output
             (EN.transform_stmt e st).EN.output

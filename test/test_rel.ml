@@ -1002,7 +1002,7 @@ let test_hash_join_exec () =
   let run_both kind =
     let plan = hj_plan kind in
     let crows, cstats = E.run_analyzed db plan in
-    let irows, istats = E.run_interpreted_analyzed db plan in
+    let irows, istats = Ref_exec.run_analyzed db plan in
     check cb "compiled rows = interpreted rows" true (crows = irows);
     check cb "rows signature identical" true
       (Xdb_rel.Stats.rows_signature cstats = Xdb_rel.Stats.rows_signature istats);
@@ -1157,7 +1157,7 @@ let test_joingraph_pass_order () =
   check cb "two-sided range probe on f.fv" true (has_two_sided optimized);
   check cb "ordered join = baseline" true (norm optimized = baseline);
   check cb "compiled = interpreted" true
-    (let c, cs' = E.run_analyzed db optimized and _, is' = E.run_interpreted_analyzed db optimized in
+    (let c, cs' = E.run_analyzed db optimized and _, is' = Ref_exec.run_analyzed db optimized in
      ignore c;
      Xdb_rel.Stats.rows_signature cs' = Xdb_rel.Stats.rows_signature is')
 
@@ -1228,7 +1228,7 @@ let prop_hash_join_equivalence =
       let join_ok = jnorm region = jnorm opt in
       (* both executors agree operator-by-operator on the optimised plan *)
       let _, cstats = E.run_analyzed db opt in
-      let _, istats = E.run_interpreted_analyzed db opt in
+      let _, istats = Ref_exec.run_analyzed db opt in
       let exec_ok = Xdb_rel.Stats.rows_signature cstats = Xdb_rel.Stats.rows_signature istats in
       (* 2. EXISTS / NOT EXISTS over a correlated scan with NULL keys *)
       let exists_cond =
@@ -1478,6 +1478,134 @@ let test_materialize_serialized () =
   let dom = List.map Xdb_xml.Serializer.to_string (P.materialize db dept_view) in
   let streamed = P.materialize_serialized db dept_view in
   check Alcotest.(list string) "streamed = DOM" dom streamed
+
+(* property: random publishing specs whose expression sites the spec
+   walker compiles — attribute values, computed text ([Text_expr]), an
+   [Agg] WHERE, NULL results among them (the attribute or text vanishes)
+   — publish the same bytes streamed, as trees then serialized, and
+   through the view's SQL/XML rewrite plan on the executor *)
+let prop_publish_spec_sites =
+  QCheck.Test.make ~name:"publish spec sites: streamed = DOM = rewrite plan" ~count:80
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rand =
+        let state = ref (seed land 0x3FFFFFFF) in
+        fun bound ->
+          state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+          !state mod bound
+      in
+      let some l = List.filter (fun _ -> rand 2 = 0) l in
+      let pick l = List.nth l (rand (List.length l)) in
+      let db = DB.create () in
+      let base =
+        DB.create_table db "base"
+          [
+            { T.col_name = "bid"; col_type = V.Tint };
+            { T.col_name = "a"; col_type = V.Tstr };
+            { T.col_name = "b"; col_type = V.Tint };
+          ]
+      in
+      let detail =
+        DB.create_table db "detail"
+          [
+            { T.col_name = "fk"; col_type = V.Tint };
+            { T.col_name = "x"; col_type = V.Tint };
+            { T.col_name = "y"; col_type = V.Tstr };
+          ]
+      in
+      let str () = pick [ V.Str "s"; V.Str "a&b"; V.Str "q\"<t>"; V.Str ""; V.Null ] in
+      let num () = if rand 4 = 0 then V.Null else V.Int (rand 1000) in
+      for i = 1 to 1 + rand 4 do
+        T.insert_values base [ V.Int i; str (); num () ];
+        for j = 1 to rand 5 do
+          T.insert_values detail [ V.Int i; V.Int ((10 * j) + rand 10); str () ]
+        done
+      done;
+      if rand 2 = 0 then ignore (T.create_index detail ~name:"d_fk" ~column:"fk");
+      (* scalar expressions over the base row; each is NULL on some rows *)
+      let base_exprs =
+        [
+          A.col "bid";
+          A.qcol "base" "a";
+          A.col "b";
+          A.Binop (A.Add, A.col "b", A.const_int 1);
+          A.Binop (A.Concat, A.col "a", A.const_str "-");
+          A.Case ([ (A.(col "b" >. const_int 500), A.const_str "big") ], None);
+          A.Fn ("upper", [ A.col "a" ]);
+        ]
+      in
+      (* the detail row's expressions, which may read the base row too *)
+      let detail_exprs =
+        [
+          A.col "x";
+          A.qcol "detail" "y";
+          A.Binop (A.Mul, A.col "x", A.col "b");
+          A.Fn ("coalesce", [ A.col "y"; A.const_str "none" ]);
+          A.Case ([ (A.Is_null (A.col "y"), A.col "bid") ], Some (A.col "y"));
+        ]
+      in
+      let attrs exprs = List.mapi (fun i e -> (Printf.sprintf "t%d" i, e)) (some exprs) in
+      let texts exprs = List.map (fun e -> P.Text_expr e) (some exprs) in
+      let where =
+        pick
+          [
+            None;
+            Some A.(col "x" >. const_int (rand 50));
+            Some (A.Not (A.Is_null (A.col "y")));
+            Some A.(col "x" >. col "b");
+          ]
+      in
+      let detail_agg =
+        P.Agg
+          {
+            table = "detail";
+            alias = "detail";
+            correlate = [ ("fk", "bid") ];
+            where;
+            order_by = [ ("x", pick [ A.Asc; A.Desc ]) ];
+            body =
+              P.Elem
+                {
+                  name = "d";
+                  attrs = attrs detail_exprs;
+                  content = P.Text_col "x" :: texts detail_exprs;
+                };
+          }
+      in
+      let view =
+        {
+          P.view_name = "sv";
+          base_table = "base";
+          base_alias = "base";
+          column = "doc";
+          spec =
+            P.Elem
+              {
+                name = "root";
+                attrs = attrs base_exprs;
+                content =
+                  (P.Text_const "t" :: texts base_exprs)
+                  @ [ P.Elem { name = "e"; attrs = attrs base_exprs; content = texts base_exprs } ]
+                  @ if rand 4 = 0 then [] else [ detail_agg ];
+              };
+        }
+      in
+      let streamed = P.materialize_serialized db view in
+      let dom =
+        List.map
+          (fun d -> Xdb_xml.Serializer.node_list_to_string d.X.children)
+          (P.materialize db view)
+      in
+      let plan =
+        Xdb_xquery.Sql_rewrite.rewrite_view_plan db view (Xdb_xquery.Parser.parse_prog "./root")
+      in
+      let rewritten = List.map (fun r -> V.to_string (List.assoc "result" r)) (E.run db plan) in
+      (streamed = dom
+      || QCheck.Test.fail_reportf "streamed %s\nDOM %s" (String.concat "|" streamed)
+           (String.concat "|" dom))
+      && (rewritten = streamed
+         || QCheck.Test.fail_reportf "rewrite plan %s\nstreamed %s" (String.concat "|" rewritten)
+              (String.concat "|" streamed)))
 
 let test_catalog_register () =
   let db = setup_db () in
@@ -1927,7 +2055,7 @@ let test_compile_unknown_column () =
   (* the compiled executor and the interpreted one agree that the plan is
      bad — the difference is only when: plan-open vs per-row *)
   match
-    E.run_interpreted db
+    Ref_exec.run db
       (A.Project ([ (A.col "ghost", "g") ], A.Seq_scan { table = "emp"; alias = "e" }))
   with
   | exception E.Exec_error _ -> ()
@@ -1985,7 +2113,7 @@ let test_batch_boundaries () =
       check cb
         (Printf.sprintf "compiled = interpreted at %d rows" n)
         true
-        (E.run db plan = E.run_interpreted db plan))
+        (E.run db plan = Ref_exec.run db plan))
     [ 0; 1; bs - 1; bs; bs + 1; (2 * bs) + 2 ]
 
 let test_run_arrays_layout () =
@@ -2090,11 +2218,11 @@ let test_ordering_differential () =
                 (fun (what, plan) ->
                   let label = Printf.sprintf "%s %s, %d rows, order #%d" what shape n oi in
                   let crows, cstats = E.run_analyzed db plan in
-                  let irows, istats = E.run_interpreted_analyzed db plan in
+                  let irows, istats = Ref_exec.run_analyzed db plan in
                   check cs (label ^ ": compiled = interpreted") (render irows) (render crows);
                   check cs
                     (label ^ ": compiled = interpreted (streamed)")
-                    (render (E.run_interpreted ~xml_streaming:true db plan))
+                    (render (Ref_exec.run ~xml_streaming:true db plan))
                     (render crows);
                   check cb (label ^ ": same ordering strategy") true
                     (order_counts cstats = order_counts istats))
@@ -2211,7 +2339,7 @@ let prop_predicate_differential =
       in
       List.for_all
         (fun plan ->
-          let c = outcome (E.run db) plan and i = outcome (E.run_interpreted db) plan in
+          let c = outcome (E.run db) plan and i = outcome (Ref_exec.run db) plan in
           c = i || QCheck.Test.fail_reportf "plan %s differs" (A.plan_sql plan))
         plans)
 
@@ -2463,7 +2591,7 @@ let prop_correlation_differential =
     ~count:300
     (QCheck.make ~print:(fun (p, _) -> A.plan_sql p) bounded)
     (fun (plan, _) ->
-      let irows, istats = E.run_interpreted_analyzed db plan in
+      let irows, istats = Ref_exec.run_analyzed db plan in
       let crows, cstats = E.run_analyzed db plan in
       let layout, srows = E.run_arrays ~xml_streaming:true db plan in
       let i = render irows in
@@ -2604,7 +2732,7 @@ let prop_emitter_differential =
     ~count:300
     (QCheck.make ~print:A.plan_sql gen_publish)
     (fun plan ->
-      let irows, istats = E.run_interpreted_analyzed db plan in
+      let irows, istats = Ref_exec.run_analyzed db plan in
       let expected = serialise irows in
       let crows, cstats = E.run_analyzed db plan in
       let (_, srows), sstats = E.run_arrays_analyzed ~xml_streaming:true db plan in
@@ -2614,7 +2742,7 @@ let prop_emitter_differential =
       let dom_values = List.map (fun r -> List.assoc "x" r) crows in
       (serialise crows = expected || QCheck.Test.fail_report "compiled DOM bytes differ")
       && (first = expected || QCheck.Test.fail_report "compiled streamed bytes differ")
-      && (serialise (E.run_interpreted ~xml_streaming:true db plan) = expected
+      && (serialise (Ref_exec.run ~xml_streaming:true db plan) = expected
          || QCheck.Test.fail_report "interpreted streamed bytes differ")
       && (counts cstats = counts istats || QCheck.Test.fail_report "compiled counters differ")
       && (counts sstats = counts istats || QCheck.Test.fail_report "streamed counters differ")
@@ -2635,7 +2763,7 @@ let test_outer_bindings_returned () =
   let render rows =
     List.map (fun r -> String.concat "," (List.map (fun (n, v) -> n ^ "=" ^ V.show v) r)) rows
   in
-  let expected = render (E.run_interpreted db ~outer emps) in
+  let expected = render (Ref_exec.run db ~outer emps) in
   check Alcotest.(list string) "run" expected (render (E.run db ~outer emps));
   check Alcotest.(list string) "run_analyzed" expected (render (fst (E.run_analyzed db ~outer emps)));
   check cb "rows end with the outer bindings" true
@@ -2669,7 +2797,7 @@ let test_subquery_first_slot_outer () =
     (List.map (fun r -> V.to_int (List.assoc "v" r)) rows);
   check Alcotest.(list int) "depth two: first e.empno" [ 7782; 7954 ]
     (List.map (fun r -> V.to_int (List.assoc "w" r)) rows);
-  check cb "compiled = interpreted" true (rows = E.run_interpreted db plan)
+  check cb "compiled = interpreted" true (rows = Ref_exec.run db plan)
 
 (* chart's shape: one streamed XMLAgg per outer row, built by a
    correlated subquery and serialised only after every row (and so every
@@ -2706,7 +2834,7 @@ let test_streams_serialised_after_all_opens () =
   check Alcotest.(list string) "streamed, serialised last" expected (serialise streamed);
   check Alcotest.(list string) "DOM" expected (serialise (E.run_arrays db plan));
   check Alcotest.(list string) "interpreted, streamed" expected
-    (List.map (fun r -> V.to_string (List.assoc "x" r)) (E.run_interpreted ~xml_streaming:true db plan))
+    (List.map (fun r -> V.to_string (List.assoc "x" r)) (Ref_exec.run ~xml_streaming:true db plan))
 
 (* scans hand out the table's own row arrays; no plan may write to them *)
 let test_plans_leave_table_rows_unchanged () =
@@ -2964,6 +3092,7 @@ let () =
           Alcotest.test_case "spec navigation" `Quick test_spec_navigation;
           Alcotest.test_case "index-probe consistency" `Quick test_materialize_index_probe_consistency;
           Alcotest.test_case "streamed serialization" `Quick test_materialize_serialized;
+          QCheck_alcotest.to_alcotest prop_publish_spec_sites;
           Alcotest.test_case "catalog registration" `Quick test_catalog_register;
         ] );
       ( "storage",

@@ -53,8 +53,8 @@ let db_case (c : M.case) () =
 
 (* golden streaming differential: result construction through output
    events must be byte-identical to the DOM path on every case — the
-   XQuery serializer for all cases, and the SQL/XML rewrite with
-   streaming on vs off for the db-capable ones *)
+   XQuery serializer for all cases, and for the db-capable ones the
+   streamed SQL/XML rewrite against the functional VM over the DOM *)
 let streaming_case (c : M.case) () =
   let c = if c.M.name = "dbonerow" then M.dbonerow_for size else c in
   let doc = M.doc_for c size in
@@ -68,9 +68,8 @@ let streaming_case (c : M.case) () =
   if c.M.db_capable then begin
     let dv = M.dbview_for c size in
     let comp = PL.compile dv.D.db dv.D.view c.M.stylesheet in
-    let off = PL.run_rewrite ~streaming:false dv.D.db comp in
-    let on = PL.run_rewrite ~streaming:true dv.D.db comp in
-    check Alcotest.(list string) "rewrite streaming on = off" off on
+    check Alcotest.(list string) "streamed rewrite = functional VM"
+      (PL.run_functional dv.D.db comp) (PL.run_rewrite dv.D.db comp)
   end
 
 let inline_statistic () =
@@ -164,7 +163,7 @@ let prop_random_stylesheets =
       in
       functional = xquery_stage && functional = rewrite && functional = sf_out)
 
-(* the compiled layout/batch executor against the interpreted reference,
+(* the compiled layout/batch executor against the reference executor,
    across all five db-capable bench cases, with and without ANALYZE
    statistics (statistics change the chosen plan, not the answer).
    Row-for-row: same cardinality, same value for every column name the
@@ -190,7 +189,7 @@ let prop_compiled_executor_differential =
       | Some plan ->
           let module E = Xdb_rel.Exec in
           let module L = Xdb_rel.Layout in
-          let irows = E.run_interpreted dv.D.db plan in
+          let irows = Ref_exec.run dv.D.db plan in
           let layout, arows = E.run_arrays dv.D.db plan in
           let names = L.names layout in
           let slots =
@@ -207,7 +206,7 @@ let prop_compiled_executor_differential =
                      slots)
                  irows arows
           in
-          let _, st_i = E.run_interpreted_analyzed dv.D.db plan in
+          let _, st_i = Ref_exec.run_analyzed dv.D.db plan in
           let _, st_c = E.run_arrays_analyzed dv.D.db plan in
           rows_same
           && Xdb_rel.Stats.rows_signature st_i = Xdb_rel.Stats.rows_signature st_c)
