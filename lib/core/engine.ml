@@ -343,11 +343,11 @@ let run_shredded_source ?(options = default_run_options) t ~docids ~stylesheet =
       match docids with
       | [] -> { output = []; metrics }
       | _ :: _ ->
-          (* bytecode only: the shredded VM needs no example document, so
-             nothing is reconstructed at compile time *)
+          (* compiled once per stylesheet text: the shredded VM needs no
+             example document, so nothing is reconstructed to compile *)
           let prog =
             Xdb_error.wrap ~stage:"compile" (fun () ->
-                Xdb_xslt.Compile.compile (Xdb_xslt.Parser.parse stylesheet))
+                Registry.shredded ?metrics t.registry ~stylesheet)
           in
           let run () =
             Xdb_error.wrap ~stage:"exec" (fun () ->

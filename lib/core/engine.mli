@@ -139,10 +139,13 @@ val explain_analyze_stmt : ?options:run_options -> ?metrics:Metrics.t -> t -> st
 val run : ?options:run_options -> t -> source -> stylesheet:string -> run_result
 (** Transform a {!source} with [stylesheet] — the unified verb.
     [View v] prepares (through the plan cache) and evaluates;
-    [Shredded ids] runs the shredded XSLTVM over stored documents:
+    [Shredded ids] runs the shredded XSLTVM over stored documents,
+    compiled once per stylesheet text ({!Registry.shredded}; the
+    [shred_hits]/[shred_misses] counters of {!registry_counters}):
     template matching and select iteration execute as set-at-a-time
     scans over the node rows, with no document reconstruction on that
-    path; documents whose evaluation leaves the relational subset fall
+    path, and each document's result streams into the serializer;
+    documents whose evaluation leaves the relational subset fall
     back per document to reconstruct + DOM VM ([shred_vm_fallback_docs]
     in metrics), so output is always byte-identical to transforming the
     original documents directly.  [jobs > 1] runs the documents across
@@ -205,7 +208,8 @@ val explain_analyze :
     @raise Xdb_error.Error on compile/execution failures. *)
 
 val registry_counters : t -> (string * int) list
-(** The plan cache's observability counters ({!Registry.counters}). *)
+(** The plan cache's observability counters ({!Registry.counters}),
+    shredded-program hits and misses included. *)
 
 val result_cache_counters : t -> (string * int) list
 (** The result cache's observability counters

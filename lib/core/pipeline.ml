@@ -364,28 +364,17 @@ let transform_via_xquery (dc : doc_compiled) doc =
   let doc = Xdb_xslt.Strip.apply dc.d_prog.Xdb_xslt.Compile.space doc in
   Xdb_xquery.Eval.run_serialized dc.d_translation.Xslt2xquery.query ~context:doc
 
-(** Shredded evaluation: run the shredded XSLTVM ({!Shred_vm}) per stored
-    document — template matching and select iteration execute as
-    set-at-a-time steps over the node rows, the input document is never
-    rebuilt.  A document whose stylesheet evaluation leaves the
-    relational subset ({!Shred_vm.Fallback}) is reconstructed and run
-    through the DOM VM instead, so output is always byte-identical to
-    {!transform_functional} over the original documents.  A multi-domain
-    [pool] runs the same per-document evaluation across its domains
-    (stored documents are immutable; the store's step counters are
-    atomic).
+let compile_shredded ?metrics stylesheet_text =
+  let stylesheet = staged metrics "parse" (fun () -> Xdb_xslt.Parser.parse stylesheet_text) in
+  staged metrics "bytecode" (fun () -> Shred_vm.compile (Xdb_xslt.Compile.compile stylesheet))
 
-    Stages: [shred_vm] (plus [reconstruct]/[vm_transform] for fallback
-    documents).  Counters: [shred_vm_docs], [shred_vm_fallback_docs],
-    and the shred handle's strategy deltas [shred_batch_steps] /
-    [shred_rel_steps] / [shred_dom_fallbacks]. *)
-let run_shredded ?metrics ?pool (shred : Xdb_rel.Shred.t)
-    (prog : Xdb_xslt.Compile.program) docids : string list =
+let run_shredded ?metrics ?pool (shred : Xdb_rel.Shred.t) (prog : Shred_vm.program) docids :
+    string list =
   let transform ?metrics docid =
     let count name = Option.iter (fun m -> Metrics.incr m name) metrics in
     match
       staged metrics "shred_vm" (fun () ->
-          try Some (Shred_vm.transform_to_string prog shred docid)
+          try Some (Shred_vm.run prog shred docid)
           with Shred_vm.Fallback reason ->
             Log.debug (fun m -> m "shredded VM fallback for doc %d: %s" docid reason);
             None)
@@ -399,7 +388,7 @@ let run_shredded ?metrics ?pool (shred : Xdb_rel.Shred.t)
           staged metrics "reconstruct" (fun () -> Xdb_rel.Shred.reconstruct shred docid)
         in
         staged metrics "vm_transform" (fun () ->
-            let frag = Xdb_xslt.Vm.transform prog doc in
+            let frag = Xdb_xslt.Vm.transform (Shred_vm.bytecode prog) doc in
             Xdb_xml.Serializer.node_list_to_string frag.X.children)
   in
   let c0 = Xdb_rel.Shred.counters shred in

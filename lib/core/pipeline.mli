@@ -141,22 +141,29 @@ val compile_for_document :
 val transform_functional : doc_compiled -> Xdb_xml.Types.node -> string
 val transform_via_xquery : doc_compiled -> Xdb_xml.Types.node -> string
 
+val compile_shredded : ?metrics:Metrics.t -> string -> Shred_vm.program
+(** Parse a stylesheet and compile it for shredded documents: bytecode,
+    then {!Shred_vm.compile}.  Stages: [parse], [bytecode] (both
+    compilations). *)
+
 val run_shredded :
   ?metrics:Metrics.t ->
   ?pool:Parallel.t ->
   Xdb_rel.Shred.t ->
-  Xdb_xslt.Compile.program ->
+  Shred_vm.program ->
   int list ->
   string list
-(** Shredded evaluation: run the shredded XSLTVM ({!Shred_vm}) per stored
-    document — template matching and select iteration execute as
-    set-at-a-time steps over the node rows; the input document is never
-    rebuilt.  A document whose evaluation leaves the relational subset
-    ({!Shred_vm.Fallback}) is reconstructed and run through the DOM VM,
-    so output is always byte-identical to {!transform_functional} over
-    the original documents.  A [pool] with more than one domain runs the
-    same per-document evaluation across its domains, with private
-    {!Metrics.t} collectors merged after the join.
+(** Shredded evaluation: run the compiled shredded XSLTVM ({!Shred_vm})
+    per stored document — template matching and select iteration execute
+    as set-at-a-time steps over the node rows, the input document is
+    never rebuilt, and the result streams into the serializer.  A
+    document whose evaluation leaves the relational subset
+    ({!Shred_vm.Fallback}) is reconstructed and run through the DOM VM
+    over the program's bytecode, so output is always byte-identical to
+    {!transform_functional} over the original documents.  A [pool] with
+    more than one domain runs the same per-document evaluation across
+    its domains, with private {!Metrics.t} collectors merged after the
+    join.
 
     Stages: [shred_vm] (plus [reconstruct]/[vm_transform] for fallback
     documents).  Counters: [shred_vm_docs], [shred_vm_fallback_docs],

@@ -13,6 +13,11 @@
     number of entries exceeds the configured capacity the least recently
     used entry is evicted (counted in [cache_evictions]).
 
+    Stylesheets run over shredded documents are cached in the same LRU
+    under their own key space ({!shredded}): compiled once per stylesheet
+    text into a {!Shred_vm.program}, with their own hit/miss counters.
+    They depend on no view, so nothing makes them stale.
+
     Thread safety: the view list, the cache table and the LRU tick are
     guarded by one mutex, so many domains can {!compile}/{!run}
     concurrently (Engine keeps a single registry per instance).  The
@@ -24,19 +29,24 @@
 module P = Xdb_rel.Publish
 module S = Xdb_schema.Types
 
+type payload = Plan of Pipeline.compiled | Shredded of Shred_vm.program
+
 type entry = {
-  stylesheet_text : string;
   fingerprint : string;
       (** structural fingerprint + catalog stats version at compile time *)
-  compiled : Pipeline.compiled;
+  payload : payload;
   mutable last_used : int;  (** recency tick for LRU eviction *)
 }
+
+(* (view name, stylesheet) for view plans; a shredded program's key
+   cannot collide with any of them *)
+type key = View_key of string * string | Shred_key of string
 
 type t = {
   db : Xdb_rel.Database.t;
   lock : Mutex.t;  (** guards [views], [cache], [tick] and entry recency *)
   mutable views : (string * P.view) list;
-  cache : (string * string, entry) Hashtbl.t;  (** (view name, stylesheet) *)
+  cache : (key, entry) Hashtbl.t;
   capacity : int;  (** max cached entries before LRU eviction *)
   mutable tick : int;  (** monotonic use counter *)
   views_version : int Atomic.t;
@@ -48,6 +58,8 @@ type t = {
   cache_misses : int Atomic.t;  (** no cache entry — first compile *)
   cache_stale : int Atomic.t;  (** entry invalidated by schema evolution *)
   cache_evictions : int Atomic.t;  (** entries dropped by LRU bounding *)
+  shred_hits : int Atomic.t;  (** cached shredded program served *)
+  shred_misses : int Atomic.t;  (** shredded program compiled *)
 }
 
 exception Registry_error of string
@@ -68,6 +80,8 @@ let create ?(capacity = default_capacity) db =
     cache_misses = Atomic.make 0;
     cache_stale = Atomic.make 0;
     cache_evictions = Atomic.make 0;
+    shred_hits = Atomic.make 0;
+    shred_misses = Atomic.make 0;
   }
 
 let locked t f =
@@ -127,6 +141,35 @@ let find_view t name =
   | Some v -> v
   | None -> raise (Registry_error (Printf.sprintf "unknown view %S" name))
 
+(* the cached payload under [key] if its fingerprint is still [fp], else
+   [build ()] (outside the lock) inserted in its place, with whether it
+   was built; [on_stale] counts an entry that went stale, [on_miss] an
+   absent one *)
+let cached t key fp ~on_stale ~on_miss build =
+  let found =
+    locked t (fun () ->
+        match Hashtbl.find_opt t.cache key with
+        | Some entry when entry.fingerprint = fp ->
+            touch t entry;
+            Some entry.payload
+        | Some _ ->
+            Atomic.incr on_stale;
+            None
+        | None ->
+            Atomic.incr on_miss;
+            None)
+  in
+  match found with
+  | Some payload -> (payload, false)
+  | None ->
+      let payload = build () in
+      locked t (fun () ->
+          let entry = { fingerprint = fp; payload; last_used = 0 } in
+          touch t entry;
+          Hashtbl.replace t.cache key entry;
+          evict_over_capacity t);
+      (payload, true)
+
 (** [compile t ~view_name ~stylesheet] — cached compilation; recompiles
     when the view's structural fingerprint has changed since the cached
     compile (or on first use).  Safe to call from several domains at
@@ -135,37 +178,24 @@ let find_view t name =
     records nothing. *)
 let compile ?(options = Options.default) ?metrics t ~view_name ~stylesheet : Pipeline.compiled =
   let view = find_view t view_name in
-  let fp = fingerprint_of t view in
-  let key = (view_name, stylesheet) in
-  let cached =
-    locked t (fun () ->
-        match Hashtbl.find_opt t.cache key with
-        | Some entry when entry.fingerprint = fp ->
-            touch t entry;
-            Some entry.compiled
-        | found ->
-            (match found with
-            | Some _ ->
-                (* schema evolution or re-ANALYZE *)
-                Atomic.incr t.cache_stale
-            | None -> Atomic.incr t.cache_misses);
-            None)
+  (* schema evolution or re-ANALYZE makes an entry stale *)
+  let payload, built =
+    cached t (View_key (view_name, stylesheet)) (fingerprint_of t view) ~on_stale:t.cache_stale
+      ~on_miss:t.cache_misses (fun () -> Plan (Pipeline.compile ~options ?metrics t.db view stylesheet))
   in
-  match cached with
-  | Some compiled ->
-      Atomic.incr t.cache_hits;
-      compiled
-  | None ->
-      let compiled = Pipeline.compile ~options ?metrics t.db view stylesheet in
-      locked t (fun () ->
-          let entry =
-            { stylesheet_text = stylesheet; fingerprint = fp; compiled; last_used = 0 }
-          in
-          touch t entry;
-          Hashtbl.replace t.cache key entry;
-          evict_over_capacity t);
-      Atomic.incr t.recompilations;
-      compiled
+  Atomic.incr (if built then t.recompilations else t.cache_hits);
+  match payload with Plan c -> c | Shredded _ -> assert false (* keys never mix *)
+
+(** [shredded t ~stylesheet] — the stylesheet compiled for shredded
+    documents, once per stylesheet text.  [metrics] records the compile
+    stages on a miss only. *)
+let shredded ?metrics t ~stylesheet : Shred_vm.program =
+  let payload, built =
+    cached t (Shred_key stylesheet) "" ~on_stale:t.shred_misses ~on_miss:t.shred_misses (fun () ->
+        Shredded (Pipeline.compile_shredded ?metrics stylesheet))
+  in
+  if not built then Atomic.incr t.shred_hits;
+  match payload with Shredded p -> p | Plan _ -> assert false (* keys never mix *)
 
 (** [run t ~view_name ~stylesheet] — rewrite-evaluate with auto-recompile. *)
 let run ?options t ~view_name ~stylesheet : string list =
@@ -175,7 +205,8 @@ let run ?options t ~view_name ~stylesheet : string list =
 let recompilations t = Atomic.get t.recompilations
 
 (** Cache observability counters, stable order.  [recompilations] equals
-    [cache_misses + cache_stale]. *)
+    [cache_misses + cache_stale]; [shred_misses] counts shredded-program
+    compiles, apart from them. *)
 let counters t =
   [
     ("cache_hits", Atomic.get t.cache_hits);
@@ -183,4 +214,6 @@ let counters t =
     ("cache_stale", Atomic.get t.cache_stale);
     ("recompilations", Atomic.get t.recompilations);
     ("cache_evictions", Atomic.get t.cache_evictions);
+    ("shred_hits", Atomic.get t.shred_hits);
+    ("shred_misses", Atomic.get t.shred_misses);
   ]

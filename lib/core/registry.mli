@@ -3,7 +3,9 @@
     together with a fingerprint of the view's structural information and
     the catalog's statistics version; re-registering a view with a
     different shape — or re-ANALYZEing the database — invalidates the
-    entry so plans are re-costed against fresh statistics.
+    entry so plans are re-costed against fresh statistics.  Stylesheets
+    for shredded documents share the same LRU under their own key space
+    ({!shredded}), compiled once per stylesheet text.
 
     Thread safety: lookup, insert and LRU eviction are guarded by an
     internal mutex and the observability counters are atomics, so many
@@ -50,6 +52,15 @@ val compile :
     the call actually compiles; a cache hit records nothing.
     @raise Registry_error for unknown views. *)
 
+val shredded : ?metrics:Metrics.t -> t -> stylesheet:string -> Shred_vm.program
+(** The stylesheet compiled for shredded documents
+    ({!Pipeline.compile_shredded}), cached per stylesheet text in the
+    same LRU as view plans.  [metrics] records the compile stages on a
+    miss only.  Counted in [shred_hits] / [shred_misses], not in the
+    view-plan counters.
+    @raise Xdb_xslt.Parser.Stylesheet_error and the compile errors of
+    {!Pipeline.compile_shredded}. *)
+
 val run : ?options:Options.t -> t -> view_name:string -> stylesheet:string -> string list
 (** Rewrite-evaluate with auto-recompile. *)
 
@@ -61,4 +72,5 @@ val counters : t -> (string * int) list
     entry served), [cache_misses] (first compile), [cache_stale] (entry
     invalidated by schema evolution or re-ANALYZE), [recompilations]
     (= misses + stale), [cache_evictions] (entries dropped by LRU
-    bounding). *)
+    bounding, shredded programs included), [shred_hits] and
+    [shred_misses] (shredded programs served from the cache / compiled). *)

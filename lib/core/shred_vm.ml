@@ -1,19 +1,6 @@
-(** The shredded XSLTVM: the {!Xdb_xslt.Vm} bytecode interpreter re-based
-    on relational node rows.  Template match patterns run through
-    {!Xdb_rel.Shred.pattern_matches} and select/test expressions through
-    {!Xdb_rel.Shred.eval_expr}, so matching and select iteration execute
-    as set-at-a-time steps over the node rows — the input document is
-    never rebuilt.  The only DOM the interpreter touches is (a) the result
-    fragment it constructs and (b) {!Xdb_rel.Shred.subtree} copies of the
-    subtrees a template actually serialises ([xsl:copy-of] / built-in
-    rules never need one: they read the [value] column).
-
-    Mirrors {!Xdb_xslt.Vm} op for op — output is byte-identical to the
-    functional path.  Constructs the relational engine cannot express
-    ({!Xdb_rel.Shred.Unsupported}), plus [xsl:key] and active whitespace
-    stripping, raise {!Fallback}; the caller then reconstructs the
-    document and runs the DOM VM, so answers never degrade — only
-    speed. *)
+(* The shredded XSLTVM, compiled once per stylesheet into closures over
+   node rows, its top-level result streamed into the serializer.  See
+   shred_vm.mli for the contract. *)
 
 module X = Xdb_xml.Types
 module E = Xdb_xml.Events
@@ -21,415 +8,463 @@ module XA = Xdb_xpath.Ast
 module SH = Xdb_rel.Shred
 module C = Xdb_xslt.Compile
 module Ast = Xdb_xslt.Ast
+module Smap = SH.Smap
 
 exception Fallback of string
 
 let fallback fmt = Printf.ksprintf (fun m -> raise (Fallback m)) fmt
-
 let err fmt = Printf.ksprintf (fun m -> raise (Xdb_xslt.Vm.Runtime_error m)) fmt
-
-module Smap = SH.Smap
+let max_recursion = 2000
 
 (* a variable's value: a shredded XPath value, or a constructed result
    fragment (xsl:variable with content).  Fragments have no rows, so an
    expression referencing one leaves the relational subset — the binding
-   is withheld from {!SH.eval_expr}'s environment and the resulting
-   unbound-variable {!SH.Unsupported} triggers the per-document DOM
-   fallback; only whole-variable references ([select="$v"]) stay
-   relational. *)
+   is withheld from the compiled expressions' environment and the
+   resulting unbound-variable {!SH.Unsupported} triggers the
+   per-document DOM fallback; only whole-variable references
+   ([select="$v"]) pass fragments through. *)
 type vval = V_shred of SH.value | V_frag of X.node
 
-type ctx = {
+(* the top-level result on its way into the serializer, under the
+   merging tree builder's rules: attributes collect on the open start
+   tag (a repeated name replaces the earlier one and moves last), and
+   attributes at top level are dropped *)
+type stream = {
+  sink : E.sink;
+  mutable depth : int;
+  mutable open_tag : X.qname option;  (** start tag still taking attributes *)
+  mutable attrs : (X.qname * string) list;  (** its attributes, reversed *)
+}
+
+type out = Stream of stream | Tree of E.builder
+
+(* one run's state; the compiled program holds none, so pool domains
+   share it *)
+type st = { store : SH.t; templates : template array; mutable out : out; mutable recursion : int }
+
+and ctx = {
   row : SH.node;
   position : int;
   size : int;
-  vars : vval Smap.t;
-  mode : string option;
+  vars : SH.value Smap.t;  (** relational bindings: what compiled expressions see *)
+  frags : X.node Smap.t;  (** fragment bindings (a name is in at most one map) *)
+  mode : dispatch;
 }
 
-type state = {
-  prog : C.program;
-  shred : SH.t;
-  mutable builders : E.builder list;
-  mutable messages : string list;
-  mutable recursion : int;
+(* one mode's candidates, best first *)
+and dispatch = {
+  by_name : (string, cand list) Hashtbl.t;  (** elements and attributes of that name *)
+  other_names : cand list;
+  text : cand list;
+  comment : cand list;
+  pi : cand list;
+  root : cand list;
 }
 
-let max_recursion = 2000
+and cand = { matches : SH.env -> SH.node -> bool; template : int }
+and template = { params : (string * (st -> ctx -> vval) option) list; body : st -> ctx -> unit }
+
+type program = {
+  bytecode : C.program;
+  unsupported : string option;  (** why every document falls back *)
+  templates : template array;
+  default_mode : dispatch;
+  globals : (string * (st -> ctx -> vval)) list;
+}
+
+let bytecode p = p.bytecode
 
 (* ------------------------------------------------------------------ *)
-(* Output construction (identical to Vm's)                             *)
+(* Output                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let result_builder () = E.tree_builder ~merge_text:true ~drop_top_attrs:true ()
+let flush s =
+  match s.open_tag with
+  | None -> ()
+  | Some q ->
+      s.open_tag <- None;
+      s.sink.emit (E.Start_element q);
+      List.iter (fun (q, v) -> s.sink.emit (E.Attr (q, v))) (List.rev s.attrs);
+      s.attrs <- []
 
-let cur_builder st = match st.builders with b :: _ -> b | [] -> err "no output context"
+let stream_emit s ev =
+  match ev with
+  | E.Attr (q, v) -> (
+      match s.open_tag with
+      | Some _ -> s.attrs <- (q, v) :: List.filter (fun (a, _) -> not (X.qname_equal a q)) s.attrs
+      | None -> if s.depth > 0 then err "attribute added after children")
+  | E.Start_element q ->
+      flush s;
+      s.open_tag <- Some q;
+      s.depth <- s.depth + 1
+  | E.End_element ->
+      flush s;
+      s.depth <- s.depth - 1;
+      s.sink.emit ev
+  | E.Text _ | E.Comment _ | E.Pi _ ->
+      flush s;
+      s.sink.emit ev
 
-let b_emit st ev =
-  try E.builder_emit (cur_builder st) ev with E.Serialize_error m -> err "%s" m
+let builder_do f = try f () with E.Serialize_error m -> err "%s" m
 
-let b_add st n =
-  try E.builder_add_node (cur_builder st) n with E.Serialize_error m -> err "%s" m
+(* an instruction's event: empty text vanishes, as in the merging builder *)
+let emit st ev =
+  match st.out with
+  | Tree b -> builder_do (fun () -> E.builder_emit b ev)
+  | Stream s -> ( match ev with E.Text "" -> () | _ -> stream_emit s ev)
 
-let emit_text st s = b_emit st (E.Text s)
+(* copies keep their nodes as they are: no text merging, no dropping *)
+let copy_row st (r : SH.node) =
+  match st.out with
+  | Tree b ->
+      let add r = builder_do (fun () -> E.builder_add_node b (SH.subtree st.store r)) in
+      if r.SH.kind = "doc" then List.iter add (SH.children st.store r) else add r
+  | Stream s -> SH.emit_subtree st.store r (stream_emit s)
 
-let with_fragment st f =
-  let b = result_builder () in
-  st.builders <- b :: st.builders;
-  f ();
-  st.builders <- List.tl st.builders;
+let copy_node st n =
+  match st.out with
+  | Tree b -> builder_do (fun () -> E.builder_add_node b (X.deep_copy n))
+  | Stream s -> E.emit_tree { E.emit = stream_emit s; finish = ignore } n
+
+(* [body] run into a fresh merging tree builder *)
+let fragment st ctx body =
+  let saved = st.out in
+  let b = E.tree_builder ~merge_text:true ~drop_top_attrs:true () in
+  st.out <- Tree b;
+  body st ctx;
+  st.out <- saved;
   let frag = X.make X.Document in
   X.set_children frag (E.builder_result b);
   frag
 
-(* ------------------------------------------------------------------ *)
-(* Expression evaluation over rows                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* the relational environment: every shredded binding, fragments withheld
-   (see {!vval}) *)
-let shred_vars vars =
-  Smap.fold
-    (fun k v acc -> match v with V_shred sv -> Smap.add k sv acc | V_frag _ -> acc)
-    vars Smap.empty
-
-let eval_xpath st ctx e =
-  SH.eval_expr st.shred ~vars:(shred_vars ctx.vars) ~position:ctx.position
-    ~size:ctx.size ctx.row e
-
-(* whole-variable references pass fragments through without touching the
-   relational evaluator *)
-let eval_select st ctx (e : XA.expr) : vval =
-  match e with
-  | XA.Var v -> (
-      match Smap.find_opt v ctx.vars with
-      | Some x -> x
-      | None -> fallback "unbound variable $%s" v)
-  | _ -> V_shred (eval_xpath st ctx e)
-
-let vval_string = function
-  | V_shred v -> SH.value_string v
-  | V_frag f -> X.string_value f
-
-let vval_bool = function
-  | V_shred v -> SH.value_bool v
-  | V_frag _ -> true (* a result fragment is a non-empty node-set *)
-
-let eval_avt st ctx (a : Ast.avt) =
-  String.concat ""
-    (List.map
-       (function
-         | Ast.Avt_str s -> s
-         | Ast.Avt_expr e -> SH.value_string (eval_xpath st ctx e))
-       a)
-
-let row_qname (r : SH.node) = X.qname ~prefix:r.SH.prefix ~uri:r.SH.uri r.SH.name
+let fragment_string st ctx body = X.string_value (fragment st ctx body)
 
 (* ------------------------------------------------------------------ *)
-(* Template matching                                                   *)
+(* Template dispatch                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* hash-bucket candidates, mirroring Vm.candidate_ids over row kinds *)
-let candidate_ids st mode (r : SH.node) =
-  match List.assoc_opt mode !(st.prog.C.dispatch) with
-  | None -> []
-  | Some table ->
-      let name_hits =
-        match r.SH.kind with
-        | "elem" | "attr" -> (
-            match Hashtbl.find_opt table.C.by_elem_name r.SH.name with
-            | Some b -> !b
-            | None -> [])
-        | _ -> []
-      in
-      let kind_hits =
-        match r.SH.kind with
-        | "elem" | "attr" -> !(table.C.any_element)
-        | "text" -> !(table.C.text_bucket)
-        | "comment" -> !(table.C.comment_bucket)
-        | "pi" -> !(table.C.pi_bucket)
-        | _ -> !(table.C.root_bucket)
-      in
-      name_hits @ kind_hits @ !(table.C.untyped)
+let bind ctx name = function
+  | V_shred v -> { ctx with vars = Smap.add name v ctx.vars; frags = Smap.remove name ctx.frags }
+  | V_frag f -> { ctx with frags = Smap.add name f ctx.frags; vars = Smap.remove name ctx.vars }
 
-(* best matching template id: ties break by priority, then document order
-   (later wins) — exactly Vm.find_template with relational matching *)
-let find_template st ctx (r : SH.node) mode =
-  let vars = shred_vars ctx.vars in
-  let best =
-    List.fold_left
-      (fun best id ->
-        let ct = st.prog.C.templates.(id) in
-        match ct.C.pattern with
-        | None -> best
-        | Some (pat, prio) ->
-            if SH.pattern_matches st.shred ~vars pat r then
-              match best with
-              | Some (_, bprio, bsrc)
-                when bprio > prio || (bprio = prio && bsrc > ct.C.source_index) ->
-                  best
-              | _ -> Some (id, prio, ct.C.source_index)
-            else best)
-      None (candidate_ids st mode r)
+let candidates d (r : SH.node) =
+  match r.SH.kind with
+  | "elem" | "attr" -> (
+      match Hashtbl.find_opt d.by_name r.SH.name with Some cs -> cs | None -> d.other_names)
+  | "text" -> d.text
+  | "comment" -> d.comment
+  | "pi" -> d.pi
+  | _ -> d.root
+
+let rec apply_one st ctx (r : SH.node) args =
+  let found =
+    match candidates ctx.mode r with
+    | [] -> None
+    | cs ->
+        let env = { SH.store = st.store; vars = ctx.vars; current = Some r } in
+        List.find_opt (fun c -> c.matches env r) cs
   in
-  Option.map (fun (id, _, _) -> id) best
-
-(* ------------------------------------------------------------------ *)
-(* Execution                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let sort_rows st ctx (sorts : Ast.sort_spec list) rows =
-  if sorts = [] then rows
-  else
-    let size = List.length rows in
-    let keyed =
-      List.mapi
-        (fun i r ->
-          let c = { ctx with row = r; position = i + 1; size } in
-          let keys =
-            List.map
-              (fun (s : Ast.sort_spec) ->
-                let v = eval_xpath st c s.Ast.sort_key in
-                if s.Ast.numeric then `Num (SH.value_number v)
-                else `Str (SH.value_string v))
-              sorts
-          in
-          (keys, r))
-        rows
-    in
-    let cmp (ka, _) (kb, _) =
-      let rec go ks (ss : Ast.sort_spec list) =
-        match (ks, ss) with
-        | [], _ | _, [] -> 0
-        | (a, b) :: krest, s :: srest -> (
-            let c =
-              match (a, b) with
-              | `Num x, `Num y -> compare x y
-              | `Str x, `Str y -> compare x y
-              | `Num _, `Str _ -> -1
-              | `Str _, `Num _ -> 1
-            in
-            let c = if s.Ast.descending then -c else c in
-            match c with 0 -> go krest srest | c -> c)
-      in
-      go (List.combine ka kb) sorts
-    in
-    List.map snd (List.stable_sort cmp keyed)
-
-let rec exec_ops_with_vars st ctx code =
-  let _ =
-    Array.fold_left
-      (fun ctx op -> match exec_op_binding st ctx op with Some ctx' -> ctx' | None -> ctx)
-      ctx code
-  in
-  ()
-
-and exec_op_binding st ctx (op : C.op) : ctx option =
-  match op with
-  | C.O_text s ->
-      emit_text st s;
-      None
-  | C.O_value_of e ->
-      emit_text st (vval_string (eval_select st ctx e));
-      None
-  | C.O_copy_of e ->
-      (match eval_select st ctx e with
-      | V_frag f -> List.iter (fun c -> b_add st (X.deep_copy c)) f.X.children
-      | V_shred (SH.V_rows rs) ->
-          List.iter
-            (fun (r : SH.node) ->
-              if r.SH.kind = "doc" then
-                List.iter (fun c -> b_add st (SH.subtree st.shred c)) (SH.children st.shred r)
-              else b_add st (SH.subtree st.shred r))
-            rs
-      | V_shred v -> emit_text st (SH.value_string v));
-      None
-  | C.O_copy body ->
-      (match ctx.row.SH.kind with
-      | "elem" ->
-          b_emit st (E.Start_element (row_qname ctx.row));
-          exec_ops_with_vars st ctx body;
-          b_emit st E.End_element
-      | "doc" -> exec_ops_with_vars st ctx body
-      | "text" -> emit_text st ctx.row.SH.value
-      | "comment" -> b_emit st (E.Comment ctx.row.SH.value)
-      | "pi" -> b_emit st (E.Pi (ctx.row.SH.name, ctx.row.SH.value))
-      | "attr" -> b_emit st (E.Attr (row_qname ctx.row, ctx.row.SH.value))
-      | k -> err "unknown node kind %S" k);
-      None
-  | C.O_literal_elem (name, attrs, body) ->
-      b_emit st (E.Start_element (X.qname name));
-      List.iter
-        (fun (an, avt) -> b_emit st (E.Attr (X.qname an, eval_avt st ctx avt)))
-        attrs;
-      exec_ops_with_vars st ctx body;
-      b_emit st E.End_element;
-      None
-  | C.O_elem (name_avt, body) ->
-      b_emit st (E.Start_element (X.qname (eval_avt st ctx name_avt)));
-      exec_ops_with_vars st ctx body;
-      b_emit st E.End_element;
-      None
-  | C.O_attr (name_avt, body) ->
-      let frag = with_fragment st (fun () -> exec_ops_with_vars st ctx body) in
-      b_emit st (E.Attr (X.qname (eval_avt st ctx name_avt), X.string_value frag));
-      None
-  | C.O_comment body ->
-      let frag = with_fragment st (fun () -> exec_ops_with_vars st ctx body) in
-      b_emit st (E.Comment (X.string_value frag));
-      None
-  | C.O_pi (target_avt, body) ->
-      let frag = with_fragment st (fun () -> exec_ops_with_vars st ctx body) in
-      b_emit st (E.Pi (eval_avt st ctx target_avt, X.string_value frag));
-      None
-  | C.O_if (test, body) ->
-      if vval_bool (eval_select st ctx test) then exec_ops_with_vars st ctx body;
-      None
-  | C.O_choose branches ->
-      let rec go = function
-        | [] -> ()
-        | (None, body) :: _ -> exec_ops_with_vars st ctx body
-        | (Some t, body) :: rest ->
-            if vval_bool (eval_select st ctx t) then exec_ops_with_vars st ctx body
-            else go rest
-      in
-      go branches;
-      None
-  | C.O_for_each (select, sorts, body) ->
-      let rows =
-        match eval_select st ctx select with
-        | V_shred (SH.V_rows rs) -> rs
-        | _ -> err "for-each select must be a node-set"
-      in
-      let rows = sort_rows st ctx sorts rows in
-      let size = List.length rows in
-      List.iteri
-        (fun i r ->
-          exec_ops_with_vars st { ctx with row = r; position = i + 1; size } body)
-        rows;
-      None
-  | C.O_var (name, v) ->
-      let value = eval_cvalue st ctx v in
-      Some { ctx with vars = Smap.add name value ctx.vars }
-  | C.O_number _format ->
-      (* level="single": 1 + preceding siblings with the same expanded name *)
-      let r = ctx.row in
-      let count =
-        match SH.parent_row st.shred r with
-        | None -> 1
-        | Some p ->
-            let rec upto acc = function
-              | [] -> acc
-              | (x : SH.node) :: _ when x.SH.pre = r.SH.pre -> acc
-              | (x : SH.node) :: rest ->
-                  let same =
-                    x.SH.kind = "elem" && r.SH.kind = "elem"
-                    && String.equal x.SH.name r.SH.name
-                    && String.equal x.SH.uri r.SH.uri
-                  in
-                  upto (if same then acc + 1 else acc) rest
-            in
-            1 + upto 0 (SH.children st.shred p)
-      in
-      emit_text st (string_of_int count);
-      None
-  | C.O_message body ->
-      let frag = with_fragment st (fun () -> exec_ops_with_vars st ctx body) in
-      st.messages <- X.string_value frag :: st.messages;
-      None
-  | C.O_call { target; params; _ } ->
-      let ct = st.prog.C.templates.(target) in
-      let args = List.map (fun (n, v) -> (n, eval_cvalue st ctx v)) params in
-      instantiate st ctx ct ctx.row args;
-      None
-  | C.O_apply { select; mode; sort; params; _ } ->
-      let rows =
-        match select with
-        | None -> SH.children st.shred ctx.row
-        | Some e -> (
-            match eval_select st ctx e with
-            | V_shred (SH.V_rows rs) -> rs
-            | _ -> err "apply-templates select must be a node-set")
-      in
-      let rows = sort_rows st ctx sort rows in
-      let args = List.map (fun (n, v) -> (n, eval_cvalue st ctx v)) params in
-      let size = List.length rows in
-      List.iteri
-        (fun i r -> apply_one st { ctx with position = i + 1; size; mode } r args)
-        rows;
-      None
-
-and eval_cvalue st ctx = function
-  | C.C_select e -> eval_select st ctx e
-  | C.C_tree code ->
-      V_frag (with_fragment st (fun () -> exec_ops_with_vars st ctx code))
-
-and apply_one st ctx r args =
-  match find_template st ctx r ctx.mode with
-  | Some id -> instantiate st ctx st.prog.C.templates.(id) r args
+  match found with
+  | Some c -> instantiate st ctx st.templates.(c.template) r args
   | None -> builtin_rule st ctx r
 
 and builtin_rule st ctx (r : SH.node) =
   match r.SH.kind with
   | "doc" | "elem" ->
-      let kids = SH.children st.shred r in
+      let kids = SH.children st.store r in
       let size = List.length kids in
-      List.iteri
-        (fun i k -> apply_one st { ctx with row = r; position = i + 1; size } k [])
-        kids
-  | "text" | "attr" -> emit_text st r.SH.value
+      List.iteri (fun i k -> apply_one st { ctx with row = r; position = i + 1; size } k []) kids
+  | "text" | "attr" -> emit st (E.Text r.SH.value)
   | _ -> ()
 
-and instantiate st ctx (ct : C.ctemplate) (r : SH.node) args =
+and instantiate st ctx tmpl r args =
   st.recursion <- st.recursion + 1;
   if st.recursion > max_recursion then err "template recursion limit exceeded";
-  let vars =
+  let ctx =
     List.fold_left
-      (fun vars (pname, default) ->
-        let value =
-          match List.assoc_opt pname args with
+      (fun c (pname, default) ->
+        bind c pname
+          (match List.assoc_opt pname args with
           | Some v -> v
-          | None -> (
-              match default with
-              | Some dv -> eval_cvalue st { ctx with row = r; vars } dv
-              | None -> V_shred (SH.V_str ""))
-        in
-        Smap.add pname value vars)
-      ctx.vars ct.C.tparams
+          | None -> ( match default with Some dv -> dv st c | None -> V_shred (SH.V_str ""))))
+      { ctx with row = r } tmpl.params
   in
-  exec_ops_with_vars st { ctx with row = r; vars } ct.C.tcode;
+  tmpl.body st ctx;
   st.recursion <- st.recursion - 1
+
+(* ------------------------------------------------------------------ *)
+(* Compilation                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let row_qname (r : SH.node) = X.qname ~prefix:r.SH.prefix ~uri:r.SH.uri r.SH.name
+
+(* a compiled expression at the instruction's context row *)
+let xpath e =
+  let ce = SH.compile_expr e in
+  fun st ctx ->
+    ce { SH.store = st.store; vars = ctx.vars; current = Some ctx.row } ctx.row ctx.position
+      ctx.size
+
+let compile_select (e : XA.expr) : st -> ctx -> vval =
+  match e with
+  | XA.Var v -> (
+      fun _ ctx ->
+        match Smap.find_opt v ctx.vars with
+        | Some x -> V_shred x
+        | None -> (
+            match Smap.find_opt v ctx.frags with
+            | Some f -> V_frag f
+            | None -> fallback "unbound variable $%s" v))
+  | _ ->
+      let x = xpath e in
+      fun st ctx -> V_shred (x st ctx)
+
+let vval_string = function V_shred v -> SH.value_string v | V_frag f -> X.string_value f
+
+(* a result fragment is a non-empty node-set *)
+let vval_bool = function V_shred v -> SH.value_bool v | V_frag _ -> true
+
+let rows_of_select what e =
+  let sel = compile_select e in
+  fun st ctx ->
+    match sel st ctx with
+    | V_shred (SH.V_rows rs) -> rs
+    | _ -> err "%s select must be a node-set" what
+
+let compile_avt (a : Ast.avt) =
+  match a with
+  | [ Ast.Avt_str s ] -> fun _ _ -> s
+  | parts ->
+      let parts =
+        List.map
+          (function
+            | Ast.Avt_str s -> fun _ _ -> s
+            | Ast.Avt_expr e ->
+                let x = xpath e in
+                fun st ctx -> SH.value_string (x st ctx))
+          parts
+      in
+      fun st ctx -> String.concat "" (List.map (fun p -> p st ctx) parts)
+
+let compile_sort (sorts : Ast.sort_spec list) =
+  if sorts = [] then fun _ _ rows -> rows
+  else
+    let keys =
+      List.map
+        (fun (s : Ast.sort_spec) ->
+          let x = xpath s.Ast.sort_key in
+          fun st c ->
+            let v = x st c in
+            if s.Ast.numeric then `Num (SH.value_number v) else `Str (SH.value_string v))
+        sorts
+    in
+    fun st ctx rows ->
+      let size = List.length rows in
+      Xdb_xslt.Vm.sort_keyed sorts
+        (List.mapi
+           (fun i r ->
+             let c = { ctx with row = r; position = i + 1; size } in
+             (List.map (fun k -> k st c) keys, r))
+           rows)
+
+let compile (prog : C.program) : program =
+  let cand id =
+    let ct = prog.C.templates.(id) in
+    Option.map
+      (fun (pat, prio) ->
+        (prio, ct.C.source_index, { matches = SH.compile_pattern pat; template = id }))
+      ct.C.pattern
+  in
+  let cands = Array.init (Array.length prog.C.templates) cand in
+  (* best first: the template Vm.find_template's fold would keep *)
+  let sorted ids =
+    List.filter_map (fun id -> cands.(id)) ids
+    |> List.stable_sort (fun (p1, s1, _) (p2, s2, _) -> compare (p2, s2) (p1, s1))
+    |> List.map (fun (_, _, c) -> c)
+  in
+  let dispatch (t : C.mode_dispatch) =
+    let untyped = !(t.C.untyped) in
+    let named = !(t.C.any_element) @ untyped in
+    let by_name = Hashtbl.create 16 in
+    Hashtbl.iter (fun name ids -> Hashtbl.replace by_name name (sorted (!ids @ named))) t.C.by_elem_name;
+    {
+      by_name;
+      other_names = sorted named;
+      text = sorted (!(t.C.text_bucket) @ untyped);
+      comment = sorted (!(t.C.comment_bucket) @ untyped);
+      pi = sorted (!(t.C.pi_bucket) @ untyped);
+      root = sorted (!(t.C.root_bucket) @ untyped);
+    }
+  in
+  let modes = List.map (fun (m, t) -> (m, dispatch t)) !(prog.C.dispatch) in
+  let no_templates =
+    { by_name = Hashtbl.create 1; other_names = []; text = []; comment = []; pi = []; root = [] }
+  in
+  let mode_of m = Option.value ~default:no_templates (List.assoc_opt m modes) in
+  let rec code (ops : C.code) : st -> ctx -> unit =
+    let n = Array.length ops in
+    (* xsl:variable extends the context of the instructions after it *)
+    let rec seq i =
+      if i >= n then fun _ _ -> ()
+      else
+        match ops.(i) with
+        | C.O_var (name, v) ->
+            let v = value v and rest = seq (i + 1) in
+            fun st ctx -> rest st (bind ctx name (v st ctx))
+        | o when i = n - 1 -> op o
+        | o ->
+            let f = op o and rest = seq (i + 1) in
+            fun st ctx ->
+              f st ctx;
+              rest st ctx
+    in
+    seq 0
+  and value = function
+    | C.C_select e -> compile_select e
+    | C.C_tree ops ->
+        let body = code ops in
+        fun st ctx -> V_frag (fragment st ctx body)
+  and params ps =
+    let ps = List.map (fun (n, v) -> (n, value v)) ps in
+    fun st ctx -> List.map (fun (n, v) -> (n, v st ctx)) ps
+  and element name body st ctx =
+    emit st (E.Start_element name);
+    body st ctx;
+    emit st E.End_element
+  and op : C.op -> st -> ctx -> unit = function
+    | C.O_text "" -> fun _ _ -> ()
+    | C.O_text s ->
+        let ev = E.Text s in
+        fun st _ -> emit st ev
+    | C.O_value_of e ->
+        let sel = compile_select e in
+        fun st ctx -> emit st (E.Text (vval_string (sel st ctx)))
+    | C.O_copy_of e -> (
+        let sel = compile_select e in
+        fun st ctx ->
+          match sel st ctx with
+          | V_frag f -> List.iter (copy_node st) f.X.children
+          | V_shred (SH.V_rows rs) -> List.iter (copy_row st) rs
+          | V_shred v -> emit st (E.Text (SH.value_string v)))
+    | C.O_copy body -> (
+        let body = code body in
+        fun st ctx ->
+          let r = ctx.row in
+          match r.SH.kind with
+          | "elem" -> element (row_qname r) body st ctx
+          | "doc" -> body st ctx
+          | "text" -> emit st (E.Text r.SH.value)
+          | "comment" -> emit st (E.Comment r.SH.value)
+          | "pi" -> emit st (E.Pi (r.SH.name, r.SH.value))
+          | "attr" -> emit st (E.Attr (row_qname r, r.SH.value))
+          | k -> err "unknown node kind %S" k)
+    | C.O_literal_elem (name, attrs, body) ->
+        let name = X.qname name and body = code body in
+        let attrs = List.map (fun (an, avt) -> (X.qname an, compile_avt avt)) attrs in
+        element name (fun st ctx ->
+            List.iter (fun (q, v) -> emit st (E.Attr (q, v st ctx))) attrs;
+            body st ctx)
+    | C.O_elem (name, body) ->
+        let name = compile_avt name and body = code body in
+        fun st ctx -> element (X.qname (name st ctx)) body st ctx
+    | C.O_attr (name, body) ->
+        let name = compile_avt name and body = code body in
+        fun st ctx ->
+          let v = fragment_string st ctx body in
+          emit st (E.Attr (X.qname (name st ctx), v))
+    | C.O_comment body ->
+        let body = code body in
+        fun st ctx -> emit st (E.Comment (fragment_string st ctx body))
+    | C.O_pi (target, body) ->
+        let target = compile_avt target and body = code body in
+        fun st ctx ->
+          let d = fragment_string st ctx body in
+          emit st (E.Pi (target st ctx, d))
+    | C.O_if (test, body) ->
+        let test = compile_select test and body = code body in
+        fun st ctx -> if vval_bool (test st ctx) then body st ctx
+    | C.O_choose branches ->
+        let branches =
+          List.map (fun (t, body) -> (Option.map compile_select t, code body)) branches
+        in
+        fun st ctx ->
+          let rec go = function
+            | [] -> ()
+            | (None, body) :: _ -> body st ctx
+            | (Some t, body) :: rest -> if vval_bool (t st ctx) then body st ctx else go rest
+          in
+          go branches
+    | C.O_for_each (select, sorts, body) ->
+        let rows = rows_of_select "for-each" select and sort = compile_sort sorts in
+        let body = code body in
+        fun st ctx ->
+          let rows = sort st ctx (rows st ctx) in
+          let size = List.length rows in
+          List.iteri (fun i r -> body st { ctx with row = r; position = i + 1; size }) rows
+    | C.O_var _ -> assert false (* bound by [seq] *)
+    | C.O_number _ ->
+        fun st ctx -> emit st (E.Text (string_of_int (SH.sibling_number st.store ctx.row)))
+    | C.O_message body ->
+        let body = code body in
+        fun st ctx -> ignore (fragment st ctx body)
+    | C.O_call { target; params = ps; _ } ->
+        let args = params ps in
+        fun st ctx -> instantiate st ctx st.templates.(target) ctx.row (args st ctx)
+    | C.O_apply { select; mode; sort; params = ps; _ } ->
+        let rows =
+          match select with
+          | None -> fun st ctx -> SH.children st.store ctx.row
+          | Some e -> rows_of_select "apply-templates" e
+        in
+        let sort = compile_sort sort and args = params ps and mode = mode_of mode in
+        fun st ctx ->
+          let rows = sort st ctx (rows st ctx) in
+          let args = args st ctx in
+          let size = List.length rows in
+          List.iteri (fun i r -> apply_one st { ctx with position = i + 1; size; mode } r args) rows
+  in
+  let template (ct : C.ctemplate) =
+    { params = List.map (fun (n, d) -> (n, Option.map value d)) ct.C.tparams; body = code ct.C.tcode }
+  in
+  let unsupported =
+    if prog.C.keys <> [] then Some "xsl:key requires the DOM path"
+    else if prog.C.space.Ast.strip_all || prog.C.space.Ast.strip <> [] then
+      Some "active whitespace stripping requires the DOM path"
+    else None
+  in
+  {
+    bytecode = prog;
+    unsupported;
+    templates = Array.map template prog.C.templates;
+    default_mode = mode_of None;
+    globals = List.map (fun (n, v) -> (n, value v)) prog.C.globals;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let transform (prog : C.program) (shred : SH.t) docid : X.node =
-  if prog.C.keys <> [] then fallback "xsl:key requires the DOM path";
-  if prog.C.space.Ast.strip_all || prog.C.space.Ast.strip <> [] then
-    fallback "active whitespace stripping requires the DOM path";
-  let root = SH.doc_node shred docid in
-  let st = { prog; shred; builders = []; messages = []; recursion = 0 } in
+let run (p : program) (store : SH.t) docid : string =
+  Option.iter (fun m -> raise (Fallback m)) p.unsupported;
+  let root = SH.doc_node store docid in
+  let st =
+    {
+      store;
+      templates = p.templates;
+      out = Tree (E.tree_builder ~merge_text:true ~drop_top_attrs:true ());
+      recursion = 0;
+    }
+  in
   try
-    let base_ctx = { row = root; position = 1; size = 1; vars = Smap.empty; mode = None } in
-    (* global variables *)
-    let st0 = { st with builders = [ result_builder () ] } in
-    let vars =
-      List.fold_left
-        (fun vars (n, v) -> Smap.add n (eval_cvalue st0 { base_ctx with vars } v) vars)
-        Smap.empty prog.C.globals
+    let base =
+      { row = root; position = 1; size = 1; vars = Smap.empty; frags = Smap.empty; mode = p.default_mode }
     in
-    let ctx = { base_ctx with vars } in
-    let b = result_builder () in
-    st.builders <- [ b ];
+    (* global variables, each seeing the ones before it *)
+    let ctx = List.fold_left (fun c (n, v) -> bind c n (v st c)) base p.globals in
+    let buf = Buffer.create 1024 in
+    let sink = E.serializing_sink buf in
+    st.out <- Stream { sink; depth = 0; open_tag = None; attrs = [] };
     apply_one st ctx root [];
-    st.builders <- [];
-    let frag = X.make X.Document in
-    X.set_children frag (E.builder_result b);
-    X.reindex frag;
-    frag
+    sink.finish ();
+    Buffer.contents buf
   with SH.Unsupported m -> fallback "%s" m
-
-let transform_to_string prog shred docid =
-  let frag = transform prog shred docid in
-  Xdb_xml.Serializer.node_list_to_string frag.X.children

@@ -277,6 +277,40 @@ let children t (c : node) =
   iter_owned t c (fun r -> if r.kind <> "attr" then acc := r :: !acc);
   List.rev !acc
 
+(* xsl:number level="single": 1 + the preceding siblings sharing an
+   element's expanded name, counted along the parent's owned rows up to
+   the row itself — no child list is built *)
+let sibling_number t (r : node) =
+  match parent_row t r with
+  | None -> 1
+  | Some p ->
+      let n = ref 1 in
+      (try
+         iter_owned t p (fun x ->
+             if x.pre = r.pre then raise_notrace Exit;
+             if x.kind = "elem" && r.kind = "elem" && String.equal x.name r.name
+                && String.equal x.uri r.uri
+             then incr n)
+       with Exit -> ());
+      !n
+
+(* a row's subtree replayed as output events straight off the rows
+   array: owned attribute rows come first, so they follow their start
+   tag as the event contract requires *)
+let rec emit_subtree t (r : node) (emit : Xdb_xml.Events.event -> unit) =
+  let module E = Xdb_xml.Events in
+  match r.kind with
+  | "doc" -> iter_owned t r (fun c -> emit_subtree t c emit)
+  | "elem" ->
+      emit (E.Start_element (X.qname ~prefix:r.prefix ~uri:r.uri r.name));
+      iter_owned t r (fun c -> emit_subtree t c emit);
+      emit E.End_element
+  | "attr" -> emit (E.Attr (X.qname ~prefix:r.prefix ~uri:r.uri r.name, r.value))
+  | "text" -> emit (E.Text r.value)
+  | "comment" -> emit (E.Comment r.value)
+  | "pi" -> emit (E.Pi (r.name, r.value))
+  | k -> err "unknown node kind %S" k
+
 (* ------------------------------------------------------------------ *)
 (* Step evaluation                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -392,10 +426,10 @@ type value = V_num of float | V_str of string | V_bool of bool | V_rows of node 
 
 let value_number = function
   | V_num f -> f
-  | V_str s -> XV.number_value (XV.Str s)
+  | V_str s -> XV.number_of_string s
   | V_bool b -> if b then 1.0 else 0.0
   | V_rows [] -> Float.nan
-  | V_rows (r :: _) -> XV.number_value (XV.Str r.value)
+  | V_rows (r :: _) -> XV.number_of_string r.value
 
 let value_bool = function
   | V_bool b -> b
@@ -410,15 +444,16 @@ let value_string = function
   | V_rows [] -> ""
   | V_rows (r :: _) -> r.value
 
-let value_rows = function V_rows rs -> Some rs | _ -> None
+(* the evaluation environment threaded through every step: the store,
+   and from the XSLT VM [vars] and [current] ([current] stays on the
+   instruction's context node while predicate evaluation moves the
+   context row, mirroring Eval's context record) *)
+type env = { store : t; vars : value Smap.t; current : node option }
 
-(* the evaluation environment threaded through every step: [vars] and
-   [current] come from the XSLT VM ([current] stays on the instruction's
-   context node while predicate evaluation moves [r], mirroring Eval's
-   context record) *)
-type env = { vars : value Smap.t; current : node option }
+(* a compiled expression: environment, context row, position, size *)
+type cexpr = env -> node -> int -> int -> value
 
-let base_env = { vars = Smap.empty; current = None }
+let base_env t = { store = t; vars = Smap.empty; current = None }
 
 let num_cmp op x y =
   match op with
@@ -434,7 +469,7 @@ let str_cmp op (x : string) (y : string) =
   | `Eq -> String.equal x y
   | `Neq -> not (String.equal x y)
   | `Lt | `Leq | `Gt | `Geq ->
-      num_cmp op (XV.number_value (XV.Str x)) (XV.number_value (XV.Str y))
+      num_cmp op (XV.number_of_string x) (XV.number_of_string y)
 
 let flip = function
   | `Lt -> `Gt
@@ -457,7 +492,7 @@ let cmp_of : XA.binop -> _ = function
 let pcompare op a b =
   let one_side op rs other =
     match other with
-    | V_num f -> List.exists (fun r -> num_cmp op (XV.number_value (XV.Str r.value)) f) rs
+    | V_num f -> List.exists (fun r -> num_cmp op (XV.number_of_string r.value) f) rs
     | V_str s -> List.exists (fun r -> str_cmp op r.value s) rs
     | V_bool b -> num_cmp op (if rs <> [] then 1.0 else 0.0) (if b then 1.0 else 0.0)
     | V_rows _ -> assert false
@@ -698,30 +733,37 @@ let lit_holds test (s : string) =
   match test with
   | None -> true
   | Some (cmp, `Str y) -> str_cmp cmp s y
-  | Some (cmp, `Num f) -> num_cmp cmp (XV.number_value (XV.Str s)) f
+  | Some (cmp, `Num f) -> num_cmp cmp (XV.number_of_string s) f
 
 (* merge the sorted candidates against the pre-ordered rows array: each
    candidate's owned rows are a contiguous sibling walk starting right
    after it, so the whole pass is one linear merge *)
-let apply_value_pred t (src, test) cands =
+let value_pred_filter (src, test) : env -> node list -> node list =
   match src with
-  | `Self -> List.filter (fun r -> lit_holds test r.value) cands
+  | `Self -> fun _ cands -> List.filter (fun r -> lit_holds test r.value) cands
   | `Step (step : XA.step) -> (
       match AR.compile step.axis step.test with
-      | None -> []
+      | None -> fun _ _ -> []
       | Some spec ->
-          List.filter
-            (fun c ->
-              let hit = ref false in
-              iter_owned t c (fun r ->
-                  if (not !hit) && row_matches spec r && lit_holds test r.value then
-                    hit := true);
-              !hit)
-            cands)
+          fun env cands ->
+            List.filter
+              (fun c ->
+                let hit = ref false in
+                iter_owned env.store c (fun r ->
+                    if (not !hit) && row_matches spec r && lit_holds test r.value then
+                      hit := true);
+                !hit)
+              cands)
 
 (* ------------------------------------------------------------------ *)
-(* Expression evaluation                                               *)
+(* Compiled expressions                                                *)
 (* ------------------------------------------------------------------ *)
+
+(* Each expression compiles once into closures: its axis specs, step
+   strategies, predicate classes, operators and functions are fixed at
+   compile time, so evaluation never dispatches on the AST.  A construct
+   outside the relational subset compiles to a closure that raises
+   {!Unsupported} when (and only if) it runs. *)
 
 let row_local_name (r : node) =
   match r.kind with "elem" | "attr" | "pi" -> r.name | _ -> ""
@@ -731,231 +773,266 @@ let row_qname (r : node) =
   | "elem" | "attr" -> if r.prefix = "" then r.name else r.prefix ^ ":" ^ r.name
   | _ -> row_local_name r
 
-let rec eval_step t env rows (step : XA.step) =
-  match AR.compile step.axis step.test with
-  | None -> []
-  | Some spec ->
-      if batch_axis_ok step.axis && List.for_all batchable_pred step.XA.predicates then
-        let cands = batch_axis t step.axis spec rows in
-        List.fold_left (fun cs p -> batch_filter t env cs p) cands step.XA.predicates
-      else
-        doc_order_dedup
-          (List.concat_map
-             (fun r ->
-               List.fold_left
-                 (fun cs p -> filter_pred t env cs p)
-                 (step_source t step.axis spec r) step.XA.predicates)
-             rows)
+(* candidates arrive in proximity order, so position is [i + 1]; a
+   number-valued predicate selects by position (XPath §2.4) *)
+let positional_filter (p : cexpr) env cands =
+  let size = List.length cands in
+  List.filteri
+    (fun i r ->
+      match p env r (i + 1) size with V_num f -> Float.of_int (i + 1) = f | v -> value_bool v)
+    cands
 
-and eval_steps t env rows steps = List.fold_left (eval_step t env) rows steps
+let rec compile_step (step : XA.step) : env -> node list -> node list =
+  let axis = step.XA.axis and preds = step.XA.predicates in
+  match AR.compile axis step.XA.test with
+  | None -> fun _ _ -> []
+  | Some spec ->
+      if batch_axis_ok axis && List.for_all batchable_pred preds then
+        let filters = List.map compile_batch_filter preds in
+        fun env rows ->
+          List.fold_left (fun cs f -> f env cs) (batch_axis env.store axis spec rows) filters
+      else
+        let filters = List.map (fun p -> positional_filter (compile_expr p)) preds in
+        fun env rows ->
+          doc_order_dedup
+            (List.concat_map
+               (fun r ->
+                 List.fold_left (fun cs f -> f env cs) (step_source env.store axis spec r) filters)
+               rows)
+
+and compile_steps steps =
+  match List.map compile_step steps with
+  | [ s ] -> s
+  | cs -> fun env rows -> List.fold_left (fun rows s -> s env rows) rows cs
 
 (* a batchable predicate is a row-local boolean: the sort-merge form when
    it fits, else one evaluation per candidate at an arbitrary position
    (just checked position-insensitive) *)
-and batch_filter t env cands pred =
+and compile_batch_filter pred =
   match classify_pred pred with
-  | Some vp -> apply_value_pred t vp cands
+  | Some vp -> value_pred_filter vp
   | None ->
-      List.filter (fun r -> value_bool (peval t env r ~position:1 ~size:1 pred)) cands
+      let p = compile_expr pred in
+      fun env cands -> List.filter (fun r -> value_bool (p env r 1 1)) cands
 
-(* candidates arrive in proximity order, so position is [i + 1]; a
-   number-valued predicate selects by position (XPath §2.4) *)
-and filter_pred t env cands pred =
-  let size = List.length cands in
-  List.filteri
-    (fun i r ->
-      match peval t env r ~position:(i + 1) ~size pred with
-      | V_num f -> Float.of_int (i + 1) = f
-      | v -> value_bool v)
-    cands
-
-and peval t env r ~position ~size (e : XA.expr) : value =
-  let recur = peval t env r ~position ~size in
+and compile_expr (e : XA.expr) : cexpr =
   match e with
-  | XA.Number f -> V_num f
-  | XA.Literal s -> V_str s
-  | XA.Neg e -> V_num (-.value_number (recur e))
+  | XA.Number f ->
+      let v = V_num f in
+      fun _ _ _ _ -> v
+  | XA.Literal s ->
+      let v = V_str s in
+      fun _ _ _ _ -> v
+  | XA.Neg a ->
+      let a = compile_expr a in
+      fun env r p n -> V_num (-.value_number (a env r p n))
   | XA.Var v -> (
-      match Smap.find_opt v env.vars with
-      | Some x -> x
-      | None -> unsupported "variable $%s" v)
+      fun env _ _ _ ->
+        match Smap.find_opt v env.vars with Some x -> x | None -> unsupported "variable $%s" v)
   | XA.Path { absolute; steps } ->
-      let start = if absolute then [ doc_node t r.docid ] else [ r ] in
-      V_rows (eval_steps t env start steps)
+      let steps = compile_steps steps in
+      if absolute then fun env r _ _ -> V_rows (steps env [ doc_node env.store r.docid ])
+      else fun env r _ _ -> V_rows (steps env [ r ])
   | XA.Filter (prim, preds, steps) -> (
-      match recur prim with
-      | V_rows rs ->
-          let rs = List.fold_left (fun cs p -> filter_pred t env cs p) rs preds in
-          V_rows (eval_steps t env rs steps)
-      | _ -> unsupported "filter over a non-node-set")
+      let prim = compile_expr prim and steps = compile_steps steps in
+      let filters = List.map (fun p -> positional_filter (compile_expr p)) preds in
+      fun env r p n ->
+        match prim env r p n with
+        | V_rows rs -> V_rows (steps env (List.fold_left (fun cs f -> f env cs) rs filters))
+        | _ -> unsupported "filter over a non-node-set")
   | XA.Binop (op, a, b) -> (
+      let a = compile_expr a and b = compile_expr b in
+      let arith f env r p n = V_num (f (value_number (a env r p n)) (value_number (b env r p n))) in
       match op with
-      | XA.Or -> V_bool (value_bool (recur a) || value_bool (recur b))
-      | XA.And -> V_bool (value_bool (recur a) && value_bool (recur b))
+      | XA.Or -> fun env r p n -> V_bool (value_bool (a env r p n) || value_bool (b env r p n))
+      | XA.And -> fun env r p n -> V_bool (value_bool (a env r p n) && value_bool (b env r p n))
       | XA.Eq | XA.Neq | XA.Lt | XA.Leq | XA.Gt | XA.Geq ->
-          V_bool (pcompare (cmp_of op) (recur a) (recur b))
-      | XA.Plus -> V_num (value_number (recur a) +. value_number (recur b))
-      | XA.Minus -> V_num (value_number (recur a) -. value_number (recur b))
-      | XA.Mul -> V_num (value_number (recur a) *. value_number (recur b))
-      | XA.Div -> V_num (value_number (recur a) /. value_number (recur b))
-      | XA.Mod -> V_num (Float.rem (value_number (recur a)) (value_number (recur b)))
+          let cmp = cmp_of op in
+          fun env r p n -> V_bool (pcompare cmp (a env r p n) (b env r p n))
+      | XA.Plus -> arith ( +. )
+      | XA.Minus -> arith ( -. )
+      | XA.Mul -> arith ( *. )
+      | XA.Div -> arith ( /. )
+      | XA.Mod -> arith Float.rem
       | XA.Union -> (
-          match (recur a, recur b) with
-          | V_rows x, V_rows y -> V_rows (doc_order_dedup (x @ y))
-          | _ -> unsupported "union of non-node-sets"))
-  | XA.Call (f, args) -> pcall t env r ~position ~size f args
+          fun env r p n ->
+            match (a env r p n, b env r p n) with
+            | V_rows x, V_rows y -> V_rows (doc_order_dedup (x @ y))
+            | _ -> unsupported "union of non-node-sets"))
+  | XA.Call (f, args) -> compile_call f (List.map compile_expr args)
 
 (* the core function library over rows (same semantics as {!XE}'s, with
    node string-values read off the [value] column) *)
-and pcall t env r ~position ~size f args =
-  let recur = peval t env r ~position ~size in
-  let str i = value_string (recur (List.nth args i)) in
-  let num i = value_number (recur (List.nth args i)) in
-  let nargs = List.length args in
-  let target_row () =
-    (* 0-arg: the context row; 1-arg: first node of the set, if any *)
-    if nargs = 0 then Some r
-    else
-      match recur (List.nth args 0) with
-      | V_rows rs -> ( match rs with [] -> None | x :: _ -> Some x)
-      | _ -> unsupported "%s() over a non-node-set" f
+and compile_call f (args : cexpr list) : cexpr =
+  let arg i = List.nth args i in
+  let str i =
+    let a = arg i in
+    fun env r p n -> value_string (a env r p n)
   in
-  match (f, nargs) with
-  | "position", 0 -> V_num (Float.of_int position)
-  | "last", 0 -> V_num (Float.of_int size)
-  | "true", 0 -> V_bool true
-  | "false", 0 -> V_bool false
-  | "not", 1 -> V_bool (not (value_bool (recur (List.hd args))))
-  | "boolean", 1 -> V_bool (value_bool (recur (List.hd args)))
-  | "count", 1 -> (
-      match recur (List.hd args) with
-      | V_rows rs -> V_num (Float.of_int (List.length rs))
-      | _ -> unsupported "count() over a non-node-set")
-  | "string", 0 -> V_str r.value
-  | "string", 1 -> V_str (str 0)
-  | "concat", n when n >= 2 ->
-      V_str (String.concat "" (List.map (fun e -> value_string (recur e)) args))
-  | "starts-with", 2 ->
-      let s = str 0 and p = str 1 in
-      V_bool (String.length s >= String.length p && String.sub s 0 (String.length p) = p)
-  | "contains", 2 ->
-      let s = str 0 and sub = str 1 in
-      let found =
-        if sub = "" then true
-        else
-          let ls = String.length s and lb = String.length sub in
-          let rec go i = i + lb <= ls && (String.sub s i lb = sub || go (i + 1)) in
-          go 0
-      in
-      V_bool found
+  let num i =
+    let a = arg i in
+    fun env r p n -> value_number (a env r p n)
+  in
+  let rows () =
+    let a = arg 0 in
+    fun env r p n ->
+      match a env r p n with V_rows rs -> rs | _ -> unsupported "%s() over a non-node-set" f
+  in
+  let unary g =
+    let x = num 0 in
+    fun env r p n -> V_num (g (x env r p n))
+  in
+  let string_fn g =
+    let s = str 0 in
+    fun env r p n -> V_str (g (s env r p n))
+  in
+  let two g =
+    let a = str 0 and b = str 1 in
+    fun env r p n -> g (a env r p n) (b env r p n)
+  in
+  (* 0-arg: the context row; 1-arg: first node of the set, if any *)
+  let target g =
+    if args = [] then fun _ r _ _ -> V_str (g (Some r))
+    else
+      let rs = rows () in
+      fun env r p n -> V_str (g (match rs env r p n with [] -> None | x :: _ -> Some x))
+  in
+  match (f, List.length args) with
+  | "position", 0 -> fun _ _ p _ -> V_num (Float.of_int p)
+  | "last", 0 -> fun _ _ _ n -> V_num (Float.of_int n)
+  | "true", 0 -> fun _ _ _ _ -> V_bool true
+  | "false", 0 -> fun _ _ _ _ -> V_bool false
+  | "not", 1 ->
+      let a = arg 0 in
+      fun env r p n -> V_bool (not (value_bool (a env r p n)))
+  | "boolean", 1 ->
+      let a = arg 0 in
+      fun env r p n -> V_bool (value_bool (a env r p n))
+  | "count", 1 ->
+      let rs = rows () in
+      fun env r p n -> V_num (Float.of_int (List.length (rs env r p n)))
+  | "string", 0 -> fun _ r _ _ -> V_str r.value
+  | "string", 1 -> string_fn Fun.id
+  | "concat", k when k >= 2 ->
+      let ss = List.init k str in
+      fun env r p n -> V_str (String.concat "" (List.map (fun s -> s env r p n) ss))
+  | "starts-with", 2 -> two (fun s prefix -> V_bool (String.starts_with ~prefix s))
+  | "contains", 2 -> two (fun s sub -> V_bool (XE.find_sub s sub <> None))
   | "substring-before", 2 ->
-      let s = str 0 and sub = str 1 in
-      let ls = String.length s and lb = String.length sub in
-      let rec go i =
-        if i + lb > ls then None else if String.sub s i lb = sub then Some i else go (i + 1)
-      in
-      V_str
-        (match if lb = 0 then Some 0 else go 0 with
-        | Some i -> String.sub s 0 i
-        | None -> "")
+      two (fun s sub ->
+          V_str (match XE.find_sub s sub with Some i -> String.sub s 0 i | None -> ""))
   | "substring-after", 2 ->
-      let s = str 0 and sub = str 1 in
-      let ls = String.length s and lb = String.length sub in
-      let rec go i =
-        if i + lb > ls then None else if String.sub s i lb = sub then Some i else go (i + 1)
-      in
-      V_str
-        (match if lb = 0 then Some 0 else go 0 with
-        | Some i -> String.sub s (i + lb) (ls - i - lb)
-        | None -> "")
-  | "substring", (2 | 3) ->
-      V_str (XE.substring_xpath (str 0) (num 1) (if nargs = 3 then Some (num 2) else None))
-  | "string-length", 0 -> V_num (Float.of_int (String.length r.value))
-  | "string-length", 1 -> V_num (Float.of_int (String.length (str 0)))
-  | "normalize-space", 0 -> V_str (XE.normalize_space r.value)
-  | "normalize-space", 1 -> V_str (XE.normalize_space (str 0))
-  | "translate", 3 -> V_str (XE.translate_xpath (str 0) (str 1) (str 2))
-  | "number", 0 -> V_num (XV.number_value (XV.Str r.value))
-  | "number", 1 -> V_num (num 0)
-  | "sum", 1 -> (
-      match recur (List.hd args) with
-      | V_rows rs ->
-          V_num
-            (List.fold_left
-               (fun acc x -> acc +. XV.number_value (XV.Str x.value))
-               0.0 rs)
-      | _ -> unsupported "sum() over a non-node-set")
-  | "floor", 1 -> V_num (Float.floor (num 0))
-  | "ceiling", 1 -> V_num (Float.ceil (num 0))
-  | "round", 1 -> V_num (XV.round_number (num 0))
-  | "name", (0 | 1) ->
-      V_str (match target_row () with None -> "" | Some x -> row_qname x)
-  | "local-name", (0 | 1) ->
-      V_str (match target_row () with None -> "" | Some x -> row_local_name x)
+      two (fun s sub ->
+          V_str
+            (match XE.find_sub s sub with
+            | Some i ->
+                let j = i + String.length sub in
+                String.sub s j (String.length s - j)
+            | None -> ""))
+  | "substring", 2 ->
+      let s = str 0 and start = num 1 in
+      fun env r p n -> V_str (XE.substring_xpath (s env r p n) (start env r p n) None)
+  | "substring", 3 ->
+      let s = str 0 and start = num 1 and len = num 2 in
+      fun env r p n ->
+        V_str (XE.substring_xpath (s env r p n) (start env r p n) (Some (len env r p n)))
+  | "string-length", 0 -> fun _ r _ _ -> V_num (Float.of_int (String.length r.value))
+  | "string-length", 1 ->
+      let s = str 0 in
+      fun env r p n -> V_num (Float.of_int (String.length (s env r p n)))
+  | "normalize-space", 0 -> fun _ r _ _ -> V_str (XE.normalize_space r.value)
+  | "normalize-space", 1 -> string_fn XE.normalize_space
+  | "translate", 3 ->
+      let s = str 0 and a = str 1 and b = str 2 in
+      fun env r p n -> V_str (XE.translate_xpath (s env r p n) (a env r p n) (b env r p n))
+  | "number", 0 -> fun _ r _ _ -> V_num (XV.number_of_string r.value)
+  | "number", 1 -> unary Fun.id
+  | "sum", 1 ->
+      let rs = rows () in
+      fun env r p n ->
+        V_num (List.fold_left (fun acc x -> acc +. XV.number_of_string x.value) 0.0 (rs env r p n))
+  | "floor", 1 -> unary Float.floor
+  | "ceiling", 1 -> unary Float.ceil
+  | "round", 1 -> unary XV.round_number
+  | "name", (0 | 1) -> target (function None -> "" | Some x -> row_qname x)
+  | "local-name", (0 | 1) -> target (function None -> "" | Some x -> row_local_name x)
   | "namespace-uri", (0 | 1) ->
-      V_str
-        (match target_row () with
-        | Some x when x.kind = "elem" || x.kind = "attr" -> x.uri
-        | _ -> "")
+      target (function Some x when x.kind = "elem" || x.kind = "attr" -> x.uri | _ -> "")
   | "current", 0 -> (
-      match env.current with Some c -> V_rows [ c ] | None -> V_rows [ r ])
-  | _ -> unsupported "function %s()" f
+      fun env r _ _ -> match env.current with Some c -> V_rows [ c ] | None -> V_rows [ r ])
+  | _ -> fun _ _ _ _ -> unsupported "function %s()" f
 
-let axis_step t rows step = eval_step t base_env rows step
-
-let eval_expr t ?(vars = Smap.empty) ?(position = 1) ?(size = 1) r e =
-  peval t { vars; current = Some r } r ~position ~size e
+let axis_step t rows step = compile_step step (base_env t) rows
 
 (* ------------------------------------------------------------------ *)
 (* Match patterns over rows (the shredded transform path)               *)
 (* ------------------------------------------------------------------ *)
 
-let principal_is_element = function XA.Attribute | XA.Namespace -> false | _ -> true
-
-(* mirrors Eval.test_matches on rows: prefixes are ignored, names match
-   on the local part *)
-let row_test_matches axis test (r : node) =
+(* Eval.test_matches on rows, decided at compile time: prefixes are
+   ignored, names match on the local part *)
+let row_test axis test : node -> bool =
+  let principal = match axis with XA.Attribute | XA.Namespace -> "attr" | _ -> "elem" in
   match test with
-  | XA.Star | XA.Prefix_star _ ->
-      if principal_is_element axis then r.kind = "elem" else r.kind = "attr"
-  | XA.Name_test (_, local) ->
-      (if principal_is_element axis then r.kind = "elem" else r.kind = "attr")
-      && String.equal r.name local
-  | XA.Node_type_test XA.Any_node -> true
-  | XA.Node_type_test XA.Text_node -> r.kind = "text"
-  | XA.Node_type_test XA.Comment_node -> r.kind = "comment"
-  | XA.Node_type_test (XA.Pi_node target) -> (
-      r.kind = "pi"
-      && match target with None -> true | Some tg -> String.equal r.name tg)
+  | XA.Star | XA.Prefix_star _ -> fun r -> String.equal r.kind principal
+  | XA.Name_test (_, local) -> fun r -> String.equal r.kind principal && String.equal r.name local
+  | XA.Node_type_test XA.Any_node -> fun _ -> true
+  | XA.Node_type_test XA.Text_node -> fun r -> r.kind = "text"
+  | XA.Node_type_test XA.Comment_node -> fun r -> r.kind = "comment"
+  | XA.Node_type_test (XA.Pi_node None) -> fun r -> r.kind = "pi"
+  | XA.Node_type_test (XA.Pi_node (Some tg)) -> fun r -> r.kind = "pi" && String.equal r.name tg
 
-(* mirrors Pattern.predicates_hold: the candidates are the siblings
+(* Pattern.predicates_hold on rows: the candidates are the siblings
    reachable from the parent by the step's axis and test, positional
    rules included *)
-let row_predicates_hold t env (step : XA.step) (r : node) =
+let row_predicates (step : XA.step) : env -> node -> bool =
   match step.XA.predicates with
-  | [] -> true
-  | preds -> (
-      match parent_row t r with
-      | None ->
-          List.for_all (fun p -> value_bool (peval t env r ~position:1 ~size:1 p)) preds
-      | Some parent ->
-          let matching = eval_step t env [ parent ] { step with XA.predicates = [] } in
-          let survivors =
-            List.fold_left (fun ns p -> filter_pred t env ns p) matching preds
-          in
-          List.exists (fun x -> x.docid = r.docid && x.pre = r.pre) survivors)
+  | [] -> fun _ _ -> true
+  | preds ->
+      let bare = compile_step { step with XA.predicates = [] } in
+      let preds = List.map compile_expr preds in
+      let filters = List.map positional_filter preds in
+      fun env r ->
+        match parent_row env.store r with
+        | None -> List.for_all (fun p -> value_bool (p env r 1 1)) preds
+        | Some parent ->
+            let survivors = List.fold_left (fun ns f -> f env ns) (bare env [ parent ]) filters in
+            List.exists (fun x -> x.docid = r.docid && x.pre = r.pre) survivors
 
-let pattern_matches t ?(vars = Smap.empty) (pat : Xdb_xpath.Pattern.t) (r : node) =
-  let env = { vars; current = Some r } in
-  let ops =
-    {
-      Xdb_xpath.Pattern.no_parent = parent_row t;
-      no_is_document = (fun (x : node) -> x.kind = "doc");
-      no_test = row_test_matches;
-      no_predicates_hold = (fun step x -> row_predicates_hold t env step x);
-    }
+(* the right-to-left matcher of {!Xdb_xpath.Pattern}, compiled per
+   alternative: the last step tests the row, each earlier step its
+   parent (a [/] link) or some ancestor (a [//] link) *)
+let compile_pattern (pat : Xdb_xpath.Pattern.t) : env -> node -> bool =
+  let module P = Xdb_xpath.Pattern in
+  let compile_alt { P.from_root; rev_steps } =
+    let anchored r = (not from_root) || r.kind = "doc" in
+    let rec chain = function
+      | [] -> fun _ r -> anchored r
+      | ((step : XA.step), link) :: rest -> (
+          let test = row_test step.XA.axis step.XA.test and preds = row_predicates step in
+          match (link, rest) with
+          | P.Any_ancestor, [] when not from_root -> fun env r -> test r && preds env r
+          | _ ->
+              let up = chain rest in
+              fun env r ->
+                test r && preds env r
+                &&
+                match parent_row env.store r with
+                | None -> rest = [] && anchored r
+                | Some parent -> (
+                    match link with
+                    | P.Direct_child -> up env parent
+                    | P.Any_ancestor ->
+                        let rec try_anc p =
+                          up env p
+                          || match parent_row env.store p with None -> false | Some gp -> try_anc gp
+                        in
+                        try_anc parent))
+    in
+    if rev_steps = [] then fun _ r -> from_root && r.kind = "doc" else chain rev_steps
   in
-  Xdb_xpath.Pattern.matches_gen ops pat r
+  match List.map compile_alt pat.P.alternatives with
+  | [ m ] -> m
+  | ms -> fun env r -> List.exists (fun m -> m env r) ms
 
 (* the batch strategy a step evaluates with (CLI --explain) *)
 let batch_explain (step : XA.step) =
@@ -996,7 +1073,7 @@ let select t ~docid expr_s =
   let root = doc_node t docid in
   try
     match Xdb_xpath.Parser.parse expr_s with
-    | XA.Path { absolute = _; steps } -> eval_steps t base_env [ root ] steps
+    | XA.Path { absolute = _; steps } -> compile_steps steps (base_env t) [ root ]
     | _ -> raise (Unsupported "non-path expression")
   with Unsupported _ ->
     (* outside the relational subset: answer over a freshly reconstructed

@@ -109,6 +109,16 @@ val children : t -> node -> node list
 val parent_row : t -> node -> node option
 (** The parent row, [None] on document rows. *)
 
+val sibling_number : t -> node -> int
+(** [xsl:number level="single"]: 1 + the preceding siblings with the
+    row's element name and namespace (1 for non-elements), counted along
+    the parent's owned rows up to the row. *)
+
+val emit_subtree : t -> node -> (Xdb_xml.Events.event -> unit) -> unit
+(** Replay the row's subtree as output events read off the rows array
+    (a document row replays its children) — what a streamed
+    [xsl:copy-of] writes, with no DOM copy. *)
+
 val subtree : t -> node -> Xdb_xml.Types.node
 (** A fresh DOM copy of the node's subtree built from the rows-array
     slice [pre .. post] — the only materialisation the relational
@@ -127,7 +137,7 @@ val axis_step : t -> node list -> Xdb_xpath.Ast.step -> node list
 
 module Smap : Map.S with type key = string
 
-(** An XPath 1.0 value over rows — what {!eval_expr} returns and what
+(** An XPath 1.0 value over rows — what a {!cexpr} returns and what
     variable bindings hold. *)
 type value = V_num of float | V_str of string | V_bool of bool | V_rows of node list
 
@@ -135,30 +145,31 @@ val value_number : value -> float
 val value_bool : value -> bool
 val value_string : value -> string
 
-val value_rows : value -> node list option
-(** [Some rows] for node-sets, [None] for atomics. *)
+(** The environment a compiled expression runs in: the store, variable
+    bindings, and the XSLT [current()] node ([None]: the context row). *)
+type env = { store : t; vars : value Smap.t; current : node option }
 
-val eval_expr :
-  t ->
-  ?vars:value Smap.t ->
-  ?position:int ->
-  ?size:int ->
-  node ->
-  Xdb_xpath.Ast.expr ->
-  value
-(** Evaluate an XPath expression with [node] as context row — the
+type cexpr = env -> node -> int -> int -> value
+(** A compiled expression, applied to the environment, the context row
+    and its proximity position and size. *)
+
+val compile_expr : Xdb_xpath.Ast.expr -> cexpr
+(** Compile an XPath expression once into closures over rows — the
     relational engine behind the shredded XSLT VM's select and test
-    expressions.  [vars] binds variables; [position]/[size] feed
-    [position()]/[last()].
-    @raise Unsupported for constructs outside the relational subset
-    (unbound variables included). *)
+    expressions.  Each step's axis spec and strategy (set-at-a-time or
+    per-context walk), each predicate's class (sort-merge value filter,
+    row-local test or positional) and each function are fixed here, so
+    evaluation never dispatches on the AST.  The result holds no mutable
+    state and may run on several domains at once.  Constructs outside
+    the relational subset (unbound variables included) compile to code
+    that raises {!Unsupported} when it runs. *)
 
-val pattern_matches : t -> ?vars:value Smap.t -> Xdb_xpath.Pattern.t -> node -> bool
-(** Does the row match the XSLT pattern?  Runs
-    {!Xdb_xpath.Pattern.matches_gen} over rows: parent lookups through
-    the pre → row map, predicates through {!eval_expr}.
-    @raise Unsupported for pattern predicates outside the relational
-    subset. *)
+val compile_pattern : Xdb_xpath.Pattern.t -> env -> node -> bool
+(** Compile an XSLT match pattern: the right-to-left matcher of
+    {!Xdb_xpath.Pattern} with parent lookups through the pre → row map
+    and predicates as compiled expressions.
+    @raise Unsupported (when run) for pattern predicates outside the
+    relational subset. *)
 
 val select : t -> docid:int -> string -> node list
 (** Parse and evaluate a path expression with the document row as context

@@ -155,6 +155,14 @@ let fn_arity name n_expected n_given =
   if n_expected <> n_given then
     err "function %s expects %d argument(s), got %d" name n_expected n_given
 
+(* the first index of [sub] in [s]: contains(), substring-before() and
+   substring-after() *)
+let find_sub s sub =
+  let ls = String.length s and lb = String.length sub in
+  let rec at i j = j = lb || (s.[i + j] = sub.[j] && at i (j + 1)) in
+  let rec go i = if i + lb > ls then None else if at i 0 then Some i else go (i + 1) in
+  go 0
+
 let substring_xpath s start len_opt =
   (* XPath substring(): 1-based, rounding, NaN handling *)
   let n = String.length s in
@@ -439,29 +447,17 @@ and eval_call ctx name args =
       Value.Bool (String.length s >= String.length p && String.sub s 0 (String.length p) = p)
   | "contains" ->
       fn_arity name 2 nargs;
-      let s = str_arg 0 and sub = str_arg 1 in
-      let found =
-        if sub = "" then true
-        else
-          let ls = String.length s and lb = String.length sub in
-          let rec go i = i + lb <= ls && (String.sub s i lb = sub || go (i + 1)) in
-          go 0
-      in
-      Value.Bool found
+      Value.Bool (find_sub (str_arg 0) (str_arg 1) <> None)
   | "substring-before" ->
       fn_arity name 2 nargs;
-      let s = str_arg 0 and sub = str_arg 1 in
-      let ls = String.length s and lb = String.length sub in
-      let rec go i = if i + lb > ls then None else if String.sub s i lb = sub then Some i else go (i + 1) in
-      Value.Str (match if lb = 0 then Some 0 else go 0 with Some i -> String.sub s 0 i | None -> "")
+      let s = str_arg 0 in
+      Value.Str (match find_sub s (str_arg 1) with Some i -> String.sub s 0 i | None -> "")
   | "substring-after" ->
       fn_arity name 2 nargs;
       let s = str_arg 0 and sub = str_arg 1 in
-      let ls = String.length s and lb = String.length sub in
-      let rec go i = if i + lb > ls then None else if String.sub s i lb = sub then Some i else go (i + 1) in
       Value.Str
-        (match if lb = 0 then Some 0 else go 0 with
-        | Some i -> String.sub s (i + lb) (ls - i - lb)
+        (match find_sub s sub with
+        | Some i -> String.sub s (i + String.length sub) (String.length s - i - String.length sub)
         | None -> "")
   | "substring" ->
       if nargs <> 2 && nargs <> 3 then err "substring expects 2 or 3 arguments";

@@ -63,6 +63,10 @@ val select : context -> string -> Xdb_xml.Types.node list
 
 (** Helpers shared with the XQuery function library: *)
 
+val find_sub : string -> string -> int option
+(** The first index of the second string in the first ([Some 0] for
+    the empty string). *)
+
 val substring_xpath : string -> float -> float option -> string
 
 val format_number : float -> string -> string

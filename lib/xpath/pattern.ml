@@ -52,49 +52,6 @@ let parse s =
   let e = Parser.parse s in
   { source = s; alternatives = compile_expr e }
 
-(** Node operations the right-to-left matcher needs — abstracting over the
-    node representation lets the DOM interpreter and the shredded row
-    store ([Xdb_rel.Shred]) share one matching algorithm. *)
-type 'a node_ops = {
-  no_parent : 'a -> 'a option;
-  no_is_document : 'a -> bool;
-  no_test : Ast.axis -> Ast.node_test -> 'a -> bool;
-  no_predicates_hold : step -> 'a -> bool;
-      (** do [step]'s predicates hold for the node, evaluated among the
-          candidate siblings reachable from its parent by the step's axis
-          and test (positional rules included)? *)
-}
-
-let rec match_rev_gen ops rev_steps from_root node =
-  match rev_steps with
-  | [] ->
-      if from_root then ops.no_is_document node
-      else true
-  | (step, link) :: rest -> (
-      ops.no_test step.axis step.test node
-      && ops.no_predicates_hold step node
-      &&
-      match ops.no_parent node with
-      | None -> rest = [] && ((not from_root) || ops.no_is_document node)
-      | Some parent -> (
-          match link with
-          | Direct_child -> match_rev_gen ops rest from_root parent
-          | Any_ancestor ->
-              let rec try_anc p =
-                match_rev_gen ops rest from_root p
-                || match ops.no_parent p with None -> false | Some gp -> try_anc gp
-              in
-              if rest = [] && not from_root then true else try_anc parent))
-
-(** [matches_gen ops pat node] — the representation-generic matcher. *)
-let matches_gen ops pat node =
-  List.exists
-    (fun alt ->
-      match alt.rev_steps with
-      | [] -> alt.from_root && ops.no_is_document node
-      | _ -> match_rev_gen ops alt.rev_steps alt.from_root node)
-    pat.alternatives
-
 (* Does [node] pass the predicates of [step], evaluated among the candidate
    siblings reachable from its parent by the step's axis and test? *)
 let predicates_hold ctx step node =
@@ -111,16 +68,33 @@ let predicates_hold ctx step node =
           in
           List.memq node survivors)
 
-let dom_ops ctx =
-  {
-    no_parent = (fun n -> n.T.parent);
-    no_is_document = T.is_document;
-    no_test = Eval.test_matches;
-    no_predicates_hold = (fun step node -> predicates_hold ctx step node);
-  }
+let rec match_rev ctx rev_steps from_root (node : T.node) =
+  match rev_steps with
+  | [] -> (not from_root) || T.is_document node
+  | (step, link) :: rest -> (
+      Eval.test_matches step.axis step.test node
+      && predicates_hold ctx step node
+      &&
+      match node.T.parent with
+      | None -> rest = [] && ((not from_root) || T.is_document node)
+      | Some parent -> (
+          match link with
+          | Direct_child -> match_rev ctx rest from_root parent
+          | Any_ancestor ->
+              let rec try_anc (p : T.node) =
+                match_rev ctx rest from_root p
+                || match p.T.parent with None -> false | Some gp -> try_anc gp
+              in
+              (rest = [] && not from_root) || try_anc parent))
 
 (** [matches ctx pat node] — does [node] match the pattern? *)
-let matches ctx pat node = matches_gen (dom_ops ctx) pat node
+let matches ctx pat node =
+  List.exists
+    (fun alt ->
+      match alt.rev_steps with
+      | [] -> alt.from_root && T.is_document node
+      | _ -> match_rev ctx alt.rev_steps alt.from_root node)
+    pat.alternatives
 
 (** Default priority of a single-alternative pattern (XSLT 1.0 §5.5). *)
 let alternative_priority alt =

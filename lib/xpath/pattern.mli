@@ -20,25 +20,9 @@ val parse : string -> t
 (** Parse and validate pattern syntax. @raise Invalid_pattern when the
     expression is not a legal match pattern. *)
 
-(** Node operations the right-to-left matcher needs; abstracting over the
-    node representation lets the DOM interpreter and the shredded row
-    store ([Xdb_rel.Shred]) run the same matching algorithm. *)
-type 'a node_ops = {
-  no_parent : 'a -> 'a option;
-  no_is_document : 'a -> bool;
-  no_test : Ast.axis -> Ast.node_test -> 'a -> bool;
-  no_predicates_hold : Ast.step -> 'a -> bool;
-      (** do the step's predicates hold for the node, evaluated among the
-          candidate siblings reachable from its parent by the step's axis
-          and test (positional rules included)? *)
-}
-
-val matches_gen : 'a node_ops -> t -> 'a -> bool
-(** The representation-generic matcher: does the node match the pattern? *)
-
 val matches : Eval.context -> t -> Xdb_xml.Types.node -> bool
 (** Does the node match the pattern? The context supplies variable
-    bindings for pattern predicates.  ({!matches_gen} over DOM nodes.) *)
+    bindings for pattern predicates. *)
 
 val split : t -> (t * float) list
 (** Split a union pattern into single-alternative patterns, each with its

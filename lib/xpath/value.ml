@@ -57,13 +57,34 @@ let string_of_number f =
     format_int (int_of_float f)
   else Printf.sprintf "%.12g" f
 
+(* XPath 1.0 §4.4: whitespace (space, tab, CR, LF), an optional minus,
+   then [Digits ('.' Digits?)? | '.' Digits], then whitespace — anything
+   else ("1e3", "+5", "0x10", "inf", "1_000") is NaN.  Up to 15 integer
+   digits fold exactly in an int; longer or fractional numerals go to
+   [float_of_string], which the scan has restricted to this grammar. *)
 let number_of_string s =
-  let s = String.trim s in
-  if s = "" then Float.nan
-  else
-    match float_of_string_opt s with
-    | Some f -> f
-    | None -> Float.nan
+  let is_space = function ' ' | '\t' | '\r' | '\n' -> true | _ -> false in
+  let is_digit c = c >= '0' && c <= '9' in
+  let lo = ref 0 and hi = ref (String.length s) in
+  while !lo < !hi && is_space (String.unsafe_get s !lo) do incr lo done;
+  while !hi > !lo && is_space (String.unsafe_get s (!hi - 1)) do decr hi done;
+  let lo = !lo and hi = !hi in
+  let neg = lo < hi && String.unsafe_get s lo = '-' in
+  let rec digits k = if k < hi && is_digit (String.unsafe_get s k) then digits (k + 1) else k in
+  let start = if neg then lo + 1 else lo in
+  let int_end = digits start in
+  let dot = int_end < hi && String.unsafe_get s int_end = '.' in
+  let stop = if dot then digits (int_end + 1) else int_end in
+  let n_int = int_end - start and n_frac = if dot then stop - int_end - 1 else 0 in
+  if stop <> hi || n_int + n_frac = 0 then Float.nan
+  else if n_frac = 0 && n_int <= 15 then begin
+    let v = ref 0 in
+    for k = start to int_end - 1 do
+      v := (!v * 10) + (Char.code (String.unsafe_get s k) - 48)
+    done;
+    if neg then -.float_of_int !v else float_of_int !v
+  end
+  else float_of_string (String.sub s lo (hi - lo))
 
 (* XPath 1.0 §4.4 round(): half rounds up, except that arguments in
    [-0.5, 0) return negative zero; NaN, ±∞ and ±0 pass through

@@ -24,7 +24,9 @@ val string_of_number : float -> string
     both zeros as ["0"], NaN/Infinity spelled out. *)
 
 val number_of_string : string -> float
-(** XPath string→number: trimmed; NaN on failure. *)
+(** XPath string→number (§4.4): optional XML whitespace around an
+    optional [-] and [Digits ('.' Digits?)? | '.' Digits]; NaN for
+    anything else, exponents, [+], hex and [inf] included. *)
 
 val round_number : float -> float
 (** XPath 1.0 §4.4 [round()]: half rounds up, except that arguments in

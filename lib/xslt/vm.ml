@@ -158,42 +158,39 @@ let find_template st ctx node mode =
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* xsl:sort over keys computed once per item: stable, numbers before
+   strings, each key's order flipped when descending *)
+let sort_keyed (sorts : Ast.sort_spec list) keyed =
+  let rec cmp ka kb (ss : Ast.sort_spec list) =
+    match (ka, kb, ss) with
+    | a :: ka, b :: kb, s :: ss -> (
+        let c =
+          match (a, b) with
+          | `Num x, `Num y -> compare x y
+          | `Str x, `Str y -> compare x y
+          | `Num _, `Str _ -> -1
+          | `Str _, `Num _ -> 1
+        in
+        match if s.descending then -c else c with 0 -> cmp ka kb ss | c -> c)
+    | _ -> 0
+  in
+  List.map snd (List.stable_sort (fun (ka, _) (kb, _) -> cmp ka kb sorts) keyed)
+
 let sort_nodes ctx (sorts : Ast.sort_spec list) nodes =
   if sorts = [] then nodes
   else
     let size = List.length nodes in
-    let keyed =
-      List.mapi
-        (fun i n ->
-          let c = { ctx with node = n; position = i + 1; size } in
-          let keys =
-            List.map
-              (fun (s : Ast.sort_spec) ->
-                let v = eval_xpath c s.sort_key in
-                if s.numeric then `Num (XV.number_value v) else `Str (XV.string_value v))
-              sorts
-          in
-          (keys, n))
-        nodes
-    in
-    let cmp (ka, _) (kb, _) =
-      let rec go ks (ss : Ast.sort_spec list) =
-        match (ks, ss) with
-        | [], _ | _, [] -> 0
-        | (a, b) :: krest, s :: srest -> (
-            let c =
-              match (a, b) with
-              | `Num x, `Num y -> compare x y
-              | `Str x, `Str y -> compare x y
-              | `Num _, `Str _ -> -1
-              | `Str _, `Num _ -> 1
-            in
-            let c = if s.descending then -c else c in
-            match c with 0 -> go krest srest | c -> c)
-      in
-      go (List.combine ka kb) sorts
-    in
-    List.map snd (List.stable_sort cmp keyed)
+    sort_keyed sorts
+      (List.mapi
+         (fun i n ->
+           let c = { ctx with node = n; position = i + 1; size } in
+           ( List.map
+               (fun (s : Ast.sort_spec) ->
+                 let v = eval_xpath c s.sort_key in
+                 if s.numeric then `Num (XV.number_value v) else `Str (XV.string_value v))
+               sorts,
+             n ))
+         nodes)
 
 (* sequential execution with in-scope variable accumulation *)
 let rec exec_ops_with_vars st ctx code =

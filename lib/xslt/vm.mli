@@ -15,6 +15,12 @@ type trace_event =
 
 type trace_sink = trace_event -> unit
 
+val sort_keyed :
+  Ast.sort_spec list -> ([ `Num of float | `Str of string ] list * 'a) list -> 'a list
+(** [xsl:sort] over items paired with their keys (one per spec, computed
+    once): stable, numbers before strings, each key descending when its
+    spec says so — shared by both XSLT VMs. *)
+
 val transform :
   ?trace:trace_sink -> Compile.program -> Xdb_xml.Types.node -> Xdb_xml.Types.node
 (** [transform prog doc] — result fragment (a document node).  With

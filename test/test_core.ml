@@ -1610,6 +1610,112 @@ let test_shredded_xsltmark_parity () =
     (!fallbacks * 4 <= !total);
   EN.shutdown engine
 
+(* the streamed top-level result keeps the merging tree builder's rules
+   and each error's class: every case gives the DOM VM's bytes, or its
+   Xdb_error class, and the pinned outcome *)
+let test_shredded_streaming_edges () =
+  let engine = EN.create (Xdb_rel.Database.create ()) in
+  let doc = Xdb_xml.Parser.parse {|<r k="v"><a x="1">1</a><b/></r>|} in
+  let docid = EN.store_shredded engine doc in
+  let sheet body =
+    Printf.sprintf
+      {|<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform"><xsl:template match="/">%s</xsl:template></xsl:stylesheet>|}
+      body
+  in
+  let cls = function
+    | XE.Serialize _ -> "serialize"
+    | XE.Exec _ -> "exec"
+    | e -> XE.to_string e
+  in
+  let dom ss =
+    match
+      Xdb_xml.Serializer.node_list_to_string
+        (Xdb_xslt.Vm.transform (C.compile (Xdb_xslt.Parser.parse ss)) doc).X.children
+    with
+    | o -> Ok o
+    | exception e -> (
+        match XE.of_exn e with Some x -> Error (cls x) | None -> raise e)
+  in
+  let shredded ss =
+    let options = { EN.default_run_options with EN.collect_metrics = true } in
+    match EN.run ~options engine (EN.Shredded (Some [ docid ])) ~stylesheet:ss with
+    | { EN.output = [ o ]; metrics = Some m } ->
+        check ci "ran on the shredded VM" 1
+          (Option.value ~default:0 (List.assoc_opt "shred_vm_docs" (Xdb_core.Metrics.counters m)));
+        Ok o
+    | _ -> Alcotest.fail "one output expected"
+    | exception XE.Error x -> Error (cls x)
+  in
+  let outcome = Alcotest.(result string string) in
+  List.iter
+    (fun (name, body, expected) ->
+      let ss = sheet body in
+      check outcome (name ^ ": DOM VM") expected (dom ss);
+      check outcome (name ^ ": shredded") expected (shredded ss))
+    [
+      ("empty value-of in a literal element", {|<e><xsl:value-of select="''"/></e>|}, Ok "<e/>");
+      ("empty node-set value-of", {|<e><xsl:value-of select="r/nothing"/></e>|}, Ok "<e/>");
+      ("top-level xsl:attribute", {|<xsl:attribute name="t">1</xsl:attribute><e/>|}, Ok "<e/>");
+      ("top-level copied attribute", {|<xsl:copy-of select="r/@k"/><e/>|}, Ok "<e/>");
+      ( "attribute after content",
+        {|<e>t<xsl:attribute name="t">1</xsl:attribute></e>|},
+        Error "exec" );
+      ( "attribute after a copied element",
+        {|<e><xsl:copy-of select="r/a"/><xsl:attribute name="t">1</xsl:attribute></e>|},
+        Error "exec" );
+      ("comment containing --", {|<xsl:comment>a--b</xsl:comment>|}, Error "serialize");
+      ( "a repeated attribute replaces and moves last",
+        {|<e a="1" b="2"><xsl:attribute name="a">3</xsl:attribute></e>|},
+        Ok {|<e b="2" a="3"/>|} );
+      ( "copied subtree with attributes",
+        {|<o><xsl:copy-of select="r"/></o>|},
+        Ok {|<o><r k="v"><a x="1">1</a><b/></r></o>|} );
+    ];
+  EN.shutdown engine
+
+(* xsl:number counts preceding same-name siblings along the parent's
+   rows: 2000 interleaved siblings number as the DOM VM numbers them *)
+let test_shredded_number () =
+  let names = [| "a"; "b"; "c" |] in
+  let doc =
+    Xdb_xml.Parser.parse
+      ("<t>"
+      ^ String.concat "" (List.init 2000 (fun i -> Printf.sprintf "<%s/>" names.(i mod 3 * (i mod 7) mod 3)))
+      ^ "x</t>")
+  in
+  let ss =
+    {|<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform"><xsl:template match="/"><o><xsl:for-each select="t/node()"><xsl:number/>,</xsl:for-each></o></xsl:template></xsl:stylesheet>|}
+  in
+  let frag = Xdb_xslt.Vm.transform (C.compile (Xdb_xslt.Parser.parse ss)) doc in
+  let expected = Xdb_xml.Serializer.node_list_to_string frag.X.children in
+  let engine = EN.create (Xdb_rel.Database.create ()) in
+  let docid = EN.store_shredded engine doc in
+  let r = EN.run engine (EN.Shredded (Some [ docid ])) ~stylesheet:ss in
+  check (Alcotest.list cs) "shredded xsl:number ≡ DOM VM" [ expected ] r.EN.output;
+  check cb "numbers reach the hundreds" true (String.length expected > 2000 * 3);
+  EN.shutdown engine
+
+(* a stylesheet compiles once for shredded documents, however often it
+   runs, under counters of its own *)
+let test_shredded_compile_cache () =
+  let engine = EN.create (Xdb_rel.Database.create ()) in
+  let ids = List.init 3 (fun i -> EN.store_shredded engine (Xdb_xsltmark.Data.records_doc (5 + i))) in
+  let counter name = List.assoc name (EN.registry_counters engine) in
+  let other = {|<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform"/>|} in
+  let options = { EN.default_run_options with EN.result_cache = false } in
+  for _ = 1 to 4 do
+    List.iter
+      (fun id ->
+        List.iter
+          (fun ss -> ignore (EN.run ~options engine (EN.Shredded (Some [ id ])) ~stylesheet:ss))
+          [ identity_stylesheet; other ])
+      ids
+  done;
+  check ci "one compile per distinct stylesheet" 2 (counter "shred_misses");
+  check ci "every other run a hit" 22 (counter "shred_hits");
+  check ci "view plans untouched" 0 (counter "recompilations");
+  EN.shutdown engine
+
 let test_xdb_error () =
   let db, view = setup_example1 () in
   let engine = EN.create db in
@@ -2098,6 +2204,10 @@ let () =
           Alcotest.test_case "prepared statements" `Quick test_prepared_statements;
           Alcotest.test_case "run source verb" `Quick test_run_source_verb;
           QCheck_alcotest.to_alcotest prop_parallel_equiv_sequential;
+          Alcotest.test_case "shredded streaming edge cases" `Quick
+            test_shredded_streaming_edges;
+          Alcotest.test_case "shredded xsl:number" `Quick test_shredded_number;
+          Alcotest.test_case "shredded compile cache" `Quick test_shredded_compile_cache;
         ] );
       ( "server",
         [

@@ -114,6 +114,29 @@ let test_string_number () =
   check cb "garbage is NaN" true (Float.is_nan (V.number_of_string "x"));
   check cb "empty is NaN" true (Float.is_nan (V.number_of_string ""))
 
+(* XPath 1.0 §4.4: only [-]? Digits ('.' Digits?)? | '.' Digits, with
+   space/tab/CR/LF around it; OCaml float syntax beyond that is NaN *)
+let test_number_grammar () =
+  let nan s = check cb (Printf.sprintf "%S is NaN" s) true (Float.is_nan (V.number_of_string s)) in
+  List.iter nan
+    [ "1e3"; "0x10"; "inf"; "infinity"; "nan"; "+5"; "1_000"; "-"; "."; "-."; "--1"; "1 2";
+      "1.2.3"; " "; "\0127"; "5-"; "1E3"; "0b1" ];
+  let num s f = check cf (Printf.sprintf "%S" s) f (V.number_of_string s) in
+  num "0" 0.0;
+  num "007" 7.0;
+  num "-12" (-12.0);
+  num "3.25" 3.25;
+  num ".5" 0.5;
+  num "-.5" (-0.5);
+  num "5." 5.0;
+  num "\t7\r\n" 7.0;
+  num "123456789012345" 123456789012345.0;
+  num "12345678901234567890" 12345678901234567890.0;
+  num "9007199254740993" (float_of_string "9007199254740993");
+  check cb "-0 is negative zero" true (1.0 /. V.number_of_string "-0" = Float.neg_infinity);
+  check cb "number('1e3') evaluates to NaN" true (Float.is_nan (eval_num "number('1e3')"));
+  check cb "'+5' + 1 evaluates to NaN" true (Float.is_nan (eval_num "'+5' + 1"))
+
 let test_boolean_conversion () =
   check cb "zero false" false (V.boolean_value (V.Num 0.0));
   check cb "nan false" false (V.boolean_value (V.Num Float.nan));
@@ -456,6 +479,7 @@ let () =
           Alcotest.test_case "generate-id()" `Quick test_generate_id;
           Alcotest.test_case "unknown function" `Quick test_unknown_function;
           Alcotest.test_case "variables" `Quick test_variables;
+          Alcotest.test_case "number() grammar" `Quick test_number_grammar;
         ] );
       ( "patterns",
         [

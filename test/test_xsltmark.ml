@@ -161,7 +161,16 @@ let prop_random_stylesheets =
         [ Xdb_xml.Serializer.node_list_to_string
             (Xdb_xquery.Eval.run_to_nodes sf.GEN.query ~context:doc) ]
       in
-      functional = xquery_stage && functional = rewrite && functional = sf_out)
+      (* the shredded VM over the same document, stored shredded *)
+      let engine = Xdb_core.Engine.create (Xdb_rel.Database.create ()) in
+      let id = Xdb_core.Engine.store_shredded engine doc in
+      let shredded =
+        (Xdb_core.Engine.run engine (Xdb_core.Engine.Shredded (Some [ id ])) ~stylesheet:ss)
+          .Xdb_core.Engine.output
+      in
+      Xdb_core.Engine.shutdown engine;
+      functional = xquery_stage && functional = rewrite && functional = sf_out
+      && functional = shredded)
 
 (* the compiled layout/batch executor against the reference executor,
    across all five db-capable bench cases, with and without ANALYZE
