@@ -837,7 +837,7 @@ let parscale ?(sizes = [ 8_000; 64_000 ]) ?(jobs_list = [ 1; 2; 4 ]) () =
 (* The records document shredded into interval-encoded node rows
    (Xdb_rel.Shred), then XPath lookups answered two ways: the DOM
    interpreter walking the resident tree vs staircase sweeps over the
-   pre-ordered rows array and its name postings.  Byte-identity (through the common attribute
+   pre-ordered row columns and its name postings.  Byte-identity (through the common attribute
    rendering of Shred.serialize/serialize_dom) is asserted on every leg
    before timing.  CI gates the large-size descendant lookups: the
    shredded range scan must beat the DOM walk. *)
@@ -882,7 +882,7 @@ let shredscale ?(sizes = [ 800; 6_400 ]) () =
         List.iter
           (fun (label, t, docid, ctx, q) ->
             let _, nodes = SH.stats t in
-            let shred_out = SH.serialize t (SH.select t ~docid q) in
+            let shred_out = SH.serialize t ~docid (SH.select t ~docid q) in
             let dom_out = SH.serialize_dom (Xdb_xpath.Eval.select ctx q) in
             let identical = shred_out = dom_out in
             all_identical := !all_identical && identical;

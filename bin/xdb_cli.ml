@@ -276,7 +276,7 @@ let shred_cmd =
         | Some q ->
             List.iter2
               (fun docid doc ->
-                let out = Xdb_rel.Shred.serialize s (Xdb_rel.Shred.select s ~docid q) in
+                let out = Xdb_rel.Shred.serialize s ~docid (Xdb_rel.Shred.select s ~docid q) in
                 Printf.printf "-- doc %d: %d node(s)\n" docid (List.length out);
                 List.iter print_endline out;
                 let dom =

@@ -368,7 +368,7 @@ let query_shredded t ~docid expr =
   let s = shred_store t in
   Rw.read t.rw (fun () ->
       Xdb_error.wrap ~stage:"exec" (fun () ->
-          Xdb_rel.Shred.serialize s (Xdb_rel.Shred.select s ~docid expr)))
+          Xdb_rel.Shred.serialize s ~docid (Xdb_rel.Shred.select s ~docid expr)))
 
 (* ------------------------------------------------------------------ *)
 (* The unified verb                                                    *)

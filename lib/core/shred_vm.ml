@@ -1,6 +1,7 @@
 (* The shredded XSLTVM, compiled once per stylesheet into closures over
-   node rows, its top-level result streamed into the serializer.  See
-   shred_vm.mli for the contract. *)
+   node rows (row indices into one document's columns), its top-level
+   result streamed into the serializer.  See shred_vm.mli for the
+   contract. *)
 
 module X = Xdb_xml.Types
 module E = Xdb_xml.Events
@@ -40,10 +41,10 @@ type out = Stream of stream | Tree of E.builder
 
 (* one run's state; the compiled program holds none, so pool domains
    share it *)
-type st = { store : SH.t; templates : template array; mutable out : out; mutable recursion : int }
+type st = { doc : SH.doc; templates : template array; mutable out : out; mutable recursion : int }
 
 and ctx = {
-  row : SH.node;
+  row : int;
   position : int;
   size : int;
   vars : SH.value Smap.t;  (** relational bindings: what compiled expressions see *)
@@ -61,7 +62,7 @@ and dispatch = {
   root : cand list;
 }
 
-and cand = { matches : SH.env -> SH.node -> bool; template : int }
+and cand = { matches : SH.env -> int -> bool; template : int }
 and template = { params : (string * (st -> ctx -> vval) option) list; body : st -> ctx -> unit }
 
 type program = {
@@ -114,12 +115,12 @@ let emit st ev =
   | Stream s -> ( match ev with E.Text "" -> () | _ -> stream_emit s ev)
 
 (* copies keep their nodes as they are: no text merging, no dropping *)
-let copy_row st (r : SH.node) =
+let copy_row st r =
   match st.out with
   | Tree b ->
-      let add r = builder_do (fun () -> E.builder_add_node b (SH.subtree st.store r)) in
-      if r.SH.kind = "doc" then List.iter add (SH.children st.store r) else add r
-  | Stream s -> SH.emit_subtree st.store r (stream_emit s)
+      let add r = builder_do (fun () -> E.builder_add_node b (SH.subtree st.doc r)) in
+      if SH.kind st.doc r = SH.Doc then List.iter add (SH.children st.doc r) else add r
+  | Stream s -> SH.emit_subtree st.doc r (stream_emit s)
 
 let copy_node st n =
   match st.out with
@@ -147,35 +148,37 @@ let bind ctx name = function
   | V_shred v -> { ctx with vars = Smap.add name v ctx.vars; frags = Smap.remove name ctx.frags }
   | V_frag f -> { ctx with frags = Smap.add name f ctx.frags; vars = Smap.remove name ctx.vars }
 
-let candidates d (r : SH.node) =
-  match r.SH.kind with
-  | "elem" | "attr" -> (
-      match Hashtbl.find_opt d.by_name r.SH.name with Some cs -> cs | None -> d.other_names)
-  | "text" -> d.text
-  | "comment" -> d.comment
-  | "pi" -> d.pi
-  | _ -> d.root
+let candidates st d r =
+  match SH.kind st.doc r with
+  | SH.Elem | SH.Attr -> (
+      match Hashtbl.find_opt d.by_name (SH.local st.doc r) with
+      | Some cs -> cs
+      | None -> d.other_names)
+  | SH.Text -> d.text
+  | SH.Comment -> d.comment
+  | SH.Pi -> d.pi
+  | SH.Doc -> d.root
 
-let rec apply_one st ctx (r : SH.node) args =
+let rec apply_one st ctx r args =
   let found =
-    match candidates ctx.mode r with
+    match candidates st ctx.mode r with
     | [] -> None
     | cs ->
-        let env = { SH.store = st.store; vars = ctx.vars; current = Some r } in
+        let env = { SH.doc = st.doc; vars = ctx.vars; current = r } in
         List.find_opt (fun c -> c.matches env r) cs
   in
   match found with
   | Some c -> instantiate st ctx st.templates.(c.template) r args
   | None -> builtin_rule st ctx r
 
-and builtin_rule st ctx (r : SH.node) =
-  match r.SH.kind with
-  | "doc" | "elem" ->
-      let kids = SH.children st.store r in
+and builtin_rule st ctx r =
+  match SH.kind st.doc r with
+  | SH.Doc | SH.Elem ->
+      let kids = SH.children st.doc r in
       let size = List.length kids in
       List.iteri (fun i k -> apply_one st { ctx with row = r; position = i + 1; size } k []) kids
-  | "text" | "attr" -> emit st (E.Text r.SH.value)
-  | _ -> ()
+  | SH.Text | SH.Attr -> emit st (E.Text (SH.string_value st.doc r))
+  | SH.Comment | SH.Pi -> ()
 
 and instantiate st ctx tmpl r args =
   st.recursion <- st.recursion + 1;
@@ -196,14 +199,11 @@ and instantiate st ctx tmpl r args =
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let row_qname (r : SH.node) = X.qname ~prefix:r.SH.prefix ~uri:r.SH.uri r.SH.name
-
 (* a compiled expression at the instruction's context row *)
 let xpath e =
   let ce = SH.compile_expr e in
   fun st ctx ->
-    ce { SH.store = st.store; vars = ctx.vars; current = Some ctx.row } ctx.row ctx.position
-      ctx.size
+    ce { SH.doc = st.doc; vars = ctx.vars; current = ctx.row } ctx.row ctx.position ctx.size
 
 let compile_select (e : XA.expr) : st -> ctx -> vval =
   match e with
@@ -219,7 +219,7 @@ let compile_select (e : XA.expr) : st -> ctx -> vval =
       let x = xpath e in
       fun st ctx -> V_shred (x st ctx)
 
-let vval_string = function V_shred v -> SH.value_string v | V_frag f -> X.string_value f
+let vval_string st = function V_shred v -> SH.value_string st.doc v | V_frag f -> X.string_value f
 
 (* a result fragment is a non-empty node-set *)
 let vval_bool = function V_shred v -> SH.value_bool v | V_frag _ -> true
@@ -241,7 +241,7 @@ let compile_avt (a : Ast.avt) =
             | Ast.Avt_str s -> fun _ _ -> s
             | Ast.Avt_expr e ->
                 let x = xpath e in
-                fun st ctx -> SH.value_string (x st ctx))
+                fun st ctx -> SH.value_string st.doc (x st ctx))
           parts
       in
       fun st ctx -> String.concat "" (List.map (fun p -> p st ctx) parts)
@@ -255,7 +255,8 @@ let compile_sort (sorts : Ast.sort_spec list) =
           let x = xpath s.Ast.sort_key in
           fun st c ->
             let v = x st c in
-            if s.Ast.numeric then `Num (SH.value_number v) else `Str (SH.value_string v))
+            if s.Ast.numeric then `Num (SH.value_number st.doc v)
+            else `Str (SH.value_string st.doc v))
         sorts
     in
     fun st ctx rows ->
@@ -338,26 +339,25 @@ let compile (prog : C.program) : program =
         fun st _ -> emit st ev
     | C.O_value_of e ->
         let sel = compile_select e in
-        fun st ctx -> emit st (E.Text (vval_string (sel st ctx)))
+        fun st ctx -> emit st (E.Text (vval_string st (sel st ctx)))
     | C.O_copy_of e -> (
         let sel = compile_select e in
         fun st ctx ->
           match sel st ctx with
           | V_frag f -> List.iter (copy_node st) f.X.children
           | V_shred (SH.V_rows rs) -> List.iter (copy_row st) rs
-          | V_shred v -> emit st (E.Text (SH.value_string v)))
+          | V_shred v -> emit st (E.Text (SH.value_string st.doc v)))
     | C.O_copy body -> (
         let body = code body in
         fun st ctx ->
-          let r = ctx.row in
-          match r.SH.kind with
-          | "elem" -> element (row_qname r) body st ctx
-          | "doc" -> body st ctx
-          | "text" -> emit st (E.Text r.SH.value)
-          | "comment" -> emit st (E.Comment r.SH.value)
-          | "pi" -> emit st (E.Pi (r.SH.name, r.SH.value))
-          | "attr" -> emit st (E.Attr (row_qname r, r.SH.value))
-          | k -> err "unknown node kind %S" k)
+          let d = st.doc and r = ctx.row in
+          match SH.kind d r with
+          | SH.Elem -> element (SH.qname d r) body st ctx
+          | SH.Doc -> body st ctx
+          | SH.Text -> emit st (E.Text (SH.string_value d r))
+          | SH.Comment -> emit st (E.Comment (SH.string_value d r))
+          | SH.Pi -> emit st (E.Pi (SH.local d r, SH.string_value d r))
+          | SH.Attr -> emit st (E.Attr (SH.qname d r, SH.string_value d r)))
     | C.O_literal_elem (name, attrs, body) ->
         let name = X.qname name and body = code body in
         let attrs = List.map (fun (an, avt) -> (X.qname an, compile_avt avt)) attrs in
@@ -403,7 +403,7 @@ let compile (prog : C.program) : program =
           List.iteri (fun i r -> body st { ctx with row = r; position = i + 1; size }) rows
     | C.O_var _ -> assert false (* bound by [seq] *)
     | C.O_number _ ->
-        fun st ctx -> emit st (E.Text (string_of_int (SH.sibling_number st.store ctx.row)))
+        fun st ctx -> emit st (E.Text (string_of_int (SH.sibling_number st.doc ctx.row)))
     | C.O_message body ->
         let body = code body in
         fun st ctx -> ignore (fragment st ctx body)
@@ -413,7 +413,7 @@ let compile (prog : C.program) : program =
     | C.O_apply { select; mode; sort; params = ps; _ } ->
         let rows =
           match select with
-          | None -> fun st ctx -> SH.children st.store ctx.row
+          | None -> fun st ctx -> SH.children st.doc ctx.row
           | Some e -> rows_of_select "apply-templates" e
         in
         let sort = compile_sort sort and args = params ps and mode = mode_of mode in
@@ -446,10 +446,9 @@ let compile (prog : C.program) : program =
 
 let run (p : program) (store : SH.t) docid : string =
   Option.iter (fun m -> raise (Fallback m)) p.unsupported;
-  let root = SH.doc_node store docid in
   let st =
     {
-      store;
+      doc = SH.doc store docid;
       templates = p.templates;
       out = Tree (E.tree_builder ~merge_text:true ~drop_top_attrs:true ());
       recursion = 0;
@@ -457,14 +456,15 @@ let run (p : program) (store : SH.t) docid : string =
   in
   try
     let base =
-      { row = root; position = 1; size = 1; vars = Smap.empty; frags = Smap.empty; mode = p.default_mode }
+      (* row 0 is the document row *)
+      { row = 0; position = 1; size = 1; vars = Smap.empty; frags = Smap.empty; mode = p.default_mode }
     in
     (* global variables, each seeing the ones before it *)
     let ctx = List.fold_left (fun c (n, v) -> bind c n (v st c)) base p.globals in
     let buf = Buffer.create 1024 in
     let sink = E.serializing_sink buf in
     st.out <- Stream { sink; depth = 0; open_tag = None; attrs = [] };
-    apply_one st ctx root [];
+    apply_one st ctx 0 [];
     sink.finish ();
     Buffer.contents buf
   with SH.Unsupported m -> fallback "%s" m

@@ -71,7 +71,7 @@ let run_xml_view_select ctx (view : P.view) (sel : select) : Sql.result =
               :: !notes;
             ( name,
               `Sql
-                (Xdb_xquery.Sql_rewrite.rewrite_prog view
+                (Xdb_xquery.Sql_rewrite.rewrite_prog ctx.db view
                    compiled.Pipeline.translation.Xslt2xquery.query) )
         | None ->
             notes :=
@@ -85,7 +85,7 @@ let run_xml_view_select ctx (view : P.view) (sel : select) : Sql.result =
                   Xdb_xml.Serializer.node_list_to_string frag.Xdb_xml.Types.children) ))
     | Xml_query { query; passing } when Sql.is_view_column view alias passing -> (
         let prog = Xdb_xquery.Parser.parse_prog query in
-        match Xdb_xquery.Sql_rewrite.rewrite_prog view prog with
+        match Xdb_xquery.Sql_rewrite.rewrite_prog ctx.db view prog with
         | sql ->
             notes := Printf.sprintf "%s: XQuery rewrite" name :: !notes;
             (name, `Sql sql)

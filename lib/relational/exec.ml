@@ -83,9 +83,9 @@ let dir_cmp d c = match d with Asc -> c | Desc -> -c
 
 (* the row ids an index scan over [idx] yields for the bound values [lo]
    and [hi], answering exactly as the SQL comparisons it stands for
-   ([Value.compare_sql]) do: none holds for NULL, so a NULL bound selects
-   nothing and an open lower end starts above the NULL keys (they sort
-   first).  The B-tree orders numbers and strings apart, while
+   ([compare_holds]) do: none holds for NULL or NaN, so such a bound
+   selects nothing, and an open lower end starts above the NULL keys
+   (they sort first).  The B-tree orders numbers and strings apart, while
    [compare_sql] compares a string with a number as numbers (failing on
    a string that is not one): a bound of the other class than the column
    is answered by those comparisons over the heap, raising where the
@@ -110,7 +110,9 @@ let index_rids (tbl : Table.t) (idx : Table.index) lo hi : int array =
     | Btree.Exclusive b ->
         Option.fold ~none:false ~some:(fun c -> sign * c > 0) (Value.compare_sql v b)
   in
-  if other_class lo || other_class hi then
+  let nan = function Btree.Inclusive v | Btree.Exclusive v -> Value.is_nan v | _ -> false in
+  if nan lo || nan hi then [||]
+  else if other_class lo || other_class hi then
     Table.fold
       (fun acc rid r ->
         let v = r.(pos) in
@@ -491,6 +493,18 @@ let cmp_test : binop -> int -> bool = function
   | Geq -> fun c -> c >= 0
   | _ -> invalid_arg "cmp_test"
 
+(* a comparison's truth: false on NULL; a NaN (XPath's number of a
+   string that is not one) is unordered, so only [<>] holds on it
+   (XPath 1.0 §3.4, IEEE 754) *)
+let compare_holds op test va vb =
+  match (va, vb) with
+  | Value.Int x, Value.Int y -> test (Int.compare x y)
+  | Value.Null, _ | _, Value.Null -> false
+  | Value.Float f, _ when Float.is_nan f -> op = Neq
+  | _, Value.Float f when Float.is_nan f -> op = Neq
+  | _ -> ( match Value.compare_sql va vb with Some c -> test c | None -> false)
+[@@inline]
+
 (* a compiled constructor's attributes and content, written to the sink
    without allocating an iteration closure per constructor call *)
 let rec emit_attrs sink env r = function
@@ -635,10 +649,7 @@ and cpred ctx lay own (e : expr) : Value.t array -> Value.t array -> bool =
   | Binop (((Eq | Neq | Lt | Leq | Gt | Geq) as op), a, b) ->
       let fa = cexpr ctx lay own a and fb = cexpr ctx lay own b in
       let test = cmp_test op in
-      fun env r -> (
-        match (fa env r, fb env r) with
-        | Value.Int x, Value.Int y -> test (Int.compare x y)
-        | va, vb -> ( match Value.compare_sql va vb with Some c -> test c | None -> false))
+      fun env r -> compare_holds op test (fa env r) (fb env r)
   | Is_null e ->
       let f = cexpr ctx lay own e in
       fun env r -> Value.is_null (f env r)
@@ -683,9 +694,9 @@ and cbinop ctx lay own op a b =
   | (Eq | Neq | Lt | Leq | Gt | Geq) as op ->
       let test = cmp_test op in
       fun env r -> (
-        match Value.compare_sql (fa env r) (fb env r) with
-        | None -> Value.Null
-        | Some c -> Value.Int (if test c then 1 else 0))
+        match (fa env r, fb env r) with
+        | Value.Null, _ | _, Value.Null -> Value.Null
+        | va, vb -> Value.Int (if compare_holds op test va vb then 1 else 0))
 
 and cfn ctx lay own f args =
   let cs = List.map (cexpr ctx lay own) args in
@@ -710,6 +721,11 @@ and cfn ctx lay own f args =
   | "lower", 1 ->
       let f0 = f1 () in
       fun env r -> Value.Str (String.lowercase_ascii (Value.to_string (f0 env r)))
+  | "xpath_number", 1 ->
+      (* XPath number() of a string: NaN when it is not a number *)
+      let f0 = f1 () in
+      fun env r -> (
+        match f0 env r with Value.Str s -> Value.Float (Xdb_xpath.Value.number_of_string s) | v -> v)
   | "length", 1 ->
       let f0 = f1 () in
       fun env r -> Value.Int (String.length (Value.to_string (f0 env r)))

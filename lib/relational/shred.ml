@@ -1,8 +1,9 @@
-(* Interval-encoded XML shredding: one pre/post numbered row per node,
-   each document stored once as its pre-ordered rows array with per-name
+(* Interval-encoded XML shredding: each document stored once as dense
+   columns indexed by row (pre order) with interned names and per-name
    postings, and location steps answered over those rows (staircase
-   slices and postings sweeps for descendants).  See shred.mli for the
-   encoding contract. *)
+   slices and postings sweeps for descendants).  Inside evaluation a
+   node is its row index in the document the environment carries.  See
+   shred.mli for the encoding contract. *)
 
 module X = Xdb_xml.Types
 module XA = Xdb_xpath.Ast
@@ -16,35 +17,39 @@ exception Unsupported of string
 let err fmt = Printf.ksprintf (fun m -> raise (Shred_error m)) fmt
 let unsupported fmt = Printf.ksprintf (fun m -> raise (Unsupported m)) fmt
 
-type node = {
-  docid : int;
-  pre : int;
-  post : int;
-  parent : int;
-  level : int;
-  kind : string;
-  name : string;
-  prefix : string;
-  uri : string;
-  value : string;
-}
+type kind = Doc | Elem | Attr | Text | Comment | Pi
+
+let kinds = [| Doc; Elem; Attr; Text; Comment; Pi |]
+let kind_code = function Doc -> 0 | Elem -> 1 | Attr -> 2 | Text -> 3 | Comment -> 4 | Pi -> 5
 
 (* ------------------------------------------------------------------ *)
-(* Handle                                                              *)
+(* Columns                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* one stored document: what every step, reconstruction and copy reads *)
-type doc = {
-  rows : node array;  (** pre order; [rows.(0)] is the document row *)
-  row_ix : int array;  (** pre → index into [rows], -1 for post-only ticks *)
-  postings : (string, int array) Hashtbl.t;
-      (** name → ascending [rows] indices of the elements and attributes
-          carrying it *)
-}
+(* 32-bit cells in native byte order (a column never leaves the process
+   that wrote it); a fresh column holds -1 everywhere *)
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
+
+let column n = Bytes.make (4 * n) '\255'
+let cells c = Bytes.length c / 4
+let set_cell c i v = set32 c (4 * i) (Int32.of_int v)
+
+(* cell [i] of a column of [n] cells: reads check [i] against the count
+   the caller keeps (the document's rows or ticks), which is cheaper
+   than recomputing the column's byte length on every read *)
+let cell n c i =
+  if i < 0 || i >= n then invalid_arg "Shred.cell";
+  Int32.to_int (get32u c (4 * i))
+[@@inline]
 
 type t = {
   docs : (int, doc) Hashtbl.t;
   mutable next_docid : int;
+  (* the interned (prefix, uri, local) names; id 0 is the empty name of
+     document, text and comment rows *)
+  mutable qnames : X.qname array;
+  name_ids : (X.qname, int) Hashtbl.t;
   (* step-strategy counters: the only state a read mutates, atomic so
      reads on several domains at once lose no counts *)
   n_batch : int Atomic.t;
@@ -52,120 +57,163 @@ type t = {
   n_fallback : int Atomic.t;
 }
 
+(* one stored document: what every step, reconstruction and copy reads *)
+and doc = {
+  store : t;
+  n_rows : int;
+  n_ticks : int;
+  pre : Bytes.t;  (** row → pre *)
+  post : Bytes.t;  (** row → post *)
+  parent : Bytes.t;  (** row → parent row, -1 on the document row *)
+  kind_level : Bytes.t;  (** row → kind code lor (level lsl 3) *)
+  name : Bytes.t;  (** row → name id *)
+  names : X.qname array;  (** the store's interned names, every id of [name] included *)
+  value : string array;  (** attribute, text, comment and PI values; "" elsewhere *)
+  row_ix : Bytes.t;  (** pre → row, -1 for post-only exit ticks *)
+  postings : (string, Bytes.t) Hashtbl.t;
+      (** local name → ascending rows of the elements and attributes carrying it *)
+}
+
 let create () =
   {
     docs = Hashtbl.create 16;
     next_docid = 1;
+    qnames = Array.make 16 (X.qname "");
+    name_ids = Hashtbl.create 16;
     n_batch = Atomic.make 0;
     n_rel = Atomic.make 0;
     n_fallback = Atomic.make 0;
   }
 
+let pre d i = cell d.n_rows d.pre i [@@inline]
+let post d i = cell d.n_rows d.post i [@@inline]
+let parent d i = cell d.n_rows d.parent i [@@inline]
+let kind d i = kinds.(cell d.n_rows d.kind_level i land 7) [@@inline]
+let level d i = cell d.n_rows d.kind_level i lsr 3
+let qname d i = d.names.(cell d.n_rows d.name i) [@@inline]
+let local d i = (qname d i).X.local [@@inline]
+let row_of_pre d p = cell d.n_ticks d.row_ix p [@@inline]
+let rows d = d.n_rows
+let parent_pre d i = match parent d i with -1 -> -1 | p -> pre d p
+
+(* the first row at or after tick [p]: from just past a subtree, the
+   ticks skipped are ancestors' exit ticks, so this is O(depth) *)
+let rec row_at_or_after d p =
+  if p >= d.n_ticks then d.n_rows
+  else
+    let ix = row_of_pre d p in
+    if ix >= 0 then ix else row_at_or_after d (p + 1)
+
+(* one past the last row of [i]'s subtree *)
+let subtree_end d i = row_at_or_after d (post d i + 1)
+
+(* the first text row at or after row [j] that starts before tick
+   [post] (inside the subtree [post] closes), or -1 *)
+let rec next_text d post j =
+  if j >= d.n_rows || pre d j > post then -1
+  else if kind d j = Text then j
+  else next_text d post (j + 1)
+
+(* stored for attribute, text, comment and PI rows; a document or
+   element row concatenates the text rows of its subtree slice, and a
+   slice holding one text row answers with that row's string *)
+let string_value d i =
+  match kind d i with
+  | Attr | Text | Comment | Pi -> d.value.(i)
+  | Doc | Elem -> (
+      let post = post d i in
+      match next_text d post (i + 1) with
+      | -1 -> ""
+      | first when next_text d post (first + 1) < 0 -> d.value.(first)
+      | first ->
+          let b = Buffer.create 64 and j = ref first in
+          while !j >= 0 do
+            Buffer.add_string b d.value.(!j);
+            j := next_text d post (!j + 1)
+          done;
+          Buffer.contents b)
+
 (* ------------------------------------------------------------------ *)
 (* Shredding                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* mutable only during the numbering walk: [post] is patched on exit *)
-type pending = {
-  p_pre : int;
-  mutable p_post : int;
-  p_parent : int;
-  p_level : int;
-  p_kind : string;
-  p_name : string;
-  p_prefix : string;
-  p_uri : string;
-  p_value : string;
-}
+let intern t (q : X.qname) =
+  match Hashtbl.find_opt t.name_ids q with
+  | Some id -> id
+  | None ->
+      let id = Hashtbl.length t.name_ids + 1 in
+      if id = Array.length t.qnames then t.qnames <- Array.append t.qnames t.qnames;
+      t.qnames.(id) <- q;
+      Hashtbl.add t.name_ids q id;
+      id
 
-let shred t (doc : X.node) : int =
+let shred t (root : X.node) : int =
   let docid = t.next_docid in
-  let acc = ref [] (* reversed pre order *) in
-  let counter = ref 0 in
-  let tick () =
-    let v = !counter in
-    incr counter;
-    v
+  (* a synthetic document row over a non-document root, so absolute paths
+     anchor uniformly (the input tree is not touched) *)
+  let root = if X.is_document root then root else { (X.make X.Document) with X.children = [ root ] } in
+  (* sized first, so each column is allocated once at its final length;
+     a node with attributes or children takes an exit tick *)
+  let n = ref 0 and ticks = ref 0 in
+  let rec count (x : X.node) =
+    incr n;
+    incr ticks;
+    if x.X.attributes <> [] || x.X.children <> [] then incr ticks;
+    List.iter count x.X.attributes;
+    List.iter count x.X.children
   in
-  let emit ~pre ~parent ~level ~kind ~name ~prefix ~uri ~value =
-    let p =
-      { p_pre = pre; p_post = pre; p_parent = parent; p_level = level; p_kind = kind;
-        p_name = name; p_prefix = prefix; p_uri = uri; p_value = value }
-    in
-    acc := p :: !acc;
-    p
+  count root;
+  let n = !n and col () = column !n in
+  let d =
+    { store = t; n_rows = n; n_ticks = !ticks; pre = col (); post = col (); parent = col ();
+      kind_level = col (); name = col (); names = [||]; value = Array.make n "";
+      row_ix = column !ticks; postings = Hashtbl.create 1 }
   in
+  let row = ref 0 and tick = ref 0 in
   (* post = pre when the node consumed no further ticks (a leaf), a fresh
      exit tick otherwise — attributes and children both count, so an
      attribute's interval always nests strictly inside its owner's *)
-  let close p = p.p_post <- (if !counter = p.p_pre + 1 then p.p_pre else tick ()) in
-  let rec go parent level (n : X.node) =
-    match n.X.kind with
-    | X.Document ->
-        let pre = tick () in
-        let p =
-          emit ~pre ~parent ~level ~kind:"doc" ~name:"" ~prefix:"" ~uri:""
-            ~value:(X.string_value n)
-        in
-        List.iter (go pre (level + 1)) n.X.children;
-        close p
-    | X.Element q ->
-        let pre = tick () in
-        let p =
-          emit ~pre ~parent ~level ~kind:"elem" ~name:q.X.local ~prefix:q.X.prefix
-            ~uri:q.X.uri ~value:(X.string_value n)
-        in
-        List.iter (go pre (level + 1)) n.X.attributes;
-        List.iter (go pre (level + 1)) n.X.children;
-        close p
-    | X.Attribute (q, v) ->
-        let pre = tick () in
-        ignore
-          (emit ~pre ~parent ~level ~kind:"attr" ~name:q.X.local ~prefix:q.X.prefix
-             ~uri:q.X.uri ~value:v)
-    | X.Text s ->
-        ignore (emit ~pre:(tick ()) ~parent ~level ~kind:"text" ~name:"" ~prefix:"" ~uri:"" ~value:s)
-    | X.Comment s ->
-        ignore
-          (emit ~pre:(tick ()) ~parent ~level ~kind:"comment" ~name:"" ~prefix:"" ~uri:"" ~value:s)
-    | X.Pi (target, data) ->
-        ignore
-          (emit ~pre:(tick ()) ~parent ~level ~kind:"pi" ~name:target ~prefix:"" ~uri:""
-             ~value:data)
+  let rec go parent level (x : X.node) =
+    let i = !row and p = !tick in
+    let kind, name, value =
+      match x.X.kind with
+      | X.Document -> (Doc, 0, "")
+      | X.Element q -> (Elem, intern t q, "")
+      | X.Attribute (q, v) -> (Attr, intern t q, v)
+      | X.Text s -> (Text, 0, s)
+      | X.Comment s -> (Comment, 0, s)
+      | X.Pi (target, data) -> (Pi, intern t (X.qname target), data)
+    in
+    set_cell d.pre i p;
+    set_cell d.row_ix p i;
+    set_cell d.parent i parent;
+    set_cell d.kind_level i (kind_code kind lor (level lsl 3));
+    set_cell d.name i name;
+    d.value.(i) <- value;
+    incr row;
+    incr tick;
+    List.iter (go i (level + 1)) x.X.attributes;
+    List.iter (go i (level + 1)) x.X.children;
+    if !tick > p + 1 then incr tick;
+    set_cell d.post i (if !tick = p + 1 then p else !tick - 1)
   in
-  (if X.is_document doc then go (-1) 0 doc
-   else begin
-     (* synthesize the document row so absolute paths anchor uniformly *)
-     let pre = tick () in
-     let p =
-       emit ~pre ~parent:(-1) ~level:0 ~kind:"doc" ~name:"" ~prefix:"" ~uri:""
-         ~value:(X.string_value doc)
-     in
-     go pre 1 doc;
-     close p
-   end);
-  let rows =
-    Array.of_list
-      (List.rev_map
-         (fun p ->
-           { docid; pre = p.p_pre; post = p.p_post; parent = p.p_parent; level = p.p_level;
-             kind = p.p_kind; name = p.p_name; prefix = p.p_prefix; uri = p.p_uri;
-             value = p.p_value })
-         !acc)
-  in
-  let row_ix = Array.make !counter (-1) in
-  Array.iteri (fun i r -> row_ix.(r.pre) <- i) rows;
+  go (-1) 0 root;
+  let d = { d with names = t.qnames } in
   (* postings collected back to front, so each list comes out ascending *)
   let lists = Hashtbl.create 16 in
-  for i = Array.length rows - 1 downto 0 do
-    let r = rows.(i) in
-    if r.kind = "elem" || r.kind = "attr" then
-      Hashtbl.replace lists r.name
-        (i :: Option.value ~default:[] (Hashtbl.find_opt lists r.name))
+  for i = n - 1 downto 0 do
+    if kind d i = Elem || kind d i = Attr then
+      let l = local d i in
+      Hashtbl.replace lists l (i :: Option.value ~default:[] (Hashtbl.find_opt lists l))
   done;
   let postings = Hashtbl.create (Hashtbl.length lists) in
-  Hashtbl.iter (fun name ixs -> Hashtbl.add postings name (Array.of_list ixs)) lists;
-  Hashtbl.replace t.docs docid { rows; row_ix; postings };
+  Hashtbl.iter
+    (fun name ixs ->
+      let p = column (List.length ixs) in
+      List.iteri (set_cell p) ixs;
+      Hashtbl.add postings name p)
+    lists;
+  Hashtbl.replace t.docs docid { d with postings };
   t.next_docid <- docid + 1;
   docid
 
@@ -176,9 +224,7 @@ let doc t docid =
   | Some d -> d
   | None -> err "unknown docid %d" docid
 
-let doc_node t docid = (doc t docid).rows.(0)
-let stats t =
-  (Hashtbl.length t.docs, Hashtbl.fold (fun _ d n -> n + Array.length d.rows) t.docs 0)
+let stats t = (Hashtbl.length t.docs, Hashtbl.fold (fun _ d n -> n + d.n_rows) t.docs 0)
 
 type counter_totals = { batch_steps : int; rel_steps : int; dom_fallbacks : int }
 
@@ -189,48 +235,88 @@ let counters t =
     dom_fallbacks = Atomic.get t.n_fallback;
   }
 
+(* each document's encoding invariants, checked column by column *)
+let check_invariants t =
+  let n_names = Hashtbl.length t.name_ids + 1 in
+  Hashtbl.iter
+    (fun docid d ->
+      let bad fmt = Printf.ksprintf (fun m -> err "document %d: %s" docid m) fmt in
+      if d.n_rows = 0 || kind d 0 <> Doc || parent d 0 <> -1 || level d 0 <> 0 then
+        bad "row 0 is not a parentless document row";
+      for p = 0 to d.n_ticks - 1 do
+        let i = row_of_pre d p in
+        if i >= d.n_rows || (i >= 0 && pre d i <> p) then bad "pre map entry %d misses its row" p
+      done;
+      let owners = ref 0 in
+      for i = 0 to d.n_rows - 1 do
+        if row_of_pre d (pre d i) <> i then bad "row %d is not the pre map's image of its pre" i;
+        if i > 0 && pre d i <= pre d (i - 1) then bad "row %d breaks pre order" i;
+        if post d i < pre d i then bad "row %d has post < pre" i;
+        let id = cell d.n_rows d.name i in
+        if id < 0 || id >= min n_names (Array.length d.names) then bad "row %d names unknown id %d" i id;
+        if kind d i = Elem || kind d i = Attr then incr owners;
+        let p = parent d i in
+        if i > 0 then
+          if p < 0 || p >= i then bad "row %d has parent row %d" i p
+          else if not (pre d p < pre d i && post d i < post d p) then
+            bad "row %d's interval is outside its parent's" i
+          else if level d i <> level d p + 1 then bad "row %d's level is not its parent's + 1" i
+      done;
+      let named = ref 0 in
+      Hashtbl.iter
+        (fun name p ->
+          let np = cells p in
+          for j = 0 to np - 1 do
+            let i = cell np p j in
+            if j > 0 && i <= cell np p (j - 1) then bad "postings of %s are not ascending" name;
+            if i < 0 || i >= d.n_rows || (kind d i <> Elem && kind d i <> Attr) || local d i <> name
+            then bad "postings of %s list row %d" name i
+          done;
+          named := !named + np)
+        d.postings;
+      if !named <> !owners then bad "postings hold %d rows for %d named rows" !named !owners)
+    t.docs
+
 (* ------------------------------------------------------------------ *)
 (* Reconstruction                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let kind_of_row r =
-  match r.kind with
-  | "doc" -> X.Document
-  | "elem" -> X.Element (X.qname ~prefix:r.prefix ~uri:r.uri r.name)
-  | "attr" -> X.Attribute (X.qname ~prefix:r.prefix ~uri:r.uri r.name, r.value)
-  | "text" -> X.Text r.value
-  | "comment" -> X.Comment r.value
-  | "pi" -> X.Pi (r.name, r.value)
-  | k -> err "unknown node kind %S" k
+let kind_of_row d i =
+  match kind d i with
+  | Doc -> X.Document
+  | Elem -> X.Element (qname d i)
+  | Attr -> X.Attribute (qname d i, d.value.(i))
+  | Text -> X.Text d.value.(i)
+  | Comment -> X.Comment d.value.(i)
+  | Pi -> X.Pi (local d i, d.value.(i))
 
-(* a fresh DOM copy of one row's subtree, built from the rows-array slice
-   [pre .. post]; [stamp] sets each node's document order to its [pre],
-   so a DOM interpreter result maps back to its row through [row_ix] *)
-let build ~stamp t (r0 : node) : X.node =
-  let { rows; row_ix; _ } = doc t r0.docid in
-  let n = Array.length rows in
-  let i = ref row_ix.(r0.pre) in
+(* a fresh DOM copy of one row's subtree, built from the rows slice
+   [i0 .. subtree end); [stamp] sets each node's document order to its
+   [pre], so a DOM interpreter result maps back to its row through the
+   pre map *)
+let build ~stamp d i0 : X.node =
+  let i = ref i0 in
   let make r =
-    let xn = X.make (kind_of_row r) in
-    if stamp then xn.X.order <- r.pre;
+    let xn = X.make (kind_of_row d r) in
+    if stamp then xn.X.order <- pre d r;
     xn
   in
   let rec go () : X.node =
-    let r = rows.(!i) in
+    let r = !i in
     incr i;
     let xn = make r in
-    (match r.kind with
-    | "doc" | "elem" ->
+    (match kind d r with
+    | Doc | Elem ->
         let attrs = ref [] in
-        while !i < n && rows.(!i).kind = "attr" && rows.(!i).parent = r.pre do
-          let an = make rows.(!i) in
+        while !i < d.n_rows && kind d !i = Attr && parent d !i = r do
+          let an = make !i in
           incr i;
           an.X.parent <- Some xn;
           attrs := an :: !attrs
         done;
         xn.X.attributes <- List.rev !attrs;
         let kids = ref [] in
-        while !i < n && rows.(!i).pre < r.post do
+        while !i < d.n_rows && pre d !i < post d r do
           let k = go () in
           k.X.parent <- Some xn;
           kids := k :: !kids
@@ -241,128 +327,111 @@ let build ~stamp t (r0 : node) : X.node =
   in
   go ()
 
-let subtree t r = build ~stamp:false t r
-let reconstruct t docid = build ~stamp:true t (doc_node t docid)
+let subtree d i = build ~stamp:false d i
+let reconstruct t docid = build ~stamp:true (doc t docid) 0
 
-let row_by_pre t docid pre =
-  let { rows; row_ix; _ } = doc t docid in
-  if pre < 0 || pre >= Array.length row_ix then None
-  else
-    let ix = row_ix.(pre) in
-    if ix < 0 then None else Some rows.(ix)
-
-let parent_row t (r : node) = if r.parent < 0 then None else row_by_pre t r.docid r.parent
-
-(* direct children (attributes included) off the pre-ordered rows array:
-   first owned row sits right after the owner, each sibling starts at the
-   tick after the previous subtree's last — O(1) per child *)
-let iter_owned t (c : node) (f : node -> unit) =
-  if c.post > c.pre then begin
-    let { rows; row_ix; _ } = doc t c.docid in
+(* direct children (attributes included) off the pre-ordered rows: the
+   first owned row sits right after the owner, each sibling starts at
+   the tick after the previous subtree's last — O(1) per child *)
+let iter_owned d c (f : int -> unit) =
+  if post d c > pre d c then begin
     let rec go ix =
-      if ix >= 0 && ix < Array.length rows then begin
-        let r = rows.(ix) in
-        if r.parent = c.pre then begin
-          f r;
-          let nxt = r.post + 1 in
-          if nxt < Array.length row_ix then go row_ix.(nxt)
-        end
+      if ix >= 0 && ix < d.n_rows && parent d ix = c then begin
+        f ix;
+        let nxt = post d ix + 1 in
+        if nxt < d.n_ticks then go (row_of_pre d nxt)
       end
     in
-    go (row_ix.(c.pre) + 1)
+    go (c + 1)
   end
 
-let children t (c : node) =
+(* [iter_owned] as a test, stopping at the first child [f] holds on *)
+let exists_owned d c f =
+  try
+    iter_owned d c (fun r -> if f r then raise_notrace Exit);
+    false
+  with Exit -> true
+
+let children d c =
   let acc = ref [] in
-  iter_owned t c (fun r -> if r.kind <> "attr" then acc := r :: !acc);
+  iter_owned d c (fun r -> if kind d r <> Attr then acc := r :: !acc);
   List.rev !acc
 
 (* xsl:number level="single": 1 + the preceding siblings sharing an
    element's expanded name, counted along the parent's owned rows up to
    the row itself — no child list is built *)
-let sibling_number t (r : node) =
-  match parent_row t r with
-  | None -> 1
-  | Some p ->
-      let n = ref 1 in
-      (try
-         iter_owned t p (fun x ->
-             if x.pre = r.pre then raise_notrace Exit;
-             if x.kind = "elem" && r.kind = "elem" && String.equal x.name r.name
-                && String.equal x.uri r.uri
-             then incr n)
-       with Exit -> ());
-      !n
+let sibling_number d r =
+  let p = parent d r in
+  if p < 0 then 1
+  else begin
+    let n = ref 1 and q = qname d r in
+    ignore
+      (exists_owned d p (fun x ->
+           if kind d x = Elem && kind d r = Elem && X.qname_equal (qname d x) q && x <> r then incr n;
+           x = r));
+    !n
+  end
 
-(* a row's subtree replayed as output events straight off the rows
-   array: owned attribute rows come first, so they follow their start
-   tag as the event contract requires *)
-let rec emit_subtree t (r : node) (emit : Xdb_xml.Events.event -> unit) =
+(* a row's subtree replayed as output events straight off the rows:
+   owned attribute rows come first, so they follow their start tag as
+   the event contract requires *)
+let rec emit_subtree d r (emit : Xdb_xml.Events.event -> unit) =
   let module E = Xdb_xml.Events in
-  match r.kind with
-  | "doc" -> iter_owned t r (fun c -> emit_subtree t c emit)
-  | "elem" ->
-      emit (E.Start_element (X.qname ~prefix:r.prefix ~uri:r.uri r.name));
-      iter_owned t r (fun c -> emit_subtree t c emit);
+  match kind d r with
+  | Doc -> iter_owned d r (fun c -> emit_subtree d c emit)
+  | Elem ->
+      emit (E.Start_element (qname d r));
+      iter_owned d r (fun c -> emit_subtree d c emit);
       emit E.End_element
-  | "attr" -> emit (E.Attr (X.qname ~prefix:r.prefix ~uri:r.uri r.name, r.value))
-  | "text" -> emit (E.Text r.value)
-  | "comment" -> emit (E.Comment r.value)
-  | "pi" -> emit (E.Pi (r.name, r.value))
-  | k -> err "unknown node kind %S" k
+  | Attr -> emit (E.Attr (qname d r, d.value.(r)))
+  | Text -> emit (E.Text d.value.(r))
+  | Comment -> emit (E.Comment d.value.(r))
+  | Pi -> emit (E.Pi (local d r, d.value.(r)))
 
 (* ------------------------------------------------------------------ *)
 (* Step evaluation                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let doc_order_cmp a b =
-  let c = Int.compare a.docid b.docid in
-  if c <> 0 then c else Int.compare a.pre b.pre
-
 (* a single forward step from one context node arrives already sorted and
-   distinct (the rows array is in pre = document order), so the common
-   case is a linear scan that confirms order and allocates nothing *)
+   distinct (rows are in pre = document order), so the common case is a
+   linear scan that confirms order and allocates nothing *)
 let doc_order_dedup rows =
   let rec strictly_sorted = function
-    | a :: (b :: _ as rest) -> doc_order_cmp a b < 0 && strictly_sorted rest
+    | (a : int) :: (b :: _ as rest) -> a < b && strictly_sorted rest
     | _ -> true
   in
-  if strictly_sorted rows then rows
-  else
-    let sorted = List.sort doc_order_cmp rows in
-    let rec dedup = function
-      | a :: (b :: _ as rest) when a.docid = b.docid && a.pre = b.pre -> dedup rest
-      | a :: rest -> a :: dedup rest
-      | [] -> []
-    in
-    dedup sorted
+  if strictly_sorted rows then rows else List.sort_uniq Int.compare rows
 
-let kind_matches (kf : AR.kind_filter) (r : node) =
-  match kf with
-  | AR.K_elem -> r.kind = "elem"
-  | AR.K_attr -> r.kind = "attr"
-  | AR.K_text -> r.kind = "text"
-  | AR.K_comment -> r.kind = "comment"
-  | AR.K_pi -> r.kind = "pi"
-  | AR.K_non_attr -> r.kind <> "attr"
+(* the kind codes a kind filter admits, as a bit set over [kind_code] *)
+let kind_mask : AR.kind_filter -> int = function
+  | AR.K_elem -> 0b10
+  | AR.K_attr -> 0b100
+  | AR.K_text -> 0b1000
+  | AR.K_comment -> 0b10000
+  | AR.K_pi -> 0b100000
+  | AR.K_non_attr -> 0b111011
+
+let kind_in mask d i = (mask lsr (cell d.n_rows d.kind_level i land 7)) land 1 = 1 [@@inline]
 
 (* the kind/name residual of a spec, decided on a row we already hold (the
    self axis: [pre = ctx.pre] is the context row itself, no scan needed) *)
-let row_matches (spec : AR.spec) (r : node) =
-  kind_matches spec.kinds r
-  && match spec.name with None -> true | Some n -> String.equal r.name n
+let row_matches (spec : AR.spec) d r =
+  kind_in (kind_mask spec.kinds) d r
+  && match spec.name with None -> true | Some n -> String.equal (local d r) n
 
 (* [row_matches] for candidate [r] of context [c]: node() also admits
    the context itself when it is an attribute (self and the -or-self
    axes, the only ones whose candidates include the context) *)
-let admits (spec : AR.spec) (c : node) (r : node) =
-  row_matches spec r || (spec.kinds = AR.K_non_attr && r.pre = c.pre && r.docid = c.docid)
+let admits (spec : AR.spec) d c r = row_matches spec d r || (spec.kinds = AR.K_non_attr && r = c)
 
 (* does candidate [r] satisfy one interval condition against context [c] *)
-let cond_holds (c : node) (r : node) { AR.col; op; anchor } =
-  let x = match col with AR.Pre -> r.pre | AR.Post -> r.post | AR.Parent -> r.parent
+let cond_holds d c r { AR.col; op; anchor } =
+  let x = match col with AR.Pre -> pre d r | AR.Post -> post d r | AR.Parent -> parent_pre d r
   and y =
-    match anchor with AR.Ctx_pre -> c.pre | AR.Ctx_post -> c.post | AR.Ctx_parent -> c.parent
+    match anchor with
+    | AR.Ctx_pre -> pre d c
+    | AR.Ctx_post -> post d c
+    | AR.Ctx_parent -> parent_pre d c
   in
   match op with
   | AR.Eq -> x = y
@@ -371,65 +440,56 @@ let cond_holds (c : node) (r : node) { AR.col; op; anchor } =
   | AR.Gt -> x > y
   | AR.Geq -> x >= y
 
-(* the first row at or after tick [pre]: from just past a subtree, the
-   ticks skipped are ancestors' exit ticks, so this is O(depth) *)
-let rec row_at_or_after d pre =
-  if pre >= Array.length d.row_ix then Array.length d.rows
-  else if d.row_ix.(pre) >= 0 then d.row_ix.(pre)
-  else row_at_or_after d (pre + 1)
-
 (* every row an axis's conditions can hold on from context [c], in
    document order, read off the pre-ordered rows: owned-row walks for
    child and sibling axes, parent links upward, and a bounded slice of
-   the rows array for descendant, following and preceding *)
-let iter_axis t (axis : XA.axis) (c : node) (f : node -> unit) =
+   the rows for descendant, following and preceding *)
+let iter_axis d (axis : XA.axis) c (f : int -> unit) =
   match axis with
   | XA.Self -> f c
-  | XA.Child | XA.Attribute -> iter_owned t c f
-  | XA.Following_sibling | XA.Preceding_sibling ->
-      Option.iter (fun p -> iter_owned t p f) (parent_row t c)
-  | XA.Parent -> Option.iter f (parent_row t c)
+  | XA.Child | XA.Attribute -> iter_owned d c f
+  | XA.Following_sibling | XA.Preceding_sibling -> if parent d c >= 0 then iter_owned d (parent d c) f
+  | XA.Parent -> if parent d c >= 0 then f (parent d c)
   | XA.Ancestor | XA.Ancestor_or_self ->
-      let rec up acc r = match parent_row t r with Some p -> up (p :: acc) p | None -> acc in
+      let rec up acc r = match parent d r with -1 -> acc | p -> up (p :: acc) p in
       List.iter f (up (if axis = XA.Ancestor_or_self then [ c ] else []) c)
   | XA.Descendant | XA.Descendant_or_self | XA.Following | XA.Preceding ->
-      let d = doc t c.docid in
       let lo, hi =
         match axis with
-        | XA.Following -> (row_at_or_after d (c.post + 1), Array.length d.rows)
-        | XA.Preceding -> (0, d.row_ix.(c.pre))
-        | _ -> (d.row_ix.(c.pre), row_at_or_after d (c.post + 1))
+        | XA.Following -> (subtree_end d c, d.n_rows)
+        | XA.Preceding -> (0, c)
+        | _ -> (c, subtree_end d c)
       in
       for i = lo to hi - 1 do
-        f d.rows.(i)
+        f i
       done
   | XA.Namespace -> ()
 
 (* one step from one context row: the axis's candidates that pass its
    {!AR} conditions and the kind/name test, in proximity order *)
-let step_source t (axis : XA.axis) (spec : AR.spec) (c : node) : node list =
+let step_source d (axis : XA.axis) (spec : AR.spec) c : int list =
   match axis with
   (* an attribute has no siblings (XPath 1.0 §2.2) *)
-  | (XA.Following_sibling | XA.Preceding_sibling) when c.kind = "attr" -> []
+  | (XA.Following_sibling | XA.Preceding_sibling) when kind d c = Attr -> []
   | _ ->
-      Atomic.incr t.n_rel;
+      Atomic.incr d.store.n_rel;
       let acc = ref [] in
-      iter_axis t axis c (fun r ->
-          if List.for_all (cond_holds c r) spec.conds && admits spec c r then acc := r :: !acc);
+      iter_axis d axis c (fun r ->
+          if List.for_all (cond_holds d c r) spec.conds && admits spec d c r then acc := r :: !acc);
       if spec.reverse then !acc else List.rev !acc
 
 (* ---- the relational expression subset (mirrors Eval/Value semantics) - *)
 
 module Smap = XE.Smap
 
-type value = V_num of float | V_str of string | V_bool of bool | V_rows of node list
+type value = V_num of float | V_str of string | V_bool of bool | V_rows of int list
 
-let value_number = function
+let value_number d = function
   | V_num f -> f
   | V_str s -> XV.number_of_string s
   | V_bool b -> if b then 1.0 else 0.0
   | V_rows [] -> Float.nan
-  | V_rows (r :: _) -> XV.number_of_string r.value
+  | V_rows (r :: _) -> XV.number_of_string (string_value d r)
 
 let value_bool = function
   | V_bool b -> b
@@ -437,23 +497,23 @@ let value_bool = function
   | V_str s -> String.length s > 0
   | V_rows rs -> rs <> []
 
-let value_string = function
+let value_string d = function
   | V_str s -> s
   | V_num f -> XV.string_value (XV.Num f)
   | V_bool b -> XV.string_value (XV.Bool b)
   | V_rows [] -> ""
-  | V_rows (r :: _) -> r.value
+  | V_rows (r :: _) -> string_value d r
 
-(* the evaluation environment threaded through every step: the store,
+(* the evaluation environment threaded through every step: the document,
    and from the XSLT VM [vars] and [current] ([current] stays on the
-   instruction's context node while predicate evaluation moves the
-   context row, mirroring Eval's context record) *)
-type env = { store : t; vars : value Smap.t; current : node option }
+   instruction's context row while predicate evaluation moves the
+   context row, mirroring Eval's context record; -1 = the context row) *)
+type env = { doc : doc; vars : value Smap.t; current : int }
 
 (* a compiled expression: environment, context row, position, size *)
-type cexpr = env -> node -> int -> int -> value
+type cexpr = env -> int -> int -> int -> value
 
-let base_env t = { store = t; vars = Smap.empty; current = None }
+let base_env d = { doc = d; vars = Smap.empty; current = -1 }
 
 let num_cmp op x y =
   match op with
@@ -489,30 +549,34 @@ let cmp_of : XA.binop -> _ = function
 
 (* XPath 1.0 §3.4 with node-sets existentially quantified over row
    string-values — the same decision procedure as {!XV.compare_values} *)
-let pcompare op a b =
+let pcompare d op a b =
   let one_side op rs other =
     match other with
-    | V_num f -> List.exists (fun r -> num_cmp op (XV.number_of_string r.value) f) rs
-    | V_str s -> List.exists (fun r -> str_cmp op r.value s) rs
+    | V_num f -> List.exists (fun r -> num_cmp op (XV.number_of_string (string_value d r)) f) rs
+    | V_str s -> List.exists (fun r -> str_cmp op (string_value d r) s) rs
     | V_bool b -> num_cmp op (if rs <> [] then 1.0 else 0.0) (if b then 1.0 else 0.0)
     | V_rows _ -> assert false
   in
   match (a, b) with
   | V_rows r1, V_rows r2 ->
-      List.exists (fun x -> List.exists (fun y -> str_cmp op x.value y.value) r2) r1
+      List.exists
+        (fun x ->
+          let sx = string_value d x in
+          List.exists (fun y -> str_cmp op sx (string_value d y)) r2)
+        r1
   | V_rows rs, other -> one_side op rs other
   | other, V_rows rs -> one_side (flip op) rs other
   | V_bool _, _ | _, V_bool _ ->
       num_cmp op (if value_bool a then 1.0 else 0.0) (if value_bool b then 1.0 else 0.0)
-  | V_num _, _ | _, V_num _ -> num_cmp op (value_number a) (value_number b)
+  | V_num _, _ | _, V_num _ -> num_cmp op (value_number d a) (value_number d b)
   | V_str s1, V_str s2 -> str_cmp op s1 s2
 
 (* ------------------------------------------------------------------ *)
 (* Set-at-a-time steps (structural joins over sorted contexts)          *)
 (* ------------------------------------------------------------------ *)
 
-(* Between steps a context is a sorted, duplicate-free node list (the
-   doc_order_dedup invariant), i.e. an ascending sequence of (docid, pre)
+(* Between steps a context is a sorted, duplicate-free row list (the
+   doc_order_dedup invariant), i.e. an ascending sequence of pre
    intervals — exactly what the staircase merges below exploit.  Each
    batch step costs one pass over the context instead of one walk per
    context node. *)
@@ -523,25 +587,19 @@ let batch_axis_ok : XA.axis -> bool = function
       true
   | _ -> false
 
-(* one owned-row walk per context node over the rows array;
-   distinct parents own disjoint child blocks ordered like their parents,
-   so the result is already in document order unless the contexts nest *)
-let batch_child t (spec : AR.spec) (ctx : node list) : node list =
-  let acc = ref [] in
-  let nested = ref false in
-  let curdoc = ref min_int and maxpost = ref min_int in
+(* one owned-row walk per context node; distinct parents own disjoint
+   child blocks ordered like their parents, so the result is already in
+   document order unless the contexts nest *)
+let batch_child d (spec : AR.spec) ctx =
+  let acc = ref [] and nested = ref false and maxpost = ref min_int in
   List.iter
     (fun c ->
-      if c.docid <> !curdoc then begin
-        curdoc := c.docid;
-        maxpost := min_int
-      end
-      else if c.pre < !maxpost then nested := true;
-      if c.post > !maxpost then maxpost := c.post;
-      iter_owned t c (fun r -> if row_matches spec r then acc := r :: !acc))
+      if pre d c < !maxpost then nested := true;
+      if post d c > !maxpost then maxpost := post d c;
+      iter_owned d c (fun r -> if row_matches spec d r then acc := r :: !acc))
     ctx;
   let out = List.rev !acc in
-  if !nested then List.sort doc_order_cmp out else out
+  if !nested then List.sort Int.compare out else out
 
 (* name-tested descendants read the name's postings instead of the
    rows: the sweep lands only on rows already carrying the right name *)
@@ -550,109 +608,89 @@ let use_postings axis (spec : AR.spec) =
   && (spec.kinds = AR.K_elem || spec.kinds = AR.K_attr)
   && match axis with XA.Descendant | XA.Descendant_or_self -> true | _ -> false
 
-(* the first position of ascending [p] holding a value ≥ [x] *)
-let first_geq (p : int array) x =
+(* the first position of ascending column [p] of [n] cells holding a
+   value ≥ [x] *)
+let first_geq n p x =
   let rec go lo hi =
     if lo >= hi then lo
     else
       let mid = (lo + hi) / 2 in
-      if p.(mid) < x then go (mid + 1) hi else go lo mid
+      if cell n p mid < x then go (mid + 1) hi else go lo mid
   in
-  go 0 (Array.length p)
+  go 0 n
 
 (* the staircase merge: a context interval starting inside the running
    cover is nested in an earlier context's interval, so its descendants
    were already swept — skip it.  Each maximal interval is one slice
-   [lo, hi) of row indices, read straight off the rows array or, for a
-   name test, off the name's postings from a binary-searched start;
-   output is sorted and distinct by construction. *)
-let batch_descendant t axis (spec : AR.spec) (ctx : node list) : node list =
+   [lo, hi) of rows, read straight off the columns or, for a name test,
+   off the name's postings from a binary-searched start; output is
+   sorted and distinct by construction. *)
+let batch_descendant d axis (spec : AR.spec) ctx =
   let skip_self = if axis = XA.Descendant_or_self then 0 else 1 in
   let name = if use_postings axis spec then spec.name else None in
-  let acc = ref [] in
-  let curdoc = ref min_int and cover = ref min_int in
+  let acc = ref [] and cover = ref min_int in
   List.iter
     (fun c ->
-      if c.docid <> !curdoc then begin
-        curdoc := c.docid;
-        cover := min_int
-      end;
-      if c.pre > !cover then begin
-        let d = doc t c.docid in
-        let keep i =
-          let r = d.rows.(i) in
-          if admits spec c r then acc := r :: !acc
-        in
-        let lo = d.row_ix.(c.pre) + skip_self and hi = row_at_or_after d (c.post + 1) in
+      if pre d c > !cover then begin
+        let lo = c + skip_self and hi = subtree_end d c in
         (match name with
         | None ->
             for i = lo to hi - 1 do
-              keep i
+              if admits spec d c i then acc := i :: !acc
             done
         | Some n -> (
             match Hashtbl.find_opt d.postings n with
             | None -> () (* name absent from the document: statically empty *)
             | Some p ->
-                let j = ref (first_geq p lo) in
-                while !j < Array.length p && p.(!j) < hi do
-                  keep p.(!j);
+                (* a posting carries the name: only its kind is left to test *)
+                let n = cells p and mask = kind_mask spec.kinds in
+                let j = ref (first_geq n p lo) in
+                while !j < n && cell n p !j < hi do
+                  let i = cell n p !j in
+                  if kind_in mask d i then acc := i :: !acc;
                   incr j
                 done));
-        cover := c.post
+        cover := post d c
       end)
     ctx;
   List.rev !acc
 
-let batch_parent t (spec : AR.spec) (ctx : node list) : node list =
+let batch_parent d (spec : AR.spec) ctx =
   let acc = ref [] in
   List.iter
     (fun c ->
-      match parent_row t c with
-      | Some r when row_matches spec r -> acc := r :: !acc
-      | _ -> ())
+      let p = parent d c in
+      if p >= 0 && row_matches spec d p then acc := p :: !acc)
     ctx;
   doc_order_dedup (List.rev !acc)
 
-(* parent-chain walk with per-document seen marks: a walk stops at the
-   first node an earlier walk marked (everything above it was marked and
-   collected by that walk), so total work is bounded by rows touched,
-   not |ctx| · depth *)
-let batch_ancestor t axis (spec : AR.spec) (ctx : node list) : node list =
-  let or_self = axis = XA.Ancestor_or_self in
-  let seen : (int, Bytes.t) Hashtbl.t = Hashtbl.create 4 in
-  let acc = ref [] in
+(* parent-chain walk with seen marks: a walk stops at the first row an
+   earlier walk marked (everything above it was marked and collected by
+   that walk), so total work is bounded by rows touched, not
+   |ctx| · depth *)
+let batch_ancestor d axis (spec : AR.spec) ctx =
+  let marks = Bytes.make d.n_rows '\000' and acc = ref [] in
   List.iter
     (fun c ->
-      let marks =
-        match Hashtbl.find_opt seen c.docid with
-        | Some b -> b
-        | None ->
-            let b = Bytes.make (Array.length (doc t c.docid).row_ix) '\000' in
-            Hashtbl.add seen c.docid b;
-            b
-      in
-      let rec walk pre =
-        if pre >= 0 && Bytes.get marks pre = '\000' then begin
-          Bytes.set marks pre '\001';
-          match row_by_pre t c.docid pre with
-          | None -> ()
-          | Some r ->
-              if admits spec c r then acc := r :: !acc;
-              walk r.parent
+      let rec walk r =
+        if r >= 0 && Bytes.get marks r = '\000' then begin
+          Bytes.set marks r '\001';
+          if admits spec d c r then acc := r :: !acc;
+          walk (parent d r)
         end
       in
-      if or_self then walk c.pre else walk c.parent)
+      walk (if axis = XA.Ancestor_or_self then c else parent d c))
     ctx;
-  List.sort doc_order_cmp !acc
+  List.sort Int.compare !acc
 
-let batch_axis t axis (spec : AR.spec) (ctx : node list) : node list =
-  Atomic.incr t.n_batch;
+let batch_axis d axis (spec : AR.spec) ctx =
+  Atomic.incr d.store.n_batch;
   match axis with
-  | XA.Self -> List.filter (fun c -> admits spec c c) ctx
-  | XA.Child | XA.Attribute -> batch_child t spec ctx
-  | XA.Descendant | XA.Descendant_or_self -> batch_descendant t axis spec ctx
-  | XA.Parent -> batch_parent t spec ctx
-  | XA.Ancestor | XA.Ancestor_or_self -> batch_ancestor t axis spec ctx
+  | XA.Self -> List.filter (fun c -> admits spec d c c) ctx
+  | XA.Child | XA.Attribute -> batch_child d spec ctx
+  | XA.Descendant | XA.Descendant_or_self -> batch_descendant d axis spec ctx
+  | XA.Parent -> batch_parent d spec ctx
+  | XA.Ancestor | XA.Ancestor_or_self -> batch_ancestor d axis spec ctx
   | _ -> assert false
 
 (* ---- batchable predicates: position-insensitive boolean row tests --- *)
@@ -728,31 +766,26 @@ let classify_pred (p : XA.expr) =
   | e -> ( match source e with Some src -> Some (src, None) | None -> None)
 
 (* the existential node-set vs literal decision of {!pcompare}, applied
-   to one row's string-value *)
-let lit_holds test (s : string) =
+   to one row's string-value (read only when there is a literal) *)
+let lit_holds test d r =
   match test with
   | None -> true
-  | Some (cmp, `Str y) -> str_cmp cmp s y
-  | Some (cmp, `Num f) -> num_cmp cmp (XV.number_of_string s) f
+  | Some (cmp, `Str y) -> str_cmp cmp (string_value d r) y
+  | Some (cmp, `Num f) -> num_cmp cmp (XV.number_of_string (string_value d r)) f
 
-(* merge the sorted candidates against the pre-ordered rows array: each
+(* merge the sorted candidates against the pre-ordered rows: each
    candidate's owned rows are a contiguous sibling walk starting right
    after it, so the whole pass is one linear merge *)
-let value_pred_filter (src, test) : env -> node list -> node list =
+let value_pred_filter (src, test) : env -> int list -> int list =
   match src with
-  | `Self -> fun _ cands -> List.filter (fun r -> lit_holds test r.value) cands
+  | `Self -> fun env cands -> List.filter (lit_holds test env.doc) cands
   | `Step (step : XA.step) -> (
       match AR.compile step.axis step.test with
       | None -> fun _ _ -> []
       | Some spec ->
-          fun env cands ->
+          fun { doc = d; _ } cands ->
             List.filter
-              (fun c ->
-                let hit = ref false in
-                iter_owned env.store c (fun r ->
-                    if (not !hit) && row_matches spec r && lit_holds test r.value then
-                      hit := true);
-                !hit)
+              (fun c -> exists_owned d c (fun r -> row_matches spec d r && lit_holds test d r))
               cands)
 
 (* ------------------------------------------------------------------ *)
@@ -765,14 +798,6 @@ let value_pred_filter (src, test) : env -> node list -> node list =
    outside the relational subset compiles to a closure that raises
    {!Unsupported} when (and only if) it runs. *)
 
-let row_local_name (r : node) =
-  match r.kind with "elem" | "attr" | "pi" -> r.name | _ -> ""
-
-let row_qname (r : node) =
-  match r.kind with
-  | "elem" | "attr" -> if r.prefix = "" then r.name else r.prefix ^ ":" ^ r.name
-  | _ -> row_local_name r
-
 (* candidates arrive in proximity order, so position is [i + 1]; a
    number-valued predicate selects by position (XPath §2.4) *)
 let positional_filter (p : cexpr) env cands =
@@ -782,7 +807,7 @@ let positional_filter (p : cexpr) env cands =
       match p env r (i + 1) size with V_num f -> Float.of_int (i + 1) = f | v -> value_bool v)
     cands
 
-let rec compile_step (step : XA.step) : env -> node list -> node list =
+let rec compile_step (step : XA.step) : env -> int list -> int list =
   let axis = step.XA.axis and preds = step.XA.predicates in
   match AR.compile axis step.XA.test with
   | None -> fun _ _ -> []
@@ -790,14 +815,14 @@ let rec compile_step (step : XA.step) : env -> node list -> node list =
       if batch_axis_ok axis && List.for_all batchable_pred preds then
         let filters = List.map compile_batch_filter preds in
         fun env rows ->
-          List.fold_left (fun cs f -> f env cs) (batch_axis env.store axis spec rows) filters
+          List.fold_left (fun cs f -> f env cs) (batch_axis env.doc axis spec rows) filters
       else
         let filters = List.map (fun p -> positional_filter (compile_expr p)) preds in
         fun env rows ->
           doc_order_dedup
             (List.concat_map
                (fun r ->
-                 List.fold_left (fun cs f -> f env cs) (step_source env.store axis spec r) filters)
+                 List.fold_left (fun cs f -> f env cs) (step_source env.doc axis spec r) filters)
                rows)
 
 and compile_steps steps =
@@ -825,13 +850,14 @@ and compile_expr (e : XA.expr) : cexpr =
       fun _ _ _ _ -> v
   | XA.Neg a ->
       let a = compile_expr a in
-      fun env r p n -> V_num (-.value_number (a env r p n))
+      fun env r p n -> V_num (-.value_number env.doc (a env r p n))
   | XA.Var v -> (
       fun env _ _ _ ->
         match Smap.find_opt v env.vars with Some x -> x | None -> unsupported "variable $%s" v)
   | XA.Path { absolute; steps } ->
       let steps = compile_steps steps in
-      if absolute then fun env r _ _ -> V_rows (steps env [ doc_node env.store r.docid ])
+      (* row 0 is the document row *)
+      if absolute then fun env _ _ _ -> V_rows (steps env [ 0 ])
       else fun env r _ _ -> V_rows (steps env [ r ])
   | XA.Filter (prim, preds, steps) -> (
       let prim = compile_expr prim and steps = compile_steps steps in
@@ -842,13 +868,15 @@ and compile_expr (e : XA.expr) : cexpr =
         | _ -> unsupported "filter over a non-node-set")
   | XA.Binop (op, a, b) -> (
       let a = compile_expr a and b = compile_expr b in
-      let arith f env r p n = V_num (f (value_number (a env r p n)) (value_number (b env r p n))) in
+      let arith f env r p n =
+        V_num (f (value_number env.doc (a env r p n)) (value_number env.doc (b env r p n)))
+      in
       match op with
       | XA.Or -> fun env r p n -> V_bool (value_bool (a env r p n) || value_bool (b env r p n))
       | XA.And -> fun env r p n -> V_bool (value_bool (a env r p n) && value_bool (b env r p n))
       | XA.Eq | XA.Neq | XA.Lt | XA.Leq | XA.Gt | XA.Geq ->
           let cmp = cmp_of op in
-          fun env r p n -> V_bool (pcompare cmp (a env r p n) (b env r p n))
+          fun env r p n -> V_bool (pcompare env.doc cmp (a env r p n) (b env r p n))
       | XA.Plus -> arith ( +. )
       | XA.Minus -> arith ( -. )
       | XA.Mul -> arith ( *. )
@@ -862,16 +890,16 @@ and compile_expr (e : XA.expr) : cexpr =
   | XA.Call (f, args) -> compile_call f (List.map compile_expr args)
 
 (* the core function library over rows (same semantics as {!XE}'s, with
-   node string-values read off the [value] column) *)
+   node string-values read off the rows) *)
 and compile_call f (args : cexpr list) : cexpr =
   let arg i = List.nth args i in
   let str i =
     let a = arg i in
-    fun env r p n -> value_string (a env r p n)
+    fun env r p n -> value_string env.doc (a env r p n)
   in
   let num i =
     let a = arg i in
-    fun env r p n -> value_number (a env r p n)
+    fun env r p n -> value_number env.doc (a env r p n)
   in
   let rows () =
     let a = arg 0 in
@@ -892,10 +920,10 @@ and compile_call f (args : cexpr list) : cexpr =
   in
   (* 0-arg: the context row; 1-arg: first node of the set, if any *)
   let target g =
-    if args = [] then fun _ r _ _ -> V_str (g (Some r))
+    if args = [] then fun env r _ _ -> V_str (g env.doc r)
     else
       let rs = rows () in
-      fun env r p n -> V_str (g (match rs env r p n with [] -> None | x :: _ -> Some x))
+      fun env r p n -> V_str (match rs env r p n with [] -> "" | x :: _ -> g env.doc x)
   in
   match (f, List.length args) with
   | "position", 0 -> fun _ _ p _ -> V_num (Float.of_int p)
@@ -911,7 +939,7 @@ and compile_call f (args : cexpr list) : cexpr =
   | "count", 1 ->
       let rs = rows () in
       fun env r p n -> V_num (Float.of_int (List.length (rs env r p n)))
-  | "string", 0 -> fun _ r _ _ -> V_str r.value
+  | "string", 0 -> fun env r _ _ -> V_str (string_value env.doc r)
   | "string", 1 -> string_fn Fun.id
   | "concat", k when k >= 2 ->
       let ss = List.init k str in
@@ -936,33 +964,36 @@ and compile_call f (args : cexpr list) : cexpr =
       let s = str 0 and start = num 1 and len = num 2 in
       fun env r p n ->
         V_str (XE.substring_xpath (s env r p n) (start env r p n) (Some (len env r p n)))
-  | "string-length", 0 -> fun _ r _ _ -> V_num (Float.of_int (String.length r.value))
+  | "string-length", 0 ->
+      fun env r _ _ -> V_num (Float.of_int (String.length (string_value env.doc r)))
   | "string-length", 1 ->
       let s = str 0 in
       fun env r p n -> V_num (Float.of_int (String.length (s env r p n)))
-  | "normalize-space", 0 -> fun _ r _ _ -> V_str (XE.normalize_space r.value)
+  | "normalize-space", 0 -> fun env r _ _ -> V_str (XE.normalize_space (string_value env.doc r))
   | "normalize-space", 1 -> string_fn XE.normalize_space
   | "translate", 3 ->
       let s = str 0 and a = str 1 and b = str 2 in
       fun env r p n -> V_str (XE.translate_xpath (s env r p n) (a env r p n) (b env r p n))
-  | "number", 0 -> fun _ r _ _ -> V_num (XV.number_of_string r.value)
+  | "number", 0 -> fun env r _ _ -> V_num (XV.number_of_string (string_value env.doc r))
   | "number", 1 -> unary Fun.id
   | "sum", 1 ->
       let rs = rows () in
       fun env r p n ->
-        V_num (List.fold_left (fun acc x -> acc +. XV.number_of_string x.value) 0.0 (rs env r p n))
+        V_num
+          (List.fold_left
+             (fun acc x -> acc +. XV.number_of_string (string_value env.doc x))
+             0.0 (rs env r p n))
   | "floor", 1 -> unary Float.floor
   | "ceiling", 1 -> unary Float.ceil
   | "round", 1 -> unary XV.round_number
-  | "name", (0 | 1) -> target (function None -> "" | Some x -> row_qname x)
-  | "local-name", (0 | 1) -> target (function None -> "" | Some x -> row_local_name x)
-  | "namespace-uri", (0 | 1) ->
-      target (function Some x when x.kind = "elem" || x.kind = "attr" -> x.uri | _ -> "")
-  | "current", 0 -> (
-      fun env r _ _ -> match env.current with Some c -> V_rows [ c ] | None -> V_rows [ r ])
+  (* an unnamed row's name is the empty name; a PI's is its target *)
+  | "name", (0 | 1) -> target (fun d x -> X.string_of_qname (qname d x))
+  | "local-name", (0 | 1) -> target local
+  | "namespace-uri", (0 | 1) -> target (fun d x -> (qname d x).X.uri)
+  | "current", 0 -> fun env r _ _ -> V_rows [ (if env.current < 0 then r else env.current) ]
   | _ -> fun _ _ _ _ -> unsupported "function %s()" f
 
-let axis_step t rows step = compile_step step (base_env t) rows
+let axis_step t ~docid rows step = compile_step step (base_env (doc t docid)) rows
 
 (* ------------------------------------------------------------------ *)
 (* Match patterns over rows (the shredded transform path)               *)
@@ -970,21 +1001,22 @@ let axis_step t rows step = compile_step step (base_env t) rows
 
 (* Eval.test_matches on rows, decided at compile time: prefixes are
    ignored, names match on the local part *)
-let row_test axis test : node -> bool =
-  let principal = match axis with XA.Attribute | XA.Namespace -> "attr" | _ -> "elem" in
+let row_test axis test : doc -> int -> bool =
+  let principal = match axis with XA.Attribute | XA.Namespace -> Attr | _ -> Elem in
+  let is k d r = kind d r = k in
   match test with
-  | XA.Star | XA.Prefix_star _ -> fun r -> String.equal r.kind principal
-  | XA.Name_test (_, local) -> fun r -> String.equal r.kind principal && String.equal r.name local
-  | XA.Node_type_test XA.Any_node -> fun _ -> true
-  | XA.Node_type_test XA.Text_node -> fun r -> r.kind = "text"
-  | XA.Node_type_test XA.Comment_node -> fun r -> r.kind = "comment"
-  | XA.Node_type_test (XA.Pi_node None) -> fun r -> r.kind = "pi"
-  | XA.Node_type_test (XA.Pi_node (Some tg)) -> fun r -> r.kind = "pi" && String.equal r.name tg
+  | XA.Star | XA.Prefix_star _ -> is principal
+  | XA.Name_test (_, l) -> fun d r -> kind d r = principal && String.equal (local d r) l
+  | XA.Node_type_test XA.Any_node -> fun _ _ -> true
+  | XA.Node_type_test XA.Text_node -> is Text
+  | XA.Node_type_test XA.Comment_node -> is Comment
+  | XA.Node_type_test (XA.Pi_node None) -> is Pi
+  | XA.Node_type_test (XA.Pi_node (Some tg)) -> fun d r -> kind d r = Pi && String.equal (local d r) tg
 
 (* Pattern.predicates_hold on rows: the candidates are the siblings
    reachable from the parent by the step's axis and test, positional
    rules included *)
-let row_predicates (step : XA.step) : env -> node -> bool =
+let row_predicates (step : XA.step) : env -> int -> bool =
   match step.XA.predicates with
   | [] -> fun _ _ -> true
   | preds ->
@@ -992,43 +1024,40 @@ let row_predicates (step : XA.step) : env -> node -> bool =
       let preds = List.map compile_expr preds in
       let filters = List.map positional_filter preds in
       fun env r ->
-        match parent_row env.store r with
-        | None -> List.for_all (fun p -> value_bool (p env r 1 1)) preds
-        | Some parent ->
-            let survivors = List.fold_left (fun ns f -> f env ns) (bare env [ parent ]) filters in
-            List.exists (fun x -> x.docid = r.docid && x.pre = r.pre) survivors
+        match parent env.doc r with
+        | -1 -> List.for_all (fun p -> value_bool (p env r 1 1)) preds
+        | p -> List.exists (Int.equal r) (List.fold_left (fun ns f -> f env ns) (bare env [ p ]) filters)
 
 (* the right-to-left matcher of {!Xdb_xpath.Pattern}, compiled per
    alternative: the last step tests the row, each earlier step its
    parent (a [/] link) or some ancestor (a [//] link) *)
-let compile_pattern (pat : Xdb_xpath.Pattern.t) : env -> node -> bool =
+let compile_pattern (pat : Xdb_xpath.Pattern.t) : env -> int -> bool =
   let module P = Xdb_xpath.Pattern in
   let compile_alt { P.from_root; rev_steps } =
-    let anchored r = (not from_root) || r.kind = "doc" in
+    let anchored d r = (not from_root) || kind d r = Doc in
     let rec chain = function
-      | [] -> fun _ r -> anchored r
+      | [] -> fun env r -> anchored env.doc r
       | ((step : XA.step), link) :: rest -> (
           let test = row_test step.XA.axis step.XA.test and preds = row_predicates step in
           match (link, rest) with
-          | P.Any_ancestor, [] when not from_root -> fun env r -> test r && preds env r
+          | P.Any_ancestor, [] when not from_root -> fun env r -> test env.doc r && preds env r
           | _ ->
               let up = chain rest in
               fun env r ->
-                test r && preds env r
+                test env.doc r && preds env r
                 &&
-                match parent_row env.store r with
-                | None -> rest = [] && anchored r
-                | Some parent -> (
+                match parent env.doc r with
+                | -1 -> rest = [] && anchored env.doc r
+                | p -> (
                     match link with
-                    | P.Direct_child -> up env parent
+                    | P.Direct_child -> up env p
                     | P.Any_ancestor ->
                         let rec try_anc p =
-                          up env p
-                          || match parent_row env.store p with None -> false | Some gp -> try_anc gp
+                          up env p || match parent env.doc p with -1 -> false | gp -> try_anc gp
                         in
-                        try_anc parent))
+                        try_anc p))
     in
-    if rev_steps = [] then fun _ r -> from_root && r.kind = "doc" else chain rev_steps
+    if rev_steps = [] then fun env r -> from_root && kind env.doc r = Doc else chain rev_steps
   in
   match List.map compile_alt pat.P.alternatives with
   | [ m ] -> m
@@ -1046,11 +1075,11 @@ let batch_explain (step : XA.step) =
         let how =
           match step.XA.axis with
           | XA.Self -> "context-row filter"
-          | XA.Child | XA.Attribute -> "owned-row walk over the rows array"
+          | XA.Child | XA.Attribute -> "owned-row walk over the row columns"
           | XA.Descendant | XA.Descendant_or_self ->
               if use_postings step.XA.axis spec then "staircase name-postings sweep"
-              else "staircase slice of the rows array"
-          | XA.Parent -> "parent map over the rows array"
+              else "staircase slice of the row columns"
+          | XA.Parent -> "parent map over the row columns"
           | XA.Ancestor | XA.Ancestor_or_self -> "marked parent-chain walk"
           | _ -> assert false
         in
@@ -1070,24 +1099,21 @@ let batch_explain (step : XA.step) =
 (* ------------------------------------------------------------------ *)
 
 let select t ~docid expr_s =
-  let root = doc_node t docid in
+  let d = doc t docid in
   try
     match Xdb_xpath.Parser.parse expr_s with
-    | XA.Path { absolute = _; steps } -> compile_steps steps (base_env t) [ root ]
+    | XA.Path { absolute = _; steps } -> compile_steps steps (base_env d) [ 0 ]
     | _ -> raise (Unsupported "non-path expression")
   with Unsupported _ ->
     (* outside the relational subset: answer over a freshly reconstructed
        tree and map the DOM result back through its pre stamps *)
     Atomic.incr t.n_fallback;
-    let { rows; row_ix; _ } = doc t docid in
     let nodes = XE.select (XE.make_context (reconstruct t docid)) expr_s in
     List.map
       (fun (n : X.node) ->
-        let ix =
-          if n.X.order >= 0 && n.X.order < Array.length row_ix then row_ix.(n.X.order) else -1
-        in
+        let ix = if n.X.order >= 0 && n.X.order < d.n_ticks then row_of_pre d n.X.order else -1 in
         if ix < 0 then err "DOM fallback produced a node outside the stored document";
-        rows.(ix))
+        ix)
       nodes
 
 (* ------------------------------------------------------------------ *)
@@ -1096,28 +1122,26 @@ let select t ~docid expr_s =
 
 (* bare attribute nodes are not serializable markup; both sides of the
    differential comparison render them as [name="value"] *)
-let attr_string ~prefix ~name ~value =
-  let b = Buffer.create (String.length name + String.length value + 4) in
-  if prefix <> "" then (
-    Buffer.add_string b prefix;
-    Buffer.add_char b ':');
-  Buffer.add_string b name;
+let attr_string (q : X.qname) value =
+  let b = Buffer.create (String.length q.X.local + String.length value + 4) in
+  Buffer.add_string b (X.string_of_qname q);
   Buffer.add_string b "=\"";
   Xdb_xml.Serializer.escape_attr b value;
   Buffer.add_char b '"';
   Buffer.contents b
 
-let serialize t nodes =
+let serialize t ~docid rows =
+  let d = doc t docid in
   List.map
     (fun r ->
-      if r.kind = "attr" then attr_string ~prefix:r.prefix ~name:r.name ~value:r.value
-      else Xdb_xml.Serializer.to_string (subtree t r))
-    nodes
+      if kind d r = Attr then attr_string (qname d r) d.value.(r)
+      else Xdb_xml.Serializer.to_string (subtree d r))
+    rows
 
 let serialize_dom nodes =
   List.map
     (fun (n : X.node) ->
       match n.X.kind with
-      | X.Attribute (q, v) -> attr_string ~prefix:q.X.prefix ~name:q.X.local ~value:v
+      | X.Attribute (q, v) -> attr_string q v
       | _ -> Xdb_xml.Serializer.to_string n)
     nodes

@@ -1,37 +1,42 @@
-(** Interval-encoded ("shredded") XML storage: one relational row per XML
-    node, pre/post numbered, so XPath axes become interval conditions
-    over rows (paper §7.4 "tree storage"; the numbering scheme of the
-    DOM-based mapping and RadegastXDB lines of work in PAPERS.md).
+(** Interval-encoded ("shredded") XML storage: each document is kept
+    as dense columns indexed by row, pre/post numbered, so XPath axes
+    become interval conditions over rows (paper §7.4 "tree storage"; the
+    pre|post|level column layout of "XQuery Join Graph Isolation" and of
+    RadegastXDB's node store in PAPERS.md).
 
-    A document decomposes into rows
-    [(docid, pre, post, parent, level, kind, name, prefix, uri, value)],
-    stored once, by {!shred}, as three per-document structures:
+    {!shred} stores a document once, with no per-node record, as:
 
-    - the rows array, in pre order (document order),
-    - the [pre → index] map into it ([-1] on post-only exit ticks),
-    - per-name postings: for each name, the ascending row indices of the
+    - 32-bit columns indexed by row (its pre-order rank): [pre], [post],
+      the parent's row, the level packed with an int kind code, and a
+      name id into the store's interned (prefix, uri, local) names,
+    - a value column for attribute, text, comment and PI rows only (an
+      element's string-value is read off the text rows of its subtree
+      slice when asked, without a copy when there is one),
+    - the [pre → row] map ([-1] on post-only exit ticks),
+    - per-name postings: for each local name, the ascending rows of the
       elements and attributes carrying it.
 
-    Steps read only those structures and decide membership with the
+    Inside evaluation a node is its row (an unboxed int) in the document
+    the {!env} carries.  Steps read only those structures and decide membership with the
     interval conditions of {!Xdb_xpath.Axis_range}.  Two strategies
     share those conditions:
 
     - {b Set-at-a-time} (axes self, child, attribute, parent, descendant,
       ancestor and their -or-self forms, under position-free
-      predicates): the context node-set is a sorted (docid, pre)
-      sequence, and a whole step is answered in one pass — a staircase
-      merge for descendant (context intervals covered by an earlier
-      interval are skipped; each remaining interval is a slice of the
-      rows array, or of the name's postings for a name test), an
-      owned-row walk per context for child, a marked parent-chain walk
-      for ancestor, and a zero-probe sort-merge pass over the rows array
-      for the common value-predicate shapes ([@k='v'], [child='v']).
+      predicates): the context node-set is an ascending row sequence,
+      and a whole step is answered in one pass — a staircase merge for
+      descendant (context intervals covered by an earlier interval are
+      skipped; each remaining interval is a slice of the rows, or of the
+      name's postings for a name test), an owned-row walk per context
+      for child, a marked parent-chain walk for ancestor, and a
+      zero-probe sort-merge pass over the rows for the common
+      value-predicate shapes ([@k='v'], [child='v']).
     - {b Per-context walk} (sibling, following and preceding axes, and
       positional predicates): each context node's candidates are read
       off the rows — owned-row walks for child and sibling axes, parent
-      links for parent and ancestor, a bounded slice of the rows array
-      for descendant, following and preceding — and kept when they pass
-      the step's conditions; predicates then count positions among one
+      links for parent and ancestor, a bounded slice of the rows for
+      descendant, following and preceding — and kept when they pass the
+      step's conditions; predicates then count positions among one
       context's candidates.
 
     Constructs outside the relational subset raise {!Unsupported};
@@ -48,28 +53,17 @@ exception Unsupported of string
 
 type t
 
-(** One stored node, decoded from its row.  [parent] is the parent's
-    [pre], [-1] on document rows.  [kind] is one of ["doc"], ["elem"],
-    ["attr"], ["text"], ["comment"], ["pi"].  [value] is the node's XPath
-    string-value ([name] holds the PI target). *)
-type node = {
-  docid : int;
-  pre : int;
-  post : int;
-  parent : int;
-  level : int;
-  kind : string;
-  name : string;
-  prefix : string;
-  uri : string;
-  value : string;
-}
+type doc
+(** One stored document's columns; its rows are [0 .. rows - 1], row 0
+    the document row. *)
+
+type kind = Doc | Elem | Attr | Text | Comment | Pi
 
 val create : unit -> t
 (** An empty store. *)
 
 val shred : t -> Xdb_xml.Types.node -> int
-(** Decompose a document into its rows array, pre map and name postings
+(** Decompose a document into its columns, pre map and name postings
     and return its docid (1-based).  A non-document root is wrapped in a
     synthetic document row.  The store keeps no reference to the input
     tree. *)
@@ -77,11 +71,17 @@ val shred : t -> Xdb_xml.Types.node -> int
 val doc_ids : t -> int list
 (** Stored docids, ascending. *)
 
-val doc_node : t -> int -> node
-(** The document row of [docid]. @raise Shred_error for unknown ids. *)
+val doc : t -> int -> doc
+(** @raise Shred_error for unknown ids. *)
 
 val stats : t -> int * int
 (** (documents, node rows) stored. *)
+
+val check_invariants : t -> unit
+(** Rows in pre order with [post ≥ pre], each nested in its parent's
+    interval one level down; the pre map the rows' inverse; postings
+    ascending, exactly each name's element and attribute rows; name ids
+    resolving.  @raise Shred_error naming the first violation. *)
 
 type counter_totals = {
   batch_steps : int;  (** set-at-a-time step evaluations (one per step) *)
@@ -102,32 +102,47 @@ val reconstruct : t -> int -> Xdb_xml.Types.node
     The inverse of {!shred}: reconstruct ∘ shred is deep-equal to the
     original. *)
 
-val children : t -> node -> node list
-(** Direct children (attributes excluded) read off the pre-ordered rows
-    array — O(1) per child. *)
+(** {2 Rows} — [parent] is the parent's row, [-1] on the document row. *)
 
-val parent_row : t -> node -> node option
-(** The parent row, [None] on document rows. *)
+val rows : doc -> int
+val pre : doc -> int -> int
+val post : doc -> int -> int
+val parent : doc -> int -> int
+val level : doc -> int -> int
+val kind : doc -> int -> kind
 
-val sibling_number : t -> node -> int
+val qname : doc -> int -> Xdb_xml.Types.qname
+(** The row's interned name: empty on document, text and comment rows,
+    the target on PI rows. *)
+
+val local : doc -> int -> string
+
+val string_value : doc -> int -> string
+(** The row's XPath string-value. *)
+
+val children : doc -> int -> int list
+(** Direct children (attributes excluded) read off the pre-ordered
+    rows — O(1) per child. *)
+
+val sibling_number : doc -> int -> int
 (** [xsl:number level="single"]: 1 + the preceding siblings with the
     row's element name and namespace (1 for non-elements), counted along
     the parent's owned rows up to the row. *)
 
-val emit_subtree : t -> node -> (Xdb_xml.Events.event -> unit) -> unit
-(** Replay the row's subtree as output events read off the rows array
-    (a document row replays its children) — what a streamed
-    [xsl:copy-of] writes, with no DOM copy. *)
+val emit_subtree : doc -> int -> (Xdb_xml.Events.event -> unit) -> unit
+(** Replay the row's subtree as output events read off the rows (a
+    document row replays its children) — what a streamed [xsl:copy-of]
+    writes, with no DOM copy. *)
 
-val subtree : t -> node -> Xdb_xml.Types.node
-(** A fresh DOM copy of the node's subtree built from the rows-array
-    slice [pre .. post] — the only materialisation the relational
-    transform path performs (for [xsl:copy-of] and friends). *)
+val subtree : doc -> int -> Xdb_xml.Types.node
+(** A fresh DOM copy of the row's subtree built from its rows slice —
+    the only materialisation the relational transform path performs
+    (for [xsl:copy-of] into a tree and friends). *)
 
-val axis_step : t -> node list -> Xdb_xpath.Ast.step -> node list
-(** Evaluate one location step over a context node-set, set-at-a-time
-    when the axis and predicates allow it (per-context walks otherwise);
-    predicates applied per the XPath
+val axis_step : t -> docid:int -> int list -> Xdb_xpath.Ast.step -> int list
+(** Evaluate one location step over an ascending context row set of one
+    document, set-at-a-time when the axis and predicates allow it
+    (per-context walks otherwise); predicates applied per the XPath
     positional rules, results merged in document order without
     duplicates.
     @raise Unsupported for constructs outside the relational subset or
@@ -138,18 +153,20 @@ val axis_step : t -> node list -> Xdb_xpath.Ast.step -> node list
 module Smap : Map.S with type key = string
 
 (** An XPath 1.0 value over rows — what a {!cexpr} returns and what
-    variable bindings hold. *)
-type value = V_num of float | V_str of string | V_bool of bool | V_rows of node list
+    variable bindings hold.  [V_rows] are ascending rows of the
+    environment's document. *)
+type value = V_num of float | V_str of string | V_bool of bool | V_rows of int list
 
-val value_number : value -> float
+val value_number : doc -> value -> float
 val value_bool : value -> bool
-val value_string : value -> string
+val value_string : doc -> value -> string
 
-(** The environment a compiled expression runs in: the store, variable
-    bindings, and the XSLT [current()] node ([None]: the context row). *)
-type env = { store : t; vars : value Smap.t; current : node option }
+(** The environment a compiled expression runs in: the document,
+    variable bindings, and the XSLT [current()] row ([-1]: the context
+    row). *)
+type env = { doc : doc; vars : value Smap.t; current : int }
 
-type cexpr = env -> node -> int -> int -> value
+type cexpr = env -> int -> int -> int -> value
 (** A compiled expression, applied to the environment, the context row
     and its proximity position and size. *)
 
@@ -164,27 +181,28 @@ val compile_expr : Xdb_xpath.Ast.expr -> cexpr
     the relational subset (unbound variables included) compile to code
     that raises {!Unsupported} when it runs. *)
 
-val compile_pattern : Xdb_xpath.Pattern.t -> env -> node -> bool
+val compile_pattern : Xdb_xpath.Pattern.t -> env -> int -> bool
 (** Compile an XSLT match pattern: the right-to-left matcher of
-    {!Xdb_xpath.Pattern} with parent lookups through the pre → row map
+    {!Xdb_xpath.Pattern} with parent lookups through the parent column
     and predicates as compiled expressions.
     @raise Unsupported (when run) for pattern predicates outside the
     relational subset. *)
 
-val select : t -> docid:int -> string -> node list
+val select : t -> docid:int -> string -> int list
 (** Parse and evaluate a path expression with the document row as context
-    node.  Falls back to the (DOM) {!Xdb_xpath.Eval} interpreter over a
-    document reconstructed for the call when translation raises
-    {!Unsupported}, mapping its nodes back to rows through their [pre]
-    stamps — the result is identical either way, in document order.
+    node, returning the document's rows in document order.  Falls back
+    to the (DOM) {!Xdb_xpath.Eval} interpreter over a document
+    reconstructed for the call when translation raises {!Unsupported},
+    mapping its nodes back to rows through their [pre] stamps — the
+    result is identical either way.
     @raise Xdb_xpath.Parser.Parse_error on malformed expressions;
     @raise Invalid_argument when the expression is not a node-set. *)
 
-val serialize : t -> node list -> string list
-(** Serialize each result node from a fresh {!subtree} copy (attributes
-    render as [name="value"], which bare attribute nodes cannot via
-    {!Xdb_xml.Serializer}) — the byte-comparison form of the differential
-    tests. *)
+val serialize : t -> docid:int -> int list -> string list
+(** Serialize each of the document's rows from a fresh {!subtree} copy
+    (attributes render as [name="value"], which bare attribute nodes
+    cannot via {!Xdb_xml.Serializer}) — the byte-comparison form of the
+    differential tests. *)
 
 val serialize_dom : Xdb_xml.Types.node list -> string list
 (** The same rendering applied to DOM interpreter results — the other

@@ -64,6 +64,7 @@ let to_string = function
   | Xml_stream produce -> E.to_string produce
 
 let is_null = function Null -> true | _ -> false
+let is_nan = function Float f -> Float.is_nan f | _ -> false
 
 (** SQL three-valued comparison collapses here to an option: [None] when
     either side is NULL. *)

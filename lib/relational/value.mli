@@ -36,6 +36,7 @@ val to_string : t -> string
     serializes. *)
 
 val is_null : t -> bool
+val is_nan : t -> bool
 
 val compare_sql : t -> t -> int option
 (** SQL three-valued comparison: [None] when either side is NULL.

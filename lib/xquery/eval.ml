@@ -236,20 +236,22 @@ and eval_flwor env clauses return_ =
               envs
         | Where cond -> List.filter (fun e -> Value.boolean_value (eval e cond)) envs
         | Order_by keys ->
+            (* a key compares by its typed value: a number numerically,
+               anything else as text, numbers first — xsl:sort's order *)
+            let typed = function [ Value.Atom (Num f) ] -> `Num f | v -> `Str (Value.string_value v) in
             let decorated =
-              List.map
-                (fun e -> (List.map (fun (k, desc) -> (Value.string_value (eval e k), desc)) keys, e))
-                envs
+              List.map (fun e -> (List.map (fun (k, desc) -> (typed (eval e k), desc)) keys, e)) envs
             in
             let cmp (ka, _) (kb, _) =
               let rec go = function
                 | [] -> 0
                 | ((xa, desc), (xb, _)) :: rest -> (
-                    (* numeric comparison when both parse as numbers *)
                     let c =
-                      match (float_of_string_opt xa, float_of_string_opt xb) with
-                      | Some fa, Some fb -> compare fa fb
-                      | _ -> compare xa xb
+                      match (xa, xb) with
+                      | `Num a, `Num b -> compare a b
+                      | `Str a, `Str b -> compare a b
+                      | `Num _, `Str _ -> -1
+                      | `Str _, `Num _ -> 1
                     in
                     let c = if desc then -c else c in
                     match c with 0 -> go rest | c -> c)

@@ -46,7 +46,9 @@ type loc = {
 
 type binding = Loc of loc | Sql of A.expr
 
-type env = { view : P.view; vars : binding Smap.t }
+(* [ty alias column]: the column's SQL type, when the view's tables
+   declare it *)
+type env = { view : P.view; vars : binding Smap.t; ty : string -> string -> V.column_type option }
 
 let root_loc view =
   {
@@ -87,25 +89,56 @@ let xpath_atom spec alias (e : XP.expr) : A.expr =
       scalar_of_path spec alias p.XP.steps
   | _ -> fail "unsupported operand in a value predicate"
 
-let rec xpath_pred_to_sql spec alias (e : XP.expr) : A.expr =
+let sql_cmp : XP.binop -> A.binop = function
+  | XP.Eq -> A.Eq
+  | XP.Neq -> A.Neq
+  | XP.Lt -> A.Lt
+  | XP.Leq -> A.Leq
+  | XP.Gt -> A.Gt
+  | XP.Geq -> A.Geq
+  | _ -> fail "unsupported operator in a value predicate"
+
+(* XPath 1.0 §3.4 where a string column meets a literal or a number, or
+   a numeric column a string literal, instead of SQL's casts: ordering
+   comparisons and comparisons with a number compare numbers, the number
+   of a non-numeric string being NaN (only [!=] holds on it); [=]/[!=]
+   compare text, which a numeric column can only equal in a literal's
+   canonical form.  Number-vs-number plans stay as they are. *)
+let compare_typed ty (op : A.binop) (a : A.expr) (b : A.expr) : A.expr =
+  let ordering = match op with A.Lt | A.Leq | A.Gt | A.Geq -> true | _ -> false in
+  let cls = function
+    | A.Const (V.Str s) -> `Lit s
+    | A.Const (V.Int _ | V.Float _) | A.Binop ((A.Add | A.Sub | A.Mul | A.Div | A.Fdiv | A.Mod), _, _) ->
+        `Num
+    | A.Col (Some al, c) -> (
+        match ty al c with Some V.Tstr -> `Str_col | Some (V.Tint | V.Tfloat) -> `Num_col | _ -> `Other)
+    | _ -> `Other
+  in
+  let num_lit s = A.Const (V.Float (Xdb_xpath.Value.number_of_string s)) in
+  let canonical s =
+    let f = Xdb_xpath.Value.number_of_string s in
+    (not (Float.is_nan f)) && String.equal (Xdb_xpath.Value.string_of_number f) s
+  in
+  let side x other =
+    match (cls x, cls other) with
+    | `Str_col, (`Num | `Num_col) -> A.Fn ("xpath_number", [ x ])
+    | `Str_col, (`Lit _ | `Str_col) when ordering -> A.Fn ("xpath_number", [ x ])
+    | `Lit s, `Str_col when ordering -> num_lit s
+    | `Lit s, `Num_col when not (canonical s) ->
+        if ordering then num_lit s else A.Const (V.Float Float.nan)
+    | _ -> x
+  in
+  A.Binop (op, side a b, side b a)
+
+let rec xpath_pred_to_sql ty spec alias (e : XP.expr) : A.expr =
   match e with
   | XP.Binop (XP.And, a, b) ->
-      A.Binop (A.And, xpath_pred_to_sql spec alias a, xpath_pred_to_sql spec alias b)
+      A.Binop (A.And, xpath_pred_to_sql ty spec alias a, xpath_pred_to_sql ty spec alias b)
   | XP.Binop (XP.Or, a, b) ->
-      A.Binop (A.Or, xpath_pred_to_sql spec alias a, xpath_pred_to_sql spec alias b)
+      A.Binop (A.Or, xpath_pred_to_sql ty spec alias a, xpath_pred_to_sql ty spec alias b)
   | XP.Binop (op, a, b) ->
-      let sql_op =
-        match op with
-        | XP.Eq -> A.Eq
-        | XP.Neq -> A.Neq
-        | XP.Lt -> A.Lt
-        | XP.Leq -> A.Leq
-        | XP.Gt -> A.Gt
-        | XP.Geq -> A.Geq
-        | _ -> fail "unsupported operator in a value predicate"
-      in
-      A.Binop (sql_op, xpath_atom spec alias a, xpath_atom spec alias b)
-  | XP.Call ("not", [ inner ]) -> A.Not (xpath_pred_to_sql spec alias inner)
+      compare_typed ty (sql_cmp op) (xpath_atom spec alias a) (xpath_atom spec alias b)
+  | XP.Call ("not", [ inner ]) -> A.Not (xpath_pred_to_sql ty spec alias inner)
   | XP.Path p when not p.XP.absolute ->
       (* existence of a scalar child: NOT NULL *)
       A.Not (A.Is_null (scalar_of_path spec alias p.XP.steps))
@@ -115,7 +148,7 @@ let rec xpath_pred_to_sql spec alias (e : XP.expr) : A.expr =
 (* Navigation                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let navigate_child (l : loc) (step : XP.step) : loc =
+let navigate_child ty (l : loc) (step : XP.step) : loc =
   let name =
     match step.XP.test with
     | XP.Name_test (_, n) -> n
@@ -137,7 +170,7 @@ let navigate_child (l : loc) (step : XP.step) : loc =
           correlate = a.correlate;
           where =
             (match a.where with Some w -> [ w ] | None -> [])
-            @ List.map (fun p -> xpath_pred_to_sql a.body a.alias p) step.XP.predicates;
+            @ List.map (fun p -> xpath_pred_to_sql ty a.body a.alias p) step.XP.predicates;
           order_by = a.order_by;
         }
       in
@@ -179,7 +212,7 @@ let rec resolve env (e : expr) : binding =
   | Context_item | Root -> Loc (root_loc env.view)
   | Path (base, steps) -> (
       match resolve env base with
-      | Loc l -> Loc (List.fold_left navigate_child l steps)
+      | Loc l -> Loc (List.fold_left (navigate_child env.ty) l steps)
       | Sql _ -> fail "cannot navigate into a computed value")
   | Seq [ e ] -> resolve env e
   | e -> Sql (tr env e)
@@ -272,17 +305,7 @@ and tr_cond env (e : expr) : A.expr =
   | Binop (XP.And, a, b) -> A.Binop (A.And, tr_cond env a, tr_cond env b)
   | Binop (XP.Or, a, b) -> A.Binop (A.Or, tr_cond env a, tr_cond env b)
   | Binop ((XP.Eq | XP.Neq | XP.Lt | XP.Leq | XP.Gt | XP.Geq) as op, a, b) ->
-      let sql_op =
-        match op with
-        | XP.Eq -> A.Eq
-        | XP.Neq -> A.Neq
-        | XP.Lt -> A.Lt
-        | XP.Leq -> A.Leq
-        | XP.Gt -> A.Gt
-        | XP.Geq -> A.Geq
-        | _ -> assert false
-      in
-      A.Binop (sql_op, tr_scalar env a, tr_scalar env b)
+      compare_typed env.ty (sql_cmp op) (tr_scalar env a) (tr_scalar env b)
   | Fn_call ("not", [ inner ]) -> A.Not (tr_cond env inner)
   | Fn_call (("exists" | "boolean"), [ arg ]) | arg -> (
       match resolve env arg with
@@ -496,9 +519,22 @@ and summary = function
 
 (** [rewrite_prog view prog] — the per-row SQL/XML expression equivalent to
     running [prog] with one view document as context item. *)
-let rewrite_prog (view : P.view) (p : prog) : A.expr =
+let rewrite_prog db (view : P.view) (p : prog) : A.expr =
   if p.funs <> [] then fail "queries with user functions (non-inline mode) are not rewritable";
-  let env = { view; vars = Smap.empty } in
+  (* every alias the view scans, with its table *)
+  let rec aliases acc = function
+    | P.Elem { content; _ } -> List.fold_left aliases acc content
+    | P.Agg { table; alias; body; _ } -> aliases ((alias, table) :: acc) body
+    | P.Text_col _ | P.Text_expr _ | P.Text_const _ -> acc
+  in
+  let tables = aliases [ (view.P.base_alias, view.P.base_table) ] view.P.spec in
+  let ty alias col =
+    Option.bind (Option.bind (List.assoc_opt alias tables) (Xdb_rel.Database.table_opt db)) (fun t ->
+        Array.find_map
+          (fun (c : Xdb_rel.Table.column) -> if c.col_name = col then Some c.col_type else None)
+          t.Xdb_rel.Table.columns)
+  in
+  let env = { view; vars = Smap.empty; ty } in
   let env =
     List.fold_left
       (fun env (v, e) -> { env with vars = Smap.add v (resolve env e) env.vars })
@@ -511,7 +547,7 @@ let rewrite_prog (view : P.view) (p : prog) : A.expr =
     (index selection on the pushed-down predicates).  [timer] wraps each
     optimiser pass for per-pass planning-time metrics. *)
 let rewrite_view_plan ?timer db (view : P.view) (p : prog) : A.plan =
-  let result = rewrite_prog view p in
+  let result = rewrite_prog db view p in
   let plan =
     A.Project
       ([ (result, "result") ], A.Seq_scan { table = view.P.base_table; alias = view.P.base_alias })

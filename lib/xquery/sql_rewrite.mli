@@ -10,9 +10,11 @@
 
 exception Not_rewritable of string
 
-val rewrite_prog : Xdb_rel.Publish.view -> Ast.prog -> Xdb_rel.Algebra.expr
+val rewrite_prog : Xdb_rel.Database.t -> Xdb_rel.Publish.view -> Ast.prog -> Xdb_rel.Algebra.expr
 (** The per-row SQL/XML expression equivalent to running the program with
-    one view document as context item.
+    one view document as context item.  The database's column types
+    decide where a comparison follows XPath's string/number rules
+    instead of SQL's casts.
     @raise Not_rewritable outside the supported fragment. *)
 
 val rewrite_view_plan :

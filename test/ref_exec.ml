@@ -192,20 +192,23 @@ and eval_binop ctx env op a b =
           Value.Float f)
   | Eq | Neq | Lt | Leq | Gt | Geq -> (
       let va = eval_expr_in ctx env a and vb = eval_expr_in ctx env b in
-      match Value.compare_sql va vb with
-      | None -> Value.Null
-      | Some c ->
-          let b =
-            match op with
-            | Eq -> c = 0
-            | Neq -> c <> 0
-            | Lt -> c < 0
-            | Leq -> c <= 0
-            | Gt -> c > 0
-            | Geq -> c >= 0
-            | _ -> assert false
-          in
-          Value.Int (if b then 1 else 0))
+      if Value.is_null va || Value.is_null vb then Value.Null
+      else if Value.is_nan va || Value.is_nan vb then Value.Int (if op = Neq then 1 else 0) (* NaN is unordered *)
+      else
+        match Value.compare_sql va vb with
+        | None -> Value.Null
+        | Some c ->
+            let b =
+              match op with
+              | Eq -> c = 0
+              | Neq -> c <> 0
+              | Lt -> c < 0
+              | Leq -> c <= 0
+              | Gt -> c > 0
+              | Geq -> c >= 0
+              | _ -> assert false
+            in
+            Value.Int (if b then 1 else 0))
 
 and eval_fn ctx env f args =
   let v i = eval_expr_in ctx env (List.nth args i) in
@@ -216,6 +219,8 @@ and eval_fn ctx env f args =
   | "upper", 1 -> Value.Str (String.uppercase_ascii (Value.to_string (v 0)))
   | "lower", 1 -> Value.Str (String.lowercase_ascii (Value.to_string (v 0)))
   | "length", 1 -> Value.Int (String.length (Value.to_string (v 0)))
+  | "xpath_number", 1 -> (
+      match v 0 with Value.Str s -> Value.Float (Xdb_xpath.Value.number_of_string s) | x -> x)
   | "abs", 1 -> (
       match v 0 with
       | Value.Int i -> Value.Int (abs i)

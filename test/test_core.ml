@@ -235,6 +235,31 @@ let test_strip_space_pipeline () =
   check cs "stripped equivalence" f x;
   check cs "whitespace gone" "<out><v>x</v><v>y</v></out>" f
 
+(* an xsl:sort key orders by its type on both sides: a text key as
+   strings, even when every key parses as a number, and a
+   data-type="number" key numerically with NaN first *)
+let test_sort_key_types () =
+  let doc = Xdb_xml.Parser.parse "<r><v>10</v><v>9</v><v>1e1</v><v>b</v><v>09</v></r>" in
+  List.iter
+    (fun (sort, expected) ->
+      let ss =
+        Printf.sprintf
+          {|<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+<xsl:template match="/"><o><xsl:for-each select="r/v">%s<xsl:value-of select="."/>,</xsl:for-each>|<xsl:apply-templates select="r/v">%s</xsl:apply-templates></o></xsl:template>
+<xsl:template match="v"><xsl:value-of select="."/>,</xsl:template>
+</xsl:stylesheet>|}
+          sort sort
+      in
+      let dc = PL.compile_for_document ss ~example_doc:doc in
+      let f = PL.transform_functional dc doc in
+      check cs (sort ^ ": VM") expected f;
+      check cs (sort ^ ": rewrite = VM") f (PL.transform_via_xquery dc doc))
+    [
+      ({|<xsl:sort select="."/>|}, "<o>09,10,1e1,9,b,|09,10,1e1,9,b,</o>");
+      ({|<xsl:sort select="." order="descending"/>|}, "<o>b,9,1e1,10,09,|b,9,1e1,10,09,</o>");
+      ({|<xsl:sort select="." data-type="number"/>|}, "<o>1e1,b,9,09,10,|1e1,b,9,09,10,</o>");
+    ]
+
 let test_position_last_translation () =
   (* position() and last() inside an applied template translate via a
      positional FLWOR variable and a pre-bound count *)
@@ -730,6 +755,37 @@ let test_nan_condition_differential () =
   check Alcotest.(list string) "functional = rewrite under NaN condition" f r;
   (* NaN is false: no <hit> elements anywhere *)
   check cb "no hits emitted" false (contains "<hit>" (String.concat "" f))
+
+(* XPath 1.0 §3.4 comparisons between a string or int column and a
+   string or number literal, in a path predicate and in xsl:if: a
+   string that is not a number compares as NaN (false, but true for
+   [!=]) instead of failing the plan's cast, and [<]/[>] compare
+   numbers even when both sides are strings *)
+let test_mixed_comparison_differential () =
+  let dv = Xdb_xsltmark.Data.records_db 5 in
+  let db = dv.Xdb_xsltmark.Data.db in
+  List.iter
+    (fun col ->
+      List.iter
+        (fun op ->
+          List.iter
+            (fun lit ->
+              let cond = Printf.sprintf "%s %s %s" col op lit in
+              let stylesheet =
+                Printf.sprintf
+                  {|<?xml version="1.0"?>
+<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+<xsl:template match="table"><o><xsl:apply-templates select="row[%s]"/>|<xsl:for-each select="row"><xsl:if test="%s"><xsl:value-of select="id"/></xsl:if></xsl:for-each></o></xsl:template>
+<xsl:template match="row"><r><xsl:value-of select="id"/></r></xsl:template>
+<xsl:template match="text()"/>
+</xsl:stylesheet>|}
+                  cond cond
+              in
+              let c = PL.compile db dv.Xdb_xsltmark.Data.view stylesheet in
+              check Alcotest.(list string) cond (PL.run_functional db c) (PL.run_rewrite db c))
+            [ "5"; "2.5"; "'3'"; "'name000002'"; "'x'" ])
+        [ "="; "!="; "&lt;"; "&gt;" ])
+    [ "id"; "name"; "category" ]
 
 let test_negative_zero_differential () =
   (* XPath 1.0 §4.2: both zeros convert to the string "0".  round() of a
@@ -2154,6 +2210,7 @@ let () =
           Alcotest.test_case "key() expansion" `Quick test_key_translation;
           Alcotest.test_case "position()/last() translation" `Quick test_position_last_translation;
           Alcotest.test_case "strip-space through the pipeline" `Quick test_strip_space_pipeline;
+          Alcotest.test_case "xsl:sort key types: VM = rewrite" `Quick test_sort_key_types;
           Alcotest.test_case "backward axis removal (§3.5)" `Quick test_backward_axis_removal;
           Alcotest.test_case "model groups (§3.4)" `Quick test_model_group_variants;
           Alcotest.test_case "cardinality LET/FOR (§3.4)" `Quick test_cardinality_let_vs_for;
@@ -2175,6 +2232,8 @@ let () =
           Alcotest.test_case "EXPLAIN ANALYZE ordering strategy" `Quick
             test_ordering_strategy_explain;
           QCheck_alcotest.to_alcotest prop_pipeline_equivalence;
+          Alcotest.test_case "string/number comparisons: functional = rewrite" `Quick
+            test_mixed_comparison_differential;
           Alcotest.test_case "negative zero prints 0" `Quick test_negative_zero_differential;
         ] );
       ( "parallel",

@@ -1698,6 +1698,7 @@ let test_shred_roundtrip () =
   check cb "reconstruct ∘ shred = id" true (X.deep_equal doc (SH.reconstruct t id));
   let doc2 = Xdb_xml.Parser.parse "<f><g/></f>" in
   let id2 = SH.shred t doc2 in
+  SH.check_invariants t;
   check cb "second doc roundtrips too" true (X.deep_equal doc2 (SH.reconstruct t id2));
   let n_docs, n_rows = SH.stats t in
   check ci "two docs" 2 n_docs;
@@ -1731,11 +1732,12 @@ let fallback_exprs = [ "//*[contains(.,'1')] | //@id"; "//b | //a/text()"; "(//a
 let shred_matches_dom ?fallback doc exprs =
   let t = SH.create () in
   let docid = SH.shred t doc in
+  SH.check_invariants t;
   let ctx = Xdb_xpath.Eval.make_context doc in
   List.for_all
     (fun q ->
       let before = (SH.counters t).SH.dom_fallbacks in
-      let shredded = SH.serialize t (SH.select t ~docid q) in
+      let shredded = SH.serialize t ~docid (SH.select t ~docid q) in
       let fell_back = (SH.counters t).SH.dom_fallbacks > before in
       let dom = SH.serialize_dom (Xdb_xpath.Eval.select ctx q) in
       (shredded = dom
@@ -1772,6 +1774,7 @@ let prop_shred_roundtrip =
       let t = SH.create () in
       let id1 = SH.shred t first in
       let id2 = SH.shred t doc in
+      SH.check_invariants t;
       X.deep_equal doc (SH.reconstruct t id2) && X.deep_equal first (SH.reconstruct t id1))
 
 let prop_shred_differential =
@@ -1835,7 +1838,8 @@ let prop_shred_positional_differential =
 let test_shred_attribute_following_preceding () =
   let t = SH.create () in
   let docid = SH.shred t (Xdb_xml.Parser.parse {|<r><p/><a id="1"><b/><c/></a><d/></r>|}) in
-  let names q = List.map (fun r -> r.SH.name) (SH.select t ~docid q) in
+  SH.check_invariants t;
+  let names q = List.map (SH.local (SH.doc t docid)) (SH.select t ~docid q) in
   check Alcotest.(list string) "//@id/following::*" [ "b"; "c"; "d" ] (names "//@id/following::*");
   check Alcotest.(list string) "//@id/preceding::*" [ "p" ] (names "//@id/preceding::*");
   check ci "no DOM fallback" 0 (SH.counters t).SH.dom_fallbacks
@@ -1872,25 +1876,37 @@ let oracle_axes =
       Ancestor_or_self; Following; Preceding; Following_sibling; Preceding_sibling;
     ]
 
-let region_axis (axis : Xdb_xpath.Ast.axis) (c : SH.node) (r : SH.node) =
-  let attr (n : SH.node) = n.SH.kind = "attr" in
-  let within (n : SH.node) (a : SH.node) = a.SH.pre < n.SH.pre && n.SH.pre < a.SH.post in
-  let descendant = (not (attr r)) && within r c and ancestor = within c r in
-  let self = r.SH.pre = c.SH.pre in
-  let sibling = (not (attr c)) && (not (attr r)) && c.SH.parent >= 0 && r.SH.parent = c.SH.parent in
+(* what the oracle reads of a row: its pre, post, parent's pre, level
+   and whether it is an attribute *)
+type row_view = { v_pre : int; v_post : int; v_parent : int; v_level : int; v_attr : bool }
+
+let row_view d i =
+  {
+    v_pre = SH.pre d i;
+    v_post = SH.post d i;
+    v_parent = (match SH.parent d i with -1 -> -1 | p -> SH.pre d p);
+    v_level = SH.level d i;
+    v_attr = SH.kind d i = SH.Attr;
+  }
+
+let region_axis (axis : Xdb_xpath.Ast.axis) c r =
+  let within n a = a.v_pre < n.v_pre && n.v_pre < a.v_post in
+  let descendant = (not r.v_attr) && within r c and ancestor = within c r in
+  let self = r.v_pre = c.v_pre in
+  let sibling = (not c.v_attr) && (not r.v_attr) && c.v_parent >= 0 && r.v_parent = c.v_parent in
   match axis with
   | Self -> self
-  | Child -> descendant && r.SH.level = c.SH.level + 1
-  | Attribute -> attr r && r.SH.parent = c.SH.pre
-  | Parent -> r.SH.pre = c.SH.parent
+  | Child -> descendant && r.v_level = c.v_level + 1
+  | Attribute -> r.v_attr && r.v_parent = c.v_pre
+  | Parent -> r.v_pre = c.v_parent
   | Descendant -> descendant
   | Descendant_or_self -> self || descendant
   | Ancestor -> ancestor
   | Ancestor_or_self -> self || ancestor
-  | Following -> (not (attr r)) && r.SH.pre > c.SH.pre && not descendant
-  | Preceding -> (not (attr r)) && r.SH.pre < c.SH.pre && not ancestor
-  | Following_sibling -> sibling && r.SH.pre > c.SH.pre
-  | Preceding_sibling -> sibling && r.SH.pre < c.SH.pre
+  | Following -> (not r.v_attr) && r.v_pre > c.v_pre && not descendant
+  | Preceding -> (not r.v_attr) && r.v_pre < c.v_pre && not ancestor
+  | Following_sibling -> sibling && r.v_pre > c.v_pre
+  | Preceding_sibling -> sibling && r.v_pre < c.v_pre
   | Namespace -> false
 
 let prop_axis_oracle =
@@ -1899,13 +1915,13 @@ let prop_axis_oracle =
     (fun doc ->
       let t = SH.create () in
       let docid = SH.shred t doc in
+      SH.check_invariants t;
       let step axis =
         { Xdb_xpath.Ast.axis; test = Xdb_xpath.Ast.Node_type_test Xdb_xpath.Ast.Any_node; predicates = [] }
       in
-      let by_pre = List.sort (fun (a : SH.node) b -> compare a.SH.pre b.SH.pre) in
-      let root = SH.doc_node t docid in
-      let nodes = SH.axis_step t [ root ] (step Descendant_or_self) in
-      let rows = by_pre (nodes @ SH.axis_step t nodes (step Attribute)) in
+      (* row 0 is the document row *)
+      let nodes = SH.axis_step t ~docid [ 0 ] (step Descendant_or_self) in
+      let rows = List.sort compare (nodes @ SH.axis_step t ~docid nodes (step Attribute)) in
       (* the DOM nodes in document order: each node, its attributes, its children *)
       let rec dom_order (n : X.node) =
         n :: List.concat_map dom_order (n.X.attributes @ n.X.children)
@@ -1915,9 +1931,10 @@ let prop_axis_oracle =
         let rec find i = if dom.(i) == n then i else find (i + 1) in
         find 0
       in
-      let rows_a = Array.of_list rows in
-      let index_of_row (r : SH.node) =
-        let rec find i = if rows_a.(i).SH.pre = r.SH.pre then i else find (i + 1) in
+      let rows_i = Array.of_list rows in
+      let rows_a = Array.map (row_view (SH.doc t docid)) rows_i in
+      let index_of_row r =
+        let rec find i = if rows_i.(i) = r then i else find (i + 1) in
         find 0
       in
       let sorted l = List.sort compare l in
@@ -1935,7 +1952,7 @@ let prop_axis_oracle =
                      (List.init (Array.length rows_a) Fun.id)
                  in
                  let eval = sorted (List.map index_of_dom (Xdb_xpath.Eval.axis_nodes axis dom.(i))) in
-                 let shred = sorted (List.map index_of_row (SH.axis_step t [ c ] (step axis))) in
+                 let shred = sorted (List.map index_of_row (SH.axis_step t ~docid [ rows_i.(i) ] (step axis))) in
                  let show l = String.concat "," (List.map string_of_int l) in
                  (eval = oracle
                  || QCheck.Test.fail_reportf "%s from node %d: oracle [%s], DOM [%s]" name i
@@ -1957,6 +1974,7 @@ let test_shred_two_documents () =
   in
   let t = SH.create () in
   let ids = List.map (SH.shred t) docs in
+  SH.check_invariants t;
   List.iter2
     (fun docid doc ->
       let ctx = Xdb_xpath.Eval.make_context doc in
@@ -1964,10 +1982,10 @@ let test_shred_two_documents () =
         (fun q ->
           let rows = SH.select t ~docid q in
           check cb (q ^ ": own document only") true
-            (List.for_all (fun r -> r.SH.docid = docid) rows);
+            (List.for_all (fun r -> r >= 0 && r < SH.rows (SH.doc t docid)) rows);
           check Alcotest.(list string) q
             (SH.serialize_dom (Xdb_xpath.Eval.select ctx q))
-            (SH.serialize t rows))
+            (SH.serialize t ~docid rows))
         [
           "/following::node()"; "/preceding::node()"; "/*/following::node()";
           "/*/preceding::node()"; "/*/node()[1]/following::node()";
@@ -1986,10 +2004,10 @@ let test_shred_two_documents () =
   let docid = List.nth ids 1 in
   let rows = SH.select t ~docid q in
   check cb "fallback: own document only" true
-    (rows <> [] && List.for_all (fun r -> r.SH.docid = docid) rows);
+    (rows <> [] && List.for_all (fun r -> r >= 0 && r < SH.rows (SH.doc t docid)) rows);
   check Alcotest.(list string) q
     (SH.serialize_dom (Xdb_xpath.Eval.select (Xdb_xpath.Eval.make_context (List.nth docs 1)) q))
-    (SH.serialize t rows);
+    (SH.serialize t ~docid rows);
   check ci "one DOM fallback" 1 (SH.counters t).SH.dom_fallbacks
 
 (* names are plain postings keys: no bound on how many a store holds *)
@@ -1998,10 +2016,11 @@ let test_shred_many_names () =
   let doc = XB.document (XB.elem "r" kids) in
   let t = SH.create () in
   let docid = SH.shred t doc in
+  SH.check_invariants t;
   let ctx = Xdb_xpath.Eval.make_context doc in
   List.iter
     (fun (q, expected) ->
-      let shredded = SH.serialize t (SH.select t ~docid q) in
+      let shredded = SH.serialize t ~docid (SH.select t ~docid q) in
       check Alcotest.(list string) (q ^ " = DOM") (SH.serialize_dom (Xdb_xpath.Eval.select ctx q)) shredded;
       check Alcotest.(list string) q expected shredded)
     [ ("//n4999", [ "<n4999/>" ]); ("/r/n0/following-sibling::*[1]", [ "<n1/>" ]) ]
@@ -2018,6 +2037,7 @@ let test_shred_differential_xsltmark () =
        ]);
   let t = SH.create () in
   let docid = SH.shred t doc in
+  SH.check_invariants t;
   ignore (SH.select t ~docid "//row[id]");
   let c = SH.counters t in
   check cb "evaluated batched" true (c.SH.batch_steps > 0);
@@ -2027,6 +2047,24 @@ let test_shred_differential_xsltmark () =
   let c2 = SH.counters t in
   check cb "per-context walks ran" true (c2.SH.rel_steps > c.SH.rel_steps);
   check ci "still no fallback" 0 c2.SH.dom_fallbacks
+
+(* the stored footprint: live heap grown by shredding 400 records into an
+   empty store, per stored row (the input document is live before and
+   after, so only what the store holds is counted) *)
+let test_shred_heap_per_node () =
+  let doc = Xdb_xsltmark.Data.records_doc 400 in
+  let t = SH.create () in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let live0 = live () in
+  ignore (SH.shred t doc);
+  let grown = live () - live0 in
+  let _, nodes = SH.stats t in
+  let per_node = float_of_int (grown * 8) /. float_of_int nodes in
+  check cb (Printf.sprintf "%.1f bytes per node <= 60" per_node) true (per_node <= 60.0);
+  check cb "the input document is still live" true (X.is_document doc)
 
 (* ------------------------------------------------------------------ *)
 (* compiled executor: plan-open resolution, batch boundaries           *)
@@ -3121,5 +3159,6 @@ let () =
           Alcotest.test_case "following/preceding from an attribute" `Quick
             test_shred_attribute_following_preceding;
           QCheck_alcotest.to_alcotest prop_axis_oracle;
+          Alcotest.test_case "stored bytes per node" `Quick test_shred_heap_per_node;
         ] );
     ]
