@@ -28,7 +28,6 @@ module P = Xdb_rel.Publish
 module V = Xdb_rel.Value
 
 type compiled = {
-  stylesheet : Xdb_xslt.Ast.stylesheet;
   vm_prog : Xdb_xslt.Compile.program;
   view : P.view;
   schema : S.t;
@@ -43,11 +42,9 @@ type compiled = {
 let staged metrics name f =
   match metrics with None -> f () | Some m -> Metrics.time m name f
 
-(** [compile ?options ?metrics db view stylesheet_text] — full compilation:
-    stylesheet → bytecode → (partial evaluation over the view's structural
-    info) → XQuery → SQL/XML plan.  With [metrics], each stage's wall time
-    is recorded under [parse]/[bytecode]/[schema]/[translate]/[sql_rewrite]. *)
-let compile ?(options = Options.default) ?metrics db (view : P.view) stylesheet_text : compiled =
+(* the stages before the SQL rewrite: parse, bytecode, the view's
+   structural information, and the XSLT→XQuery translation *)
+let front ~options ?metrics (view : P.view) stylesheet_text =
   let stylesheet = staged metrics "parse" (fun () -> Xdb_xslt.Parser.parse stylesheet_text) in
   let vm_prog = staged metrics "bytecode" (fun () -> Xdb_xslt.Compile.compile stylesheet) in
   Log.debug (fun m ->
@@ -66,15 +63,41 @@ let compile ?(options = Options.default) ?metrics db (view : P.view) stylesheet_
         | Xslt2xquery.Mode_functions -> "non-inline"
         | Xslt2xquery.Mode_builtin_compact -> "builtin-compact")
         (List.length translation.Xslt2xquery.query.Q.funs));
-  (* per-pass planning time: the optimiser's unnest/isolate/order/rewrite
-     passes appear as their own [opt_*] stages under --metrics *)
-  let opt_timer =
-    Option.map (fun m -> fun name f -> Metrics.time m name f) metrics
+  (vm_prog, schema, translation)
+
+(* per-pass planning time: the optimiser's unnest/isolate/order/rewrite
+   passes appear as their own [opt_*] stages under --metrics *)
+let opt_timer metrics = Option.map (fun m -> fun name f -> Metrics.time m name f) metrics
+
+(* the compile counters under --metrics *)
+let count_compile metrics vm_prog translation ~rewritable =
+  Option.iter
+    (fun m ->
+      Metrics.incr ~by:(Xdb_xslt.Compile.program_size vm_prog) m "bytecode_ops";
+      Metrics.incr ~by:(List.length translation.Xslt2xquery.query.Q.funs) m "xquery_functions";
+      Metrics.incr ~by:(if rewritable then 1 else 0) m "sql_rewritable")
+    metrics
+
+(* the compiled record around a plan (or the reason there is none) *)
+let assemble (view : P.view) vm_prog schema translation (sql_plan, sql_fallback_reason) =
+  (* the view's own tables (what the functional fallback materialises
+     from) and whatever the plan scans or probes *)
+  let deps =
+    List.sort_uniq compare (P.view_tables view @ Option.fold ~none:[] ~some:A.tables_of sql_plan)
   in
-  let sql_plan, sql_fallback_reason =
+  let footprint = Option.map Xdb_rel.Footprint.memo sql_plan in
+  { vm_prog; view; schema; translation; sql_plan; sql_fallback_reason; deps; footprint }
+
+(** [compile ?options ?metrics db view stylesheet_text] — full compilation:
+    stylesheet → bytecode → (partial evaluation over the view's structural
+    info) → XQuery → SQL/XML plan.  With [metrics], each stage's wall time
+    is recorded under [parse]/[bytecode]/[schema]/[translate]/[sql_rewrite]. *)
+let compile ?(options = Options.default) ?metrics db (view : P.view) stylesheet_text : compiled =
+  let vm_prog, schema, translation = front ~options ?metrics view stylesheet_text in
+  let plan =
     staged metrics "sql_rewrite" (fun () ->
         match
-          Xdb_xquery.Sql_rewrite.rewrite_view_plan ?timer:opt_timer db view
+          Xdb_xquery.Sql_rewrite.rewrite_view_plan ?timer:(opt_timer metrics) db view
             translation.Xslt2xquery.query
         with
         | plan ->
@@ -84,19 +107,102 @@ let compile ?(options = Options.default) ?metrics db (view : P.view) stylesheet_
             Log.info (fun m -> m "not SQL-rewritable (%s); dynamic fallback armed" reason);
             (None, Some reason))
   in
-  (match metrics with
-  | Some m ->
-      Metrics.incr ~by:(Xdb_xslt.Compile.program_size vm_prog) m "bytecode_ops";
-      Metrics.incr ~by:(List.length translation.Xslt2xquery.query.Q.funs) m "xquery_functions";
-      Metrics.incr ~by:(match sql_plan with Some _ -> 1 | None -> 0) m "sql_rewritable"
-  | None -> ());
-  (* the view's own tables (what the functional fallback materialises
-     from) and whatever the plan scans or probes *)
-  let deps =
-    List.sort_uniq compare (P.view_tables view @ Option.fold ~none:[] ~some:A.tables_of sql_plan)
+  count_compile metrics vm_prog translation ~rewritable:(Option.is_some (fst plan));
+  assemble view vm_prog schema translation plan
+
+(* ------------------------------------------------------------------ *)
+(* Stylesheet shapes: integer literals as plan parameters               *)
+(* ------------------------------------------------------------------ *)
+
+type template = {
+  t_view : P.view;
+  t_schema : S.t;
+  t_prog : Xdb_xslt.Compile.program;  (** slot [i] is the variable [param_var i] *)
+  t_translation : Xslt2xquery.result;  (** likewise *)
+  t_plan : A.plan;  (** the rewrite, not optimised, [Param] leaves in place *)
+}
+
+(* Every parameter occurs in [plan], and only as a direct operand of a
+   comparison whose other side reads data: there the literal it stands
+   for is a constant the optimiser costs, never output or folded. *)
+let parameters_shareable plan n =
+  let rec reads_data = function
+    | A.Col _ | A.Scalar_subquery _ | A.Exists _ -> true
+    | A.Fn (_, args) -> List.exists reads_data args
+    | A.Binop (_, a, b) -> reads_data a || reads_data b
+    | A.Not a | A.Is_null a -> reads_data a
+    | _ -> false
   in
-  let footprint = Option.map Xdb_rel.Footprint.memo sql_plan in
-  { stylesheet; vm_prog; view; schema; translation; sql_plan; sql_fallback_reason; deps; footprint }
+  let operands = ref [] and seen = Array.make n false and stray = ref false in
+  A.iter plan ~plan:ignore ~expr:(fun e ->
+      match e with
+      | A.Binop ((A.Eq | A.Neq | A.Lt | A.Leq | A.Gt | A.Geq), a, b) -> (
+          match (a, b) with
+          | A.Param _, other when reads_data other -> operands := a :: !operands
+          | other, A.Param _ when reads_data other -> operands := b :: !operands
+          | _ -> ())
+      | A.Param i -> if i < n && List.memq e !operands then seen.(i) <- true else stray := true
+      | _ -> ());
+  (not !stray) && Array.for_all Fun.id seen
+
+(** [bind ?metrics db t values] — the template's compilation for the
+    literals [values]: each parameter becomes its integer in the XQuery,
+    in the bytecode (bound as a global) and in the plan, which is then
+    optimised as a fresh compile's would be ([opt_*] stages under
+    [metrics]). *)
+let bind ?metrics db (t : template) (values : int array) : compiled =
+  let number i = float_of_int values.(i) in
+  let plan =
+    Xdb_rel.Optimizer.optimize_deep ?timer:(opt_timer metrics) db
+      (A.bind_params (Array.map (fun k -> V.Int k) values) t.t_plan)
+  in
+  let globals =
+    List.init (Array.length values) (fun i ->
+        ( Xdb_xquery.Sql_rewrite.param_var i,
+          Xdb_xslt.Compile.C_select (Xdb_xpath.Ast.Number (number i)) ))
+  in
+  let vm_prog =
+    { t.t_prog with Xdb_xslt.Compile.globals = globals @ t.t_prog.Xdb_xslt.Compile.globals }
+  in
+  let query =
+    Xdb_xquery.Ast.bind_vars
+      (fun v -> Option.map number (Xdb_xquery.Sql_rewrite.param_of_var v))
+      t.t_translation.Xslt2xquery.query
+  in
+  assemble t.t_view vm_prog t.t_schema
+    { t.t_translation with Xslt2xquery.query }
+    (Some plan, None)
+
+(** [compile_template ?options ?metrics db view shape values] — compile
+    a shape ({!Shape.cut}) once with its slots as parameters; [Some
+    (template, bind template values)], or [None] when the shape is
+    unshareable. *)
+let compile_template ?(options = Options.default) ?metrics db (view : P.view) shape values =
+  match front ~options ?metrics view shape with
+  | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
+  | exception _ ->
+      (* e.g. partial evaluation reading a slot of an xsl:if test *)
+      None
+  | vm_prog, schema, translation ->
+      let params = Array.length values in
+      let bound =
+        staged metrics "sql_rewrite" (fun () ->
+            match Xdb_xquery.Sql_rewrite.view_plan db view translation.Xslt2xquery.query with
+            | plan when parameters_shareable plan params ->
+                let t =
+                  {
+                    t_view = view;
+                    t_schema = schema;
+                    t_prog = vm_prog;
+                    t_translation = translation;
+                    t_plan = plan;
+                  }
+                in
+                Some (t, bind ?metrics db t values)
+            | _ | (exception Xdb_xquery.Sql_rewrite.Not_rewritable _) -> None)
+      in
+      if Option.is_some bound then count_compile metrics vm_prog translation ~rewritable:true;
+      bound
 
 (* ------------------------------------------------------------------ *)
 (* Splitting a run by base-table row ranges                             *)

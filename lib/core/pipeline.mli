@@ -4,7 +4,6 @@
     functional baseline, the XSLT→XQuery translation, and (when the
     generated query stays in the rewritable fragment) the SQL/XML plan. *)
 type compiled = {
-  stylesheet : Xdb_xslt.Ast.stylesheet;
   vm_prog : Xdb_xslt.Compile.program;
   view : Xdb_rel.Publish.view;
   schema : Xdb_schema.Types.t;
@@ -29,6 +28,42 @@ val compile :
     [metrics], per-stage wall times are recorded under
     [parse]/[bytecode]/[schema]/[translate]/[sql_rewrite], plus
     [bytecode_ops]/[xquery_functions]/[sql_rewritable] counters. *)
+
+(** {1 Stylesheet shapes}
+
+    Ad-hoc texts that differ only in integer literals ({!Shape.cut})
+    share one compile: the shape is compiled once with each literal slot
+    as a reserved variable, and the SQL rewrite turns a reference to one
+    into an {!Xdb_rel.Algebra.Param} leaf.  A use binds the literals and
+    optimises the plan afresh, so the result — EXPLAIN text, output and
+    every cost choice — is what {!compile} of the full text gives. *)
+
+type template
+(** A shareable shape: its bytecode, translation and unoptimised plan,
+    each with the slots as parameters. *)
+
+val compile_template :
+  ?options:Options.t ->
+  ?metrics:Metrics.t ->
+  Xdb_rel.Database.t ->
+  Xdb_rel.Publish.view ->
+  string ->
+  int array ->
+  (template * compiled) option
+(** [compile_template db view shape values] — compile [shape] once and
+    bind it to [values]; [None] when the shape is unshareable: a stage
+    fails on a slot (partial evaluation reads an [xsl:if] test, say), the
+    query does not rewrite, or a slot is missing from the plan or occurs
+    anywhere but as a direct operand of a comparison whose other side
+    reads data.  Stages as {!compile}, the [opt_*] passes of the binding
+    inside [sql_rewrite]. *)
+
+val bind : ?metrics:Metrics.t -> Xdb_rel.Database.t -> template -> int array -> compiled
+(** [bind db t values] — the compilation of the text whose slots hold
+    [values]: the integers replace the parameters in the XQuery, bind
+    them as globals of the bytecode, and replace the [Param] leaves of
+    the plan, which is then optimised ([opt_*] stages under [metrics])
+    against the current statistics and indexes. *)
 
 val run_functional : ?metrics:Metrics.t -> Xdb_rel.Database.t -> compiled -> string list
 (** "XSLT no rewrite": materialise each view document, run the XSLTVM.

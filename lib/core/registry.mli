@@ -1,11 +1,22 @@
 (** Compiled-stylesheet registry with automatic recompilation on schema
     evolution (paper §7.3): compilations are cached per (view, stylesheet)
-    together with a fingerprint of the view's structural information and
-    the catalog's statistics version; re-registering a view with a
-    different shape — or re-ANALYZEing the database — invalidates the
-    entry so plans are re-costed against fresh statistics.  Stylesheets
-    for shredded documents share the same LRU under their own key space
-    ({!shredded}), compiled once per stylesheet text.
+    together with the view's structural fingerprint (computed once, at
+    {!register_view}) and, for optimised plans, the catalog's statistics
+    version; re-registering a view with a different shape — or
+    re-ANALYZEing the database — invalidates the entry so plans are
+    re-costed against fresh statistics.
+
+    An ad-hoc stylesheet is keyed on its {e shape} ({!Shape.cut}): its
+    text with the integer literals of [select]/[test] values cut out.
+    The first text of a shape compiles it once with each slot as a plan
+    parameter and caches that template with its plan unoptimised; every
+    use, the first included, binds the literals and optimises the plan
+    afresh ({!Pipeline.bind}), so it is the plan a compile of the exact
+    text makes.  A shape whose slots cannot all become comparison
+    parameters is recorded unshareable, and its texts (like texts with no
+    slot) are cached by exact text.  Stylesheets for shredded documents
+    share the same LRU under their own key space ({!shredded}), compiled
+    once per stylesheet text.
 
     Thread safety: lookup, insert and LRU eviction are guarded by an
     internal mutex and the observability counters are atomics, so many
@@ -18,8 +29,9 @@ type t
 exception Registry_error of string
 
 val create : ?capacity:int -> Xdb_rel.Database.t -> t
-(** [capacity] bounds the number of cached compilations (default 64,
-    minimum 1); the least recently used entry is evicted when exceeded. *)
+(** [capacity] bounds the number of cached entries — plans, templates,
+    unshareable-shape marks and shredded programs — (default 64, minimum
+    1); the least recently used entry is evicted when exceeded. *)
 
 val register_view : t -> Xdb_rel.Publish.view -> unit
 (** (Re)register a view; replacing a view of the same name models schema
@@ -47,9 +59,11 @@ val compile :
   stylesheet:string ->
   Pipeline.compiled
 (** Cached compilation; recompiles when the view's structural fingerprint
-    changed since the cached compile.  [metrics] records per-stage
-    compile timings (incl. the optimiser's [opt_*] passes) — only when
-    the call actually compiles; a cache hit records nothing.
+    changed since the cached compile.  A text of a shared shape is a
+    [cache_hit] that binds the literals and optimises the template's
+    plan.  [metrics] records per-stage compile timings (incl. the
+    optimiser's [opt_*] passes) when the call compiles, and the [opt_*]
+    passes of a binding; an exact-text hit records nothing.
     @raise Registry_error for unknown views. *)
 
 val shredded : ?metrics:Metrics.t -> t -> stylesheet:string -> Shred_vm.program
@@ -72,5 +86,7 @@ val counters : t -> (string * int) list
     entry served), [cache_misses] (first compile), [cache_stale] (entry
     invalidated by schema evolution or re-ANALYZE), [recompilations]
     (= misses + stale), [cache_evictions] (entries dropped by LRU
-    bounding, shredded programs included), [shred_hits] and
+    bounding, shredded programs included), [cache_unshareable] (shapes
+    recorded unshareable: each compiled once as a template attempt,
+    besides its texts' own compiles), [shred_hits] and
     [shred_misses] (shredded programs served from the cache / compiled). *)

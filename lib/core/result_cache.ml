@@ -8,15 +8,12 @@ type entry = {
   mutable output : string list;
   mutable deps : (string * int) list;  (** (table, data version when stored or re-stamped) *)
   mutable members : Xdb_rel.Exec.members option;  (** where its patchable members lie *)
-  mutable last_used : int;  (** recency tick for LRU eviction *)
 }
 
 type t = {
   db : DB.t;
-  lock : Mutex.t;  (** guards [cache], [tick] and entry recency *)
-  cache : (string, entry) Hashtbl.t;
-  capacity : int;
-  mutable tick : int;
+  lock : Mutex.t;  (** guards [cache] *)
+  cache : (string, entry) Lru.t;
   hits : int Atomic.t;
   misses : int Atomic.t;
   invalidations : int Atomic.t;
@@ -39,9 +36,7 @@ let create ?(capacity = default_capacity) db =
   {
     db;
     lock = Mutex.create ();
-    cache = Hashtbl.create 32;
-    capacity = max 1 capacity;
-    tick = 0;
+    cache = Lru.create capacity;
     hits = Atomic.make 0;
     misses = Atomic.make 0;
     invalidations = Atomic.make 0;
@@ -53,29 +48,6 @@ let create ?(capacity = default_capacity) db =
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-(* callers hold t.lock *)
-let touch t entry =
-  t.tick <- t.tick + 1;
-  entry.last_used <- t.tick
-
-(* drop least-recently-used entries until within capacity; holds t.lock *)
-let evict_over_capacity t =
-  while Hashtbl.length t.cache > t.capacity do
-    let victim =
-      Hashtbl.fold
-        (fun key e acc ->
-          match acc with
-          | Some (_, best) when best.last_used <= e.last_used -> acc
-          | _ -> Some (key, e))
-        t.cache None
-    in
-    match victim with
-    | None -> assert false (* non-empty: length > capacity >= 1 *)
-    | Some (key, _) ->
-        Hashtbl.remove t.cache key;
-        Atomic.incr t.evictions
-  done
 
 let restamp t entry =
   entry.deps <- List.map (fun (tbl, _) -> (tbl, DB.data_version t.db tbl)) entry.deps
@@ -111,22 +83,23 @@ let judge t footprint entry =
 let find t ~key ?footprint ?patch () =
   let verdict =
     locked t (fun () ->
-        match Hashtbl.find_opt t.cache key with
+        match Lru.find t.cache key with
         | None -> `Miss
-        | Some entry -> (
+        | Some node -> (
+            let entry = Lru.value node in
             match (judge t footprint entry, entry.members, patch) with
             | ((`Fresh | `Keep) as v), _, _ ->
                 (* kept: no write since reached what the output was computed from *)
                 if v = `Keep then (
                   restamp t entry;
                   Atomic.incr t.kept);
-                touch t entry;
+                Lru.use t.cache node;
                 Atomic.incr t.hits;
                 `Hit entry.output
             | `Patch changes, Some members, Some patch ->
-                `Patch (entry, entry.deps, entry.output, members, changes, patch)
+                `Patch (node, entry.deps, entry.output, members, changes, patch)
             | _ ->
-                Hashtbl.remove t.cache key;
+                Lru.remove t.cache key;
                 Atomic.incr t.invalidations;
                 `Dropped))
   in
@@ -138,7 +111,8 @@ let find t ~key ?footprint ?patch () =
   | `Dropped ->
       Atomic.incr t.misses;
       Dropped
-  | `Patch (entry, seen, output, members, changes, patch) -> (
+  | `Patch (node, seen, output, members, changes, patch) -> (
+      let entry = Lru.value node in
       (* outside the lock: concurrent readers patch on their own, and a
          patch is installed only over the entry at the versions it was
          patched from — the first install wins *)
@@ -147,8 +121,8 @@ let find t ~key ?footprint ?patch () =
           Atomic.incr t.invalidations;
           Atomic.incr t.misses;
           locked t (fun () ->
-              match Hashtbl.find_opt t.cache key with
-              | Some e when e == entry && e.deps == seen -> Hashtbl.remove t.cache key
+              match Lru.find t.cache key with
+              | Some n when n == node && entry.deps == seen -> Lru.remove t.cache key
               | _ -> ());
           Dropped
       | Some (output, members) ->
@@ -158,29 +132,24 @@ let find t ~key ?footprint ?patch () =
                 entry.output <- output;
                 entry.members <- Some members;
                 restamp t entry;
-                touch t entry));
+                Lru.use t.cache node));
           Patched output)
 
 let store t ~view ~key ~deps ?members output =
   let deps = List.map (fun tbl -> (tbl, DB.data_version t.db tbl)) deps in
   locked t (fun () ->
-      let entry = { view; output; deps; members; last_used = 0 } in
-      touch t entry;
-      Hashtbl.replace t.cache key entry;
-      evict_over_capacity t)
+      let evicted = Lru.add t.cache key { view; output; deps; members } in
+      ignore (Atomic.fetch_and_add t.evictions evicted))
 
 let invalidate_view t name =
   locked t (fun () ->
-      let victims =
-        Hashtbl.fold (fun key e acc -> if e.view = name then key :: acc else acc) t.cache []
-      in
       List.iter
         (fun key ->
-          Hashtbl.remove t.cache key;
+          Lru.remove t.cache key;
           Atomic.incr t.invalidations)
-        victims)
+        (Lru.keys_where t.cache (fun e -> e.view = name)))
 
-let size t = locked t (fun () -> Hashtbl.length t.cache)
+let size t = locked t (fun () -> Lru.length t.cache)
 
 let counters t =
   [

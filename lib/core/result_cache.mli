@@ -23,9 +23,9 @@
     through {!invalidate_view}, mirroring how {!Registry} fingerprints
     compiled plans.
 
-    Like {!Registry}, the cache is LRU-bounded: each entry carries a
-    last-use tick and the least recently used entry is evicted past
-    [capacity] (counted in [result_cache_evictions]).
+    Like {!Registry}, the cache is LRU-bounded through {!Lru}: the least
+    recently used entry is evicted past [capacity] in O(1) (counted in
+    [result_cache_evictions]).
 
     Thread safety: one mutex guards the table and recency state, so
     concurrent server sessions share one cache safely; a patch is

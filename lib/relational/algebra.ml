@@ -10,6 +10,10 @@ type order_dir = Asc | Desc
 
 type expr =
   | Const of Value.t
+  | Param of int
+      (** plan parameter [i]: an integer literal of a stylesheet shape
+          ({!bind_params} replaces it by a [Const] before the plan is
+          optimised or run) *)
   | Col of string option * string  (** optional table alias, column name *)
   | Binop of binop * expr * expr
   | Not of expr
@@ -115,6 +119,7 @@ let binop_sql = function
 
 let rec expr_sql = function
   | Const v -> Value.show v
+  | Param i -> Printf.sprintf ":p%d" i
   | Col (None, c) -> c
   | Col (Some a, c) -> a ^ "." ^ c
   | Binop (op, a, b) -> Printf.sprintf "%s %s %s" (expr_sql a) (binop_sql op) (expr_sql b)
@@ -234,7 +239,7 @@ let rec subplans_of_expr = function
       List.concat_map (fun (_, e) -> subplans_of_expr e) attrs
       @ List.concat_map subplans_of_expr kids
   | Xml_forest fs -> List.concat_map (fun (_, e) -> subplans_of_expr e) fs
-  | Const _ | Col _ -> []
+  | Const _ | Param _ | Col _ -> []
 
 let subplans_of_agg = function
   | Xml_agg (e, order) ->
@@ -323,7 +328,7 @@ and iter_expr ~skip ~plan ~expr e =
   | _ -> (
       expr e;
       match e with
-      | Col _ | Const _ -> ()
+      | Col _ | Const _ | Param _ -> ()
       | Binop (_, a, b) ->
           iter_expr ~skip ~plan ~expr a;
           iter_expr ~skip ~plan ~expr b
@@ -357,6 +362,56 @@ let tables_of p =
         if not (List.mem table !acc) then acc := table :: !acc
     | _ -> ());
   List.rev !acc
+
+(** [bind_params values p] — [p] with every [Param i] replaced by
+    [Const values.(i)], correlated subplans included. *)
+let bind_params (values : Value.t array) (p : plan) : plan =
+  let rec ex e =
+    match e with
+    | Param i -> Const values.(i)
+    | Const _ | Col _ -> e
+    | Binop (op, a, b) -> Binop (op, ex a, ex b)
+    | Not a -> Not (ex a)
+    | Is_null a -> Is_null (ex a)
+    | Fn (f, args) -> Fn (f, List.map ex args)
+    | Case (whens, els) -> Case (List.map (fun (c, r) -> (ex c, ex r)) whens, Option.map ex els)
+    | Xml_element (n, attrs, kids) -> Xml_element (n, named attrs, List.map ex kids)
+    | Xml_forest fs -> Xml_forest (named fs)
+    | Xml_concat es -> Xml_concat (List.map ex es)
+    | Xml_text a -> Xml_text (ex a)
+    | Xml_comment a -> Xml_comment (ex a)
+    | Xml_pi (t, a) -> Xml_pi (t, ex a)
+    | Scalar_subquery q -> Scalar_subquery (pl q)
+    | Exists q -> Exists (pl q)
+  and named l = List.map (fun (n, e) -> (n, ex e)) l
+  and keyed : 'n. (expr * 'n) list -> (expr * 'n) list = fun l -> List.map (fun (e, n) -> (ex e, n)) l
+  and bound = function Unbounded -> Unbounded | Incl e -> Incl (ex e) | Excl e -> Excl (ex e)
+  and agg = function
+    | Count_star -> Count_star
+    | Count e -> Count (ex e)
+    | Sum e -> Sum (ex e)
+    | Min e -> Min (ex e)
+    | Max e -> Max (ex e)
+    | Avg e -> Avg (ex e)
+    | Xml_agg (e, order) -> Xml_agg (ex e, keyed order)
+    | String_agg (e, sep) -> String_agg (ex e, sep)
+  and pl p =
+    match p with
+    | Seq_scan _ | Values _ -> p
+    | Index_scan r -> Index_scan { r with lo = bound r.lo; hi = bound r.hi }
+    | Filter (c, i) -> Filter (ex c, pl i)
+    | Project (fs, i) -> Project (keyed fs, pl i)
+    | Nested_loop { outer; inner; join_cond } ->
+        Nested_loop { outer = pl outer; inner = pl inner; join_cond = Option.map ex join_cond }
+    | Hash_join { outer; inner; keys; kind } ->
+        Hash_join
+          { outer = pl outer; inner = pl inner; keys = List.map (fun (a, b) -> (ex a, ex b)) keys; kind }
+    | Aggregate { group_by; aggs; input } ->
+        Aggregate { group_by = keyed group_by; aggs = List.map (fun (a, n) -> (agg a, n)) aggs; input = pl input }
+    | Sort (ks, i) -> Sort (keyed ks, pl i)
+    | Limit (n, i) -> Limit (n, pl i)
+  in
+  pl p
 
 (** Tree-shaped EXPLAIN output, descending into correlated subqueries.
     [annot] supplies a per-node suffix (cardinality estimates, runtime

@@ -547,6 +547,7 @@ let rec emit_fields sink env r = function
 let rec cexpr ctx (lay : Layout.t) own (e : expr) : Value.t array -> Value.t array -> Value.t =
   match e with
   | Const v -> fun _ _ -> v
+  | Param i -> raise (Exec_error (Printf.sprintf "unbound plan parameter :p%d" i))
   | Col (alias, name) -> slot_reader own (resolve_slot lay alias name)
   | Not _ | Binop ((And | Or), _, _) ->
       let p = cpred ctx lay own e in

@@ -87,7 +87,7 @@ let rec expr_refs (rels : (string * string) list) db acc (e : A.expr) : string l
       with
       | Some (a, _) -> add a acc
       | None -> acc)
-  | A.Const _ -> acc
+  | A.Const _ | A.Param _ -> acc
   | A.Binop (_, x, y) -> expr_refs rels db (expr_refs rels db acc x) y
   | A.Not x | A.Is_null x | A.Xml_text x | A.Xml_comment x | A.Xml_pi (_, x) ->
       expr_refs rels db acc x

@@ -263,7 +263,7 @@ let rec optimize_deep ?timer db plan =
     | Xml_text e -> Xml_text (fix_expr e)
     | Xml_comment e -> Xml_comment (fix_expr e)
     | Xml_pi (t, e) -> Xml_pi (t, fix_expr e)
-    | (Const _ | Col _) as e -> e
+    | (Const _ | Param _ | Col _) as e -> e
   in
   let fix_agg = function
     | Xml_agg (e, order) -> Xml_agg (fix_expr e, List.map (fun (k, d) -> (fix_expr k, d)) order)

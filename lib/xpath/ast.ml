@@ -142,3 +142,19 @@ let child_step ?(predicates = []) name =
   { axis = Child; test = Name_test (None, name); predicates }
 
 let rel_path steps = Path { absolute = false; steps }
+
+(** [bind_vars f e] — [e] with each variable [$v] for which [f v] is
+    [Some x] replaced by the number [x], step predicates included. *)
+let rec bind_vars f e =
+  match e with
+  | Var v -> ( match f v with Some x -> Number x | None -> e)
+  | Literal _ | Number _ -> e
+  | Binop (op, a, b) -> Binop (op, bind_vars f a, bind_vars f b)
+  | Neg a -> Neg (bind_vars f a)
+  | Call (name, args) -> Call (name, List.map (bind_vars f) args)
+  | Path p -> Path { p with steps = List.map (bind_step_vars f) p.steps }
+  | Filter (base, preds, steps) ->
+      Filter (bind_vars f base, List.map (bind_vars f) preds, List.map (bind_step_vars f) steps)
+
+and bind_step_vars f s =
+  match s.predicates with [] -> s | ps -> { s with predicates = List.map (bind_vars f) ps }

@@ -140,3 +140,42 @@ let rec has_user_calls = function
   | Binop (_, a, b) -> has_user_calls a || has_user_calls b
   | Instance_of (e, _) -> has_user_calls e
   | Quantified { source; satisfies; _ } -> has_user_calls source || has_user_calls satisfies
+
+(** [bind_vars f p] — [p] with each free reference to a variable [$v]
+    for which [f v] is [Some x] replaced by the number literal [x]
+    (XPath step predicates included).  Meant for reserved names that no
+    clause binds, so shadowing is not considered. *)
+let bind_vars f (p : prog) : prog =
+  let step = XP.bind_step_vars f in
+  let rec ex e =
+    match e with
+    | Var v -> ( match f v with Some x -> Literal (Num x) | None -> e)
+    | Literal _ | Context_item | Root -> e
+    | Seq es -> Seq (List.map ex es)
+    | Flwor (cs, r) -> Flwor (List.map clause cs, ex r)
+    | If (c, t, e) -> If (ex c, ex t, ex e)
+    | Fn_call (n, args) -> Fn_call (n, List.map ex args)
+    | User_call (n, args) -> User_call (n, List.map ex args)
+    | Path (b, steps) -> Path (ex b, List.map step steps)
+    | Direct_elem (n, attrs, content) ->
+        let piece = function Attr_expr e -> Attr_expr (ex e) | Attr_str _ as s -> s in
+        Direct_elem (n, List.map (fun (a, ps) -> (a, List.map piece ps)) attrs, List.map ex content)
+    | Comp_elem (n, c) -> Comp_elem (ex n, ex c)
+    | Comp_attr (n, e) -> Comp_attr (n, ex e)
+    | Comp_text e -> Comp_text (ex e)
+    | Comp_comment e -> Comp_comment (ex e)
+    | Binop (op, a, b) -> Binop (op, ex a, ex b)
+    | Neg e -> Neg (ex e)
+    | Instance_of (e, t) -> Instance_of (ex e, t)
+    | Quantified q -> Quantified { q with source = ex q.source; satisfies = ex q.satisfies }
+  and clause = function
+    | For c -> For { c with source = ex c.source }
+    | Let c -> Let { c with value = ex c.value }
+    | Where w -> Where (ex w)
+    | Order_by ks -> Order_by (List.map (fun (k, d) -> (ex k, d)) ks)
+  in
+  {
+    var_decls = List.map (fun (v, e) -> (v, ex e)) p.var_decls;
+    funs = List.map (fun (d : fundef) -> { d with body = ex d.body }) p.funs;
+    body = ex p.body;
+  }

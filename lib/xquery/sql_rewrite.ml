@@ -27,6 +27,20 @@ let fail fmt = Printf.ksprintf (fun m -> raise (Not_rewritable m)) fmt
 
 module Smap = Map.Make (String)
 
+(* Plan parameters.  A stylesheet shape ({!Xdb_core.Registry}) is
+   compiled with its literal slots as the reserved variables
+   [$xdb-p0], [$xdb-p1], …; the rewrite turns a reference to one into
+   [A.Param i]. *)
+let param_prefix = "xdb-p"
+
+let param_var i = param_prefix ^ string_of_int i
+
+let param_of_var v =
+  let n = String.length param_prefix in
+  if String.length v > n && String.sub v 0 n = param_prefix then
+    int_of_string_opt (String.sub v n (String.length v - n))
+  else None
+
 (** An [XMLAgg] layer crossed during navigation but not yet turned into a
     subquery by a [for] clause. *)
 type layer = {
@@ -82,6 +96,7 @@ let xpath_atom spec alias (e : XP.expr) : A.expr =
   | XP.Literal s -> A.Const (V.Str s)
   | XP.Number f ->
       if Float.is_integer f then A.Const (V.Int (int_of_float f)) else A.Const (V.Float f)
+  | XP.Var v when param_of_var v <> None -> A.Param (Option.get (param_of_var v))
   | XP.Path p when not p.XP.absolute -> scalar_of_path spec alias p.XP.steps
   | XP.Call ("string", [ XP.Path p ]) when not p.XP.absolute ->
       scalar_of_path spec alias p.XP.steps
@@ -108,7 +123,9 @@ let compare_typed ty (op : A.binop) (a : A.expr) (b : A.expr) : A.expr =
   let ordering = match op with A.Lt | A.Leq | A.Gt | A.Geq -> true | _ -> false in
   let cls = function
     | A.Const (V.Str s) -> `Lit s
-    | A.Const (V.Int _ | V.Float _) | A.Binop ((A.Add | A.Sub | A.Mul | A.Div | A.Fdiv | A.Mod), _, _) ->
+    | A.Const (V.Int _ | V.Float _)
+    | A.Param _
+    | A.Binop ((A.Add | A.Sub | A.Mul | A.Div | A.Fdiv | A.Mod), _, _) ->
         `Num
     | A.Col (Some al, c) -> (
         match ty al c with Some V.Tstr -> `Str_col | Some (V.Tint | V.Tfloat) -> `Num_col | _ -> `Other)
@@ -206,9 +223,10 @@ and layer_plan (layer : layer) : A.plan =
 let rec resolve env (e : expr) : binding =
   match e with
   | Var v -> (
-      match Smap.find_opt v env.vars with
-      | Some b -> b
-      | None -> fail "unbound variable $%s" v)
+      match (Smap.find_opt v env.vars, param_of_var v) with
+      | Some b, _ -> b
+      | None, Some i -> Sql (A.Param i)
+      | None, None -> fail "unbound variable $%s" v)
   | Context_item | Root -> Loc (root_loc env.view)
   | Path (base, steps) -> (
       match resolve env base with
@@ -234,7 +252,13 @@ and tr_scalar env (e : expr) : A.expr =
   | Seq [ single ] -> tr_scalar env single
   | Seq pieces -> A.Fn ("concat", List.map (tr_scalar env) pieces)
   | Fn_call ("concat", args) -> A.Fn ("concat", List.map (tr_scalar env) args)
-  | Fn_call ("number", [ arg ]) -> tr_scalar env arg
+  | Fn_call ("number", [ arg ]) -> (
+      (* XPath number(): NaN for a string that is not a number *)
+      match tr_scalar env arg with
+      | A.Const (V.Str s) -> A.Const (V.Float (Xdb_xpath.Value.number_of_string s))
+      | A.Col (Some al, c) as x when env.ty al c <> Some V.Tstr -> x
+      | (A.Const (V.Int _ | V.Float _) | A.Param _) as x -> x
+      | x -> A.Fn ("xpath_number", [ x ]))
   | Fn_call (("count" | "sum" | "avg" | "min" | "max"), _) -> tr_agg env e
   | Fn_call (("round" | "floor" | "ceiling") as f, [ arg ]) -> A.Fn (f, [ tr_scalar env arg ])
   | Binop ((XP.Plus | XP.Minus | XP.Mul | XP.Div | XP.Mod) as op, a, b) ->
@@ -542,14 +566,15 @@ let rewrite_prog db (view : P.view) (p : prog) : A.expr =
   in
   tr env p.body
 
-(** [rewrite_view_plan ?timer db view prog] — a full relational plan
-    producing one [result] XML column per base-table row, optimised
+(** [view_plan db view prog] — the relational plan producing one
+    [result] XML column per base-table row, before optimisation. *)
+let view_plan db (view : P.view) (p : prog) : A.plan =
+  let result = rewrite_prog db view p in
+  A.Project
+    ([ (result, "result") ], A.Seq_scan { table = view.P.base_table; alias = view.P.base_alias })
+
+(** [rewrite_view_plan ?timer db view prog] — {!view_plan}, optimised
     (index selection on the pushed-down predicates).  [timer] wraps each
     optimiser pass for per-pass planning-time metrics. *)
 let rewrite_view_plan ?timer db (view : P.view) (p : prog) : A.plan =
-  let result = rewrite_prog db view p in
-  let plan =
-    A.Project
-      ([ (result, "result") ], A.Seq_scan { table = view.P.base_table; alias = view.P.base_alias })
-  in
-  Xdb_rel.Optimizer.optimize_deep ?timer db plan
+  Xdb_rel.Optimizer.optimize_deep ?timer db (view_plan db view p)

@@ -17,6 +17,22 @@ val rewrite_prog : Xdb_rel.Database.t -> Xdb_rel.Publish.view -> Ast.prog -> Xdb
     instead of SQL's casts.
     @raise Not_rewritable outside the supported fragment. *)
 
+val param_prefix : string
+(** ["xdb-p"]: the prefix of the reserved parameter variables. *)
+
+val param_var : int -> string
+(** [param_var i] — the reserved variable name ([xdb-p<i>]) standing for
+    plan parameter [i]: the rewrite turns a reference to it into
+    [Xdb_rel.Algebra.Param i], classed like an integer constant. *)
+
+val param_of_var : string -> int option
+(** [param_of_var v] — [Some i] when [v] is [param_var i]. *)
+
+val view_plan : Xdb_rel.Database.t -> Xdb_rel.Publish.view -> Ast.prog -> Xdb_rel.Algebra.plan
+(** The plan producing one [result] XML column per base-table row, not
+    yet optimised; parameters stay [Param] leaves.
+    @raise Not_rewritable outside the supported fragment. *)
+
 val rewrite_view_plan :
   ?timer:(string -> (unit -> Xdb_rel.Algebra.plan) -> Xdb_rel.Algebra.plan) ->
   Xdb_rel.Database.t ->

@@ -92,6 +92,7 @@ let rec own_binding_names db (p : plan) : string list =
 let rec eval_expr_in ctx (env : row) (e : expr) : Value.t =
   match e with
   | Const v -> v
+  | Param i -> failwith (Printf.sprintf "unbound plan parameter :p%d" i)
   | Col (alias, name) -> lookup env alias name
   | Not e -> Value.Int (if bool_of_value (eval_expr_in ctx env e) then 0 else 1)
   | Is_null e -> Value.Int (if Value.is_null (eval_expr_in ctx env e) then 1 else 0)

@@ -674,6 +674,102 @@ let test_registry_lru_eviction () =
   check ci "evicted entry misses" 4 (counter "cache_misses");
   check ci "reinsert evicts again" 2 (counter "cache_evictions")
 
+(* ---- stylesheet shapes: integer literals as plan parameters ---- *)
+
+let test_shape_cut () =
+  let cut text = Option.map (fun (s, v) -> (s, Array.to_list v)) (Xdb_core.Shape.cut text) in
+  let some shape values = Some (shape, values) in
+  let o = Alcotest.(option (pair string (list int))) in
+  check o "comparison operand" (some {|<a select="row[id = $xdb-p0]"/>|} [ 42 ])
+    (cut {|<a select="row[id = 42]"/>|});
+  check o "test value, both slots in order"
+    (some {|<a test="x &lt; 1"/><b test="v=$xdb-p0 or w>$xdb-p1"/>|} [ 7; 7 ])
+    (cut {|<a test="x &lt; 1"/><b test="v=7 or w>007"/>|});
+  check o "single-quoted value, double-quoted literal kept"
+    (some {|<a select='row[name = "7"][id=$xdb-p0]'/>|} [ 8 ])
+    (cut {|<a select='row[name = "7"][id=8]'/>|});
+  List.iter
+    (fun text -> check o text None (cut text))
+    [
+      {|<a select="row[id = '42']"/>|};
+      {|<a select="h1 | x2"/>|};
+      {|<a select="1.5"/>|};
+      {|<a select="-3"/>|};
+      {|<a select="5-3"/>|};
+      {|<a test="value &gt; 5"/>|};
+      {|<a select="1234567890123456"/>|};
+      {|<a match="row[id = 4]" xselect="5" mode="m2"/>|};
+      {|<a select="$xdb-p0 = 1"/>|};
+      {|<a b="{$xdb-p0}" select="row[id = 5]"/>|};
+      {|<a test="$xdb-p1 &gt; 2" select="row[id = 5]"/>|};
+    ]
+
+let test_shape_sharing_counters () =
+  (* 1,000 dbonerow texts with distinct keys share one compile *)
+  let dv = Xdb_xsltmark.Data.records_db 50 in
+  let reg = Xdb_core.Registry.create dv.Xdb_xsltmark.Data.db in
+  Xdb_core.Registry.register_view reg dv.Xdb_xsltmark.Data.view;
+  let counter name = List.assoc name (Xdb_core.Registry.counters reg) in
+  for k = 1 to 1000 do
+    ignore
+      (Xdb_core.Registry.compile reg ~view_name:"records_vu"
+         ~stylesheet:(Xdb_xsltmark.Cases.dbonerow_stylesheet k))
+  done;
+  check ci "one miss" 1 (counter "cache_misses");
+  check ci "every other text a hit" 999 (counter "cache_hits");
+  check ci "one compile" 1 (counter "recompilations");
+  check ci "shareable" 0 (counter "cache_unshareable");
+  (* a re-ANALYZE re-costs each binding but leaves the template fresh *)
+  ignore (Xdb_rel.Analyze.all dv.Xdb_xsltmark.Data.db);
+  ignore
+    (Xdb_core.Registry.compile reg ~view_name:"records_vu"
+       ~stylesheet:(Xdb_xsltmark.Cases.dbonerow_stylesheet 7));
+  check ci "template survives ANALYZE" 1000 (counter "cache_hits");
+  check ci "nothing stale" 0 (counter "cache_stale")
+
+let test_unshareable_shapes () =
+  (* shapes whose slot is not a comparison parameter: each text compiles
+     by exact text (one miss per distinct text), the shape is tried once,
+     and the output is the functional VM's *)
+  let dv = Xdb_xsltmark.Data.records_db 20 in
+  let db = dv.Xdb_xsltmark.Data.db and view = dv.Xdb_xsltmark.Data.view in
+  let ss body =
+    Printf.sprintf
+      {|<?xml version="1.0"?><xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">%s
+<xsl:template match="row"><hit><xsl:value-of select="name"/></hit></xsl:template>
+<xsl:template match="text()"/></xsl:stylesheet>|}
+      body
+  in
+  let families =
+    [
+      ( "digit in a comment",
+        {|<xsl:template match="table"><!-- select="%d" --><out><xsl:apply-templates select="row[id = 3]"/></out></xsl:template>|}
+      );
+      ( "literal result element's attribute",
+        {|<xsl:template match="table"><out select="%d"><xsl:apply-templates select="row[id = 3]"/></out></xsl:template>|}
+      );
+      ("row[k]", {|<xsl:template match="table"><out><xsl:apply-templates select="row[%d]"/></out></xsl:template>|});
+      ("k + 2", {|<xsl:template match="table"><out><xsl:value-of select="%d + 2"/></out></xsl:template>|});
+    ]
+  in
+  List.iter
+    (fun (name, body) ->
+      let reg = Xdb_core.Registry.create db in
+      Xdb_core.Registry.register_view reg view;
+      let counter c = List.assoc c (Xdb_core.Registry.counters reg) in
+      List.iter
+        (fun k ->
+          let text = ss (Printf.sprintf (Scanf.format_from_string body "%d") k) in
+          let c = Xdb_core.Registry.compile reg ~view_name:"records_vu" ~stylesheet:text in
+          check (Alcotest.list cs) (name ^ ": output = functional VM")
+            (PL.run_functional db (PL.compile db view text))
+            (PL.run_rewrite db c))
+        [ 3; 4; 5; 3 ];
+      check ci (name ^ ": one miss per distinct text") 3 (counter "cache_misses");
+      check ci (name ^ ": the repeat hits") 1 (counter "cache_hits");
+      check ci (name ^ ": shape tried once") 1 (counter "cache_unshareable"))
+    families
+
 let test_dbonerow_explain_analyze () =
   (* acceptance: the dbonerow plan shows a B-tree index probe with actual
      row count 1; dropping the index flips it to a full scan *)
@@ -2227,6 +2323,9 @@ let () =
           Alcotest.test_case "registry stats invalidation (ANALYZE)" `Quick
             test_registry_stats_invalidation;
           Alcotest.test_case "registry LRU eviction" `Quick test_registry_lru_eviction;
+          Alcotest.test_case "shape cut" `Quick test_shape_cut;
+          Alcotest.test_case "shape sharing counters" `Quick test_shape_sharing_counters;
+          Alcotest.test_case "unshareable shapes" `Quick test_unshareable_shapes;
           Alcotest.test_case "dbonerow EXPLAIN ANALYZE" `Quick test_dbonerow_explain_analyze;
           Alcotest.test_case "NaN condition differential" `Quick test_nan_condition_differential;
           Alcotest.test_case "EXPLAIN ANALYZE ordering strategy" `Quick

@@ -228,6 +228,30 @@ PASSING dept_emp.dept_content RETURNING CONTENT) FROM dept_emp|}
   let outs = List.map (fun row -> V.to_string (List.hd row)) r.SQL.rows in
   check Alcotest.(list string) "per-dept results" [ ""; "<top>SMITH</top>" ] outs
 
+(* XPath number() of a string that is no number is NaN on the rewrite
+   too; a numeric column keeps its value *)
+let test_xmlquery_number () =
+  let module D = Xdb_xsltmark.Data in
+  let dv = D.records_db 3 in
+  let e = EN.create dv.D.db in
+  EN.register_view e dv.D.view;
+  let query path =
+    exec e
+      (Printf.sprintf
+         {|SELECT XMLQuery('for $r in /table/row return <n>{fn:number($r/%s)}</n>' PASSING v.doc RETURNING CONTENT) FROM records_vu v|}
+         path)
+  in
+  let r = query "name" in
+  check cb "xquery rewrite engaged" true (contains "XQuery rewrite" (Option.get r.SQL.note));
+  check Alcotest.(list string) "number() of a name is NaN" [ "<n>NaN</n><n>NaN</n><n>NaN</n>" ]
+    (List.map (fun row -> V.to_string (List.hd row)) r.SQL.rows);
+  let values =
+    List.map (fun row -> V.to_string (List.hd row)) (exec e "SELECT value FROM rows").SQL.rows
+  in
+  check Alcotest.(list string) "number() of a value is the value"
+    [ String.concat "" (List.map (Printf.sprintf "<n>%s</n>") values) ]
+    (List.map (fun row -> V.to_string (List.hd row)) (query "value").SQL.rows)
+
 let test_example2_combined () =
   let s = make_engine () in
   (* paper Table 9: wrap the transformation as an XSLT view *)
@@ -844,6 +868,7 @@ let () =
           Alcotest.test_case "star" `Quick test_star_select;
           Alcotest.test_case "paper Table 5 (XMLTransform)" `Quick test_xmltransform_table5;
           Alcotest.test_case "XMLQuery over view" `Quick test_xmlquery_over_view;
+          Alcotest.test_case "XMLQuery number() of a string" `Quick test_xmlquery_number;
           Alcotest.test_case "paper Tables 9-11 (combined)" `Quick test_example2_combined;
           Alcotest.test_case "mixed select items" `Quick test_mixed_items;
           Alcotest.test_case "errors" `Quick test_errors;

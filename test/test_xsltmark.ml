@@ -220,6 +220,91 @@ let prop_compiled_executor_differential =
           rows_same
           && Xdb_rel.Stats.rows_signature st_i = Xdb_rel.Stats.rows_signature st_c)
 
+(* Shape sharing: every db-capable case (and its variant with [&gt;]
+   written [>], which exposes the literals of its value predicates to
+   the cut) with its cut literals randomised — values inside and outside
+   the skewed [value] column's MCVs and histogram, 0 and out of range.
+   Two texts per shape through one engine, so the second binds a shared
+   template when the shape is shareable: its output equals the
+   functional VM's and its EXPLAIN and EXPLAIN ANALYZE (timings left
+   out) equal an exact-text compile's. *)
+let replace_all ~sub ~by s =
+  let n = String.length sub in
+  let b = Buffer.create (String.length s) in
+  let rec go i =
+    if i > String.length s - n then Buffer.add_substring b s i (String.length s - i)
+    else if String.sub s i n = sub then (
+      Buffer.add_string b by;
+      go (i + n))
+    else (
+      Buffer.add_char b s.[i];
+      go (i + 1))
+  in
+  go 0;
+  Buffer.contents b
+
+let without_timings s =
+  String.split_on_char ' ' s
+  |> List.filter (fun w -> not (String.starts_with ~prefix:"time=" w))
+  |> String.concat " "
+
+let literal_pool = [| 0; 1; 7; 2500; 5000; 8000; 9000; 9999; 10_000; 123_456_789 |]
+
+let prop_shape_sharing =
+  let cases = List.filter (fun (c : M.case) -> c.M.db_capable) (M.all @ M.extras) in
+  QCheck.Test.make ~name:"shape hits: output = functional VM, EXPLAIN = exact compile" ~count:150
+    QCheck.(pair (int_bound 1_000_000) (list_of_size Gen.(return 8) (int_bound 12_000)))
+    (fun (seed, randoms) ->
+      let c = List.nth cases (seed mod List.length cases) in
+      let text = if seed / 64 mod 2 = 0 then c.M.stylesheet else replace_all ~sub:"&gt;" ~by:">" c.M.stylesheet in
+      let n = 60 in
+      let dv = M.dbview_for c n in
+      let db = dv.D.db and view_name = dv.D.view.Xdb_rel.Publish.view_name in
+      let e = Xdb_core.Engine.create db in
+      Xdb_core.Engine.register_view e dv.D.view;
+      (* skew: a third of the records share one value (an MCV) *)
+      if view_name = "records_vu" then
+        ignore (Xdb_core.Engine.execute e (Printf.sprintf "UPDATE rows SET value = 7 WHERE id <= %d" (n / 3)));
+      ignore (Xdb_core.Engine.execute e "ANALYZE");
+      let pick i =
+        let r = List.nth randoms (i mod 8) in
+        if r mod 2 = 0 then literal_pool.(r / 2 mod Array.length literal_pool) else r
+      in
+      let texts =
+        match Xdb_core.Shape.cut text with
+        | None -> [ text ]
+        | Some (shape, values) ->
+            List.map
+              (fun round ->
+                let s = ref shape in
+                for i = Array.length values - 1 downto 0 do
+                  s :=
+                    replace_all
+                      ~sub:("$" ^ Xdb_xquery.Sql_rewrite.param_var i)
+                      ~by:(string_of_int (pick ((round * 4) + i)))
+                      !s
+                done;
+                !s)
+              [ 0; 1 ]
+      in
+      let nc = { Xdb_core.Engine.default_run_options with Xdb_core.Engine.result_cache = false } in
+      let agrees text =
+        let exact = PL.compile db dv.D.view text in
+        (Xdb_core.Engine.transform ~options:nc e ~view_name ~stylesheet:text).Xdb_core.Engine.output
+        = PL.run_functional db exact
+        && Xdb_core.Engine.explain e ~view_name ~stylesheet:text = PL.explain exact
+        && without_timings (Xdb_core.Engine.explain_analyze e ~view_name ~stylesheet:text)
+           = without_timings (PL.explain_analyze db exact)
+      in
+      let counter name = List.assoc name (Xdb_core.Engine.registry_counters e) in
+      let ok = List.for_all agrees texts in
+      let shared = counter "cache_unshareable" = 0 && List.length texts > 1 in
+      Xdb_core.Engine.shutdown e;
+      ok
+      && counter "recompilations" = counter "cache_misses" + counter "cache_stale"
+      (* dbonerow's key is always a shared parameter *)
+      && (c.M.name <> "dbonerow" || shared))
+
 let () =
   let all = M.all @ M.extras in
   Alcotest.run "xsltmark"
@@ -243,5 +328,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_random_stylesheets;
           QCheck_alcotest.to_alcotest prop_compiled_executor_differential;
+          QCheck_alcotest.to_alcotest prop_shape_sharing;
         ] );
     ]
