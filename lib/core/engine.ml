@@ -147,9 +147,15 @@ let shutdown t =
 (* Prepared statements                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* key ingredients: view + stylesheet text.  [jobs] is deliberately
+   absent — a split run is byte-identical to the sequential one (tested),
+   so they may share entries. *)
+let transform_key view_name stylesheet = "T\x00" ^ view_name ^ "\x00" ^ stylesheet
+
 type stmt = {
   st_view : string;
   st_stylesheet : string;
+  st_key : string;  (** its result-cache key, {!transform_key} *)
   st_lock : Mutex.t;
   mutable st_compiled : Pipeline.compiled;
   mutable st_stats : int;  (** Database.stats_version at (re)compile *)
@@ -166,6 +172,7 @@ let prepare ?metrics t ~view_name ~stylesheet =
       {
         st_view = view_name;
         st_stylesheet = stylesheet;
+        st_key = transform_key view_name stylesheet;
         st_lock = Mutex.create ();
         st_compiled = compiled;
         st_stats = Xdb_rel.Database.stats_version t.db;
@@ -267,19 +274,12 @@ let serve_transform t options ~metrics ~view ~key compiled =
     ?footprint:compiled.Pipeline.footprint ?patch
     (transform_body ~options ?metrics t compiled)
 
-(* key ingredients: view + stylesheet text.  [jobs] is deliberately
-   absent — a split run is byte-identical to the sequential one (tested),
-   so they may share entries. *)
-let transform_key view_name stylesheet = "T\x00" ^ view_name ^ "\x00" ^ stylesheet
-
 let transform_stmt ?(options = default_run_options) t stmt =
   let metrics = metrics_of options in
   let output =
     Rw.read t.rw (fun () ->
         let compiled = stmt_compiled ?metrics t stmt in
-        serve_transform t options ~metrics ~view:stmt.st_view
-          ~key:(transform_key stmt.st_view stmt.st_stylesheet)
-          compiled)
+        serve_transform t options ~metrics ~view:stmt.st_view ~key:stmt.st_key compiled)
   in
   { output; metrics }
 
@@ -469,3 +469,4 @@ let execute t text =
 let registry_counters t = Registry.counters t.registry
 let result_cache_counters t = Result_cache.counters t.rc
 let result_cache_size t = Result_cache.size t.rc
+let stmt_recording t stmt = Result_cache.recording t.rc ~key:stmt.st_key

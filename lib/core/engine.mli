@@ -218,6 +218,11 @@ val result_cache_counters : t -> (string * int) list
 val result_cache_size : t -> int
 (** Current result-cache entry count. *)
 
+val stmt_recording : t -> stmt -> (string list * Xdb_rel.Exec.members) option
+(** The statement's cached output and where its patchable members lie,
+    when the result cache holds both ({!Result_cache.recording}): what
+    {!Xdb_rel.Exec.check_members} checks. *)
+
 val shutdown : t -> unit
 (** Join the engine's domain pool, if one was created.  Idempotent; the
     engine remains usable afterwards with [jobs = 1] semantics (a new

@@ -151,6 +151,14 @@ let invalidate_view t name =
 
 let size t = locked t (fun () -> Lru.length t.cache)
 
+let recording t ~key =
+  locked t (fun () ->
+      match Lru.find t.cache key with
+      | Some node -> (
+          let entry = Lru.value node in
+          match entry.members with Some m -> Some (entry.output, m) | None -> None)
+      | None -> None)
+
 let counters t =
   [
     ("result_cache_hits", Atomic.get t.hits);

@@ -30,7 +30,9 @@
     Thread safety: one mutex guards the table and recency state, so
     concurrent server sessions share one cache safely; a patch is
     computed outside it and installed only if the entry is still at the
-    versions it was patched from.  Counters are atomics.  Version
+    versions it was patched from.  A patch updates the entry's member
+    recording in place, so of concurrent readers patching one entry the
+    first patches and the others recompute.  Counters are atomics.  Version
     capture is only consistent because the engine serializes DML against
     reads (writer lock): within a read no dependency version can move
     between compute and {!store}. *)
@@ -80,6 +82,10 @@ val invalidate_view : t -> string -> unit
 
 val size : t -> int
 (** Current entry count. *)
+
+val recording : t -> key:string -> (string list * Xdb_rel.Exec.members) option
+(** The entry's output and its member recording, when it has both;
+    without touching its recency. *)
 
 val counters : t -> (string * int) list
 (** Monotonic observability counters, stable order:

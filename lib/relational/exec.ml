@@ -188,29 +188,103 @@ type cursor = unit -> Value.t array array option
     subqueries open once per outer row). *)
 type compiled = { c_layout : Layout.t; c_own : int; c_open : Value.t array -> cursor }
 
+(* a patch declines: the page is recomputed *)
+exception Recompute
+
+(* 0 numbers, 1 strings, 2 anything else (that no probe can compare) *)
+let key_class = function Value.(Int _ | Float _) -> 0 | Value.Str _ -> 1 | _ -> 2
+
+(* driving-row keys by the index probe's equality ([index_rids],
+   [Value.compare_sql]) within one [key_class]: numbers compare by
+   their float value, so two ints that round to one float share a key
+   (a patch then re-emits both members, which is harmless).  A probe by
+   a key of another class than some member's recomputes: the index probe
+   answers it by casting *)
+module Keys = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal k v =
+    match (k, v) with
+    | Value.Str a, Value.Str b -> String.equal a b
+    | Value.(Int _ | Float _), Value.(Int _ | Float _) ->
+        Float.equal (Value.to_float k) (Value.to_float v)
+    | _ -> false
+
+  let hash = function
+    | Value.(Int _ | Float _) as k -> Hashtbl.hash (Value.to_float k)
+    | v -> Hashtbl.hash v
+end)
+
+(* the members of one document by their driving row's key in one
+   column: the members per non-NULL key, and how many keys fall in each
+   [key_class].  A write to the column recomputes
+   ({!Footprint.members}), so the keys stay as filed *)
+type key_index = { kcol : int; by_value : int list Keys.t; classes : int array }
+
 (* one output document's members of the patchable XMLAgg, as the run
-   that serialized them saw them.  Offsets are content offsets: past the
-   [>] that closed a start tag left open before the first member. *)
+   that serialized them saw them, and the indexes a patch finds them by.
+   Offsets are content offsets: past the [>] that closed a start tag
+   left open before the first member. *)
 type doc_members = {
   env : Value.t array;  (* the environment the aggregate opened on *)
   drows : Value.t array array;  (* driving rows, in member order *)
-  ends : int array;  (* where each member's bytes end, before [shifts] *)
-  shifts : (int * int) list;
-      (* (j, d): the ends of member j and every later one moved by d
-         since [ends] was taken (patches that changed a member's length) *)
+  lens : int array;
+      (* the members' byte lengths as a Fenwick tree: slot [i - 1] holds
+         the lengths of members [i - lowbit i, i), so a prefix sum or a
+         length change touches O(log n) slots *)
+  mutable total : int;  (* the bytes of all members *)
   start : int;  (* where the first member's bytes begin *)
   opened : bool;  (* a start tag was open before the first member *)
+  mutable by_rid : int array option;
+      (* the member of each driving-table row id, -1 for none: built by
+         the first patch of a driving write *)
+  mutable by_key : (string * key_index) list;
+      (* per driving column an inner table correlates on: built by the
+         first patch of a write to such a table *)
 }
+
+let lowbit i = i land -i
+
+(* the total length of members [0, j) *)
+let prefix lens j =
+  let s = ref 0 and i = ref j in
+  while !i > 0 do
+    s := !s + lens.(!i - 1);
+    i := !i - lowbit !i
+  done;
+  !s
+
+(* member [j]'s length moved by [d] *)
+let grow lens j d =
+  let i = ref (j + 1) in
+  while !i <= Array.length lens do
+    lens.(!i - 1) <- lens.(!i - 1) + d;
+    i := !i + lowbit !i
+  done
+
+(* lengths in place into their Fenwick tree, in O(n) *)
+let fenwick lens =
+  let n = Array.length lens in
+  for i = 1 to n do
+    let up = i + lowbit i in
+    if up <= n then lens.(up - 1) <- lens.(up - 1) + lens.(i - 1)
+  done
+
+(* where member [j] begins; [begin_of dm n] is where the last one ends *)
+let begin_of dm j = dm.start + prefix dm.lens j
 
 (* [memit] is the member emitter the recording run compiled: it reads
    the tables through the [Table.t]s [mplan] was compiled against, row by
    row at call time, and holds no row of its own.  Compiled closures keep
-   scratch state (a [concat]'s buffer), so patches take [mlock] to run it *)
+   scratch state (a [concat]'s buffer), so patches take [mlock] to run it.
+   A patch updates [mdocs] in place and hands on a fresh record: the one
+   it patched is [spent], and a patch of it recomputes *)
 type members = {
   mplan : plan;
   memit : E.sink -> Value.t array -> Value.t array -> unit;
   mlock : Mutex.t;
   mdocs : (int * doc_members) list;
+  mutable spent : bool;
 }
 
 (* what a recording run of [rtarget] saw, and its compiled emitter *)
@@ -242,7 +316,7 @@ type cctx = {
 }
 
 (* emit the aggregate's members [ms] into [sink], recording each one's
-   driving row and end offset when [sink] is the recorder's current
+   driving row and byte length when [sink] is the recorder's current
    document and this is the document's first emission of the aggregate.
    Any other emission (a probe, a string conversion, a DOM, a second
    time) makes the run's recording unusable.  So does a wrapper that
@@ -252,16 +326,22 @@ let record_members rc sink env ms emit =
   | Some (doc, s, buf, pending) when s == sink && not (List.mem_assoc doc rc.recorded) ->
       let offset () = Buffer.length buf + if pending () then 1 else 0 in
       let n = List.length ms in
-      let drows = Array.make n [||] and ends = Array.make n 0 in
+      let drows = Array.make n [||] and lens = Array.make n 0 in
       let opened = pending () and start = offset () in
       List.iteri
         (fun i r ->
+          let at = offset () in
           emit r;
           drows.(i) <- r;
-          ends.(i) <- offset ())
+          lens.(i) <- offset () - at)
         ms;
+      let total = offset () - start in
+      fenwick lens;
       if opened && pending () then rc.valid <- false
-      else rc.recorded <- (doc, { env; drows; ends; shifts = []; start; opened }) :: rc.recorded
+      else
+        rc.recorded <-
+          (doc, { env; drows; lens; total; start; opened; by_rid = None; by_key = [] })
+          :: rc.recorded
   | _ ->
       rc.valid <- false;
       List.iter emit ms
@@ -1222,59 +1302,11 @@ let recorded rc plan =
   rc.current <- None;
   match rc.emitter with
   | Some memit when rc.valid ->
-      Some { mplan = plan; memit; mlock = Mutex.create (); mdocs = rc.recorded }
+      Some { mplan = plan; memit; mlock = Mutex.create (); mdocs = rc.recorded; spent = false }
   | _ -> None
 
 (* a write of more rows than this recomputes *)
 let max_patch_rows = 32
-
-(* shifts kept before a patch folds them into a fresh [ends] *)
-let max_shifts = 32
-
-exception Other_class
-
-let numeric = function Value.(Int _ | Float _) -> true | _ -> false
-
-(* the index probe's equality ([index_rids], [Value.compare_sql]) on two
-   non-NULL keys, without allocating; [Other_class] for a number against
-   a string, which the probe answers by casting *)
-let same_key k v =
-  match (k, v) with
-  | Value.Int a, Value.Int b -> a = b
-  | Value.Str a, Value.Str b -> String.equal a b
-  | _ when numeric k && numeric v -> Float.equal (Value.to_float k) (Value.to_float v)
-  | _ -> raise Other_class
-
-(* which recorded driving rows the changed rows reach, one test per
-   table (and key).  UPDATE overwrites rows in place: a changed driving
-   row is the very array its member was emitted from.  A changed row of
-   an inner table reaches the driving rows whose key column equals its
-   own key column (unchanged by the write).  [Other_class] when a table
-   is neither driving nor keyed *)
-let reaches db (m : Footprint.members) changes =
-  List.concat_map
-    (fun (table, rids) ->
-      let tbl = Database.table db table in
-      let rows = List.map (Table.row tbl) rids in
-      if table = m.Footprint.table then [ (fun r -> List.memq r rows) ]
-      else
-        List.map
-          (fun (c, d) ->
-            let c = Table.column_pos tbl c
-            and d = Table.column_pos (Database.table db m.Footprint.table) d in
-            let keys =
-              Array.of_list
-                (List.sort_uniq compare
-                   (List.filter (fun k -> not (Value.is_null k)) (List.map (fun r -> r.(c)) rows)))
-            in
-            let rec reached v i = i < Array.length keys && (same_key keys.(i) v || reached v (i + 1)) in
-            fun r -> match r.(d) with Value.Null -> false | v -> reached v 0)
-          (match List.assoc_opt table m.Footprint.inner with
-          | Some keys -> keys
-          | None -> raise Other_class))
-    changes
-
-let rec any tests r = match tests with [] -> false | t :: ts -> t r || any ts r
 
 (* the collector's work for a word allocated straight in the major heap,
    as OCaml 5's pacing books it: 3(100 + o)/2o of a mark-and-sweep cycle
@@ -1284,9 +1316,104 @@ let slice_work_per_word =
   let o = float_of_int (Gc.get ()).Gc.space_overhead in
   1.5 *. (100. +. o) /. o *. (1. +. (100. /. (100. +. o)))
 
-(* where member [k] ends now *)
-let end_of dm k =
-  List.fold_left (fun e (j, d) -> if j <= k then e + d else e) dm.ends.(k) dm.shifts
+(* the member of each row id of the driving table [tbl].  UPDATE
+   overwrites rows in place, so a driving row is for the recording's
+   life the very array the table holds at its rid.  Rows meet their
+   members in an open-addressed table of member positions by row hash,
+   compared by physical equality.  [None] when some member's row is not
+   the table's *)
+let rid_index tbl dm =
+  let n = Array.length dm.drows in
+  let rec pow2 s = if s >= 2 * n then s else pow2 (2 * s) in
+  let mask = pow2 1 - 1 in
+  let slots = Array.make (mask + 1) (-1) in
+  for j = 0 to n - 1 do
+    let p = ref (Hashtbl.hash dm.drows.(j) land mask) in
+    while slots.(!p) >= 0 do
+      p := (!p + 1) land mask
+    done;
+    slots.(!p) <- j
+  done;
+  let by_rid = Array.make (Table.size tbl) (-1) and found = ref 0 in
+  for rid = 0 to Table.size tbl - 1 do
+    let r = Table.unsafe_row tbl rid in
+    let p = ref (Hashtbl.hash r land mask) in
+    while slots.(!p) >= 0 && dm.drows.(slots.(!p)) != r do
+      p := (!p + 1) land mask
+    done;
+    if slots.(!p) >= 0 then (
+      by_rid.(rid) <- slots.(!p);
+      incr found)
+  done;
+  if !found = n then Some by_rid else None
+
+let key_index dm kcol =
+  let ix = { kcol; by_value = Keys.create 16; classes = Array.make 3 0 } in
+  for j = Array.length dm.drows - 1 downto 0 do
+    let k = dm.drows.(j).(kcol) in
+    if not (Value.is_null k) then (
+      let c = key_class k in
+      ix.classes.(c) <- ix.classes.(c) + 1;
+      if c < 2 then
+        Keys.replace ix.by_value k (j :: Option.value ~default:[] (Keys.find_opt ix.by_value k)))
+  done;
+  ix
+
+(* the members whose key equals [k]; [Recompute] when some member's key
+   is of another class than [k] *)
+let keyed ix k =
+  if Value.is_null k then []
+  else
+    let c = key_class k in
+    if c = 2 || ix.classes.(1 - c) > 0 || ix.classes.(2) > 0 then raise Recompute
+    else Option.value ~default:[] (Keys.find_opt ix.by_value k)
+
+(* [dm]'s members the changed rows reach, ascending: a changed driving
+   row its own member, found by rid; a changed row of an inner table
+   the members whose driving key equals its key column's value
+   (unchanged by the write).  [Recompute] when a table is neither
+   driving nor keyed, or a member is not the driving table's row *)
+let reached db (m : Footprint.members) changes dm =
+  let driving = Database.table db m.Footprint.table in
+  let by_rid () =
+    match dm.by_rid with
+    | Some a -> a
+    | None -> (
+        match rid_index driving dm with
+        | Some a ->
+            dm.by_rid <- Some a;
+            a
+        | None -> raise Recompute)
+  in
+  let by_key d =
+    match List.assoc_opt d dm.by_key with
+    | Some ix -> ix
+    | None ->
+        let ix = key_index dm (Table.column_pos driving d) in
+        dm.by_key <- (d, ix) :: dm.by_key;
+        ix
+  in
+  List.sort_uniq compare
+    (List.concat_map
+       (fun (table, rids) ->
+         if table = m.Footprint.table then
+           let a = by_rid () in
+           List.filter_map
+             (fun rid ->
+               if rid >= Array.length a then raise Recompute
+               else if a.(rid) < 0 then None
+               else Some a.(rid))
+             rids
+         else
+           let tbl = Database.table db table in
+           List.concat_map
+             (fun (c, d) ->
+               let c = Table.column_pos tbl c and ix = by_key d in
+               List.concat_map (fun rid -> keyed ix (Table.row tbl rid).(c)) rids)
+             (match List.assoc_opt table m.Footprint.inner with
+             | Some keys -> keys
+             | None -> raise Recompute))
+       changes)
 
 let patch db plan (m : Footprint.members) (recorded : members) ~changes (output : string list) =
   let rows = List.fold_left (fun n (_, rids) -> n + List.length rids) 0 changes in
@@ -1294,69 +1421,103 @@ let patch db plan (m : Footprint.members) (recorded : members) ~changes (output 
   else
     let em = recorded.memit in
     let out = Array.of_list output and written = ref 0 in
-    let exception Recompute in
     (* the reached members first, then the document written once: the
        bytes between them blitted as they are and each re-emitted
-       member's bytes in its place; a member whose length changed
-       shifts the ends from it on *)
-    let patch_doc tests (i, dm) =
-      let n = Array.length dm.drows in
-      let hits = ref [] in
-      for j = n - 1 downto 0 do
-        if any tests dm.drows.(j) then hits := j :: !hits
-      done;
-      if !hits = [] then (i, dm)
-      else
-        let fresh = Buffer.create 256 in
-        let begins j = if j = 0 then dm.start else end_of dm (j - 1) in
-        let spans =
-          List.map
-            (fun j ->
-              let at = Buffer.length fresh and sink = E.serializing_sink fresh in
-              em sink dm.env dm.drows.(j);
-              sink.E.finish ();
-              let s0 = begins j and e0 = end_of dm j and len = Buffer.length fresh - at in
-              (j, s0, e0, at, len, len - (e0 - s0)))
-            !hits
-        in
-        let old = out.(i) in
-        let growth = List.fold_left (fun g (_, _, _, _, _, d) -> g + d) 0 spans in
-        let doc = Bytes.create (String.length old + growth) in
-        let rec splice copied shift = function
-          | [] -> Bytes.blit_string old copied doc (copied + shift) (String.length old - copied)
-          | (_, s0, e0, at, len, d) :: rest ->
-              Bytes.blit_string old copied doc (copied + shift) (s0 - copied);
-              Buffer.blit fresh at doc (s0 + shift) len;
-              splice e0 (shift + d) rest
-        in
-        splice 0 0 spans;
-        let shifts =
-          List.fold_left
-            (fun acc (j, _, _, _, _, d) -> if d = 0 then acc else (j, d) :: acc)
-            dm.shifts spans
-        in
-        let dm = { dm with shifts } in
-        (* a wrapper over no member bytes self-closes: only a recompute
-           writes that *)
-        if dm.opened && end_of dm (n - 1) = dm.start then raise Recompute;
-        out.(i) <- Bytes.unsafe_to_string doc;
-        written := !written + (Bytes.length doc / 8);
-        if List.compare_length_with shifts max_shifts <= 0 then (i, dm)
-        else (i, { dm with ends = Array.init n (end_of dm); shifts = [] })
+       member's bytes in its place; then the lengths that changed *)
+    let patch_doc (i, dm) =
+      match reached db m changes dm with
+      | [] -> ()
+      | hits ->
+          let fresh = Buffer.create 256 in
+          let spans =
+            List.map
+              (fun j ->
+                let at = Buffer.length fresh and sink = E.serializing_sink fresh in
+                em sink dm.env dm.drows.(j);
+                sink.E.finish ();
+                let s0 = begin_of dm j and e0 = begin_of dm (j + 1) in
+                let len = Buffer.length fresh - at in
+                (j, s0, e0, at, len, len - (e0 - s0)))
+              hits
+          in
+          let growth = List.fold_left (fun g (_, _, _, _, _, d) -> g + d) 0 spans in
+          (* a wrapper over no member bytes self-closes: only a recompute
+             writes that *)
+          if dm.opened && dm.total + growth = 0 then raise Recompute;
+          let old = out.(i) in
+          let doc = Bytes.create (String.length old + growth) in
+          let rec splice copied shift = function
+            | [] -> Bytes.blit_string old copied doc (copied + shift) (String.length old - copied)
+            | (_, s0, e0, at, len, d) :: rest ->
+                Bytes.blit_string old copied doc (copied + shift) (s0 - copied);
+                Buffer.blit fresh at doc (s0 + shift) len;
+                splice e0 (shift + d) rest
+          in
+          splice 0 0 spans;
+          List.iter (fun (j, _, _, _, _, d) -> if d <> 0 then grow dm.lens j d) spans;
+          dm.total <- dm.total + growth;
+          out.(i) <- Bytes.unsafe_to_string doc;
+          written := !written + (Bytes.length doc / 8)
     in
     match
-      let reached = reaches db m changes in
-      Mutex.protect recorded.mlock (fun () -> List.map (patch_doc reached) recorded.mdocs)
+      Mutex.protect recorded.mlock (fun () ->
+          if recorded.spent then raise Recompute;
+          (* from here on the documents change in place: whatever the
+             outcome, [recorded] no longer describes [output] *)
+          recorded.spent <- true;
+          List.iter patch_doc recorded.mdocs)
     with
-    | docs ->
+    | () ->
         (* a patched document is allocated straight in the major heap;
            pay the collector for it now, at its own pace, so that the
            next request to cross a slice trigger (often a point write)
            does not inherit the marking *)
         if !written > 0 then
           ignore (Gc.major_slice (int_of_float (slice_work_per_word *. float_of_int !written)));
-        Some (Array.to_list out, { recorded with mdocs = docs })
-    | exception (Recompute | Other_class) -> None
+        Some (Array.to_list out, { recorded with spent = false })
+    | exception Recompute -> None
+
+let check_members (recorded : members) output =
+  let out = Array.of_list output in
+  let fail i fmt = Printf.ksprintf (fun s -> failwith (Printf.sprintf "document %d: %s" i s)) fmt in
+  Mutex.protect recorded.mlock (fun () ->
+      List.iter
+        (fun (i, dm) ->
+          let doc = out.(i) and n = Array.length dm.drows in
+          if prefix dm.lens n <> dm.total then
+            fail i "member lengths sum to %d, total says %d" (prefix dm.lens n) dm.total;
+          if dm.start + dm.total > String.length doc then
+            fail i "members end at %d past the document's %d bytes" (dm.start + dm.total)
+              (String.length doc);
+          let buf = Buffer.create 256 in
+          for j = 0 to n - 1 do
+            Buffer.clear buf;
+            let sink = E.serializing_sink buf in
+            recorded.memit sink dm.env dm.drows.(j);
+            sink.E.finish ();
+            let b = begin_of dm j and e = begin_of dm (j + 1) in
+            if Buffer.contents buf <> String.sub doc b (e - b) then
+              fail i "member %d re-emits %S, the document holds %S at [%d, %d)" j
+                (Buffer.contents buf) (String.sub doc b (e - b)) b e
+          done;
+          List.iter
+            (fun (d, ix) ->
+              let classes = Array.make 3 0 in
+              Array.iteri
+                (fun j r ->
+                  let k = r.(ix.kcol) in
+                  if not (Value.is_null k) then (
+                    let c = key_class k in
+                    classes.(c) <- classes.(c) + 1;
+                    let filed = Option.value ~default:[] (Keys.find_opt ix.by_value k) in
+                    if c < 2 && not (List.mem j filed) then
+                      fail i "member %d is not filed under its %s" j d))
+                dm.drows;
+              let filed = Keys.fold (fun _ js n -> n + List.length js) ix.by_value 0 in
+              if classes <> ix.classes || filed <> classes.(0) + classes.(1) then
+                fail i "the %s index counts its keys wrong" d)
+            dm.by_key)
+        recorded.mdocs)
 
 let run_arrays_analyzed db ?batch_size ?xml_streaming ?partition (p : plan) :
     (Layout.t * Value.t array list) * Stats.t =

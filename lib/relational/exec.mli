@@ -137,10 +137,27 @@ val patch :
     rows overwritten in place since, in columns {!Footprint.classify}
     judged [Driving] (the rows' own members) or [Correlated] (the members
     whose driving key equals a row's key under the index probe's
-    equality).  [None]
-    (recompute) when [recorded] came from another plan, more than 32
-    rows changed, a key is of the other type class, or the patch would
-    empty every member of a wrapper. *)
+    equality).  [None] (recompute) when [recorded] came from another
+    plan or was patched before, more than 32 rows changed, a key is of
+    the other type class, or the patch would empty every member of a
+    wrapper.
+
+    The work is the changed rows' and the members they reach, not the
+    page's member count: a recording finds a driving row's member by
+    its rid and an inner row's members by their driving key (indexes
+    built by the first patch that needs them), and keeps its members'
+    lengths in a Fenwick tree.  The only work in the page's size is the
+    copy of each patched document.  A patch updates the recording in
+    place: the [members] passed in is spent, and the one returned
+    describes the new output. *)
+
+val check_members : members -> string list -> unit
+(** [check_members recorded output] — the recording's invariants, for
+    tests: each member re-emitted equals [output]'s bytes where the
+    recorded lengths place it, the kept total equals the lengths' sum
+    and fits the document, and each built key index files every member
+    under its driving row's current key.
+    @raise Failure naming the first document and member that break one. *)
 
 val run_arrays_analyzed :
   Database.t ->

@@ -120,7 +120,12 @@ let of_plan p =
     | [ (agg, member, Some (table, drv)) ] when markup member ->
         let alone = List.length (List.filter (fun (t, _) -> t = table) !scans) = 1 in
         let inner = List.filter (fun (t, _) -> t <> table) (inner member drv) in
-        Some { agg; table; fixed = List.assoc table (refs ~skip:member ()); alone; inner }
+        (* a write to a driving key column recomputes: a patch finds the
+           members an inner write reaches by the keys they were recorded
+           under *)
+        let keys = List.concat_map (fun (_, keys) -> List.map snd keys) inner in
+        let fixed = List.sort_uniq compare (keys @ List.assoc table (refs ~skip:member ())) in
+        Some { agg; table; fixed; alone; inner }
     | _ -> None
   in
   { reads = refs (); members }

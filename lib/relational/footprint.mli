@@ -15,9 +15,9 @@
     UPDATE leave the member set and its order as they were:
 
     - one of the driving table in columns read nowhere but by the member
-      expression, when the driving table is scanned nowhere else
-      (correlated subplans included): it changes exactly the updated
-      rows' members;
+      expression, and no inner table's key, when the driving table is
+      scanned nowhere else (correlated subplans included): it changes
+      exactly the updated rows' members;
     - one of an {e inner} table that only the member scans, every scan
       keyed by equality on a column of the driving row (an index probe
       at [driving.d], or a filter conjunct [inner.c = driving.d]), in
@@ -31,7 +31,9 @@
 type members = {
   agg : Algebra.agg;  (** the patchable XMLAgg, physically the plan's node *)
   table : string;  (** its driving table *)
-  fixed : string list;  (** the driving table's columns read outside the member *)
+  fixed : string list;
+      (** the driving table's columns read outside the member, and its
+          columns an inner table is keyed on *)
   alone : bool;  (** the driving table is scanned by the driving scan only *)
   inner : (string * (string * string) list) list;
       (** per inner table, its (column, driving column) keys *)

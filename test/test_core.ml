@@ -1517,9 +1517,19 @@ let test_fig3_replay_patches_every_page () =
   EN.shutdown er;
   EN.shutdown es
 
-(* a hundred patches that each change a member's length: the recorded
-   ends are kept as shifts and folded into fresh ends every 33; every
-   page served equals a forced recompute *)
+(* the recording the result cache holds for [st], if any, checked
+   against the page it describes ({!Xdb_rel.Exec.check_members}) *)
+let check_recording e st served =
+  match EN.stmt_recording e st with
+  | Some (output, members) ->
+      check (Alcotest.list cs) "the recording describes the served page" served output;
+      Xdb_rel.Exec.check_members members output
+  | None -> ()
+
+(* a hundred patches that each change a member's length: the member
+   lengths live in a Fenwick tree that each patch updates in place;
+   every page served equals a forced recompute, and after every read the
+   recording re-emits to the page's bytes where the tree places them *)
 let test_patch_length_changes () =
   let module D = Xdb_xsltmark.Data in
   let dv = D.records_db 200 in
@@ -1543,10 +1553,141 @@ let test_patch_length_changes () =
     patched := !patched + List.assoc "result_cache_patched" m;
     check (Alcotest.list cs) (Printf.sprintf "write %d: served = recomputed" i)
       (EN.transform_stmt ~options:{ EN.default_run_options with EN.result_cache = false } e st).EN.output
-      r.EN.output
+      r.EN.output;
+    check_recording e st r.EN.output
   done;
   check ci "every read after the first patched" 99 !patched;
   EN.shutdown e
+
+(* random UPDATE sequences over the Figure 3 pages, each read page
+   under the result cache compared byte for byte with a recompute, and
+   the read's recording checked against it.  [metric] over [records_db]
+   takes value writes that move a member across the big/mid/small
+   branches (changing its length), often on a few rows and often more
+   than 33 on one entry.  [chart] and [total] over [sales_db] take
+   amount writes per region (several items each, some NULL), region key
+   changes (duplicate keys across driving rows; they recompute, then a
+   write to the new key patches the new recording), and writes of more
+   than 32 items (they recompute).  Reads flagged by the generator are
+   also compared with the functional VM. *)
+type page_op =
+  | Value of int * int  (** [rows.value] of one id *)
+  | Amount of int * int option  (** [item.amount] of one region's items, or NULL *)
+  | Amounts of int * int  (** [item.amount] of every region below the first: over 32 items *)
+  | Rekey of int * int  (** [region.rid] from the first key to the second *)
+  | Read of bool  (** read the three pages; [true]: also check the functional VM *)
+
+let show_page_op = function
+  | Value (k, v) -> Printf.sprintf "value(%d)=%d" k v
+  | Amount (r, v) ->
+      Printf.sprintf "amount(%d)=%s" r (match v with Some v -> string_of_int v | None -> "NULL")
+  | Amounts (r, v) -> Printf.sprintf "amounts(<%d)=%d" r v
+  | Rekey (a, b) -> Printf.sprintf "rekey(%d->%d)" a b
+  | Read f -> if f then "READ*" else "read"
+
+let patch_rows = 120 and patch_regions = 10 and patch_items = 5
+
+let page_op_gen =
+  let open QCheck.Gen in
+  let id = oneof [ int_range 1 3; int_range 1 patch_rows ] in
+  let value = oneof [ int_range 0 999; int_range 1001 4999; int_range 5001 99_999 ] in
+  let region = int_range 0 (patch_regions - 1) in
+  frequency
+    [
+      (8, map2 (fun k v -> [ Value (k, v) ]) id value);
+      (3, map2 (fun r v -> [ Amount (r, v) ]) region (opt ~ratio:0.8 (int_range 1 500)));
+      (1, map2 (fun r v -> [ Amounts (r, v) ]) (int_range 7 patch_regions) (int_range 1 500));
+      ( 1,
+        map3
+          (fun a b v -> [ Rekey (a, b); Read false; Amount (b, Some v) ])
+          region region (int_range 1 500) );
+      (8, map (fun f -> [ Read f ]) (frequency [ (1, return true); (7, return false) ]));
+    ]
+
+let patch_ops_arb =
+  QCheck.make
+    ~print:(fun ops -> String.concat " " (List.map show_page_op ops))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(map List.concat (list_size (int_range 30 200) page_op_gen))
+
+let prop_patch_sequences patches =
+  QCheck.Test.make ~name:"patched pages = recomputed pages over random UPDATE sequences" ~count:30
+    patch_ops_arb (fun ops ->
+      let module D = Xdb_xsltmark.Data in
+      let rdv = D.records_db patch_rows and sdv = D.sales_db patch_regions patch_items in
+      let open_engine (dv : D.dbview) =
+        let e = EN.create dv.D.db in
+        EN.register_view e dv.D.view;
+        e
+      in
+      let er = open_engine rdv and es = open_engine sdv in
+      let stylesheet name = (Option.get (Xdb_xsltmark.Cases.find name)).Xdb_xsltmark.Cases.stylesheet in
+      let page =
+        List.map
+          (fun (e, dv, view_name, name) ->
+            (name, e, dv, EN.prepare e ~view_name ~stylesheet:(stylesheet name)))
+          [
+            (er, rdv, "records_vu", "metric");
+            (es, sdv, "sales_vu", "chart");
+            (es, sdv, "sales_vu", "total");
+          ]
+      in
+      let with_metrics = { EN.default_run_options with EN.collect_metrics = true } in
+      let null_amounts () =
+        let item = Xdb_rel.Database.table sdv.D.db "item" in
+        let amount = T.column_pos item "amount" in
+        T.fold (fun found _ r -> found || V.is_null r.(amount)) false item
+      in
+      let read functional =
+        List.iter
+          (fun (name, e, (dv : D.dbview), st) ->
+            let r = EN.transform_stmt ~options:with_metrics e st in
+            let m = Xdb_core.Metrics.counters (Option.get r.EN.metrics) in
+            patches := !patches + List.assoc "result_cache_patched" m;
+            let fresh =
+              EN.transform_stmt ~options:{ EN.default_run_options with EN.result_cache = false } e st
+            in
+            check (Alcotest.list cs) (name ^ ": served = recomputed") fresh.EN.output r.EN.output;
+            check_recording e st r.EN.output;
+            (* the rewrite sums NULL amounts as SQL does (skipped) where
+               the functional VM sums their empty elements as XPath does
+               (NaN): that holds for recomputes alike, so only pages over
+               non-NULL amounts are compared with the functional VM *)
+            if functional && not (name <> "metric" && null_amounts ()) then
+              check (Alcotest.list cs) (name ^ ": served = functional VM")
+                (PL.run_functional dv.D.db (PL.compile dv.D.db dv.D.view (stylesheet name)))
+                r.EN.output)
+          page
+      in
+      (* two reads first: a page computed again is the one recorded *)
+      read false;
+      read false;
+      List.iter
+        (function
+          | Value (k, v) ->
+              ignore (EN.execute er (Printf.sprintf "UPDATE rows SET value = %d WHERE id = %d" v k))
+          | Amount (r, v) ->
+              ignore
+                (EN.execute es
+                   (Printf.sprintf "UPDATE item SET amount = %s WHERE rid = %d"
+                      (match v with Some v -> string_of_int v | None -> "NULL")
+                      r))
+          | Amounts (r, v) ->
+              ignore (EN.execute es (Printf.sprintf "UPDATE item SET amount = %d WHERE rid < %d" v r))
+          | Rekey (a, b) ->
+              ignore (EN.execute es (Printf.sprintf "UPDATE region SET rid = %d WHERE rid = %d" b a))
+          | Read f -> read f)
+        ops;
+      read true;
+      EN.shutdown er;
+      EN.shutdown es;
+      true)
+
+let test_patch_sequences () =
+  let patches = ref 0 in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 27 |]) (prop_patch_sequences patches);
+  (* the sequences reach the patch path, not only recomputes *)
+  if !patches < 100 then Alcotest.failf "only %d pages were patched" !patches
 
 let test_prepared_statements () =
   let db, view = setup_example1 () in
@@ -2359,6 +2500,7 @@ let () =
           Alcotest.test_case "fig3-pages replay: every served page = a recompute" `Quick
             test_fig3_replay_patches_every_page;
           Alcotest.test_case "patches that change a member's length" `Quick test_patch_length_changes;
+          Alcotest.test_case "patch sequences = recomputes" `Quick test_patch_sequences;
           Alcotest.test_case "prepared statements" `Quick test_prepared_statements;
           Alcotest.test_case "run source verb" `Quick test_run_source_verb;
           QCheck_alcotest.to_alcotest prop_parallel_equiv_sequential;
