@@ -1013,8 +1013,17 @@ let servebench ?(size = 2_000) ?(clients_list = [ 1; 2; 4 ]) ?(per_case = 24) ()
         let server = SV.create ~max_in_flight:nproc ~max_queue:256 engine in
         let iters = max 1 (per_case / clients) in
         (* each client: its own session, [iters] closed-loop passes over
-           the mixed case set, per-request latency + identity checks *)
+           the mixed case set, per-request latency + identity checks.  A
+           client's clock starts once every client has reached the start
+           barrier and stops before it returns, so the wall time leaves
+           out [Domain.spawn] and [Domain.join] *)
+        let arrived = Atomic.make 0 in
         let run_client i =
+          Atomic.incr arrived;
+          while Atomic.get arrived < clients do
+            Domain.cpu_relax ()
+          done;
+          let t0 = Unix.gettimeofday () in
           let sess = SV.open_session ~name:(Printf.sprintf "c%d" i) server in
           let out = ref [] in
           for _ = 1 to iters do
@@ -1027,16 +1036,18 @@ let servebench ?(size = 2_000) ?(clients_list = [ 1; 2; 4 ]) ?(per_case = 24) ()
               cases
           done;
           SV.close_session sess;
-          !out
+          (t0, Unix.gettimeofday (), !out)
         in
-        let t0 = Unix.gettimeofday () in
-        let per_client =
+        let runs =
           if clients = 1 then [ run_client 0 ]
           else
             List.map Domain.join
               (List.init clients (fun i -> Domain.spawn (fun () -> run_client i)))
         in
-        let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+        let first_start = List.fold_left (fun m (t0, _, _) -> Float.min m t0) infinity runs
+        and last_stop = List.fold_left (fun m (_, t1, _) -> Float.max m t1) 0.0 runs in
+        let wall_ms = (last_stop -. first_start) *. 1000.0 in
+        let per_client = List.map (fun (_, _, out) -> out) runs in
         let snap = SV.snapshot server in
         SV.shutdown server;
         let samples = List.concat per_client in

@@ -640,12 +640,12 @@ let rec cexpr ctx (lay : Layout.t) own (e : expr) : Value.t array -> Value.t arr
   | Case (whens, els) ->
       let whens = List.map (fun (c, r) -> (cpred ctx lay own c, cexpr ctx lay own r)) whens in
       let els = Option.map (cexpr ctx lay own) els in
-      fun env r ->
-        let rec go = function
-          | [] -> ( match els with Some f -> f env r | None -> Value.Null)
-          | (c, t) :: rest -> if c env r then t env r else go rest
-        in
-        go whens
+      (* [env] and [r] passed down, so an evaluation allocates no closure *)
+      let rec go env r = function
+        | [] -> ( match els with Some f -> f env r | None -> Value.Null)
+        | (c, t) :: rest -> if c env r then t env r else go env r rest
+      in
+      fun env r -> go env r whens
   | Xml_element _ | Xml_forest _ | Xml_concat _ | Xml_text _ | Xml_comment _ | Xml_pi _ ->
       let em = cemit ctx lay own e in
       let streaming = ctx.cxml_streaming in

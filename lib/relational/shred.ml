@@ -1,13 +1,13 @@
-(* Interval-encoded XML shredding: each document stored once as dense
-   columns indexed by row (pre order) with interned names and per-name
-   postings, and location steps answered over those rows (staircase
-   slices and postings sweeps for descendants).  Inside evaluation a
-   node is its row index in the document the environment carries.  See
-   shred.mli for the encoding contract. *)
+(* pre|size|level XML shredding: each document stored once as dense
+   columns indexed by row (a node's row is its pre-order rank) with
+   interned names and per-name postings, and location steps answered
+   over those rows (staircase slices and postings sweeps for
+   descendants).  Inside evaluation a node is its row index in the
+   document the environment carries.  See shred.mli for the encoding
+   contract. *)
 
 module X = Xdb_xml.Types
 module XA = Xdb_xpath.Ast
-module AR = Xdb_xpath.Axis_range
 module XE = Xdb_xpath.Eval
 module XV = Xdb_xpath.Value
 
@@ -36,8 +36,9 @@ let cells c = Bytes.length c / 4
 let set_cell c i v = set32 c (4 * i) (Int32.of_int v)
 
 (* cell [i] of a column of [n] cells: reads check [i] against the count
-   the caller keeps (the document's rows or ticks), which is cheaper
-   than recomputing the column's byte length on every read *)
+   the caller keeps (the document's rows, a postings column's cells),
+   which is cheaper than recomputing the column's byte length on every
+   read *)
 let cell n c i =
   if i < 0 || i >= n then invalid_arg "Shred.cell";
   Int32.to_int (get32u c (4 * i))
@@ -61,15 +62,12 @@ type t = {
 and doc = {
   store : t;
   n_rows : int;
-  n_ticks : int;
-  pre : Bytes.t;  (** row → pre *)
-  post : Bytes.t;  (** row → post *)
+  size : Bytes.t;  (** row → rows in its subtree below it, attributes included *)
   parent : Bytes.t;  (** row → parent row, -1 on the document row *)
   kind_level : Bytes.t;  (** row → kind code lor (level lsl 3) *)
   name : Bytes.t;  (** row → name id *)
   names : X.qname array;  (** the store's interned names, every id of [name] included *)
   value : string array;  (** attribute, text, comment and PI values; "" elsewhere *)
-  row_ix : Bytes.t;  (** pre → row, -1 for post-only exit ticks *)
   postings : (string, Bytes.t) Hashtbl.t;
       (** local name → ascending rows of the elements and attributes carrying it *)
 }
@@ -85,34 +83,21 @@ let create () =
     n_fallback = Atomic.make 0;
   }
 
-let pre d i = cell d.n_rows d.pre i [@@inline]
-let post d i = cell d.n_rows d.post i [@@inline]
+let size d i = cell d.n_rows d.size i [@@inline]
 let parent d i = cell d.n_rows d.parent i [@@inline]
 let kind d i = kinds.(cell d.n_rows d.kind_level i land 7) [@@inline]
 let level d i = cell d.n_rows d.kind_level i lsr 3
 let qname d i = d.names.(cell d.n_rows d.name i) [@@inline]
 let local d i = (qname d i).X.local [@@inline]
-let row_of_pre d p = cell d.n_ticks d.row_ix p [@@inline]
 let rows d = d.n_rows
-let parent_pre d i = match parent d i with -1 -> -1 | p -> pre d p
 
-(* the first row at or after tick [p]: from just past a subtree, the
-   ticks skipped are ancestors' exit ticks, so this is O(depth) *)
-let rec row_at_or_after d p =
-  if p >= d.n_ticks then d.n_rows
-  else
-    let ix = row_of_pre d p in
-    if ix >= 0 then ix else row_at_or_after d (p + 1)
+(* one past the last row of [i]'s subtree: the subtree is the slice
+   [i, i + size i + 1) *)
+let subtree_end d i = i + size d i + 1 [@@inline]
 
-(* one past the last row of [i]'s subtree *)
-let subtree_end d i = row_at_or_after d (post d i + 1)
-
-(* the first text row at or after row [j] that starts before tick
-   [post] (inside the subtree [post] closes), or -1 *)
-let rec next_text d post j =
-  if j >= d.n_rows || pre d j > post then -1
-  else if kind d j = Text then j
-  else next_text d post (j + 1)
+(* the first text row in [j, stop), or -1 *)
+let rec next_text d stop j =
+  if j >= stop then -1 else if kind d j = Text then j else next_text d stop (j + 1)
 
 (* stored for attribute, text, comment and PI rows; a document or
    element row concatenates the text rows of its subtree slice, and a
@@ -121,15 +106,15 @@ let string_value d i =
   match kind d i with
   | Attr | Text | Comment | Pi -> d.value.(i)
   | Doc | Elem -> (
-      let post = post d i in
-      match next_text d post (i + 1) with
+      let stop = subtree_end d i in
+      match next_text d stop (i + 1) with
       | -1 -> ""
-      | first when next_text d post (first + 1) < 0 -> d.value.(first)
+      | first when next_text d stop (first + 1) < 0 -> d.value.(first)
       | first ->
           let b = Buffer.create 64 and j = ref first in
           while !j >= 0 do
             Buffer.add_string b d.value.(!j);
-            j := next_text d post (!j + 1)
+            j := next_text d stop (!j + 1)
           done;
           Buffer.contents b)
 
@@ -152,29 +137,24 @@ let shred t (root : X.node) : int =
   (* a synthetic document row over a non-document root, so absolute paths
      anchor uniformly (the input tree is not touched) *)
   let root = if X.is_document root then root else { (X.make X.Document) with X.children = [ root ] } in
-  (* sized first, so each column is allocated once at its final length;
-     a node with attributes or children takes an exit tick *)
-  let n = ref 0 and ticks = ref 0 in
+  (* sized first, so each column is allocated once at its final length *)
+  let n = ref 0 in
   let rec count (x : X.node) =
     incr n;
-    incr ticks;
-    if x.X.attributes <> [] || x.X.children <> [] then incr ticks;
     List.iter count x.X.attributes;
     List.iter count x.X.children
   in
   count root;
   let n = !n and col () = column !n in
   let d =
-    { store = t; n_rows = n; n_ticks = !ticks; pre = col (); post = col (); parent = col ();
-      kind_level = col (); name = col (); names = [||]; value = Array.make n "";
-      row_ix = column !ticks; postings = Hashtbl.create 1 }
+    { store = t; n_rows = n; size = col (); parent = col (); kind_level = col (); name = col ();
+      names = [||]; value = Array.make n ""; postings = Hashtbl.create 1 }
   in
-  let row = ref 0 and tick = ref 0 in
-  (* post = pre when the node consumed no further ticks (a leaf), a fresh
-     exit tick otherwise — attributes and children both count, so an
-     attribute's interval always nests strictly inside its owner's *)
+  let row = ref 0 in
+  (* rows in pre order: a node, its attributes, then its children; its
+     size (set on exit) is the rows its attributes and children took *)
   let rec go parent level (x : X.node) =
-    let i = !row and p = !tick in
+    let i = !row in
     let kind, name, value =
       match x.X.kind with
       | X.Document -> (Doc, 0, "")
@@ -184,18 +164,14 @@ let shred t (root : X.node) : int =
       | X.Comment s -> (Comment, 0, s)
       | X.Pi (target, data) -> (Pi, intern t (X.qname target), data)
     in
-    set_cell d.pre i p;
-    set_cell d.row_ix p i;
     set_cell d.parent i parent;
     set_cell d.kind_level i (kind_code kind lor (level lsl 3));
     set_cell d.name i name;
     d.value.(i) <- value;
     incr row;
-    incr tick;
     List.iter (go i (level + 1)) x.X.attributes;
     List.iter (go i (level + 1)) x.X.children;
-    if !tick > p + 1 then incr tick;
-    set_cell d.post i (if !tick = p + 1 then p else !tick - 1)
+    set_cell d.size i (!row - i - 1)
   in
   go (-1) 0 root;
   let d = { d with names = t.qnames } in
@@ -243,25 +219,24 @@ let check_invariants t =
       let bad fmt = Printf.ksprintf (fun m -> err "document %d: %s" docid m) fmt in
       if d.n_rows = 0 || kind d 0 <> Doc || parent d 0 <> -1 || level d 0 <> 0 then
         bad "row 0 is not a parentless document row";
-      for p = 0 to d.n_ticks - 1 do
-        let i = row_of_pre d p in
-        if i >= d.n_rows || (i >= 0 && pre d i <> p) then bad "pre map entry %d misses its row" p
-      done;
-      let owners = ref 0 in
+      (* [owned.(p)]: the rows p's child slices cover, which must be
+         exactly its size — so the slices tile it, none overlaps *)
+      let owners = ref 0 and owned = Array.make d.n_rows 0 in
       for i = 0 to d.n_rows - 1 do
-        if row_of_pre d (pre d i) <> i then bad "row %d is not the pre map's image of its pre" i;
-        if i > 0 && pre d i <= pre d (i - 1) then bad "row %d breaks pre order" i;
-        if post d i < pre d i then bad "row %d has post < pre" i;
+        if size d i < 0 || subtree_end d i > d.n_rows then bad "row %d's slice overruns the rows" i;
         let id = cell d.n_rows d.name i in
         if id < 0 || id >= min n_names (Array.length d.names) then bad "row %d names unknown id %d" i id;
         if kind d i = Elem || kind d i = Attr then incr owners;
         let p = parent d i in
         if i > 0 then
           if p < 0 || p >= i then bad "row %d has parent row %d" i p
-          else if not (pre d p < pre d i && post d i < post d p) then
-            bad "row %d's interval is outside its parent's" i
+          else if subtree_end d i > subtree_end d p then bad "row %d's slice is outside its parent's" i
           else if level d i <> level d p + 1 then bad "row %d's level is not its parent's + 1" i
+          else owned.(p) <- owned.(p) + size d i + 1
       done;
+      Array.iteri
+        (fun i o -> if o <> size d i then bad "row %d's child slices cover %d of its %d rows" i o (size d i))
+        owned;
       let named = ref 0 in
       Hashtbl.iter
         (fun name p ->
@@ -292,13 +267,12 @@ let kind_of_row d i =
 
 (* a fresh DOM copy of one row's subtree, built from the rows slice
    [i0 .. subtree end); [stamp] sets each node's document order to its
-   [pre], so a DOM interpreter result maps back to its row through the
-   pre map *)
+   row, so a DOM interpreter result maps straight back to its row *)
 let build ~stamp d i0 : X.node =
   let i = ref i0 in
   let make r =
     let xn = X.make (kind_of_row d r) in
-    if stamp then xn.X.order <- pre d r;
+    if stamp then xn.X.order <- r;
     xn
   in
   let rec go () : X.node =
@@ -307,8 +281,9 @@ let build ~stamp d i0 : X.node =
     let xn = make r in
     (match kind d r with
     | Doc | Elem ->
-        let attrs = ref [] in
-        while !i < d.n_rows && kind d !i = Attr && parent d !i = r do
+        (* the attribute rows right after an owner inside its slice are its own *)
+        let stop = subtree_end d r and attrs = ref [] in
+        while !i < stop && kind d !i = Attr do
           let an = make !i in
           incr i;
           an.X.parent <- Some xn;
@@ -316,7 +291,7 @@ let build ~stamp d i0 : X.node =
         done;
         xn.X.attributes <- List.rev !attrs;
         let kids = ref [] in
-        while !i < d.n_rows && pre d !i < post d r do
+        while !i < stop do
           let k = go () in
           k.X.parent <- Some xn;
           kids := k :: !kids
@@ -330,20 +305,18 @@ let build ~stamp d i0 : X.node =
 let subtree d i = build ~stamp:false d i
 let reconstruct t docid = build ~stamp:true (doc t docid) 0
 
-(* direct children (attributes included) off the pre-ordered rows: the
-   first owned row sits right after the owner, each sibling starts at
-   the tick after the previous subtree's last — O(1) per child *)
-let iter_owned d c (f : int -> unit) =
-  if post d c > pre d c then begin
-    let rec go ix =
-      if ix >= 0 && ix < d.n_rows && parent d ix = c then begin
-        f ix;
-        let nxt = post d ix + 1 in
-        if nxt < d.n_ticks then go (row_of_pre d nxt)
-      end
-    in
-    go (c + 1)
+(* the rows heading consecutive sibling slices from row [x] up to row
+   [stop]: each sibling starts right after the previous one's subtree —
+   O(1) per sibling *)
+let rec iter_siblings d x stop (f : int -> unit) =
+  if x < stop then begin
+    f x;
+    iter_siblings d (subtree_end d x) stop f
   end
+
+(* direct children (attributes included): the first owned row sits
+   right after the owner *)
+let iter_owned d c f = iter_siblings d (c + 1) (subtree_end d c) f
 
 (* [iter_owned] as a test, stopping at the first child [f] holds on *)
 let exists_owned d c f =
@@ -361,16 +334,12 @@ let children d c =
    element's expanded name, counted along the parent's owned rows up to
    the row itself — no child list is built *)
 let sibling_number d r =
-  let p = parent d r in
-  if p < 0 then 1
-  else begin
-    let n = ref 1 and q = qname d r in
-    ignore
-      (exists_owned d p (fun x ->
-           if kind d x = Elem && kind d r = Elem && X.qname_equal (qname d x) q && x <> r then incr n;
-           x = r));
-    !n
-  end
+  let n = ref 1 and q = qname d r in
+  (match parent d r with
+  | p when p >= 0 && kind d r = Elem ->
+      iter_siblings d (p + 1) r (fun x -> if kind d x = Elem && X.qname_equal (qname d x) q then incr n)
+  | _ -> ());
+  !n
 
 (* a row's subtree replayed as output events straight off the rows:
    owned attribute rows come first, so they follow their start tag as
@@ -402,81 +371,85 @@ let doc_order_dedup rows =
   in
   if strictly_sorted rows then rows else List.sort_uniq Int.compare rows
 
-(* the kind codes a kind filter admits, as a bit set over [kind_code] *)
-let kind_mask : AR.kind_filter -> int = function
-  | AR.K_elem -> 0b10
-  | AR.K_attr -> 0b100
-  | AR.K_text -> 0b1000
-  | AR.K_comment -> 0b10000
-  | AR.K_pi -> 0b100000
-  | AR.K_non_attr -> 0b111011
+(* A step's node test as a row filter: the kind codes it admits, as a
+   bit set over [kind_code], and the local name (or PI target) it
+   requires. *)
+type spec = { mask : int; name : string option }
+
+let bit k = 1 lsl kind_code k
+
+(* node() on a principal-element axis: any kind but attributes — but the
+   context node itself, an attribute too, on self and the -or-self axes
+   (see [admits]) *)
+let non_attr = 0b111111 lxor bit Attr
+
+(* [None] when the step is statically empty: the namespace axis, or a
+   node test the axis's principal kind never satisfies.  Mirrors
+   [Eval.test_matches]: prefixes are ignored (no prefix environment),
+   names match on the local part. *)
+let compile_test (axis : XA.axis) (test : XA.node_test) : spec option =
+  let principal = bit (if axis = XA.Attribute then Attr else Elem) in
+  let spec mask name = Some { mask; name } in
+  match (axis, test) with
+  | XA.Namespace, _ -> None
+  | _, (XA.Star | XA.Prefix_star _) -> spec principal None
+  | _, XA.Name_test (_, local) -> spec principal (Some local)
+  | XA.Attribute, XA.Node_type_test XA.Any_node -> spec principal None
+  | XA.Attribute, XA.Node_type_test _ -> None
+  | _, XA.Node_type_test XA.Any_node -> spec non_attr None
+  | _, XA.Node_type_test XA.Text_node -> spec (bit Text) None
+  | _, XA.Node_type_test XA.Comment_node -> spec (bit Comment) None
+  | _, XA.Node_type_test (XA.Pi_node target) -> spec (bit Pi) target
 
 let kind_in mask d i = (mask lsr (cell d.n_rows d.kind_level i land 7)) land 1 = 1 [@@inline]
 
-(* the kind/name residual of a spec, decided on a row we already hold (the
-   self axis: [pre = ctx.pre] is the context row itself, no scan needed) *)
-let row_matches (spec : AR.spec) d r =
-  kind_in (kind_mask spec.kinds) d r
-  && match spec.name with None -> true | Some n -> String.equal (local d r) n
+(* the node test decided on a row we already hold *)
+let row_matches spec d r =
+  kind_in spec.mask d r && match spec.name with None -> true | Some n -> String.equal (local d r) n
 
 (* [row_matches] for candidate [r] of context [c]: node() also admits
    the context itself when it is an attribute (self and the -or-self
    axes, the only ones whose candidates include the context) *)
-let admits (spec : AR.spec) d c r = row_matches spec d r || (spec.kinds = AR.K_non_attr && r = c)
+let admits spec d c r = row_matches spec d r || (spec.mask = non_attr && r = c)
 
-(* does candidate [r] satisfy one interval condition against context [c] *)
-let cond_holds d c r { AR.col; op; anchor } =
-  let x = match col with AR.Pre -> pre d r | AR.Post -> post d r | AR.Parent -> parent_pre d r
-  and y =
-    match anchor with
-    | AR.Ctx_pre -> pre d c
-    | AR.Ctx_post -> post d c
-    | AR.Ctx_parent -> parent_pre d c
-  in
-  match op with
-  | AR.Eq -> x = y
-  | AR.Lt -> x < y
-  | AR.Leq -> x <= y
-  | AR.Gt -> x > y
-  | AR.Geq -> x >= y
+let range lo hi (f : int -> unit) =
+  for i = lo to hi - 1 do
+    f i
+  done
 
-(* every row an axis's conditions can hold on from context [c], in
-   document order, read off the pre-ordered rows: owned-row walks for
-   child and sibling axes, parent links upward, and a bounded slice of
-   the rows for descendant, following and preceding *)
-let iter_axis d (axis : XA.axis) c (f : int -> unit) =
+(* exactly the rows on an axis from context [c], in document order,
+   read off the pre-ordered rows: a subtree is the slice [c, end c),
+   siblings are walked slice by slice, ancestors along parent links.
+   The node test is left to the caller; attribute rows, which lie in
+   their owner's slice, fail every principal-element test *)
+let iter_axis d (axis : XA.axis) c f =
   match axis with
   | XA.Self -> f c
   | XA.Child | XA.Attribute -> iter_owned d c f
-  | XA.Following_sibling | XA.Preceding_sibling -> if parent d c >= 0 then iter_owned d (parent d c) f
   | XA.Parent -> if parent d c >= 0 then f (parent d c)
   | XA.Ancestor | XA.Ancestor_or_self ->
       let rec up acc r = match parent d r with -1 -> acc | p -> up (p :: acc) p in
       List.iter f (up (if axis = XA.Ancestor_or_self then [ c ] else []) c)
-  | XA.Descendant | XA.Descendant_or_self | XA.Following | XA.Preceding ->
-      let lo, hi =
-        match axis with
-        | XA.Following -> (subtree_end d c, d.n_rows)
-        | XA.Preceding -> (0, c)
-        | _ -> (c, subtree_end d c)
-      in
-      for i = lo to hi - 1 do
-        f i
-      done
+  | XA.Descendant -> range (c + 1) (subtree_end d c) f
+  | XA.Descendant_or_self -> range c (subtree_end d c) f
+  | XA.Following -> range (subtree_end d c) d.n_rows f
+  | XA.Preceding -> range 0 c (fun r -> if subtree_end d r <= c then f r)
+  | XA.Following_sibling ->
+      if parent d c >= 0 then iter_siblings d (subtree_end d c) (subtree_end d (parent d c)) f
+  | XA.Preceding_sibling -> if parent d c >= 0 then iter_siblings d (parent d c + 1) c f
   | XA.Namespace -> ()
 
-(* one step from one context row: the axis's candidates that pass its
-   {!AR} conditions and the kind/name test, in proximity order *)
-let step_source d (axis : XA.axis) (spec : AR.spec) c : int list =
+(* one step from one context row: the axis's rows that pass the node
+   test, in proximity order *)
+let step_source d (axis : XA.axis) spec c : int list =
   match axis with
   (* an attribute has no siblings (XPath 1.0 §2.2) *)
   | (XA.Following_sibling | XA.Preceding_sibling) when kind d c = Attr -> []
   | _ ->
       Atomic.incr d.store.n_rel;
       let acc = ref [] in
-      iter_axis d axis c (fun r ->
-          if List.for_all (cond_holds d c r) spec.conds && admits spec d c r then acc := r :: !acc);
-      if spec.reverse then !acc else List.rev !acc
+      iter_axis d axis c (fun r -> if admits spec d c r then acc := r :: !acc);
+      if XA.is_reverse_axis axis then !acc else List.rev !acc
 
 (* ---- the relational expression subset (mirrors Eval/Value semantics) - *)
 
@@ -576,8 +549,8 @@ let pcompare d op a b =
 (* ------------------------------------------------------------------ *)
 
 (* Between steps a context is a sorted, duplicate-free row list (the
-   doc_order_dedup invariant), i.e. an ascending sequence of pre
-   intervals — exactly what the staircase merges below exploit.  Each
+   doc_order_dedup invariant), i.e. an ascending sequence of subtree
+   slices — exactly what the staircase merges below exploit.  Each
    batch step costs one pass over the context instead of one walk per
    context node. *)
 
@@ -590,12 +563,12 @@ let batch_axis_ok : XA.axis -> bool = function
 (* one owned-row walk per context node; distinct parents own disjoint
    child blocks ordered like their parents, so the result is already in
    document order unless the contexts nest *)
-let batch_child d (spec : AR.spec) ctx =
-  let acc = ref [] and nested = ref false and maxpost = ref min_int in
+let batch_child d spec ctx =
+  let acc = ref [] and nested = ref false and cover = ref 0 in
   List.iter
     (fun c ->
-      if pre d c < !maxpost then nested := true;
-      if post d c > !maxpost then maxpost := post d c;
+      if c < !cover then nested := true;
+      cover := max !cover (subtree_end d c);
       iter_owned d c (fun r -> if row_matches spec d r then acc := r :: !acc))
     ctx;
   let out = List.rev !acc in
@@ -603,9 +576,9 @@ let batch_child d (spec : AR.spec) ctx =
 
 (* name-tested descendants read the name's postings instead of the
    rows: the sweep lands only on rows already carrying the right name *)
-let use_postings axis (spec : AR.spec) =
+let use_postings axis spec =
   spec.name <> None
-  && (spec.kinds = AR.K_elem || spec.kinds = AR.K_attr)
+  && (spec.mask = bit Elem || spec.mask = bit Attr)
   && match axis with XA.Descendant | XA.Descendant_or_self -> true | _ -> false
 
 (* the first position of ascending column [p] of [n] cells holding a
@@ -619,19 +592,19 @@ let first_geq n p x =
   in
   go 0 n
 
-(* the staircase merge: a context interval starting inside the running
-   cover is nested in an earlier context's interval, so its descendants
-   were already swept — skip it.  Each maximal interval is one slice
+(* the staircase merge: a context slice starting inside the running
+   cover is nested in an earlier context's slice, so its descendants
+   were already swept — skip it.  Each maximal slice is one range
    [lo, hi) of rows, read straight off the columns or, for a name test,
    off the name's postings from a binary-searched start; output is
    sorted and distinct by construction. *)
-let batch_descendant d axis (spec : AR.spec) ctx =
+let batch_descendant d axis spec ctx =
   let skip_self = if axis = XA.Descendant_or_self then 0 else 1 in
   let name = if use_postings axis spec then spec.name else None in
-  let acc = ref [] and cover = ref min_int in
+  let acc = ref [] and cover = ref 0 in
   List.iter
     (fun c ->
-      if pre d c > !cover then begin
+      if c >= !cover then begin
         let lo = c + skip_self and hi = subtree_end d c in
         (match name with
         | None ->
@@ -643,19 +616,19 @@ let batch_descendant d axis (spec : AR.spec) ctx =
             | None -> () (* name absent from the document: statically empty *)
             | Some p ->
                 (* a posting carries the name: only its kind is left to test *)
-                let n = cells p and mask = kind_mask spec.kinds in
+                let n = cells p in
                 let j = ref (first_geq n p lo) in
                 while !j < n && cell n p !j < hi do
                   let i = cell n p !j in
-                  if kind_in mask d i then acc := i :: !acc;
+                  if kind_in spec.mask d i then acc := i :: !acc;
                   incr j
                 done));
-        cover := post d c
+        cover := hi
       end)
     ctx;
   List.rev !acc
 
-let batch_parent d (spec : AR.spec) ctx =
+let batch_parent d spec ctx =
   let acc = ref [] in
   List.iter
     (fun c ->
@@ -668,7 +641,7 @@ let batch_parent d (spec : AR.spec) ctx =
    earlier walk marked (everything above it was marked and collected by
    that walk), so total work is bounded by rows touched, not
    |ctx| · depth *)
-let batch_ancestor d axis (spec : AR.spec) ctx =
+let batch_ancestor d axis spec ctx =
   let marks = Bytes.make d.n_rows '\000' and acc = ref [] in
   List.iter
     (fun c ->
@@ -683,7 +656,7 @@ let batch_ancestor d axis (spec : AR.spec) ctx =
     ctx;
   List.sort Int.compare !acc
 
-let batch_axis d axis (spec : AR.spec) ctx =
+let batch_axis d axis spec ctx =
   Atomic.incr d.store.n_batch;
   match axis with
   | XA.Self -> List.filter (fun c -> admits spec d c c) ctx
@@ -780,7 +753,7 @@ let value_pred_filter (src, test) : env -> int list -> int list =
   match src with
   | `Self -> fun env cands -> List.filter (lit_holds test env.doc) cands
   | `Step (step : XA.step) -> (
-      match AR.compile step.axis step.test with
+      match compile_test step.axis step.test with
       | None -> fun _ _ -> []
       | Some spec ->
           fun { doc = d; _ } cands ->
@@ -809,7 +782,7 @@ let positional_filter (p : cexpr) env cands =
 
 let rec compile_step (step : XA.step) : env -> int list -> int list =
   let axis = step.XA.axis and preds = step.XA.predicates in
-  match AR.compile axis step.XA.test with
+  match compile_test axis step.XA.test with
   | None -> fun _ _ -> []
   | Some spec ->
       if batch_axis_ok axis && List.for_all batchable_pred preds then
@@ -1065,7 +1038,7 @@ let compile_pattern (pat : Xdb_xpath.Pattern.t) : env -> int -> bool =
 
 (* the batch strategy a step evaluates with (CLI --explain) *)
 let batch_explain (step : XA.step) =
-  match AR.compile step.XA.axis step.XA.test with
+  match compile_test step.XA.axis step.XA.test with
   | None -> "statically empty"
   | Some spec ->
       if not (batch_axis_ok step.XA.axis) then "per-context walk (axis outside the batch subset)"
@@ -1106,14 +1079,14 @@ let select t ~docid expr_s =
     | _ -> raise (Unsupported "non-path expression")
   with Unsupported _ ->
     (* outside the relational subset: answer over a freshly reconstructed
-       tree and map the DOM result back through its pre stamps *)
+       tree and map the DOM result back through its row stamps *)
     Atomic.incr t.n_fallback;
     let nodes = XE.select (XE.make_context (reconstruct t docid)) expr_s in
     List.map
       (fun (n : X.node) ->
-        let ix = if n.X.order >= 0 && n.X.order < d.n_ticks then row_of_pre d n.X.order else -1 in
-        if ix < 0 then err "DOM fallback produced a node outside the stored document";
-        ix)
+        let r = n.X.order in
+        if r < 0 || r >= d.n_rows then err "DOM fallback produced a node outside the stored document";
+        r)
       nodes
 
 (* ------------------------------------------------------------------ *)

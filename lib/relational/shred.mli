@@ -1,43 +1,47 @@
-(** Interval-encoded ("shredded") XML storage: each document is kept
-    as dense columns indexed by row, pre/post numbered, so XPath axes
-    become interval conditions over rows (paper §7.4 "tree storage"; the
-    pre|post|level column layout of "XQuery Join Graph Isolation" and of
-    RadegastXDB's node store in PAPERS.md).
+(** pre|size|level ("shredded") XML storage: each document is kept as
+    dense columns indexed by row, and a node's row is its pre-order
+    rank, so a subtree is the slice of rows [[r, r + size r + 1)] and
+    XPath axes become slices and sibling walks over rows (paper §7.4
+    "tree storage"; the XPath Accelerator encoding in the pre|size|level
+    form of "XQuery Join Graph Isolation" in PAPERS.md).
 
     {!shred} stores a document once, with no per-node record, as:
 
-    - 32-bit columns indexed by row (its pre-order rank): [pre], [post],
-      the parent's row, the level packed with an int kind code, and a
-      name id into the store's interned (prefix, uri, local) names,
+    - 32-bit columns indexed by row: [size] (the rows of the node's
+      subtree below it, attributes included), the parent's row, the
+      level packed with an int kind code, and a name id into the store's
+      interned (prefix, uri, local) names,
     - a value column for attribute, text, comment and PI rows only (an
       element's string-value is read off the text rows of its subtree
       slice when asked, without a copy when there is one),
-    - the [pre → row] map ([-1] on post-only exit ticks),
     - per-name postings: for each local name, the ascending rows of the
       elements and attributes carrying it.
 
-    Inside evaluation a node is its row (an unboxed int) in the document
-    the {!env} carries.  Steps read only those structures and decide membership with the
-    interval conditions of {!Xdb_xpath.Axis_range}.  Two strategies
-    share those conditions:
+    A node's attributes take the rows right after it, before its
+    children.  Inside evaluation a node is its row (an unboxed int) in
+    the document the {!env} carries.  Steps read only those structures,
+    and each axis reads exactly its rows: a subtree is a slice, siblings
+    are walked slice by slice, ancestors along parent links.  Two
+    strategies share them:
 
     - {b Set-at-a-time} (axes self, child, attribute, parent, descendant,
       ancestor and their -or-self forms, under position-free
       predicates): the context node-set is an ascending row sequence,
       and a whole step is answered in one pass — a staircase merge for
-      descendant (context intervals covered by an earlier interval are
-      skipped; each remaining interval is a slice of the rows, or of the
+      descendant (context slices covered by an earlier slice are
+      skipped; each remaining slice is a range of the rows, or of the
       name's postings for a name test), an owned-row walk per context
       for child, a marked parent-chain walk for ancestor, and a
       zero-probe sort-merge pass over the rows for the common
       value-predicate shapes ([@k='v'], [child='v']).
     - {b Per-context walk} (sibling, following and preceding axes, and
-      positional predicates): each context node's candidates are read
-      off the rows — owned-row walks for child and sibling axes, parent
-      links for parent and ancestor, a bounded slice of the rows for
-      descendant, following and preceding — and kept when they pass the
-      step's conditions; predicates then count positions among one
-      context's candidates.
+      positional predicates): each context node's axis rows are read
+      off the columns — owned-row walks for child and sibling axes,
+      parent links for parent and ancestor, a slice of the rows for
+      descendant and following, the rows before the context whose
+      slices end before it for preceding — and kept when they pass the
+      node test; predicates then count positions among one context's
+      candidates.
 
     Constructs outside the relational subset raise {!Unsupported};
     {!select} then falls back to the DOM interpreter over a document
@@ -63,10 +67,9 @@ val create : unit -> t
 (** An empty store. *)
 
 val shred : t -> Xdb_xml.Types.node -> int
-(** Decompose a document into its columns, pre map and name postings
-    and return its docid (1-based).  A non-document root is wrapped in a
-    synthetic document row.  The store keeps no reference to the input
-    tree. *)
+(** Decompose a document into its columns and name postings and return
+    its docid (1-based).  A non-document root is wrapped in a synthetic
+    document row.  The store keeps no reference to the input tree. *)
 
 val doc_ids : t -> int list
 (** Stored docids, ascending. *)
@@ -78,10 +81,11 @@ val stats : t -> int * int
 (** (documents, node rows) stored. *)
 
 val check_invariants : t -> unit
-(** Rows in pre order with [post ≥ pre], each nested in its parent's
-    interval one level down; the pre map the rows' inverse; postings
-    ascending, exactly each name's element and attribute rows; name ids
-    resolving.  @raise Shred_error naming the first violation. *)
+(** Each row's slice within the rows and inside its parent's slice,
+    one level down, and each row's child slices covering exactly its
+    [size]; postings ascending, exactly each name's element and
+    attribute rows; name ids resolving.
+    @raise Shred_error naming the first violation. *)
 
 type counter_totals = {
   batch_steps : int;  (** set-at-a-time step evaluations (one per step) *)
@@ -98,15 +102,17 @@ val counters : t -> counter_totals
 
 val reconstruct : t -> int -> Xdb_xml.Types.node
 (** Rebuild the document tree from its rows (a fresh tree per call;
-    document order stamped from [pre], so node order comparisons work).
+    each node's document order stamped with its row, so node order
+    comparisons work).
     The inverse of {!shred}: reconstruct ∘ shred is deep-equal to the
     original. *)
 
-(** {2 Rows} — [parent] is the parent's row, [-1] on the document row. *)
+(** {2 Rows} — [parent] is the parent's row, [-1] on the document row;
+    [size] counts the rows of the subtree below the row (its
+    descendants, attributes included). *)
 
 val rows : doc -> int
-val pre : doc -> int -> int
-val post : doc -> int -> int
+val size : doc -> int -> int
 val parent : doc -> int -> int
 val level : doc -> int -> int
 val kind : doc -> int -> kind
@@ -193,7 +199,7 @@ val select : t -> docid:int -> string -> int list
     node, returning the document's rows in document order.  Falls back
     to the (DOM) {!Xdb_xpath.Eval} interpreter over a document
     reconstructed for the call when translation raises {!Unsupported},
-    mapping its nodes back to rows through their [pre] stamps — the
+    mapping its nodes back to rows through their row stamps — the
     result is identical either way.
     @raise Xdb_xpath.Parser.Parse_error on malformed expressions;
     @raise Invalid_argument when the expression is not a node-set. *)

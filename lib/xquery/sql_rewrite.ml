@@ -283,8 +283,11 @@ and tr_scalar env (e : expr) : A.expr =
   | If (c, t, f) -> A.Case ([ (tr_cond env c, tr_scalar env t) ], Some (tr_scalar env f))
   | e -> fail "unsupported scalar expression (%s)" (summary e)
 
-(* aggregate functions over an unbounded path *)
+(* aggregate functions over an unbounded path; a NULL column publishes
+   an empty element, and XPath's sum() over one is NaN where SQL's SUM
+   would skip it *)
 and tr_agg env (e : expr) : A.expr =
+  let nan_if_null col = A.Case ([ (A.Is_null col, A.Const (V.Float Float.nan)) ], Some col) in
   match e with
   | Fn_call (fname, [ arg ]) -> (
       let l = loc_of env arg in
@@ -299,7 +302,7 @@ and tr_agg env (e : expr) : A.expr =
                 | Some c ->
                     let col = A.Col (Some innermost.alias, c) in
                     (match fname with
-                    | "sum" -> A.Sum col
+                    | "sum" -> A.Sum (nan_if_null col)
                     | "avg" -> A.Avg col
                     | "min" -> A.Min col
                     | _ -> A.Max col)
@@ -319,6 +322,7 @@ and tr_agg env (e : expr) : A.expr =
               let col = A.Col (Some l.scope_alias, c) in
               match fname with
               | "count" -> A.Case ([ (A.Is_null col, A.Const (V.Int 0)) ], Some (A.Const (V.Int 1)))
+              | "sum" -> nan_if_null col
               | _ -> col)
           | None -> fail "aggregate over an element with no scalar column"))
   | _ -> fail "malformed aggregate call"

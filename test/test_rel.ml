@@ -1846,10 +1846,11 @@ let test_shred_attribute_following_preceding () =
 
 (* the axis oracle: every axis but namespace, from every node of a
    random document (attributes included), straight from its definition
-   over the rows' (pre, post, parent, level, kind) — intervals nest, an
-   element's post is its exit tick, an attribute is a leaf inside its
-   owner's — compared in document order with the DOM interpreter's
-   [Eval.axis_nodes] and with [Shred.axis_step], for node() *)
+   over parent links and document order alone — ancestors are the
+   parent chain, descendants its inverse, following and preceding what
+   document order leaves of the rest — compared in document order with
+   the DOM interpreter's [Eval.axis_nodes] and with [Shred.axis_step],
+   for node().  It reads nothing of the shredded encoding. *)
 let gen_axis_doc : X.node QCheck.Gen.t =
   let open QCheck.Gen in
   let leaf =
@@ -1876,37 +1877,29 @@ let oracle_axes =
       Ancestor_or_self; Following; Preceding; Following_sibling; Preceding_sibling;
     ]
 
-(* what the oracle reads of a row: its pre, post, parent's pre, level
-   and whether it is an attribute *)
-type row_view = { v_pre : int; v_post : int; v_parent : int; v_level : int; v_attr : bool }
+(* what the oracle reads of a node, by its index in document order: its
+   parent's index (-1 on the document node) and whether it is an
+   attribute *)
+type node_view = { v_parent : int; v_attr : bool }
 
-let row_view d i =
-  {
-    v_pre = SH.pre d i;
-    v_post = SH.post d i;
-    v_parent = (match SH.parent d i with -1 -> -1 | p -> SH.pre d p);
-    v_level = SH.level d i;
-    v_attr = SH.kind d i = SH.Attr;
-  }
-
-let region_axis (axis : Xdb_xpath.Ast.axis) c r =
-  let within n a = a.v_pre < n.v_pre && n.v_pre < a.v_post in
-  let descendant = (not r.v_attr) && within r c and ancestor = within c r in
-  let self = r.v_pre = c.v_pre in
-  let sibling = (not c.v_attr) && (not r.v_attr) && c.v_parent >= 0 && r.v_parent = c.v_parent in
+let region_axis views (axis : Xdb_xpath.Ast.axis) c r =
+  let rec below a n = match views.(n).v_parent with -1 -> false | p -> p = a || below a p in
+  let vc = views.(c) and vr = views.(r) in
+  let descendant = (not vr.v_attr) && below c r and ancestor = below r c in
+  let sibling = (not vc.v_attr) && (not vr.v_attr) && vc.v_parent >= 0 && vr.v_parent = vc.v_parent in
   match axis with
-  | Self -> self
-  | Child -> descendant && r.v_level = c.v_level + 1
-  | Attribute -> r.v_attr && r.v_parent = c.v_pre
-  | Parent -> r.v_pre = c.v_parent
+  | Self -> r = c
+  | Child -> (not vr.v_attr) && vr.v_parent = c
+  | Attribute -> vr.v_attr && vr.v_parent = c
+  | Parent -> r = vc.v_parent
   | Descendant -> descendant
-  | Descendant_or_self -> self || descendant
+  | Descendant_or_self -> r = c || descendant
   | Ancestor -> ancestor
-  | Ancestor_or_self -> self || ancestor
-  | Following -> (not r.v_attr) && r.v_pre > c.v_pre && not descendant
-  | Preceding -> (not r.v_attr) && r.v_pre < c.v_pre && not ancestor
-  | Following_sibling -> sibling && r.v_pre > c.v_pre
-  | Preceding_sibling -> sibling && r.v_pre < c.v_pre
+  | Ancestor_or_self -> r = c || ancestor
+  | Following -> (not vr.v_attr) && r > c && not descendant
+  | Preceding -> (not vr.v_attr) && r < c && not ancestor
+  | Following_sibling -> sibling && r > c
+  | Preceding_sibling -> sibling && r < c
   | Namespace -> false
 
 let prop_axis_oracle =
@@ -1931,25 +1924,30 @@ let prop_axis_oracle =
         let rec find i = if dom.(i) == n then i else find (i + 1) in
         find 0
       in
+      let views =
+        Array.map
+          (fun (n : X.node) ->
+            {
+              v_parent = (match n.X.parent with None -> -1 | Some p -> index_of_dom p);
+              v_attr = (match n.X.kind with X.Attribute _ -> true | _ -> false);
+            })
+          dom
+      in
       let rows_i = Array.of_list rows in
-      let rows_a = Array.map (row_view (SH.doc t docid)) rows_i in
       let index_of_row r =
         let rec find i = if rows_i.(i) = r then i else find (i + 1) in
         find 0
       in
       let sorted l = List.sort compare l in
-      (Array.length dom = Array.length rows_a
-      || QCheck.Test.fail_reportf "%d DOM nodes, %d rows" (Array.length dom) (Array.length rows_a))
+      (Array.length dom = Array.length rows_i
+      || QCheck.Test.fail_reportf "%d DOM nodes, %d rows" (Array.length dom) (Array.length rows_i))
       && List.for_all
            (fun axis ->
              let name = Xdb_xpath.Ast.axis_name axis in
              List.for_all
                (fun i ->
-                 let c = rows_a.(i) in
                  let oracle =
-                   List.filter_map
-                     (fun j -> if region_axis axis c rows_a.(j) then Some j else None)
-                     (List.init (Array.length rows_a) Fun.id)
+                   List.filter (region_axis views axis i) (List.init (Array.length dom) Fun.id)
                  in
                  let eval = sorted (List.map index_of_dom (Xdb_xpath.Eval.axis_nodes axis dom.(i))) in
                  let shred = sorted (List.map index_of_row (SH.axis_step t ~docid [ rows_i.(i) ] (step axis))) in
@@ -1960,7 +1958,7 @@ let prop_axis_oracle =
                  && (shred = oracle
                     || QCheck.Test.fail_reportf "%s from node %d: oracle [%s], shredded [%s]" name i
                          (show oracle) (show shred)))
-               (List.init (Array.length rows_a) Fun.id))
+               (List.init (Array.length dom) Fun.id))
            oracle_axes
       && (SH.counters t).SH.dom_fallbacks = 0)
 
@@ -2063,7 +2061,7 @@ let test_shred_heap_per_node () =
   let grown = live () - live0 in
   let _, nodes = SH.stats t in
   let per_node = float_of_int (grown * 8) /. float_of_int nodes in
-  check cb (Printf.sprintf "%.1f bytes per node <= 60" per_node) true (per_node <= 60.0);
+  check cb (Printf.sprintf "%.1f bytes per node <= 30" per_node) true (per_node <= 30.0);
   check cb "the input document is still live" true (X.is_document doc)
 
 (* ------------------------------------------------------------------ *)
