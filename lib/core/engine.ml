@@ -220,7 +220,9 @@ let stamp_outcome metrics ~hit ~patched =
    output computed again is recorded, as one computed once is not known
    to be read again.  Callers hold the read lock, so the data versions
    that [store] snapshots are exactly the versions [run] computed
-   against. *)
+   against.  [deps] is asked for after [run], [footprint] only when a
+   write reached the entry: a transform compiles in neither until the
+   cache cannot serve it. *)
 let serve_cached t options ~metrics ~view ~key ~deps ?footprint ?patch run =
   if not options.result_cache then fst (run ~record:false)
   else
@@ -233,7 +235,7 @@ let serve_cached t options ~metrics ~view ~key ~deps ?footprint ?patch run =
         output
     | (Result_cache.Miss | Result_cache.Dropped) as outcome ->
         let output, members = run ~record:(outcome = Result_cache.Dropped) in
-        Result_cache.store t.rc ~view ~key ~deps ?members output;
+        Result_cache.store t.rc ~view ~key ~deps:(deps ()) ?members output;
         stamp_outcome metrics ~hit:false ~patched:false;
         output
 
@@ -253,33 +255,33 @@ let transform_body ~options ?metrics t compiled ~record =
   in
   (output, !members)
 
-(* serve a compiled transform: writes the plan never read keep the
-   cached page, and writes only its patchable members read patch it
-   (timed as the [result_cache_patch] stage) *)
+(* serve a transform, compiled on first need: writes the plan never
+   read keep the cached page, and writes only its patchable members read
+   patch it (timed as the [result_cache_patch] stage) *)
 let serve_transform t options ~metrics ~view ~key compiled =
-  let patch =
-    match (compiled.Pipeline.sql_plan, compiled.Pipeline.footprint) with
-    | Some plan, Some footprint ->
-        Some
-          (fun output recorded changes ->
-            match Xdb_rel.Footprint.get footprint with
-            | { Xdb_rel.Footprint.members = Some m; _ } ->
-                staged metrics "result_cache_patch" (fun () ->
-                    Xdb_error.wrap ~stage:"exec" (fun () ->
-                        Xdb_rel.Exec.patch t.db plan m recorded ~changes output))
-            | _ -> None)
+  let compiled () = Lazy.force compiled in
+  let patch output recorded changes =
+    let c = compiled () in
+    match (c.Pipeline.sql_plan, Option.map Xdb_rel.Footprint.get c.Pipeline.footprint) with
+    | Some plan, Some { Xdb_rel.Footprint.members = Some m; _ } ->
+        staged metrics "result_cache_patch" (fun () ->
+            Xdb_error.wrap ~stage:"exec" (fun () ->
+                Xdb_rel.Exec.patch t.db plan m recorded ~changes output))
     | _ -> None
   in
-  serve_cached t options ~metrics ~view ~key ~deps:compiled.Pipeline.deps
-    ?footprint:compiled.Pipeline.footprint ?patch
-    (transform_body ~options ?metrics t compiled)
+  serve_cached t options ~metrics ~view ~key
+    ~deps:(fun () -> (compiled ()).Pipeline.deps)
+    ~footprint:(fun () -> (compiled ()).Pipeline.footprint)
+    ~patch
+    (fun ~record -> transform_body ~options ?metrics t (compiled ()) ~record)
 
 let transform_stmt ?(options = default_run_options) t stmt =
   let metrics = metrics_of options in
   let output =
     Rw.read t.rw (fun () ->
         let compiled = stmt_compiled ?metrics t stmt in
-        serve_transform t options ~metrics ~view:stmt.st_view ~key:stmt.st_key compiled)
+        serve_transform t options ~metrics ~view:stmt.st_view ~key:stmt.st_key
+          (Lazy.from_val compiled))
   in
   { output; metrics }
 
@@ -309,7 +311,7 @@ let publish ?(options = default_run_options) t ~view_name =
         (* indent changes the bytes, so it is part of the key *)
         let key = "P\x00" ^ view_name ^ "\x00" ^ if indent then "i" else "-" in
         serve_cached t options ~metrics ~view:view_name ~key
-          ~deps:(List.sort_uniq compare (P.view_tables view))
+          ~deps:(fun () -> List.sort_uniq compare (P.view_tables view))
           (unrecorded run))
   in
   { output; metrics }
@@ -360,7 +362,7 @@ let run_shredded_source ?(options = default_run_options) t ~docids ~stylesheet =
             ^ "\x00" ^ stylesheet
           in
           let output =
-            serve_cached t options ~metrics ~view:"" ~key ~deps:[ shred_dep ] (unrecorded run)
+            serve_cached t options ~metrics ~view:"" ~key ~deps:(fun () -> [ shred_dep ]) (unrecorded run)
           in
           { output; metrics })
 
@@ -378,10 +380,11 @@ let transform ?(options = default_run_options) t ~view_name ~stylesheet =
   let metrics = metrics_of options in
   let output =
     Rw.read t.rw (fun () ->
-        let compiled = compile_view ?metrics t ~view_name ~stylesheet in
+        (* the result cache is probed first: a page it serves needs no
+           plan, so a shape hit is bound only on a miss or a patch *)
         serve_transform t options ~metrics ~view:view_name
           ~key:(transform_key view_name stylesheet)
-          compiled)
+          (lazy (compile_view ?metrics t ~view_name ~stylesheet)))
   in
   { output; metrics }
 

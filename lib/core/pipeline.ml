@@ -78,13 +78,14 @@ let count_compile metrics vm_prog translation ~rewritable =
       Metrics.incr ~by:(if rewritable then 1 else 0) m "sql_rewritable")
     metrics
 
+(* the view's own tables (what the functional fallback materialises
+   from) and whatever the plan scans or probes *)
+let deps_of (view : P.view) sql_plan =
+  List.sort_uniq compare (P.view_tables view @ Option.fold ~none:[] ~some:A.tables_of sql_plan)
+
 (* the compiled record around a plan (or the reason there is none) *)
-let assemble (view : P.view) vm_prog schema translation (sql_plan, sql_fallback_reason) =
-  (* the view's own tables (what the functional fallback materialises
-     from) and whatever the plan scans or probes *)
-  let deps =
-    List.sort_uniq compare (P.view_tables view @ Option.fold ~none:[] ~some:A.tables_of sql_plan)
-  in
+let assemble ?deps (view : P.view) vm_prog schema translation (sql_plan, sql_fallback_reason) =
+  let deps = match deps with Some d -> d | None -> deps_of view sql_plan in
   let footprint = Option.map Xdb_rel.Footprint.memo sql_plan in
   { vm_prog; view; schema; translation; sql_plan; sql_fallback_reason; deps; footprint }
 
@@ -145,17 +146,77 @@ let parameters_shareable plan n =
       | _ -> ());
   (not !stray) && Array.for_all Fun.id seen
 
-(** [bind ?metrics db t values] — the template's compilation for the
-    literals [values]: each parameter becomes its integer in the XQuery,
-    in the bytecode (bound as a global) and in the plan, which is then
-    optimised as a fresh compile's would be ([opt_*] stages under
-    [metrics]). *)
-let bind ?metrics db (t : template) (values : int array) : compiled =
+(* An optimised template plan and what its cost choices read: it is the
+   plan every binding gets whose reads replay equal. *)
+type variant = {
+  v_plan : A.plan;  (** optimised, [Param] leaves in place *)
+  v_values : int array;  (** the binding it was optimised for *)
+  v_reads : Xdb_rel.Cost.read list;  (** that binding's literal reads, oldest first *)
+  v_stats : int;  (** the statistics version it was costed against *)
+  v_tables : (string * Xdb_rel.Table.t * int) list;
+      (** each table the plan reads, with its row count: a scan's cost
+          reads the live count, which DML moves without touching the
+          statistics version *)
+  v_deps : string list;  (** the compiled record's [deps], the same for every binding *)
+}
+
+let literals values = Array.map (fun k -> V.Int k) values
+
+(** [optimise ?metrics db t values] — optimise the template's plan with
+    its parameters in place, the cost model reading their values from
+    [values] ([opt_*] stages under [metrics]). *)
+let optimise ?metrics db (t : template) values =
+  let binding = Xdb_rel.Cost.binding (literals values) in
+  let v_stats = Xdb_rel.Database.stats_version db in
+  let v_plan = Xdb_rel.Optimizer.optimize_deep ?timer:(opt_timer metrics) ~binding db t.t_plan in
+  let tables = A.tables_of t.t_plan in
+  {
+    v_plan;
+    v_values = values;
+    v_reads = Xdb_rel.Cost.reads binding;
+    v_stats;
+    v_tables =
+      List.filter_map
+        (fun name ->
+          Option.map (fun tb -> (name, tb, Xdb_rel.Table.size tb)) (Xdb_rel.Database.table_opt db name))
+        tables;
+    v_deps = deps_of t.t_view (Some v_plan);
+  }
+
+(* do slots equal in [a] stay equal in [b], and unequal ones unequal?
+   (an index range [x >= p0 AND x <= p1] is an equality exactly when
+   the two slots hold one value) *)
+let same_pattern a b =
+  let same = ref (Array.length a = Array.length b) in
+  for i = 0 to Array.length a - 1 do
+    for j = 0 to i - 1 do
+      if !same && (a.(i) = a.(j)) <> (b.(i) = b.(j)) then same := false
+    done
+  done;
+  !same
+
+(** [replays db v values] — would optimising for [values] give [v]'s
+    plan?  Yes when the statistics version, the tables and their row
+    counts have not moved, the slots' equalities are [v]'s, and every
+    logged literal read gives a bit-identical estimate. *)
+let replays db v values =
+  Xdb_rel.Database.stats_version db = v.v_stats
+  && List.for_all
+       (fun (name, tb, n) ->
+         match Xdb_rel.Database.table_opt db name with
+         | Some tb' -> tb' == tb && Xdb_rel.Table.size tb = n
+         | None -> false)
+       v.v_tables
+  && same_pattern v.v_values values
+  && Xdb_rel.Cost.replays v.v_reads (literals values)
+
+(** [bind t v values] — the compilation of the text whose slots hold
+    [values], given a variant that {!replays} for them: each parameter
+    becomes its integer in the XQuery, in the bytecode (bound as a
+    global) and in [v]'s optimised plan. *)
+let bind (t : template) v (values : int array) : compiled =
   let number i = float_of_int values.(i) in
-  let plan =
-    Xdb_rel.Optimizer.optimize_deep ?timer:(opt_timer metrics) db
-      (A.bind_params (Array.map (fun k -> V.Int k) values) t.t_plan)
-  in
+  let plan = A.bind_params (literals values) v.v_plan in
   let globals =
     List.init (Array.length values) (fun i ->
         ( Xdb_xquery.Sql_rewrite.param_var i,
@@ -169,14 +230,14 @@ let bind ?metrics db (t : template) (values : int array) : compiled =
       (fun v -> Option.map number (Xdb_xquery.Sql_rewrite.param_of_var v))
       t.t_translation.Xslt2xquery.query
   in
-  assemble t.t_view vm_prog t.t_schema
+  assemble ~deps:v.v_deps t.t_view vm_prog t.t_schema
     { t.t_translation with Xslt2xquery.query }
     (Some plan, None)
 
 (** [compile_template ?options ?metrics db view shape values] — compile
     a shape ({!Shape.cut}) once with its slots as parameters; [Some
-    (template, bind template values)], or [None] when the shape is
-    unshareable. *)
+    (template, variant, compilation)] for [values], or [None] when the
+    shape is unshareable. *)
 let compile_template ?(options = Options.default) ?metrics db (view : P.view) shape values =
   match front ~options ?metrics view shape with
   | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
@@ -198,7 +259,8 @@ let compile_template ?(options = Options.default) ?metrics db (view : P.view) sh
                     t_plan = plan;
                   }
                 in
-                Some (t, bind ?metrics db t values)
+                let v = optimise ?metrics db t values in
+                Some (t, v, bind t v values)
             | _ | (exception Xdb_xquery.Sql_rewrite.Not_rewritable _) -> None)
       in
       if Option.is_some bound then count_compile metrics vm_prog translation ~rewritable:true;

@@ -34,13 +34,22 @@ val compile :
     Ad-hoc texts that differ only in integer literals ({!Shape.cut})
     share one compile: the shape is compiled once with each literal slot
     as a reserved variable, and the SQL rewrite turns a reference to one
-    into an {!Xdb_rel.Algebra.Param} leaf.  A use binds the literals and
-    optimises the plan afresh, so the result — EXPLAIN text, output and
-    every cost choice — is what {!compile} of the full text gives. *)
+    into an {!Xdb_rel.Algebra.Param} leaf.  The plan is optimised with
+    those leaves in place ({!optimise}); the cost model reads a slot's
+    value only through a logged {!Xdb_rel.Cost.binding}, so another
+    binding whose reads replay equal ({!replays}) gets the same plan and
+    skips the optimiser ({!bind}).  Either way the result — EXPLAIN
+    text, output and every cost choice — is what {!compile} of the full
+    text gives. *)
 
 type template
 (** A shareable shape: its bytecode, translation and unoptimised plan,
     each with the slots as parameters. *)
+
+type variant
+(** A template's optimised plan, [Param] leaves in place, with what its
+    cost choices read: the binding's literal reads, the statistics
+    version, and the tables with their row counts. *)
 
 val compile_template :
   ?options:Options.t ->
@@ -49,21 +58,33 @@ val compile_template :
   Xdb_rel.Publish.view ->
   string ->
   int array ->
-  (template * compiled) option
-(** [compile_template db view shape values] — compile [shape] once and
-    bind it to [values]; [None] when the shape is unshareable: a stage
-    fails on a slot (partial evaluation reads an [xsl:if] test, say), the
-    query does not rewrite, or a slot is missing from the plan or occurs
-    anywhere but as a direct operand of a comparison whose other side
-    reads data.  Stages as {!compile}, the [opt_*] passes of the binding
-    inside [sql_rewrite]. *)
+  (template * variant * compiled) option
+(** [compile_template db view shape values] — compile [shape] once,
+    optimise it for [values] and bind it to them; [None] when the shape
+    is unshareable: a stage fails on a slot (partial evaluation reads an
+    [xsl:if] test, say), the query does not rewrite, or a slot is
+    missing from the plan or occurs anywhere but as a direct operand of
+    a comparison whose other side reads data.  Stages as {!compile}, the
+    [opt_*] passes inside [sql_rewrite]. *)
 
-val bind : ?metrics:Metrics.t -> Xdb_rel.Database.t -> template -> int array -> compiled
-(** [bind db t values] — the compilation of the text whose slots hold
-    [values]: the integers replace the parameters in the XQuery, bind
-    them as globals of the bytecode, and replace the [Param] leaves of
-    the plan, which is then optimised ([opt_*] stages under [metrics])
-    against the current statistics and indexes. *)
+val optimise : ?metrics:Metrics.t -> Xdb_rel.Database.t -> template -> int array -> variant
+(** [optimise db t values] — optimise the template's plan against the
+    current statistics and indexes, the cost model reading the slots'
+    values from [values] ([opt_*] stages under [metrics]). *)
+
+val replays : Xdb_rel.Database.t -> variant -> int array -> bool
+(** [replays db v values] — would {!optimise} for [values] give [v]'s
+    plan?  True when the statistics version, the tables and their row
+    counts are unchanged, slots equal (or unequal) in [v]'s binding
+    still are, and every logged literal read of the cost model gives a
+    bit-identical estimate for [values].  No optimiser runs. *)
+
+val bind : template -> variant -> int array -> compiled
+(** [bind t v values] — the compilation of the text whose slots hold
+    [values], for a [v] that {!replays} for them (or was optimised for
+    them): the integers replace the parameters in the XQuery, bind them
+    as globals of the bytecode, and replace the [Param] leaves of [v]'s
+    plan.  No optimiser runs. *)
 
 val run_functional : ?metrics:Metrics.t -> Xdb_rel.Database.t -> compiled -> string list
 (** "XSLT no rewrite": materialise each view document, run the XSLTVM.

@@ -15,13 +15,16 @@
     text with the integer literals of its [select]/[test] values cut out.
     The first text of a shape compiles it once with each slot as a plan
     parameter ({!Pipeline.compile_template}); the registry keeps that
-    template, whose plan is not yet optimised, and every use — the first
-    included — binds the text's literals and optimises the plan afresh
-    ({!Pipeline.bind}), so each binding gets the plan a compile of its
-    own text would (and a template does not go stale on ANALYZE).  A shape
-    whose slots cannot all become comparison parameters is recorded
-    {e unshareable}, once, and its texts compile by exact text; so does a
-    text with no slot.
+    template with one optimised {e variant} of its plan.  A later text
+    binds its literals to the variant when they replay its logged
+    cost-model reads ({!Pipeline.replays}), and otherwise optimises the
+    template for them and replaces the variant (counted in
+    [template_optimizations]), so each binding gets the plan a compile
+    of its own text would.  An ANALYZE moves the statistics version, so
+    the next binding re-optimises; the template itself does not go
+    stale.  A shape whose slots cannot all become comparison parameters
+    is recorded {e unshareable}, once, and its texts compile by exact
+    text; so does a text with no slot.
 
     The cache is bounded by an O(1) LRU ({!Lru}): past the configured
     capacity the least recently used entry is evicted (counted in
@@ -43,9 +46,14 @@
 module P = Xdb_rel.Publish
 module S = Xdb_schema.Types
 
+(* a shared shape: its template and the variant most recently optimised
+   for one of its bindings, replaced when a binding's reads do not
+   replay *)
+type shape = { template : Pipeline.template; variant : Pipeline.variant Atomic.t }
+
 type payload =
   | Plan of Pipeline.compiled
-  | Template of Pipeline.template
+  | Template of shape
   | Unshareable  (** the shape's texts compile by exact text *)
   | Shredded of Shred_vm.program
 
@@ -75,6 +83,7 @@ type t = {
   cache_stale : int Atomic.t;  (** entry invalidated by schema evolution *)
   cache_evictions : int Atomic.t;  (** entries dropped by LRU bounding *)
   cache_unshareable : int Atomic.t;  (** shapes recorded unshareable *)
+  template_optimizations : int Atomic.t;  (** optimiser runs for bindings *)
   shred_hits : int Atomic.t;  (** cached shredded program served *)
   shred_misses : int Atomic.t;  (** shredded program compiled *)
 }
@@ -96,6 +105,7 @@ let create ?(capacity = default_capacity) db =
     cache_stale = Atomic.make 0;
     cache_evictions = Atomic.make 0;
     cache_unshareable = Atomic.make 0;
+    template_optimizations = Atomic.make 0;
     shred_hits = Atomic.make 0;
     shred_misses = Atomic.make 0;
   }
@@ -185,21 +195,33 @@ let compile ?(options = Options.default) ?metrics t ~view_name ~stylesheet : Pip
   match Shape.cut stylesheet with
   | None -> compile_exact ~options ?metrics t ~view_name view fp ~stylesheet
   | Some (shape, values) -> (
-      (* a template reads no statistics: only schema evolution stales it *)
+      (* only schema evolution stales a template: its variant checks the
+         statistics version itself *)
       let key = Shape_key (view_name, shape) in
       match lookup t key ~fresh:(fun e -> String.equal e.view_fp fp) with
-      | `Fresh (Template tpl) ->
+      | `Fresh (Template s) ->
           Atomic.incr t.cache_hits;
-          Pipeline.bind ?metrics t.db tpl values
+          let v = Atomic.get s.variant in
+          let v =
+            if Pipeline.replays t.db v values then v
+            else begin
+              let v = Pipeline.optimise ?metrics t.db s.template values in
+              Atomic.incr t.template_optimizations;
+              Atomic.set s.variant v;
+              v
+            end
+          in
+          Pipeline.bind s.template v values
       | `Fresh Unshareable -> compile_exact ~options ?metrics t ~view_name view fp ~stylesheet
       | `Fresh _ -> assert false (* keys never mix *)
       | (`Stale | `Absent) as why -> (
           let entry payload = { view_fp = fp; stats = 0; payload } in
           match Pipeline.compile_template ~options ?metrics t.db view shape values with
-          | Some (tpl, c) ->
+          | Some (template, v, c) ->
               count_rebuild t why;
               Atomic.incr t.recompilations;
-              insert t key (entry (Template tpl));
+              Atomic.incr t.template_optimizations;
+              insert t key (entry (Template { template; variant = Atomic.make v }));
               c
           | None ->
               Atomic.incr t.cache_unshareable;
@@ -232,7 +254,8 @@ let recompilations t = Atomic.get t.recompilations
 (** Cache observability counters, stable order.  [recompilations] equals
     [cache_misses + cache_stale]; [cache_unshareable] counts shapes found
     unshareable (each compiled once as a template attempt besides its
-    exact texts); [shred_misses] counts shredded-program compiles, apart
+    exact texts); [template_optimizations] counts optimiser runs over
+    templates; [shred_misses] counts shredded-program compiles, apart
     from them. *)
 let counters t =
   [
@@ -242,6 +265,7 @@ let counters t =
     ("recompilations", Atomic.get t.recompilations);
     ("cache_evictions", Atomic.get t.cache_evictions);
     ("cache_unshareable", Atomic.get t.cache_unshareable);
+    ("template_optimizations", Atomic.get t.template_optimizations);
     ("shred_hits", Atomic.get t.shred_hits);
     ("shred_misses", Atomic.get t.shred_misses);
   ]

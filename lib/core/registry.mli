@@ -9,12 +9,17 @@
     An ad-hoc stylesheet is keyed on its {e shape} ({!Shape.cut}): its
     text with the integer literals of [select]/[test] values cut out.
     The first text of a shape compiles it once with each slot as a plan
-    parameter and caches that template with its plan unoptimised; every
-    use, the first included, binds the literals and optimises the plan
-    afresh ({!Pipeline.bind}), so it is the plan a compile of the exact
-    text makes.  A shape whose slots cannot all become comparison
-    parameters is recorded unshareable, and its texts (like texts with no
-    slot) are cached by exact text.  Stylesheets for shredded documents
+    parameter, optimises the plan with the parameters in place, and
+    caches that template with its optimised variant: the plan, the
+    cost model's logged reads of the slots' values, the statistics
+    version and the tables' row counts ({!Pipeline.optimise}).  A later
+    text replays the log with its own literals ({!Pipeline.replays}); when
+    every estimate comes out bit-identical (and nothing else moved) it
+    binds the variant with no optimiser run ({!Pipeline.bind}), else it
+    optimises afresh and the result replaces the variant.  Either way it
+    gets the plan a compile of the exact text makes.  A shape whose slots
+    cannot all become comparison parameters is recorded unshareable, and
+    its texts (like texts with no slot) are cached by exact text.  Stylesheets for shredded documents
     share the same LRU under their own key space ({!shredded}), compiled
     once per stylesheet text.
 
@@ -60,10 +65,12 @@ val compile :
   Pipeline.compiled
 (** Cached compilation; recompiles when the view's structural fingerprint
     changed since the cached compile.  A text of a shared shape is a
-    [cache_hit] that binds the literals and optimises the template's
-    plan.  [metrics] records per-stage compile timings (incl. the
+    [cache_hit] that binds the literals to the template's optimised
+    variant when the binding replays it, and optimises the template
+    otherwise.  [metrics] records per-stage compile timings (incl. the
     optimiser's [opt_*] passes) when the call compiles, and the [opt_*]
-    passes of a binding; an exact-text hit records nothing.
+    passes of a binding that optimises; an exact-text hit and a replayed
+    binding record nothing.
     @raise Registry_error for unknown views. *)
 
 val shredded : ?metrics:Metrics.t -> t -> stylesheet:string -> Shred_vm.program
@@ -88,5 +95,8 @@ val counters : t -> (string * int) list
     (= misses + stale), [cache_evictions] (entries dropped by LRU
     bounding, shredded programs included), [cache_unshareable] (shapes
     recorded unshareable: each compiled once as a template attempt,
-    besides its texts' own compiles), [shred_hits] and
-    [shred_misses] (shredded programs served from the cache / compiled). *)
+    besides its texts' own compiles), [template_optimizations]
+    (optimiser runs over a template: one per template compile and one
+    per binding that did not replay the current variant), [shred_hits]
+    and [shred_misses] (shredded programs served from the cache /
+    compiled). *)

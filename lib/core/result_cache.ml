@@ -80,28 +80,48 @@ let judge t footprint entry =
   | () -> if !patched = [] then `Keep else `Patch !patched
   | exception Drop -> `Drop
 
-let find t ~key ?footprint ?patch () =
-  let verdict =
+let moved t entry = List.exists (fun (tbl, v) -> DB.data_version t.db tbl <> v) entry.deps
+
+let find t ~key ?(footprint = fun () -> None) ?patch () =
+  (* an entry no write has reached is served without the footprint,
+     which is forced only once a dependency moved, outside the lock (it
+     may compile).  Data versions stay put in between: the engine
+     serializes DML against reads. *)
+  let first =
     locked t (fun () ->
         match Lru.find t.cache key with
         | None -> `Miss
-        | Some node -> (
-            let entry = Lru.value node in
-            match (judge t footprint entry, entry.members, patch) with
-            | ((`Fresh | `Keep) as v), _, _ ->
-                (* kept: no write since reached what the output was computed from *)
-                if v = `Keep then (
-                  restamp t entry;
-                  Atomic.incr t.kept);
-                Lru.use t.cache node;
-                Atomic.incr t.hits;
-                `Hit entry.output
-            | `Patch changes, Some members, Some patch ->
-                `Patch (node, entry.deps, entry.output, members, changes, patch)
-            | _ ->
-                Lru.remove t.cache key;
-                Atomic.incr t.invalidations;
-                `Dropped))
+        | Some node when not (moved t (Lru.value node)) ->
+            Lru.use t.cache node;
+            Atomic.incr t.hits;
+            `Hit (Lru.value node).output
+        | Some _ -> `Moved)
+  in
+  let verdict =
+    match first with
+    | (`Miss | `Hit _) as v -> v
+    | `Moved ->
+        let footprint = footprint () in
+        locked t (fun () ->
+            match Lru.find t.cache key with
+            | None -> `Miss
+            | Some node -> (
+                let entry = Lru.value node in
+                match (judge t footprint entry, entry.members, patch) with
+                | ((`Fresh | `Keep) as v), _, _ ->
+                    (* kept: no write since reached what the output was computed from *)
+                    if v = `Keep then (
+                      restamp t entry;
+                      Atomic.incr t.kept);
+                    Lru.use t.cache node;
+                    Atomic.incr t.hits;
+                    `Hit entry.output
+                | `Patch changes, Some members, Some patch ->
+                    `Patch (node, entry.deps, entry.output, members, changes, patch)
+                | _ ->
+                    Lru.remove t.cache key;
+                    Atomic.incr t.invalidations;
+                    `Dropped))
   in
   match verdict with
   | `Hit output -> Hit output

@@ -59,9 +59,17 @@ type patch =
     its new member recording; [None] to recompute instead. *)
 
 val find :
-  t -> key:string -> ?footprint:Xdb_rel.Footprint.memo -> ?patch:patch -> unit -> outcome
-(** Look [key] up, judging any writes since it was stored by
-    [footprint] (without one, any write drops the entry).  A
+  t ->
+  key:string ->
+  ?footprint:(unit -> Xdb_rel.Footprint.memo option) ->
+  ?patch:patch ->
+  unit ->
+  outcome
+(** Look [key] up, judging any writes since it was stored by the
+    requesting plan's footprint (without one, any write drops the
+    entry).  [footprint] is called only when a write reached one of the
+    entry's tables, outside the cache's lock, so it may compile the
+    plan; an entry no write reached is served without it.  A
     members-only write is patched with [patch] when both the entry
     recorded its members and [patch] is given; otherwise it drops the
     entry too. *)

@@ -11,9 +11,10 @@ type order_dir = Asc | Desc
 type expr =
   | Const of Value.t
   | Param of int
-      (** plan parameter [i]: an integer literal of a stylesheet shape
-          ({!bind_params} replaces it by a [Const] before the plan is
-          optimised or run) *)
+      (** plan parameter [i]: an integer literal of a stylesheet shape.
+          The optimiser treats it as a [Const] whose value the cost model
+          reads through a {!Cost.binding}; {!bind_params} replaces it by
+          a [Const] before the plan runs *)
   | Col of string option * string  (** optional table alias, column name *)
   | Binop of binop * expr * expr
   | Not of expr

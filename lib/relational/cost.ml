@@ -32,7 +32,7 @@ let sargable alias e =
     | _ -> None
   in
   let rec is_const = function
-    | Const _ -> true
+    | Const _ | Param _ -> true
     | Binop (_, a, b) -> is_const a && is_const b
     | Fn (_, args) -> List.for_all is_const args
     | Col (Some a, _) -> a <> alias (* outer correlation: constant per probe *)
@@ -73,7 +73,49 @@ let default_conjunct_selectivity = function
 (* Stats-aware selectivity                                             *)
 (* ------------------------------------------------------------------ *)
 
-let const_value = function Const v -> Some v | _ -> None
+(* A plan parameter ([Param i]) is a literal whose value the cost model
+   reads through a binding, the one place an estimate looks at a
+   literal's value.  Each such read is logged, so a later binding can
+   replay the log and learn whether every estimate, and so every cost
+   choice, would come out the same. *)
+
+type estimator = Sel_eq | Sel_lt | Sel_le
+
+type read = { slot : int; estimator : estimator; stats : Colstats.t; result : float }
+
+type binding = { values : Value.t array; mutable reads : read list }
+
+let binding values = { values; reads = [] }
+
+let reads b = List.rev b.reads
+
+let apply estimator cs v =
+  match estimator with
+  | Sel_eq -> Colstats.selectivity_eq cs v
+  | Sel_lt -> Colstats.selectivity_lt cs v
+  | Sel_le -> Colstats.selectivity_le cs v
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let replays reads values =
+  List.for_all (fun r -> same_bits (apply r.estimator r.stats values.(r.slot)) r.result) reads
+
+let is_literal = function Const _ | Param _ -> true | _ -> false
+
+(* [e] with a parameter replaced by its bound value *)
+let resolve binding e =
+  match (e, binding) with Param i, Some b -> Const b.values.(i) | _ -> e
+
+(* the selectivity [estimator] gives the literal [e] under [cs]; a
+   parameter's value is read through [binding], and the read logged *)
+let literal_selectivity binding estimator cs e =
+  match (e, binding) with
+  | Const v, _ -> Some (apply estimator cs v)
+  | Param slot, Some b ->
+      let result = apply estimator cs b.values.(slot) in
+      b.reads <- { slot; estimator; stats = cs; result } :: b.reads;
+      Some result
+  | _ -> None
 
 (* base relation scanned beneath filters, if any: (table, alias) *)
 let rec base_of_plan = function
@@ -83,52 +125,44 @@ let rec base_of_plan = function
 
 (* selectivity of a comparison [col op rhs] against collected stats;
    None when stats cannot help and the caller should use defaults *)
-let stats_cmp_selectivity (cs : Colstats.t) op rhs =
-  match (op, const_value rhs) with
-  | Eq, Some v -> Some (Colstats.selectivity_eq cs v)
-  | Eq, None -> Some (Colstats.selectivity_eq_unknown cs)
-  | Lt, Some v -> Some (Colstats.selectivity_lt cs v)
-  | Leq, Some v -> Some (Colstats.selectivity_le cs v)
-  | Gt, Some v ->
-      Some (Float.max 1e-9 (1.0 -. cs.Colstats.null_frac -. Colstats.selectivity_le cs v))
-  | Geq, Some v ->
-      Some (Float.max 1e-9 (1.0 -. cs.Colstats.null_frac -. Colstats.selectivity_lt cs v))
+let stats_cmp_selectivity binding (cs : Colstats.t) op rhs =
+  let read est = literal_selectivity binding est cs rhs in
+  let above s = Float.max 1e-9 (1.0 -. cs.Colstats.null_frac -. s) in
+  match op with
+  | Eq -> Some (Option.value (read Sel_eq) ~default:(Colstats.selectivity_eq_unknown cs))
+  | Lt -> read Sel_lt
+  | Leq -> read Sel_le
+  | Gt -> Option.map above (read Sel_le)
+  | Geq -> Option.map above (read Sel_lt)
   | _ -> None
 
 (** Selectivity of one conjunct over rows of [table] scanned as [alias]:
     histogram/MCV-based when the conjunct is sargable with collected
     stats, the System-R default otherwise. *)
-let conjunct_selectivity db ~table ~alias c =
+let conjunct_selectivity ?binding db ~table ~alias c =
   let fallback () = default_conjunct_selectivity c in
   match sargable alias c with
   | Some (col, op, rhs) -> (
       match Database.column_stats db table col with
       | Some cs -> (
-          match stats_cmp_selectivity cs op rhs with
+          match stats_cmp_selectivity binding cs op rhs with
           | Some s -> s
           | None -> fallback ())
       | None -> fallback ())
   | None -> fallback ()
 
 (* selectivity of an index range [lo, hi] over a column with stats *)
-let index_range_selectivity (cs : Colstats.t) lo hi =
+let index_range_selectivity binding (cs : Colstats.t) lo hi =
+  let read est e default = Option.value (literal_selectivity binding est cs e) ~default in
   let frac_hi = function
     | Unbounded -> 1.0 -. cs.Colstats.null_frac
-    | Incl e -> (
-        match const_value e with
-        | Some v -> Colstats.selectivity_le cs v
-        | None -> range_selectivity)
-    | Excl e -> (
-        match const_value e with
-        | Some v -> Colstats.selectivity_lt cs v
-        | None -> range_selectivity)
+    | Incl e -> read Sel_le e range_selectivity
+    | Excl e -> read Sel_lt e range_selectivity
   in
   let frac_lo = function
     | Unbounded -> 0.0
-    | Incl e -> (
-        match const_value e with Some v -> Colstats.selectivity_lt cs v | None -> 0.0)
-    | Excl e -> (
-        match const_value e with Some v -> Colstats.selectivity_le cs v | None -> 0.0)
+    | Incl e -> read Sel_lt e 0.0
+    | Excl e -> read Sel_le e 0.0
   in
   Float.max 1e-9 (frac_hi hi -. frac_lo lo)
 
@@ -136,7 +170,7 @@ let index_range_selectivity (cs : Colstats.t) lo hi =
 (* Cardinality estimation                                              *)
 (* ------------------------------------------------------------------ *)
 
-let rec estimate ~use_stats db (plan : plan) : float =
+let rec estimate ~use_stats ?binding db (plan : plan) : float =
   let table_size name =
     match (if use_stats then Database.table_stats db name else None) with
     | Some ts -> float_of_int (max 1 ts.Colstats.row_count)
@@ -156,15 +190,15 @@ let rec estimate ~use_stats db (plan : plan) : float =
         match col_stats table index_column with
         | Some cs -> (
             match (lo, hi) with
-            | Incl a, Incl b when a = b -> (
-                match const_value a with
-                | Some v -> Colstats.selectivity_eq cs v
-                | None -> Colstats.selectivity_eq_unknown cs)
+            | Incl a, Incl b when resolve binding a = resolve binding b ->
+                Option.value
+                  (literal_selectivity binding Sel_eq cs a)
+                  ~default:(Colstats.selectivity_eq_unknown cs)
             | Unbounded, Unbounded -> 1.0
-            | _ -> index_range_selectivity cs lo hi)
+            | _ -> index_range_selectivity binding cs lo hi)
         | None -> (
             match (lo, hi) with
-            | Incl a, Incl b when a = b -> eq_selectivity
+            | Incl a, Incl b when resolve binding a = resolve binding b -> eq_selectivity
             | Unbounded, Unbounded -> 1.0
             | _ -> range_selectivity)
       in
@@ -173,15 +207,15 @@ let rec estimate ~use_stats db (plan : plan) : float =
       let base = base_of_plan input in
       let sel_of c =
         match base with
-        | Some (table, alias) when use_stats -> conjunct_selectivity db ~table ~alias c
+        | Some (table, alias) when use_stats -> conjunct_selectivity ?binding db ~table ~alias c
         | _ -> default_conjunct_selectivity c
       in
       let sel = List.fold_left (fun acc c -> acc *. sel_of c) 1.0 (conjuncts cond) in
-      Float.max 1.0 (estimate ~use_stats db input *. sel)
-  | Project (_, input) | Sort (_, input) -> estimate ~use_stats db input
-  | Limit (n, input) -> Float.min (float_of_int n) (estimate ~use_stats db input)
+      Float.max 1.0 (estimate ~use_stats ?binding db input *. sel)
+  | Project (_, input) | Sort (_, input) -> estimate ~use_stats ?binding db input
+  | Limit (n, input) -> Float.min (float_of_int n) (estimate ~use_stats ?binding db input)
   | Nested_loop { outer; inner; join_cond } ->
-      let raw = estimate ~use_stats db outer *. estimate ~use_stats db inner in
+      let raw = estimate ~use_stats ?binding db outer *. estimate ~use_stats ?binding db inner in
       let sel =
         match join_cond with
         | None -> 1.0
@@ -198,7 +232,7 @@ let rec estimate ~use_stats db (plan : plan) : float =
                       List.find_map
                         (fun c ->
                           match sargable alias c with
-                          | Some (col, Eq, rhs) when const_value rhs = None -> (
+                          | Some (col, Eq, rhs) when not (is_literal rhs) -> (
                               match Database.column_stats db table col with
                               | Some cs -> Some (Colstats.selectivity_eq_unknown cs)
                               | None -> None)
@@ -211,7 +245,7 @@ let rec estimate ~use_stats db (plan : plan) : float =
       in
       Float.max 1.0 (raw *. sel)
   | Hash_join { outer; inner; keys; kind } ->
-      let ro = estimate ~use_stats db outer and ri = estimate ~use_stats db inner in
+      let ro = estimate ~use_stats ?binding db outer and ri = estimate ~use_stats ?binding db inner in
       (* per-key equi selectivity: NDV-based (MCV-weighted) when either
          side's key column has stats, the System-R default otherwise *)
       let key_sel side_plan key =
@@ -244,7 +278,7 @@ let rec estimate ~use_stats db (plan : plan) : float =
         | Anti -> ro *. (1.0 -. match_frac))
   | Aggregate { group_by = []; _ } -> 1.0
   | Aggregate { group_by; input; _ } -> (
-      let in_rows = estimate ~use_stats db input in
+      let in_rows = estimate ~use_stats ?binding db input in
       let ndv_groups () =
         match (group_by, base_of_plan input) with
         | [ (Col (_, c), _) ], Some (table, _) when use_stats -> (
@@ -259,7 +293,7 @@ let rec estimate ~use_stats db (plan : plan) : float =
   | Values { rows; _ } -> float_of_int (List.length rows)
 
 (** Stats-aware cardinality estimate (defaults when stats are absent). *)
-let estimate_rows db plan = estimate ~use_stats:true db plan
+let estimate_rows ?binding db plan = estimate ~use_stats:true ?binding db plan
 
 (** Cardinality estimate using only the System-R defaults, ignoring any
     collected statistics — the pre-ANALYZE baseline, kept for q-error
@@ -283,13 +317,13 @@ let sort_row_cost n = 0.05 *. (Float.log (Float.max 2.0 n) /. Float.log 2.0)
 let hash_build_row_cost = 0.3
 let hash_probe_cost = 0.25
 
-(** [plan_cost db plan] — estimated execution cost in abstract units,
+(** [plan_cost ?binding db plan] — estimated execution cost in abstract units,
     using stats-aware cardinalities.  Correlated subqueries nested inside
     expressions are charged once per input row. *)
-let rec plan_cost db (plan : plan) : float =
-  let rows p = estimate_rows db p in
+let rec plan_cost ?binding db (plan : plan) : float =
+  let rows p = estimate_rows ?binding db p in
   let expr_subplan_cost e =
-    List.fold_left (fun acc p -> acc +. plan_cost db p) 0.0 (subplans_of_expr e)
+    List.fold_left (fun acc p -> acc +. plan_cost ?binding db p) 0.0 (subplans_of_expr e)
   in
   match plan with
   | Seq_scan { table; _ } ->
@@ -312,22 +346,22 @@ let rec plan_cost db (plan : plan) : float =
         (eval_cost *. float_of_int (List.length cs))
         +. List.fold_left (fun acc c -> acc +. expr_subplan_cost c) 0.0 cs
       in
-      plan_cost db input +. (rows input *. per_row)
+      plan_cost ?binding db input +. (rows input *. per_row)
   | Project (fields, input) ->
       let per_row =
         List.fold_left (fun acc (e, _) -> acc +. eval_cost +. expr_subplan_cost e) 0.0 fields
       in
-      plan_cost db input +. (rows input *. per_row)
+      plan_cost ?binding db input +. (rows input *. per_row)
   | Nested_loop { outer; inner; join_cond } ->
       let cond_cost =
         match join_cond with
         | None -> 0.0
         | Some _ -> rows outer *. rows inner *. eval_cost
       in
-      plan_cost db outer +. (rows outer *. plan_cost db inner) +. cond_cost
+      plan_cost ?binding db outer +. (rows outer *. plan_cost ?binding db inner) +. cond_cost
   | Hash_join { outer; inner; keys; _ } as hj ->
       let nkeys = float_of_int (max 1 (List.length keys)) in
-      plan_cost db outer +. plan_cost db inner
+      plan_cost ?binding db outer +. plan_cost ?binding db inner
       +. (rows inner *. (hash_build_row_cost +. (eval_cost *. nkeys)))
       +. (rows outer *. (hash_probe_cost +. (eval_cost *. nkeys)))
       +. (rows hj *. eval_cost)
@@ -336,16 +370,16 @@ let rec plan_cost db (plan : plan) : float =
         List.fold_left
           (fun acc (a, _) ->
             acc
-            +. List.fold_left (fun acc p -> acc +. plan_cost db p) 0.0 (subplans_of_agg a))
+            +. List.fold_left (fun acc p -> acc +. plan_cost ?binding db p) 0.0 (subplans_of_agg a))
           0.0 aggs
       in
       let per_row =
         (eval_cost *. float_of_int (List.length group_by + List.length aggs))
         +. agg_subplan_cost
       in
-      plan_cost db input +. (rows input *. per_row)
+      plan_cost ?binding db input +. (rows input *. per_row)
   | Sort (_, input) ->
       let n = rows input in
-      plan_cost db input +. (n *. sort_row_cost n)
-  | Limit (_, input) -> plan_cost db input
+      plan_cost ?binding db input +. (n *. sort_row_cost n)
+  | Limit (_, input) -> plan_cost ?binding db input
   | Values { rows; _ } -> 0.01 *. float_of_int (List.length rows)

@@ -301,7 +301,7 @@ let rec isolate db (p : A.plan) : A.plan =
 (* order: greedy cost-ordered linearisation                            *)
 (* ------------------------------------------------------------------ *)
 
-let linearize db (r : region) : A.plan =
+let linearize ?binding db (r : region) : A.plan =
   let leaf_plan alias =
     let table = List.assoc alias r.rg_rels in
     let scan = A.Seq_scan { table; alias } in
@@ -325,10 +325,10 @@ let linearize db (r : region) : A.plan =
   let seed =
     List.fold_left
       (fun (ba, br) (a, _) ->
-        let rows = Cost.estimate_rows db (leaf_plan a) in
+        let rows = Cost.estimate_rows ?binding db (leaf_plan a) in
         if rows < br then (a, rows) else (ba, br))
       (let a0 = fst (List.hd r.rg_rels) in
-       (a0, Cost.estimate_rows db (leaf_plan a0)))
+       (a0, Cost.estimate_rows ?binding db (leaf_plan a0)))
       (List.tl r.rg_rels)
     |> fst
   in
@@ -390,7 +390,7 @@ let linearize db (r : region) : A.plan =
           in
           List.iter
             (fun p ->
-              let c = Cost.plan_cost db p in
+              let c = Cost.plan_cost ?binding db p in
               match !best with
               | Some (_, _, bc) when bc <= c -> ()
               | _ -> best := Some (alias, p, c))
@@ -413,10 +413,10 @@ let linearize db (r : region) : A.plan =
   !joined
 
 (** Replace every gated join region with its greedy linearisation. *)
-let rec order db (p : A.plan) : A.plan =
+let rec order ?binding db (p : A.plan) : A.plan =
   match region_of db p with
-  | Some r -> linearize db r
-  | None -> map_children (order db) p
+  | Some r -> linearize ?binding db r
+  | None -> map_children (order ?binding db) p
 
 (* ------------------------------------------------------------------ *)
 (* unnest: EXISTS / NOT EXISTS → Semi / Anti hash join                 *)

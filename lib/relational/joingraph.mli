@@ -20,7 +20,7 @@ val isolate : Database.t -> Algebra.plan -> Algebra.plan
     ≥ 1 equi edge with direct column keys of hash-compatible types, and
     a connected join graph. *)
 
-val order : Database.t -> Algebra.plan -> Algebra.plan
+val order : ?binding:Cost.binding -> Database.t -> Algebra.plan -> Algebra.plan
 (** Linearise each gated region greedily: seed with the smallest
     relation, then repeatedly attach the connected relation whose
     cheapest step — hash join in either orientation, nested loop, or

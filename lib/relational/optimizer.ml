@@ -23,7 +23,7 @@ let conjuncts = Cost.conjuncts
 let conjoin = Cost.conjoin
 
 (** Stats-aware cardinality estimate (System-R defaults when no stats). *)
-let estimate_rows = Cost.estimate_rows
+let estimate_rows db plan = Cost.estimate_rows db plan
 
 let has_stats db table = Database.table_stats db table <> None
 
@@ -84,7 +84,7 @@ let index_candidates db table alias cs =
 (* access path for [Filter (cond, Seq_scan)]: without stats the first
    indexed conjunct wins (rule-based); with stats the cheapest of every
    index candidate and the sequential scan wins *)
-let choose_access_path db table alias cond input cs =
+let choose_access_path ?binding db table alias cond input cs =
   match index_candidates db table alias cs with
   | [] -> Filter (cond, input)
   | first :: _ as candidates ->
@@ -93,9 +93,9 @@ let choose_access_path db table alias cond input cs =
         let baseline = Filter (cond, input) in
         List.fold_left
           (fun (bp, bc) p ->
-            let c = Cost.plan_cost db p in
+            let c = Cost.plan_cost ?binding db p in
             if c < bc then (p, c) else (bp, bc))
-          (baseline, Cost.plan_cost db baseline)
+          (baseline, Cost.plan_cost ?binding db baseline)
           candidates
         |> fst
 
@@ -114,7 +114,7 @@ let push_through_project fields cs =
         | Some fe when subplans_of_expr fe = [] -> Some fe
         | _ -> None)
     | Col (Some _, _) -> None
-    | Const _ -> Some e
+    | Const _ | Param _ -> Some e
     | Binop (op, a, b) -> (
         match (rewrite a, rewrite b) with
         | Some a', Some b' -> Some (Binop (op, a', b'))
@@ -170,13 +170,14 @@ let swappable db o i =
    of {!Joingraph}, so single-relation conjuncts lifted out of a join
    region — and the interval-containment pairs among them — reach their
    leaf scans and become (two-sided) index range scans here. *)
-let rec rewrite db plan =
+let rec rewrite ?binding db plan =
+  let rewrite = rewrite ?binding in
   match plan with
   | Filter (cond, input) -> (
       let input = rewrite db input in
       let cs = conjuncts cond in
       match input with
-      | Seq_scan { table; alias } -> choose_access_path db table alias cond input cs
+      | Seq_scan { table; alias } -> choose_access_path ?binding db table alias cond input cs
       | Filter (inner_cond, deeper) ->
           rewrite db (Filter (conjoin (cs @ conjuncts inner_cond), deeper))
       | Project (fields, pinput) -> (
@@ -212,9 +213,9 @@ let rec rewrite db plan =
           else
             List.fold_left
               (fun (bp, bc) p ->
-                let c = Cost.plan_cost db p in
+                let c = Cost.plan_cost ?binding db p in
                 if c < bc then (p, c) else (bp, bc))
-              (base, Cost.plan_cost db base)
+              (base, Cost.plan_cost ?binding db base)
               candidates
             |> fst)
   | Hash_join { outer; inner; keys; kind } ->
@@ -230,26 +231,28 @@ let rec rewrite db plan =
       | _ -> Limit (n, input))
   | (Seq_scan _ | Index_scan _ | Values _) as leaf -> leaf
 
-(** [optimize ?timer db plan] — the full single-level pipeline: the
-    {!Joingraph} passes (subquery unnesting, join-region isolation,
-    greedy join ordering — all stats-gated, identities before ANALYZE)
-    followed by the bottom-up access-path {!rewrite}.  [timer] wraps
-    each named pass for per-pass planning-time metrics. *)
-let optimize ?timer db plan =
+(** [optimize ?timer ?binding db plan] — the full single-level
+    pipeline: the {!Joingraph} passes (subquery unnesting, join-region
+    isolation, greedy join ordering — all stats-gated, identities before
+    ANALYZE) followed by the bottom-up access-path {!rewrite}.  [timer]
+    wraps each named pass for per-pass planning-time metrics; [binding]
+    gives the cost model the values of the plan's parameters. *)
+let optimize ?timer ?binding db plan =
   let timed name f = match timer with Some t -> t name f | None -> f () in
   let plan = timed "opt_unnest" (fun () -> Joingraph.unnest db plan) in
   let plan = timed "opt_isolate" (fun () -> Joingraph.isolate db plan) in
-  let plan = timed "opt_order" (fun () -> Joingraph.order db plan) in
-  timed "opt_rewrite" (fun () -> rewrite db plan)
+  let plan = timed "opt_order" (fun () -> Joingraph.order ?binding db plan) in
+  timed "opt_rewrite" (fun () -> rewrite ?binding db plan)
 
 (** Recursively optimise plans nested inside expressions (correlated
     subqueries in publishing output). *)
-let rec optimize_deep ?timer db plan =
-  let plan = optimize ?timer db plan in
+let rec optimize_deep ?timer ?binding db plan =
+  let optimize_deep = optimize_deep ?timer ?binding in
+  let plan = optimize ?timer ?binding db plan in
   let rec fix_expr e =
     match e with
-    | Scalar_subquery p -> Scalar_subquery (optimize_deep ?timer db p)
-    | Exists p -> Exists (optimize_deep ?timer db p)
+    | Scalar_subquery p -> Scalar_subquery (optimize_deep db p)
+    | Exists p -> Exists (optimize_deep db p)
     | Binop (op, a, b) -> Binop (op, fix_expr a, fix_expr b)
     | Not e -> Not (fix_expr e)
     | Is_null e -> Is_null (fix_expr e)
@@ -277,33 +280,33 @@ let rec optimize_deep ?timer db plan =
   in
   match plan with
   | Project (fields, input) ->
-      Project (List.map (fun (e, n) -> (fix_expr e, n)) fields, optimize_deep ?timer db input)
-  | Filter (c, input) -> Filter (fix_expr c, optimize_deep ?timer db input)
+      Project (List.map (fun (e, n) -> (fix_expr e, n)) fields, optimize_deep db input)
+  | Filter (c, input) -> Filter (fix_expr c, optimize_deep db input)
   | Aggregate { group_by; aggs; input } ->
       Aggregate
         {
           group_by = List.map (fun (e, n) -> (fix_expr e, n)) group_by;
           aggs = List.map (fun (a, n) -> (fix_agg a, n)) aggs;
-          input = optimize_deep ?timer db input;
+          input = optimize_deep db input;
         }
   | Nested_loop { outer; inner; join_cond } ->
       Nested_loop
         {
-          outer = optimize_deep ?timer db outer;
-          inner = optimize_deep ?timer db inner;
+          outer = optimize_deep db outer;
+          inner = optimize_deep db inner;
           join_cond = Option.map fix_expr join_cond;
         }
   | Hash_join { outer; inner; keys; kind } ->
       Hash_join
         {
-          outer = optimize_deep ?timer db outer;
-          inner = optimize_deep ?timer db inner;
+          outer = optimize_deep db outer;
+          inner = optimize_deep db inner;
           keys = List.map (fun (ok, ik) -> (fix_expr ok, fix_expr ik)) keys;
           kind;
         }
   | Sort (keys, input) ->
-      Sort (List.map (fun (k, d) -> (fix_expr k, d)) keys, optimize_deep ?timer db input)
-  | Limit (n, input) -> Limit (n, optimize_deep ?timer db input)
+      Sort (List.map (fun (k, d) -> (fix_expr k, d)) keys, optimize_deep db input)
+  | Limit (n, input) -> Limit (n, optimize_deep db input)
   | (Seq_scan _ | Index_scan _ | Values _) as leaf -> leaf
 
 (** EXPLAIN with per-operator cardinality estimates appended. *)

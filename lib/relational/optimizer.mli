@@ -21,16 +21,20 @@ val estimate_rows : Database.t -> Algebra.plan -> float
 
 val optimize :
   ?timer:(string -> (unit -> Algebra.plan) -> Algebra.plan) ->
+  ?binding:Cost.binding ->
   Database.t ->
   Algebra.plan ->
   Algebra.plan
 (** Apply the {!Joingraph} passes then the bottom-up rewrite rules to one
     plan tree (does not descend into expressions).  [timer name f] wraps
     each optimisation pass ([opt_unnest], [opt_isolate], [opt_order],
-    [opt_rewrite]) so callers can record per-pass planning time. *)
+    [opt_rewrite]) so callers can record per-pass planning time.
+    [binding] gives the cost model the values of the plan's parameters
+    ({!Cost.binding}), which stay [Param] leaves in the result. *)
 
 val optimize_deep :
   ?timer:(string -> (unit -> Algebra.plan) -> Algebra.plan) ->
+  ?binding:Cost.binding ->
   Database.t ->
   Algebra.plan ->
   Algebra.plan

@@ -157,8 +157,10 @@ let rec xpath_pred_to_sql ty spec alias (e : XP.expr) : A.expr =
       compare_typed ty (sql_cmp op) (xpath_atom spec alias a) (xpath_atom spec alias b)
   | XP.Call ("not", [ inner ]) -> A.Not (xpath_pred_to_sql ty spec alias inner)
   | XP.Path p when not p.XP.absolute ->
-      (* existence of a scalar child: NOT NULL *)
-      A.Not (A.Is_null (scalar_of_path spec alias p.XP.steps))
+      (* existence of a scalar child: the spec publishes it even when its
+         column is NULL (then empty) *)
+      ignore (scalar_of_path spec alias p.XP.steps);
+      A.Const (V.Int 1)
   | _ -> fail "unsupported predicate form"
 
 (* ------------------------------------------------------------------ *)
@@ -316,13 +318,18 @@ and tr_agg env (e : expr) : A.expr =
           (* SQL's SUM of no rows is NULL; fn:sum of an empty sequence is 0 *)
           if fname = "sum" then A.Fn ("coalesce", [ sub; A.Const (V.Int 0) ]) else sub
       | [] -> (
-          (* aggregate over a singleton: count=1/0 by nullness, sum=value *)
+          (* aggregate over a singleton: the spec publishes its element
+             whether or not the column is NULL (then empty), so count=1
+             and sum=number(string value), NaN for a NULL *)
           match P.scalar_column l.spec with
           | Some c -> (
               let col = A.Col (Some l.scope_alias, c) in
               match fname with
-              | "count" -> A.Case ([ (A.Is_null col, A.Const (V.Int 0)) ], Some (A.Const (V.Int 1)))
-              | "sum" -> nan_if_null col
+              | "count" -> A.Const (V.Int 1)
+              | "sum" ->
+                  nan_if_null
+                    (if env.ty l.scope_alias c = Some V.Tstr then A.Fn ("xpath_number", [ col ])
+                     else col)
               | _ -> col)
           | None -> fail "aggregate over an element with no scalar column"))
   | _ -> fail "malformed aggregate call"
@@ -341,10 +348,7 @@ and tr_cond env (e : expr) : A.expr =
       | Loc l -> (
           match l.pending with
           | [ layer ] -> A.Exists (layer_plan layer)
-          | [] -> (
-              match P.scalar_column l.spec with
-              | Some c -> A.Not (A.Is_null (A.Col (Some l.scope_alias, c)))
-              | None -> A.Const (V.Int 1) (* structurally always present *))
+          | [] -> A.Const (V.Int 1) (* published even when its column is NULL *)
           | _ -> fail "existence test across nested collections"))
 
 (* content translation: any expression producing XML content *)

@@ -727,6 +727,46 @@ let test_shape_sharing_counters () =
   check ci "template survives ANALYZE" 1000 (counter "cache_hits");
   check ci "nothing stale" 0 (counter "cache_stale")
 
+(* a binding whose literal reads replay equal reuses the optimised
+   template: on an ANALYZEd table, in-range keys all get one plan;
+   out-of-range keys read a different estimate and re-optimise; an
+   ANALYZE costs one more optimiser run *)
+let test_template_replay () =
+  let module D = Xdb_xsltmark.Data in
+  let module EN = Xdb_core.Engine in
+  let dv = D.records_db 2000 in
+  let db = dv.D.db and view_name = "records_vu" in
+  let e = EN.create db in
+  EN.register_view e dv.D.view;
+  ignore (EN.execute e "ANALYZE");
+  let nc = { EN.default_run_options with EN.result_cache = false } in
+  let optimizations () = List.assoc "template_optimizations" (EN.registry_counters e) in
+  let read k =
+    (EN.transform ~options:nc e ~view_name ~stylesheet:(Xdb_xsltmark.Cases.dbonerow_stylesheet k))
+      .EN.output
+  in
+  let functional k =
+    PL.run_functional db (PL.compile db dv.D.view (Xdb_xsltmark.Cases.dbonerow_stylesheet k))
+  in
+  for i = 0 to 999 do
+    ignore (read (1 + (i * 7 mod 2000)))
+  done;
+  check ci "1,000 in-range reads: one optimiser run" 1 (optimizations ());
+  let expect_run name k runs =
+    check Alcotest.(list string) (name ^ ": functional VM's bytes") (functional k) (read k);
+    check ci (name ^ ": optimiser runs") runs (optimizations ())
+  in
+  expect_run "key 0" 0 2;
+  expect_run "in range again" 1500 3;
+  expect_run "key 123456789" 123_456_789 4;
+  expect_run "in range" 17 5;
+  ignore (EN.execute e "ANALYZE");
+  for k = 1 to 100 do
+    ignore (read k)
+  done;
+  check ci "an ANALYZE: one more optimiser run" 6 (optimizations ());
+  EN.shutdown e
+
 let test_unshareable_shapes () =
   (* shapes whose slot is not a comparison parameter: each text compiles
      by exact text (one miss per distinct text), the shape is tried once,
@@ -1288,7 +1328,7 @@ let test_result_cache_patch_install () =
   in
   let recorded = ref None in
   let out = PL.run_rewrite ~on_members:(fun m -> recorded := Some m) db c in
-  let members = Option.get !recorded and footprint = Option.get c.PL.footprint in
+  let members = Option.get !recorded and footprint () = c.PL.footprint in
   let rc = RC.create db in
   let ctr name = List.assoc name (RC.counters rc) in
   let write () =
@@ -1315,6 +1355,32 @@ let test_result_cache_patch_install () =
     (RC.find rc ~key:"k" ~footprint ~patch:(fun _ _ _ -> None) () = RC.Dropped);
   check ci "the entry is gone" 0 (RC.size rc);
   check ci "counted as an invalidation" 1 (ctr "result_cache_invalidations")
+
+(* the result cache is probed before the plan: a page it serves costs
+   no binding, so no optimiser pass, even when the text's binding would
+   not replay the template's current variant *)
+let test_result_cache_before_binding () =
+  let module D = Xdb_xsltmark.Data in
+  let dv = D.records_db 200 in
+  let e = EN.create dv.D.db in
+  EN.register_view e dv.D.view;
+  ignore (EN.execute e "ANALYZE");
+  let opts = { EN.default_run_options with EN.collect_metrics = true } in
+  let read k = EN.transform ~options:opts e ~view_name:"records_vu" ~stylesheet:(Xdb_xsltmark.Cases.dbonerow_stylesheet k) in
+  let opt_stages r =
+    List.filter
+      (fun (name, _) -> String.starts_with ~prefix:"opt_" name)
+      (Xdb_core.Metrics.stages (Option.get r.EN.metrics))
+  in
+  let first = read 0 in
+  check cb "a compile runs the optimiser" true (opt_stages first <> []);
+  (* key 5 re-optimises the template away from key 0's variant *)
+  check cb "another binding re-optimises" true (opt_stages (read 5) <> []);
+  let again = read 0 in
+  check ci "served from the result cache: no optimiser pass" 0 (List.length (opt_stages again));
+  check Alcotest.(list string) "the first read's bytes" first.EN.output again.EN.output;
+  check ci "a hit" 1 (List.assoc "result_cache_hits" (EN.result_cache_counters e));
+  EN.shutdown e
 
 let test_engine_result_cache () =
   let db, view = setup_example1 () in
@@ -2314,9 +2380,14 @@ let test_server_mixed_smoke () =
   check ci "every mixed call checked out"
     (domains * iters * (List.length cases + 2))
     (List.fold_left ( + ) 0 oks);
-  (* prepares = warmup transforms + per-iteration transforms and explains *)
+  (* the result cache serves every transform and publish after the
+     warm-up without asking the registry: prepares = warmup transforms
+     + per-iteration explains *)
   let counter n = List.assoc n (EN.registry_counters engine) in
-  let prepares = List.length cases + (domains * iters * (List.length cases + 1)) in
+  check ci "every later transform and publish a result-cache hit"
+    (domains * iters * (List.length cases + 1))
+    (List.assoc "result_cache_hits" (EN.result_cache_counters engine));
+  let prepares = List.length cases + (domains * iters) in
   check ci "every prepare a hit or a recompilation" prepares
     (counter "cache_hits" + counter "recompilations");
   check ci "recompilations = misses + stale" (counter "recompilations")
@@ -2457,6 +2528,7 @@ let () =
           Alcotest.test_case "registry LRU eviction" `Quick test_registry_lru_eviction;
           Alcotest.test_case "shape cut" `Quick test_shape_cut;
           Alcotest.test_case "shape sharing counters" `Quick test_shape_sharing_counters;
+          Alcotest.test_case "template plan replay" `Quick test_template_replay;
           Alcotest.test_case "unshareable shapes" `Quick test_unshareable_shapes;
           Alcotest.test_case "dbonerow EXPLAIN ANALYZE" `Quick test_dbonerow_explain_analyze;
           Alcotest.test_case "NaN condition differential" `Quick test_nan_condition_differential;
@@ -2499,6 +2571,8 @@ let () =
             test_shredded_streaming_edges;
           Alcotest.test_case "shredded xsl:number" `Quick test_shredded_number;
           Alcotest.test_case "shredded compile cache" `Quick test_shredded_compile_cache;
+          Alcotest.test_case "result cache before binding" `Quick
+            test_result_cache_before_binding;
         ] );
       ( "server",
         [

@@ -224,10 +224,13 @@ let prop_compiled_executor_differential =
    written [>], which exposes the literals of its value predicates to
    the cut) with its cut literals randomised — values inside and outside
    the skewed [value] column's MCVs and histogram, 0 and out of range.
-   Two texts per shape through one engine, so the second binds a shared
-   template when the shape is shareable: its output equals the
-   functional VM's and its EXPLAIN and EXPLAIN ANALYZE (timings left
-   out) equal an exact-text compile's. *)
+   Four texts per shape through one engine, the third with every slot
+   holding one value, and an UPDATE plus ANALYZE after the second, so
+   later texts bind a shared template and either replay its optimised
+   plan or re-optimise it: each output equals the functional VM's and
+   each EXPLAIN and EXPLAIN ANALYZE (timings left out) equals an
+   exact-text compile's.  dbonerow's bindings must replay at least
+   once. *)
 let replace_all ~sub ~by s =
   let n = String.length sub in
   let b = Buffer.create (String.length s) in
@@ -253,7 +256,7 @@ let literal_pool = [| 0; 1; 7; 2500; 5000; 8000; 9000; 9999; 10_000; 123_456_789
 let prop_shape_sharing =
   let cases = List.filter (fun (c : M.case) -> c.M.db_capable) (M.all @ M.extras) in
   QCheck.Test.make ~name:"shape hits: output = functional VM, EXPLAIN = exact compile" ~count:150
-    QCheck.(pair (int_bound 1_000_000) (list_of_size Gen.(return 8) (int_bound 12_000)))
+    QCheck.(pair (int_bound 1_000_000) (list_of_size Gen.(return 16) (int_bound 12_000)))
     (fun (seed, randoms) ->
       let c = List.nth cases (seed mod List.length cases) in
       let text = if seed / 64 mod 2 = 0 then c.M.stylesheet else replace_all ~sub:"&gt;" ~by:">" c.M.stylesheet in
@@ -262,12 +265,14 @@ let prop_shape_sharing =
       let db = dv.D.db and view_name = dv.D.view.Xdb_rel.Publish.view_name in
       let e = Xdb_core.Engine.create db in
       Xdb_core.Engine.register_view e dv.D.view;
+      let records = view_name = "records_vu" in
       (* skew: a third of the records share one value (an MCV) *)
-      if view_name = "records_vu" then
+      if records then
         ignore (Xdb_core.Engine.execute e (Printf.sprintf "UPDATE rows SET value = 7 WHERE id <= %d" (n / 3)));
       ignore (Xdb_core.Engine.execute e "ANALYZE");
       let pick i =
-        let r = List.nth randoms (i mod 8) in
+        (* a shrunk list may be shorter *)
+        let r = match randoms with [] -> 0 | _ -> List.nth randoms (i mod List.length randoms) in
         if r mod 2 = 0 then literal_pool.(r / 2 mod Array.length literal_pool) else r
       in
       let texts =
@@ -278,17 +283,24 @@ let prop_shape_sharing =
               (fun round ->
                 let s = ref shape in
                 for i = Array.length values - 1 downto 0 do
+                  let slot = if round = 2 then 0 else i in
                   s :=
                     replace_all
                       ~sub:("$" ^ Xdb_xquery.Sql_rewrite.param_var i)
-                      ~by:(string_of_int (pick ((round * 4) + i)))
+                      ~by:(string_of_int (pick ((round * 4) + slot)))
                       !s
                 done;
                 !s)
-              [ 0; 1 ]
+              [ 0; 1; 2; 3 ]
       in
       let nc = { Xdb_core.Engine.default_run_options with Xdb_core.Engine.result_cache = false } in
-      let agrees text =
+      let agrees i text =
+        (* the statistics move between the second and third texts *)
+        if i = 2 then begin
+          if records then
+            ignore (Xdb_core.Engine.execute e (Printf.sprintf "UPDATE rows SET value = 9000 WHERE id > %d" (n / 2)));
+          ignore (Xdb_core.Engine.execute e "ANALYZE")
+        end;
         let exact = PL.compile db dv.D.view text in
         (Xdb_core.Engine.transform ~options:nc e ~view_name ~stylesheet:text).Xdb_core.Engine.output
         = PL.run_functional db exact
@@ -297,13 +309,53 @@ let prop_shape_sharing =
            = without_timings (PL.explain_analyze db exact)
       in
       let counter name = List.assoc name (Xdb_core.Engine.registry_counters e) in
-      let ok = List.for_all agrees texts in
+      let ok = List.for_all Fun.id (List.mapi agrees texts) in
       let shared = counter "cache_unshareable" = 0 && List.length texts > 1 in
+      (* every binding of a shared shape is a template hit or its miss *)
+      let replayed = counter "template_optimizations" < counter "cache_hits" + counter "cache_misses" in
       Xdb_core.Engine.shutdown e;
       ok
       && counter "recompilations" = counter "cache_misses" + counter "cache_stale"
-      (* dbonerow's key is always a shared parameter *)
-      && (c.M.name <> "dbonerow" || shared))
+      (* dbonerow's key is always a shared parameter, and some binding
+         of it reuses an optimised plan *)
+      && (c.M.name <> "dbonerow" || (shared && replayed)))
+
+(* Four domains bind one shape with in-range and out-of-range keys
+   interleaved, so each replaces the template's optimised variant under
+   the others: every output stays the exact-text compile's. *)
+let test_shape_replay_domains () =
+  let n = 200 in
+  let dv = D.records_db n in
+  let db = dv.D.db and view_name = "records_vu" in
+  let e = Xdb_core.Engine.create db in
+  Xdb_core.Engine.register_view e dv.D.view;
+  ignore (Xdb_core.Engine.execute e "ANALYZE");
+  let keys = [| 3; 0; 150; 123_456_789; 77; 5000; 1 |] in
+  let expected =
+    Array.map (fun k -> PL.run_functional db (PL.compile db dv.D.view (M.dbonerow_stylesheet k))) keys
+  in
+  let nc = { Xdb_core.Engine.default_run_options with Xdb_core.Engine.result_cache = false } in
+  (* the template exists before the domains start: concurrent misses
+     may each compile it *)
+  ignore (Xdb_core.Engine.transform ~options:nc e ~view_name ~stylesheet:(M.dbonerow_stylesheet 2));
+  let client d () =
+    let bad = ref 0 in
+    for i = 0 to 199 do
+      let j = (i + d) mod Array.length keys in
+      let out =
+        (Xdb_core.Engine.transform ~options:nc e ~view_name ~stylesheet:(M.dbonerow_stylesheet keys.(j)))
+          .Xdb_core.Engine.output
+      in
+      if out <> expected.(j) then incr bad
+    done;
+    !bad
+  in
+  let bad = List.map Domain.join (List.init 4 (fun d -> Domain.spawn (client d))) in
+  let counter name = List.assoc name (Xdb_core.Engine.registry_counters e) in
+  Xdb_core.Engine.shutdown e;
+  check ci "every output the exact compile's" 0 (List.fold_left ( + ) 0 bad);
+  check ci "one template" 1 (counter "cache_misses");
+  check cb "variants replaced" true (counter "template_optimizations" > 1)
 
 let () =
   let all = M.all @ M.extras in
@@ -329,5 +381,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_random_stylesheets;
           QCheck_alcotest.to_alcotest prop_compiled_executor_differential;
           QCheck_alcotest.to_alcotest prop_shape_sharing;
+          Alcotest.test_case "shape replay under 4 domains" `Quick test_shape_replay_domains;
         ] );
     ]
