@@ -1,46 +1,22 @@
 (** Benchmark harness reproducing the paper's evaluation (§5).
 
-    Targets (run all with [dune exec bench/main.exe], or select one by name):
+    [dune exec bench/main.exe] runs every default target of {!targets};
+    [dune exec bench/main.exe -- T ...] runs the named ones.  The paper's
+    figures: [fig2] (Figure 2, dbonerow at 8k–64k rows standing in for
+    the paper's 8M–64M documents; see DESIGN.md §2), [fig3] (Figure 3),
+    [inline-stat] (the 23/40 statistic), [ablation] (§3.3–3.7),
+    [storage] (§7.4) and [partial] (§7.2), all in BENCH_PR1.json, each
+    row naming its figure.  The studies: [planquality], [joinscale],
+    [pubstream], [parscale], [shredscale], [servebench] and [rwbench],
+    each with its own BENCH_PR*.json.  [fig2-smoke], [joinscale-smoke]
+    and [rwbench-smoke] are smaller runs, only run when named.
 
-    - [fig2]        — Figure 2: dbonerow, rewrite vs no-rewrite, at four
-                      input sizes (8k/16k/32k/64k rows standing in for the
-                      paper's 8M–64M documents; see DESIGN.md §2);
-    - [fig3]        — Figure 3: avts / chart / metric / total, rewrite vs
-                      no-rewrite at a fixed size;
-    - [inline-stat] — the "23 of 40 test cases compile in full inline mode"
-                      statistic;
-    - [ablation]    — each §3.3–3.7 optimisation toggled off individually:
-                      generated-query size and dynamic evaluation time;
-    - [pubstream]   — DOM vs streamed output events on publishing and the
-                      SQL/XML rewrite, wall time and GC allocation
-                      (BENCH_PR4.json);
-    - [parscale]    — domain-parallel rewrite execution at 1/2/4 domains,
-                      many-documents sharding, byte-identity asserted
-                      (BENCH_PR5.json);
-    - [shredscale]  — DOM tree walk vs interval-encoded shredded storage
-                      with staircase sweeps, 8k/64k-node documents,
-                      descendant and value-predicate lookups, byte-identity
-                      asserted (BENCH_PR6.json); the set-at-a-time batch
-                      evaluator's speedups over the DOM walk per query
-                      shape (BENCH_PR8.json);
-    - [joinscale]   — hash join vs forced nested loop (non-indexed
-                      dimension) and vs index nested loop (indexed
-                      dimension) on a join-heavy publishing shape at
-                      100k/1M outer rows, byte-identity asserted per leg,
-                      planner choice recorded (BENCH_PR9.json);
-    - [servebench]  — closed-loop concurrent serving: N client domains ×
-                      a mixed case set over one shared Engine through
-                      Xdb.Server sessions, throughput + p50/p95/p99, an
-                      admission-control overload scenario, byte-identity
-                      asserted (BENCH_PR7.json);
-    - [rwbench]     — mixed read/write workload: DML through
-                      [Engine.execute] interleaved with transform reads,
-                      95/5 and 50/50 mixes, cached-read vs recompute
-                      speedup, every read byte-compared against a forced
-                      recompute — zero stale reads asserted
-                      (BENCH_PR10.json);
-    - [micro]       — Bechamel micro-benchmarks of the pipeline stages
-                      (one [Test.make] per reproduced figure leg).
+    Every target asserts its outputs byte-identical across the paths it
+    compares before it times them, and reports rows through one emitter:
+    a stdout table, a CSV under bench/results and its JSON file
+    [{"bench", "host", "legs", "summary"}].  After each target the
+    {!gates} on its file print one PASS, FAIL or SKIP line each; the run
+    exits 1 at the end if any failed.
 
     Absolute numbers differ from the paper (Oracle testbed vs this
     simulator); the reproduced property is the *shape*: who wins, by what
@@ -50,220 +26,274 @@ module M = Xdb_xsltmark.Cases
 module D = Xdb_xsltmark.Data
 module PL = Xdb_core.Pipeline
 
+(* ------------------------------------------------------------------ *)
+(* Rows, reports and the one emitter                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* a field of a result row; a float carries the decimals it prints with *)
+type value = I of int | F of int * float | B of bool | S of string | Null
+
+type row = (string * value) list
+
+(* what one target measured: [legs] its measurements, [summary] what it
+   derives from them; [bench] names its JSON file and [csv] its file
+   under bench/results *)
+type report = { bench : string; csv : string; title : string; legs : row list; summary : row list }
+
+let report ?(summary = []) bench csv title legs = { bench; csv; title; legs; summary }
+let f0 x = F (0, x)
+let f2 x = F (2, x)
+let f3 x = F (3, x)
+let f4 x = F (4, x)
+
 let time_once f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   let t1 = Unix.gettimeofday () in
   (r, (t1 -. t0) *. 1000.0)
 
-(* median-of-k wall clock, milliseconds *)
+(* wall clock over [repeat] runs, milliseconds: the median and the
+   extremes *)
+type timing = { med : float; lo : float; hi : float }
+
 let time_ms ?(repeat = 3) f =
-  let samples = List.init repeat (fun _ -> snd (time_once f)) in
-  let sorted = List.sort compare samples in
-  List.nth sorted (repeat / 2)
+  let a = Array.init repeat (fun _ -> snd (time_once f)) in
+  Array.sort compare a;
+  { med = a.(repeat / 2); lo = a.(0); hi = a.(repeat - 1) }
 
-let hrule = String.make 72 '-'
+(* a timing as three fields: [key] holds the median *)
+let timed key t = [ (key, f4 t.med); (key ^ "_min", f4 t.lo); (key ^ "_max", f4 t.hi) ]
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
+let json_string s =
+  let buf = Buffer.create (String.length s + 2) in
+  Buffer.add_char buf '"';
   String.iter
-    (fun c ->
-      match c with
+    (function
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
+      | c when c < ' ' -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
     s;
+  Buffer.add_char buf '"';
   Buffer.contents buf
 
-(* Host metadata stamped into every BENCH_*.json artifact, so
-   self-skipping CI gates (e.g. the parallel-speedup gates that only
-   apply when enough cores exist) are visible in the artifact instead of
-   silent.  The timestamp is passed in by the harness (XDB_BENCH_TS) —
-   benchmarks themselves stay deterministic. *)
-let host_json () =
-  Printf.sprintf {|{"nproc":%d,"ocaml":"%s","timestamp":"%s"}|}
-    (Xdb_core.Parallel.default_jobs ())
-    (json_escape Sys.ocaml_version)
-    (json_escape (Option.value (Sys.getenv_opt "XDB_BENCH_TS") ~default:""))
+(* a non-finite float (a speedup over a time below the clock's
+   resolution) is no JSON number: it is written as null *)
+let to_json = function
+  | I i -> string_of_int i
+  | F (d, x) when Float.is_finite x -> Printf.sprintf "%.*f" d x
+  | F _ | Null -> "null"
+  | B b -> string_of_bool b
+  | S s -> json_string s
 
-(* ------------------------------------------------------------------ *)
-(* Figure 2                                                            *)
-(* ------------------------------------------------------------------ *)
+let to_text ~null = function
+  | I i -> string_of_int i
+  | F (d, x) -> Printf.sprintf "%.*f" d x
+  | B b -> string_of_bool b
+  | S s -> s
+  | Null -> null
 
-(* CSV artifact support: bench results also land in bench/results/ *)
-let csv_out name header rows =
-  (try Unix.mkdir "bench/results" 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> () | _ -> ());
-  let path = Filename.concat "bench/results" name in
+let json_object row =
+  "{" ^ String.concat "," (List.map (fun (k, v) -> json_string k ^ ":" ^ to_json v) row) ^ "}"
+
+(* every field name of [rows], in first-seen order *)
+let columns rows =
+  List.fold_left
+    (fun acc row ->
+      List.fold_left (fun acc (k, _) -> if List.mem k acc then acc else acc @ [ k ]) acc row)
+    [] rows
+
+let cell ~null row k = match List.assoc_opt k row with Some v -> to_text ~null v | None -> null
+
+(* consecutive rows with the same fields print under one header *)
+let rec print_table = function
+  | [] -> ()
+  | first :: _ as rows ->
+      let cols = List.map fst first in
+      let rec split acc = function
+        | r :: tl when List.map fst r = cols -> split (r :: acc) tl
+        | tl -> (List.rev acc, tl)
+      in
+      let group, rest = split [] rows in
+      let cells = cols :: List.map (fun row -> List.map (cell ~null:"-" row) cols) group in
+      let width i =
+        List.fold_left (fun w line -> max w (String.length (List.nth line i))) 0 cells
+      in
+      let widths = List.mapi (fun i _ -> width i) cols in
+      List.iter
+        (fun line ->
+          print_endline (String.concat "  " (List.map2 (Printf.sprintf "%*s") widths line)))
+        cells;
+      print_table rest
+
+let write_file path lines =
   let oc = open_out path in
-  output_string oc (header ^ "\n");
-  List.iter (fun r -> output_string oc (r ^ "\n")) rows;
-  close_out oc;
-  Printf.printf "(written %s)\n" path
+  List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+  close_out oc
 
-(* BENCH_PR1.json accumulator: one JSON object per (figure, leg) with the
-   pipeline stage timings, end-to-end leg times and operator stats *)
-let bench_records : string list ref = ref []
+(* rows already written to each JSON file in this run: the paper figures
+   share BENCH_PR1.json *)
+let written : (string, row list * row list) Hashtbl.t = Hashtbl.create 8
 
-let record_leg ~figure ~case ~rows ~rewrite_ms ~norewrite_ms ~compile_json ~operators_json =
-  bench_records :=
-    Printf.sprintf
-      {|{"figure":"%s","case":"%s","rows":%d,"rewrite_ms":%.4f,"norewrite_ms":%.4f,"speedup":%.2f,"pipeline":%s,"operators":%s}|}
-      figure case rows rewrite_ms norewrite_ms
-      (norewrite_ms /. rewrite_ms)
-      compile_json operators_json
-    :: !bench_records
+let emit r =
+  let hrule = String.make 72 '-' in
+  Printf.printf "%s\n%s\n%s\n" hrule r.title hrule;
+  print_table r.legs;
+  if r.summary <> [] then (print_newline (); print_table r.summary);
+  (try Unix.mkdir "bench/results" 0o755 with Unix.Unix_error _ -> ());
+  let csv = Filename.concat "bench/results" (r.csv ^ ".csv") in
+  let csv_cell row k =
+    let s = cell ~null:"" row k in
+    if String.contains s ',' || String.contains s '"' then
+      "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
+    else s
+  in
+  let cols = columns r.legs in
+  write_file csv
+    (String.concat "," cols
+    :: List.map (fun row -> String.concat "," (List.map (csv_cell row) cols)) r.legs);
+  let legs0, summary0 = Option.value (Hashtbl.find_opt written r.bench) ~default:([], []) in
+  let legs = legs0 @ r.legs and summary = summary0 @ r.summary in
+  Hashtbl.replace written r.bench (legs, summary);
+  let array rows =
+    if rows = [] then "[]" else "[\n  " ^ String.concat ",\n  " (List.map json_object rows) ^ "\n]"
+  in
+  (* the timestamp is passed in by the harness (XDB_BENCH_TS):
+     benchmarks stay deterministic *)
+  let host =
+    [ ("nproc", I (Xdb_core.Parallel.default_jobs ())); ("ocaml", S Sys.ocaml_version);
+      ("timestamp", S (Option.value (Sys.getenv_opt "XDB_BENCH_TS") ~default:"")) ]
+  in
+  let json = r.bench ^ ".json" in
+  write_file json
+    [ Printf.sprintf {|{"bench":%s,"host":%s,"legs":%s,"summary":%s}|} (json_string r.bench)
+        (json_object host) (array legs) (array summary) ];
+  Printf.printf "(written %s, %s)\n" json csv
 
-let write_bench_json () =
-  if !bench_records <> [] then begin
-    let oc = open_out "BENCH_PR1.json" in
-    Printf.fprintf oc "{\"bench\":\"BENCH_PR1\",\"host\":%s,\"legs\":[\n  " (host_json ());
-    output_string oc (String.concat ",\n  " (List.rev !bench_records));
-    output_string oc "\n]}\n";
-    close_out oc;
-    print_endline "(written BENCH_PR1.json)"
-  end
+(* ------------------------------------------------------------------ *)
+(* Figures 2 and 3                                                     *)
+(* ------------------------------------------------------------------ *)
 
-(* one dbonerow leg: compile with metrics, verify functional ≡ rewrite,
-   time both, and capture the instrumented operator stats *)
-let fig2_leg ~figure n =
-  let case = M.dbonerow_for n in
-  let dv = M.dbview_for case n in
+(* one leg: compile with metrics, verify functional ≡ rewrite, time both,
+   and record the pipeline's stage timings and counters and the
+   instrumented operators' totals *)
+let figure_leg ~figure ~rows case dv =
   let metrics = Xdb_core.Metrics.create () in
   let comp = PL.compile ~metrics dv.D.db dv.D.view case.M.stylesheet in
   assert (comp.PL.sql_plan <> None);
-  (* correctness check once before timing *)
   let f0 = PL.run_functional dv.D.db comp in
   let r0, stats = PL.run_rewrite_analyzed ~metrics dv.D.db comp in
   assert (f0 = r0);
-  let rewrite_ms = time_ms (fun () -> PL.run_rewrite dv.D.db comp) in
-  let norewrite_ms = time_ms (fun () -> PL.run_functional dv.D.db comp) in
-  Printf.printf "%8d %14.3f %14.3f %9.1fx\n" n rewrite_ms norewrite_ms
-    (norewrite_ms /. rewrite_ms);
-  record_leg ~figure ~case:case.M.name ~rows:n ~rewrite_ms ~norewrite_ms
-    ~compile_json:(Xdb_core.Metrics.to_json metrics)
-    ~operators_json:
-      (match stats with Some s -> Xdb_rel.Stats.to_json s | None -> "[]");
-  Printf.sprintf "%d,%.4f,%.4f" n rewrite_ms norewrite_ms
+  let rewrite = time_ms (fun () -> PL.run_rewrite dv.D.db comp) in
+  let norewrite = time_ms (fun () -> PL.run_functional dv.D.db comp) in
+  let ops = match stats with Some s -> Xdb_rel.Stats.entries s | None -> [] in
+  let total f = I (List.fold_left (fun n (e : Xdb_rel.Stats.entry) -> n + f e.op) 0 ops) in
+  [ ("figure", S figure); ("case", S case.M.name); ("rows", I rows) ]
+  @ timed "rewrite_ms" rewrite @ timed "norewrite_ms" norewrite
+  @ [ ("speedup", f2 (norewrite.med /. rewrite.med)); ("operators", I (List.length ops));
+      ("btree_probes", total (fun o -> o.Xdb_rel.Stats.btree_probes));
+      ("heap_rows", total (fun o -> o.Xdb_rel.Stats.heap_rows)) ]
+  @ List.map (fun (stage, ms) -> (stage ^ "_ms", f4 ms)) (Xdb_core.Metrics.stages metrics)
+  @ List.map (fun (c, n) -> (c, I n)) (Xdb_core.Metrics.counters metrics)
 
 let fig2 ?(figure = "fig2") ?(sizes = [ 8_000; 16_000; 32_000; 64_000 ]) () =
-  Printf.printf "%s\nFigure 2 — dbonerow: XSLT rewrite vs no-rewrite (value predicate)\n%s\n"
-    hrule hrule;
-  Printf.printf "%8s %14s %14s %10s\n" "rows" "rewrite(ms)" "no-rewrite(ms)" "speedup";
-  let rows = List.map (fun n -> fig2_leg ~figure n) sizes in
-  csv_out
-    (if figure = "fig2" then "fig2.csv" else figure ^ ".csv")
-    "rows,rewrite_ms,norewrite_ms" rows;
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* Figure 3                                                            *)
-(* ------------------------------------------------------------------ *)
+  report "BENCH_PR1" figure "Figure 2 — dbonerow: XSLT rewrite vs no-rewrite (value predicate)"
+    (List.map
+       (fun n ->
+         let case = M.dbonerow_for n in
+         figure_leg ~figure ~rows:n case (M.dbview_for case n))
+       sizes)
 
 let fig3 ?(n = 8_000) () =
-  Printf.printf
-    "%s\nFigure 3 — no-value-predicate cases: rewrite vs no-rewrite (%d rows)\n%s\n" hrule n
-    hrule;
-  Printf.printf "%12s %14s %14s %10s\n" "case" "rewrite(ms)" "no-rewrite(ms)" "speedup";
-  let rows =
-    List.map
-      (fun name ->
-        let case = Option.get (M.find name) in
-        let dv = M.dbview_for case n in
-        let metrics = Xdb_core.Metrics.create () in
-        let comp = PL.compile ~metrics dv.D.db dv.D.view case.M.stylesheet in
-        assert (comp.PL.sql_plan <> None);
-        let f0 = PL.run_functional dv.D.db comp in
-        let r0, stats = PL.run_rewrite_analyzed ~metrics dv.D.db comp in
-        assert (f0 = r0);
-        let rewrite_ms = time_ms (fun () -> PL.run_rewrite dv.D.db comp) in
-        let norewrite_ms = time_ms (fun () -> PL.run_functional dv.D.db comp) in
-        Printf.printf "%12s %14.3f %14.3f %9.1fx\n" name rewrite_ms norewrite_ms
-          (norewrite_ms /. rewrite_ms);
-        record_leg ~figure:"fig3" ~case:name ~rows:n ~rewrite_ms ~norewrite_ms
-          ~compile_json:(Xdb_core.Metrics.to_json metrics)
-          ~operators_json:
-            (match stats with Some s -> Xdb_rel.Stats.to_json s | None -> "[]");
-        Printf.sprintf "%s,%.4f,%.4f" name rewrite_ms norewrite_ms)
-      [ "avts"; "chart"; "metric"; "total" ]
-  in
-  csv_out "fig3.csv" "case,rewrite_ms,norewrite_ms" rows;
-  print_newline ()
+  report "BENCH_PR1" "fig3"
+    (Printf.sprintf "Figure 3 — no-value-predicate cases: rewrite vs no-rewrite (%d rows)" n)
+    (List.map
+       (fun name ->
+         let case = Option.get (M.find name) in
+         figure_leg ~figure:"fig3" ~rows:n case (M.dbview_for case n))
+       [ "avts"; "chart"; "metric"; "total" ])
 
 (* ------------------------------------------------------------------ *)
 (* Inline statistic                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let inline_stat () =
-  Printf.printf "%s\nInline statistic — full-inline XSLT→XQuery compilations (paper: 23/40)\n%s\n"
-    hrule hrule;
-  let inline = ref 0 and noninline = ref 0 in
-  List.iter
-    (fun (c : M.case) ->
-      let doc = M.doc_for c 100 in
-      let dc = PL.compile_for_document c.M.stylesheet ~example_doc:doc in
-      let mode = dc.PL.d_translation.Xdb_core.Xslt2xquery.mode in
-      let is_inline =
-        match mode with
-        | Xdb_core.Xslt2xquery.Mode_inline | Xdb_core.Xslt2xquery.Mode_builtin_compact -> true
-        | Xdb_core.Xslt2xquery.Mode_partial_inline | Xdb_core.Xslt2xquery.Mode_functions -> false
-      in
-      if is_inline then incr inline else incr noninline;
-      Printf.printf "  %-14s %-16s %s\n" c.M.name (PL.mode_name mode) c.M.category)
-    M.all;
-  Printf.printf "\ninline: %d / %d   (paper reports 23/40)\n\n" !inline (!inline + !noninline)
+  let module G = Xdb_core.Xslt2xquery in
+  let legs =
+    List.map
+      (fun (c : M.case) ->
+        let dc = PL.compile_for_document c.M.stylesheet ~example_doc:(M.doc_for c 100) in
+        let mode = dc.PL.d_translation.G.mode in
+        let inline =
+          match mode with
+          | G.Mode_inline | G.Mode_builtin_compact -> true
+          | G.Mode_partial_inline | G.Mode_functions -> false
+        in
+        [ ("figure", S "inline-stat"); ("case", S c.M.name); ("mode", S (PL.mode_name mode));
+          ("category", S c.M.category); ("inline", B inline) ])
+      M.all
+  in
+  let inline = List.length (List.filter (List.mem ("inline", B true)) legs) in
+  report "BENCH_PR1" "inline-stat"
+    "Inline statistic — full-inline XSLT→XQuery compilations (paper: 23/40)" legs
+    ~summary:
+      [ [ ("figure", S "inline-stat"); ("inline", I inline); ("cases", I (List.length legs));
+          ("paper_inline", I 23); ("paper_cases", I 40) ] ]
 
 (* ------------------------------------------------------------------ *)
 (* Ablation (§3.3–3.7 options)                                         *)
 (* ------------------------------------------------------------------ *)
 
 let ablation ?(n = 2_000) () =
-  Printf.printf
-    "%s\nAblation — §3.3–3.7 techniques toggled off individually (%d rows)\n%s\n" hrule n hrule;
-  let base = Xdb_core.Options.default in
+  let module O = Xdb_core.Options in
+  let base = O.default in
   let variants =
     [
       ("all-on (paper)", base);
-      ("no-inlining (3.3)", { base with Xdb_core.Options.inline_templates = false });
-      ("no-model-groups (3.4)", { base with Xdb_core.Options.use_model_groups = false });
-      ("no-cardinality (3.4)", { base with Xdb_core.Options.use_cardinality = false });
-      ("no-backward-removal (3.5)", { base with Xdb_core.Options.remove_backward_tests = false });
-      ("no-dead-removal (3.7)", { base with Xdb_core.Options.remove_dead_templates = false });
-      ("straightforward [9]", Xdb_core.Options.straightforward);
+      ("no-inlining (3.3)", { base with O.inline_templates = false });
+      ("no-model-groups (3.4)", { base with O.use_model_groups = false });
+      ("no-cardinality (3.4)", { base with O.use_cardinality = false });
+      ("no-backward-removal (3.5)", { base with O.remove_backward_tests = false });
+      ("no-dead-removal (3.7)", { base with O.remove_dead_templates = false });
+      ("straightforward [9]", O.straightforward);
     ]
   in
   let cases = List.filter_map M.find [ "dbonerow"; "patterns"; "decoy"; "inventory"; "metric" ] in
-  Printf.printf "%-28s %12s %12s %12s\n" "configuration" "qsize(avg)" "eval(ms)" "sql-capable";
-  List.iter
-    (fun (label, options) ->
-      let sizes = ref 0 and times = ref 0.0 and sqlable = ref 0 in
-      List.iter
-        (fun (c : M.case) ->
-          let c = if c.M.name = "dbonerow" then M.dbonerow_for n else c in
-          let doc = M.doc_for c n in
-          let dc = PL.compile_for_document ~options c.M.stylesheet ~example_doc:doc in
-          let q = dc.PL.d_translation.Xdb_core.Xslt2xquery.query in
-          sizes := !sizes + Xdb_xquery.Ast.size q.Xdb_xquery.Ast.body;
-          times := !times +. time_ms ~repeat:3 (fun () -> PL.transform_via_xquery dc doc);
-          if c.M.db_capable then
-            let dv = M.dbview_for c n in
-            match Xdb_xquery.Sql_rewrite.rewrite_view_plan dv.D.db dv.D.view q with
-            | _ -> incr sqlable
-            | exception Xdb_xquery.Sql_rewrite.Not_rewritable _ -> ())
-        cases;
-      Printf.printf "%-28s %12d %12.2f %9d/%d\n" label
-        (!sizes / List.length cases)
-        !times !sqlable (List.length cases))
-    variants;
-  print_newline ()
+  let legs =
+    List.map
+      (fun (label, options) ->
+        let sizes = ref 0 and eval = ref { med = 0.0; lo = 0.0; hi = 0.0 } and sqlable = ref 0 in
+        List.iter
+          (fun (c : M.case) ->
+            let c = if c.M.name = "dbonerow" then M.dbonerow_for n else c in
+            let doc = M.doc_for c n in
+            let dc = PL.compile_for_document ~options c.M.stylesheet ~example_doc:doc in
+            let q = dc.PL.d_translation.Xdb_core.Xslt2xquery.query in
+            sizes := !sizes + Xdb_xquery.Ast.size q.Xdb_xquery.Ast.body;
+            (* the leg's time is the sum over its cases, extremes too *)
+            let t = time_ms (fun () -> PL.transform_via_xquery dc doc) in
+            eval := { med = !eval.med +. t.med; lo = !eval.lo +. t.lo; hi = !eval.hi +. t.hi };
+            if c.M.db_capable then
+              let dv = M.dbview_for c n in
+              match Xdb_xquery.Sql_rewrite.rewrite_view_plan dv.D.db dv.D.view q with
+              | _ -> incr sqlable
+              | exception Xdb_xquery.Sql_rewrite.Not_rewritable _ -> ())
+          cases;
+        [ ("figure", S "ablation"); ("configuration", S label);
+          ("qsize_avg", I (!sizes / List.length cases)) ]
+        @ timed "eval_ms" !eval
+        @ [ ("sql_capable", I !sqlable); ("cases", I (List.length cases)) ])
+      variants
+  in
+  report "BENCH_PR1" "ablation"
+    (Printf.sprintf "Ablation — §3.3–3.7 techniques toggled off individually (%d rows)" n)
+    legs
 
 (* ------------------------------------------------------------------ *)
 (* Storage-model study (paper §7.4)                                    *)
 (* ------------------------------------------------------------------ *)
 
 let storage ?(n = 8_000) () =
-  Printf.printf
-    "%s\nStorage models (paper §7.4) — dbonerow at %d rows\n%s\n" hrule n hrule;
   let case = M.dbonerow_for n in
   let dv = M.dbview_for case n in
   let comp = PL.compile dv.D.db dv.D.view case.M.stylesheet in
@@ -271,8 +301,7 @@ let storage ?(n = 8_000) () =
   let or_ms = time_ms (fun () -> PL.run_functional dv.D.db comp) in
   (* CLOB: serialized text parsed on access, then transform *)
   let docs = Xdb_rel.Publish.materialize dv.D.db dv.D.view in
-  let clob_tbl = Xdb_rel.Clob.store dv.D.db ~table:"clob_docs" docs in
-  ignore clob_tbl;
+  ignore (Xdb_rel.Clob.store dv.D.db ~table:"clob_docs" docs);
   let clob_ms =
     time_ms (fun () ->
         List.iter
@@ -286,17 +315,9 @@ let storage ?(n = 8_000) () =
   in
   (* rewrite (object-relational only: structural info required) *)
   let rewrite_ms = time_ms (fun () -> PL.run_rewrite dv.D.db comp) in
-  Printf.printf "%-34s %12s\n" "storage model" "time(ms)";
-  Printf.printf "%-34s %12.3f\n" "object-relational, no rewrite" or_ms;
-  Printf.printf "%-34s %12.3f\n" "CLOB (parse on access)" clob_ms;
-  Printf.printf "%-34s %12.3f\n" "tree (resident DOM)" tree_ms;
-  Printf.printf "%-34s %12.3f\n" "rewrite (B-tree probe)" rewrite_ms;
-  print_newline ();
   (* multi-document scenario: one document per record, select-and-transform
      the single matching document (paper's "CLOB with path/value index") *)
   let n_docs = 2_000 in
-  Printf.printf "%s\nStorage models, many-document scenario (%d single-record docs)\n%s\n"
-    hrule n_docs hrule;
   let docs =
     List.init n_docs (fun i ->
         let d = D.records_doc 1 in
@@ -310,8 +331,7 @@ let storage ?(n = 8_000) () =
         Xdb_xml.Types.reindex d;
         (i + 1, d))
   in
-  let target = n_docs / 2 in
-  let wanted = string_of_int target in
+  let wanted = string_of_int (n_docs / 2) in
   let clob_db = Xdb_rel.Database.create () in
   let _tbl = Xdb_rel.Clob.store clob_db ~table:"docs" (List.map snd docs) in
   let t_scan =
@@ -327,48 +347,58 @@ let storage ?(n = 8_000) () =
   let t_indexed =
     time_ms (fun () ->
         match Xdb_rel.Pathindex.lookup pidx ~path:"/table/row/id" ~value:wanted with
-        | docid :: _ ->
-            ignore (Xdb_rel.Clob.load_one clob_db ~table:"docs" ~docid)
+        | docid :: _ -> ignore (Xdb_rel.Clob.load_one clob_db ~table:"docs" ~docid)
         | [] -> ())
   in
-  Printf.printf "%-34s %12.3f\n" "CLOB scan (parse all, test)" t_scan;
-  Printf.printf "%-34s %12.3f\n" "CLOB + path/value index" t_indexed;
-  print_newline ()
+  let leg scenario model t =
+    [ ("figure", S "storage"); ("scenario", S scenario); ("model", S model) ] @ timed "ms" t
+  in
+  let single = Printf.sprintf "dbonerow, %d rows" n
+  and many = Printf.sprintf "%d single-record docs" n_docs in
+  report "BENCH_PR1" "storage" "Storage models (paper §7.4)"
+    [
+      leg single "object-relational, no rewrite" or_ms;
+      leg single "CLOB (parse on access)" clob_ms;
+      leg single "tree (resident DOM)" tree_ms;
+      leg single "rewrite (B-tree probe)" rewrite_ms;
+      leg many "CLOB scan (parse all, test)" t_scan;
+      leg many "CLOB + path/value index" t_indexed;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Partial-inline extension (§7.2)                                     *)
 (* ------------------------------------------------------------------ *)
 
 let partial_inline ?(n = 400) () =
-  Printf.printf
-    "%s\nPartial inline (§7.2 extension) — recursive cases at size %d\n%s\n" hrule n hrule;
-  Printf.printf "%-14s %16s %16s %10s %10s\n" "case" "non-inline(ms)" "partial(ms)" "funs(ni)"
-    "funs(pi)";
-  List.iter
-    (fun (c : M.case) ->
-      if not c.M.expect_inline then begin
-        let doc = M.doc_for c n in
-        let ni =
-          PL.compile_for_document ~options:Xdb_core.Options.default c.M.stylesheet
-            ~example_doc:doc
-        in
-        let pi =
-          PL.compile_for_document ~options:Xdb_core.Options.with_partial_inline c.M.stylesheet
-            ~example_doc:doc
-        in
-        (* correctness first *)
-        assert (PL.transform_via_xquery ni doc = PL.transform_via_xquery pi doc);
-        let t_ni = time_ms (fun () -> ignore (PL.transform_via_xquery ni doc)) in
-        let t_pi = time_ms (fun () -> ignore (PL.transform_via_xquery pi doc)) in
-        Printf.printf "%-14s %16.3f %16.3f %10d %10d\n" c.M.name t_ni t_pi
-          (List.length ni.PL.d_translation.Xdb_core.Xslt2xquery.query.Xdb_xquery.Ast.funs)
-          (List.length pi.PL.d_translation.Xdb_core.Xslt2xquery.query.Xdb_xquery.Ast.funs)
-      end)
-    M.all;
-  print_newline ()
+  let funs dc =
+    I (List.length dc.PL.d_translation.Xdb_core.Xslt2xquery.query.Xdb_xquery.Ast.funs)
+  in
+  let legs =
+    List.filter_map
+      (fun (c : M.case) ->
+        if c.M.expect_inline then None
+        else begin
+          let doc = M.doc_for c n in
+          let compile options = PL.compile_for_document ~options c.M.stylesheet ~example_doc:doc in
+          let ni = compile Xdb_core.Options.default in
+          let pi = compile Xdb_core.Options.with_partial_inline in
+          (* correctness first *)
+          assert (PL.transform_via_xquery ni doc = PL.transform_via_xquery pi doc);
+          let t_ni = time_ms (fun () -> ignore (PL.transform_via_xquery ni doc)) in
+          let t_pi = time_ms (fun () -> ignore (PL.transform_via_xquery pi doc)) in
+          Some
+            ([ ("figure", S "partial"); ("case", S c.M.name) ]
+            @ timed "noninline_ms" t_ni @ timed "partial_ms" t_pi
+            @ [ ("funs_noninline", funs ni); ("funs_partial", funs pi) ])
+        end)
+      M.all
+  in
+  report "BENCH_PR1" "partial"
+    (Printf.sprintf "Partial inline (§7.2 extension) — recursive cases at size %d" n)
+    legs
 
 (* ------------------------------------------------------------------ *)
-(* Plan quality (PR 2): per-operator q-error with vs without ANALYZE   *)
+(* Plan quality: per-operator q-error with vs without ANALYZE           *)
 (* ------------------------------------------------------------------ *)
 
 (* q-error = max(est/actual, actual/est), both clamped to >= 1 row *)
@@ -384,18 +414,12 @@ let median = function
       if k mod 2 = 1 then List.nth a (k / 2)
       else (List.nth a ((k / 2) - 1) +. List.nth a (k / 2)) /. 2.0
 
-(* one leg: compile pre-ANALYZE, collect stats, recompile (cost-based),
+(* per case: compile pre-ANALYZE, collect stats, recompile (cost-based),
    run instrumented, and compare per-operator estimates — System-R
    defaults vs statistics — against the actual row counts *)
 let planquality ?(n = 2_000) () =
-  Printf.printf
-    "%s\nPlan quality — per-operator q-error, System-R defaults vs ANALYZE stats (%d rows)\n%s\n"
-    hrule n hrule;
-  Printf.printf "%12s %5s %14s %14s %6s %14s\n" "case" "ops" "qerr(default)" "qerr(stats)" "wins"
-    "plan-changed";
-  let legs = ref [] in
-  let all_qerr_stats = ref [] and all_qerr_default = ref [] in
-  let csv_rows =
+  let module ST = Xdb_rel.Stats in
+  let per_case =
     List.map
       (fun name ->
         let case = Option.get (M.find name) in
@@ -403,87 +427,68 @@ let planquality ?(n = 2_000) () =
         let dv = M.dbview_for case n in
         let db = dv.D.db in
         (* pre-ANALYZE plan: rule-based, default selectivities *)
-        let comp_default = PL.compile db dv.D.view case.M.stylesheet in
-        let plan_default = Option.get comp_default.PL.sql_plan in
+        let plan_default = Option.get (PL.compile db dv.D.view case.M.stylesheet).PL.sql_plan in
         (* collect statistics and recompile: cost-based plan *)
         ignore (Xdb_rel.Analyze.all db);
         let comp_stats = PL.compile db dv.D.view case.M.stylesheet in
-        let plan_stats = Option.get comp_stats.PL.sql_plan in
         let plan_changed =
-          Xdb_rel.Algebra.plan_sql plan_stats <> Xdb_rel.Algebra.plan_sql plan_default
+          Xdb_rel.Algebra.plan_sql (Option.get comp_stats.PL.sql_plan)
+          <> Xdb_rel.Algebra.plan_sql plan_default
         in
         let _rows, stats_opt = PL.run_rewrite_analyzed db comp_stats in
-        let st = Option.get stats_opt in
         let ops =
           List.filter_map
-            (fun (e : Xdb_rel.Stats.entry) ->
-              let op = e.Xdb_rel.Stats.op in
-              if op.Xdb_rel.Stats.loops = 0 then None
+            (fun (e : ST.entry) ->
+              if e.op.ST.loops = 0 then None
               else
-                let actual =
-                  float_of_int op.Xdb_rel.Stats.rows /. float_of_int op.Xdb_rel.Stats.loops
-                in
-                let est_stats = Xdb_rel.Cost.estimate_rows db e.Xdb_rel.Stats.node in
-                let est_default = Xdb_rel.Cost.estimate_rows_default db e.Xdb_rel.Stats.node in
+                let actual = float_of_int e.op.ST.rows /. float_of_int e.op.ST.loops in
                 Some
-                  ( e.Xdb_rel.Stats.label,
-                    est_default,
-                    est_stats,
-                    actual,
-                    qerror est_default actual,
-                    qerror est_stats actual ))
-            (Xdb_rel.Stats.entries st)
+                  ( e.label,
+                    Xdb_rel.Cost.estimate_rows_default db e.node,
+                    Xdb_rel.Cost.estimate_rows db e.node,
+                    actual ))
+            (ST.entries (Option.get stats_opt))
         in
-        let qd = List.map (fun (_, _, _, _, q, _) -> q) ops in
-        let qs = List.map (fun (_, _, _, _, _, q) -> q) ops in
-        let wins =
-          List.length (List.filter (fun (_, _, _, _, d, s) -> s < d) ops)
+        let qd = List.map (fun (_, ed, _, a) -> qerror ed a) ops in
+        let qs = List.map (fun (_, _, es, a) -> qerror es a) ops in
+        let legs =
+          List.map
+            (fun (label, ed, es, a) ->
+              [ ("case", S name); ("op", S label); ("est_default", f2 ed); ("est_stats", f2 es);
+                ("actual", f2 a); ("qerr_default", f3 (qerror ed a));
+                ("qerr_stats", f3 (qerror es a)) ])
+            ops
         in
-        all_qerr_stats := qs @ !all_qerr_stats;
-        all_qerr_default := qd @ !all_qerr_default;
-        Printf.printf "%12s %5d %14.2f %14.2f %6d %14b\n" name (List.length ops) (median qd)
-          (median qs) wins plan_changed;
-        let ops_json =
-          String.concat ","
-            (List.map
-               (fun (label, ed, es, a, qd, qs) ->
-                 Printf.sprintf
-                   {|{"op":"%s","est_default":%.2f,"est_stats":%.2f,"actual":%.2f,"qerr_default":%.3f,"qerr_stats":%.3f}|}
-                   (json_escape label) ed es a qd qs)
-               ops)
+        let summary =
+          [ ("case", S name); ("rows", I n); ("operators", I (List.length ops));
+            ("median_qerr_default", f3 (median qd)); ("median_qerr_stats", f3 (median qs));
+            ("wins", I (List.length (List.filter Fun.id (List.map2 ( > ) qd qs))));
+            ("plan_changed", B plan_changed) ]
         in
-        legs :=
-          Printf.sprintf
-            {|{"case":"%s","rows":%d,"operators":%d,"median_qerr_default":%.3f,"median_qerr_stats":%.3f,"wins":%d,"plan_changed":%b,"per_operator":[%s]}|}
-            name n (List.length ops) (median qd) (median qs) wins plan_changed ops_json
-          :: !legs;
-        Printf.sprintf "%s,%d,%.3f,%.3f,%d,%b" name (List.length ops) (median qd) (median qs)
-          wins plan_changed)
+        (legs, summary, qd, qs))
       [ "dbonerow"; "avts"; "chart"; "metric"; "total" ]
   in
-  let med_stats = median !all_qerr_stats and med_default = median !all_qerr_default in
-  Printf.printf "%12s %5s %14.2f %14.2f\n" "OVERALL" "" med_default med_stats;
-  csv_out "planquality.csv" "case,operators,median_qerr_default,median_qerr_stats,wins,plan_changed"
-    csv_rows;
-  let oc = open_out "BENCH_PR2.json" in
-  Printf.fprintf oc
-    "{\"bench\":\"BENCH_PR2\",\"host\":%s,\"rows\":%d,\"median_qerror\":%.3f,\"median_qerror_default\":%.3f,\"legs\":[\n  %s\n]}\n"
-    (host_json ()) n med_stats med_default
-    (String.concat ",\n  " (List.rev !legs));
-  close_out oc;
-  print_endline "(written BENCH_PR2.json)";
-  print_newline ()
+  let all f = List.concat_map f per_case in
+  report "BENCH_PR2" "planquality"
+    (Printf.sprintf
+       "Plan quality — per-operator q-error, System-R defaults vs ANALYZE stats (%d rows)" n)
+    (all (fun (legs, _, _, _) -> legs))
+    ~summary:
+      (List.map (fun (_, s, _, _) -> s) per_case
+      @ [ [ ("case", S "OVERALL"); ("rows", I n);
+            ("median_qerror", f3 (median (all (fun (_, _, _, qs) -> qs))));
+            ("median_qerror_default", f3 (median (all (fun (_, _, qd, _) -> qd)))) ] ])
 
 (* ------------------------------------------------------------------ *)
-(* joinscale: hash join vs (index) nested loop (BENCH_PR9)             *)
+(* joinscale: hash join vs (index) nested loop                         *)
 (* ------------------------------------------------------------------ *)
 
 (* Join-heavy publishing shape: a fact table of orders against two
    dimension tables — one with an index on its key (the index-NL-friendly
    join) and one without (where a nested loop has to rescan the dimension
    per probe row).  Each join runs as a hash join and as the nested-loop
-   alternatives over the *same* outer side; results must be byte-identical
-   across physical operators before anything is timed.  The planner's own
+   alternatives over the *same* outer side; results are compared across
+   physical operators before anything is timed.  The planner's own
    post-ANALYZE choice for each join region is recorded alongside. *)
 let joinscale ?(sizes = [ 100_000; 1_000_000 ]) () =
   let module R = Xdb_rel in
@@ -492,29 +497,15 @@ let joinscale ?(sizes = [ 100_000; 1_000_000 ]) () =
   let n_cust = 1_000 and n_tag = 200 in
   let build n =
     let db = R.Database.create () in
+    let table name cols =
+      R.Database.create_table db name
+        (List.map (fun (col_name, col_type) -> { R.Table.col_name; col_type }) cols)
+    in
     let orders =
-      R.Database.create_table db "orders"
-        [
-          { R.Table.col_name = "oid"; col_type = V.Tint };
-          { R.Table.col_name = "cust"; col_type = V.Tint };
-          { R.Table.col_name = "tag"; col_type = V.Tint };
-          { R.Table.col_name = "amt"; col_type = V.Tint };
-        ]
+      table "orders" [ ("oid", V.Tint); ("cust", V.Tint); ("tag", V.Tint); ("amt", V.Tint) ]
     in
-    let dim_cust =
-      R.Database.create_table db "dim_cust"
-        [
-          { R.Table.col_name = "cid"; col_type = V.Tint };
-          { R.Table.col_name = "cname"; col_type = V.Tstr };
-        ]
-    in
-    let dim_tag =
-      R.Database.create_table db "dim_tag"
-        [
-          { R.Table.col_name = "tid"; col_type = V.Tint };
-          { R.Table.col_name = "tname"; col_type = V.Tstr };
-        ]
-    in
+    let dim_cust = table "dim_cust" [ ("cid", V.Tint); ("cname", V.Tstr) ] in
+    let dim_tag = table "dim_tag" [ ("tid", V.Tint); ("tname", V.Tstr) ] in
     let seed = ref 7 in
     let rand m =
       seed := ((!seed * 1103515245) + 12345) land 0x3FFFFFFF;
@@ -552,114 +543,87 @@ let joinscale ?(sizes = [ 100_000; 1_000_000 ]) () =
       }
   in
   let indexnl_plan ~dim ~dalias ~okey ~dkey ~index =
+    let key = A.qcol "o" okey in
     A.Nested_loop
       {
         outer;
         inner =
           A.Index_scan
-            {
-              table = dim;
-              alias = dalias;
-              index_column = index;
-              lo = A.Incl (A.qcol "o" okey);
-              hi = A.Incl (A.qcol "o" okey);
-            };
-        join_cond = Some A.(qcol "o" okey =. qcol dalias dkey);
+            { table = dim; alias = dalias; index_column = index; lo = A.Incl key; hi = A.Incl key };
+        join_cond = Some A.(key =. qcol dalias dkey);
       }
   in
   (* (oid, dimension name) rows in output order: equality across the
-     physical operators is the byte-identity assertion of the CI gate *)
+     physical operators is the byte-identity check *)
   let norm db name_col plan =
     let layout, rows = R.Exec.run_arrays db plan in
     let so = Option.get (R.Layout.slot_opt layout "oid") in
     let sn = Option.get (R.Layout.slot_opt layout name_col) in
     List.map (fun (r : V.t array) -> (V.to_int r.(so), V.to_string r.(sn))) rows
   in
-  Printf.printf "%s\njoinscale: hash join vs (index) nested loop\n%s\n" hrule hrule;
-  Printf.printf "%8s %8s %10s %12s %12s %9s %10s\n" "rows" "dim" "hash_ms" "nl_ms" "indexnl_ms"
-    "identical" "planner";
-  let legs = ref [] and csv_rows = ref [] in
-  List.iter
-    (fun n ->
-      let db = build n in
-      (* planner choice for the same join region, post-ANALYZE *)
-      let planner dim dalias okey dkey =
-        let region =
-          A.Filter
-            ( A.(qcol "o" okey =. qcol dalias dkey),
-              A.Nested_loop
-                {
-                  outer;
-                  inner = A.Seq_scan { table = dim; alias = dalias };
-                  join_cond = None;
-                } )
+  let legs =
+    List.concat_map
+      (fun n ->
+        let db = build n in
+        (* planner choice for the same join region, post-ANALYZE *)
+        let planner dim dalias okey dkey =
+          let region =
+            A.Filter
+              ( A.(qcol "o" okey =. qcol dalias dkey),
+                A.Nested_loop
+                  { outer; inner = A.Seq_scan { table = dim; alias = dalias }; join_cond = None } )
+          in
+          match R.Optimizer.optimize db region with
+          | A.Hash_join _ -> "hash"
+          | A.Nested_loop { inner = A.Index_scan _; _ } -> "index-nl"
+          | A.Nested_loop _ -> "nested-loop"
+          | A.Filter _ -> "filter(unjoined)"
+          | _ -> "other"
         in
-        match R.Optimizer.optimize db region with
-        | A.Hash_join _ -> "hash"
-        | A.Nested_loop { inner = A.Index_scan _; _ } -> "index-nl"
-        | A.Nested_loop _ -> "nested-loop"
-        | A.Filter _ -> "filter(unjoined)"
-        | _ -> "other"
-      in
-      ignore (R.Analyze.all db);
-      (* non-indexable dimension: hash vs forced nested loop *)
-      let tag_hash = hash_plan ~dim:"dim_tag" ~dalias:"t" ~okey:"tag" ~dkey:"tid" in
-      let tag_nl = nl_plan ~dim:"dim_tag" ~dalias:"t" ~okey:"tag" ~dkey:"tid" in
-      let hash_rows = norm db "tname" tag_hash in
-      let tag_planner = planner "dim_tag" "t" "tag" "tid" in
-      (* the nested loop rescans the 200-row dimension n times: time it
-         once, and only at the smaller sizes *)
-      let run_nl = n <= 100_000 in
-      let tag_identical = if run_nl then norm db "tname" tag_nl = hash_rows else true in
-      let tag_hash_ms = time_ms (fun () -> ignore (R.Exec.run_arrays db tag_hash)) in
-      let tag_nl_ms =
-        if run_nl then Some (time_ms ~repeat:1 (fun () -> ignore (R.Exec.run_arrays db tag_nl)))
-        else None
-      in
-      (* indexed dimension: hash vs index nested loop *)
-      let cust_hash = hash_plan ~dim:"dim_cust" ~dalias:"c" ~okey:"cust" ~dkey:"cid" in
-      let cust_inl =
-        indexnl_plan ~dim:"dim_cust" ~dalias:"c" ~okey:"cust" ~dkey:"cid" ~index:"cid"
-      in
-      let cust_identical = norm db "cname" cust_hash = norm db "cname" cust_inl in
-      let cust_planner = planner "dim_cust" "c" "cust" "cid" in
-      let cust_hash_ms = time_ms (fun () -> ignore (R.Exec.run_arrays db cust_hash)) in
-      let cust_inl_ms = time_ms (fun () -> ignore (R.Exec.run_arrays db cust_inl)) in
-      let fmt_opt = function Some ms -> Printf.sprintf "%.2f" ms | None -> "-" in
-      Printf.printf "%8d %8s %10.2f %12s %12s %9b %10s\n" n "tag" tag_hash_ms (fmt_opt tag_nl_ms)
-        "-" tag_identical tag_planner;
-      Printf.printf "%8d %8s %10.2f %12s %12.2f %9b %10s\n" n "cust" cust_hash_ms "-" cust_inl_ms
-        cust_identical cust_planner;
-      let leg ~dim ~hash_ms ~nl_ms ~indexnl_ms ~identical ~planner =
-        let opt = function Some ms -> Printf.sprintf "%.4f" ms | None -> "null" in
-        legs :=
-          Printf.sprintf
-            {|{"rows":%d,"dim":"%s","hash_ms":%.4f,"nl_ms":%s,"indexnl_ms":%s,"speedup_hash_vs_nl":%s,"identical":%b,"planner":"%s"}|}
-            n dim hash_ms (opt nl_ms) (opt indexnl_ms)
-            (match nl_ms with Some ms -> Printf.sprintf "%.2f" (ms /. hash_ms) | None -> "null")
-            identical planner
-          :: !legs;
-        csv_rows :=
-          Printf.sprintf "%d,%s,%.4f,%s,%s,%b,%s" n dim hash_ms (opt nl_ms) (opt indexnl_ms)
-            identical planner
-          :: !csv_rows
-      in
-      leg ~dim:"tag" ~hash_ms:tag_hash_ms ~nl_ms:tag_nl_ms ~indexnl_ms:None
-        ~identical:tag_identical ~planner:tag_planner;
-      leg ~dim:"cust" ~hash_ms:cust_hash_ms ~nl_ms:None ~indexnl_ms:(Some cust_inl_ms)
-        ~identical:cust_identical ~planner:cust_planner)
-    sizes;
-  csv_out "joinscale.csv" "rows,dim,hash_ms,nl_ms,indexnl_ms,identical,planner"
-    (List.rev !csv_rows);
-  let oc = open_out "BENCH_PR9.json" in
-  Printf.fprintf oc "{\"bench\":\"BENCH_PR9\",\"host\":%s,\"legs\":[\n  %s\n]}\n" (host_json ())
-    (String.concat ",\n  " (List.rev !legs));
-  close_out oc;
-  print_endline "(written BENCH_PR9.json)";
-  print_newline ()
+        ignore (R.Analyze.all db);
+        let time ?repeat plan = time_ms ?repeat (fun () -> ignore (R.Exec.run_arrays db plan)) in
+        let leg ~dim ~hash ~nl ~indexnl ~identical ~planner =
+          let ms key = function
+            | Some t -> timed key t
+            | None -> [ (key, Null); (key ^ "_min", Null); (key ^ "_max", Null) ]
+          in
+          [ ("rows", I n); ("dim", S dim) ]
+          @ timed "hash_ms" hash @ ms "nl_ms" nl @ ms "indexnl_ms" indexnl
+          @ [ ("speedup_hash_vs_nl", match nl with Some t -> f2 (t.med /. hash.med) | None -> Null);
+              ("identical", match identical with Some b -> B b | None -> Null);
+              ("planner", S planner) ]
+        in
+        (* non-indexable dimension: hash vs forced nested loop, which
+           rescans the 200-row dimension n times: run once, and only at
+           the smaller sizes; the larger legs compare nothing *)
+        let tag_hash = hash_plan ~dim:"dim_tag" ~dalias:"t" ~okey:"tag" ~dkey:"tid" in
+        let tag_nl = nl_plan ~dim:"dim_tag" ~dalias:"t" ~okey:"tag" ~dkey:"tid" in
+        let run_nl = n <= 100_000 in
+        let if_nl f = if run_nl then Some (f ()) else None in
+        let tag =
+          leg ~dim:"tag" ~hash:(time tag_hash)
+            ~nl:(if_nl (fun () -> time ~repeat:1 tag_nl))
+            ~indexnl:None
+            ~identical:(if_nl (fun () -> norm db "tname" tag_nl = norm db "tname" tag_hash))
+            ~planner:(planner "dim_tag" "t" "tag" "tid")
+        in
+        (* indexed dimension: hash vs index nested loop *)
+        let cust_hash = hash_plan ~dim:"dim_cust" ~dalias:"c" ~okey:"cust" ~dkey:"cid" in
+        let cust_inl =
+          indexnl_plan ~dim:"dim_cust" ~dalias:"c" ~okey:"cust" ~dkey:"cid" ~index:"cid"
+        in
+        let cust =
+          leg ~dim:"cust" ~hash:(time cust_hash) ~nl:None ~indexnl:(Some (time cust_inl))
+            ~identical:(Some (norm db "cname" cust_hash = norm db "cname" cust_inl))
+            ~planner:(planner "dim_cust" "c" "cust" "cid")
+        in
+        [ tag; cust ])
+      sizes
+  in
+  report "BENCH_PR9" "joinscale" "joinscale: hash join vs (index) nested loop" legs
 
 (* ------------------------------------------------------------------ *)
-(* pubstream: DOM vs streaming result construction (BENCH_PR4)         *)
+(* pubstream: DOM vs streaming result construction                     *)
 (* ------------------------------------------------------------------ *)
 
 let alloc_bytes f =
@@ -670,187 +634,123 @@ let alloc_bytes f =
 (* Every db-capable bench case's view, published by building each
    document's DOM then serializing it vs streaming spec events straight
    into the serializer.  Outputs are asserted byte-identical first; then
-   wall time (median of 3) and allocation (Gc.allocated_bytes delta over
-   one run) per leg.  The per-size totals are what CI gates on: streaming
-   must not be slower and must allocate strictly less at the large
-   size. *)
+   wall time and allocation (Gc.allocated_bytes delta over one run) per
+   leg, and per-size totals: streaming must not be slower and must
+   allocate strictly less at the large size. *)
 let pubstream ?(sizes = [ 8_000; 64_000 ]) () =
-  Printf.printf "%s\npubstream: DOM vs streamed output events (publish)\n%s\n" hrule
-    hrule;
-  Printf.printf "%8s %10s %8s %11s %11s %11s %11s\n" "rows" "case" "leg" "dom_ms" "stream_ms"
-    "dom_MB" "stream_MB";
-  let legs = ref [] and csv_rows = ref [] in
-  let summaries =
+  let per_size =
     List.map
       (fun n ->
-        let tot = Array.make 4 0.0 in
-        (* dom_ms, stream_ms, dom_alloc, stream_alloc *)
-        List.iter
-          (fun name ->
-            let case = Option.get (M.find name) in
-            let case = if name = "dbonerow" then M.dbonerow_for n else case in
-            let dv = M.dbview_for case n in
-            let db = dv.D.db and view = dv.D.view in
-            let publish_dom () =
-              List.map
-                (fun d -> Xdb_xml.Serializer.node_list_to_string d.Xdb_xml.Types.children)
-                (Xdb_rel.Publish.materialize db view)
-            in
-            let publish_stream () = Xdb_rel.Publish.materialize_serialized db view in
-            let leg label dom stream =
+        let legs =
+          List.map
+            (fun name ->
+              let case = Option.get (M.find name) in
+              let case = if name = "dbonerow" then M.dbonerow_for n else case in
+              let dv = M.dbview_for case n in
+              let db = dv.D.db and view = dv.D.view in
+              let dom () =
+                List.map
+                  (fun d -> Xdb_xml.Serializer.node_list_to_string d.Xdb_xml.Types.children)
+                  (Xdb_rel.Publish.materialize db view)
+              in
+              let stream () = Xdb_rel.Publish.materialize_serialized db view in
               assert (dom () = stream ());
               let dom_ms = time_ms dom and stream_ms = time_ms stream in
               let dom_alloc = alloc_bytes dom and stream_alloc = alloc_bytes stream in
-              tot.(0) <- tot.(0) +. dom_ms;
-              tot.(1) <- tot.(1) +. stream_ms;
-              tot.(2) <- tot.(2) +. dom_alloc;
-              tot.(3) <- tot.(3) +. stream_alloc;
-              Printf.printf "%8d %10s %8s %11.3f %11.3f %11.2f %11.2f\n" n name label dom_ms
-                stream_ms
-                (dom_alloc /. 1048576.0)
-                (stream_alloc /. 1048576.0);
-              legs :=
-                Printf.sprintf
-                  {|{"rows":%d,"case":"%s","leg":"%s","dom_ms":%.4f,"stream_ms":%.4f,"dom_alloc_bytes":%.0f,"stream_alloc_bytes":%.0f}|}
-                  n name label dom_ms stream_ms dom_alloc stream_alloc
-                :: !legs;
-              csv_rows :=
-                Printf.sprintf "%d,%s,%s,%.4f,%.4f,%.0f,%.0f" n name label dom_ms stream_ms
-                  dom_alloc stream_alloc
-                :: !csv_rows
-            in
-            leg "publish" publish_dom publish_stream)
-          [ "dbonerow"; "avts"; "chart"; "metric"; "total" ];
-        Printf.printf "%8d %10s %8s %11.3f %11.3f %11.2f %11.2f\n" n "TOTAL" "" tot.(0) tot.(1)
-          (tot.(2) /. 1048576.0)
-          (tot.(3) /. 1048576.0);
-        Printf.sprintf
-          {|{"rows":%d,"dom_ms":%.4f,"stream_ms":%.4f,"dom_alloc_bytes":%.0f,"stream_alloc_bytes":%.0f}|}
-          n tot.(0) tot.(1) tot.(2) tot.(3))
+              ( [ ("rows", I n); ("case", S name); ("leg", S "publish") ]
+                @ timed "dom_ms" dom_ms @ timed "stream_ms" stream_ms
+                @ [ ("dom_alloc_bytes", f0 dom_alloc); ("stream_alloc_bytes", f0 stream_alloc) ],
+                (dom_ms.med, stream_ms.med, dom_alloc, stream_alloc) ))
+            [ "dbonerow"; "avts"; "chart"; "metric"; "total" ]
+        in
+        let sum f = List.fold_left (fun acc (_, m) -> acc +. f m) 0.0 legs in
+        ( List.map fst legs,
+          [ ("rows", I n); ("dom_ms", f4 (sum (fun (d, _, _, _) -> d)));
+            ("stream_ms", f4 (sum (fun (_, s, _, _) -> s)));
+            ("dom_alloc_bytes", f0 (sum (fun (_, _, d, _) -> d)));
+            ("stream_alloc_bytes", f0 (sum (fun (_, _, _, s) -> s))) ] ))
       sizes
   in
-  csv_out "pubstream.csv" "rows,case,leg,dom_ms,stream_ms,dom_alloc_bytes,stream_alloc_bytes"
-    (List.rev !csv_rows);
-  let oc = open_out "BENCH_PR4.json" in
-  Printf.fprintf oc
-    "{\"bench\":\"BENCH_PR4\",\"host\":%s,\"legs\":[\n  %s\n],\"summary\":[\n  %s\n]}\n"
-    (host_json ())
-    (String.concat ",\n  " (List.rev !legs))
-    (String.concat ",\n  " summaries);
-  close_out oc;
-  print_endline "(written BENCH_PR4.json)";
-  print_newline ()
+  report "BENCH_PR4" "pubstream" "pubstream: DOM vs streamed output events (publish)"
+    (List.concat_map fst per_size) ~summary:(List.map snd per_size)
 
 (* ------------------------------------------------------------------ *)
-(* parscale: domain-parallel transform execution (BENCH_PR5)           *)
+(* parscale: domain-parallel transform execution                       *)
 (* ------------------------------------------------------------------ *)
 
 (* Every db-capable case, sharded into ~100-row documents (the paper's
    many-documents-in-an-XMLType-column scenario), run through the SQL/XML
    rewrite path with 1, 2 and 4 domains.  Byte-identity against the
    sequential run is asserted on every leg — correctness holds at any
-   core count — then wall time (median of 3) per leg and per-size totals
-   land in BENCH_PR5.json.  CI gates the 4-domain 64k-row total at
-   >= 1.5x, skipped when the machine has fewer than 4 cores (a pool can
-   only oversubscribe there). *)
+   core count — then wall time per leg and per-size totals. *)
 let parscale ?(sizes = [ 8_000; 64_000 ]) ?(jobs_list = [ 1; 2; 4 ]) () =
-  let nproc = Xdb_core.Parallel.default_jobs () in
-  Printf.printf "%s\nparscale: domain-parallel rewrite execution (recommended domains: %d)\n%s\n"
-    hrule nproc hrule;
-  Printf.printf "%8s %10s %6s %5s %12s %8s %10s\n" "rows" "case" "docs" "jobs" "time(ms)"
-    "speedup" "identical";
-  let legs = ref [] and csv_rows = ref [] in
-  let summaries =
+  let per_size =
     List.map
       (fun n ->
         let docs = max 4 (n / 100) in
-        let totals = List.map (fun j -> (j, ref 0.0)) jobs_list in
-        List.iter
-          (fun name ->
-            let case = Option.get (M.find name) in
-            let case = if name = "dbonerow" then M.dbonerow_for n else case in
-            let dv = M.dbview_for ~docs case n in
-            let comp = PL.compile dv.D.db dv.D.view case.M.stylesheet in
-            assert (comp.PL.sql_plan <> None);
-            let partitionable = PL.partition_table comp <> None in
-            let seq = PL.run_rewrite dv.D.db comp in
-            let base_ms = ref 0.0 in
-            List.iter
-              (fun jobs ->
-                Xdb_core.Parallel.with_pool ~jobs (fun pool ->
-                    let out = PL.run_rewrite ~pool dv.D.db comp in
-                    let identical = out = seq in
-                    assert identical;
-                    let ms =
-                      time_ms (fun () -> ignore (PL.run_rewrite ~pool dv.D.db comp))
-                    in
-                    if jobs = List.hd jobs_list then base_ms := ms;
-                    let tot = List.assoc jobs totals in
-                    tot := !tot +. ms;
-                    let speedup = !base_ms /. ms in
-                    Printf.printf "%8d %10s %6d %5d %12.3f %7.2fx %10b\n" n name docs jobs ms
-                      speedup identical;
-                    legs :=
-                      Printf.sprintf
-                        {|{"rows":%d,"case":"%s","docs":%d,"jobs":%d,"ms":%.4f,"speedup":%.3f,"identical":%b,"partitionable":%b}|}
-                        n name docs jobs ms speedup identical partitionable
-                      :: !legs;
-                    csv_rows :=
-                      Printf.sprintf "%d,%s,%d,%d,%.4f,%.3f,%b,%b" n name docs jobs ms speedup
-                        identical partitionable
-                      :: !csv_rows))
-              jobs_list)
-          [ "dbonerow"; "avts"; "chart"; "metric"; "total" ];
-        let base_total = !(List.assoc (List.hd jobs_list) totals) in
-        let jobs_json =
-          String.concat ","
-            (List.map
-               (fun (j, tot) ->
-                 Printf.sprintf {|{"jobs":%d,"total_ms":%.4f,"speedup":%.3f}|} j !tot
-                   (base_total /. !tot))
-               totals)
+        let legs =
+          List.concat_map
+            (fun name ->
+              let case = Option.get (M.find name) in
+              let case = if name = "dbonerow" then M.dbonerow_for n else case in
+              let dv = M.dbview_for ~docs case n in
+              let comp = PL.compile dv.D.db dv.D.view case.M.stylesheet in
+              assert (comp.PL.sql_plan <> None);
+              let partitionable = PL.partition_table comp <> None in
+              let seq = PL.run_rewrite dv.D.db comp in
+              let runs =
+                List.map
+                  (fun jobs ->
+                    Xdb_core.Parallel.with_pool ~jobs (fun pool ->
+                        let identical = PL.run_rewrite ~pool dv.D.db comp = seq in
+                        assert identical;
+                        let t = time_ms (fun () -> ignore (PL.run_rewrite ~pool dv.D.db comp)) in
+                        (jobs, t, identical)))
+                  jobs_list
+              in
+              let _, base, _ = List.hd runs in
+              List.map
+                (fun (jobs, t, identical) ->
+                  ( (jobs, t.med),
+                    [ ("rows", I n); ("case", S name); ("docs", I docs); ("jobs", I jobs) ]
+                    @ timed "ms" t
+                    @ [ ("speedup", f3 (base.med /. t.med)); ("identical", B identical);
+                        ("partitionable", B partitionable) ] ))
+                runs)
+            [ "dbonerow"; "avts"; "chart"; "metric"; "total" ]
         in
-        List.iter
-          (fun (j, tot) ->
-            Printf.printf "%8d %10s %6d %5d %12.3f %7.2fx\n" n "TOTAL" docs j !tot
-              (base_total /. !tot))
-          totals;
-        Printf.sprintf {|{"rows":%d,"docs":%d,"jobs":[%s]}|} n docs jobs_json)
+        let total j =
+          List.fold_left (fun acc ((j', ms), _) -> if j' = j then acc +. ms else acc) 0.0 legs
+        in
+        let base_total = total (List.hd jobs_list) in
+        ( List.map snd legs,
+          List.map
+            (fun j ->
+              [ ("rows", I n); ("docs", I docs); ("jobs", I j); ("total_ms", f4 (total j));
+                ("speedup", f3 (base_total /. total j)) ])
+            jobs_list ))
       sizes
   in
-  csv_out "parscale.csv" "rows,case,docs,jobs,ms,speedup,identical,partitionable"
-    (List.rev !csv_rows);
-  let oc = open_out "BENCH_PR5.json" in
-  Printf.fprintf oc
-    "{\"bench\":\"BENCH_PR5\",\"host\":%s,\"nproc\":%d,\"legs\":[\n  %s\n],\"summary\":[\n  %s\n]}\n"
-    (host_json ()) nproc
-    (String.concat ",\n  " (List.rev !legs))
-    (String.concat ",\n  " summaries);
-  close_out oc;
-  print_endline "(written BENCH_PR5.json)";
-  print_newline ()
+  report "BENCH_PR5" "parscale"
+    (Printf.sprintf "parscale: domain-parallel rewrite execution (recommended domains: %d)"
+       (Xdb_core.Parallel.default_jobs ()))
+    (List.concat_map fst per_size) ~summary:(List.concat_map snd per_size)
 
 (* ------------------------------------------------------------------ *)
-(* shredscale: DOM walk vs shredded staircase sweeps (BENCH_PR6)        *)
+(* shredscale: DOM walk vs shredded staircase sweeps                   *)
 (* ------------------------------------------------------------------ *)
 
 (* The records document shredded into interval-encoded node rows
    (Xdb_rel.Shred), then XPath lookups answered two ways: the DOM
    interpreter walking the resident tree vs staircase sweeps over the
-   pre-ordered row columns and its name postings.  Byte-identity (through the common attribute
-   rendering of Shred.serialize/serialize_dom) is asserted on every leg
-   before timing.  CI gates the large-size descendant lookups: the
-   shredded range scan must beat the DOM walk. *)
+   pre-ordered row columns and its name postings.  Byte-identity
+   (through the common attribute rendering of Shred.serialize /
+   serialize_dom) is asserted on every leg before timing.  The same legs
+   make two reports: BENCH_PR6 (shredded vs DOM, with totals) and
+   BENCH_PR8 (the set-at-a-time evaluator's speedup per query shape). *)
 let shredscale ?(sizes = [ 800; 6_400 ]) () =
   let module SH = Xdb_rel.Shred in
-  Printf.printf "%s\nshredscale: DOM tree walk vs shredded staircase sweeps\n%s\n" hrule hrule;
-  Printf.printf "%8s %12s %12s %12s %8s %10s\n" "nodes" "query" "dom_ms" "batch_ms"
-    "speedup" "identical";
-  let legs = ref [] and csv_rows = ref [] in
-  (* batched legs for BENCH_PR8: same query shapes, the set-at-a-time
-     evaluator against the DOM walk *)
-  let legs8 = ref [] and summaries8 = ref [] in
-  let summaries =
+  let per_size =
     List.map
       (fun n ->
         let doc = D.records_doc n in
@@ -876,78 +776,50 @@ let shredscale ?(sizes = [ 800; 6_400 ]) () =
             ("child-value", t, docid, ctx, Printf.sprintf "descendant::row[id='%s']" target);
           ]
         in
-        let tot_dom = ref 0.0 and tot_shred = ref 0.0 and lookup_speedup = ref 0.0 in
-        let all_identical = ref true in
-        let by_label = ref [] in
-        List.iter
-          (fun (label, t, docid, ctx, q) ->
-            let _, nodes = SH.stats t in
-            let shred_out = SH.serialize t ~docid (SH.select t ~docid q) in
-            let dom_out = SH.serialize_dom (Xdb_xpath.Eval.select ctx q) in
-            let identical = shred_out = dom_out in
-            all_identical := !all_identical && identical;
-            assert identical;
-            let dom_ms = time_ms (fun () -> ignore (Xdb_xpath.Eval.select ctx q)) in
-            let shred_ms = time_ms (fun () -> ignore (SH.select t ~docid q)) in
-            let speedup = dom_ms /. shred_ms in
-            if label = "lookup" then lookup_speedup := speedup;
-            by_label := (label, speedup) :: !by_label;
-            tot_dom := !tot_dom +. dom_ms;
-            tot_shred := !tot_shred +. shred_ms;
-            Printf.printf "%8d %12s %12.4f %12.4f %7.2fx %10b\n" nodes label dom_ms shred_ms
-              speedup identical;
-            legs :=
-              Printf.sprintf
-                {|{"nodes":%d,"query":"%s","xpath":"%s","dom_ms":%.4f,"shred_ms":%.4f,"speedup":%.3f,"identical":%b}|}
-                nodes label (json_escape q) dom_ms shred_ms speedup identical
-              :: !legs;
-            legs8 :=
-              Printf.sprintf
-                {|{"nodes":%d,"query":"%s","xpath":"%s","dom_ms":%.4f,"batch_ms":%.4f,"speedup_vs_dom":%.3f,"identical":%b}|}
-                nodes label (json_escape q) dom_ms shred_ms speedup identical
-              :: !legs8;
-            csv_rows :=
-              Printf.sprintf "%d,%s,%.4f,%.4f,%.3f,%b" nodes label dom_ms shred_ms speedup
-                identical
-              :: !csv_rows)
-          queries;
-        Printf.printf "%8d %12s %12.4f %12.4f %7.2fx\n" nodes "TOTAL" !tot_dom !tot_shred
-          (!tot_dom /. !tot_shred);
-        let sp l = try List.assoc l !by_label with Not_found -> 0.0 in
-        summaries8 :=
-          Printf.sprintf
-            {|{"nodes":%d,"descendant_speedup":%.3f,"child_value_speedup":%.3f,"lookup_speedup":%.3f,"all_identical":%b}|}
-            nodes (sp "descendant") (sp "child-value") !lookup_speedup !all_identical
-          :: !summaries8;
-        Printf.sprintf
-          {|{"nodes":%d,"dom_ms":%.4f,"shred_ms":%.4f,"total_speedup":%.3f,"lookup_speedup":%.3f,"all_identical":%b}|}
-          nodes !tot_dom !tot_shred
-          (!tot_dom /. !tot_shred)
-          !lookup_speedup !all_identical)
+        let legs =
+          List.map
+            (fun (label, t, docid, ctx, q) ->
+              let _, nodes = SH.stats t in
+              assert (
+                SH.serialize t ~docid (SH.select t ~docid q)
+                = SH.serialize_dom (Xdb_xpath.Eval.select ctx q));
+              let dom = time_ms (fun () -> ignore (Xdb_xpath.Eval.select ctx q)) in
+              let shred = time_ms (fun () -> ignore (SH.select t ~docid q)) in
+              (label, nodes, q, dom, shred, dom.med /. shred.med))
+            queries
+        in
+        let leg shred_key speedup_key (label, nodes, q, dom, shred, speedup) =
+          [ ("nodes", I nodes); ("query", S label); ("xpath", S q) ]
+          @ timed "dom_ms" dom @ timed shred_key shred
+          @ [ (speedup_key, f3 speedup); ("identical", B true) ]
+        in
+        let sp l =
+          List.fold_left (fun acc (l', _, _, _, _, s) -> if l' = l then s else acc) 0.0 legs
+        in
+        let tot f = List.fold_left (fun acc (_, _, _, d, s, _) -> acc +. (f (d, s)).med) 0.0 legs in
+        let tot_dom = tot fst and tot_shred = tot snd in
+        ( List.map (leg "shred_ms" "speedup") legs,
+          [ ("nodes", I nodes); ("dom_ms", f4 tot_dom); ("shred_ms", f4 tot_shred);
+            ("total_speedup", f3 (tot_dom /. tot_shred)); ("lookup_speedup", f3 (sp "lookup"));
+            ("all_identical", B true) ],
+          List.map (leg "batch_ms" "speedup_vs_dom") legs,
+          [ ("nodes", I nodes); ("descendant_speedup", f3 (sp "descendant"));
+            ("child_value_speedup", f3 (sp "child-value")); ("lookup_speedup", f3 (sp "lookup"));
+            ("all_identical", B true) ] ))
       sizes
   in
-  csv_out "shredscale.csv" "nodes,query,dom_ms,batch_ms,speedup,identical"
-    (List.rev !csv_rows);
-  let oc = open_out "BENCH_PR6.json" in
-  Printf.fprintf oc
-    "{\"bench\":\"BENCH_PR6\",\"host\":%s,\"legs\":[\n  %s\n],\"summary\":[\n  %s\n]}\n"
-    (host_json ())
-    (String.concat ",\n  " (List.rev !legs))
-    (String.concat ",\n  " summaries);
-  close_out oc;
-  print_endline "(written BENCH_PR6.json)";
-  let oc = open_out "BENCH_PR8.json" in
-  Printf.fprintf oc
-    "{\"bench\":\"BENCH_PR8\",\"host\":%s,\"legs\":[\n  %s\n],\"summary\":[\n  %s\n]}\n"
-    (host_json ())
-    (String.concat ",\n  " (List.rev !legs8))
-    (String.concat ",\n  " (List.rev !summaries8));
-  close_out oc;
-  print_endline "(written BENCH_PR8.json)";
-  print_newline ()
+  let title = "shredscale: DOM tree walk vs shredded staircase sweeps" in
+  [
+    report "BENCH_PR6" "shredscale" title
+      (List.concat_map (fun (l, _, _, _) -> l) per_size)
+      ~summary:(List.map (fun (_, s, _, _) -> s) per_size);
+    report "BENCH_PR8" "shredscale-batch" (title ^ " (batch evaluator vs DOM)")
+      (List.concat_map (fun (_, _, l, _) -> l) per_size)
+      ~summary:(List.map (fun (_, _, _, s) -> s) per_size);
+  ]
 
 (* ------------------------------------------------------------------ *)
-(* servebench: closed-loop concurrent serving workload (BENCH_PR7)     *)
+(* servebench: closed-loop concurrent serving workload                 *)
 (* ------------------------------------------------------------------ *)
 
 module SV = Xdb_core.Server
@@ -971,14 +843,9 @@ let pct samples q =
    single-client reference.  A final deterministic overload scenario
    (max_in_flight 1, queue 2, five concurrent requests) demonstrates
    that admission control rejects with Overloaded instead of
-   deadlocking.  CI gates: all responses identical, rejections > 0 with
-   everything accounted for, and — when the host has ≥ 2 cores —
-   concurrent throughput at the highest client count no worse than the
-   single-client run. *)
+   deadlocking. *)
 let servebench ?(size = 2_000) ?(clients_list = [ 1; 2; 4 ]) ?(per_case = 24) () =
   let nproc = Xdb_core.Parallel.default_jobs () in
-  Printf.printf "%s\nservebench: closed-loop serving over one shared Engine (nproc %d)\n%s\n"
-    hrule nproc hrule;
   let dv = D.records_db size in
   let engine = EN.create dv.D.db in
   EN.register_view engine dv.D.view;
@@ -986,24 +853,17 @@ let servebench ?(size = 2_000) ?(clients_list = [ 1; 2; 4 ]) ?(per_case = 24) ()
   let cases =
     List.map
       (fun name ->
-        let c =
-          if name = "dbonerow" then M.dbonerow_for size
-          else Option.get (M.find name)
-        in
+        let c = if name = "dbonerow" then M.dbonerow_for size else Option.get (M.find name) in
         (name, c.M.stylesheet))
       [ "dbonerow"; "avts"; "metric" ]
   in
   (* single-client reference outputs (and plan-cache warmup) *)
   let reference =
     List.map
-      (fun (name, ss) ->
-        (name, (EN.transform engine ~view_name ~stylesheet:ss).EN.output))
+      (fun (name, ss) -> (name, (EN.transform engine ~view_name ~stylesheet:ss).EN.output))
       cases
   in
-  Printf.printf "%8s %10s %9s %12s %9s %9s %9s %10s\n" "clients" "case" "requests"
-    "thrpt(r/s)" "p50(ms)" "p95(ms)" "p99(ms)" "identical";
-  let legs = ref [] and csv_rows = ref [] in
-  let summaries =
+  let per_clients =
     List.map
       (fun clients ->
         (* in-flight bounded to the core count: admission control's job is
@@ -1047,43 +907,32 @@ let servebench ?(size = 2_000) ?(clients_list = [ 1; 2; 4 ]) ?(per_case = 24) ()
         let first_start = List.fold_left (fun m (t0, _, _) -> Float.min m t0) infinity runs
         and last_stop = List.fold_left (fun m (_, t1, _) -> Float.max m t1) 0.0 runs in
         let wall_ms = (last_stop -. first_start) *. 1000.0 in
-        let per_client = List.map (fun (_, _, out) -> out) runs in
         let snap = SV.snapshot server in
         SV.shutdown server;
-        let samples = List.concat per_client in
-        let total = List.length samples in
-        List.iter
-          (fun (case, _) ->
-            let ours = List.filter (fun (n, _, _) -> n = case) samples in
-            let lats = List.map (fun (_, ms, _) -> ms) ours in
-            let identical = List.for_all (fun (_, _, ok) -> ok) ours in
-            assert identical;
-            let k = List.length ours in
-            let thrpt = float_of_int k /. (wall_ms /. 1000.0) in
-            let p50 = pct lats 0.50 and p95 = pct lats 0.95 and p99 = pct lats 0.99 in
-            Printf.printf "%8d %10s %9d %12.1f %9.3f %9.3f %9.3f %10b\n" clients case k
-              thrpt p50 p95 p99 identical;
-            legs :=
-              Printf.sprintf
-                {|{"clients":%d,"case":"%s","requests":%d,"throughput_rps":%.3f,"p50_ms":%.4f,"p95_ms":%.4f,"p99_ms":%.4f,"identical":%b}|}
-                clients case k thrpt p50 p95 p99 identical
-              :: !legs;
-            csv_rows :=
-              Printf.sprintf "%d,%s,%d,%.3f,%.4f,%.4f,%.4f,%b" clients case k thrpt p50
-                p95 p99 identical
-              :: !csv_rows)
-          cases;
-        let thrpt = float_of_int total /. (wall_ms /. 1000.0) in
-        Printf.printf "%8d %10s %9d %12.1f   (wall %.1fms, queued %d, rejected %d)\n"
-          clients "TOTAL" total thrpt wall_ms snap.SV.queued snap.SV.rejected;
-        Printf.sprintf
-          {|{"clients":%d,"requests":%d,"wall_ms":%.4f,"throughput_rps":%.3f,"queued":%d,"rejected":%d}|}
-          clients total wall_ms thrpt snap.SV.queued snap.SV.rejected)
+        let samples = List.concat_map (fun (_, _, out) -> out) runs in
+        let rps k = f3 (float_of_int k /. (wall_ms /. 1000.0)) in
+        let legs =
+          List.map
+            (fun (case, _) ->
+              let ours = List.filter (fun (n, _, _) -> n = case) samples in
+              let lats = List.map (fun (_, ms, _) -> ms) ours in
+              let identical = List.for_all (fun (_, _, ok) -> ok) ours in
+              assert identical;
+              [ ("clients", I clients); ("case", S case); ("requests", I (List.length ours));
+                ("throughput_rps", rps (List.length ours)); ("p50_ms", f4 (pct lats 0.50));
+                ("p95_ms", f4 (pct lats 0.95)); ("p99_ms", f4 (pct lats 0.99));
+                ("identical", B identical) ])
+            cases
+        in
+        ( legs,
+          [ ("rows", I size); ("clients", I clients); ("requests", I (List.length samples));
+            ("wall_ms", f4 wall_ms); ("throughput_rps", rps (List.length samples));
+            ("queued", I snap.SV.queued); ("rejected", I snap.SV.rejected) ] ))
       clients_list
   in
   (* deterministic overload: one slot, a queue of two, five concurrent
      requests — two must be rejected with Overloaded, none may hang *)
-  let overload_json =
+  let overload =
     let server = SV.create ~max_in_flight:1 ~max_queue:2 engine in
     let blocker = Mutex.create () in
     Mutex.lock blocker;
@@ -1105,41 +954,28 @@ let servebench ?(size = 2_000) ?(clients_list = [ 1; 2; 4 ]) ?(per_case = 24) ()
     wait_for "first request never started" (fun s -> s.SV.in_flight = 1);
     let d2 = blocked () and d3 = blocked () in
     wait_for "queue never filled" (fun s -> s.SV.queue_depth = 2);
-    let rejections = ref 0 in
     for _ = 1 to 2 do
       match SV.submit sess (fun _ -> ()) with
       | () -> ()
-      | exception Xdb_core.Xdb_error.Error (Xdb_core.Xdb_error.Overloaded _) ->
-          incr rejections
+      | exception Xdb_core.Xdb_error.Error (Xdb_core.Xdb_error.Overloaded _) -> ()
     done;
     Mutex.unlock blocker;
     List.iter Domain.join [ d1; d2; d3 ];
     let snap = SV.snapshot server in
     SV.shutdown server;
-    Printf.printf
-      "overload: attempted 5, accepted %d, queued %d, rejected %d (no deadlock)\n"
-      snap.SV.accepted snap.SV.queued snap.SV.rejected;
-    Printf.sprintf
-      {|{"max_in_flight":1,"max_queue":2,"attempted":5,"accepted":%d,"queued":%d,"rejected":%d,"completed":%d,"deadlock_free":true}|}
-      snap.SV.accepted snap.SV.queued snap.SV.rejected snap.SV.completed
+    [ ("scenario", S "overload"); ("max_in_flight", I 1); ("max_queue", I 2); ("attempted", I 5);
+      ("accepted", I snap.SV.accepted); ("queued", I snap.SV.queued);
+      ("rejected", I snap.SV.rejected); ("completed", I snap.SV.completed);
+      ("deadlock_free", B true) ]
   in
   EN.shutdown engine;
-  csv_out "servebench.csv" "clients,case,requests,throughput_rps,p50_ms,p95_ms,p99_ms,identical"
-    (List.rev !csv_rows);
-  let oc = open_out "BENCH_PR7.json" in
-  Printf.fprintf oc
-    "{\"bench\":\"BENCH_PR7\",\"host\":%s,\"rows\":%d,\"legs\":[\n  %s\n],\"summary\":[\n  \
-     %s\n],\"overload\":%s}\n"
-    (host_json ()) size
-    (String.concat ",\n  " (List.rev !legs))
-    (String.concat ",\n  " summaries)
-    overload_json;
-  close_out oc;
-  print_endline "(written BENCH_PR7.json)";
-  print_newline ()
+  report "BENCH_PR7" "servebench"
+    (Printf.sprintf "servebench: closed-loop serving over one shared Engine (nproc %d)" nproc)
+    (List.concat_map fst per_clients)
+    ~summary:(List.map snd per_clients @ [ overload ])
 
 (* ------------------------------------------------------------------ *)
-(* rwbench: mixed read/write workload over the result cache (BENCH_PR10) *)
+(* rwbench: mixed read/write workload over the result cache            *)
 (* ------------------------------------------------------------------ *)
 
 (* The DML payoff measured end to end.  Three parts:
@@ -1147,18 +983,16 @@ let servebench ?(size = 2_000) ?(clients_list = [ 1; 2; 4 ]) ?(per_case = 24) ()
    1. cached-read speedup: the same transform served from the result
       cache vs forced recompute ([result_cache = false]) — the cache hit
       is a hash probe plus per-table version compares, so the gap is the
-      whole plan execution (CI gates >= 20x);
+      whole plan execution;
    2. mixed legs (95/5 and 50/50 read/write): a deterministic LCG
       interleaves UPDATEs through [Engine.execute] with transform reads.
       EVERY read is recomputed with the cache off and compared
       byte-for-byte against the cached answer — [stale_reads] counts
-      mismatches and must be zero (asserted here and gated in CI);
+      mismatches and must be zero;
    3. per-leg hit ratio from the engine's result-cache counters, showing
       how write frequency degrades cacheability (95/5 should still hit
       on most reads, 50/50 mostly misses). *)
 let rwbench ?(size = 2_000) ?(requests = 400) () =
-  Printf.printf "%s\nrwbench: DML + data-versioned result cache (rows %d)\n%s\n" hrule size
-    hrule;
   let fresh_engine () =
     let dv = D.records_db size in
     let engine = EN.create dv.D.db in
@@ -1174,27 +1008,18 @@ let rwbench ?(size = 2_000) ?(requests = 400) () =
   let nocache = { EN.default_run_options with EN.result_cache = false } in
   (* part 1: cached read vs recompute, same request *)
   let engine, view_name = fresh_engine () in
-  let read ?options () =
-    (EN.transform ?options engine ~view_name ~stylesheet).EN.output
-  in
+  let read ?options () = (EN.transform ?options engine ~view_name ~stylesheet).EN.output in
   let reference = read () (* populates the cache *) in
-  let cached_ms = time_ms ~repeat:9 (fun () -> ignore (read ())) in
-  let recompute_ms = time_ms ~repeat:9 (fun () -> ignore (read ~options:nocache ())) in
-  let speedup = recompute_ms /. cached_ms in
+  let cached = time_ms ~repeat:9 (fun () -> ignore (read ())) in
+  let recompute = time_ms ~repeat:9 (fun () -> ignore (read ~options:nocache ())) in
   assert (read () = reference);
   EN.shutdown engine;
-  Printf.printf "cached read %.4fms   recompute %.4fms   speedup %.1fx\n\n" cached_ms
-    recompute_ms speedup;
   (* parts 2+3: mixed legs *)
-  Printf.printf "%10s %9s %8s %8s %9s %10s %12s %12s %11s\n" "mix" "requests" "reads"
-    "writes" "hits" "hit_ratio" "read_ms(p50)" "write_ms(p50)" "stale_reads";
-  let csv_rows = ref [] in
   let legs =
     List.map
       (fun write_pct ->
         let engine, view_name = fresh_engine () in
         let rand = D.lcg (size + (97 * write_pct)) in
-        let hits0 () = List.assoc "result_cache_hits" (EN.result_cache_counters engine) in
         let reads = ref 0 and writes = ref 0 and stale = ref 0 in
         let read_lat = ref [] and write_lat = ref [] in
         let t0 = Unix.gettimeofday () in
@@ -1225,114 +1050,246 @@ let rwbench ?(size = 2_000) ?(requests = 400) () =
           end
         done;
         let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-        let hits = hits0 () in
+        let hits = List.assoc "result_cache_hits" (EN.result_cache_counters engine) in
         EN.shutdown engine;
         (* staleness is a correctness bug, not a performance number *)
         assert (!stale = 0);
-        let mix = Printf.sprintf "%d/%d" (100 - write_pct) write_pct in
-        let hit_ratio = float_of_int hits /. float_of_int (max 1 !reads) in
-        let rp50 = pct !read_lat 0.50 and wp50 = pct !write_lat 0.50 in
-        Printf.printf "%10s %9d %8d %8d %9d %10.2f %12.4f %12.4f %11d\n" mix requests
-          !reads !writes hits hit_ratio rp50 wp50 !stale;
-        csv_rows :=
-          Printf.sprintf "%s,%d,%d,%d,%d,%.4f,%d" mix requests !reads !writes hits
-            hit_ratio !stale
-          :: !csv_rows;
-        Printf.sprintf
-          {|{"mix":"%s","write_pct":%d,"requests":%d,"reads":%d,"writes":%d,"cache_hits":%d,"hit_ratio":%.4f,"read_p50_ms":%.4f,"write_p50_ms":%.4f,"wall_ms":%.4f,"stale_reads":%d}|}
-          mix write_pct requests !reads !writes hits hit_ratio rp50 wp50 wall_ms !stale)
+        [ ("mix", S (Printf.sprintf "%d/%d" (100 - write_pct) write_pct));
+          ("write_pct", I write_pct); ("requests", I requests); ("reads", I !reads);
+          ("writes", I !writes); ("cache_hits", I hits);
+          ("hit_ratio", f4 (float_of_int hits /. float_of_int (max 1 !reads)));
+          ("read_p50_ms", f4 (pct !read_lat 0.50)); ("write_p50_ms", f4 (pct !write_lat 0.50));
+          ("wall_ms", f4 wall_ms); ("stale_reads", I !stale) ])
       [ 5; 50 ]
   in
-  csv_out "rwbench.csv" "mix,requests,reads,writes,cache_hits,hit_ratio,stale_reads"
-    (List.rev !csv_rows);
-  let oc = open_out "BENCH_PR10.json" in
-  Printf.fprintf oc
-    "{\"bench\":\"BENCH_PR10\",\"host\":%s,\"rows\":%d,\"cached_read\":{\"cached_ms\":%.4f,\"recompute_ms\":%.4f,\"speedup\":%.2f},\"legs\":[\n  %s\n]}\n"
-    (host_json ()) size cached_ms recompute_ms speedup
-    (String.concat ",\n  " legs);
-  close_out oc;
-  print_endline "(written BENCH_PR10.json)";
-  print_newline ()
+  report "BENCH_PR10" "rwbench"
+    (Printf.sprintf "rwbench: DML + data-versioned result cache (rows %d)" size)
+    legs
+    ~summary:
+      [ [ ("part", S "cached_read"); ("rows", I size) ]
+        @ timed "cached_ms" cached @ timed "recompute_ms" recompute
+        @ [ ("speedup", f2 (recompute.med /. cached.med)) ] ]
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
+(* Gates                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let micro () =
-  let open Bechamel in
-  let open Toolkit in
-  let n = 4_000 in
-  let case = M.dbonerow_for n in
-  let dv = M.dbview_for case n in
-  let comp = PL.compile dv.D.db dv.D.view case.M.stylesheet in
-  let docs = Xdb_rel.Publish.materialize dv.D.db dv.D.view in
-  let doc = List.hd docs in
-  let avts = Option.get (M.find "avts") in
-  let dv_avts = M.dbview_for avts n in
-  let comp_avts = PL.compile dv_avts.D.db dv_avts.D.view avts.M.stylesheet in
-  let tests =
-    [
-      (* Figure 2 legs *)
-      Test.make ~name:"fig2/dbonerow/rewrite"
-        (Staged.stage (fun () -> ignore (PL.run_rewrite dv.D.db comp)));
-      Test.make ~name:"fig2/dbonerow/no-rewrite"
-        (Staged.stage (fun () -> ignore (PL.run_functional dv.D.db comp)));
-      (* Figure 3 representative *)
-      Test.make ~name:"fig3/avts/rewrite"
-        (Staged.stage (fun () -> ignore (PL.run_rewrite dv_avts.D.db comp_avts)));
-      Test.make ~name:"fig3/avts/no-rewrite"
-        (Staged.stage (fun () -> ignore (PL.run_functional dv_avts.D.db comp_avts)));
-      (* pipeline stages *)
-      Test.make ~name:"stage/materialize"
-        (Staged.stage (fun () -> ignore (Xdb_rel.Publish.materialize dv.D.db dv.D.view)));
-      Test.make ~name:"stage/vm-transform"
-        (Staged.stage (fun () -> ignore (Xdb_xslt.Vm.transform comp.PL.vm_prog doc)));
-      Test.make ~name:"stage/compile-translate"
-        (Staged.stage (fun () -> ignore (PL.compile dv.D.db dv.D.view case.M.stylesheet)));
-    ]
+(* a gate's measured value, its predicate and its threshold, or why the
+   gate does not apply on this host *)
+type outcome = Measured of float * (string * (float -> float -> bool)) * float | Skip of string
+
+(* a check over the rows of a report written to the file [bench] *)
+type gate = { bench : string; name : string; measure : report -> outcome }
+
+let le = ("<=", ( <= )) and lt = ("<", ( < )) and ge = (">=", ( >= )) and gt = (">", ( > ))
+let eq = ("=", ( = ))
+
+(* RFC 8259 syntax of a whole text, no more *)
+let json_valid s =
+  let n = String.length s and i = ref 0 in
+  let peek () = if !i < n then s.[!i] else '\000' in
+  let skip chars = while !i < n && String.contains chars s.[!i] do incr i done in
+  let expect c = if peek () = c then incr i else raise Exit in
+  let word w = String.iter expect w in
+  let str () =
+    expect '"';
+    while peek () <> '"' do
+      if !i >= n || s.[!i] < ' ' then raise Exit;
+      i := !i + if s.[!i] = '\\' then 2 else 1
+    done;
+    incr i
   in
-  Printf.printf "%s\nBechamel micro-benchmarks (ns/run, monotonic clock)\n%s\n" hrule hrule;
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.8) ~kde:(Some 100) () in
-  let results = Benchmark.all cfg instances (Test.make_grouped ~name:"xdb" tests) in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let res = Analyze.all ols Instance.monotonic_clock results in
-  Hashtbl.iter
-    (fun name est ->
-      match Bechamel.Analyze.OLS.estimates est with
-      | Some [ e ] -> Printf.printf "  %-34s %14.0f ns/run\n" name e
-      | _ -> Printf.printf "  %-34s (no estimate)\n" name)
-    res;
-  print_newline ()
+  let rec value () =
+    skip " \t\r\n";
+    (match peek () with
+    | '{' -> incr i; skip " \t\r\n"; if peek () = '}' then incr i else seq member '}'
+    | '[' -> incr i; skip " \t\r\n"; if peek () = ']' then incr i else seq value ']'
+    | '"' -> str ()
+    | 't' -> word "true"
+    | 'f' -> word "false"
+    | 'n' -> word "null"
+    | '-' | '0' .. '9' ->
+        let j = !i in
+        skip "+-0123456789.eE";
+        if float_of_string_opt (String.sub s j (!i - j)) = None then raise Exit
+    | _ -> raise Exit);
+    skip " \t\r\n"
+  and member () =
+    skip " \t\r\n";
+    str ();
+    skip " \t\r\n";
+    expect ':';
+    value ()
+  and seq item close =
+    item ();
+    if peek () = ',' then (incr i; seq item close) else expect close
+  in
+  match value () with () -> !i = n | exception Exit -> false
+
+let num row key =
+  match List.assoc_opt key row with
+  | Some (I i) -> float_of_int i
+  | Some (F (_, x)) -> x
+  | Some (B b) -> if b then 1.0 else 0.0
+  | _ -> Float.nan
+
+let has key v row = List.assoc_opt key row = Some v
+let sum rows f = List.fold_left (fun acc r -> acc +. f r) 0.0 rows
+
+let largest key = function
+  | [] -> raise Not_found
+  | r :: rows -> List.fold_left (fun a r -> if num r key > num a key then r else a) r rows
+
+let gate bench name measure = { bench; name; measure }
+let value_at rows pred key cmp threshold = Measured (num (List.find pred rows) key, cmp, threshold)
+
+(* compared legs (identical true or false, not null) that came out
+   byte-identical, against all compared legs *)
+let identity bench what =
+  gate bench (what ^ " byte-identical (compared legs)") (fun r ->
+      let compared = List.filter (fun l -> not (Float.is_nan (num l "identical"))) r.legs in
+      Measured (sum compared (fun l -> num l "identical"), eq, float_of_int (List.length compared)))
+
+(* Every threshold the benchmark holds the program to, once each. *)
+let gates =
+  let nproc = Xdb_core.Parallel.default_jobs () in
+  let rows64k = has "rows" (I 64000) and overload = has "scenario" (S "overload") in
+  [
+    gate "BENCH_PR1" "BENCH_PR1.json is valid JSON" (fun r ->
+        let ic = open_in_bin (r.bench ^ ".json") in
+        let text = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        Measured ((if json_valid text then 1.0 else 0.0), eq, 1.0));
+    gate "BENCH_PR2" "median q-error with statistics" (fun r ->
+        value_at r.summary (has "case" (S "OVERALL")) "median_qerror" le 4.0);
+    gate "BENCH_PR4" "64k: stream alloc bytes < DOM alloc bytes" (fun r ->
+        let s = List.find rows64k r.summary in
+        Measured (num s "stream_alloc_bytes", lt, num s "dom_alloc_bytes"));
+    gate "BENCH_PR4" "64k: stream ms <= DOM ms" (fun r ->
+        let s = List.find rows64k r.summary in
+        Measured (num s "stream_ms", le, num s "dom_ms"));
+    identity "BENCH_PR5" "parallel runs";
+    gate "BENCH_PR5" "64k: 4-domain speedup" (fun r ->
+        if nproc < 4 then
+          Skip (Printf.sprintf "nproc=%d < 4: a pool would only oversubscribe" nproc)
+        else value_at r.summary (fun s -> rows64k s && has "jobs" (I 4) s) "speedup" ge 1.5);
+    identity "BENCH_PR6" "shredded results";
+    gate "BENCH_PR6" "largest leg's nodes" (fun r ->
+        Measured (num (largest "nodes" r.summary) "nodes", ge, 50_000.0));
+    gate "BENCH_PR6" "lookup speedup over the DOM walk above 50k nodes" (fun r ->
+        value_at r.legs
+          (fun l -> has "query" (S "lookup") l && num l "nodes" > 50_000.0)
+          "speedup" gt 1.0);
+    identity "BENCH_PR8" "batched results";
+    gate "BENCH_PR8" "largest leg's nodes" (fun r ->
+        Measured (num (largest "nodes" r.summary) "nodes", ge, 50_000.0));
+    gate "BENCH_PR8" "largest leg: broad-descendant speedup" (fun r ->
+        Measured (num (largest "nodes" r.summary) "descendant_speedup", ge, 1.0));
+    gate "BENCH_PR8" "largest leg: child-value speedup" (fun r ->
+        Measured (num (largest "nodes" r.summary) "child_value_speedup", ge, 1.0));
+    gate "BENCH_PR8" "largest leg: name-postings lookup speedup" (fun r ->
+        Measured (num (largest "nodes" r.summary) "lookup_speedup", ge, 100.0));
+    identity "BENCH_PR9" "join results";
+    gate "BENCH_PR9" "100k tag: hash join speedup over the nested loop" (fun r ->
+        value_at r.legs
+          (fun l -> has "rows" (I 100_000) l && has "dim" (S "tag") l)
+          "speedup_hash_vs_nl" ge 5.0);
+    identity "BENCH_PR7" "served responses";
+    gate "BENCH_PR7" "overload: deadlock free" (fun r ->
+        value_at r.summary overload "deadlock_free" eq 1.0);
+    gate "BENCH_PR7" "overload: rejected" (fun r -> value_at r.summary overload "rejected" gt 0.0);
+    gate "BENCH_PR7" "overload: accepted + rejected = attempted" (fun r ->
+        let o = List.find overload r.summary in
+        Measured (num o "accepted" +. num o "rejected", eq, num o "attempted"));
+    gate "BENCH_PR7" "overload: completed = accepted" (fun r ->
+        let o = List.find overload r.summary in
+        Measured (num o "completed", eq, num o "accepted"));
+    gate "BENCH_PR7" "throughput r/s: most clients vs 1 client" (fun r ->
+        if nproc < 2 then
+          Skip (Printf.sprintf "nproc=%d < 2: concurrent clients would only oversubscribe" nproc)
+        else
+          let clients = List.filter (List.mem_assoc "clients") r.summary in
+          let one = List.find (has "clients" (I 1)) clients in
+          let top = largest "clients" clients in
+          Measured (num top "throughput_rps", ge, num one "throughput_rps"));
+    gate "BENCH_PR10" "stale reads, every leg" (fun r ->
+        Measured (sum r.legs (fun l -> num l "stale_reads"), eq, 0.0));
+    gate "BENCH_PR10" "reads + writes off requests, every leg" (fun r ->
+        let off l = Float.abs (num l "requests" -. num l "reads" -. num l "writes") in
+        Measured (sum r.legs off, eq, 0.0));
+    gate "BENCH_PR10" "cached read speedup over recompute" (fun r ->
+        value_at r.summary (has "part" (S "cached_read")) "speedup" ge 20.0);
+    gate "BENCH_PR10" "95/5: cache hits" (fun r ->
+        value_at r.legs (has "write_pct" (I 5)) "cache_hits" gt 0.0);
+    gate "BENCH_PR10" "hit ratio: 95/5 vs 50/50" (fun r ->
+        let ratio pct = num (List.find (has "write_pct" (I pct)) r.legs) "hit_ratio" in
+        Measured (ratio 5, gt, ratio 50));
+  ]
+
+(* prints the gate's line; false when it failed *)
+let run_gate r g =
+  let show x = if Float.is_integer x then Printf.sprintf "%.0f" x else Printf.sprintf "%.4f" x in
+  let verdict, detail =
+    match g.measure r with
+    | Skip reason -> ("SKIP", Printf.sprintf "(%s)" reason)
+    | Measured (v, (op, holds), t) ->
+        ((if holds v t then "PASS" else "FAIL"), Printf.sprintf "%s %s %s" (show v) op (show t))
+    | exception Not_found -> ("FAIL", "(a row it reads is missing)")
+  in
+  Printf.printf "%s %s %s: %s\n" verdict g.bench g.name detail;
+  verdict <> "FAIL"
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* (name, runs by default, target), in run order *)
+let targets =
+  [
+    ("inline-stat", true, fun () -> [ inline_stat () ]);
+    ("fig2", true, fun () -> [ fig2 () ]);
+    (* one small fig2 size, still exercising the full instrumented
+       pipeline and the BENCH_PR1.json artifact *)
+    ("fig2-smoke", false, fun () -> [ fig2 ~figure:"fig2-smoke" ~sizes:[ 2_000 ] () ]);
+    ("fig3", true, fun () -> [ fig3 () ]);
+    ("planquality", true, fun () -> [ planquality () ]);
+    ("joinscale", true, fun () -> [ joinscale () ]);
+    (* 100k rows only, so the forced nested loop stays cheap *)
+    ("joinscale-smoke", false, fun () -> [ joinscale ~sizes:[ 100_000 ] () ]);
+    ("pubstream", true, fun () -> [ pubstream () ]);
+    ("parscale", true, fun () -> [ parscale () ]);
+    ("shredscale", true, fun () -> shredscale ());
+    ("servebench", true, fun () -> [ servebench () ]);
+    ("rwbench", true, fun () -> [ rwbench () ]);
+    (* fewer requests, same mixes, same artifact *)
+    ("rwbench-smoke", false, fun () -> [ rwbench ~size:1_000 ~requests:120 () ]);
+    ("ablation", true, fun () -> [ ablation () ]);
+    ("storage", true, fun () -> [ storage () ]);
+    ("partial", true, fun () -> [ partial_inline () ]);
+  ]
+
 let () =
-  let targets = List.tl (Array.to_list Sys.argv) in
-  let run name = targets = [] || List.mem name targets in
-  if run "inline-stat" then inline_stat ();
-  if run "fig2" then fig2 ();
-  (* CI smoke leg: one small fig2 size, still exercising the full
-     instrumented pipeline and the BENCH_PR1.json artifact *)
-  if List.mem "fig2-smoke" targets then fig2 ~figure:"fig2-smoke" ~sizes:[ 2_000 ] ();
-  if run "fig3" then fig3 ();
-  if run "planquality" then planquality ();
-  if run "joinscale" then joinscale ();
-  (* CI gate leg: 100k rows only, so the forced nested loop stays cheap *)
-  if List.mem "joinscale-smoke" targets then joinscale ~sizes:[ 100_000 ] ();
-  if run "pubstream" then pubstream ();
-  if run "parscale" then parscale ();
-  if run "shredscale" then shredscale ();
-  if run "servebench" then servebench ();
-  if run "rwbench" then rwbench ();
-  (* CI gate leg: fewer requests, same mixes, same artifact *)
-  if List.mem "rwbench-smoke" targets then rwbench ~size:1_000 ~requests:120 ();
-  if run "ablation" then ablation ();
-  if run "storage" then storage ();
-  if run "partial" then partial_inline ();
-  if List.mem "micro" targets then micro ();
-  write_bench_json ();
-  if targets = [] then
-    print_endline "(micro-benchmarks skipped by default: run `dune exec bench/main.exe -- micro`)"
+  let names = List.tl (Array.to_list Sys.argv) in
+  List.iter
+    (fun a ->
+      if not (List.exists (fun (n, _, _) -> n = a) targets) then begin
+        Printf.eprintf "unknown target %s; targets: %s\n" a
+          (String.concat " " (List.map (fun (n, _, _) -> n) targets));
+        exit 2
+      end)
+    names;
+  let failed = ref 0 in
+  List.iter
+    (fun (name, default, run) ->
+      if List.mem name names || (names = [] && default) then
+        List.iter
+          (fun r ->
+            emit r;
+            List.iter (fun g -> if g.bench = r.bench && not (run_gate r g) then incr failed) gates;
+            print_newline ())
+          (run ()))
+    targets;
+  if !failed > 0 then begin
+    Printf.printf "%d gate(s) failed\n" !failed;
+    exit 1
+  end

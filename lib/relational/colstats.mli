@@ -7,6 +7,7 @@ type t = {
   null_frac : float;
   ndv : int;  (** distinct non-null values in the sample *)
   min_v : Value.t option;
+      (** {!Analyze.table} takes min/max from every row, not the sample *)
   max_v : Value.t option;
   mcvs : (Value.t * float) list;
       (** most-common values with frequency as a fraction of all sampled
@@ -23,6 +24,9 @@ type table_stats = {
 }
 
 val empty : t
+
+val is_statable : Value.t -> bool
+(** Whether a value takes part in the statistics: not NULL, not XML. *)
 
 val compute : ?n_buckets:int -> ?n_mcvs:int -> Value.t list -> t
 (** Build statistics from a (sampled) list of column values.  XMLType

@@ -44,14 +44,8 @@ let bool_of_value = function
          false
        with Non_empty -> true)
 
-(* scalar value → XML content node list (SQL/XML: scalars become text) *)
-let xml_content = function
-  | Value.Null -> []
-  | Value.Xml nodes -> List.map X.deep_copy nodes
-  | Value.Xml_stream produce -> Value.stream_to_nodes produce
-  | v -> [ X.make (X.Text (Value.to_string v)) ]
-
-(* value → XML content events (the streamed image of [xml_content]) *)
+(* value → XML content events (SQL/XML: scalars become text, NULL
+   vanishes) *)
 let emit_content sink = function
   | Value.Null -> ()
   | Value.Xml nodes -> List.iter (E.emit_tree sink) nodes
@@ -301,7 +295,6 @@ type recorder = {
 type cctx = {
   cdb : Database.t;
   cstats : Stats.t option;
-  cbatch : int;
   cxml_streaming : bool;
   cpartition : (string * int * int) option;
       (* (table, lo, hi): restrict the Seq_scan over [table] to the
@@ -943,7 +936,7 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
           (match sopt with
           | Some s -> s.Stats.heap_rows <- s.Stats.heap_rows + count ()
           | None -> ());
-          chunked_cursor ~batch:ctx.cbatch ~count ~get:(fun i -> row (base + i))
+          chunked_cursor ~batch:default_batch_size ~count ~get:(fun i -> row (base + i))
         in
         { c_layout = lay; c_own = own; c_open = open_ }
     | Index_scan { table; alias; index_column; lo; hi } ->
@@ -977,7 +970,7 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
               s.Stats.btree_nodes <- s.Stats.btree_nodes + (Btree.node_visits tree - nodes0);
               s.Stats.heap_rows <- s.Stats.heap_rows + Array.length rids
           | None -> ());
-          chunked_cursor ~batch:ctx.cbatch
+          chunked_cursor ~batch:default_batch_size
             ~count:(fun () -> Array.length rids)
             ~get:(fun i -> row rids.(i))
         in
@@ -1049,7 +1042,7 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
         let iw = ci.c_own and ow = co.c_own in
         let fcond = Option.map (cpred ctx ci.c_layout iw) join_cond in
         let open_ env =
-          flat_map_cursor ctx.cbatch (co.c_open env) (fun push orow ->
+          flat_map_cursor default_batch_size (co.c_open env) (fun push orow ->
               let ienv = with_env ow env orow in
               let inext = ci.c_open ienv in
               let rec inner_drain () =
@@ -1129,7 +1122,7 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
             | None -> ()
           in
           (* probe phase: stream the probe side in batches *)
-          flat_map_cursor ctx.cbatch (co.c_open env) (fun push prow ->
+          flat_map_cursor default_batch_size (co.c_open env) (fun push prow ->
               match kind with
               | Inner ->
                   let ms = probe prow in
@@ -1173,7 +1166,7 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
             List.iteri (fun i af -> out.(ng + i) <- af env members) afs;
             out
           in
-          lazy_array_cursor ctx.cbatch (fun () ->
+          lazy_array_cursor default_batch_size (fun () ->
               let rows = drain_cursor next in
               if ng = 0 then [| make_group rows [] |]
               else (
@@ -1203,7 +1196,7 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
         let pure = List.for_all (fun (k, _) -> subplans_of_expr k = []) keys in
         let open_ env =
           let next = ci.c_open env in
-          lazy_array_cursor ctx.cbatch (fun () ->
+          lazy_array_cursor default_batch_size (fun () ->
               Array.of_list (order_rows sopt env kfs dirs ~pure (drain_cursor next)))
         in
         { ci with c_open = open_ }
@@ -1211,7 +1204,7 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
         let ci = cplan ctx outer_lay input in
         let open_ env =
           let next = ci.c_open env in
-          lazy_array_cursor ctx.cbatch (fun () ->
+          lazy_array_cursor default_batch_size (fun () ->
               (* the child is materialised fully before truncating, so
                  its per-operator actual-row counts are those of its whole
                  result under EXPLAIN ANALYZE *)
@@ -1241,7 +1234,9 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
             outer_lay
         in
         let open_ _ =
-          chunked_cursor ~batch:ctx.cbatch ~count:(fun () -> Array.length data) ~get:(Array.get data)
+          chunked_cursor ~batch:default_batch_size
+            ~count:(fun () -> Array.length data)
+            ~get:(Array.get data)
         in
         { c_layout = lay; c_own = nc; c_open = open_ }
   in
@@ -1253,12 +1248,10 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
 (* Public entry points                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let new_ctx ?stats ?(batch_size = default_batch_size) ?(xml_streaming = false) ?partition
-    ?record ~rowid db =
+let new_ctx ?stats ?(xml_streaming = false) ?partition ?record ~rowid db =
   {
     cdb = db;
     cstats = stats;
-    cbatch = max 1 batch_size;
     cxml_streaming = xml_streaming;
     cpartition = partition;
     crowid = rowid;
@@ -1270,13 +1263,13 @@ let new_ctx ?stats ?(batch_size = default_batch_size) ?(xml_streaming = false) ?
     cursors.  [xml_streaming] makes XML constructors produce
     [Value.Xml_stream] (events on demand) instead of node trees.
     @raise Exec_error for unresolvable or ambiguous columns. *)
-let compile_ctx db ?stats ?(outer = Layout.empty) ?batch_size ?xml_streaming ?partition ?record
-    (p : plan) : compiled =
+let compile_ctx db ?stats ?(outer = Layout.empty) ?xml_streaming ?partition ?record (p : plan) :
+    compiled =
   let rowid = reads_rowid p in
-  cplan (new_ctx ?stats ?batch_size ?xml_streaming ?partition ?record ~rowid db) outer p
+  cplan (new_ctx ?stats ?xml_streaming ?partition ?record ~rowid db) outer p
 
-let compile db ?stats ?outer ?batch_size ?xml_streaming ?partition p =
-  compile_ctx db ?stats ?outer ?batch_size ?xml_streaming ?partition p
+let compile db ?stats ?outer ?xml_streaming ?partition p =
+  compile_ctx db ?stats ?outer ?xml_streaming ?partition p
 
 let compile_expr db (lay : Layout.t) (e : expr) : Value.t array -> Value.t =
   let f = cexpr (new_ctx ~rowid:false db) lay 0 e in
@@ -1284,9 +1277,8 @@ let compile_expr db (lay : Layout.t) (e : expr) : Value.t array -> Value.t =
 
 (** [run_arrays db plan] — compiled execution to physical rows plus their
     layout; the allocation-light entry point for hot paths. *)
-let run_arrays db ?batch_size ?xml_streaming ?partition ?record (p : plan) :
-    Layout.t * Value.t array list =
-  let c = compile_ctx db ?batch_size ?xml_streaming ?partition ?record p in
+let run_arrays db ?xml_streaming ?partition ?record (p : plan) : Layout.t * Value.t array list =
+  let c = compile_ctx db ?xml_streaming ?partition ?record p in
   (c.c_layout, drain_cursor (c.c_open [||]))
 
 (* ------------------------------------------------------------------ *)
@@ -1519,10 +1511,10 @@ let check_members (recorded : members) output =
             dm.by_key)
         recorded.mdocs)
 
-let run_arrays_analyzed db ?batch_size ?xml_streaming ?partition (p : plan) :
+let run_arrays_analyzed db ?xml_streaming ?partition (p : plan) :
     (Layout.t * Value.t array list) * Stats.t =
   let stats = Stats.create p in
-  let c = compile db ~stats ?batch_size ?xml_streaming ?partition p in
+  let c = compile db ~stats ?xml_streaming ?partition p in
   ((c.c_layout, drain_cursor (c.c_open [||])), stats)
 
 (* an externally supplied assoc environment becomes an environment row;

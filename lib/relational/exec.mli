@@ -20,14 +20,9 @@ val bool_of_value : Value.t -> bool
 (** SQL truthiness: NULL/0/NaN/""/empty-XML are false.  Streamed XMLType
     values probe their producer for a first event. *)
 
-val xml_content : Value.t -> Xdb_xml.Types.node list
-(** SQL/XML content conversion: XML values are deep-copied (streamed ones
-    materialized), scalars become text nodes, NULL vanishes. *)
-
 val emit_content : Xdb_xml.Events.sink -> Value.t -> unit
-(** The streamed image of {!xml_content}: replay a value as output events
-    (XML forests replay node by node, scalars emit one text event, NULL
-    emits nothing). *)
+(** SQL/XML content conversion as output events: XML forests replay node
+    by node, scalars emit one text event, NULL emits nothing. *)
 
 val scan_bindings : Table.t -> string -> Value.t array -> row
 (** Row bindings a scan produces: bare and alias-qualified names. *)
@@ -59,7 +54,6 @@ val compile :
   Database.t ->
   ?stats:Stats.t ->
   ?outer:Layout.t ->
-  ?batch_size:int ->
   ?xml_streaming:bool ->
   ?partition:string * int * int ->
   Algebra.plan ->
@@ -98,7 +92,6 @@ type members
 
 val run_arrays :
   Database.t ->
-  ?batch_size:int ->
   ?xml_streaming:bool ->
   ?partition:string * int * int ->
   ?record:recorder ->
@@ -161,7 +154,6 @@ val check_members : members -> string list -> unit
 
 val run_arrays_analyzed :
   Database.t ->
-  ?batch_size:int ->
   ?xml_streaming:bool ->
   ?partition:string * int * int ->
   Algebra.plan ->

@@ -760,6 +760,25 @@ let test_analyze_sal_selectivity () =
   let sel = CO.conjunct_selectivity db ~table:"emp" ~alias:"e" pred in
   check cb "conjunct selectivity ~ 70/90" true (Float.abs (sel -. (70.0 /. 90.0)) < 0.1)
 
+(* above the sample size ANALYZE strides over the rows (every second
+   one at 16,000 rows), and the rows holding the extremes fall between
+   strides; min/max still come from every row *)
+let test_analyze_sampled_extremes () =
+  let db = DB.create () in
+  let t = DB.create_table db "big" [ { T.col_name = "k"; col_type = V.Tint } ] in
+  let n = 16_000 in
+  for rid = 0 to n - 1 do
+    T.insert_values t [ V.Int (if rid = 1 then -1 else if rid = n - 1 then n else rid) ]
+  done;
+  check ci "every second row sampled" (n / 2) (AN.table db "big");
+  match DB.column_stats db "big" "k" with
+  | None -> Alcotest.fail "no statistics for big.k"
+  | Some s ->
+      check cb "min_v is the table's minimum" true (s.C.min_v = Some (V.Int (-1)));
+      check cb "max_v is the table's maximum" true (s.C.max_v = Some (V.Int n));
+      check cb "the top key is costed in range" true
+        (C.selectivity_eq s (V.Int n) > 0.5 /. float_of_int s.C.n_sampled)
+
 let test_cost_based_conjunct_choice () =
   let db = setup_scaled_db () in
   (* deptno = 1 is written first; sal > 8000 is far more selective *)
@@ -3104,6 +3123,7 @@ let () =
           Alcotest.test_case "sal > 2000 selectivity (Tables 7/8)" `Quick
             test_analyze_sal_selectivity;
           Alcotest.test_case "cost-based conjunct choice" `Quick test_cost_based_conjunct_choice;
+          Alcotest.test_case "sampled ANALYZE: exact min/max" `Quick test_analyze_sampled_extremes;
         ] );
       ( "optimizer",
         [

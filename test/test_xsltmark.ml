@@ -40,7 +40,16 @@ let doc_case (c : M.case) () =
     Xdb_xml.Serializer.node_list_to_string
       (Xdb_xquery.Eval.run_to_nodes sf.GEN.query ~context:doc)
   in
-  check cs "functional = straightforward [9]" functional sf_out
+  check cs "functional = straightforward [9]" functional sf_out;
+  (* §7.2 extension: a recursive case compiled partial-inline prints
+     what the non-inline compile prints *)
+  if not c.M.expect_inline then begin
+    let pi =
+      PL.compile_for_document ~options:Xdb_core.Options.with_partial_inline c.M.stylesheet
+        ~example_doc:doc
+    in
+    check cs "functional = partial inline (§7.2)" functional (PL.transform_via_xquery pi doc)
+  end
 
 let db_case (c : M.case) () =
   let c = if c.M.name = "dbonerow" then M.dbonerow_for size else c in
