@@ -46,20 +46,23 @@ let f2 x = F (2, x)
 let f3 x = F (3, x)
 let f4 x = F (4, x)
 
+(* on the library's monotonic nanosecond clock *)
 let time_once f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Xdb_rel.Clock.now_ns () in
   let r = f () in
-  let t1 = Unix.gettimeofday () in
-  (r, (t1 -. t0) *. 1000.0)
+  (r, Xdb_rel.Clock.ms_since t0)
 
 (* wall clock over [repeat] runs, milliseconds: the median and the
    extremes *)
 type timing = { med : float; lo : float; hi : float }
 
-let time_ms ?(repeat = 3) f =
-  let a = Array.init repeat (fun _ -> snd (time_once f)) in
+let timing samples =
+  let a = Array.of_list samples in
   Array.sort compare a;
-  { med = a.(repeat / 2); lo = a.(0); hi = a.(repeat - 1) }
+  let n = Array.length a in
+  { med = a.(n / 2); lo = a.(0); hi = a.(n - 1) }
+
+let time_ms ?(repeat = 3) f = timing (List.init repeat (fun _ -> snd (time_once f)))
 
 (* a timing as three fields: [key] holds the median *)
 let timed key t = [ (key, f4 t.med); (key ^ "_min", f4 t.lo); (key ^ "_max", f4 t.hi) ]
@@ -682,8 +685,13 @@ let pubstream ?(sizes = [ 8_000; 64_000 ]) () =
    many-documents-in-an-XMLType-column scenario), run through the SQL/XML
    rewrite path with 1, 2 and 4 domains.  Byte-identity against the
    sequential run is asserted on every leg — correctness holds at any
-   core count — then wall time per leg and per-size totals. *)
+   core count — then each leg is timed in six rounds.  Round [r] runs
+   the legs starting [r] legs further on, so no leg is always the one
+   that runs first, and each timed run follows a full major collection
+   (outside the timer) on a freshly spawned pool.  Reported: wall time
+   per leg and per-size totals of the medians. *)
 let parscale ?(sizes = [ 8_000; 64_000 ]) ?(jobs_list = [ 1; 2; 4 ]) () =
+  let rounds = 6 and legs_n = List.length jobs_list in
   let per_size =
     List.map
       (fun n ->
@@ -696,27 +704,30 @@ let parscale ?(sizes = [ 8_000; 64_000 ]) ?(jobs_list = [ 1; 2; 4 ]) () =
               let dv = M.dbview_for ~docs case n in
               let comp = PL.compile dv.D.db dv.D.view case.M.stylesheet in
               assert (comp.PL.sql_plan <> None);
-              let partitionable = PL.partition_table comp <> None in
+              let run pool = PL.run_rewrite ~pool dv.D.db comp in
               let seq = PL.run_rewrite dv.D.db comp in
-              let runs =
-                List.map
-                  (fun jobs ->
-                    Xdb_core.Parallel.with_pool ~jobs (fun pool ->
-                        let identical = PL.run_rewrite ~pool dv.D.db comp = seq in
-                        assert identical;
-                        let t = time_ms (fun () -> ignore (PL.run_rewrite ~pool dv.D.db comp)) in
-                        (jobs, t, identical)))
-                  jobs_list
+              let identical =
+                List.map (fun jobs -> Xdb_core.Parallel.with_pool ~jobs run = seq) jobs_list
               in
-              let _, base, _ = List.hd runs in
-              List.map
-                (fun (jobs, t, identical) ->
+              assert (List.for_all Fun.id identical);
+              let samples = Array.make legs_n [] in
+              for r = 0 to rounds - 1 do
+                for i = 0 to legs_n - 1 do
+                  let leg = (r + i) mod legs_n in
+                  Xdb_core.Parallel.with_pool ~jobs:(List.nth jobs_list leg) (fun pool ->
+                      Gc.full_major ();
+                      samples.(leg) <- snd (time_once (fun () -> run pool)) :: samples.(leg))
+                done
+              done;
+              let times = Array.map timing samples in
+              List.mapi
+                (fun leg (jobs, identical) ->
+                  let t = times.(leg) in
                   ( (jobs, t.med),
                     [ ("rows", I n); ("case", S name); ("docs", I docs); ("jobs", I jobs) ]
                     @ timed "ms" t
-                    @ [ ("speedup", f3 (base.med /. t.med)); ("identical", B identical);
-                        ("partitionable", B partitionable) ] ))
-                runs)
+                    @ [ ("speedup", f3 (times.(0).med /. t.med)); ("identical", B identical) ] ))
+                (List.combine jobs_list identical))
             [ "dbonerow"; "avts"; "chart"; "metric"; "total" ]
         in
         let total j =

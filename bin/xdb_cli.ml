@@ -55,9 +55,12 @@ let run_options_term =
       value & opt int 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Number of domains for parallel execution (default 1 = sequential).  The base \
-             table is partitioned into row ranges executed concurrently; output is \
-             byte-identical to the sequential run.")
+            "Number of domains for parallel execution (default 1 = sequential).  The plan \
+             runs on one domain, then its output documents serialize across the pool in \
+             contiguous chunks (for views, publishing and shredded documents alike); output \
+             is byte-identical to the sequential run, and the $(b,sql_exec) stage of \
+             $(b,--metrics) is then wall time.  $(b,--explain-analyze) always runs \
+             sequentially.")
   in
   let no_result_cache =
     Arg.(
@@ -371,9 +374,8 @@ let explain_cmd =
       & info [ "explain-analyze" ]
           ~doc:
             "Execute the SQL/XML plan with instrumentation and print estimated vs actual rows, \
-             loops, B-tree probes and wall time per operator ($(b,--jobs) runs the \
-             instrumented execution domain-parallel with per-domain stats merged by \
-             operator).")
+             loops, B-tree probes and wall time per operator (always sequential: \
+             $(b,--jobs) does not apply).")
   in
   let collect_stats =
     Arg.(
@@ -430,7 +432,7 @@ let explain_cmd =
                   print_endline "-- EXPLAIN ANALYZE:";
                   print_endline
                     (staged "sql_exec" (fun () ->
-                         Xdb_core.Engine.explain_analyze_stmt ~options:opts engine stmt)));
+                         Xdb_core.Engine.explain_analyze_stmt engine stmt)));
                 print_metrics m;
                 Xdb_core.Engine.shutdown engine)
   in

@@ -298,15 +298,13 @@ let publish ?(options = default_run_options) t ~view_name =
         let view =
           Xdb_error.wrap ~stage:"publish" (fun () -> Registry.find_view t.registry view_name)
         in
-        let serialize ?metrics part =
-          let row_range = Option.map (fun (_, lo, hi) -> (lo, hi)) part in
-          staged metrics "publish_stream" (fun () ->
-              P.materialize_serialized t.db ~indent ?row_range view)
-        in
         let run () =
           Xdb_error.wrap ~stage:"serialize" (fun () ->
-              with_jobs t options (fun pool ->
-                  Pipeline.over_ranges ?metrics ?pool t.db (Some view.P.base_table) serialize))
+              staged metrics "publish_stream" (fun () ->
+                  with_jobs t options (fun pool ->
+                      Pipeline.per_document ?pool (P.documents t.db view) (fun () ->
+                          let buf = Buffer.create 1024 in
+                          fun _ -> P.serialize ~indent buf))))
         in
         (* indent changes the bytes, so it is part of the key *)
         let key = "P\x00" ^ view_name ^ "\x00" ^ if indent then "i" else "-" in
@@ -401,15 +399,13 @@ let explain_stmt t stmt = Pipeline.explain (Rw.read t.rw (fun () -> stmt_compile
 
 let explain t ~view_name ~stylesheet = explain_stmt t (prepare t ~view_name ~stylesheet)
 
-let explain_analyze_stmt ?(options = default_run_options) ?metrics t stmt =
+let explain_analyze_stmt ?metrics t stmt =
   Rw.read t.rw (fun () ->
       let compiled = stmt_compiled ?metrics t stmt in
-      Xdb_error.wrap ~stage:"exec" (fun () ->
-          with_jobs t options (fun pool ->
-              Pipeline.explain_analyze ?pool t.db compiled)))
+      Xdb_error.wrap ~stage:"exec" (fun () -> Pipeline.explain_analyze t.db compiled))
 
-let explain_analyze ?options ?metrics t ~view_name ~stylesheet =
-  explain_analyze_stmt ?options ?metrics t (prepare ?metrics t ~view_name ~stylesheet)
+let explain_analyze ?metrics t ~view_name ~stylesheet =
+  explain_analyze_stmt ?metrics t (prepare ?metrics t ~view_name ~stylesheet)
 
 (* ------------------------------------------------------------------ *)
 (* The SQL front door                                                  *)

@@ -41,9 +41,14 @@ type t
 (** How a transform (or publish) runs.  None of the fields selects an
     evaluation strategy: a view transform always runs the SQL/XML rewrite
     on the compiled executor, streaming its XML output, and a publish
-    always streams.  [jobs] (default 1) sizes the domain pool a run may
-    split over — by base-table row ranges when the plan admits it, by
-    document for shredded sources; [collect_metrics] (default false)
+    always streams.  [jobs] (default 1) sizes the domain pool a run
+    splits over, by output document for every source: the plan runs (or
+    the view folds, or the stored documents are listed) on the caller,
+    and the documents serialize across the pool in contiguous chunks
+    ({!Pipeline.per_document}).  Under [jobs > 1] the run's stage times
+    are wall time ([sql_exec], [publish_stream]), except [shred_vm],
+    which sums the documents' times over the domains.  EXPLAIN ANALYZE
+    ignores [jobs].  [collect_metrics] (default false)
     attaches a fresh {!Metrics.t} to the run, returned in {!run_result};
     [result_cache] (default true) serves/stores data-versioned cached
     output — disable it to force recomputation (the rwbench byte-identity
@@ -123,14 +128,14 @@ val transform_stmt : ?options:run_options -> t -> stmt -> run_result
 (** Evaluate a prepared statement: the SQL/XML rewrite path (with
     dynamic-XQuery fallback), served from the result cache when
     possible.
-    [jobs > 1] partitions the base table across domains; output is
-    byte-identical to the sequential run.
+    [jobs > 1] serializes the output documents across the pool; output
+    is byte-identical to the sequential run.
     @raise Xdb_error.Error on any pipeline failure. *)
 
 val explain_stmt : t -> stmt -> string
 (** {!Pipeline.explain} of the (revalidated) compilation. *)
 
-val explain_analyze_stmt : ?options:run_options -> ?metrics:Metrics.t -> t -> stmt -> string
+val explain_analyze_stmt : ?metrics:Metrics.t -> t -> stmt -> string
 (** Instrumented execution of a prepared statement (see
     {!explain_analyze}). *)
 
@@ -162,8 +167,8 @@ val transform :
 
 val publish : ?options:run_options -> t -> view_name:string -> run_result
 (** Materialise the view's documents (one string per base row), spec
-    events streamed straight into the serializer; [jobs > 1] partitions
-    the base rows across domains; [indent] pretty-prints.  Cached per (view, indent) like transforms.
+    events streamed straight into the serializer; [jobs > 1] serializes
+    the documents across the pool; [indent] pretty-prints.  Cached per (view, indent) like transforms.
     @raise Xdb_error.Error on publish/serialize failures. *)
 
 (** {1 Shredded document storage}
@@ -198,13 +203,12 @@ val explain : t -> view_name:string -> stylesheet:string -> string
     @raise Xdb_error.Error on compile failures. *)
 
 val explain_analyze :
-  ?options:run_options -> ?metrics:Metrics.t -> t -> view_name:string -> stylesheet:string -> string
+  ?metrics:Metrics.t -> t -> view_name:string -> stylesheet:string -> string
 (** Execute the SQL/XML plan with per-operator instrumentation and
     render estimated vs actual ({!Pipeline.explain_analyze});
-    [metrics] records compile-stage timings as in {!prepare}.
-    With [jobs > 1] the run is split like {!transform} and the rendered
-    stats are the per-range collectors merged by operator id — actual row
-    counts match a sequential run.
+    [metrics] records compile-stage timings as in {!prepare}.  The run
+    is always sequential (no pool): its per-operator counters are plain
+    fields.
     @raise Xdb_error.Error on compile/execution failures. *)
 
 val registry_counters : t -> (string * int) list

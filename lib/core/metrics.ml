@@ -6,9 +6,9 @@
     twice accumulates (e.g. per-document execution legs).
 
     Every update and read takes the collector's mutex, so a collector may
-    be shared across domains (the Engine hands one to a parallel run and
-    merges the per-domain collectors into it with {!merge_into}).  The
-    mutex is uncontended in sequential use. *)
+    be shared across domains: the documents of a run split over a pool
+    charge the run's one collector.  The mutex is uncontended in
+    sequential use. *)
 
 type t = {
   lock : Mutex.t;
@@ -51,22 +51,6 @@ let counters t = locked t (fun () -> List.rev t.counters)
 
 let total_ms t =
   locked t (fun () -> List.fold_left (fun acc (_, ms) -> acc +. ms) 0.0 t.stages)
-
-(** [merge_into ~into src] — fold [src]'s stages and counters into
-    [into], summing on name collision and appending new names in [src]'s
-    insertion order.  Domain-parallel runs give each domain its own
-    collector and merge them after the join, so per-stage totals reflect
-    aggregate work across domains. *)
-let merge_into ~into src =
-  let src_stages = stages src and src_counters = counters src in
-  locked into (fun () ->
-      List.iter
-        (fun (name, ms) -> into.stages <- update_assoc into.stages name (fun v -> v +. ms) 0.0)
-        src_stages;
-      List.iter
-        (fun (name, v) ->
-          into.counters <- update_assoc into.counters name (fun x -> x + v) 0)
-        src_counters)
 
 (* JSON string escaping for the keys (values are numbers) *)
 let escape s =

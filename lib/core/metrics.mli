@@ -3,9 +3,8 @@
     is preserved; re-timing an existing stage accumulates into it.
 
     Thread safety: every operation takes the collector's internal mutex,
-    so one collector may be updated from several domains; parallel runs
-    instead give each domain a private collector and fold them together
-    with {!merge_into} after the join. *)
+    so one collector may be updated from several domains, as the tasks
+    of a run split over a {!Parallel} pool do. *)
 
 type t
 
@@ -32,11 +31,6 @@ val counters : t -> (string * int) list
 
 val total_ms : t -> float
 (** Sum of all stage timings. *)
-
-val merge_into : into:t -> t -> unit
-(** Fold one collector's stages and counters into another, summing on
-    name collision — how domain-parallel runs combine their per-domain
-    collectors. *)
 
 val to_json : t -> string
 (** Stable JSON [{"stages":{…},"counters":{…}}], insertion-ordered. *)

@@ -11,9 +11,10 @@
     captured and re-raised (with its original backtrace) at the join point
     after all tasks have settled.
 
-    Used by {!Pipeline} to partition base-table rows across domains
-    (paper §3: the rewrite path turns one XMLTransform call into a
-    per-base-table-row relational plan, which is embarrassingly parallel). *)
+    Used by {!Pipeline.per_document} to serialize a run's output
+    documents across domains (paper §3: the rewrite path turns one
+    XMLTransform call into a plan giving one document per base-table
+    row, and each document serializes on its own). *)
 
 type t
 

@@ -267,42 +267,31 @@ let compile_template ?(options = Options.default) ?metrics db (view : P.view) sh
       bound
 
 (* ------------------------------------------------------------------ *)
-(* Splitting a run by base-table row ranges                             *)
+(* Splitting a run: output documents across the pool                    *)
 (* ------------------------------------------------------------------ *)
 
-(* run [task ?metrics i] for [i] in [0, n) across [pool]'s domains, each
-   task with a private Metrics collector folded into [metrics] after the
-   join, so stage times reflect aggregate work *)
-let run_tasks ?metrics pool n task =
-  let task_metrics =
-    match metrics with None -> [||] | Some _ -> Array.init n (fun _ -> Metrics.create ())
-  in
-  let results =
-    Parallel.run pool
-      (fun i -> task ?metrics:(if task_metrics = [||] then None else Some task_metrics.(i)) i)
-      n
-  in
-  Option.iter (fun m -> Array.iter (fun tm -> Metrics.merge_into ~into:m tm) task_metrics) metrics;
-  results
-
-(** [over_ranges ?metrics ?pool db table task] — [task ?metrics None]
-    unless [pool] has more than one domain and [table] is given; then
-    [task] once per contiguous row-id range [Some (table, lo, hi)] (a few
-    per domain, so a skewed range cannot serialise the tail, but not so
-    many that per-range plan opens dominate), results concatenated in
-    range order. *)
-let over_ranges ?metrics ?pool db table task : string list =
-  match (pool, table) with
-  | Some pool, Some table when Parallel.jobs pool > 1 ->
-      let total = Xdb_rel.Table.size (Xdb_rel.Database.table db table) in
+(** [per_document ?pool items chunk] — one output document per item, in
+    order: [chunk ()] makes a serializer (typically over a fresh reused
+    buffer), applied to each item's index and value.  Sequential with one
+    serializer unless [pool] has more than one domain; then the items go
+    across the pool in contiguous chunks, four per domain, each with its
+    own serializer. *)
+let per_document ?pool items chunk : string list =
+  match pool with
+  | Some pool when Parallel.jobs pool > 1 ->
+      let items = Array.of_list items in
       let ranges =
-        Array.of_list (Parallel.chunk_ranges ~total ~chunks:(4 * Parallel.jobs pool))
+        Array.of_list
+          (Parallel.chunk_ranges ~total:(Array.length items) ~chunks:(4 * Parallel.jobs pool))
       in
-      run_tasks ?metrics pool (Array.length ranges) (fun ?metrics i ->
-          let lo, hi = ranges.(i) in
-          task ?metrics (Some (table, lo, hi)))
+      Parallel.run pool
+        (fun c ->
+          let lo, hi = ranges.(c) in
+          let doc = chunk () in
+          List.init (hi - lo) (fun k -> doc (lo + k) items.(lo + k)))
+        (Array.length ranges)
       |> Array.to_list |> List.concat
-  | _ -> task ?metrics None
+  | _ -> List.mapi (chunk ()) items
 
 (** Functional evaluation: materialise + XSLTVM (the no-rewrite baseline).
     With [metrics], materialisation and transformation times are recorded
@@ -331,107 +320,45 @@ let run_xquery_stage ?metrics db (c : compiled) : string list =
 
 (* the rewrite plans project a single "result" column; resolve its slot
    once against the plan's layout instead of List.assoc per row.  Streamed
-   XMLType results drain into one reused buffer per document — the "no
-   intermediate tree" half of the Figure 3 argument, applied to output. *)
-let result_column ?record (layout, rows) =
+   XMLType results drain into a buffer reused across documents — the "no
+   intermediate tree" half of the Figure 3 argument, applied to output.
+   Draining is most of a rewrite run, so that is what [pool] splits. *)
+let result_column ?pool ?record (layout, rows) =
   match Xdb_rel.Layout.slot_opt layout "result" with
   | Some s ->
-      let buf = Buffer.create 1024 in
-      List.mapi
-        (fun doc (r : V.t array) ->
-          match r.(s) with
-          | V.Xml_stream produce ->
-              Buffer.clear buf;
-              let sink, pending = Xdb_xml.Events.content_sink buf in
-              Option.iter (fun rc -> Xdb_rel.Exec.record_document rc ~doc sink buf pending) record;
-              produce sink;
-              sink.Xdb_xml.Events.finish ();
-              Buffer.contents buf
-          | v -> V.to_string v)
-        rows
+      per_document ?pool rows (fun () ->
+          let buf = Buffer.create 1024 in
+          fun doc (r : V.t array) ->
+            match r.(s) with
+            | V.Xml_stream produce ->
+                Buffer.clear buf;
+                let sink, pending = Xdb_xml.Events.content_sink buf in
+                Option.iter (fun rc -> Xdb_rel.Exec.record_document rc ~doc sink buf pending) record;
+                produce sink;
+                sink.Xdb_xml.Events.finish ();
+                Buffer.contents buf
+            | v -> V.to_string v)
   | None ->
       raise
         (Xdb_rel.Exec.Exec_error
            (Printf.sprintf "plan produced no result column (available columns: %s)"
               (Xdb_rel.Layout.describe layout)))
 
-(* Seq_scans of [table] anywhere in the plan tree, correlated subplans
-   included.  Exec.compile windows *every* matching Seq_scan, so the
-   partitioned table must be seq-scanned exactly once; index probes into
-   the same table are harmless (they read whole rows by rid). *)
-let seq_scans_of table (p : A.plan) : int =
-  let n = ref 0 in
-  A.iter p ~expr:ignore ~plan:(function
-    | A.Seq_scan { table = t; _ } when t = table -> incr n
-    | _ -> ());
-  !n
-
-(* Is [table]'s Seq_scan the plan's driving scan, reachable through
-   operators that commute with row-range partitioning?  Project and
-   Filter are per-row; a Nested_loop driven by the table on its outer
-   side enumerates outer-order × inner, so partitioning the outer and
-   concatenating preserves row order.  Sort/Aggregate/Limit do not
-   commute (a per-partition sort or limit is not the global one). *)
-let rec drives_partition table (p : A.plan) : bool =
-  match p with
-  | A.Seq_scan { table = t; _ } -> t = table
-  | A.Filter (_, i) | A.Project (_, i) -> drives_partition table i
-  (* the probe side streams in order, so partitioning it and concatenating
-     preserves row order (the build side is evaluated whole per range) *)
-  | A.Nested_loop { outer; _ } | A.Hash_join { outer; _ } -> drives_partition table outer
-  | A.Index_scan _ | A.Values _ | A.Aggregate _ | A.Sort _ | A.Limit _ -> false
-
-(** [partition_table c] — the base table whose row ranges a domain-parallel
-    execution may partition the SQL/XML plan over, or [None] when the plan
-    shape does not admit it (no plan, the base table is not the driving
-    scan, or it is seq-scanned more than once). *)
-let partition_table (c : compiled) : string option =
-  match c.sql_plan with
-  | None -> None
-  | Some plan ->
-      let table = c.view.P.base_table in
-      if drives_partition table plan && seq_scans_of table plan = 1 then Some table else None
-
-(* how a split run opens each operator of [plan] (see
-   {!Xdb_rel.Stats.merge_into}): once per range along the driving chain
-   that {!drives_partition} walked, and whole per range on the hash-join
-   build sides hanging off it *)
-let split_marks (plan : A.plan) =
-  let marks = ref [] in
-  let rec chain (p : A.plan) =
-    marks := (p, `Driving) :: !marks;
-    match p with
-    | A.Filter (_, i) | A.Project (_, i) | A.Nested_loop { outer = i; _ } -> chain i
-    | A.Hash_join { outer; inner; _ } ->
-        List.iter
-          (fun (e : Xdb_rel.Stats.entry) -> marks := (e.node, `Shared) :: !marks)
-          (Xdb_rel.Stats.entries (Xdb_rel.Stats.create inner));
-        chain outer
-    | _ -> ()
-  in
-  chain plan;
-  fun p -> List.assq_opt p !marks
-
-(* the table a rewrite run splits over: only looked for when [pool] has
-   more than one domain, so a sequential run never walks the plan *)
-let split_table ?pool c =
-  match pool with Some p when Parallel.jobs p > 1 -> partition_table c | _ -> None
-
 (** Rewrite evaluation: the SQL/XML plan when available, XQuery stage
     otherwise.  With [metrics], plan execution time is recorded under
     [sql_exec] (or the fallback's stages).  The plan's XML constructors
     emit output events drained straight into each document's buffer, with
-    no per-row result tree.  A multi-domain [pool] splits the driving
-    Seq_scan by row-id ranges when {!partition_table} allows it, one execution per range with its own
-    sink; output is byte-identical to the sequential run. *)
+    no per-row result tree.  The plan runs on the caller; a multi-domain
+    [pool] drains its documents across the domains ({!per_document}), so
+    output is byte-identical to the sequential run. *)
 let run_rewrite ?metrics ?pool ?on_members db (c : compiled) : string list =
   match c.sql_plan with
-  | Some plan -> (
-      let table = split_table ?pool c in
+  | Some plan ->
       (* a sequential run records the patchable members *)
+      let split = match pool with Some p -> Parallel.jobs p > 1 | None -> false in
       let recording =
-        match (on_members, c.footprint, table) with
-        | Some f, Some fp, None -> (
+        match (on_members, c.footprint) with
+        | Some f, Some fp when not split -> (
             match Xdb_rel.Footprint.get fp with
             | { Xdb_rel.Footprint.members = Some m; _ } -> Some (f, Xdb_rel.Exec.recorder m)
             | _ -> None)
@@ -439,46 +366,26 @@ let run_rewrite ?metrics ?pool ?on_members db (c : compiled) : string list =
       in
       let record = Option.map snd recording in
       let out =
-        over_ranges ?metrics ?pool db table (fun ?metrics partition ->
-            staged metrics "sql_exec" (fun () ->
-                result_column ?record
-                  (Xdb_rel.Exec.run_arrays db ~xml_streaming:true ?partition ?record plan)))
+        staged metrics "sql_exec" (fun () ->
+            result_column ?pool ?record
+              (Xdb_rel.Exec.run_arrays db ~xml_streaming:true ?record plan))
       in
       Option.iter (fun (f, rc) -> Option.iter f (Xdb_rel.Exec.recorded rc plan)) recording;
-      out)
+      out
   | None -> run_xquery_stage ?metrics db c
 
 (** Rewrite evaluation with per-operator instrumentation: returns the
-    results and the operator stats when a SQL/XML plan exists.  Split
-    runs fill one {!Xdb_rel.Stats.t} per range and merge them by
-    operator id ({!Xdb_rel.Stats.merge_into}), so actual rows and loops
-    match a sequential run. *)
-let run_rewrite_analyzed ?metrics ?pool db (c : compiled) :
-    string list * Xdb_rel.Stats.t option =
+    results and the operator stats when a SQL/XML plan exists.  Always
+    sequential: the collector's counters are plain fields, and the
+    documents' drain runs the plan's correlated subplans. *)
+let run_rewrite_analyzed ?metrics db (c : compiled) : string list * Xdb_rel.Stats.t option =
   match c.sql_plan with
-  | Some plan -> (
-      let exec ?metrics partition =
-        let out, stats =
-          staged metrics "sql_exec" (fun () ->
-              Xdb_rel.Exec.run_arrays_analyzed db ~xml_streaming:true ?partition plan)
-        in
-        (result_column out, stats)
+  | Some plan ->
+      let out, stats =
+        staged metrics "sql_exec" (fun () ->
+            Xdb_rel.Exec.run_arrays_analyzed db ~xml_streaming:true plan)
       in
-      match split_table ?pool c with
-      | None ->
-          let out, stats = exec ?metrics None in
-          (out, Some stats)
-      | table ->
-          let merged = Xdb_rel.Stats.create plan and lock = Mutex.create () in
-          let split = split_marks plan in
-          let out =
-            over_ranges ?metrics ?pool db table (fun ?metrics partition ->
-                let out, stats = exec ?metrics partition in
-                Mutex.protect lock (fun () ->
-                    Xdb_rel.Stats.merge_into ~split ~into:merged stats);
-                out)
-          in
-          (out, Some merged))
+      (result_column out, Some stats)
   | None -> (run_xquery_stage ?metrics db c, None)
 
 (** Example 2: compose an XQuery child path over the XSLT view result and
@@ -538,7 +445,7 @@ let compile_shredded ?metrics stylesheet_text =
 
 let run_shredded ?metrics ?pool (shred : Xdb_rel.Shred.t) (prog : Shred_vm.program) docids :
     string list =
-  let transform ?metrics docid =
+  let transform docid =
     let count name = Option.iter (fun m -> Metrics.incr m name) metrics in
     match
       staged metrics "shred_vm" (fun () ->
@@ -560,15 +467,7 @@ let run_shredded ?metrics ?pool (shred : Xdb_rel.Shred.t) (prog : Shred_vm.progr
             Xdb_xml.Serializer.node_list_to_string frag.X.children)
   in
   let c0 = Xdb_rel.Shred.counters shred in
-  let out =
-    match pool with
-    | Some pool when Parallel.jobs pool > 1 ->
-        let docids = Array.of_list docids in
-        run_tasks ?metrics pool (Array.length docids) (fun ?metrics i ->
-            transform ?metrics docids.(i))
-        |> Array.to_list
-    | _ -> List.map (transform ?metrics) docids
-  in
+  let out = per_document ?pool docids (fun () _ -> transform) in
   (match metrics with
   | Some m ->
       let c1 = Xdb_rel.Shred.counters shred in
@@ -615,15 +514,14 @@ let explain (c : compiled) : string =
 
 (** EXPLAIN ANALYZE: execute the SQL/XML plan with instrumentation and
     render estimated vs actual rows, loops, B-tree probes and wall time
-    per operator.  A multi-domain [pool] splits the run as
-    {!run_rewrite_analyzed} does; the merged counts match a sequential
-    run.  Ends with the plan's write footprint ({!Xdb_rel.Footprint.describe}
-    of the footprint the result cache judges with).  Reports the fallback
+    per operator, sequentially ({!run_rewrite_analyzed}).  Ends with the
+    plan's write footprint ({!Xdb_rel.Footprint.describe} of the
+    footprint the result cache judges with).  Reports the fallback
     reason when no plan exists. *)
-let explain_analyze ?pool db (c : compiled) : string =
+let explain_analyze db (c : compiled) : string =
   match c.sql_plan with
   | Some plan ->
-      let stats = Option.get (snd (run_rewrite_analyzed ?pool db c)) in
+      let stats = Option.get (snd (run_rewrite_analyzed db c)) in
       let footprint =
         match c.footprint with
         | None -> ""

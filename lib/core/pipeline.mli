@@ -109,61 +109,45 @@ val run_rewrite :
     materialisation); falls back to {!run_xquery_stage} when no plan
     exists.  Stage: [sql_exec] (or the fallback's stages).  The plan's
     XML constructors emit output events drained straight into the result
-    buffer, with no per-row result tree.  A [pool] with more than one
-    domain splits the plan's driving Seq_scan by row-id
-    ranges ({!Xdb_rel.Exec.compile}'s [partition]) when
-    {!partition_table} allows it; sequential otherwise.  [on_members]
-    receives the recording of a sequential run whose plan has a
-    patchable XMLAgg ({!Xdb_rel.Exec.patch}), when the run's members
-    allow one.
+    buffer, with no per-row result tree.  The plan runs on the caller; a
+    [pool] with more than one domain serializes its documents across the
+    domains ({!per_document}), and [sql_exec] is then the wall time of
+    both.  [on_members] receives the recording of a sequential run whose
+    plan has a patchable XMLAgg ({!Xdb_rel.Exec.patch}), when the run's
+    members allow one; a split run records none.
 
     Prefer {!Engine.transform}: the facade folds [metrics] (and the
     [jobs] pool size) into one [run_options] record; this entry point
     remains as its engine room. *)
 
 val run_rewrite_analyzed :
-  ?metrics:Metrics.t ->
-  ?pool:Parallel.t ->
-  Xdb_rel.Database.t ->
-  compiled ->
-  string list * Xdb_rel.Stats.t option
+  ?metrics:Metrics.t -> Xdb_rel.Database.t -> compiled -> string list * Xdb_rel.Stats.t option
 (** {!run_rewrite} with per-operator instrumentation; the stats collector
-    is [None] when the pipeline fell back to the XQuery stage.  A split
-    run sums its per-range collectors by operator id after the join, so
-    actual row counts match a sequential run. *)
+    is [None] when the pipeline fell back to the XQuery stage.  Always
+    sequential: the collector's counters are plain fields, and draining
+    the documents runs the plan's correlated subplans. *)
 
-(** {1 Splitting by row ranges}
+(** {1 Splitting a run}
 
-    The rewrite path turns one transform call into a per-base-table-row
-    relational plan (paper §3) — embarrassingly parallel.  Given a
-    {!Parallel} pool of more than one domain, the runs above split the
-    base table's row ids into contiguous ranges, run one execution per
-    range (each with private sinks and collectors), and concatenate
-    results in range order, so output is byte-identical to the
-    sequential run.  [jobs] sizes the pool; it never selects a different
-    evaluation strategy. *)
+    The rewrite path turns one transform call into a plan that gives one
+    document per base-table row (paper §3), and serializing those
+    documents — draining each row's streamed result — is most of the
+    run.  So a run splits by output document, for every source: the
+    plan runs (or the view folds) on the caller, then the documents
+    serialize across a {!Parallel} pool of more than one domain in
+    contiguous chunks and concatenate in document order, byte-identical
+    to the sequential run.  [jobs] sizes the pool; it never selects a
+    different evaluation strategy. *)
 
-val partition_table : compiled -> string option
-(** The table whose rows a split execution may partition the SQL/XML
-    plan over: the view's base table, provided it is the plan's driving
-    scan (through Project/Filter/NestedLoop-outer only) and is
-    seq-scanned exactly once in the whole tree (correlated subplans
-    included).  [None] otherwise — the rewrite runs then stay
-    sequential. *)
-
-val over_ranges :
-  ?metrics:Metrics.t ->
-  ?pool:Parallel.t ->
-  Xdb_rel.Database.t ->
-  string option ->
-  (?metrics:Metrics.t -> (string * int * int) option -> string list) ->
-  string list
-(** [over_ranges ?metrics ?pool db table task] — [task ?metrics None]
-    when [pool] is absent or has one domain, or [table] is [None].
-    Otherwise [task] runs once per contiguous row-id range
-    [Some (table, lo, hi)] of [table] (four per domain) across the pool,
-    each with a private {!Metrics.t} folded into [metrics] after the
-    join; results concatenate in range order. *)
+val per_document :
+  ?pool:Parallel.t -> 'a list -> (unit -> int -> 'a -> string) -> string list
+(** [per_document ?pool items chunk] — one document per item, in order:
+    [chunk ()] makes a serializer (its scratch buffer, say) that is
+    applied to each item's index and value.  On the caller with one
+    serializer when [pool] is absent or has one domain; otherwise the
+    items split into contiguous chunks ({!Parallel.chunk_ranges}, four
+    per domain), each chunk serialized on some domain by a serializer of
+    its own. *)
 
 val compose :
   Xdb_rel.Database.t ->
@@ -218,8 +202,8 @@ val run_shredded :
     over the program's bytecode, so output is always byte-identical to
     {!transform_functional} over the original documents.  A [pool] with
     more than one domain runs the same per-document evaluation across
-    its domains, with private {!Metrics.t} collectors merged after the
-    join.
+    its domains ({!per_document}); the documents charge the run's one
+    [metrics], so [shred_vm] then sums their times over the domains.
 
     Stages: [shred_vm] (plus [reconstruct]/[vm_transform] for fallback
     documents).  Counters: [shred_vm_docs], [shred_vm_fallback_docs],
@@ -231,12 +215,11 @@ val explain : compiled -> string
 (** Multi-section EXPLAIN: translation mode, execution graph, generated
     XQuery, SQL/XML plan (or the fallback reason). *)
 
-val explain_analyze : ?pool:Parallel.t -> Xdb_rel.Database.t -> compiled -> string
-(** Execute the SQL/XML plan with instrumentation and render estimated vs
-    actual rows, loops, B-tree probes and wall time per operator; reports
-    the fallback reason when no plan exists.  A multi-domain [pool]
-    splits the run as {!run_rewrite_analyzed} does; the rendered counts are the merged
-    per-range collectors.  Ends with the write footprint: per column of
+val explain_analyze : Xdb_rel.Database.t -> compiled -> string
+(** Execute the SQL/XML plan with instrumentation, sequentially, and
+    render estimated vs actual rows, loops, B-tree probes and wall time
+    per operator; reports the fallback reason when no plan exists.  Ends
+    with the write footprint: per column of
     each table the plan scans, what an UPDATE of it does to a cached page
     (keep, patch or recompute), rendered from the footprint the result
     cache judges with. *)

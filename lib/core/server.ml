@@ -323,9 +323,8 @@ let transform_stmt ?options sess stmt =
 let explain sess ~view_name ~stylesheet =
   submit sess (fun eng -> Engine.explain eng ~view_name ~stylesheet)
 
-let explain_analyze ?options sess ~view_name ~stylesheet =
-  let options = effective_options ?options sess in
-  submit sess (fun eng -> Engine.explain_analyze ~options eng ~view_name ~stylesheet)
+let explain_analyze sess ~view_name ~stylesheet =
+  submit sess (fun eng -> Engine.explain_analyze eng ~view_name ~stylesheet)
 
 (* ------------------------------------------------------------------ *)
 (* Observability                                                       *)

@@ -105,8 +105,7 @@ val explain : session -> view_name:string -> stylesheet:string -> string
 (** {!Engine.explain} under admission control (compilation shares the
     registry, so it is admitted like any other request). *)
 
-val explain_analyze :
-  ?options:Engine.run_options -> session -> view_name:string -> stylesheet:string -> string
+val explain_analyze : session -> view_name:string -> stylesheet:string -> string
 (** {!Engine.explain_analyze} under admission control. *)
 
 (** {1 Observability} *)

@@ -269,9 +269,8 @@ let begin_of dm j = dm.start + prefix dm.lens j
 
 (* [memit] is the member emitter the recording run compiled: it reads
    the tables through the [Table.t]s [mplan] was compiled against, row by
-   row at call time, and holds no row of its own.  Compiled closures keep
-   scratch state (a [concat]'s buffer), so patches take [mlock] to run it.
-   A patch updates [mdocs] in place and hands on a fresh record: the one
+   row at call time, and holds no row of its own.  A patch updates
+   [mdocs] in place, under [mlock], and hands on a fresh record: the one
    it patched is [spent], and a patch of it recomputes *)
 type members = {
   mplan : plan;
@@ -296,11 +295,6 @@ type cctx = {
   cdb : Database.t;
   cstats : Stats.t option;
   cxml_streaming : bool;
-  cpartition : (string * int * int) option;
-      (* (table, lo, hi): restrict the Seq_scan over [table] to the
-         half-open row-id range [lo, hi).  Domain-parallel execution
-         compiles one plan per range; the caller guarantees [table] is the
-         plan's single driving scan (Pipeline.partition_table). *)
   crowid : bool;
       (* the plan projects [rowid_column]: scans append each row's id as
          one more own slot (a copy of the row); otherwise they hand out
@@ -612,6 +606,14 @@ let rec emit_fields sink env r = function
           sink.E.emit E.End_element);
       emit_fields sink env r rest
 
+(* [concat]'s scratch buffers, a stack per domain: the closures of one
+   compiled plan may run on several domains at once (a split run
+   serializes its documents across a pool), and an argument may itself
+   be a [concat], which takes the next buffer up *)
+type concat_scratch = { mutable depth : int; mutable bufs : Buffer.t array }
+
+let concat_scratch = Domain.DLS.new_key (fun () -> { depth = 0; bufs = [||] })
+
 (** Compile an expression against a layout (the row's [own] slots, then
     the environment's) into a closure over the environment and the row.
     All column references — including those inside never-taken CASE
@@ -777,18 +779,29 @@ and cfn ctx lay own f args =
   let f1 () = match cs with [ f ] -> f | _ -> assert false in
   match (String.lowercase_ascii f, List.length args) with
   | "concat", _ ->
-      (* one buffer per compiled [concat]: cleared, filled with each
-         argument's text, copied out.  A compiled plan runs on one domain
-         at a time, and an argument never re-enters its own [concat]. *)
-      let b = Buffer.create 64 and cs = Array.of_list cs in
-      fun env r ->
+      (* the domain's scratch buffer at the current nesting depth:
+         cleared, filled with each argument's text, copied out *)
+      let cs = Array.of_list cs in
+      fun env r -> (
+        let st = Domain.DLS.get concat_scratch in
+        let d = st.depth in
+        if d = Array.length st.bufs then st.bufs <- Array.append st.bufs [| Buffer.create 64 |];
+        let b = st.bufs.(d) in
         Buffer.clear b;
-        for i = 0 to Array.length cs - 1 do
-          match cs.(i) env r with
-          | Value.Str s -> Buffer.add_string b s
-          | v -> Buffer.add_string b (Value.to_string v)
-        done;
-        Value.Str (Buffer.contents b)
+        st.depth <- d + 1;
+        match
+          for i = 0 to Array.length cs - 1 do
+            match cs.(i) env r with
+            | Value.Str s -> Buffer.add_string b s
+            | v -> Buffer.add_string b (Value.to_string v)
+          done
+        with
+        | () ->
+            st.depth <- d;
+            Value.Str (Buffer.contents b)
+        | exception e ->
+            st.depth <- d;
+            raise e)
   | "upper", 1 ->
       let f0 = f1 () in
       fun env r -> Value.Str (String.uppercase_ascii (Value.to_string (f0 env r)))
@@ -923,20 +936,12 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
     | Seq_scan { table; alias } ->
         let tbl = Database.table ctx.cdb table in
         let lay, own, row = scan_parts ctx tbl alias outer_lay in
-        (* row-id window of this scan: the whole table, unless it is the
-           partitioned driving scan of a domain-parallel execution *)
-        let base, count =
-          match ctx.cpartition with
-          | Some (t, lo, hi) when t = table ->
-              let lo = max 0 lo in
-              (lo, fun () -> max 0 (min hi (Table.size tbl) - lo))
-          | _ -> (0, fun () -> Table.size tbl)
-        in
+        let count () = Table.size tbl in
         let open_ _ =
           (match sopt with
           | Some s -> s.Stats.heap_rows <- s.Stats.heap_rows + count ()
           | None -> ());
-          chunked_cursor ~batch:default_batch_size ~count ~get:(fun i -> row (base + i))
+          chunked_cursor ~batch:default_batch_size ~count ~get:row
         in
         { c_layout = lay; c_own = own; c_open = open_ }
     | Index_scan { table; alias; index_column; lo; hi } ->
@@ -1248,12 +1253,11 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
 (* Public entry points                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let new_ctx ?stats ?(xml_streaming = false) ?partition ?record ~rowid db =
+let new_ctx ?stats ?(xml_streaming = false) ?record ~rowid db =
   {
     cdb = db;
     cstats = stats;
     cxml_streaming = xml_streaming;
-    cpartition = partition;
     crowid = rowid;
     crecord = record;
   }
@@ -1263,13 +1267,11 @@ let new_ctx ?stats ?(xml_streaming = false) ?partition ?record ~rowid db =
     cursors.  [xml_streaming] makes XML constructors produce
     [Value.Xml_stream] (events on demand) instead of node trees.
     @raise Exec_error for unresolvable or ambiguous columns. *)
-let compile_ctx db ?stats ?(outer = Layout.empty) ?xml_streaming ?partition ?record (p : plan) :
-    compiled =
+let compile_ctx db ?stats ?(outer = Layout.empty) ?xml_streaming ?record (p : plan) : compiled =
   let rowid = reads_rowid p in
-  cplan (new_ctx ?stats ?xml_streaming ?partition ?record ~rowid db) outer p
+  cplan (new_ctx ?stats ?xml_streaming ?record ~rowid db) outer p
 
-let compile db ?stats ?outer ?xml_streaming ?partition p =
-  compile_ctx db ?stats ?outer ?xml_streaming ?partition p
+let compile db ?stats ?outer ?xml_streaming p = compile_ctx db ?stats ?outer ?xml_streaming p
 
 let compile_expr db (lay : Layout.t) (e : expr) : Value.t array -> Value.t =
   let f = cexpr (new_ctx ~rowid:false db) lay 0 e in
@@ -1277,8 +1279,8 @@ let compile_expr db (lay : Layout.t) (e : expr) : Value.t array -> Value.t =
 
 (** [run_arrays db plan] — compiled execution to physical rows plus their
     layout; the allocation-light entry point for hot paths. *)
-let run_arrays db ?xml_streaming ?partition ?record (p : plan) : Layout.t * Value.t array list =
-  let c = compile_ctx db ?xml_streaming ?partition ?record p in
+let run_arrays db ?xml_streaming ?record (p : plan) : Layout.t * Value.t array list =
+  let c = compile_ctx db ?xml_streaming ?record p in
   (c.c_layout, drain_cursor (c.c_open [||]))
 
 (* ------------------------------------------------------------------ *)
@@ -1511,10 +1513,9 @@ let check_members (recorded : members) output =
             dm.by_key)
         recorded.mdocs)
 
-let run_arrays_analyzed db ?xml_streaming ?partition (p : plan) :
-    (Layout.t * Value.t array list) * Stats.t =
+let run_arrays_analyzed db ?xml_streaming (p : plan) : (Layout.t * Value.t array list) * Stats.t =
   let stats = Stats.create p in
-  let c = compile db ~stats ?xml_streaming ?partition p in
+  let c = compile db ~stats ?xml_streaming p in
   ((c.c_layout, drain_cursor (c.c_open [||])), stats)
 
 (* an externally supplied assoc environment becomes an environment row;

@@ -55,7 +55,6 @@ val compile :
   ?stats:Stats.t ->
   ?outer:Layout.t ->
   ?xml_streaming:bool ->
-  ?partition:string * int * int ->
   Algebra.plan ->
   compiled
 (** Resolve every column reference (including inside CASE branches and
@@ -63,14 +62,10 @@ val compile :
     expressions to closures; build batch cursors.  [xml_streaming]
     (default false) makes XML constructors produce [Value.Xml_stream]
     event producers instead of materialized node trees — same bytes on
-    serialization, no per-row DOM.
-
-    [partition:(table, lo, hi)] restricts the [Seq_scan] over [table] to
-    the half-open row-id window [lo, hi) — the hook domain-parallel
-    execution uses to split the driving scan of a rewrite plan across
-    domains ({!Pipeline}).  The caller must ensure [table] is scanned
-    exactly once in the plan (correlated subplans included); otherwise
-    every matching scan is windowed and results change.
+    serialization, no per-row DOM.  The compiled closures keep no
+    scratch state shared between calls, so the producers of one run's
+    rows may drain on several domains at once (an instrumented
+    compilation excepted: its [stats] are plain counters).
     @raise Exec_error at plan-open time for unknown or ambiguous
     columns, listing the columns that are available. *)
 
@@ -93,14 +88,13 @@ type members
 val run_arrays :
   Database.t ->
   ?xml_streaming:bool ->
-  ?partition:string * int * int ->
   ?record:recorder ->
   Algebra.plan ->
   Layout.t * Value.t array list
 (** Compiled execution to physical rows plus their layout — the
-    allocation-light entry point for hot paths.  [partition] as in
-    {!compile}; [record] (with [xml_streaming]) records the members as
-    the rows' streamed results serialize ({!record_document}). *)
+    allocation-light entry point for hot paths.  [record] (with
+    [xml_streaming]) records the members as the rows' streamed results
+    serialize ({!record_document}), one document at a time. *)
 
 val recorder : Footprint.members -> recorder
 
@@ -155,7 +149,6 @@ val check_members : members -> string list -> unit
 val run_arrays_analyzed :
   Database.t ->
   ?xml_streaming:bool ->
-  ?partition:string * int * int ->
   Algebra.plan ->
   (Layout.t * Value.t array list) * Stats.t
 (** {!run_arrays} with per-operator instrumentation. *)

@@ -165,18 +165,15 @@ let rec emit_spec db names spec : Exec.row -> E.sink -> unit =
 
 (* [f acc env emit] over the base rows of [view], in table order: [env]
    is the row's bindings and [emit] the view's spec compiled for them *)
-let fold_documents ?row_range db view f acc =
+let fold_documents db view f acc =
   let tbl = Database.table db view.base_table in
   let emit = emit_spec db (scan_names tbl view.base_alias) view.spec in
-  let step acc r = f acc (Exec.scan_bindings tbl view.base_alias r) emit in
-  match row_range with
-  | None -> Table.fold (fun acc _ r -> step acc r) acc tbl
-  | Some (lo, hi) ->
-      let acc = ref acc in
-      for rid = max 0 lo to min hi (Table.size tbl) - 1 do
-        acc := step !acc (Table.unsafe_row tbl rid)
-      done;
-      !acc
+  Table.fold (fun acc _ r -> f acc (Exec.scan_bindings tbl view.base_alias r) emit) acc tbl
+
+(** [documents db view] — one emitter per base row, in table order: the
+    row's document as events into the sink it is given. *)
+let documents db view =
+  fold_documents db view (fun acc env emit -> (fun sink -> emit env sink) :: acc) [] |> List.rev
 
 (** [materialize db view] — one XML document (as a document node) per base
     table row, in table order.  This is the input the functional XSLT
@@ -193,22 +190,21 @@ let materialize db view =
     []
   |> List.rev
 
+(** [serialize ?meth ?indent buf emit] — one document's events, from
+    its emitter, serialized through [buf] (cleared first). *)
+let serialize ?(meth = E.Xml) ?(indent = false) buf emit =
+  Buffer.clear buf;
+  let sink = E.serializing_sink ~meth ~indent buf in
+  emit sink;
+  sink.E.finish ();
+  Buffer.contents buf
+
 (** [materialize_serialized db view] — the documents of {!materialize} as
     serialized strings, one per base row, streaming spec events straight
-    into a reused buffer: no tree is ever built.  [row_range:(lo, hi)]
-    restricts to that row-id window (domain-parallel partitioning). *)
-let materialize_serialized db ?(meth = E.Xml) ?(indent = false) ?row_range view :
-    string list =
+    into a reused buffer: no tree is ever built. *)
+let materialize_serialized db ?meth ?indent view : string list =
   let buf = Buffer.create 1024 in
-  fold_documents ?row_range db view
-    (fun acc env emit ->
-      Buffer.clear buf;
-      let sink = E.serializing_sink ~meth ~indent buf in
-      emit env sink;
-      sink.E.finish ();
-      Buffer.contents buf :: acc)
-    []
-  |> List.rev
+  List.map (serialize ?meth ?indent buf) (documents db view)
 
 (* ------------------------------------------------------------------ *)
 (* Structural information                                              *)

@@ -39,18 +39,27 @@ val materialize : Database.t -> view -> Xdb_xml.Types.node list
     compiled once per call ({!Exec.compile_expr}); its [Agg] scans probe
     a B-tree on a correlation column when one exists. *)
 
-val materialize_serialized :
-  Database.t ->
+val documents : Database.t -> view -> (Xdb_xml.Events.sink -> unit) list
+(** One emitter per base row, in table order: applied to a sink, it
+    streams that row's document into it.  The spec compiles once, and
+    the emitters keep no scratch state, so they may run on several
+    domains at once (a publish split over a domain pool). *)
+
+val serialize :
   ?meth:Xdb_xml.Events.output_method ->
   ?indent:bool ->
-  ?row_range:int * int ->
-  view ->
-  string list
-(** The documents of {!materialize}, already serialized: spec events
-    stream into a reused buffer, one string per base row, no
-    intermediate tree.  Defaults: [meth = Xml], [indent = false].
-    [row_range:(lo, hi)] restricts to the half-open row-id window
-    [lo, hi) — the partition hook domain-parallel publishing uses. *)
+  Buffer.t ->
+  (Xdb_xml.Events.sink -> unit) ->
+  string
+(** [serialize buf emit] — one emitter's document, serialized through
+    [buf] (cleared first).  Defaults: [meth = Xml], [indent = false]. *)
+
+val materialize_serialized :
+  Database.t -> ?meth:Xdb_xml.Events.output_method -> ?indent:bool -> view -> string list
+(** The documents of {!materialize}, already serialized: each emitter of
+    {!documents} streams into one reused buffer, one string per base
+    row, no intermediate tree.  Defaults: [meth = Xml],
+    [indent = false]. *)
 
 val to_schema : view -> Xdb_schema.Types.t
 (** Structural information of the published documents: scalar content has

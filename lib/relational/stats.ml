@@ -82,37 +82,6 @@ let find (t : t) (p : A.plan) : op_stats option =
 
 let entries t = t.entries
 
-(** [merge_into ?split ~into src] — add [src]'s per-operator counters into
-    [into], matching entries by [id].  Both collectors must have been
-    built from the same plan shape (same pre-order traversal), as the
-    per-range collectors of a split execution are: each range compiles
-    the identical plan, so entry [i] names the same operator everywhere.
-    Entries of [src] with no [id] match are ignored.  [split] marks the
-    operators every range opens exactly as a whole run does:
-    [`Driving] (the chain down to the split scan: loops are kept, rows
-    add up) and [`Shared] (evaluated whole by every range, such as a
-    hash-join build side: every counter is kept). *)
-let merge_into ?(split = fun _ -> None) ~(into : t) (src : t) : unit =
-  List.iter
-    (fun (se : entry) ->
-      match List.find_opt (fun (de : entry) -> de.id = se.id) into.entries with
-      | None -> ()
-      | Some de ->
-          let kind = split se.node in
-          let add = if kind = Some `Shared then max else ( + ) in
-          let d = de.op and s = se.op in
-          d.loops <- (if kind = None then d.loops + s.loops else max d.loops s.loops);
-          d.rows <- add d.rows s.rows;
-          d.btree_probes <- add d.btree_probes s.btree_probes;
-          d.btree_nodes <- add d.btree_nodes s.btree_nodes;
-          d.heap_rows <- add d.heap_rows s.heap_rows;
-          d.build_rows <- add d.build_rows s.build_rows;
-          d.probe_hits <- add d.probe_hits s.probe_hits;
-          d.presorted <- add d.presorted s.presorted;
-          d.sorted <- add d.sorted s.sorted;
-          d.time_ms <- d.time_ms +. s.time_ms)
-    src.entries
-
 (** Total rows produced by the root operator (entry 0). *)
 let root_rows t = match t.entries with [] -> 0 | e :: _ -> e.op.rows
 

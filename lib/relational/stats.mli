@@ -32,19 +32,6 @@ val find : t -> Algebra.plan -> op_stats option
 val entries : t -> entry list
 (** All entries in pre-order (root first). *)
 
-val merge_into :
-  ?split:(Algebra.plan -> [ `Driving | `Shared ] option) -> into:t -> t -> unit
-(** Add a collector's per-operator counters into another, matching
-    entries by id.  Both must come from the same plan shape (identical
-    pre-order traversal) — how a split execution folds its per-range
-    collectors into one after the join.  [split] (default: none) marks
-    the operators every range opens exactly as a whole run does:
-    [`Driving] operators (the chain down to the split scan) keep their
-    loops and add their rows; [`Shared] ones (evaluated whole by every
-    range, e.g. a hash-join build side) keep every counter.  Unmarked
-    operators add every counter.  With the marks, the merged actual
-    rows and loops equal a whole run's. *)
-
 val root_rows : t -> int
 (** Rows produced by the root operator. *)
 

@@ -29,7 +29,7 @@ val dbview_for : ?docs:int -> case -> int -> Data.dbview
 (** Database + publishing view for a [db_capable] case.  [docs]
     (default 1) shards Records/Sales data across that many base-table
     rows — one published document each — so domain-parallel runs have
-    base rows to partition (Dept_emp shapes already publish one document
+    documents to split (Dept_emp shapes already publish one document
     per dept).
     @raise Invalid_argument for cases without a database form. *)
 

@@ -65,7 +65,7 @@ let records_doc n =
     published document per [tables] row.  [docs] (default 1) shards the
     [n] records across that many base-table rows — the paper's
     XMLType-column scenario of many documents in one table, and the shape
-    domain-parallel execution partitions.  [docs = 1] publishes exactly
+    domain-parallel execution splits by document.  [docs = 1] publishes exactly
     {!records_doc}[ n]. *)
 let records_db ?(docs = 1) n : dbview =
   let docs = max 1 (min (max 1 n) docs) in

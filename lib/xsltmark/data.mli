@@ -18,7 +18,7 @@ val records_doc : int -> Xdb_xml.Types.node
 val records_db : ?docs:int -> int -> dbview
 (** [docs] (default 1) shards the rows across that many base-table rows,
     one published document each — the many-documents XMLType-column shape
-    domain-parallel execution partitions.  [docs = 1] publishes exactly
+    domain-parallel execution splits by document.  [docs = 1] publishes exactly
     [records_doc n]. *)
 
 val dbonerow_target : int -> int

@@ -1037,9 +1037,8 @@ let case_env ?(docs = 1) name size =
 
 (* qcheck differential: the runs split over a pool must be byte-identical
    to the sequential ones over every db-capable case — sharded into
-   several documents so partitioning really happens — jobs 2 and 4, with
-   and without ANALYZE statistics; the split instrumented run's merged
-   per-operator rows and loops equal the sequential run's *)
+   several documents so the documents really split — jobs 2 and 4, with
+   and without ANALYZE statistics *)
 let prop_parallel_equiv_sequential =
   QCheck.Test.make ~name:"parallel(jobs=2,4) = sequential over db cases" ~count:25
     QCheck.(
@@ -1051,103 +1050,60 @@ let prop_parallel_equiv_sequential =
       if analyze then ignore (Xdb_rel.Analyze.all db);
       let c = PL.compile db view ss in
       let seq_r = PL.run_rewrite db c in
-      let actuals (out, stats) =
-        ( out,
-          Option.map
-            (fun st ->
-              List.map
-                (fun (e : Xdb_rel.Stats.entry) -> (e.label, e.op.rows, e.op.loops))
-                (Xdb_rel.Stats.entries st))
-            stats )
-      in
-      let seq_a = actuals (PL.run_rewrite_analyzed db c) in
-      PAR.with_pool ~jobs (fun pool ->
-          PL.run_rewrite ~pool db c = seq_r
-          && actuals (PL.run_rewrite_analyzed ~pool db c) = seq_a))
+      PAR.with_pool ~jobs (fun pool -> PL.run_rewrite ~pool db c = seq_r))
 
-let test_exec_partition () =
-  (* the Exec partition hook: per-range executions concatenate to the full
-     run, and per-domain stats collectors merge to the sequential counts *)
-  let db, view, ss = case_env ~docs:8 "dbonerow" 40 in
+(* a run splits by output document whatever the plan's shape: a Sort on
+   top, or the base table scanned twice (a correlated subquery over it
+   under every document) *)
+let test_split_parity pick () =
+  let db, view, ss = case_env ~docs:40 "avts" 400 in
   let c = PL.compile db view ss in
-  let plan = match c.PL.sql_plan with Some p -> p | None -> Alcotest.fail "no plan" in
-  let table =
-    match PL.partition_table c with Some t -> t | None -> Alcotest.fail "not partitionable"
+  let doc kids = A.Xml_element ("doc", [ ("tid", A.qcol "t" "tid") ], kids) in
+  let subquery aggs input = A.Scalar_subquery (A.Aggregate { group_by = []; aggs; input }) in
+  (* the document's records, through a compiled [concat] each *)
+  let names =
+    subquery
+      [
+        ( A.String_agg
+            (A.Fn ("concat", [ A.qcol "r" "name"; A.const_str "/"; A.qcol "r" "category" ]), ","),
+          "s" );
+      ]
+      (A.Filter
+         ( A.Binop (A.Eq, A.qcol "r" "tid", A.qcol "t" "tid"),
+           A.Seq_scan { table = "rows"; alias = "r" } ))
   in
-  let strings (layout, rows) =
-    let s =
-      match Xdb_rel.Layout.slot_opt layout "result" with
-      | Some s -> s
-      | None -> Alcotest.fail "no result column"
-    in
-    List.map (fun (r : V.t array) -> V.to_string r.(s)) rows
+  let earlier =
+    subquery
+      [ (A.Count_star, "n") ]
+      (A.Filter
+         ( A.Binop (A.Leq, A.qcol "t2" "tid", A.qcol "t" "tid"),
+           A.Seq_scan { table = "tables"; alias = "t2" } ))
   in
-  let full = strings (Xdb_rel.Exec.run_arrays db plan) in
-  let total = T.size (Xdb_rel.Database.table db table) in
-  check cb "several rows" true (total > 3);
-  let mid = total / 2 in
-  let part lo hi = strings (Xdb_rel.Exec.run_arrays db ~partition:(table, lo, hi) plan) in
-  check (Alcotest.list cs) "ranges concatenate to the full run" full
-    (part 0 mid @ part mid total);
-  (* out-of-range windows clamp *)
-  check (Alcotest.list cs) "clamped window" full (part 0 (total + 100));
-  check (Alcotest.list cs) "empty window" [] (part total total);
-  (* per-operator stats merge by id to the sequential signature *)
-  let (_, seq_stats) = Xdb_rel.Exec.run_arrays_analyzed db plan in
-  let (_, s1) = Xdb_rel.Exec.run_arrays_analyzed db ~partition:(table, 0, mid) plan in
-  let (_, s2) = Xdb_rel.Exec.run_arrays_analyzed db ~partition:(table, mid, total) plan in
-  let merged = Xdb_rel.Stats.create plan in
-  Xdb_rel.Stats.merge_into ~into:merged s1;
-  Xdb_rel.Stats.merge_into ~into:merged s2;
-  check
-    (Alcotest.list (Alcotest.pair cs ci))
-    "merged stats = sequential signature"
-    (Xdb_rel.Stats.rows_signature seq_stats)
-    (Xdb_rel.Stats.rows_signature merged)
-
-(* a plan driven through a hash join's probe side splits over its base
-   rows; every range rebuilds the whole build side, so the merged stats
-   keep the build side's counters instead of adding them up *)
-let test_split_hash_join_stats () =
-  let db, view = setup_example1 () in
-  let c = PL.compile db view example1_stylesheet in
-  let plan =
-    A.Project
-      ( [ (A.qcol "emp" "ename", "result") ],
-        A.Hash_join
-          {
-            outer = A.Seq_scan { table = "dept"; alias = "dept" };
-            inner = A.Seq_scan { table = "emp"; alias = "emp" };
-            keys = [ (A.qcol "dept" "deptno", A.qcol "emp" "deptno") ];
-            kind = A.Left_outer;
-          } )
+  let base = A.Seq_scan { table = "tables"; alias = "t" } in
+  let sorted =
+    A.Sort
+      ( [ (A.Col (None, "k"), A.Desc) ],
+        A.Project ([ (doc [ A.Xml_text names ], "result"); (A.qcol "t" "tid", "k") ], base) )
   in
-  let c = { c with PL.sql_plan = Some plan } in
-  check cb "splits over dept" true (PL.partition_table c = Some "dept");
-  let actuals (out, stats) =
-    ( out,
-      List.map
-        (fun (e : Xdb_rel.Stats.entry) -> (e.label, e.op.rows, e.op.loops, e.op.heap_rows))
-        (Xdb_rel.Stats.entries (Option.get stats)) )
-  in
-  let seq = actuals (PL.run_rewrite_analyzed db c) in
+  let twice = A.Project ([ (doc [ A.Xml_text earlier ], "result") ], base) in
+  let c = { c with PL.sql_plan = Some (pick (sorted, twice)) } in
+  let seq = PL.run_rewrite db c in
+  check ci "a document per base row" 40 (List.length seq);
   PAR.with_pool ~jobs:3 (fun pool ->
-      check cb "split run ≡ sequential (output, rows, loops, heap rows)" true
-        (actuals (PL.run_rewrite_analyzed ~pool db c) = seq))
+      check (Alcotest.list cs) "jobs=3 = sequential" seq (PL.run_rewrite ~pool db c))
 
-let test_metrics_merge () =
-  let a = Xdb_core.Metrics.create () and b = Xdb_core.Metrics.create () in
-  Xdb_core.Metrics.add_ms a "exec" 2.0;
-  Xdb_core.Metrics.incr a "rows";
-  Xdb_core.Metrics.add_ms b "exec" 3.0;
-  Xdb_core.Metrics.add_ms b "merge" 1.0;
-  Xdb_core.Metrics.incr ~by:4 b "rows";
-  Xdb_core.Metrics.merge_into ~into:a b;
-  check (Alcotest.list (Alcotest.pair cs (Alcotest.float 0.001))) "stages summed"
-    [ ("exec", 5.0); ("merge", 1.0) ]
-    (Xdb_core.Metrics.stages a);
-  check (Alcotest.list (Alcotest.pair cs ci)) "counters summed" [ ("rows", 5) ]
-    (Xdb_core.Metrics.counters a)
+(* the documents of one compiled plan drain on several domains at once:
+   avts's tag="r{id}-{category}" is a compiled [concat], which must not
+   share its scratch buffer between domains *)
+let test_split_concat_race () =
+  let db, view, ss = case_env ~docs:40 "avts" 2000 in
+  let c = PL.compile db view ss in
+  let seq = PL.run_rewrite db c in
+  PAR.with_pool ~jobs:4 (fun pool ->
+      for i = 1 to 5 do
+        check (Alcotest.list cs) (Printf.sprintf "split run %d = sequential" i) seq
+          (PL.run_rewrite ~pool db c)
+      done)
 
 let test_registry_concurrent () =
   (* [test_jobs] domains hammer one capacity-bounded registry; afterwards
@@ -1187,30 +1143,6 @@ let test_registry_concurrent () =
   (* the cache still works sequentially afterwards (no torn LRU state) *)
   let after = Xdb_core.Registry.run reg ~view_name:"dept_emp" ~stylesheet:variants.(0) in
   check cb "usable after the hammering" true (after = reference)
-
-(* the [actual=]/[loops=] figures of every EXPLAIN ANALYZE line, in
-   order — what is fixed by the data, with the timings left out *)
-let actuals text =
-  let field key line =
-    let k = String.length key in
-    let rec find i =
-      if i + k > String.length line then None
-      else if String.sub line i k = key then
-        let j = ref (i + k) in
-        while !j < String.length line && line.[!j] >= '0' && line.[!j] <= '9' do
-          incr j
-        done;
-        Some (String.sub line (i + k) (!j - i - k))
-      else find (i + 1)
-    in
-    find 0
-  in
-  List.filter_map
-    (fun line ->
-      match (field "actual=" line, field "loops=" line) with
-      | Some a, Some l -> Some (a ^ "/" ^ l)
-      | _ -> None)
-    (String.split_on_char '\n' text)
 
 let test_engine_facade () =
   let db, view = setup_example1 () in
@@ -1256,20 +1188,10 @@ let test_engine_facade () =
   (* explain / explain_analyze work and agree on actual row counts *)
   check cb "explain has a plan section" true
     (contains "SQL/XML plan" (EN.explain engine ~view_name:"dept_emp" ~stylesheet:example1_stylesheet));
-  let ea options =
-    EN.explain_analyze ~options engine ~view_name:"dept_emp" ~stylesheet:example1_stylesheet
+  let analyzed =
+    EN.explain_analyze engine ~view_name:"dept_emp" ~stylesheet:example1_stylesheet
   in
-  let sequential = ea EN.default_run_options in
-  check cb "explain_analyze reports actuals" true (contains "actual=" sequential);
-  (* the split run's per-range collectors merge by operator id: every
-     operator's actual=/loops= figures equal the sequential run's *)
-  check cb "plan splits by base rows" true
-    (PL.partition_table
-       (PL.compile db view example1_stylesheet)
-     <> None);
-  check (Alcotest.list cs) "parallel explain_analyze reports actuals"
-    (actuals sequential)
-    (actuals (ea { EN.default_run_options with EN.jobs = 3 }));
+  check cb "explain_analyze reports actuals" true (contains "actual=" analyzed);
   check ci "cache served repeated prepares"
     (List.assoc "cache_misses" (EN.registry_counters engine))
     1;
@@ -2544,9 +2466,9 @@ let () =
           Alcotest.test_case "chunk_ranges" `Quick test_chunk_ranges;
           Alcotest.test_case "pool run" `Quick test_pool_run;
           Alcotest.test_case "pool exceptions & shutdown" `Quick test_pool_exception;
-          Alcotest.test_case "Exec partition windows" `Quick test_exec_partition;
-          Alcotest.test_case "split hash-join stats" `Quick test_split_hash_join_stats;
-          Alcotest.test_case "Metrics merge" `Quick test_metrics_merge;
+          Alcotest.test_case "split run, Sort on top" `Quick (test_split_parity fst);
+          Alcotest.test_case "split run, base scanned twice" `Quick (test_split_parity snd);
+          Alcotest.test_case "split drain race guard" `Quick test_split_concat_race;
           Alcotest.test_case "registry under contention" `Quick test_registry_concurrent;
           Alcotest.test_case "Engine facade" `Quick test_engine_facade;
           Alcotest.test_case "Engine shredded storage" `Quick test_engine_shredded;
