@@ -846,6 +846,28 @@ let pct samples q =
       let n = Array.length a in
       a.(min (n - 1) (max 0 (int_of_float (ceil (q *. float_of_int n)) - 1)))
 
+(* [body i] on [n] domains (the caller's own when [n] = 1), each timed
+   from a shared start barrier to its return, so the wall time — the
+   first start to the last stop — leaves out [Domain.spawn] and
+   [Domain.join]; returns it in ms with the bodies' results *)
+let on_domains n body =
+  let arrived = Atomic.make 0 in
+  let run i () =
+    Atomic.incr arrived;
+    while Atomic.get arrived < n do
+      Domain.cpu_relax ()
+    done;
+    let t0 = Xdb_rel.Clock.now_ns () in
+    let r = body i in
+    (t0, Xdb_rel.Clock.now_ns (), r)
+  in
+  let runs =
+    if n = 1 then [ run 0 () ] else List.map Domain.join (List.init n (fun i -> Domain.spawn (run i)))
+  in
+  let first_start = List.fold_left (fun m (t0, _, _) -> min m t0) max_int runs
+  and last_stop = List.fold_left (fun m (_, t1, _) -> max m t1) min_int runs in
+  (float_of_int (last_stop - first_start) /. 1e6, List.map (fun (_, _, r) -> r) runs)
+
 (* Closed-loop workload: N client domains over one Xdb.Server, each
    looping a mixed stylesheet set (the three Records-shape cases, so one
    shared engine/view serves all of them) back-to-back for a fixed total
@@ -855,7 +877,8 @@ let pct samples q =
    (max_in_flight 1, queue 2, five concurrent requests) demonstrates
    that admission control rejects with Overloaded instead of
    deadlocking. *)
-let servebench ?(size = 2_000) ?(clients_list = [ 1; 2; 4 ]) ?(per_case = 24) () =
+let servebench ?(size = 2_000) ?(clients_list = [ 1; 2; 4 ]) ?(per_case = 24)
+    ?(engine_hits = 200_000) () =
   let nproc = Xdb_core.Parallel.default_jobs () in
   let dv = D.records_db size in
   let engine = EN.create dv.D.db in
@@ -884,43 +907,24 @@ let servebench ?(size = 2_000) ?(clients_list = [ 1; 2; 4 ]) ?(per_case = 24) ()
         let server = SV.create ~max_in_flight:nproc ~max_queue:256 engine in
         let iters = max 1 (per_case / clients) in
         (* each client: its own session, [iters] closed-loop passes over
-           the mixed case set, per-request latency + identity checks.  A
-           client's clock starts once every client has reached the start
-           barrier and stops before it returns, so the wall time leaves
-           out [Domain.spawn] and [Domain.join] *)
-        let arrived = Atomic.make 0 in
+           the mixed case set, per-request latency + identity checks *)
         let run_client i =
-          Atomic.incr arrived;
-          while Atomic.get arrived < clients do
-            Domain.cpu_relax ()
-          done;
-          let t0 = Unix.gettimeofday () in
           let sess = SV.open_session ~name:(Printf.sprintf "c%d" i) server in
           let out = ref [] in
           for _ = 1 to iters do
             List.iter
               (fun (name, ss) ->
-                let t0 = Unix.gettimeofday () in
-                let r = SV.transform sess ~view_name ~stylesheet:ss in
-                let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+                let r, ms = time_once (fun () -> SV.transform sess ~view_name ~stylesheet:ss) in
                 out := (name, ms, r.EN.output = List.assoc name reference) :: !out)
               cases
           done;
           SV.close_session sess;
-          (t0, Unix.gettimeofday (), !out)
+          !out
         in
-        let runs =
-          if clients = 1 then [ run_client 0 ]
-          else
-            List.map Domain.join
-              (List.init clients (fun i -> Domain.spawn (fun () -> run_client i)))
-        in
-        let first_start = List.fold_left (fun m (t0, _, _) -> Float.min m t0) infinity runs
-        and last_stop = List.fold_left (fun m (_, t1, _) -> Float.max m t1) 0.0 runs in
-        let wall_ms = (last_stop -. first_start) *. 1000.0 in
+        let wall_ms, runs = on_domains clients run_client in
         let snap = SV.snapshot server in
         SV.shutdown server;
-        let samples = List.concat_map (fun (_, _, out) -> out) runs in
+        let samples = List.concat runs in
         let rps k = f3 (float_of_int k /. (wall_ms /. 1000.0)) in
         let legs =
           List.map
@@ -940,6 +944,30 @@ let servebench ?(size = 2_000) ?(clients_list = [ 1; 2; 4 ]) ?(per_case = 24) ()
             ("wall_ms", f4 wall_ms); ("throughput_rps", rps (List.length samples));
             ("queued", I snap.SV.queued); ("rejected", I snap.SV.rejected) ] ))
       clients_list
+  in
+  (* engine-level hits, beside the gated legs and not gated: [domains]
+     domains each serve [engine_hits] cached [transform_stmt] hits of one
+     prepared avts page, no server in between *)
+  let engine_legs =
+    let stmt = EN.prepare engine ~view_name ~stylesheet:(List.assoc "avts" cases) in
+    let expected = List.assoc "avts" reference in
+    List.map
+      (fun domains ->
+        let wall_ms, runs =
+          on_domains domains (fun _ ->
+              let last = ref [] in
+              for _ = 1 to engine_hits do
+                last := (EN.transform_stmt engine stmt).EN.output
+              done;
+              !last = expected)
+        in
+        let identical = List.for_all Fun.id runs in
+        assert identical;
+        [ ("scenario", S "engine_hits"); ("case", S "avts"); ("domains", I domains);
+          ("hits", I (domains * engine_hits)); ("wall_ms", f4 wall_ms);
+          ("hits_per_s", f0 (float_of_int (domains * engine_hits) /. (wall_ms /. 1000.0)));
+          ("identical", B identical) ])
+      [ 1; 2 ]
   in
   (* deterministic overload: one slot, a queue of two, five concurrent
      requests — two must be rejected with Overloaded, none may hang *)
@@ -983,7 +1011,7 @@ let servebench ?(size = 2_000) ?(clients_list = [ 1; 2; 4 ]) ?(per_case = 24) ()
   report "BENCH_PR7" "servebench"
     (Printf.sprintf "servebench: closed-loop serving over one shared Engine (nproc %d)" nproc)
     (List.concat_map fst per_clients)
-    ~summary:(List.map snd per_clients @ [ overload ])
+    ~summary:(List.map snd per_clients @ engine_legs @ [ overload ])
 
 (* ------------------------------------------------------------------ *)
 (* rwbench: mixed read/write workload over the result cache            *)
@@ -1033,7 +1061,7 @@ let rwbench ?(size = 2_000) ?(requests = 400) () =
         let rand = D.lcg (size + (97 * write_pct)) in
         let reads = ref 0 and writes = ref 0 and stale = ref 0 in
         let read_lat = ref [] and write_lat = ref [] in
-        let t0 = Unix.gettimeofday () in
+        let t0 = Xdb_rel.Clock.now_ns () in
         for i = 1 to requests do
           if rand 100 < write_pct then begin
             (* alternate output-visible (name) and invalidate-only
@@ -1060,7 +1088,7 @@ let rwbench ?(size = 2_000) ?(requests = 400) () =
             if out <> recomputed then incr stale
           end
         done;
-        let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+        let wall_ms = Xdb_rel.Clock.ms_since t0 in
         let hits = List.assoc "result_cache_hits" (EN.result_cache_counters engine) in
         EN.shutdown engine;
         (* staleness is a correctness bug, not a performance number *)

@@ -12,48 +12,87 @@ module P = Xdb_rel.Publish
    writes (DML/ANALYZE/CREATE VIEW/view registration/shredding) exclude
    everything.  This is what makes result-cache version capture sound:
    within a read no dependency table's data version can move between
-   computing output and storing it.  No writer preference — the write
-   mix this serves is a few percent, so reader starvation of writers is
-   bounded in practice (rwbench measures exactly this mix). *)
+   computing output and storing it, or while a prepared statement
+   checks its held entry.
+
+   The read side takes no mutex: a reader bumps an atomic count and
+   then checks the writer flag.  The lock prefers writers: a writer
+   sets the flag under [m], so a reader that arrives later backs off
+   (drops its count, waits on [c] until the flag clears, tries again),
+   and waits on [c] for the readers already in to drain; the last of
+   them to leave wakes it.  Both sides are sequentially consistent
+   atomics, so either the writer sees the reader's count or the reader
+   sees the flag.  Writers queue on [m]/[c] among themselves.  A read
+   must not take the lock again inside itself: behind a waiting writer
+   the inner read would wait for a writer that waits for the outer
+   one. *)
 module Rw = struct
   type t = {
     m : Mutex.t;
     c : Condition.t;
-    mutable readers : int;
-    mutable writer : bool;
+    readers : int Atomic.t;
+    writer : bool Atomic.t;  (** set from when a writer starts waiting until it is done *)
   }
 
-  let create () = { m = Mutex.create (); c = Condition.create (); readers = 0; writer = false }
+  let create () =
+    { m = Mutex.create (); c = Condition.create (); readers = Atomic.make 0; writer = Atomic.make false }
+
+  let wake t =
+    Mutex.lock t.m;
+    Condition.broadcast t.c;
+    Mutex.unlock t.m
+
+  let leave_read t =
+    if Atomic.fetch_and_add t.readers (-1) = 1 && Atomic.get t.writer then wake t
+
+  let rec enter_read t =
+    Atomic.incr t.readers;
+    if Atomic.get t.writer then (
+      leave_read t;
+      Mutex.lock t.m;
+      while Atomic.get t.writer do
+        Condition.wait t.c t.m
+      done;
+      Mutex.unlock t.m;
+      enter_read t)
 
   let read t f =
-    Mutex.lock t.m;
-    while t.writer do
-      Condition.wait t.c t.m
-    done;
-    t.readers <- t.readers + 1;
-    Mutex.unlock t.m;
-    Fun.protect
-      ~finally:(fun () ->
-        Mutex.lock t.m;
-        t.readers <- t.readers - 1;
-        if t.readers = 0 then Condition.broadcast t.c;
-        Mutex.unlock t.m)
-      f
+    enter_read t;
+    match f () with
+    | v ->
+        leave_read t;
+        v
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        leave_read t;
+        Printexc.raise_with_backtrace e bt
 
   let write t f =
     Mutex.lock t.m;
-    while t.writer || t.readers > 0 do
+    while Atomic.get t.writer do
       Condition.wait t.c t.m
     done;
-    t.writer <- true;
+    Atomic.set t.writer true;
+    while Atomic.get t.readers > 0 do
+      Condition.wait t.c t.m
+    done;
     Mutex.unlock t.m;
-    Fun.protect
-      ~finally:(fun () ->
-        Mutex.lock t.m;
-        t.writer <- false;
-        Condition.broadcast t.c;
-        Mutex.unlock t.m)
-      f
+    let finish () =
+      Mutex.lock t.m;
+      Atomic.set t.writer false;
+      Condition.broadcast t.c;
+      Mutex.unlock t.m
+    in
+    match f () with
+    | v ->
+        finish ();
+        v
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        finish ();
+        Printexc.raise_with_backtrace e bt
+
+  let writer_pending t = Atomic.get t.writer
 end
 
 type run_options = { jobs : int; collect_metrics : bool; result_cache : bool; indent : bool }
@@ -152,50 +191,57 @@ let shutdown t =
    so they may share entries. *)
 let transform_key view_name stylesheet = "T\x00" ^ view_name ^ "\x00" ^ stylesheet
 
+(* a statement's compiled form with the versions it was compiled at *)
+type compiled_at = { stats : int; views : int; compiled : Pipeline.compiled }
+
 type stmt = {
   st_view : string;
   st_stylesheet : string;
   st_key : string;  (** its result-cache key, {!transform_key} *)
-  st_lock : Mutex.t;
-  mutable st_compiled : Pipeline.compiled;
-  mutable st_stats : int;  (** Database.stats_version at (re)compile *)
-  mutable st_views : int;  (** Registry.views_version at (re)compile *)
+  st_lock : Mutex.t;  (** serializes recompiles *)
+  st_compiled : compiled_at Atomic.t;
+  st_slot : Result_cache.slot;  (** the result-cache entry it was last served from *)
 }
 
 let compile_view ?metrics t ~view_name ~stylesheet =
   Xdb_error.wrap ~stage:"compile" (fun () ->
       Registry.compile ~options:t.options ?metrics t.registry ~view_name ~stylesheet)
 
+let compiled_now ?metrics t ~view_name ~stylesheet =
+  let stats = Xdb_rel.Database.stats_version t.db in
+  let views = Registry.views_version t.registry in
+  { stats; views; compiled = compile_view ?metrics t ~view_name ~stylesheet }
+
 let prepare ?metrics t ~view_name ~stylesheet =
   Rw.read t.rw (fun () ->
-      let compiled = compile_view ?metrics t ~view_name ~stylesheet in
       {
         st_view = view_name;
         st_stylesheet = stylesheet;
         st_key = transform_key view_name stylesheet;
         st_lock = Mutex.create ();
-        st_compiled = compiled;
-        st_stats = Xdb_rel.Database.stats_version t.db;
-        st_views = Registry.views_version t.registry;
+        st_compiled = Atomic.make (compiled_now ?metrics t ~view_name ~stylesheet);
+        st_slot = Result_cache.slot ();
       })
 
-(* The hot path of a prepared statement: two integer compares.  Only
-   when ANALYZE or a view (re)registration moved a version does the
-   statement go back through the registry (which itself re-fingerprints
-   and serves its cache when the statement's own view is unaffected). *)
+(* The hot path of a prepared statement: one atomic read and two integer
+   compares.  Only when ANALYZE or a view (re)registration moved a
+   version does the statement take its lock and go back through the
+   registry (which itself re-fingerprints and serves its cache when the
+   statement's own view is unaffected). *)
+let current t c =
+  c.stats = Xdb_rel.Database.stats_version t.db && c.views = Registry.views_version t.registry
+
 let stmt_compiled ?metrics t stmt =
-  let stats = Xdb_rel.Database.stats_version t.db in
-  let views = Registry.views_version t.registry in
-  Mutex.lock stmt.st_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock stmt.st_lock)
-    (fun () ->
-      if stmt.st_stats <> stats || stmt.st_views <> views then (
-        stmt.st_compiled <-
-          compile_view ?metrics t ~view_name:stmt.st_view ~stylesheet:stmt.st_stylesheet;
-        stmt.st_stats <- stats;
-        stmt.st_views <- views);
-      stmt.st_compiled)
+  let c = Atomic.get stmt.st_compiled in
+  if current t c then c.compiled
+  else
+    Mutex.protect stmt.st_lock (fun () ->
+        let c = Atomic.get stmt.st_compiled in
+        if current t c then c.compiled
+        else
+          let c = compiled_now ?metrics t ~view_name:stmt.st_view ~stylesheet:stmt.st_stylesheet in
+          Atomic.set stmt.st_compiled c;
+          c.compiled)
 
 let stmt_view stmt = stmt.st_view
 
@@ -223,10 +269,10 @@ let stamp_outcome metrics ~hit ~patched =
    against.  [deps] is asked for after [run], [footprint] only when a
    write reached the entry: a transform compiles in neither until the
    cache cannot serve it. *)
-let serve_cached t options ~metrics ~view ~key ~deps ?footprint ?patch run =
+let serve_cached t options ~metrics ~view ~key ~deps ?footprint ?patch ?slot run =
   if not options.result_cache then fst (run ~record:false)
   else
-    match Result_cache.find t.rc ~key ?footprint ?patch () with
+    match Result_cache.find t.rc ~key ?footprint ?patch ?slot () with
     | Result_cache.Hit output ->
         stamp_outcome metrics ~hit:true ~patched:false;
         output
@@ -235,7 +281,7 @@ let serve_cached t options ~metrics ~view ~key ~deps ?footprint ?patch run =
         output
     | (Result_cache.Miss | Result_cache.Dropped) as outcome ->
         let output, members = run ~record:(outcome = Result_cache.Dropped) in
-        Result_cache.store t.rc ~view ~key ~deps:(deps ()) ?members output;
+        Result_cache.store t.rc ~view ~key ~deps:(deps ()) ?members ?slot output;
         stamp_outcome metrics ~hit:false ~patched:false;
         output
 
@@ -258,7 +304,7 @@ let transform_body ~options ?metrics t compiled ~record =
 (* serve a transform, compiled on first need: writes the plan never
    read keep the cached page, and writes only its patchable members read
    patch it (timed as the [result_cache_patch] stage) *)
-let serve_transform t options ~metrics ~view ~key compiled =
+let serve_transform t options ~metrics ~view ~key ?slot compiled =
   let compiled () = Lazy.force compiled in
   let patch output recorded changes =
     let c = compiled () in
@@ -269,19 +315,26 @@ let serve_transform t options ~metrics ~view ~key compiled =
                 Xdb_rel.Exec.patch t.db plan m recorded ~changes output))
     | _ -> None
   in
-  serve_cached t options ~metrics ~view ~key
+  serve_cached t options ~metrics ~view ~key ?slot
     ~deps:(fun () -> (compiled ()).Pipeline.deps)
     ~footprint:(fun () -> (compiled ()).Pipeline.footprint)
     ~patch
     (fun ~record -> transform_body ~options ?metrics t (compiled ()) ~record)
 
+(* a held entry that no write reached is served before any of
+   [serve_transform]'s closures are built *)
 let transform_stmt ?(options = default_run_options) t stmt =
   let metrics = metrics_of options in
   let output =
     Rw.read t.rw (fun () ->
         let compiled = stmt_compiled ?metrics t stmt in
-        serve_transform t options ~metrics ~view:stmt.st_view ~key:stmt.st_key
-          (Lazy.from_val compiled))
+        match if options.result_cache then Result_cache.hit t.rc stmt.st_slot else None with
+        | Some output ->
+            stamp_outcome metrics ~hit:true ~patched:false;
+            output
+        | None ->
+            serve_transform t options ~metrics ~view:stmt.st_view ~key:stmt.st_key
+              ~slot:stmt.st_slot (Lazy.from_val compiled))
   in
   { output; metrics }
 

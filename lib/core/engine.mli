@@ -25,7 +25,8 @@
     results record the versions of every table their plan read and are
     served only while all of them still match — so a write is always
     visible to the next read, cached or not, and repeated reads on
-    unchanged data cost a hash lookup instead of a plan execution.
+    unchanged data cost a cache lookup instead of a plan execution (a
+    prepared statement's, not even a hash: it holds its entry).
     Statistics go stale on write (reported by ANALYZE-aware tooling) but
     plans stay valid: costs are merely dated until the next ANALYZE.
 
@@ -107,10 +108,14 @@ val execute : t -> string -> Xdb_sql.Engine.result
 
     A {!stmt} pins a (view, stylesheet) pair with its compiled form.
     Re-running one skips all registry work while nothing changed: the
-    hot path is two integer version compares (catalog statistics,
-    view registrations); only when one moved does the statement
-    recompile through the {!Registry} (which still serves its cache if
-    the statement's own view is unaffected). *)
+    hot path is one atomic read and two integer version compares
+    (catalog statistics, view registrations); only when one moved does
+    the statement recompile through the {!Registry} (which still serves
+    its cache if the statement's own view is unaffected).  A statement
+    also holds the result-cache entry it was last served from
+    ({!Result_cache.slot}): while that entry is live and no write
+    reached its tables, {!transform_stmt} serves it with no key hash
+    and no mutex. *)
 
 type stmt
 
@@ -226,6 +231,26 @@ val stmt_recording : t -> stmt -> (string list * Xdb_rel.Exec.members) option
 (** The statement's cached output and where its patchable members lie,
     when the result cache holds both ({!Result_cache.recording}): what
     {!Xdb_rel.Exec.check_members} checks. *)
+
+(** {1 The reader/writer lock}
+
+    The lock every verb above takes, exposed for its tests.  Reads
+    share it and take no mutex: an atomic reader count and a writer
+    flag.  Writes exclude everything and are preferred: once a writer
+    waits, a reader that arrives backs off until that writer is done,
+    and the writer waits for the readers already in to leave.  A body
+    that raises leaves the lock free.  A read must not be nested inside
+    a read of the same lock. *)
+module Rw : sig
+  type t
+
+  val create : unit -> t
+  val read : t -> (unit -> 'a) -> 'a
+  val write : t -> (unit -> 'a) -> 'a
+
+  val writer_pending : t -> bool
+  (** A writer is waiting for the lock or holding it. *)
+end
 
 val shutdown : t -> unit
 (** Join the engine's domain pool, if one was created.  Idempotent; the

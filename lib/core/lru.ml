@@ -1,9 +1,11 @@
-(* Hash table + intrusive recency list: O(1) LRU.  See lru.mli. *)
+(* Hash table + intrusive recency list: O(1) LRU with a second chance
+   for entries referenced in place.  See lru.mli. *)
 
 type ('k, 'v) node = {
   key : 'k;
-  value : 'v;
+  mutable value : 'v;
   mutable live : bool;  (** still the table's entry for [key] *)
+  mutable referenced : bool;  (** used through a held node since it last moved *)
   mutable newer : ('k, 'v) node option;
   mutable older : ('k, 'v) node option;
 }
@@ -32,6 +34,12 @@ let push_newest t n =
 let find t k = Hashtbl.find_opt t.table k
 
 let value n = n.value
+let set_value n v = n.value <- v
+let live n = n.live
+
+(* racy by design: a lost or late mark only costs the entry its second
+   chance; testing first keeps a hot entry's line unwritten *)
+let reference n = if not n.referenced then n.referenced <- true
 
 let use t n =
   match t.newest with
@@ -51,12 +59,21 @@ let remove t k =
 
 let add t k v =
   remove t k;
-  let n = { key = k; value = v; live = true; newer = None; older = None } in
+  let n = { key = k; value = v; live = true; referenced = false; newer = None; older = None } in
   Hashtbl.replace t.table k n;
   push_newest t n;
-  let evicted = ref 0 in
+  (* at most one second chance per entry and insert, so marks set by
+     racing readers cannot keep the scan going *)
+  let evicted = ref 0 and chances = ref (Hashtbl.length t.table) in
   while Hashtbl.length t.table > t.capacity do
     match t.oldest with
+    | Some victim when !chances > 0 && (victim.referenced || victim == n) ->
+        (* second chance: a referenced entry becomes the newest instead;
+           so does the new one, should all older entries have had theirs *)
+        decr chances;
+        victim.referenced <- false;
+        unlink t victim;
+        push_newest t victim
     | Some victim ->
         remove t victim.key;
         incr evicted

@@ -4,8 +4,20 @@
     A hash table maps each key to a node of a doubly linked recency
     list, newest first, so a lookup, a use, an insert and an eviction
     are all O(1).  An insert or a {!use} makes an entry the newest; an
-    insert past [capacity] drops the oldest entries.  Not thread-safe:
-    both caches call it under their own lock. *)
+    insert past [capacity] drops the oldest entries.
+
+    A caller may also keep a node and read it later without the table
+    ({!live}, {!value}); such a read marks its use with {!reference}
+    instead of moving the node.  Eviction gives a referenced oldest
+    entry a second chance: its bit is cleared and it becomes the newest,
+    and the scan goes on to the next oldest.  The entry being inserted
+    is never the one evicted while an older one can go.
+
+    Not thread-safe: both caches call {!find}, {!use}, {!add},
+    {!set_value} and {!remove} under their own lock.  {!live}, {!value}
+    and {!reference} are plain field accesses that may race with them:
+    a racing reader sees the old or the new value, and a lost mark only
+    costs its entry the second chance. *)
 
 type ('k, 'v) t
 
@@ -20,12 +32,23 @@ val find : ('k, 'v) t -> 'k -> ('k, 'v) node option
 
 val value : ('k, 'v) node -> 'v
 
+val set_value : ('k, 'v) node -> 'v -> unit
+(** Replace the entry's value in place; its recency does not change. *)
+
+val live : ('k, 'v) node -> bool
+(** Still the table's entry for its key: not removed, replaced or
+    evicted. *)
+
+val reference : ('k, 'v) node -> unit
+(** Mark a use made through a held node, honoured by the next eviction
+    that reaches it (second chance). *)
+
 val use : ('k, 'v) t -> ('k, 'v) node -> unit
 (** Make the entry the newest; nothing once it was removed or replaced. *)
 
 val add : ('k, 'v) t -> 'k -> 'v -> int
-(** Insert or replace as the newest entry, then evict the oldest ones
-    past capacity; returns how many were evicted. *)
+(** Insert or replace as the newest entry, then evict the oldest
+    unreferenced ones past capacity; returns how many were evicted. *)
 
 val remove : ('k, 'v) t -> 'k -> unit
 

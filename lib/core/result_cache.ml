@@ -3,17 +3,24 @@
 module DB = Xdb_rel.Database
 module FP = Xdb_rel.Footprint
 
-type entry = {
+(* an entry's state, which the cache never mutates: a keep, a patch or a
+   re-store swaps a fresh one into the entry's node (only the member
+   recording changes inside, spent by a patch under its own lock) *)
+type snapshot = {
   view : string;  (** owning view name — schema-evolution invalidation handle *)
-  mutable output : string list;
-  mutable deps : (string * int) list;  (** (table, data version when stored or re-stamped) *)
-  mutable members : Xdb_rel.Exec.members option;  (** where its patchable members lie *)
+  output : string list;
+  deps : (string * int) list;  (** (table, data version when stored or re-stamped) *)
+  members : Xdb_rel.Exec.members option;  (** where its patchable members lie *)
 }
+
+type node = (string, snapshot) Lru.node
+
+type slot = { mutable pinned : node option }
 
 type t = {
   db : DB.t;
-  lock : Mutex.t;  (** guards [cache] *)
-  cache : (string, entry) Lru.t;
+  lock : Mutex.t;  (** guards [cache]'s table, recency list and value swaps *)
+  cache : (string, snapshot) Lru.t;
   hits : int Atomic.t;
   misses : int Atomic.t;
   invalidations : int Atomic.t;
@@ -47,16 +54,49 @@ let create ?(capacity = default_capacity) db =
 
 let locked t f =
   Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+  match f () with
+  | v ->
+      Mutex.unlock t.lock;
+      v
+  | exception e ->
+      Mutex.unlock t.lock;
+      raise e
 
-let restamp t entry =
-  entry.deps <- List.map (fun (tbl, _) -> (tbl, DB.data_version t.db tbl)) entry.deps
+let slot () = { pinned = None }
 
-(* what the writes since [entry] was stored mean for it under
-   [footprint]: [`Fresh] (none), [`Keep] (none it reads), [`Patch
-   changes] (only the members these rows reach, per table), or [`Drop]
-   — also when a write is not a logged UPDATE *)
-let judge t footprint entry =
+let pin slot node =
+  match slot with
+  | Some s -> (
+      match s.pinned with Some n when n == node -> () | _ -> s.pinned <- Some node)
+  | None -> ()
+
+let restamp t s = { s with deps = List.map (fun (tbl, _) -> (tbl, DB.data_version t.db tbl)) s.deps }
+
+(* no write since the snapshot was stored: every dependency at its version *)
+let rec fresh t = function
+  | [] -> true
+  | (tbl, v) :: rest -> DB.data_version t.db tbl = v && fresh t rest
+
+(* the lock-free read: the pinned node, its snapshot, the versions.  The
+   engine's read lock keeps every data version still meanwhile; a node
+   evicted or re-valued under us still holds a snapshot that was right
+   at its own versions *)
+let hit t slot =
+  match slot.pinned with
+  | Some node when Lru.live node ->
+      let s = Lru.value node in
+      if fresh t s.deps then (
+        Lru.reference node;
+        Atomic.incr t.hits;
+        Some s.output)
+      else None
+  | _ -> None
+
+(* what the writes since [s] was stored mean for it under [footprint]:
+   [`Fresh] (none), [`Keep] (none it reads), [`Patch changes] (only the
+   members these rows reach, per table), or [`Drop] — also when a write
+   is not a logged UPDATE *)
+let judge t footprint s =
   let exception Drop in
   let patched = ref [] and moved = ref false in
   let judge_change tbl fp (changed, columns) =
@@ -75,14 +115,12 @@ let judge t footprint entry =
           | rids -> patched := (tbl, List.sort_uniq compare rids) :: !patched)
       | _ -> raise Drop)
   in
-  match List.iter judge_table entry.deps with
+  match List.iter judge_table s.deps with
   | () when not !moved -> `Fresh
   | () -> if !patched = [] then `Keep else `Patch !patched
   | exception Drop -> `Drop
 
-let moved t entry = List.exists (fun (tbl, v) -> DB.data_version t.db tbl <> v) entry.deps
-
-let find t ~key ?(footprint = fun () -> None) ?patch () =
+let find t ~key ?(footprint = fun () -> None) ?patch ?slot () =
   (* an entry no write has reached is served without the footprint,
      which is forced only once a dependency moved, outside the lock (it
      may compile).  Data versions stay put in between: the engine
@@ -91,9 +129,10 @@ let find t ~key ?(footprint = fun () -> None) ?patch () =
     locked t (fun () ->
         match Lru.find t.cache key with
         | None -> `Miss
-        | Some node when not (moved t (Lru.value node)) ->
+        | Some node when fresh t (Lru.value node).deps ->
             Lru.use t.cache node;
             Atomic.incr t.hits;
+            pin slot node;
             `Hit (Lru.value node).output
         | Some _ -> `Moved)
   in
@@ -106,18 +145,19 @@ let find t ~key ?(footprint = fun () -> None) ?patch () =
             match Lru.find t.cache key with
             | None -> `Miss
             | Some node -> (
-                let entry = Lru.value node in
-                match (judge t footprint entry, entry.members, patch) with
+                let s = Lru.value node in
+                match (judge t footprint s, s.members, patch) with
                 | ((`Fresh | `Keep) as v), _, _ ->
                     (* kept: no write since reached what the output was computed from *)
                     if v = `Keep then (
-                      restamp t entry;
+                      Lru.set_value node (restamp t s);
                       Atomic.incr t.kept);
                     Lru.use t.cache node;
                     Atomic.incr t.hits;
-                    `Hit entry.output
+                    pin slot node;
+                    `Hit s.output
                 | `Patch changes, Some members, Some patch ->
-                    `Patch (node, entry.deps, entry.output, members, changes, patch)
+                    `Patch (node, s, members, changes, patch)
                 | _ ->
                     Lru.remove t.cache key;
                     Atomic.incr t.invalidations;
@@ -131,35 +171,34 @@ let find t ~key ?(footprint = fun () -> None) ?patch () =
   | `Dropped ->
       Atomic.incr t.misses;
       Dropped
-  | `Patch (node, seen, output, members, changes, patch) -> (
-      let entry = Lru.value node in
+  | `Patch (node, seen, members, changes, patch) -> (
       (* outside the lock: concurrent readers patch on their own, and a
-         patch is installed only over the entry at the versions it was
-         patched from — the first install wins *)
-      match patch output members changes with
+         patch is installed only over the snapshot it was patched from —
+         the first install wins *)
+      let unchanged () = Lru.live node && Lru.value node == seen in
+      match patch seen.output members changes with
       | None ->
           Atomic.incr t.invalidations;
           Atomic.incr t.misses;
-          locked t (fun () ->
-              match Lru.find t.cache key with
-              | Some n when n == node && entry.deps == seen -> Lru.remove t.cache key
-              | _ -> ());
+          locked t (fun () -> if unchanged () then Lru.remove t.cache key);
           Dropped
       | Some (output, members) ->
           Atomic.incr t.patches;
           locked t (fun () ->
-              if entry.deps == seen then (
-                entry.output <- output;
-                entry.members <- Some members;
-                restamp t entry;
-                Lru.use t.cache node));
+              if unchanged () then (
+                Lru.set_value node (restamp t { seen with output; members = Some members });
+                Lru.use t.cache node;
+                pin slot node));
           Patched output)
 
-let store t ~view ~key ~deps ?members output =
+let store t ~view ~key ~deps ?members ?slot output =
   let deps = List.map (fun tbl -> (tbl, DB.data_version t.db tbl)) deps in
   locked t (fun () ->
       let evicted = Lru.add t.cache key { view; output; deps; members } in
-      ignore (Atomic.fetch_and_add t.evictions evicted))
+      ignore (Atomic.fetch_and_add t.evictions evicted);
+      match slot with
+      | Some _ -> Option.iter (pin slot) (Lru.find t.cache key)
+      | None -> ())
 
 let invalidate_view t name =
   locked t (fun () ->
@@ -167,7 +206,7 @@ let invalidate_view t name =
         (fun key ->
           Lru.remove t.cache key;
           Atomic.incr t.invalidations)
-        (Lru.keys_where t.cache (fun e -> e.view = name)))
+        (Lru.keys_where t.cache (fun s -> s.view = name)))
 
 let size t = locked t (fun () -> Lru.length t.cache)
 
@@ -175,8 +214,8 @@ let recording t ~key =
   locked t (fun () ->
       match Lru.find t.cache key with
       | Some node -> (
-          let entry = Lru.value node in
-          match entry.members with Some m -> Some (entry.output, m) | None -> None)
+          let s = Lru.value node in
+          match s.members with Some m -> Some (s.output, m) | None -> None)
       | None -> None)
 
 let counters t =

@@ -1,7 +1,10 @@
 (** Data-versioned cache of serialized transform/publish output — the
-    read-path payoff of DML: on unchanged data a repeated request is a
-    hash lookup plus a handful of per-table version compares, O(1) in
-    the data size, instead of a plan execution.
+    read-path payoff of DML: on unchanged data a repeated request is
+    served without a plan execution.  A keyed request costs a hash
+    lookup under the cache's lock plus a handful of per-table version
+    compares; a prepared statement that holds its entry ({!slot},
+    {!hit}) skips the lookup and the lock too.  Either is O(1) in the
+    data size.
 
     Each entry records the {!Xdb_rel.Database.data_version} of every
     table its output depends on.  While they all match, {!find} serves
@@ -25,17 +28,28 @@
 
     Like {!Registry}, the cache is LRU-bounded through {!Lru}: the least
     recently used entry is evicted past [capacity] in O(1) (counted in
-    [result_cache_evictions]).
+    [result_cache_evictions]).  A keyed hit moves its entry to the front;
+    a {!hit} through a slot sets the entry's referenced bit instead,
+    which eviction honours with a second chance.
 
-    Thread safety: one mutex guards the table and recency state, so
-    concurrent server sessions share one cache safely; a patch is
-    computed outside it and installed only if the entry is still at the
-    versions it was patched from.  A patch updates the entry's member
-    recording in place, so of concurrent readers patching one entry the
-    first patches and the others recompute.  Counters are atomics.  Version
-    capture is only consistent because the engine serializes DML against
-    reads (writer lock): within a read no dependency version can move
-    between compute and {!store}. *)
+    Thread safety: an entry's state — output, versions, member recording
+    — is a snapshot held by its LRU node and never mutated by the cache.
+    A store, a keep (re-stamp), a patch install, an eviction and
+    {!invalidate_view} run under one mutex, and each swaps a fresh
+    snapshot into the node or unlinks it.  {!hit} takes no lock: it
+    reads whether the held node is still live and its current snapshot,
+    either of which may be a moment old; a snapshot is right at its own
+    versions, so serving one whose versions all match is right.  A patch
+    is computed outside the mutex and installed only if the entry still
+    holds the snapshot it was patched from (physical equality): the
+    first install wins.  The member recording inside a snapshot is the
+    one thing that changes in place: a patch spends it under the
+    recording's own lock ({!Xdb_rel.Exec.patch}), so of concurrent
+    readers patching one entry the first patches and the others
+    recompute.  Counters are atomics.  Version capture is only
+    consistent because the engine serializes DML against reads (writer
+    lock): within a read no dependency version can move between compute
+    and {!store}, or during a {!hit}. *)
 
 type t
 
@@ -58,11 +72,29 @@ type patch =
     updated rows reach re-emitted ([changes]: the rows per table), and
     its new member recording; [None] to recompute instead. *)
 
+type slot
+(** Where a caller that asks for one key again and again — a prepared
+    statement — keeps the entry it was last served from.  A slot
+    belongs to one key: pass it to {!find} and {!store} with that key
+    only. *)
+
+val slot : unit -> slot
+(** An empty slot: {!hit} answers [None] until {!find} or {!store} pins
+    an entry in it. *)
+
+val hit : t -> slot -> string list option
+(** The pinned entry's output, when the entry is still in the cache and
+    no write has reached its tables since it was stored or re-stamped;
+    counted as a hit.  No hash, no table probe and no lock.  [None]
+    leaves the counters alone: the caller goes on to {!find}, which
+    judges the writes and counts the outcome. *)
+
 val find :
   t ->
   key:string ->
   ?footprint:(unit -> Xdb_rel.Footprint.memo option) ->
   ?patch:patch ->
+  ?slot:slot ->
   unit ->
   outcome
 (** Look [key] up, judging any writes since it was stored by the
@@ -72,16 +104,22 @@ val find :
     plan; an entry no write reached is served without it.  A
     members-only write is patched with [patch] when both the entry
     recorded its members and [patch] is given; otherwise it drops the
-    entry too. *)
+    entry too.  A hit or a patch pins the entry in [slot]. *)
 
 val store :
-  t -> view:string -> key:string -> deps:string list -> ?members:Xdb_rel.Exec.members ->
-  string list -> unit
+  t ->
+  view:string ->
+  key:string ->
+  deps:string list ->
+  ?members:Xdb_rel.Exec.members ->
+  ?slot:slot ->
+  string list ->
+  unit
 (** Store [output] under [key], snapshotting the current data version
     of every table in [deps], with the member recording of the run that
     computed it, if any.  [view] names the owning view for
     {!invalidate_view} ([""] for sources without one, e.g. shredded
-    transforms). *)
+    transforms).  The stored entry is pinned in [slot]. *)
 
 val invalidate_view : t -> string -> unit
 (** Drop every entry owned by the named view — called when the view is

@@ -167,7 +167,13 @@ let engine t = t.eng
 
 let locked t f =
   Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+  match f () with
+  | v ->
+      Mutex.unlock t.lock;
+      v
+  | exception e ->
+      Mutex.unlock t.lock;
+      raise e
 
 let exec_error m = Xdb_error.Error (Xdb_error.Exec m)
 let overloaded m = Xdb_error.Error (Xdb_error.Overloaded m)
@@ -271,18 +277,21 @@ let acquire sess =
         Xdb_rel.Clock.ms_since t0
       end)
 
+let finish_side s ~queue_wait_ms ~service_ms ~ok =
+  Latency.add s.queue_wait queue_wait_ms;
+  Latency.add s.service service_ms;
+  if ok then s.completed <- s.completed + 1 else s.failed <- s.failed + 1
+
+(* the lock is taken by hand: nothing in here raises *)
 let release sess ~queue_wait_ms ~service_ms ~ok =
   let t = sess.server in
-  locked t (fun () ->
-      t.in_flight <- t.in_flight - 1;
-      sess.s_in_flight <- sess.s_in_flight - 1;
-      List.iter
-        (fun s ->
-          Latency.add s.queue_wait queue_wait_ms;
-          Latency.add s.service service_ms;
-          if ok then s.completed <- s.completed + 1 else s.failed <- s.failed + 1)
-        [ t.side; sess.s_side ];
-      Condition.broadcast t.sched)
+  Mutex.lock t.lock;
+  t.in_flight <- t.in_flight - 1;
+  sess.s_in_flight <- sess.s_in_flight - 1;
+  finish_side t.side ~queue_wait_ms ~service_ms ~ok;
+  finish_side sess.s_side ~queue_wait_ms ~service_ms ~ok;
+  Condition.broadcast t.sched;
+  Mutex.unlock t.lock
 
 let effective_options ?options sess =
   match options with Some o -> o | None -> sess.s_options
@@ -290,15 +299,12 @@ let effective_options ?options sess =
 let submit sess f =
   let queue_wait_ms = acquire sess in
   let t0 = Xdb_rel.Clock.now_ns () in
-  let finish ok = release sess ~queue_wait_ms
-      ~service_ms:(Xdb_rel.Clock.ms_since t0) ~ok
-  in
   match f sess.server.eng with
   | v ->
-      finish true;
+      release sess ~queue_wait_ms ~service_ms:(Xdb_rel.Clock.ms_since t0) ~ok:true;
       v
   | exception e ->
-      finish false;
+      release sess ~queue_wait_ms ~service_ms:(Xdb_rel.Clock.ms_since t0) ~ok:false;
       raise e
 
 let transform ?options sess ~view_name ~stylesheet =

@@ -1238,6 +1238,34 @@ let test_result_cache_unit () =
   check cb "hits counted" true (ctr "result_cache_hits" >= 3);
   check cb "invalidations counted" true (ctr "result_cache_invalidations" >= 2)
 
+(* a hit through a slot does not move its entry: it marks it, and the
+   next eviction that reaches it moves it to the front once instead *)
+let test_result_cache_second_chance () =
+  let db = Xdb_rel.Database.create () in
+  ignore (Xdb_rel.Database.create_table db "t" [ { Xdb_rel.Table.col_name = "a"; col_type = Xdb_rel.Value.Tint } ]);
+  let rc = RC.create ~capacity:2 db in
+  let held = RC.slot () in
+  check cb "an empty slot misses" true (RC.hit rc held = None);
+  RC.store rc ~view:"v" ~key:"a" ~deps:[ "t" ] ~slot:held [ "A" ];
+  RC.store rc ~view:"v" ~key:"b" ~deps:[ "t" ] [ "B" ];
+  check cb "held hit" true (RC.hit rc held = Some [ "A" ]);
+  (* a is the oldest, but referenced: b goes instead *)
+  RC.store rc ~view:"v" ~key:"c" ~deps:[ "t" ] [ "C" ];
+  check cb "b evicted" true (RC.find rc ~key:"b" () = RC.Miss);
+  check ci "two entries" 2 (RC.size rc);
+  (* the chance moved a to the front and cleared its mark *)
+  RC.store rc ~view:"v" ~key:"d" ~deps:[ "t" ] [ "D" ];
+  check cb "c evicted" true (RC.find rc ~key:"c" () = RC.Miss);
+  RC.store rc ~view:"v" ~key:"e" ~deps:[ "t" ] [ "E" ];
+  check cb "unmarked, a is evicted" true (RC.hit rc held = None);
+  check cb "and gone from the table" true (RC.find rc ~key:"a" () = RC.Miss);
+  (* a write makes a held entry miss without counting *)
+  RC.store rc ~view:"v" ~key:"a" ~deps:[ "t" ] ~slot:held [ "A2" ];
+  let hits = List.assoc "result_cache_hits" (RC.counters rc) in
+  Xdb_rel.Database.bump_data_version db "t";
+  check cb "stale: no held hit" true (RC.hit rc held = None);
+  check ci "not counted" hits (List.assoc "result_cache_hits" (RC.counters rc))
+
 (* a members-only write: the patch is computed outside the cache mutex
    and installed only over the entry at the versions it was patched from;
    a patch that declines drops the entry *)
@@ -1277,6 +1305,262 @@ let test_result_cache_patch_install () =
     (RC.find rc ~key:"k" ~footprint ~patch:(fun _ _ _ -> None) () = RC.Dropped);
   check ci "the entry is gone" 0 (RC.size rc);
   check ci "counted as an invalidation" 1 (ctr "result_cache_invalidations")
+
+(* ------------------------------------------------------------------ *)
+(* A prepared statement's held entry                                   *)
+(* ------------------------------------------------------------------ *)
+
+let fig3_stylesheet name = (Option.get (Xdb_xsltmark.Cases.find name)).Xdb_xsltmark.Cases.stylesheet
+
+(* a hit through the statement's held entry is a pointer chase: no key
+   hash, no lock, and next to nothing allocated *)
+let test_stmt_hit_allocation () =
+  let module D = Xdb_xsltmark.Data in
+  let dv = D.records_db 200 in
+  let e = EN.create dv.D.db in
+  EN.register_view e dv.D.view;
+  let st = EN.prepare e ~view_name:"records_vu" ~stylesheet:(fig3_stylesheet "avts") in
+  let first = EN.transform_stmt e st in
+  let n = 1_000 in
+  let hits0 = List.assoc "result_cache_hits" (EN.result_cache_counters e) in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (EN.transform_stmt e st))
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  check ci "every call a hit" (hits0 + n) (List.assoc "result_cache_hits" (EN.result_cache_counters e));
+  check (Alcotest.list cs) "the stored page" first.EN.output (EN.transform_stmt e st).EN.output;
+  if words > 16.0 then Alcotest.failf "a cached hit allocated %.1f minor words (at most 16)" words;
+  EN.shutdown e
+
+(* a statement served after each event that moves or kills its held
+   entry gives a recompute's bytes, counted as the keyed path counts it *)
+let test_stmt_held_entry_events () =
+  let module D = Xdb_xsltmark.Data in
+  let dv = D.records_db 150 in
+  let e = EN.create ~result_capacity:1 dv.D.db in
+  EN.register_view e dv.D.view;
+  let avts = fig3_stylesheet "avts" in
+  let st = EN.prepare e ~view_name:"records_vu" ~stylesheet:avts in
+  let ctr name = List.assoc name (EN.result_cache_counters e) in
+  let nocache = { EN.default_run_options with EN.result_cache = false } in
+  (* serve the statement: its bytes equal a recompute, and the hit and
+     miss counters move by the expected amounts *)
+  let serve what ~hits ~misses =
+    let h0 = ctr "result_cache_hits" and m0 = ctr "result_cache_misses" in
+    let served = (EN.transform_stmt e st).EN.output in
+    check (Alcotest.list cs) (what ^ ": served = recomputed") (EN.transform_stmt ~options:nocache e st).EN.output
+      served;
+    check (Alcotest.pair ci ci) (what ^ ": hits, misses")
+      (hits, misses)
+      (ctr "result_cache_hits" - h0, ctr "result_cache_misses" - m0)
+  in
+  serve "first" ~hits:0 ~misses:1;
+  serve "held" ~hits:1 ~misses:0;
+  (* capacity 1: a keyed store of another page evicts the held one, its
+     referenced bit only buying it the one second chance *)
+  ignore (EN.transform e ~view_name:"records_vu" ~stylesheet:(fig3_stylesheet "metric"));
+  check ci "one entry" 1 (EN.result_cache_size e);
+  serve "evicted" ~hits:0 ~misses:1;
+  serve "held again" ~hits:1 ~misses:0;
+  (* an INSERT drops the page; a keyed transform of the same text
+     recomputes and re-stores it under the statement's key *)
+  ignore (EN.execute e "INSERT INTO rows VALUES (1, 9001, 'inserted', 5, 'x')");
+  let h0 = ctr "result_cache_hits" in
+  let keyed = EN.transform e ~view_name:"records_vu" ~stylesheet:avts in
+  check ci "the keyed read recomputed" h0 (ctr "result_cache_hits");
+  serve "re-stored by a keyed transform" ~hits:1 ~misses:0;
+  check (Alcotest.list cs) "the keyed page" keyed.EN.output (EN.transform_stmt e st).EN.output;
+  (* re-registration drops the view's entries and recompiles the
+     statement *)
+  EN.register_view e dv.D.view;
+  serve "view re-registered" ~hits:0 ~misses:1;
+  serve "held after re-registration" ~hits:1 ~misses:0;
+  (* ANALYZE recompiles the statement; its page is still served *)
+  let stale0 = List.assoc "cache_stale" (EN.registry_counters e) in
+  ignore (EN.execute e "ANALYZE");
+  serve "after ANALYZE" ~hits:1 ~misses:0;
+  check cb "the statement recompiled" true (List.assoc "cache_stale" (EN.registry_counters e) > stale0);
+  (* with the cache off nothing is counted *)
+  let h0 = ctr "result_cache_hits" and m0 = ctr "result_cache_misses" in
+  let off = (EN.transform_stmt ~options:nocache e st).EN.output in
+  check (Alcotest.list cs) "result_cache = false: recomputed" (EN.transform_stmt e st).EN.output off;
+  check ci "result_cache = false counts nothing" (h0 + 1) (ctr "result_cache_hits");
+  check ci "result_cache = false counts no miss" m0 (ctr "result_cache_misses");
+  EN.shutdown e
+
+(* ------------------------------------------------------------------ *)
+(* The engine's reader/writer lock                                     *)
+(* ------------------------------------------------------------------ *)
+
+module RW = EN.Rw
+
+(* poll with a short sleep: the domains here wait on each other *)
+let await what cond =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while not (cond ()) do
+    if Unix.gettimeofday () > deadline then Alcotest.failf "timed out waiting: %s" what;
+    Unix.sleepf 0.001
+  done
+
+(* events in the order they happened *)
+let event_log () =
+  let log = Atomic.make [] in
+  let rec push x =
+    let l = Atomic.get log in
+    if not (Atomic.compare_and_set log l (x :: l)) then push x
+  in
+  (push, fun () -> List.rev (Atomic.get log))
+
+(* a reader that holds the lock until told to go *)
+let held_reader rw push name =
+  let inside = Atomic.make false and go = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        RW.read rw (fun () ->
+            Atomic.set inside true;
+            while not (Atomic.get go) do
+              Unix.sleepf 0.001
+            done;
+            push name))
+  in
+  await (name ^ " inside") (fun () -> Atomic.get inside);
+  (d, fun () -> Atomic.set go true)
+
+let test_rw_writer_waits_for_readers () =
+  let rw = RW.create () in
+  let push, events = event_log () in
+  let reader, release = held_reader rw push "read" in
+  let writer = Domain.spawn (fun () -> RW.write rw (fun () -> push "write")) in
+  await "the writer waiting" (fun () -> RW.writer_pending rw);
+  Unix.sleepf 0.02;
+  check (Alcotest.list cs) "the writer has not run" [] (events ());
+  release ();
+  Domain.join reader;
+  Domain.join writer;
+  check (Alcotest.list cs) "the reader first, then the writer" [ "read"; "write" ] (events ())
+
+let test_rw_writer_preferred () =
+  let rw = RW.create () in
+  let push, events = event_log () in
+  let reader, release = held_reader rw push "first read" in
+  let writer = Domain.spawn (fun () -> RW.write rw (fun () -> push "write")) in
+  await "the writer waiting" (fun () -> RW.writer_pending rw);
+  let late = Domain.spawn (fun () -> RW.read rw (fun () -> push "late read")) in
+  Unix.sleepf 0.02;
+  check (Alcotest.list cs) "the late reader waits behind the writer" [] (events ());
+  release ();
+  List.iter Domain.join [ reader; writer; late ];
+  check (Alcotest.list cs) "the waiting writer runs before the late reader"
+    [ "first read"; "write"; "late read" ] (events ())
+
+let test_rw_raising_bodies () =
+  let rw = RW.create () in
+  check cb "a raising read re-raises" true
+    (match RW.read rw (fun () -> failwith "read") with _ -> false | exception Failure _ -> true);
+  check cb "a raising write re-raises" true
+    (match RW.write rw (fun () -> failwith "write") with _ -> false | exception Failure _ -> true);
+  check cb "no writer left pending" false (RW.writer_pending rw);
+  check ci "the next write proceeds" 42 (RW.write rw (fun () -> 42));
+  check ci "and a read" 7 (RW.read rw (fun () -> 7))
+
+(* two reader domains serve the four prepared Figure 3 pages while a
+   writer domain issues random point UPDATEs of [rows.value],
+   [rows.name] and [item.amount].  Every page a reader was served must
+   equal the recompute at some version between the read's start and
+   its end: [lo] writes had finished when it started, at most [hi] had
+   begun when it ended.  The versions' pages are recomputed afterwards,
+   by replaying the writes over fresh copies of the data, so that the
+   writes come close together *)
+let test_concurrent_readers_and_writer () =
+  let module D = Xdb_xsltmark.Data in
+  let rows = 150 and regions = 12 and writes = 100 in
+  let open_pages () =
+    let open_engine (dv : D.dbview) =
+      let e = EN.create dv.D.db in
+      EN.register_view e dv.D.view;
+      e
+    in
+    let er = open_engine (D.records_db rows) and es = open_engine (D.sales_db regions 4) in
+    ( (er, es),
+      Array.of_list
+        (List.map
+           (fun (e, view_name, name) -> (e, EN.prepare e ~view_name ~stylesheet:(fig3_stylesheet name)))
+           [ (er, "records_vu", "avts"); (er, "records_vu", "metric"); (es, "sales_vu", "chart");
+             (es, "sales_vu", "total") ]) )
+  in
+  let (er, es), pages = open_pages () in
+  let rng = Random.State.make [| 32 |] in
+  (* (on the records engine, statement) per write *)
+  let queries =
+    Array.init writes (fun w ->
+        match Random.State.int rng 3 with
+        | 0 ->
+            ( true,
+              Printf.sprintf "UPDATE rows SET value = %d WHERE id = %d" (Random.State.int rng 10_000)
+                (1 + Random.State.int rng rows) )
+        | 1 -> (true, Printf.sprintf "UPDATE rows SET name = 'w%d' WHERE id = %d" w (1 + Random.State.int rng rows))
+        | _ ->
+            ( false,
+              Printf.sprintf "UPDATE item SET amount = %d WHERE rid = %d" (1 + Random.State.int rng 500)
+                (Random.State.int rng regions) ))
+  in
+  let begun = Atomic.make 0 and finished = Atomic.make 0 in
+  let writer () =
+    Array.iteri
+      (fun w (records, q) ->
+        Atomic.set begun (w + 1);
+        ignore (EN.execute (if records then er else es) q);
+        Atomic.set finished (w + 1);
+        (* writes in pairs: some land between a reader's compute and
+           its store, where only the lock keeps them out *)
+        if w mod 2 = 1 then Unix.sleepf 0.0001)
+      queries
+  in
+  (* a read that repeats the last one recorded for its page, window and
+     bytes (the same cached list) is not recorded again *)
+  let reader seed () =
+    let rng = Random.State.make [| seed |] and served = ref [] in
+    let last = Array.make (Array.length pages) (-1, -1, []) in
+    while Atomic.get finished < writes do
+      let i = Random.State.int rng (Array.length pages) in
+      let e, st = pages.(i) in
+      let lo = Atomic.get finished in
+      let out = (EN.transform_stmt e st).EN.output in
+      let hi = Atomic.get begun in
+      match last.(i) with
+      | lo', hi', out' when lo' = lo && hi' = hi && out' == out -> ()
+      | _ ->
+          last.(i) <- (lo, hi, out);
+          served := (i, lo, hi, out) :: !served
+    done;
+    !served
+  in
+  let readers = List.map (fun seed -> Domain.spawn (reader seed)) [ 1; 2 ] in
+  let w = Domain.spawn writer in
+  Domain.join w;
+  let served = List.concat_map Domain.join readers in
+  EN.shutdown er;
+  EN.shutdown es;
+  check cb "the readers were served" true (List.length served > 0);
+  (* version [v]'s pages: the first [v] writes replayed *)
+  let (rer, res), replay = open_pages () in
+  let nocache = { EN.default_run_options with EN.result_cache = false } in
+  let recompute () = Array.map (fun (e, st) -> (EN.transform_stmt ~options:nocache e st).EN.output) replay in
+  let versions =
+    Array.init (writes + 1) (fun v ->
+        if v > 0 then (
+          let records, q = queries.(v - 1) in
+          ignore (EN.execute (if records then rer else res) q));
+        recompute ())
+  in
+  EN.shutdown rer;
+  EN.shutdown res;
+  List.iter
+    (fun (i, lo, hi, out) ->
+      let rec at v = v <= hi && (versions.(v).(i) = out || at (v + 1)) in
+      if not (at lo) then Alcotest.failf "page %d served between versions %d and %d matches none" i lo hi)
+    served
 
 (* the result cache is probed before the plan: a page it serves costs
    no binding, so no optimiser pass, even when the text's binding would
@@ -2480,6 +2764,8 @@ let () =
           Alcotest.test_case "result cache through engine" `Quick
             test_engine_result_cache;
           Alcotest.test_case "result cache patch install" `Quick test_result_cache_patch_install;
+          Alcotest.test_case "result cache: a held entry's second chance" `Quick
+            test_result_cache_second_chance;
           Alcotest.test_case "a Figure 3 cycle keeps, patches and recomputes" `Quick
             test_fig3_cycle_keeps_and_patches;
           Alcotest.test_case "fig3-pages replay: every served page = a recompute" `Quick
@@ -2495,6 +2781,17 @@ let () =
           Alcotest.test_case "shredded compile cache" `Quick test_shredded_compile_cache;
           Alcotest.test_case "result cache before binding" `Quick
             test_result_cache_before_binding;
+          Alcotest.test_case "a cached stmt hit allocates at most 16 words" `Quick
+            test_stmt_hit_allocation;
+          Alcotest.test_case "a stmt's held entry across evictions and re-stores" `Quick
+            test_stmt_held_entry_events;
+          Alcotest.test_case "Rw: a writer waits for in-flight readers" `Quick
+            test_rw_writer_waits_for_readers;
+          Alcotest.test_case "Rw: a waiting writer goes before later readers" `Quick
+            test_rw_writer_preferred;
+          Alcotest.test_case "Rw: a raising body leaves the lock free" `Quick test_rw_raising_bodies;
+          Alcotest.test_case "concurrent readers and a writer: pages = recomputes" `Quick
+            test_concurrent_readers_and_writer;
         ] );
       ( "server",
         [
