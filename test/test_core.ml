@@ -2764,8 +2764,6 @@ let () =
           Alcotest.test_case "result cache through engine" `Quick
             test_engine_result_cache;
           Alcotest.test_case "result cache patch install" `Quick test_result_cache_patch_install;
-          Alcotest.test_case "result cache: a held entry's second chance" `Quick
-            test_result_cache_second_chance;
           Alcotest.test_case "a Figure 3 cycle keeps, patches and recomputes" `Quick
             test_fig3_cycle_keeps_and_patches;
           Alcotest.test_case "fig3-pages replay: every served page = a recompute" `Quick
@@ -2792,6 +2790,8 @@ let () =
           Alcotest.test_case "Rw: a raising body leaves the lock free" `Quick test_rw_raising_bodies;
           Alcotest.test_case "concurrent readers and a writer: pages = recomputes" `Quick
             test_concurrent_readers_and_writer;
+          Alcotest.test_case "result cache: a held entry's second chance" `Quick
+            test_result_cache_second_chance;
         ] );
       ( "server",
         [
