@@ -877,8 +877,7 @@ let on_domains n body =
    (max_in_flight 1, queue 2, five concurrent requests) demonstrates
    that admission control rejects with Overloaded instead of
    deadlocking. *)
-let servebench ?(size = 2_000) ?(clients_list = [ 1; 2; 4 ]) ?(per_case = 24)
-    ?(engine_hits = 200_000) () =
+let servebench ?(size = 2_000) ?(clients_list = [ 1; 2; 4 ]) ?(per_case = 24) () =
   let nproc = Xdb_core.Parallel.default_jobs () in
   let dv = D.records_db size in
   let engine = EN.create dv.D.db in
@@ -949,6 +948,7 @@ let servebench ?(size = 2_000) ?(clients_list = [ 1; 2; 4 ]) ?(per_case = 24)
      domains each serve [engine_hits] cached [transform_stmt] hits of one
      prepared avts page, no server in between *)
   let engine_legs =
+    let engine_hits = 200_000 in
     let stmt = EN.prepare engine ~view_name ~stylesheet:(List.assoc "avts" cases) in
     let expected = List.assoc "avts" reference in
     List.map

@@ -115,7 +115,7 @@ val execute : t -> string -> Xdb_sql.Engine.result
     also holds the result-cache entry it was last served from
     ({!Result_cache.slot}): while that entry is live and no write
     reached its tables, {!transform_stmt} serves it with no key hash
-    and no mutex. *)
+    and no result-cache lock. *)
 
 type stmt
 
@@ -231,26 +231,6 @@ val stmt_recording : t -> stmt -> (string list * Xdb_rel.Exec.members) option
 (** The statement's cached output and where its patchable members lie,
     when the result cache holds both ({!Result_cache.recording}): what
     {!Xdb_rel.Exec.check_members} checks. *)
-
-(** {1 The reader/writer lock}
-
-    The lock every verb above takes, exposed for its tests.  Reads
-    share it and take no mutex: an atomic reader count and a writer
-    flag.  Writes exclude everything and are preferred: once a writer
-    waits, a reader that arrives backs off until that writer is done,
-    and the writer waits for the readers already in to leave.  A body
-    that raises leaves the lock free.  A read must not be nested inside
-    a read of the same lock. *)
-module Rw : sig
-  type t
-
-  val create : unit -> t
-  val read : t -> (unit -> 'a) -> 'a
-  val write : t -> (unit -> 'a) -> 'a
-
-  val writer_pending : t -> bool
-  (** A writer is waiting for the lock or holding it. *)
-end
 
 val shutdown : t -> unit
 (** Join the engine's domain pool, if one was created.  Idempotent; the

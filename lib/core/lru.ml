@@ -13,12 +13,13 @@ type ('k, 'v) node = {
 type ('k, 'v) t = {
   table : ('k, ('k, 'v) node) Hashtbl.t;
   capacity : int;
+  dead : 'v option;  (** what a node that leaves the table holds instead of its value *)
   mutable newest : ('k, 'v) node option;
   mutable oldest : ('k, 'v) node option;
 }
 
-let create capacity =
-  { table = Hashtbl.create 32; capacity = max 1 capacity; newest = None; oldest = None }
+let create ?dead capacity =
+  { table = Hashtbl.create 32; capacity = max 1 capacity; dead; newest = None; oldest = None }
 
 let unlink t n =
   (match n.newer with Some m -> m.older <- n.older | None -> t.newest <- n.older);
@@ -54,6 +55,7 @@ let remove t k =
   | Some n ->
       unlink t n;
       n.live <- false;
+      (match t.dead with Some d -> n.value <- d | None -> ());
       Hashtbl.remove t.table k
   | None -> ()
 

@@ -11,7 +11,10 @@
     instead of moving the node.  Eviction gives a referenced oldest
     entry a second chance: its bit is cleared and it becomes the newest,
     and the scan goes on to the next oldest.  The entry being inserted
-    is never the one evicted while an older one can go.
+    is never the one evicted while an older one can go.  A table
+    created with [~dead] swaps that value into every node that leaves
+    it (removed, replaced or evicted), so a node held past its entry
+    keeps nothing of the entry alive.
 
     Not thread-safe: both caches call {!find}, {!use}, {!add},
     {!set_value} and {!remove} under their own lock.  {!live}, {!value}
@@ -24,13 +27,16 @@ type ('k, 'v) t
 type ('k, 'v) node
 (** One entry: its key's value until it is removed or replaced. *)
 
-val create : int -> ('k, 'v) t
-(** An empty table holding at most [max 1 capacity] entries. *)
+val create : ?dead:'v -> int -> ('k, 'v) t
+(** An empty table holding at most [max 1 capacity] entries.  [dead]
+    is the value a node holds once it has left the table. *)
 
 val find : ('k, 'v) t -> 'k -> ('k, 'v) node option
 (** The entry under the key; its recency does not change. *)
 
 val value : ('k, 'v) node -> 'v
+(** The entry's value; [dead], if the table has one, once the node has
+    left the table. *)
 
 val set_value : ('k, 'v) node -> 'v -> unit
 (** Replace the entry's value in place; its recency does not change. *)

@@ -15,6 +15,10 @@ type snapshot = {
 
 type node = (string, snapshot) Lru.node
 
+(* what a node holds once it has left the cache, so that a slot still
+   holding it keeps no page alive *)
+let gone = { view = ""; output = []; deps = []; members = None }
+
 type slot = { mutable pinned : node option }
 
 type t = {
@@ -43,7 +47,7 @@ let create ?(capacity = default_capacity) db =
   {
     db;
     lock = Mutex.create ();
-    cache = Lru.create capacity;
+    cache = Lru.create ~dead:gone capacity;
     hits = Atomic.make 0;
     misses = Atomic.make 0;
     invalidations = Atomic.make 0;
@@ -52,15 +56,7 @@ let create ?(capacity = default_capacity) db =
     patches = Atomic.make 0;
   }
 
-let locked t f =
-  Mutex.lock t.lock;
-  match f () with
-  | v ->
-      Mutex.unlock t.lock;
-      v
-  | exception e ->
-      Mutex.unlock t.lock;
-      raise e
+let locked t f = Mutex.protect t.lock f
 
 let slot () = { pinned = None }
 
@@ -77,20 +73,24 @@ let rec fresh t = function
   | [] -> true
   | (tbl, v) :: rest -> DB.data_version t.db tbl = v && fresh t rest
 
-(* the lock-free read: the pinned node, its snapshot, the versions.  The
-   engine's read lock keeps every data version still meanwhile; a node
-   evicted or re-valued under us still holds a snapshot that was right
-   at its own versions *)
+(* the lock-free read: the pinned node's snapshot, then its versions.
+   The engine's read lock keeps every data version still meanwhile; a
+   snapshot read just before a concurrent swap was right at its own
+   versions.  A node that has left the cache holds [gone], and the slot
+   lets go of it *)
 let hit t slot =
   match slot.pinned with
-  | Some node when Lru.live node ->
+  | None -> None
+  | Some node ->
       let s = Lru.value node in
-      if fresh t s.deps then (
+      if s == gone then (
+        slot.pinned <- None;
+        None)
+      else if fresh t s.deps then (
         Lru.reference node;
         Atomic.incr t.hits;
         Some s.output)
       else None
-  | _ -> None
 
 (* what the writes since [s] was stored mean for it under [footprint]:
    [`Fresh] (none), [`Keep] (none it reads), [`Patch changes] (only the

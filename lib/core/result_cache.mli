@@ -36,10 +36,11 @@
     — is a snapshot held by its LRU node and never mutated by the cache.
     A store, a keep (re-stamp), a patch install, an eviction and
     {!invalidate_view} run under one mutex, and each swaps a fresh
-    snapshot into the node or unlinks it.  {!hit} takes no lock: it
-    reads whether the held node is still live and its current snapshot,
-    either of which may be a moment old; a snapshot is right at its own
-    versions, so serving one whose versions all match is right.  A patch
+    snapshot into the node or unlinks it; an unlinked node's snapshot
+    is swapped for an empty one that {!hit} never serves.  {!hit} takes
+    no lock: it reads the held node's current snapshot, which may be a
+    moment old; a snapshot is right at its own versions, so serving one
+    whose versions all match is right.  A patch
     is computed outside the mutex and installed only if the entry still
     holds the snapshot it was patched from (physical equality): the
     first install wins.  The member recording inside a snapshot is the
@@ -76,7 +77,9 @@ type slot
 (** Where a caller that asks for one key again and again — a prepared
     statement — keeps the entry it was last served from.  A slot
     belongs to one key: pass it to {!find} and {!store} with that key
-    only. *)
+    only.  A slot whose entry has left the cache holds only the emptied
+    node until {!hit} finds it so and lets go of it: it keeps no page
+    alive. *)
 
 val slot : unit -> slot
 (** An empty slot: {!hit} answers [None] until {!find} or {!store} pins

@@ -165,15 +165,7 @@ let create ?max_in_flight ?(max_queue = 64) ?per_session_cap
 
 let engine t = t.eng
 
-let locked t f =
-  Mutex.lock t.lock;
-  match f () with
-  | v ->
-      Mutex.unlock t.lock;
-      v
-  | exception e ->
-      Mutex.unlock t.lock;
-      raise e
+let locked t f = Mutex.protect t.lock f
 
 let exec_error m = Xdb_error.Error (Xdb_error.Exec m)
 let overloaded m = Xdb_error.Error (Xdb_error.Overloaded m)
@@ -282,16 +274,14 @@ let finish_side s ~queue_wait_ms ~service_ms ~ok =
   Latency.add s.service service_ms;
   if ok then s.completed <- s.completed + 1 else s.failed <- s.failed + 1
 
-(* the lock is taken by hand: nothing in here raises *)
 let release sess ~queue_wait_ms ~service_ms ~ok =
   let t = sess.server in
-  Mutex.lock t.lock;
-  t.in_flight <- t.in_flight - 1;
-  sess.s_in_flight <- sess.s_in_flight - 1;
-  finish_side t.side ~queue_wait_ms ~service_ms ~ok;
-  finish_side sess.s_side ~queue_wait_ms ~service_ms ~ok;
-  Condition.broadcast t.sched;
-  Mutex.unlock t.lock
+  locked t (fun () ->
+      t.in_flight <- t.in_flight - 1;
+      sess.s_in_flight <- sess.s_in_flight - 1;
+      finish_side t.side ~queue_wait_ms ~service_ms ~ok;
+      finish_side sess.s_side ~queue_wait_ms ~service_ms ~ok;
+      Condition.broadcast t.sched)
 
 let effective_options ?options sess =
   match options with Some o -> o | None -> sess.s_options

@@ -1266,6 +1266,31 @@ let test_result_cache_second_chance () =
   check cb "stale: no held hit" true (RC.hit rc held = None);
   check ci "not counted" hits (List.assoc "result_cache_hits" (RC.counters rc))
 
+(* a slot still holding an entry that left the cache, by eviction or by
+   invalidation, keeps none of its page alive *)
+let test_result_cache_slot_releases () =
+  let db = Xdb_rel.Database.create () in
+  ignore (Xdb_rel.Database.create_table db "t" [ { Xdb_rel.Table.col_name = "a"; col_type = Xdb_rel.Value.Tint } ]);
+  let rc = RC.create ~capacity:1 db in
+  let held = RC.slot () in
+  let page = Weak.create 1 in
+  let store_held key =
+    let output = [ String.make 64 'p' ] in
+    Weak.set page 0 (Some output);
+    RC.store rc ~view:"v" ~key ~deps:[ "t" ] ~slot:held output
+  in
+  store_held "a";
+  RC.store rc ~view:"w" ~key:"b" ~deps:[ "t" ] [ "B" ];
+  Gc.full_major ();
+  check cb "an evicted page is collected" false (Weak.check page 0);
+  check cb "and not served" true (RC.hit rc held = None);
+  store_held "a";
+  check cb "held again" true (RC.hit rc held <> None);
+  RC.invalidate_view rc "v";
+  Gc.full_major ();
+  check cb "an invalidated page is collected" false (Weak.check page 0);
+  check cb "and not served" true (RC.hit rc held = None)
+
 (* a members-only write: the patch is computed outside the cache mutex
    and installed only over the entry at the versions it was patched from;
    a patch that declines drops the entry *)
@@ -1313,7 +1338,7 @@ let test_result_cache_patch_install () =
 let fig3_stylesheet name = (Option.get (Xdb_xsltmark.Cases.find name)).Xdb_xsltmark.Cases.stylesheet
 
 (* a hit through the statement's held entry is a pointer chase: no key
-   hash, no lock, and next to nothing allocated *)
+   hash, no result-cache lock, and next to nothing allocated *)
 let test_stmt_hit_allocation () =
   let module D = Xdb_xsltmark.Data in
   let dv = D.records_db 200 in
@@ -1388,81 +1413,6 @@ let test_stmt_held_entry_events () =
   check ci "result_cache = false counts nothing" (h0 + 1) (ctr "result_cache_hits");
   check ci "result_cache = false counts no miss" m0 (ctr "result_cache_misses");
   EN.shutdown e
-
-(* ------------------------------------------------------------------ *)
-(* The engine's reader/writer lock                                     *)
-(* ------------------------------------------------------------------ *)
-
-module RW = EN.Rw
-
-(* poll with a short sleep: the domains here wait on each other *)
-let await what cond =
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  while not (cond ()) do
-    if Unix.gettimeofday () > deadline then Alcotest.failf "timed out waiting: %s" what;
-    Unix.sleepf 0.001
-  done
-
-(* events in the order they happened *)
-let event_log () =
-  let log = Atomic.make [] in
-  let rec push x =
-    let l = Atomic.get log in
-    if not (Atomic.compare_and_set log l (x :: l)) then push x
-  in
-  (push, fun () -> List.rev (Atomic.get log))
-
-(* a reader that holds the lock until told to go *)
-let held_reader rw push name =
-  let inside = Atomic.make false and go = Atomic.make false in
-  let d =
-    Domain.spawn (fun () ->
-        RW.read rw (fun () ->
-            Atomic.set inside true;
-            while not (Atomic.get go) do
-              Unix.sleepf 0.001
-            done;
-            push name))
-  in
-  await (name ^ " inside") (fun () -> Atomic.get inside);
-  (d, fun () -> Atomic.set go true)
-
-let test_rw_writer_waits_for_readers () =
-  let rw = RW.create () in
-  let push, events = event_log () in
-  let reader, release = held_reader rw push "read" in
-  let writer = Domain.spawn (fun () -> RW.write rw (fun () -> push "write")) in
-  await "the writer waiting" (fun () -> RW.writer_pending rw);
-  Unix.sleepf 0.02;
-  check (Alcotest.list cs) "the writer has not run" [] (events ());
-  release ();
-  Domain.join reader;
-  Domain.join writer;
-  check (Alcotest.list cs) "the reader first, then the writer" [ "read"; "write" ] (events ())
-
-let test_rw_writer_preferred () =
-  let rw = RW.create () in
-  let push, events = event_log () in
-  let reader, release = held_reader rw push "first read" in
-  let writer = Domain.spawn (fun () -> RW.write rw (fun () -> push "write")) in
-  await "the writer waiting" (fun () -> RW.writer_pending rw);
-  let late = Domain.spawn (fun () -> RW.read rw (fun () -> push "late read")) in
-  Unix.sleepf 0.02;
-  check (Alcotest.list cs) "the late reader waits behind the writer" [] (events ());
-  release ();
-  List.iter Domain.join [ reader; writer; late ];
-  check (Alcotest.list cs) "the waiting writer runs before the late reader"
-    [ "first read"; "write"; "late read" ] (events ())
-
-let test_rw_raising_bodies () =
-  let rw = RW.create () in
-  check cb "a raising read re-raises" true
-    (match RW.read rw (fun () -> failwith "read") with _ -> false | exception Failure _ -> true);
-  check cb "a raising write re-raises" true
-    (match RW.write rw (fun () -> failwith "write") with _ -> false | exception Failure _ -> true);
-  check cb "no writer left pending" false (RW.writer_pending rw);
-  check ci "the next write proceeds" 42 (RW.write rw (fun () -> 42));
-  check ci "and a read" 7 (RW.read rw (fun () -> 7))
 
 (* two reader domains serve the four prepared Figure 3 pages while a
    writer domain issues random point UPDATEs of [rows.value],
@@ -2783,15 +2733,12 @@ let () =
             test_stmt_hit_allocation;
           Alcotest.test_case "a stmt's held entry across evictions and re-stores" `Quick
             test_stmt_held_entry_events;
-          Alcotest.test_case "Rw: a writer waits for in-flight readers" `Quick
-            test_rw_writer_waits_for_readers;
-          Alcotest.test_case "Rw: a waiting writer goes before later readers" `Quick
-            test_rw_writer_preferred;
-          Alcotest.test_case "Rw: a raising body leaves the lock free" `Quick test_rw_raising_bodies;
           Alcotest.test_case "concurrent readers and a writer: pages = recomputes" `Quick
             test_concurrent_readers_and_writer;
           Alcotest.test_case "result cache: a held entry's second chance" `Quick
             test_result_cache_second_chance;
+          Alcotest.test_case "result cache: a slot keeps no evicted page alive" `Quick
+            test_result_cache_slot_releases;
         ] );
       ( "server",
         [
