@@ -183,7 +183,7 @@ let emit r =
 let figure_leg ~figure ~rows case dv =
   let metrics = Xdb_core.Metrics.create () in
   let comp = PL.compile ~metrics dv.D.db dv.D.view case.M.stylesheet in
-  assert (comp.PL.sql_plan <> None);
+  assert (PL.sql_plan comp <> None);
   let f0 = PL.run_functional dv.D.db comp in
   let r0, stats = PL.run_rewrite_analyzed ~metrics dv.D.db comp in
   assert (f0 = r0);
@@ -308,13 +308,13 @@ let storage ?(n = 8_000) () =
   let clob_ms =
     time_ms (fun () ->
         List.iter
-          (fun doc -> ignore (Xdb_xslt.Vm.transform comp.PL.vm_prog doc))
+          (fun doc -> ignore (Xdb_xslt.Vm.transform (PL.vm_prog comp) doc))
           (Xdb_rel.Clob.load dv.D.db ~table:"clob_docs"))
   in
   (* tree storage: the DOM is already resident; transformation only *)
   let tree_ms =
     time_ms (fun () ->
-        List.iter (fun doc -> ignore (Xdb_xslt.Vm.transform comp.PL.vm_prog doc)) docs)
+        List.iter (fun doc -> ignore (Xdb_xslt.Vm.transform (PL.vm_prog comp) doc)) docs)
   in
   (* rewrite (object-relational only: structural info required) *)
   let rewrite_ms = time_ms (fun () -> PL.run_rewrite dv.D.db comp) in
@@ -430,12 +430,12 @@ let planquality ?(n = 2_000) () =
         let dv = M.dbview_for case n in
         let db = dv.D.db in
         (* pre-ANALYZE plan: rule-based, default selectivities *)
-        let plan_default = Option.get (PL.compile db dv.D.view case.M.stylesheet).PL.sql_plan in
+        let plan_default = Option.get (PL.sql_plan (PL.compile db dv.D.view case.M.stylesheet)) in
         (* collect statistics and recompile: cost-based plan *)
         ignore (Xdb_rel.Analyze.all db);
         let comp_stats = PL.compile db dv.D.view case.M.stylesheet in
         let plan_changed =
-          Xdb_rel.Algebra.plan_sql (Option.get comp_stats.PL.sql_plan)
+          Xdb_rel.Algebra.plan_sql (Option.get (PL.sql_plan comp_stats))
           <> Xdb_rel.Algebra.plan_sql plan_default
         in
         let _rows, stats_opt = PL.run_rewrite_analyzed db comp_stats in
@@ -703,7 +703,7 @@ let parscale ?(sizes = [ 8_000; 64_000 ]) ?(jobs_list = [ 1; 2; 4 ]) () =
               let case = if name = "dbonerow" then M.dbonerow_for n else case in
               let dv = M.dbview_for ~docs case n in
               let comp = PL.compile dv.D.db dv.D.view case.M.stylesheet in
-              assert (comp.PL.sql_plan <> None);
+              assert (PL.sql_plan comp <> None);
               let run pool = PL.run_rewrite ~pool dv.D.db comp in
               let seq = PL.run_rewrite dv.D.db comp in
               let identical =

@@ -126,10 +126,7 @@ let register_view t view =
    anyway), and — critically — a caller asking for a different [jobs]
    cannot shut the cached pool down under a run that is still using it. *)
 let use_pool t jobs f =
-  Mutex.lock t.pool_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.pool_lock)
-    (fun () ->
+  Mutex.protect t.pool_lock (fun () ->
       let pool =
         match t.pool with
         | Some p when Parallel.jobs p = jobs -> p
@@ -147,10 +144,7 @@ let with_jobs t options f =
   if options.jobs > 1 then use_pool t options.jobs (fun pool -> f (Some pool)) else f None
 
 let shutdown t =
-  Mutex.lock t.pool_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.pool_lock)
-    (fun () ->
+  Mutex.protect t.pool_lock (fun () ->
       match t.pool with
       | None -> ()
       | Some p ->
@@ -164,7 +158,7 @@ let shutdown t =
 (* key ingredients: view + stylesheet text.  [jobs] is deliberately
    absent — a split run is byte-identical to the sequential one (tested),
    so they may share entries. *)
-let transform_key view_name stylesheet = "T\x00" ^ view_name ^ "\x00" ^ stylesheet
+let transform_key view_name stylesheet = String.concat "\x00" [ "T"; view_name; stylesheet ]
 
 (* a statement's compiled form with the versions it was compiled at *)
 type compiled_at = { stats : int; views : int; compiled : Pipeline.compiled }
@@ -228,12 +222,15 @@ let metrics_of opts = if opts.collect_metrics then Some (Metrics.create ()) else
 
 let staged metrics name f = match metrics with None -> f () | Some m -> Metrics.time m name f
 
+(* a served page compiled nothing; a computed one's [exec_compiled] is
+   the run's own *)
 let stamp_outcome metrics ~hit ~patched =
   match metrics with
   | None -> ()
   | Some m ->
       Metrics.set_counter m "result_cache_hit" (if hit then 1 else 0);
-      Metrics.set_counter m "result_cache_patched" (if patched then 1 else 0)
+      Metrics.set_counter m "result_cache_patched" (if patched then 1 else 0);
+      if hit || patched then Metrics.set_counter m "exec_compiled" 0
 
 (* serve from the result cache when enabled; recompute-and-store
    otherwise.  [run ~record] returns the output and, when asked to and
@@ -283,7 +280,7 @@ let serve_transform t options ~metrics ~view ~key ?slot compiled =
   let compiled () = Lazy.force compiled in
   let patch output recorded changes =
     let c = compiled () in
-    match (c.Pipeline.sql_plan, Option.map Xdb_rel.Footprint.get c.Pipeline.footprint) with
+    match (Pipeline.sql_plan c, Option.map Xdb_rel.Footprint.get (Pipeline.footprint c)) with
     | Some plan, Some { Xdb_rel.Footprint.members = Some m; _ } ->
         staged metrics "result_cache_patch" (fun () ->
             Xdb_error.wrap ~stage:"exec" (fun () ->
@@ -291,8 +288,8 @@ let serve_transform t options ~metrics ~view ~key ?slot compiled =
     | _ -> None
   in
   serve_cached t options ~metrics ~view ~key ?slot
-    ~deps:(fun () -> (compiled ()).Pipeline.deps)
-    ~footprint:(fun () -> (compiled ()).Pipeline.footprint)
+    ~deps:(fun () -> Pipeline.deps (compiled ()))
+    ~footprint:(fun () -> Pipeline.footprint (compiled ()))
     ~patch
     (fun ~record -> transform_body ~options ?metrics t (compiled ()) ~record)
 
@@ -439,9 +436,7 @@ let explain_analyze ?metrics t ~view_name ~stylesheet =
 (* The SQL front door                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let locked_sql t f =
-  Mutex.lock t.sql_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.sql_lock) f
+let locked_sql t f = Mutex.protect t.sql_lock f
 
 let sql_ctx t : Sql_front.ctx =
   {

@@ -16,10 +16,18 @@ type ('k, 'v) t = {
   dead : 'v option;  (** what a node that leaves the table holds instead of its value *)
   mutable newest : ('k, 'v) node option;
   mutable oldest : ('k, 'v) node option;
+  mutable evictions : int;
 }
 
 let create ?dead capacity =
-  { table = Hashtbl.create 32; capacity = max 1 capacity; dead; newest = None; oldest = None }
+  {
+    table = Hashtbl.create 32;
+    capacity = max 1 capacity;
+    dead;
+    newest = None;
+    oldest = None;
+    evictions = 0;
+  }
 
 let unlink t n =
   (match n.newer with Some m -> m.older <- n.older | None -> t.newest <- n.older);
@@ -50,23 +58,29 @@ let use t n =
       push_newest t n
   | _ -> ()
 
+(* [n] leaves the recency list and holds [dead]; the caller drops it
+   from the table *)
+let retire t n =
+  unlink t n;
+  n.live <- false;
+  match t.dead with Some d -> n.value <- d | None -> ()
+
 let remove t k =
   match Hashtbl.find_opt t.table k with
   | Some n ->
-      unlink t n;
-      n.live <- false;
-      (match t.dead with Some d -> n.value <- d | None -> ());
+      retire t n;
       Hashtbl.remove t.table k
   | None -> ()
 
+(* one lookup and one replace of [k]; a victim costs one remove *)
 let add t k v =
-  remove t k;
   let n = { key = k; value = v; live = true; referenced = false; newer = None; older = None } in
+  Option.iter (retire t) (Hashtbl.find_opt t.table k);
   Hashtbl.replace t.table k n;
   push_newest t n;
   (* at most one second chance per entry and insert, so marks set by
      racing readers cannot keep the scan going *)
-  let evicted = ref 0 and chances = ref (Hashtbl.length t.table) in
+  let chances = ref (Hashtbl.length t.table) in
   while Hashtbl.length t.table > t.capacity do
     match t.oldest with
     | Some victim when !chances > 0 && (victim.referenced || victim == n) ->
@@ -77,11 +91,14 @@ let add t k v =
         unlink t victim;
         push_newest t victim
     | Some victim ->
-        remove t victim.key;
-        incr evicted
+        retire t victim;
+        Hashtbl.remove t.table victim.key;
+        t.evictions <- t.evictions + 1
     | None -> assert false (* non-empty: length > capacity >= 1 *)
   done;
-  !evicted
+  n
+
+let evictions t = t.evictions
 
 let length t = Hashtbl.length t.table
 

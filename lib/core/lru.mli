@@ -52,9 +52,13 @@ val reference : ('k, 'v) node -> unit
 val use : ('k, 'v) t -> ('k, 'v) node -> unit
 (** Make the entry the newest; nothing once it was removed or replaced. *)
 
-val add : ('k, 'v) t -> 'k -> 'v -> int
+val add : ('k, 'v) t -> 'k -> 'v -> ('k, 'v) node
 (** Insert or replace as the newest entry, then evict the oldest
-    unreferenced ones past capacity; returns how many were evicted. *)
+    unreferenced ones past capacity; returns the entry's node.  The key
+    is hashed twice (one lookup, one replace) and each victim's once. *)
+
+val evictions : ('k, 'v) t -> int
+(** Entries {!add} has evicted since the table was created. *)
 
 val remove : ('k, 'v) t -> 'k -> unit
 

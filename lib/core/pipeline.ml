@@ -27,16 +27,47 @@ module A = Xdb_rel.Algebra
 module P = Xdb_rel.Publish
 module V = Xdb_rel.Value
 
-type compiled = {
+(* the parts of a compilation that a run does not read: a binding puts
+   its literals into the bytecode, the XQuery and the plan only when
+   something asks for them *)
+type parts = {
   vm_prog : Xdb_xslt.Compile.program;
-  view : P.view;
-  schema : S.t;
   translation : Xslt2xquery.result;
   sql_plan : A.plan option;
+  footprint : Xdb_rel.Footprint.memo option;  (** of [sql_plan], computed on first use *)
+}
+
+type compiled = {
+  view : P.view;
+  schema : S.t;
   sql_fallback_reason : string option;
   deps : string list;
-  footprint : Xdb_rel.Footprint.memo option;
+  exe : Xdb_rel.Exec.kept option;
+      (** the plan a run opens, compiled once: [sql_plan] itself, or a
+          binding's variant plan with its [Param] leaves *)
+  params : V.t array;  (** the parameter row a run opens [exe] on *)
+  parts : parts option Atomic.t;  (** set once, by the first to ask *)
+  make_parts : unit -> parts;
 }
+
+let view c = c.view
+let schema c = c.schema
+let sql_fallback_reason c = c.sql_fallback_reason
+let deps c = c.deps
+
+(* the first parts stored win, so the footprint's aggregate stays the
+   node of the plan a recording run compiles *)
+let parts c =
+  match Atomic.get c.parts with
+  | Some p -> p
+  | None ->
+      let p = c.make_parts () in
+      if Atomic.compare_and_set c.parts None (Some p) then p else Option.get (Atomic.get c.parts)
+
+let vm_prog c = (parts c).vm_prog
+let translation c = (parts c).translation
+let sql_plan c = (parts c).sql_plan
+let footprint c = (parts c).footprint
 
 (* time a compile stage when a metrics collector is present *)
 let staged metrics name f =
@@ -83,11 +114,30 @@ let count_compile metrics vm_prog translation ~rewritable =
 let deps_of (view : P.view) sql_plan =
   List.sort_uniq compare (P.view_tables view @ Option.fold ~none:[] ~some:A.tables_of sql_plan)
 
-(* the compiled record around a plan (or the reason there is none) *)
-let assemble ?deps (view : P.view) vm_prog schema translation (sql_plan, sql_fallback_reason) =
-  let deps = match deps with Some d -> d | None -> deps_of view sql_plan in
-  let footprint = Option.map Xdb_rel.Footprint.memo sql_plan in
-  { vm_prog; view; schema; translation; sql_plan; sql_fallback_reason; deps; footprint }
+(* the compiled record around a plan (or the reason there is none): a
+   run opens the plan itself, on no parameters *)
+let assemble (view : P.view) vm_prog schema translation (sql_plan, sql_fallback_reason) =
+  let p = { vm_prog; translation; sql_plan; footprint = Option.map Xdb_rel.Footprint.memo sql_plan } in
+  {
+    view;
+    schema;
+    sql_fallback_reason;
+    deps = deps_of view sql_plan;
+    exe = Option.map (Xdb_rel.Exec.keep ~xml_streaming:true) sql_plan;
+    params = [||];
+    parts = Atomic.make (Some p);
+    make_parts = (fun () -> p);
+  }
+
+let with_plan c plan =
+  let p = { (parts c) with sql_plan = Some plan; footprint = Some (Xdb_rel.Footprint.memo plan) } in
+  {
+    c with
+    exe = Some (Xdb_rel.Exec.keep ~xml_streaming:true plan);
+    params = [||];
+    parts = Atomic.make (Some p);
+    make_parts = (fun () -> p);
+  }
 
 (** [compile ?options ?metrics db view stylesheet_text] — full compilation:
     stylesheet → bytecode → (partial evaluation over the view's structural
@@ -158,6 +208,7 @@ type variant = {
           reads the live count, which DML moves without touching the
           statistics version *)
   v_deps : string list;  (** the compiled record's [deps], the same for every binding *)
+  v_exe : Xdb_rel.Exec.kept;  (** [v_plan], compiled once for every binding *)
 }
 
 let literals values = Array.map (fun k -> V.Int k) values
@@ -181,6 +232,7 @@ let optimise ?metrics db (t : template) values =
           Option.map (fun tb -> (name, tb, Xdb_rel.Table.size tb)) (Xdb_rel.Database.table_opt db name))
         tables;
     v_deps = deps_of t.t_view (Some v_plan);
+    v_exe = Xdb_rel.Exec.keep ~xml_streaming:true ~params:(Array.length values) v_plan;
   }
 
 (* do slots equal in [a] stay equal in [b], and unequal ones unequal?
@@ -210,15 +262,13 @@ let replays db v values =
   && same_pattern v.v_values values
   && Xdb_rel.Cost.replays v.v_reads (literals values)
 
-(** [bind t v values] — the compilation of the text whose slots hold
-    [values], given a variant that {!replays} for them: each parameter
-    becomes its integer in the XQuery, in the bytecode (bound as a
-    global) and in [v]'s optimised plan. *)
-let bind (t : template) v (values : int array) : compiled =
-  let number i = float_of_int values.(i) in
-  let plan = A.bind_params (literals values) v.v_plan in
+(* a binding's parts: each parameter becomes its integer in the XQuery,
+   in the bytecode (bound as a global) and in [v]'s optimised plan *)
+let bound_parts (t : template) v params =
+  let number i = Xdb_rel.Value.to_float params.(i) in
+  let plan = A.bind_params params v.v_plan in
   let globals =
-    List.init (Array.length values) (fun i ->
+    List.init (Array.length params) (fun i ->
         ( Xdb_xquery.Sql_rewrite.param_var i,
           Xdb_xslt.Compile.C_select (Xdb_xpath.Ast.Number (number i)) ))
   in
@@ -230,9 +280,29 @@ let bind (t : template) v (values : int array) : compiled =
       (fun v -> Option.map number (Xdb_xquery.Sql_rewrite.param_of_var v))
       t.t_translation.Xslt2xquery.query
   in
-  assemble ~deps:v.v_deps t.t_view vm_prog t.t_schema
-    { t.t_translation with Xslt2xquery.query }
-    (Some plan, None)
+  {
+    vm_prog;
+    translation = { t.t_translation with Xslt2xquery.query };
+    sql_plan = Some plan;
+    footprint = Some (Xdb_rel.Footprint.memo plan);
+  }
+
+(** [bind t v values] — the compilation of the text whose slots hold
+    [values], given a variant that {!replays} for them: a run opens
+    [v]'s kept executable on the values; the bound bytecode, XQuery and
+    plan are built when first asked for. *)
+let bind (t : template) v (values : int array) : compiled =
+  let params = literals values in
+  {
+    view = t.t_view;
+    schema = t.t_schema;
+    sql_fallback_reason = None;
+    deps = v.v_deps;
+    exe = Some v.v_exe;
+    params;
+    parts = Atomic.make None;
+    make_parts = (fun () -> bound_parts t v params);
+  }
 
 (** [compile_template ?options ?metrics db view shape values] — compile
     a shape ({!Shape.cut}) once with its slots as parameters; [Some
@@ -301,7 +371,7 @@ let run_functional ?metrics db (c : compiled) : string list =
   staged metrics "vm_transform" (fun () ->
       List.map
         (fun doc ->
-          let frag = Xdb_xslt.Vm.transform c.vm_prog doc in
+          let frag = Xdb_xslt.Vm.transform (vm_prog c) doc in
           Xdb_xml.Serializer.node_list_to_string frag.X.children)
         docs)
 
@@ -314,8 +384,8 @@ let run_xquery_stage ?metrics db (c : compiled) : string list =
   staged metrics "xquery_eval" (fun () ->
       List.map
         (fun doc ->
-          let doc = Xdb_xslt.Strip.apply c.vm_prog.Xdb_xslt.Compile.space doc in
-          Xdb_xquery.Eval.run_serialized c.translation.Xslt2xquery.query ~context:doc)
+          let doc = Xdb_xslt.Strip.apply (vm_prog c).Xdb_xslt.Compile.space doc in
+          Xdb_xquery.Eval.run_serialized (translation c).Xslt2xquery.query ~context:doc)
         docs)
 
 (* the rewrite plans project a single "result" column; resolve its slot
@@ -352,34 +422,47 @@ let result_column ?pool ?record (layout, rows) =
     [pool] drains its documents across the domains ({!per_document}), so
     output is byte-identical to the sequential run. *)
 let run_rewrite ?metrics ?pool ?on_members db (c : compiled) : string list =
-  match c.sql_plan with
-  | Some plan ->
-      (* a sequential run records the patchable members *)
-      let split = match pool with Some p -> Parallel.jobs p > 1 | None -> false in
-      let recording =
-        match (on_members, c.footprint) with
-        | Some f, Some fp when not split -> (
-            match Xdb_rel.Footprint.get fp with
-            | { Xdb_rel.Footprint.members = Some m; _ } -> Some (f, Xdb_rel.Exec.recorder m)
-            | _ -> None)
-        | _ -> None
-      in
-      let record = Option.map snd recording in
-      let out =
-        staged metrics "sql_exec" (fun () ->
-            result_column ?pool ?record
-              (Xdb_rel.Exec.run_arrays db ~xml_streaming:true ?record plan))
-      in
-      Option.iter (fun (f, rc) -> Option.iter f (Xdb_rel.Exec.recorded rc plan)) recording;
-      out
-  | None -> run_xquery_stage ?metrics db c
+  let compiled = ref false in
+  let out =
+    match c.exe with
+    | Some exe -> (
+        (* a sequential run records the patchable members, compiling the
+           bound plan with its recorder *)
+        let split = match pool with Some p -> Parallel.jobs p > 1 | None -> false in
+        let recording =
+          match on_members with
+          | Some f when not split -> (
+              match Option.map Xdb_rel.Footprint.get (footprint c) with
+              | Some { Xdb_rel.Footprint.members = Some m; _ } ->
+                  Some (f, Xdb_rel.Exec.recorder m, Option.get (sql_plan c))
+              | _ -> None)
+          | _ -> None
+        in
+        match recording with
+        | None ->
+            staged metrics "sql_exec" (fun () ->
+                result_column ?pool
+                  (Xdb_rel.Exec.run_kept ~on_compile:(fun () -> compiled := true) db exe c.params))
+        | Some (f, record, plan) ->
+            compiled := true;
+            let out =
+              staged metrics "sql_exec" (fun () ->
+                  result_column ?pool ~record
+                    (Xdb_rel.Exec.run_arrays db ~xml_streaming:true ~record plan))
+            in
+            Option.iter f (Xdb_rel.Exec.recorded record plan);
+            out)
+    | None -> run_xquery_stage ?metrics db c
+  in
+  Option.iter (fun m -> Metrics.set_counter m "exec_compiled" (Bool.to_int !compiled)) metrics;
+  out
 
 (** Rewrite evaluation with per-operator instrumentation: returns the
     results and the operator stats when a SQL/XML plan exists.  Always
     sequential: the collector's counters are plain fields, and the
     documents' drain runs the plan's correlated subplans. *)
 let run_rewrite_analyzed ?metrics db (c : compiled) : string list * Xdb_rel.Stats.t option =
-  match c.sql_plan with
+  match sql_plan c with
   | Some plan ->
       let out, stats =
         staged metrics "sql_exec" (fun () ->
@@ -392,7 +475,7 @@ let run_rewrite_analyzed ?metrics db (c : compiled) : string list * Xdb_rel.Stat
     rewrite the composition down to one relational plan (paper Table 11). *)
 let compose db (c : compiled) (steps : Xdb_xpath.Ast.step list) :
     A.plan option * Q.prog =
-  let composed = Xdb_xquery.Compose.navigate c.translation.Xslt2xquery.query steps in
+  let composed = Xdb_xquery.Compose.navigate (translation c).Xslt2xquery.query steps in
   match Xdb_xquery.Sql_rewrite.rewrite_view_plan db c.view composed with
   | plan -> (Some plan, composed)
   | exception Xdb_xquery.Sql_rewrite.Not_rewritable _ -> (None, composed)
@@ -494,16 +577,16 @@ let mode_name = function
 let explain (c : compiled) : string =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
-    (Printf.sprintf "-- translation mode: %s\n" (mode_name c.translation.Xslt2xquery.mode));
-  (match c.translation.Xslt2xquery.graph with
+    (Printf.sprintf "-- translation mode: %s\n" (mode_name (translation c).Xslt2xquery.mode));
+  (match (translation c).Xslt2xquery.graph with
   | Some g ->
       Buffer.add_string buf "-- template execution graph:\n";
       Buffer.add_string buf (Trace.to_string g)
   | None -> ());
   Buffer.add_string buf "-- generated XQuery:\n";
-  Buffer.add_string buf (Xdb_xquery.Pretty.prog_syntax c.translation.Xslt2xquery.query);
+  Buffer.add_string buf (Xdb_xquery.Pretty.prog_syntax (translation c).Xslt2xquery.query);
   Buffer.add_string buf "\n";
-  (match (c.sql_plan, c.sql_fallback_reason) with
+  (match (sql_plan c, c.sql_fallback_reason) with
   | Some plan, _ ->
       Buffer.add_string buf "-- SQL/XML plan:\n";
       Buffer.add_string buf (A.explain plan)
@@ -519,11 +602,11 @@ let explain (c : compiled) : string =
     footprint the result cache judges with).  Reports the fallback
     reason when no plan exists. *)
 let explain_analyze db (c : compiled) : string =
-  match c.sql_plan with
+  match sql_plan c with
   | Some plan ->
       let stats = Option.get (snd (run_rewrite_analyzed db c)) in
       let footprint =
-        match c.footprint with
+        match footprint c with
         | None -> ""
         | Some fp ->
             let columns (t, _) =

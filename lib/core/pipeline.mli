@@ -2,19 +2,39 @@
 
 (** A stylesheet compiled against an XMLType view: bytecode for the
     functional baseline, the XSLT→XQuery translation, and (when the
-    generated query stays in the rewritable fragment) the SQL/XML plan. *)
-type compiled = {
-  vm_prog : Xdb_xslt.Compile.program;
-  view : Xdb_rel.Publish.view;
-  schema : Xdb_schema.Types.t;
-  translation : Xslt2xquery.result;
-  sql_plan : Xdb_rel.Algebra.plan option;
-  sql_fallback_reason : string option;  (** why [sql_plan] is [None] *)
-  deps : string list;
-      (** every table the output depends on: the view's own tables (what
-          the functional path materialises from) and the plan's *)
-  footprint : Xdb_rel.Footprint.memo option;  (** of [sql_plan], computed on first use *)
-}
+    generated query stays in the rewritable fragment) the SQL/XML plan.
+
+    It keeps its plan's executable ({!Xdb_rel.Exec.kept}): the plan
+    compiles on the first {!run_rewrite} and every later run opens that
+    compilation, so a compiled record served many times (an exact-text
+    registry entry, a prepared statement) compiles its plan once.  A
+    binding of a shared shape ({!bind}) runs its variant's executable on
+    its literals; its bound bytecode, XQuery and plan are built only
+    when one of the accessors below asks. *)
+type compiled
+
+val view : compiled -> Xdb_rel.Publish.view
+val schema : compiled -> Xdb_schema.Types.t
+val vm_prog : compiled -> Xdb_xslt.Compile.program
+val translation : compiled -> Xslt2xquery.result
+
+val sql_plan : compiled -> Xdb_rel.Algebra.plan option
+(** The SQL/XML plan, a binding's literals in place: what EXPLAIN shows,
+    what the footprint and a recording run read. *)
+
+val sql_fallback_reason : compiled -> string option
+(** Why {!sql_plan} is [None]. *)
+
+val deps : compiled -> string list
+(** Every table the output depends on: the view's own tables (what the
+    functional path materialises from) and the plan's. *)
+
+val footprint : compiled -> Xdb_rel.Footprint.memo option
+(** Of {!sql_plan}, computed on first use. *)
+
+val with_plan : compiled -> Xdb_rel.Algebra.plan -> compiled
+(** [with_plan c plan] — [c] with [plan] as its SQL/XML plan: a
+    hand-built plan run through {!run_rewrite} (tests). *)
 
 val compile :
   ?options:Options.t ->
@@ -82,9 +102,13 @@ val replays : Xdb_rel.Database.t -> variant -> int array -> bool
 val bind : template -> variant -> int array -> compiled
 (** [bind t v values] — the compilation of the text whose slots hold
     [values], for a [v] that {!replays} for them (or was optimised for
-    them): the integers replace the parameters in the XQuery, bind them
-    as globals of the bytecode, and replace the [Param] leaves of [v]'s
-    plan.  No optimiser runs. *)
+    them).  No optimiser and no plan compilation run: [v] keeps its
+    plan's executable, compiled once with each [Param i] read from the
+    run's parameter row, and a run of the binding opens it on [values].
+    The integers replace the parameters in the XQuery, bind as globals
+    of the bytecode and replace the [Param] leaves of [v]'s plan only
+    when {!vm_prog}, {!translation}, {!sql_plan} or {!footprint} first
+    asks (EXPLAIN, the functional path, a recording run, a patch). *)
 
 val run_functional : ?metrics:Metrics.t -> Xdb_rel.Database.t -> compiled -> string list
 (** "XSLT no rewrite": materialise each view document, run the XSLTVM.
@@ -107,7 +131,12 @@ val run_rewrite :
   string list
 (** "XSLT rewrite": execute the SQL/XML plan (B-tree access, no input
     materialisation); falls back to {!run_xquery_stage} when no plan
-    exists.  Stage: [sql_exec] (or the fallback's stages).  The plan's
+    exists.  Stage: [sql_exec] (or the fallback's stages).  The run
+    opens the kept executable ({!Xdb_rel.Exec.run_kept}), compiling it
+    only on the compiled record's (or variant's) first run or after a
+    catalog change staled it; a recording run compiles the bound plan
+    with its recorder, as an instrumented one does.  The counter
+    [exec_compiled] is 1 when this run compiled a plan, else 0.  The plan's
     XML constructors emit output events drained straight into the result
     buffer, with no per-row result tree.  The plan runs on the caller; a
     [pool] with more than one domain serializes its documents across the

@@ -20,7 +20,12 @@
     cost-model reads ({!Pipeline.replays}), and otherwise optimises the
     template for them and replaces the variant (counted in
     [template_optimizations]), so each binding gets the plan a compile
-    of its own text would.  An ANALYZE moves the statistics version, so
+    of its own text would.  A variant keeps its plan's executable
+    ({!Xdb_rel.Exec.kept}), compiled on the first run with each [Param]
+    read from the run's parameter row: a binding that replays the
+    variant compiles nothing, and runs that executable on its literals.
+    An exact-text entry keeps its compiled record, and with it the
+    record's executable.  An ANALYZE moves the statistics version, so
     the next binding re-optimises; the template itself does not go
     stale.  A shape whose slots cannot all become comparison parameters
     is recorded {e unshareable}, once, and its texts compile by exact
@@ -36,8 +41,10 @@
     They depend on no view, so nothing makes them stale.
 
     Thread safety: the view list and the cache are guarded by one mutex,
-    so many domains can {!compile}/{!run} concurrently (Engine keeps a
-    single registry per instance).  The actual stylesheet compilation runs
+    taken once per {!compile} (view, entry and, for an unshareable
+    shape, its exact-text entry in one critical section), so many
+    domains can {!compile}/{!run} concurrently (Engine keeps a single
+    registry per instance).  The actual stylesheet compilation runs
     {e outside} the lock — two domains missing on the same key may both
     compile; the loser's entry is simply replaced, and the counters
     (atomics) count both recompilations, so
@@ -81,7 +88,6 @@ type t = {
   cache_hits : int Atomic.t;  (** fresh cache entry served *)
   cache_misses : int Atomic.t;  (** no cache entry — first compile *)
   cache_stale : int Atomic.t;  (** entry invalidated by schema evolution *)
-  cache_evictions : int Atomic.t;  (** entries dropped by LRU bounding *)
   cache_unshareable : int Atomic.t;  (** shapes recorded unshareable *)
   template_optimizations : int Atomic.t;  (** optimiser runs for bindings *)
   shred_hits : int Atomic.t;  (** cached shredded program served *)
@@ -103,16 +109,13 @@ let create ?(capacity = default_capacity) db =
     cache_hits = Atomic.make 0;
     cache_misses = Atomic.make 0;
     cache_stale = Atomic.make 0;
-    cache_evictions = Atomic.make 0;
     cache_unshareable = Atomic.make 0;
     template_optimizations = Atomic.make 0;
     shred_hits = Atomic.make 0;
     shred_misses = Atomic.make 0;
   }
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let locked t f = Mutex.protect t.lock f
 
 (* canonical textual form of a view's structural information: declaration
    lines sorted so hash-table order does not leak into the fingerprint *)
@@ -142,19 +145,18 @@ let find_view t name =
   | None -> raise (Registry_error (Printf.sprintf "unknown view %S" name))
 
 (* [`Fresh payload] when the entry under [key] is [fresh] (made the most
-   recently used), [`Stale] or [`Absent] otherwise *)
-let lookup t key ~fresh =
-  locked t (fun () ->
-      match Lru.find t.cache key with
-      | Some n when fresh (Lru.value n) ->
-          Lru.use t.cache n;
-          `Fresh (Lru.value n).payload
-      | Some _ -> `Stale
-      | None -> `Absent)
+   recently used), [`Stale] or [`Absent] otherwise; under the lock *)
+let probe t key ~fresh =
+  match Lru.find t.cache key with
+  | Some n when fresh (Lru.value n) ->
+      Lru.use t.cache n;
+      `Fresh (Lru.value n).payload
+  | Some _ -> `Stale
+  | None -> `Absent
 
-let insert t key entry =
-  let evicted = locked t (fun () -> Lru.add t.cache key entry) in
-  ignore (Atomic.fetch_and_add t.cache_evictions evicted)
+let lookup t key ~fresh = locked t (fun () -> probe t key ~fresh)
+
+let insert t key entry = locked t (fun () -> ignore (Lru.add t.cache key entry))
 
 (* a miss or a stale entry, counted; the compile that follows is a
    recompilation *)
@@ -165,10 +167,11 @@ let count_rebuild t = function
 (* the exact-text plan: fresh while the view's structure and the
    statistics it was costed against are unchanged (a re-ANALYZE
    re-costs it) *)
-let compile_exact ~options ?metrics t ~view_name view fp ~stylesheet =
-  let stats = Xdb_rel.Database.stats_version t.db in
-  let key = View_key (view_name, stylesheet) in
-  match lookup t key ~fresh:(fun e -> String.equal e.view_fp fp && e.stats = stats) with
+let exact_key ~view_name ~stylesheet = View_key (view_name, stylesheet)
+
+let exact_fresh fp stats e = String.equal e.view_fp fp && e.stats = stats
+
+let compile_exact ~options ?metrics t ~view_name view fp ~stylesheet stats = function
   | `Fresh (Plan c) ->
       Atomic.incr t.cache_hits;
       c
@@ -177,56 +180,69 @@ let compile_exact ~options ?metrics t ~view_name view fp ~stylesheet =
       count_rebuild t why;
       let c = Pipeline.compile ~options ?metrics t.db view stylesheet in
       Atomic.incr t.recompilations;
-      insert t key { view_fp = fp; stats; payload = Plan c };
+      insert t (exact_key ~view_name ~stylesheet) { view_fp = fp; stats; payload = Plan c };
       c
 
 (** [compile t ~view_name ~stylesheet] — cached compilation; recompiles
     when the view's structural fingerprint has changed since the cached
     compile (or on first use), and binds a shared shape's literals.  Safe
-    to call from several domains at once; compilation itself runs outside
-    the registry lock.  [metrics] records per-stage compile timings on a
-    compile, and the optimiser passes of a binding. *)
+    to call from several domains at once: the view and the cache entry
+    are found under one lock, and compilation runs outside it.
+    [metrics] records per-stage compile timings on a compile, and the
+    optimiser passes of a binding. *)
 let compile ?(options = Options.default) ?metrics t ~view_name ~stylesheet : Pipeline.compiled =
-  let view, fp =
-    match find_registered t view_name with
-    | Some r -> r
-    | None -> raise (Registry_error (Printf.sprintf "unknown view %S" view_name))
+  let cut = Shape.cut stylesheet in
+  let stats = Xdb_rel.Database.stats_version t.db in
+  (* an unshareable shape's texts are looked up by exact text in the
+     same critical section *)
+  let view, fp, found =
+    locked t (fun () ->
+        match List.assoc_opt view_name t.views with
+        | None -> raise (Registry_error (Printf.sprintf "unknown view %S" view_name))
+        | Some (view, fp) ->
+            let exact () = probe t (exact_key ~view_name ~stylesheet) ~fresh:(exact_fresh fp stats) in
+            ( view,
+              fp,
+              match cut with
+              | None -> `Exact (exact ())
+              | Some (shape, values) -> (
+                  (* only schema evolution stales a template: its variant
+                     checks the statistics version itself *)
+                  match probe t (Shape_key (view_name, shape)) ~fresh:(fun e -> String.equal e.view_fp fp) with
+                  | `Fresh Unshareable -> `Exact (exact ())
+                  | found -> `Shape (shape, values, found)) ))
   in
-  match Shape.cut stylesheet with
-  | None -> compile_exact ~options ?metrics t ~view_name view fp ~stylesheet
-  | Some (shape, values) -> (
-      (* only schema evolution stales a template: its variant checks the
-         statistics version itself *)
+  match found with
+  | `Exact found -> compile_exact ~options ?metrics t ~view_name view fp ~stylesheet stats found
+  | `Shape (_, values, `Fresh (Template s)) ->
+      Atomic.incr t.cache_hits;
+      let v = Atomic.get s.variant in
+      let v =
+        if Pipeline.replays t.db v values then v
+        else begin
+          let v = Pipeline.optimise ?metrics t.db s.template values in
+          Atomic.incr t.template_optimizations;
+          Atomic.set s.variant v;
+          v
+        end
+      in
+      Pipeline.bind s.template v values
+  | `Shape (_, _, `Fresh _) -> assert false (* keys never mix *)
+  | `Shape (shape, values, ((`Stale | `Absent) as why)) -> (
       let key = Shape_key (view_name, shape) in
-      match lookup t key ~fresh:(fun e -> String.equal e.view_fp fp) with
-      | `Fresh (Template s) ->
-          Atomic.incr t.cache_hits;
-          let v = Atomic.get s.variant in
-          let v =
-            if Pipeline.replays t.db v values then v
-            else begin
-              let v = Pipeline.optimise ?metrics t.db s.template values in
-              Atomic.incr t.template_optimizations;
-              Atomic.set s.variant v;
-              v
-            end
-          in
-          Pipeline.bind s.template v values
-      | `Fresh Unshareable -> compile_exact ~options ?metrics t ~view_name view fp ~stylesheet
-      | `Fresh _ -> assert false (* keys never mix *)
-      | (`Stale | `Absent) as why -> (
-          let entry payload = { view_fp = fp; stats = 0; payload } in
-          match Pipeline.compile_template ~options ?metrics t.db view shape values with
-          | Some (template, v, c) ->
-              count_rebuild t why;
-              Atomic.incr t.recompilations;
-              Atomic.incr t.template_optimizations;
-              insert t key (entry (Template { template; variant = Atomic.make v }));
-              c
-          | None ->
-              Atomic.incr t.cache_unshareable;
-              insert t key (entry Unshareable);
-              compile_exact ~options ?metrics t ~view_name view fp ~stylesheet))
+      let entry payload = { view_fp = fp; stats = 0; payload } in
+      match Pipeline.compile_template ~options ?metrics t.db view shape values with
+      | Some (template, v, c) ->
+          count_rebuild t why;
+          Atomic.incr t.recompilations;
+          Atomic.incr t.template_optimizations;
+          insert t key (entry (Template { template; variant = Atomic.make v }));
+          c
+      | None ->
+          Atomic.incr t.cache_unshareable;
+          insert t key (entry Unshareable);
+          compile_exact ~options ?metrics t ~view_name view fp ~stylesheet stats
+            (lookup t (exact_key ~view_name ~stylesheet) ~fresh:(exact_fresh fp stats)))
 
 (** [shredded t ~stylesheet] — the stylesheet compiled for shredded
     documents, once per stylesheet text.  [metrics] records the compile
@@ -263,7 +279,7 @@ let counters t =
     ("cache_misses", Atomic.get t.cache_misses);
     ("cache_stale", Atomic.get t.cache_stale);
     ("recompilations", Atomic.get t.recompilations);
-    ("cache_evictions", Atomic.get t.cache_evictions);
+    ("cache_evictions", locked t (fun () -> Lru.evictions t.cache));
     ("cache_unshareable", Atomic.get t.cache_unshareable);
     ("template_optimizations", Atomic.get t.template_optimizations);
     ("shred_hits", Atomic.get t.shred_hits);

@@ -15,7 +15,8 @@
     version and the tables' row counts ({!Pipeline.optimise}).  A later
     text replays the log with its own literals ({!Pipeline.replays}); when
     every estimate comes out bit-identical (and nothing else moved) it
-    binds the variant with no optimiser run ({!Pipeline.bind}), else it
+    binds the variant with no optimiser run and no plan compilation
+    ({!Pipeline.bind}: the variant keeps its executable), else it
     optimises afresh and the result replaces the variant.  Either way it
     gets the plan a compile of the exact text makes.  A shape whose slots
     cannot all become comparison parameters is recorded unshareable, and

@@ -28,7 +28,6 @@ type t = {
   hits : int Atomic.t;
   misses : int Atomic.t;
   invalidations : int Atomic.t;
-  evictions : int Atomic.t;
   kept : int Atomic.t;
   patches : int Atomic.t;
 }
@@ -51,7 +50,6 @@ let create ?(capacity = default_capacity) db =
     hits = Atomic.make 0;
     misses = Atomic.make 0;
     invalidations = Atomic.make 0;
-    evictions = Atomic.make 0;
     kept = Atomic.make 0;
     patches = Atomic.make 0;
   }
@@ -193,12 +191,7 @@ let find t ~key ?(footprint = fun () -> None) ?patch ?slot () =
 
 let store t ~view ~key ~deps ?members ?slot output =
   let deps = List.map (fun tbl -> (tbl, DB.data_version t.db tbl)) deps in
-  locked t (fun () ->
-      let evicted = Lru.add t.cache key { view; output; deps; members } in
-      ignore (Atomic.fetch_and_add t.evictions evicted);
-      match slot with
-      | Some _ -> Option.iter (pin slot) (Lru.find t.cache key)
-      | None -> ())
+  locked t (fun () -> pin slot (Lru.add t.cache key { view; output; deps; members }))
 
 let invalidate_view t name =
   locked t (fun () ->
@@ -223,7 +216,7 @@ let counters t =
     ("result_cache_hits", Atomic.get t.hits);
     ("result_cache_misses", Atomic.get t.misses);
     ("result_cache_invalidations", Atomic.get t.invalidations);
-    ("result_cache_evictions", Atomic.get t.evictions);
+    ("result_cache_evictions", locked t (fun () -> Lru.evictions t.cache));
     ("result_cache_kept", Atomic.get t.kept);
     ("result_cache_patches", Atomic.get t.patches);
   ]

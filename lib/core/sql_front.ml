@@ -63,25 +63,25 @@ let run_xml_view_select ctx (view : P.view) (sel : select) : Sql.result =
     match e with
     | Xml_transform (input, stylesheet) when Sql.is_view_column view alias input -> (
         let compiled = ctx.compile view stylesheet in
-        match compiled.Pipeline.sql_plan with
+        match Pipeline.sql_plan compiled with
         | Some _ ->
             notes :=
               Printf.sprintf "%s: XSLT rewrite (%s mode)" name
-                (Pipeline.mode_name compiled.Pipeline.translation.Xslt2xquery.mode)
+                (Pipeline.mode_name (Pipeline.translation compiled).Xslt2xquery.mode)
               :: !notes;
             ( name,
               `Sql
                 (Xdb_xquery.Sql_rewrite.rewrite_prog ctx.db view
-                   compiled.Pipeline.translation.Xslt2xquery.query) )
+                   (Pipeline.translation compiled).Xslt2xquery.query) )
         | None ->
             notes :=
               Printf.sprintf "%s: functional fallback (%s)" name
-                (Option.value ~default:"?" compiled.Pipeline.sql_fallback_reason)
+                (Option.value ~default:"?" (Pipeline.sql_fallback_reason compiled))
               :: !notes;
             ( name,
               `Functional
                 (fun doc ->
-                  let frag = Xdb_xslt.Vm.transform compiled.Pipeline.vm_prog doc in
+                  let frag = Xdb_xslt.Vm.transform (Pipeline.vm_prog compiled) doc in
                   Xdb_xml.Serializer.node_list_to_string frag.Xdb_xml.Types.children) ))
     | Xml_query { query; passing } when Sql.is_view_column view alias passing -> (
         let prog = Xdb_xquery.Parser.parse_prog query in
@@ -266,7 +266,7 @@ let run_create_view ctx name (sel : select) : Sql.result =
             note =
               Some
                 (Printf.sprintf "XSLT view %s(%s) created (%s mode)" name column
-                   (Pipeline.mode_name compiled.Pipeline.translation.Xslt2xquery.mode));
+                   (Pipeline.mode_name (Pipeline.translation compiled).Xslt2xquery.mode));
           }
       | _ -> err "CREATE VIEW: body must be a single XMLTransform over the view column")
 

@@ -300,6 +300,9 @@ type cctx = {
          one more own slot (a copy of the row); otherwise they hand out
          the table's own arrays *)
   crecord : recorder option;
+  mutable captured : (string * Table.t * Table.index option) list;
+      (* each scan's table, and its index, as the catalog held them at
+         compile time: a kept executable is current while they still are *)
 }
 
 (* emit the aggregate's members [ms] into [sink], recording each one's
@@ -334,6 +337,10 @@ let record_members rc sink env ms emit =
       List.iter emit ms
 
 let rowid_column = "$rowid"
+
+(* the reserved outer column [Param i] reads: the SQL grammar cannot
+   name it *)
+let param_column i = ":p" ^ string_of_int i
 
 (* does the top projection of [p] list [rowid_column]?  That is how a
    DML plan asks for row ids; no other plan reads them *)
@@ -622,7 +629,10 @@ let concat_scratch = Domain.DLS.new_key (fun () -> { depth = 0; bufs = [||] })
 let rec cexpr ctx (lay : Layout.t) own (e : expr) : Value.t array -> Value.t array -> Value.t =
   match e with
   | Const v -> fun _ _ -> v
-  | Param i -> raise (Exec_error (Printf.sprintf "unbound plan parameter :p%d" i))
+  | Param i -> (
+      match Layout.slot_opt lay (param_column i) with
+      | Some s -> slot_reader own s
+      | None -> err "unbound plan parameter :p%d" i)
   | Col (alias, name) -> slot_reader own (resolve_slot lay alias name)
   | Not _ | Binop ((And | Or), _, _) ->
       let p = cpred ctx lay own e in
@@ -935,6 +945,7 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
     match p with
     | Seq_scan { table; alias } ->
         let tbl = Database.table ctx.cdb table in
+        ctx.captured <- (table, tbl, None) :: ctx.captured;
         let lay, own, row = scan_parts ctx tbl alias outer_lay in
         let count () = Table.size tbl in
         let open_ _ =
@@ -951,6 +962,7 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
           | Some i -> i
           | None -> err "no index on %s.%s" table index_column
         in
+        ctx.captured <- (table, tbl, Some idx) :: ctx.captured;
         let lay, own, row = scan_parts ctx tbl alias outer_lay in
         (* bounds are correlation expressions: compiled against the outer
            layout (no own slots), evaluated once per open on the
@@ -1260,18 +1272,28 @@ let new_ctx ?stats ?(xml_streaming = false) ?record ~rowid db =
     cxml_streaming = xml_streaming;
     crowid = rowid;
     crecord = record;
+    captured = [];
   }
+
+(* the environment layout of a plan opened on [outer]'s row followed by
+   [params] parameter values *)
+let env_layout outer params =
+  if params = 0 then outer
+  else Layout.concat outer (Layout.of_bindings (List.init params param_column))
 
 (** [compile db plan] — the plan-open pass: resolve every column
     reference to a slot, compile expressions to closures, build batch
     cursors.  [xml_streaming] makes XML constructors produce
     [Value.Xml_stream] (events on demand) instead of node trees.
     @raise Exec_error for unresolvable or ambiguous columns. *)
-let compile_ctx db ?stats ?(outer = Layout.empty) ?xml_streaming ?record (p : plan) : compiled =
-  let rowid = reads_rowid p in
-  cplan (new_ctx ?stats ?xml_streaming ?record ~rowid db) outer p
+let compile_in ctx ?(outer = Layout.empty) ?(params = 0) (p : plan) : compiled =
+  cplan ctx (env_layout outer params) p
 
-let compile db ?stats ?outer ?xml_streaming p = compile_ctx db ?stats ?outer ?xml_streaming p
+let compile_ctx db ?stats ?outer ?params ?xml_streaming ?record (p : plan) : compiled =
+  compile_in (new_ctx ?stats ?xml_streaming ?record ~rowid:(reads_rowid p) db) ?outer ?params p
+
+let compile db ?stats ?outer ?params ?xml_streaming p =
+  compile_ctx db ?stats ?outer ?params ?xml_streaming p
 
 let compile_expr db (lay : Layout.t) (e : expr) : Value.t array -> Value.t =
   let f = cexpr (new_ctx ~rowid:false db) lay 0 e in
@@ -1282,6 +1304,49 @@ let compile_expr db (lay : Layout.t) (e : expr) : Value.t array -> Value.t =
 let run_arrays db ?xml_streaming ?record (p : plan) : Layout.t * Value.t array list =
   let c = compile_ctx db ?xml_streaming ?record p in
   (c.c_layout, drain_cursor (c.c_open [||]))
+
+(* ------------------------------------------------------------------ *)
+(* Kept executables                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* a compiled plan with the catalog objects its scans captured *)
+type executable = { e_compiled : compiled; e_captured : (string * Table.t * Table.index option) list }
+
+(* set once, like {!Footprint.memo}, and set again only when the
+   executable it holds went stale: racing first runs may each compile,
+   and every one of those compilations is as good as the others *)
+type kept = { k_plan : plan; k_params : int; k_streaming : bool; k_cell : executable option Atomic.t }
+
+let keep ?(xml_streaming = false) ?(params = 0) plan =
+  { k_plan = plan; k_params = params; k_streaming = xml_streaming; k_cell = Atomic.make None }
+
+(* every table a scan read is still the catalog's table of that name,
+   and every index it probed still one of the table's: [Table.delete]
+   rebuilds each index as a new record, [Table.drop_index] drops one,
+   and [Database.create_table] replaces the table *)
+let current db e =
+  List.for_all
+    (fun (name, tbl, idx) ->
+      (match Database.table_opt db name with Some t -> t == tbl | None -> false)
+      && match idx with Some i -> List.memq i tbl.Table.indexes | None -> true)
+    e.e_captured
+
+let run_kept ?(on_compile = ignore) db k (params : Value.t array) =
+  let e =
+    match Atomic.get k.k_cell with
+    | Some e when current db e -> e
+    | _ ->
+        let ctx =
+          new_ctx ~xml_streaming:k.k_streaming ~rowid:(reads_rowid k.k_plan) db
+        in
+        let e_compiled = compile_in ctx ~params:k.k_params k.k_plan in
+        let e = { e_compiled; e_captured = ctx.captured } in
+        Atomic.set k.k_cell (Some e);
+        on_compile ();
+        e
+  in
+  let c = e.e_compiled in
+  (c.c_layout, drain_cursor (c.c_open params))
 
 (* ------------------------------------------------------------------ *)
 (* Member recording and patching                                       *)

@@ -54,6 +54,7 @@ val compile :
   Database.t ->
   ?stats:Stats.t ->
   ?outer:Layout.t ->
+  ?params:int ->
   ?xml_streaming:bool ->
   Algebra.plan ->
   compiled
@@ -66,8 +67,43 @@ val compile :
     scratch state shared between calls, so the producers of one run's
     rows may drain on several domains at once (an instrumented
     compilation excepted: its [stats] are plain counters).
+
+    The environment row the plan opens on holds [outer]'s columns, then
+    [params] (default 0) parameter values: [Param i] reads slot [i] of
+    those, a reserved outer column that correlated subplans see through
+    the layout they inherit, so one compilation serves every binding of
+    the parameters.  A [Param] beyond [params] is an [Exec_error].
+
+    Each scan looks its table (and an index scan its index) up in the
+    catalog now, at compile time, and reads that object's rows and
+    B-tree whenever it opens.  A compilation kept across catalog changes
+    must be checked first: {!run_kept} does.
     @raise Exec_error at plan-open time for unknown or ambiguous
     columns, listing the columns that are available. *)
+
+type kept
+(** A plan whose compilation runs once and is kept for every run after:
+    a set-once cell, replaced only when it went stale. *)
+
+val keep : ?xml_streaming:bool -> ?params:int -> Algebra.plan -> kept
+(** [keep plan] — compiled on its first {!run_kept}, with [params]
+    parameters ({!compile}). *)
+
+val run_kept :
+  ?on_compile:(unit -> unit) ->
+  Database.t ->
+  kept ->
+  Value.t array ->
+  Layout.t * Value.t array list
+(** [run_kept db k params] — {!run_arrays} of the kept plan, opened on
+    the parameter row [params].  The kept compilation is used while
+    every table it scans is still the catalog's table of that name and
+    every index it probes still one of that table's indexes
+    ([Table.delete] rebuilds them, [Table.drop_index] and
+    [Database.create_table] replace them); otherwise the plan compiles
+    again now, [on_compile] is called, and the new compilation is kept.
+    Callers keep the catalog still for the run (the engine's read lock);
+    several domains may run one [kept] at once. *)
 
 val compile_expr : Database.t -> Layout.t -> Algebra.expr -> Value.t array -> Value.t
 (** [compile_expr db layout e] — [e] compiled once against the rows of

@@ -479,7 +479,7 @@ let example1_stylesheet =
 let test_example1_pipeline () =
   let db, view = setup_example1 () in
   let c = PL.compile db view example1_stylesheet in
-  check cb "SQL plan produced" true (c.PL.sql_plan <> None);
+  check cb "SQL plan produced" true (PL.sql_plan c <> None);
   let f = PL.run_functional db c in
   let x = PL.run_xquery_stage db c in
   let r = PL.run_rewrite db c in
@@ -490,7 +490,7 @@ let test_example1_pipeline () =
     "<H1>HIGHLY PAID DEPT EMPLOYEES</H1><H2>Department name: ACCOUNTING</H2><H2>Department location: NEW YORK</H2><H2>Employees Table</H2><table border=\"2\"><td><b>EmpNo</b></td><td><b>Name</b></td><td><b>Weekly Salary</b></td><tr><td>7782</td><td>CLARK</td><td>2450</td></tr></table>"
     (List.hd f);
   (* plan shape of paper Table 7: index scan on sal inside the subquery *)
-  let explain = A.explain (Option.get c.PL.sql_plan) in
+  let explain = A.explain (Option.get (PL.sql_plan c)) in
   check cb "B-tree probe on sal" true (contains "IndexScan emp" explain);
   check cb "residual correlation" true (contains "deptno" explain)
 
@@ -818,7 +818,7 @@ let test_dbonerow_explain_analyze () =
   let dv = Xdb_xsltmark.Cases.dbview_for case n in
   let db = dv.Xdb_xsltmark.Data.db in
   let c = PL.compile db dv.Xdb_xsltmark.Data.view case.Xdb_xsltmark.Cases.stylesheet in
-  check cb "SQL plan produced" true (c.PL.sql_plan <> None);
+  check cb "SQL plan produced" true (PL.sql_plan c <> None);
   let text = PL.explain_analyze db c in
   check cb "index scan in plan" true (contains "IndexScan rows" text);
   check cb "probe with one actual row" true (contains "actual=1" text);
@@ -828,7 +828,7 @@ let test_dbonerow_explain_analyze () =
   (* drop the id index and recompile: full scan, no probes *)
   T.drop_index (Xdb_rel.Database.table db "rows") ~name:"rows_id_idx";
   let c2 = PL.compile db dv.Xdb_xsltmark.Data.view case.Xdb_xsltmark.Cases.stylesheet in
-  check cb "still SQL-rewritable" true (c2.PL.sql_plan <> None);
+  check cb "still SQL-rewritable" true (PL.sql_plan c2 <> None);
   let text2 = PL.explain_analyze db c2 in
   check cb "no index scan after drop" false (contains "IndexScan rows" text2);
   check cb "full scan after drop" true (contains "SeqScan rows" text2);
@@ -846,7 +846,7 @@ let test_ordering_strategy_explain () =
   let db = dv.Xdb_xsltmark.Data.db in
   let ss = (Option.get (Xdb_xsltmark.Cases.find "avts")).Xdb_xsltmark.Cases.stylesheet in
   let c = PL.compile db dv.Xdb_xsltmark.Data.view ss in
-  let plan = Option.get c.PL.sql_plan in
+  let plan = Option.get (PL.sql_plan c) in
   let strategy expected =
     List.iter
       (fun (executor, text) ->
@@ -885,7 +885,7 @@ let test_nan_condition_differential () =
   let dv = Xdb_xsltmark.Data.records_db 20 in
   let db = dv.Xdb_xsltmark.Data.db in
   let c = PL.compile db dv.Xdb_xsltmark.Data.view nan_stylesheet in
-  check cb "SQL plan produced" true (c.PL.sql_plan <> None);
+  check cb "SQL plan produced" true (PL.sql_plan c <> None);
   let f = PL.run_functional db c in
   let r = PL.run_rewrite db c in
   check Alcotest.(list string) "functional = rewrite under NaN condition" f r;
@@ -945,7 +945,7 @@ let test_negative_zero_differential () =
   let dv = Xdb_xsltmark.Data.records_db 5 in
   let db = dv.Xdb_xsltmark.Data.db in
   let c = PL.compile db dv.Xdb_xsltmark.Data.view stylesheet in
-  check cb "SQL plan produced" true (c.PL.sql_plan <> None);
+  check cb "SQL plan produced" true (PL.sql_plan c <> None);
   let f = PL.run_functional db c in
   let r = PL.run_rewrite db c in
   check Alcotest.(list string) "functional = rewrite" f r;
@@ -1086,7 +1086,7 @@ let test_split_parity pick () =
         A.Project ([ (doc [ A.Xml_text names ], "result"); (A.qcol "t" "tid", "k") ], base) )
   in
   let twice = A.Project ([ (doc [ A.Xml_text earlier ], "result") ], base) in
-  let c = { c with PL.sql_plan = Some (pick (sorted, twice)) } in
+  let c = PL.with_plan c (pick (sorted, twice)) in
   let seq = PL.run_rewrite db c in
   check ci "a document per base row" 40 (List.length seq);
   PAR.with_pool ~jobs:3 (fun pool ->
@@ -1303,14 +1303,14 @@ let test_result_cache_patch_install () =
   in
   let recorded = ref None in
   let out = PL.run_rewrite ~on_members:(fun m -> recorded := Some m) db c in
-  let members = Option.get !recorded and footprint () = c.PL.footprint in
+  let members = Option.get !recorded and footprint () = (PL.footprint c) in
   let rc = RC.create db in
   let ctr name = List.assoc name (RC.counters rc) in
   let write () =
     ignore
       (Xdb_sql.Engine.run_dml db (Xdb_sql.Parser.parse "UPDATE rows SET value = 1 WHERE id = 3"))
   in
-  RC.store rc ~view:"v" ~key:"k" ~deps:c.PL.deps ~members out;
+  RC.store rc ~view:"v" ~key:"k" ~deps:(PL.deps c) ~members out;
   write ();
   (* a second reader patches and installs while the first still patches *)
   let inner () = RC.find rc ~key:"k" ~footprint ~patch:(fun _ m _ -> Some ([ "inner" ], m)) () in
@@ -2646,6 +2646,332 @@ let prop_pipeline_equivalence =
       in
       PL.run_functional dv.Xdb_xsltmark.Data.db c = PL.run_rewrite dv.Xdb_xsltmark.Data.db c)
 
+(* ------------------------------------------------------------------ *)
+(* Kept executables and one-pass shape cuts                            *)
+(* ------------------------------------------------------------------ *)
+
+(* an exact-text stylesheet probing idx(id) for one key: its [1 + 1]
+   slots are no comparison parameters, so the shape is unshareable *)
+let exact_probe_stylesheet k =
+  Printf.sprintf
+    {|<?xml version="1.0"?><xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+<xsl:template match="table"><out><xsl:apply-templates select="row[id = %d]"/><xsl:value-of select="1 + 1"/></out></xsl:template>
+<xsl:template match="row"><hit><xsl:value-of select="name"/>/<xsl:value-of select="value"/></hit></xsl:template>
+<xsl:template match="text()"/></xsl:stylesheet>|}
+    k
+
+(* a prepared statement, an exact-text transform and two bindings of one
+   shape keep their executables across each catalog change: every run
+   after one gives the functional VM's bytes over a fresh compile, and
+   the runs whose kept executable went stale compile again *)
+let test_kept_executables () =
+  let module D = Xdb_xsltmark.Data in
+  let dv = D.records_db 200 in
+  let db = dv.D.db and view = dv.D.view and view_name = "records_vu" in
+  let e = EN.create db in
+  EN.register_view e view;
+  let opts = { EN.default_run_options with EN.result_cache = false; collect_metrics = true } in
+  let stmt = EN.prepare e ~view_name ~stylesheet:(fig3_stylesheet "avts") in
+  let exact = exact_probe_stylesheet 7 in
+  let texts = [ ("exact text", exact); ("binding 5", Xdb_xsltmark.Cases.dbonerow_stylesheet 5); ("binding 9", Xdb_xsltmark.Cases.dbonerow_stylesheet 9) ] in
+  let compiled (r : EN.run_result) = List.assoc "exec_compiled" (Xdb_core.Metrics.counters (Option.get r.EN.metrics)) in
+  let check_all event =
+    let expect text = PL.run_functional db (PL.compile db view text) in
+    let r = EN.transform_stmt ~options:opts e stmt in
+    check (Alcotest.list cs) (event ^ ": prepared statement") (expect (fig3_stylesheet "avts")) r.EN.output;
+    List.map
+      (fun (name, text) ->
+        let r = EN.transform ~options:opts e ~view_name ~stylesheet:text in
+        check (Alcotest.list cs) (Printf.sprintf "%s: %s" event name) (expect text) r.EN.output;
+        (name, compiled r))
+      texts
+  in
+  let compiles event expected =
+    check Alcotest.(list (pair string int)) (event ^ ": compiled an executable") expected (check_all event)
+  in
+  let rows () = Xdb_rel.Database.table db "rows" in
+  (* the exact text, then binding 5, which compiles any new variant's
+     executable, then binding 9, which shares it *)
+  let stale = [ ("exact text", 1); ("binding 5", 1); ("binding 9", 0) ] in
+  let none = [ ("exact text", 0); ("binding 5", 0); ("binding 9", 0) ] in
+  compiles "first runs" stale;
+  compiles "nothing changed" none;
+  ignore (EN.execute e "UPDATE rows SET value = 1 WHERE id = 9");
+  compiles "an UPDATE" none;
+  (* the heap compacts, so row ids shift, and every index is rebuilt *)
+  ignore (EN.execute e "DELETE FROM rows WHERE id = 3");
+  compiles "a DELETE" stale;
+  (* a new row count re-optimises the bindings' variant *)
+  ignore (EN.execute e "INSERT INTO rows VALUES (1, 3, 'back', 33, 'c')");
+  compiles "an INSERT" [ ("exact text", 0); ("binding 5", 1); ("binding 9", 0) ];
+  (* the same row count and statistics: the variant replays *)
+  T.drop_index (rows ()) ~name:"rows_id_idx";
+  ignore (T.create_index (rows ()) ~name:"rows_id_idx" ~column:"id");
+  compiles "drop_index + create_index" stale;
+  (* a new table under the old name, its rows re-inserted changed *)
+  let old = rows () in
+  let fresh = Xdb_rel.Database.create_table db "rows" (Array.to_list old.T.columns) in
+  T.iter
+    (fun _ r ->
+      let r = Array.copy r in
+      r.(3) <- V.Int (V.to_int r.(3) + 1);
+      ignore (T.insert fresh r))
+    old;
+  List.iter
+    (fun c -> ignore (T.create_index fresh ~name:("rows_" ^ c ^ "_idx") ~column:c))
+    [ "id"; "value"; "category" ];
+  compiles "create_table + re-INSERT" stale;
+  ignore (EN.execute e "ANALYZE");
+  compiles "ANALYZE" stale;
+  EN.register_view e view;
+  compiles "register_view" none;
+  EN.shutdown e
+
+(* an ad-hoc transform of a known shape binds: no plan compile, no
+   bound plan or XQuery, one pass over the text *)
+let test_adhoc_allocation () =
+  let module D = Xdb_xsltmark.Data in
+  let n = 2000 in
+  let dv = D.records_db n in
+  let e = EN.create dv.D.db in
+  EN.register_view e dv.D.view;
+  let nc = { EN.default_run_options with EN.result_cache = false } in
+  let calls = 1_000 in
+  let texts = Array.init calls (fun i -> Xdb_xsltmark.Cases.dbonerow_stylesheet (1 + (i * 7 mod n))) in
+  let read text = EN.transform ~options:nc e ~view_name:"records_vu" ~stylesheet:text in
+  Array.iteri (fun i text -> if i < 10 then ignore (read text)) texts;
+  let w0 = Gc.minor_words () in
+  Array.iter (fun text -> ignore (Sys.opaque_identity (read text))) texts;
+  let words = (Gc.minor_words () -. w0) /. float_of_int calls in
+  if words > 1_500.0 then
+    Alcotest.failf "an ad-hoc transform allocated %.0f minor words (at most 1,500)" words;
+  EN.shutdown e
+
+(* a run's metrics say whether it compiled an executable: 1,000
+   bindings with steady statistics compile once, and a result-cache hit
+   compiles nothing *)
+let test_bindings_compile_once () =
+  let module D = Xdb_xsltmark.Data in
+  let n = 2000 in
+  let dv = D.records_db n in
+  let e = EN.create dv.D.db in
+  EN.register_view e dv.D.view;
+  ignore (EN.execute e "ANALYZE");
+  let counter name (r : EN.run_result) = List.assoc name (Xdb_core.Metrics.counters (Option.get r.EN.metrics)) in
+  let read ?(result_cache = false) k =
+    EN.transform
+      ~options:{ EN.default_run_options with EN.result_cache; collect_metrics = true }
+      e ~view_name:"records_vu" ~stylesheet:(Xdb_xsltmark.Cases.dbonerow_stylesheet k)
+  in
+  let compiles = ref 0 in
+  for i = 0 to 999 do
+    compiles := !compiles + counter "exec_compiled" (read (1 + (i * 7 mod n)))
+  done;
+  check ci "1,000 bindings: one executable compiled" 1 !compiles;
+  ignore (read ~result_cache:true 42);
+  let hit = read ~result_cache:true 42 in
+  check ci "a result-cache hit" 1 (counter "result_cache_hit" hit);
+  check ci "compiles no executable" 0 (counter "exec_compiled" hit);
+  EN.shutdown e
+
+(* two domains bind texts of one shape at once, racing for the template,
+   its variant and the variant's executable: every output is the
+   functional VM's *)
+let test_concurrent_bindings () =
+  let module D = Xdb_xsltmark.Data in
+  let n = 60 in
+  let dv = D.records_db n in
+  let db = dv.D.db in
+  let e = EN.create db in
+  EN.register_view e dv.D.view;
+  let keys = Array.append (Array.init n (fun i -> i + 1)) [| 0; 1_000_000 |] in
+  let expected =
+    Array.map (fun k -> PL.run_functional db (PL.compile db dv.D.view (Xdb_xsltmark.Cases.dbonerow_stylesheet k))) keys
+  in
+  let nc = { EN.default_run_options with EN.result_cache = false } in
+  let client d () =
+    let wrong = ref 0 in
+    for i = 0 to 499 do
+      let j = ((i * 7) + (d * 31)) mod Array.length keys in
+      let text = Xdb_xsltmark.Cases.dbonerow_stylesheet keys.(j) in
+      if (EN.transform ~options:nc e ~view_name:"records_vu" ~stylesheet:text).EN.output <> expected.(j) then incr wrong
+    done;
+    !wrong
+  in
+  let wrong = List.map Domain.join (List.init 2 (fun d -> Domain.spawn (client d))) in
+  EN.shutdown e;
+  check ci "wrong outputs" 0 (List.fold_left ( + ) 0 wrong)
+
+(* a plain reference for {!Xdb_core.Shape.cut}: byte by byte, each
+   [select]/[test] value after a space cut with [String.sub] *)
+let reference_cut text =
+  let n = String.length text in
+  let at i s = i + String.length s <= n && String.sub text i (String.length s) = s in
+  let is_space c = String.contains " \t\n\r" c in
+  let is_digit c = c >= '0' && c <= '9' in
+  let adjacent c =
+    is_digit c || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || String.contains "_-." c
+    || Char.code c >= 0x80
+  in
+  let rec spaces j = if j < n && is_space text.[j] then spaces (j + 1) else j in
+  (* the quoted value [start, stop) of a select/test attribute at [i] *)
+  let value_at i =
+    let name_end = if at i "select" then Some (i + 6) else if at i "test" then Some (i + 4) else None in
+    match name_end with
+    | Some j when i > 0 && is_space text.[i - 1] ->
+        let j = spaces j in
+        if j < n && text.[j] = '=' then
+          let j = spaces (j + 1) in
+          if j < n && (text.[j] = '"' || text.[j] = '\'') then
+            Option.map (fun stop -> (j + 1, stop)) (String.index_from_opt text (j + 1) text.[j])
+          else None
+        else None
+    | _ -> None
+  in
+  (* the value cut from slot [first] on, and its literals; whole, with
+     none, when it holds a [&] *)
+  let cut_value v first =
+    let m = String.length v in
+    if String.contains v '&' then (v, [])
+    else begin
+      let b = Buffer.create m and lits = ref [] and quote = ref None and i = ref 0 in
+      while !i < m do
+        let c = v.[!i] in
+        match !quote with
+        | Some q ->
+            if c = q then quote := None;
+            Buffer.add_char b c;
+            incr i
+        | None when c = '"' || c = '\'' ->
+            quote := Some c;
+            Buffer.add_char b c;
+            incr i
+        | None when is_digit c ->
+            let j = ref !i in
+            while !j < m && is_digit v.[!j] do
+              incr j
+            done;
+            let run = String.sub v !i (!j - !i) in
+            if (!i = 0 || not (adjacent v.[!i - 1])) && (!j = m || not (adjacent v.[!j])) && String.length run <= 15
+            then begin
+              Buffer.add_string b ("$xdb-p" ^ string_of_int (first + List.length !lits));
+              lits := int_of_string run :: !lits
+            end
+            else Buffer.add_string b run;
+            i := !j
+        | None ->
+            Buffer.add_char b c;
+            incr i
+      done;
+      (Buffer.contents b, List.rev !lits)
+    end
+  in
+  let b = Buffer.create n and values = ref [] and i = ref 0 in
+  while !i < n do
+    match value_at !i with
+    | Some (start, stop) ->
+        Buffer.add_string b (String.sub text !i (start - !i));
+        let v, lits = cut_value (String.sub text start (stop - start)) (List.length !values) in
+        Buffer.add_string b v;
+        Buffer.add_char b text.[stop];
+        values := !values @ lits;
+        i := stop + 1
+    | None ->
+        Buffer.add_char b text.[!i];
+        incr i
+  done;
+  if contains "xdb-p" text || !values = [] then None
+  else Some (Buffer.contents b, Array.of_list !values)
+
+let shape_cut_result = Alcotest.(option (pair string (array int)))
+
+let prop_shape_cut_reference =
+  let fragments =
+    [|
+      " select=\""; " select = '"; " test=\""; "\ttest='"; " selected=\""; "\""; "'"; "&"; "&amp;";
+      "xdb-p"; "xdb-"; "-p"; " "; "\n"; "row[id = "; "]"; "0"; "7"; "42"; "007"; "1234567890123456";
+      "x"; "."; "-"; "a"; "="; "<"; "/>"; "s"; "t"; "é";
+    |]
+  in
+  let gen = QCheck.Gen.(map (String.concat "") (list_size (0 -- 40) (oneofa fragments))) in
+  QCheck.Test.make ~name:"shape cut = a plain reference cut" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun text ->
+      let got = Xdb_core.Shape.cut text and want = reference_cut text in
+      got = want
+      || QCheck.Test.fail_reportf "cut %s, reference %s"
+           (Alcotest.pp shape_cut_result |> fun pp -> Format.asprintf "%a" pp got)
+           (Format.asprintf "%a" (Alcotest.pp shape_cut_result) want))
+
+let test_shape_cut_xsltmark () =
+  List.iter
+    (fun (c : Xdb_xsltmark.Cases.case) ->
+      let text = c.Xdb_xsltmark.Cases.stylesheet in
+      check shape_cut_result c.Xdb_xsltmark.Cases.name (reference_cut text) (Xdb_core.Shape.cut text))
+    (Xdb_xsltmark.Cases.all @ Xdb_xsltmark.Cases.extras)
+
+(* {!Xdb_core.Lru} against a list model, newest first: its evictions
+   (with the second chance), its values, and what a node that left it
+   holds *)
+let prop_lru_model =
+  let module L = Xdb_core.Lru in
+  let op = QCheck.Gen.(pair (int_bound 4) (int_bound 5)) in
+  QCheck.Test.make ~name:"Lru = a list model" ~count:500
+    QCheck.(make Gen.(pair (1 -- 4) (list_size (0 -- 60) op)))
+    (fun (capacity, ops) ->
+      let dead = -1 in
+      let t = L.create ~dead capacity in
+      (* (key, value, referenced), newest first; values are unique *)
+      let model = ref [] and evictions = ref 0 and nodes = ref [] in
+      let model_add k v =
+        let fresh = (k, v, ref false) in
+        model := fresh :: List.filter (fun (k', _, _) -> k' <> k) !model;
+        let chances = ref (List.length !model) in
+        while List.length !model > capacity do
+          let rev = List.rev !model in
+          let ((_, _, referenced) as oldest) = List.hd rev in
+          if !chances > 0 && (!referenced || oldest == fresh) then begin
+            decr chances;
+            referenced := false;
+            model := oldest :: List.rev (List.tl rev)
+          end
+          else begin
+            model := List.rev (List.tl rev);
+            incr evictions
+          end
+        done
+      in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      List.iteri
+        (fun v (o, k) ->
+          (match o with
+          | 0 -> nodes := (L.add t k v, v) :: !nodes; model_add k v
+          | 1 ->
+              expect
+                (Option.map L.value (L.find t k)
+                = Option.map (fun (_, v, _) -> v) (List.find_opt (fun (k', _, _) -> k' = k) !model))
+          | 2 -> (
+              Option.iter (L.use t) (L.find t k);
+              match List.partition (fun (k', _, _) -> k' = k) !model with
+              | [ e ], rest -> model := e :: rest
+              | _ -> ())
+          | 3 ->
+              L.remove t k;
+              model := List.filter (fun (k', _, _) -> k' <> k) !model
+          | _ ->
+              Option.iter L.reference (L.find t k);
+              List.iter (fun (k', _, r) -> if k' = k then r := true) !model);
+          expect (L.length t = List.length !model && L.length t <= capacity);
+          expect (L.evictions t = !evictions);
+          List.iter
+            (fun (node, v) ->
+              let live = List.exists (fun (_, v', _) -> v' = v) !model in
+              expect (L.live node = live && L.value node = if live then v else dead))
+            !nodes)
+        ops;
+      !ok)
+
 let () =
   Alcotest.run "core"
     [
@@ -2694,6 +3020,13 @@ let () =
           Alcotest.test_case "string/number comparisons: functional = rewrite" `Quick
             test_mixed_comparison_differential;
           Alcotest.test_case "negative zero prints 0" `Quick test_negative_zero_differential;
+          Alcotest.test_case "kept executables across catalog changes" `Quick test_kept_executables;
+          Alcotest.test_case "an ad-hoc transform allocates at most 1,500 words" `Quick
+            test_adhoc_allocation;
+          Alcotest.test_case "1,000 bindings compile one executable" `Quick
+            test_bindings_compile_once;
+          QCheck_alcotest.to_alcotest prop_shape_cut_reference;
+          Alcotest.test_case "shape cut = reference over XSLTMark" `Quick test_shape_cut_xsltmark;
         ] );
       ( "parallel",
         [
@@ -2739,6 +3072,8 @@ let () =
             test_result_cache_second_chance;
           Alcotest.test_case "result cache: a slot keeps no evicted page alive" `Quick
             test_result_cache_slot_releases;
+          Alcotest.test_case "two domains bind one shape" `Quick test_concurrent_bindings;
+          QCheck_alcotest.to_alcotest prop_lru_model;
         ] );
       ( "server",
         [
