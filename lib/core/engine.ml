@@ -166,7 +166,7 @@ type compiled_at = { stats : int; views : int; compiled : Pipeline.compiled }
 type stmt = {
   st_view : string;
   st_stylesheet : string;
-  st_key : string;  (** its result-cache key, {!transform_key} *)
+  st_key : Result_cache.key;  (** its result-cache key, {!transform_key} *)
   st_lock : Mutex.t;  (** serializes recompiles *)
   st_compiled : compiled_at Atomic.t;
   st_slot : Result_cache.slot;  (** the result-cache entry it was last served from *)
@@ -186,7 +186,7 @@ let prepare ?metrics t ~view_name ~stylesheet =
       {
         st_view = view_name;
         st_stylesheet = stylesheet;
-        st_key = transform_key view_name stylesheet;
+        st_key = Result_cache.key (transform_key view_name stylesheet);
         st_lock = Mutex.create ();
         st_compiled = Atomic.make (compiled_now ?metrics t ~view_name ~stylesheet);
         st_slot = Result_cache.slot ();
@@ -332,7 +332,7 @@ let publish ?(options = default_run_options) t ~view_name =
                           fun _ -> P.serialize ~indent buf))))
         in
         (* indent changes the bytes, so it is part of the key *)
-        let key = "P\x00" ^ view_name ^ "\x00" ^ if indent then "i" else "-" in
+        let key = Result_cache.key (String.concat "\x00" [ "P"; view_name; (if indent then "i" else "-") ]) in
         serve_cached t options ~metrics ~view:view_name ~key
           ~deps:(fun () -> List.sort_uniq compare (P.view_tables view))
           (unrecorded run))
@@ -380,9 +380,8 @@ let run_shredded_source ?(options = default_run_options) t ~docids ~stylesheet =
                     Pipeline.run_shredded ?metrics ?pool s prog docids))
           in
           let key =
-            "S\x00"
-            ^ String.concat "," (List.map string_of_int docids)
-            ^ "\x00" ^ stylesheet
+            Result_cache.key
+              (String.concat "\x00" [ "S"; String.concat "," (List.map string_of_int docids); stylesheet ])
           in
           let output =
             serve_cached t options ~metrics ~view:"" ~key ~deps:(fun () -> [ shred_dep ]) (unrecorded run)
@@ -406,7 +405,7 @@ let transform ?(options = default_run_options) t ~view_name ~stylesheet =
         (* the result cache is probed first: a page it serves needs no
            plan, so a shape hit is bound only on a miss or a patch *)
         serve_transform t options ~metrics ~view:view_name
-          ~key:(transform_key view_name stylesheet)
+          ~key:(Result_cache.key (transform_key view_name stylesheet))
           (lazy (compile_view ?metrics t ~view_name ~stylesheet)))
   in
   { output; metrics }

@@ -16,53 +16,61 @@
     it (removed, replaced or evicted), so a node held past its entry
     keeps nothing of the entry alive.
 
+    The table is a functor over its key ({!Make}), so a key may carry
+    its own hash: a long key is then hashed once, when it is made, and
+    never again by a lookup, an insert or an eviction.
+
     Not thread-safe: both caches call {!find}, {!use}, {!add},
     {!set_value} and {!remove} under their own lock.  {!live}, {!value}
     and {!reference} are plain field accesses that may race with them:
     a racing reader sees the old or the new value, and a lost mark only
     costs its entry the second chance. *)
 
-type ('k, 'v) t
+module Make (K : Hashtbl.HashedType) : sig
+  type key = K.t
 
-type ('k, 'v) node
-(** One entry: its key's value until it is removed or replaced. *)
+  type 'v t
 
-val create : ?dead:'v -> int -> ('k, 'v) t
-(** An empty table holding at most [max 1 capacity] entries.  [dead]
-    is the value a node holds once it has left the table. *)
+  type 'v node
+  (** One entry: its key's value until it is removed or replaced. *)
 
-val find : ('k, 'v) t -> 'k -> ('k, 'v) node option
-(** The entry under the key; its recency does not change. *)
+  val create : ?dead:'v -> int -> 'v t
+  (** An empty table holding at most [max 1 capacity] entries.  [dead]
+      is the value a node holds once it has left the table. *)
 
-val value : ('k, 'v) node -> 'v
-(** The entry's value; [dead], if the table has one, once the node has
-    left the table. *)
+  val find : 'v t -> key -> 'v node option
+  (** The entry under the key; its recency does not change. *)
 
-val set_value : ('k, 'v) node -> 'v -> unit
-(** Replace the entry's value in place; its recency does not change. *)
+  val value : 'v node -> 'v
+  (** The entry's value; [dead], if the table has one, once the node has
+      left the table. *)
 
-val live : ('k, 'v) node -> bool
-(** Still the table's entry for its key: not removed, replaced or
-    evicted. *)
+  val set_value : 'v node -> 'v -> unit
+  (** Replace the entry's value in place; its recency does not change. *)
 
-val reference : ('k, 'v) node -> unit
-(** Mark a use made through a held node, honoured by the next eviction
-    that reaches it (second chance). *)
+  val live : 'v node -> bool
+  (** Still the table's entry for its key: not removed, replaced or
+      evicted. *)
 
-val use : ('k, 'v) t -> ('k, 'v) node -> unit
-(** Make the entry the newest; nothing once it was removed or replaced. *)
+  val reference : 'v node -> unit
+  (** Mark a use made through a held node, honoured by the next eviction
+      that reaches it (second chance). *)
 
-val add : ('k, 'v) t -> 'k -> 'v -> ('k, 'v) node
-(** Insert or replace as the newest entry, then evict the oldest
-    unreferenced ones past capacity; returns the entry's node.  The key
-    is hashed twice (one lookup, one replace) and each victim's once. *)
+  val use : 'v t -> 'v node -> unit
+  (** Make the entry the newest; nothing once it was removed or replaced. *)
 
-val evictions : ('k, 'v) t -> int
-(** Entries {!add} has evicted since the table was created. *)
+  val add : 'v t -> key -> 'v -> 'v node
+  (** Insert or replace as the newest entry, then evict the oldest
+      unreferenced ones past capacity; returns the entry's node.  One
+      lookup and one replace of the key, and one removal per victim. *)
 
-val remove : ('k, 'v) t -> 'k -> unit
+  val evictions : 'v t -> int
+  (** Entries {!add} has evicted since the table was created. *)
 
-val length : ('k, 'v) t -> int
+  val remove : 'v t -> key -> unit
 
-val keys_where : ('k, 'v) t -> ('v -> bool) -> 'k list
-(** Keys whose value satisfies the predicate, in no particular order. *)
+  val length : 'v t -> int
+
+  val keys_where : 'v t -> ('v -> bool) -> key list
+  (** Keys whose value satisfies the predicate, in no particular order. *)
+end

@@ -74,12 +74,19 @@ type entry = {
    templates; a shredded program's key cannot collide with any of them *)
 type key = View_key of string * string | Shape_key of string * string | Shred_key of string
 
+module Cache = Lru.Make (struct
+  type t = key
+
+  let equal = ( = )
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   db : Xdb_rel.Database.t;
   lock : Mutex.t;  (** guards [views] and [cache] *)
   mutable views : (string * (P.view * string)) list;
       (** each registered view with its fingerprint *)
-  cache : (key, entry) Lru.t;
+  cache : entry Cache.t;
   views_version : int Atomic.t;
       (** bumped by every {!register_view} — prepared statements compare
           it (with the stats version) to skip registry lookups on hot
@@ -103,7 +110,7 @@ let create ?(capacity = default_capacity) db =
     db;
     lock = Mutex.create ();
     views = [];
-    cache = Lru.create capacity;
+    cache = Cache.create capacity;
     views_version = Atomic.make 0;
     recompilations = Atomic.make 0;
     cache_hits = Atomic.make 0;
@@ -147,16 +154,16 @@ let find_view t name =
 (* [`Fresh payload] when the entry under [key] is [fresh] (made the most
    recently used), [`Stale] or [`Absent] otherwise; under the lock *)
 let probe t key ~fresh =
-  match Lru.find t.cache key with
-  | Some n when fresh (Lru.value n) ->
-      Lru.use t.cache n;
-      `Fresh (Lru.value n).payload
+  match Cache.find t.cache key with
+  | Some n when fresh (Cache.value n) ->
+      Cache.use t.cache n;
+      `Fresh (Cache.value n).payload
   | Some _ -> `Stale
   | None -> `Absent
 
 let lookup t key ~fresh = locked t (fun () -> probe t key ~fresh)
 
-let insert t key entry = locked t (fun () -> ignore (Lru.add t.cache key entry))
+let insert t key entry = locked t (fun () -> ignore (Cache.add t.cache key entry))
 
 (* a miss or a stale entry, counted; the compile that follows is a
    recompilation *)
@@ -279,7 +286,7 @@ let counters t =
     ("cache_misses", Atomic.get t.cache_misses);
     ("cache_stale", Atomic.get t.cache_stale);
     ("recompilations", Atomic.get t.recompilations);
-    ("cache_evictions", locked t (fun () -> Lru.evictions t.cache));
+    ("cache_evictions", locked t (fun () -> Cache.evictions t.cache));
     ("cache_unshareable", Atomic.get t.cache_unshareable);
     ("template_optimizations", Atomic.get t.template_optimizations);
     ("shred_hits", Atomic.get t.shred_hits);

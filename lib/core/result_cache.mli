@@ -58,6 +58,13 @@ val create : ?capacity:int -> Xdb_rel.Database.t -> t
 (** A cache over [db]'s data versions.  [capacity] (default 256) bounds
     the entry count before LRU eviction. *)
 
+type key
+(** A cache key: its text, hashed once when it is made, so a lookup, an
+    insert and an eviction compare the hash before the text and never
+    hash it again. *)
+
+val key : string -> key
+
 type outcome =
   | Hit of string list  (** served as stored, or kept *)
   | Patched of string list
@@ -94,7 +101,7 @@ val hit : t -> slot -> string list option
 
 val find :
   t ->
-  key:string ->
+  key:key ->
   ?footprint:(unit -> Xdb_rel.Footprint.memo option) ->
   ?patch:patch ->
   ?slot:slot ->
@@ -112,7 +119,7 @@ val find :
 val store :
   t ->
   view:string ->
-  key:string ->
+  key:key ->
   deps:string list ->
   ?members:Xdb_rel.Exec.members ->
   ?slot:slot ->
@@ -132,7 +139,7 @@ val invalidate_view : t -> string -> unit
 val size : t -> int
 (** Current entry count. *)
 
-val recording : t -> key:string -> (string list * Xdb_rel.Exec.members) option
+val recording : t -> key:key -> (string list * Xdb_rel.Exec.members) option
 (** The entry's output and its member recording, when it has both;
     without touching its recency. *)
 

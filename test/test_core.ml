@@ -1211,28 +1211,28 @@ let test_result_cache_unit () =
   let db = Xdb_rel.Database.create () in
   ignore (Xdb_rel.Database.create_table db "t" [ { Xdb_rel.Table.col_name = "a"; col_type = Xdb_rel.Value.Tint } ]);
   let rc = RC.create ~capacity:2 db in
-  check cb "miss on empty" true (RC.find rc ~key:"k1" () = RC.Miss);
-  RC.store rc ~view:"v" ~key:"k1" ~deps:[ "t" ] [ "out1" ];
-  check cb "hit while fresh" true (RC.find rc ~key:"k1" () = RC.Hit [ "out1" ]);
+  check cb "miss on empty" true (RC.find rc ~key:(RC.key "k1") () = RC.Miss);
+  RC.store rc ~view:"v" ~key:(RC.key "k1") ~deps:[ "t" ] [ "out1" ];
+  check cb "hit while fresh" true (RC.find rc ~key:(RC.key "k1") () = RC.Hit [ "out1" ]);
   (* a write to the dependency table invalidates on the next lookup *)
   Xdb_rel.Database.bump_data_version db "t";
-  check cb "stale after version bump" true (RC.find rc ~key:"k1" () = RC.Dropped);
+  check cb "stale after version bump" true (RC.find rc ~key:(RC.key "k1") () = RC.Dropped);
   check ci "entry dropped" 0 (RC.size rc);
   (* re-stored entries snapshot the new version *)
-  RC.store rc ~view:"v" ~key:"k1" ~deps:[ "t" ] [ "out2" ];
-  check cb "fresh again" true (RC.find rc ~key:"k1" () = RC.Hit [ "out2" ]);
+  RC.store rc ~view:"v" ~key:(RC.key "k1") ~deps:[ "t" ] [ "out2" ];
+  check cb "fresh again" true (RC.find rc ~key:(RC.key "k1") () = RC.Hit [ "out2" ]);
   (* view-level invalidation (schema evolution: no version movement) *)
   RC.invalidate_view rc "v";
-  check cb "gone after invalidate_view" true (RC.find rc ~key:"k1" () = RC.Miss);
+  check cb "gone after invalidate_view" true (RC.find rc ~key:(RC.key "k1") () = RC.Miss);
   (* LRU bounding: capacity 2, third insert evicts the least recent *)
-  RC.store rc ~view:"v" ~key:"a" ~deps:[ "t" ] [ "A" ];
-  RC.store rc ~view:"v" ~key:"b" ~deps:[ "t" ] [ "B" ];
-  ignore (RC.find rc ~key:"a" ());
+  RC.store rc ~view:"v" ~key:(RC.key "a") ~deps:[ "t" ] [ "A" ];
+  RC.store rc ~view:"v" ~key:(RC.key "b") ~deps:[ "t" ] [ "B" ];
+  ignore (RC.find rc ~key:(RC.key "a") ());
   (* touch a so b is the LRU victim *)
-  RC.store rc ~view:"v" ~key:"c" ~deps:[ "t" ] [ "C" ];
+  RC.store rc ~view:"v" ~key:(RC.key "c") ~deps:[ "t" ] [ "C" ];
   check ci "bounded" 2 (RC.size rc);
-  check cb "victim was the LRU entry" true (RC.find rc ~key:"b" () = RC.Miss);
-  check cb "recent survivor" true (RC.find rc ~key:"a" () = RC.Hit [ "A" ]);
+  check cb "victim was the LRU entry" true (RC.find rc ~key:(RC.key "b") () = RC.Miss);
+  check cb "recent survivor" true (RC.find rc ~key:(RC.key "a") () = RC.Hit [ "A" ]);
   let ctr name = List.assoc name (RC.counters rc) in
   check cb "eviction counted" true (ctr "result_cache_evictions" >= 1);
   check cb "hits counted" true (ctr "result_cache_hits" >= 3);
@@ -1246,21 +1246,21 @@ let test_result_cache_second_chance () =
   let rc = RC.create ~capacity:2 db in
   let held = RC.slot () in
   check cb "an empty slot misses" true (RC.hit rc held = None);
-  RC.store rc ~view:"v" ~key:"a" ~deps:[ "t" ] ~slot:held [ "A" ];
-  RC.store rc ~view:"v" ~key:"b" ~deps:[ "t" ] [ "B" ];
+  RC.store rc ~view:"v" ~key:(RC.key "a") ~deps:[ "t" ] ~slot:held [ "A" ];
+  RC.store rc ~view:"v" ~key:(RC.key "b") ~deps:[ "t" ] [ "B" ];
   check cb "held hit" true (RC.hit rc held = Some [ "A" ]);
   (* a is the oldest, but referenced: b goes instead *)
-  RC.store rc ~view:"v" ~key:"c" ~deps:[ "t" ] [ "C" ];
-  check cb "b evicted" true (RC.find rc ~key:"b" () = RC.Miss);
+  RC.store rc ~view:"v" ~key:(RC.key "c") ~deps:[ "t" ] [ "C" ];
+  check cb "b evicted" true (RC.find rc ~key:(RC.key "b") () = RC.Miss);
   check ci "two entries" 2 (RC.size rc);
   (* the chance moved a to the front and cleared its mark *)
-  RC.store rc ~view:"v" ~key:"d" ~deps:[ "t" ] [ "D" ];
-  check cb "c evicted" true (RC.find rc ~key:"c" () = RC.Miss);
-  RC.store rc ~view:"v" ~key:"e" ~deps:[ "t" ] [ "E" ];
+  RC.store rc ~view:"v" ~key:(RC.key "d") ~deps:[ "t" ] [ "D" ];
+  check cb "c evicted" true (RC.find rc ~key:(RC.key "c") () = RC.Miss);
+  RC.store rc ~view:"v" ~key:(RC.key "e") ~deps:[ "t" ] [ "E" ];
   check cb "unmarked, a is evicted" true (RC.hit rc held = None);
-  check cb "and gone from the table" true (RC.find rc ~key:"a" () = RC.Miss);
+  check cb "and gone from the table" true (RC.find rc ~key:(RC.key "a") () = RC.Miss);
   (* a write makes a held entry miss without counting *)
-  RC.store rc ~view:"v" ~key:"a" ~deps:[ "t" ] ~slot:held [ "A2" ];
+  RC.store rc ~view:"v" ~key:(RC.key "a") ~deps:[ "t" ] ~slot:held [ "A2" ];
   let hits = List.assoc "result_cache_hits" (RC.counters rc) in
   Xdb_rel.Database.bump_data_version db "t";
   check cb "stale: no held hit" true (RC.hit rc held = None);
@@ -1277,10 +1277,10 @@ let test_result_cache_slot_releases () =
   let store_held key =
     let output = [ String.make 64 'p' ] in
     Weak.set page 0 (Some output);
-    RC.store rc ~view:"v" ~key ~deps:[ "t" ] ~slot:held output
+    RC.store rc ~view:"v" ~key:(RC.key key) ~deps:[ "t" ] ~slot:held output
   in
   store_held "a";
-  RC.store rc ~view:"w" ~key:"b" ~deps:[ "t" ] [ "B" ];
+  RC.store rc ~view:"w" ~key:(RC.key "b") ~deps:[ "t" ] [ "B" ];
   Gc.full_major ();
   check cb "an evicted page is collected" false (Weak.check page 0);
   check cb "and not served" true (RC.hit rc held = None);
@@ -1310,12 +1310,12 @@ let test_result_cache_patch_install () =
     ignore
       (Xdb_sql.Engine.run_dml db (Xdb_sql.Parser.parse "UPDATE rows SET value = 1 WHERE id = 3"))
   in
-  RC.store rc ~view:"v" ~key:"k" ~deps:(PL.deps c) ~members out;
+  RC.store rc ~view:"v" ~key:(RC.key "k") ~deps:(PL.deps c) ~members out;
   write ();
   (* a second reader patches and installs while the first still patches *)
-  let inner () = RC.find rc ~key:"k" ~footprint ~patch:(fun _ m _ -> Some ([ "inner" ], m)) () in
+  let inner () = RC.find rc ~key:(RC.key "k") ~footprint ~patch:(fun _ m _ -> Some ([ "inner" ], m)) () in
   let outer =
-    RC.find rc ~key:"k" ~footprint
+    RC.find rc ~key:(RC.key "k") ~footprint
       ~patch:(fun _ m changes ->
         check Alcotest.(list (pair string (list int))) "the written rid" [ ("rows", [ 2 ]) ] changes;
         check cb "the inner reader patched" true (inner () = RC.Patched [ "inner" ]);
@@ -1323,11 +1323,11 @@ let test_result_cache_patch_install () =
       ()
   in
   check cb "each reader serves its own patch" true (outer = RC.Patched [ "outer" ]);
-  check cb "the first install stays" true (RC.find rc ~key:"k" ~footprint () = RC.Hit [ "inner" ]);
+  check cb "the first install stays" true (RC.find rc ~key:(RC.key "k") ~footprint () = RC.Hit [ "inner" ]);
   check ci "two patches counted" 2 (ctr "result_cache_patches");
   write ();
   check cb "a declined patch recomputes" true
-    (RC.find rc ~key:"k" ~footprint ~patch:(fun _ _ _ -> None) () = RC.Dropped);
+    (RC.find rc ~key:(RC.key "k") ~footprint ~patch:(fun _ _ _ -> None) () = RC.Dropped);
   check ci "the entry is gone" 0 (RC.size rc);
   check ci "counted as an invalidation" 1 (ctr "result_cache_invalidations")
 
@@ -2914,7 +2914,7 @@ let test_shape_cut_xsltmark () =
    (with the second chance), its values, and what a node that left it
    holds *)
 let prop_lru_model =
-  let module L = Xdb_core.Lru in
+  let module L = Xdb_core.Lru.Make (Int) in
   let op = QCheck.Gen.(pair (int_bound 4) (int_bound 5)) in
   QCheck.Test.make ~name:"Lru = a list model" ~count:500
     QCheck.(make Gen.(pair (1 -- 4) (list_size (0 -- 60) op)))
