@@ -123,21 +123,13 @@ let assemble (view : P.view) vm_prog schema translation (sql_plan, sql_fallback_
     schema;
     sql_fallback_reason;
     deps = deps_of view sql_plan;
-    exe = Option.map (Xdb_rel.Exec.keep ~xml_streaming:true) sql_plan;
+    exe = Option.map Xdb_rel.Exec.keep sql_plan;
     params = [||];
     parts = Atomic.make (Some p);
     make_parts = (fun () -> p);
   }
 
-let with_plan c plan =
-  let p = { (parts c) with sql_plan = Some plan; footprint = Some (Xdb_rel.Footprint.memo plan) } in
-  {
-    c with
-    exe = Some (Xdb_rel.Exec.keep ~xml_streaming:true plan);
-    params = [||];
-    parts = Atomic.make (Some p);
-    make_parts = (fun () -> p);
-  }
+let with_plan c plan = assemble c.view (vm_prog c) c.schema (translation c) (Some plan, None)
 
 (** [compile ?options ?metrics db view stylesheet_text] — full compilation:
     stylesheet → bytecode → (partial evaluation over the view's structural
@@ -232,7 +224,7 @@ let optimise ?metrics db (t : template) values =
           Option.map (fun tb -> (name, tb, Xdb_rel.Table.size tb)) (Xdb_rel.Database.table_opt db name))
         tables;
     v_deps = deps_of t.t_view (Some v_plan);
-    v_exe = Xdb_rel.Exec.keep ~xml_streaming:true ~params:(Array.length values) v_plan;
+    v_exe = Xdb_rel.Exec.keep ~params:(Array.length values) v_plan;
   }
 
 (* do slots equal in [a] stay equal in [b], and unequal ones unequal?
@@ -265,7 +257,7 @@ let replays db v values =
 (* a binding's parts: each parameter becomes its integer in the XQuery,
    in the bytecode (bound as a global) and in [v]'s optimised plan *)
 let bound_parts (t : template) v params =
-  let number i = Xdb_rel.Value.to_float params.(i) in
+  let number i = V.to_float params.(i) in
   let plan = A.bind_params params v.v_plan in
   let globals =
     List.init (Array.length params) (fun i ->

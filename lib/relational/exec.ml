@@ -1275,25 +1275,16 @@ let new_ctx ?stats ?(xml_streaming = false) ?record ~rowid db =
     captured = [];
   }
 
-(* the environment layout of a plan opened on [outer]'s row followed by
-   [params] parameter values *)
-let env_layout outer params =
-  if params = 0 then outer
-  else Layout.concat outer (Layout.of_bindings (List.init params param_column))
-
 (** [compile db plan] — the plan-open pass: resolve every column
     reference to a slot, compile expressions to closures, build batch
     cursors.  [xml_streaming] makes XML constructors produce
     [Value.Xml_stream] (events on demand) instead of node trees.
     @raise Exec_error for unresolvable or ambiguous columns. *)
-let compile_in ctx ?(outer = Layout.empty) ?(params = 0) (p : plan) : compiled =
-  cplan ctx (env_layout outer params) p
+let compile_ctx db ?stats ?(outer = Layout.empty) ?xml_streaming ?record (p : plan) : compiled =
+  let rowid = reads_rowid p in
+  cplan (new_ctx ?stats ?xml_streaming ?record ~rowid db) outer p
 
-let compile_ctx db ?stats ?outer ?params ?xml_streaming ?record (p : plan) : compiled =
-  compile_in (new_ctx ?stats ?xml_streaming ?record ~rowid:(reads_rowid p) db) ?outer ?params p
-
-let compile db ?stats ?outer ?params ?xml_streaming p =
-  compile_ctx db ?stats ?outer ?params ?xml_streaming p
+let compile db ?stats ?outer ?xml_streaming p = compile_ctx db ?stats ?outer ?xml_streaming p
 
 let compile_expr db (lay : Layout.t) (e : expr) : Value.t array -> Value.t =
   let f = cexpr (new_ctx ~rowid:false db) lay 0 e in
@@ -1315,10 +1306,9 @@ type executable = { e_compiled : compiled; e_captured : (string * Table.t * Tabl
 (* set once, like {!Footprint.memo}, and set again only when the
    executable it holds went stale: racing first runs may each compile,
    and every one of those compilations is as good as the others *)
-type kept = { k_plan : plan; k_params : int; k_streaming : bool; k_cell : executable option Atomic.t }
+type kept = { k_plan : plan; k_params : int; k_cell : executable option Atomic.t }
 
-let keep ?(xml_streaming = false) ?(params = 0) plan =
-  { k_plan = plan; k_params = params; k_streaming = xml_streaming; k_cell = Atomic.make None }
+let keep ?(params = 0) plan = { k_plan = plan; k_params = params; k_cell = Atomic.make None }
 
 (* every table a scan read is still the catalog's table of that name,
    and every index it probed still one of the table's: [Table.delete]
@@ -1331,15 +1321,15 @@ let current db e =
       && match idx with Some i -> List.memq i tbl.Table.indexes | None -> true)
     e.e_captured
 
-let run_kept ?(on_compile = ignore) db k (params : Value.t array) =
+let run_kept ~on_compile db k (params : Value.t array) =
   let e =
     match Atomic.get k.k_cell with
     | Some e when current db e -> e
     | _ ->
-        let ctx =
-          new_ctx ~xml_streaming:k.k_streaming ~rowid:(reads_rowid k.k_plan) db
-        in
-        let e_compiled = compile_in ctx ~params:k.k_params k.k_plan in
+        (* the parameter row is the whole environment *)
+        let ctx = new_ctx ~xml_streaming:true ~rowid:(reads_rowid k.k_plan) db in
+        let params = Layout.of_bindings (List.init k.k_params param_column) in
+        let e_compiled = cplan ctx params k.k_plan in
         let e = { e_compiled; e_captured = ctx.captured } in
         Atomic.set k.k_cell (Some e);
         on_compile ();

@@ -54,7 +54,6 @@ val compile :
   Database.t ->
   ?stats:Stats.t ->
   ?outer:Layout.t ->
-  ?params:int ->
   ?xml_streaming:bool ->
   Algebra.plan ->
   compiled
@@ -68,11 +67,12 @@ val compile :
     rows may drain on several domains at once (an instrumented
     compilation excepted: its [stats] are plain counters).
 
-    The environment row the plan opens on holds [outer]'s columns, then
-    [params] (default 0) parameter values: [Param i] reads slot [i] of
-    those, a reserved outer column that correlated subplans see through
-    the layout they inherit, so one compilation serves every binding of
-    the parameters.  A [Param] beyond [params] is an [Exec_error].
+    The environment row the plan opens on holds [outer]'s columns.  A
+    plan kept with [params] parameters ({!keep}) opens on its parameter
+    row instead: [Param i] reads slot [i] of that row, a reserved outer
+    column that correlated subplans see through the layout they
+    inherit, so one compilation serves every binding.  Compiled any
+    other way, a [Param] is an [Exec_error].
 
     Each scan looks its table (and an index scan its index) up in the
     catalog now, at compile time, and reads that object's rows and
@@ -85,12 +85,13 @@ type kept
 (** A plan whose compilation runs once and is kept for every run after:
     a set-once cell, replaced only when it went stale. *)
 
-val keep : ?xml_streaming:bool -> ?params:int -> Algebra.plan -> kept
+val keep : ?params:int -> Algebra.plan -> kept
 (** [keep plan] — compiled on its first {!run_kept}, with [params]
-    parameters ({!compile}). *)
+    (default 0) parameters ({!compile}) and streaming XML constructors
+    ([xml_streaming]). *)
 
 val run_kept :
-  ?on_compile:(unit -> unit) ->
+  on_compile:(unit -> unit) ->
   Database.t ->
   kept ->
   Value.t array ->
