@@ -70,7 +70,10 @@ type run_result = {
           stored, or kept across writes the plan never reads), and its
           [result_cache_patched] counter 1 when the cached output was
           patched instead (the [result_cache_patch] stage times the
-          patch) *)
+          patch).  A view transform's [exec_compiled] counter is 1 when
+          the run compiled its plan, 0 when it opened the executable its
+          compiled plan keeps ({!Pipeline.run_rewrite}) or served a
+          cached page *)
 }
 
 (** What a transform reads: a registered XMLType view's published

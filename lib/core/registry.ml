@@ -74,7 +74,7 @@ type entry = {
    templates; a shredded program's key cannot collide with any of them *)
 type key = View_key of string * string | Shape_key of string * string | Shred_key of string
 
-module Cache = Lru.Make (struct
+module Lru = Lru.Make (struct
   type t = key
 
   let equal = ( = )
@@ -86,7 +86,7 @@ type t = {
   lock : Mutex.t;  (** guards [views] and [cache] *)
   mutable views : (string * (P.view * string)) list;
       (** each registered view with its fingerprint *)
-  cache : entry Cache.t;
+  cache : entry Lru.t;
   views_version : int Atomic.t;
       (** bumped by every {!register_view} — prepared statements compare
           it (with the stats version) to skip registry lookups on hot
@@ -110,7 +110,7 @@ let create ?(capacity = default_capacity) db =
     db;
     lock = Mutex.create ();
     views = [];
-    cache = Cache.create capacity;
+    cache = Lru.create capacity;
     views_version = Atomic.make 0;
     recompilations = Atomic.make 0;
     cache_hits = Atomic.make 0;
@@ -154,16 +154,16 @@ let find_view t name =
 (* [`Fresh payload] when the entry under [key] is [fresh] (made the most
    recently used), [`Stale] or [`Absent] otherwise; under the lock *)
 let probe t key ~fresh =
-  match Cache.find t.cache key with
-  | Some n when fresh (Cache.value n) ->
-      Cache.use t.cache n;
-      `Fresh (Cache.value n).payload
+  match Lru.find t.cache key with
+  | Some n when fresh (Lru.value n) ->
+      Lru.use t.cache n;
+      `Fresh (Lru.value n).payload
   | Some _ -> `Stale
   | None -> `Absent
 
 let lookup t key ~fresh = locked t (fun () -> probe t key ~fresh)
 
-let insert t key entry = locked t (fun () -> ignore (Cache.add t.cache key entry))
+let insert t key entry = locked t (fun () -> ignore (Lru.add t.cache key entry))
 
 (* a miss or a stale entry, counted; the compile that follows is a
    recompilation *)
@@ -174,8 +174,6 @@ let count_rebuild t = function
 (* the exact-text plan: fresh while the view's structure and the
    statistics it was costed against are unchanged (a re-ANALYZE
    re-costs it) *)
-let exact_key ~view_name ~stylesheet = View_key (view_name, stylesheet)
-
 let exact_fresh fp stats e = String.equal e.view_fp fp && e.stats = stats
 
 let compile_exact ~options ?metrics t ~view_name view fp ~stylesheet stats = function
@@ -187,7 +185,7 @@ let compile_exact ~options ?metrics t ~view_name view fp ~stylesheet stats = fun
       count_rebuild t why;
       let c = Pipeline.compile ~options ?metrics t.db view stylesheet in
       Atomic.incr t.recompilations;
-      insert t (exact_key ~view_name ~stylesheet) { view_fp = fp; stats; payload = Plan c };
+      insert t (View_key (view_name, stylesheet)) { view_fp = fp; stats; payload = Plan c };
       c
 
 (** [compile t ~view_name ~stylesheet] — cached compilation; recompiles
@@ -207,7 +205,7 @@ let compile ?(options = Options.default) ?metrics t ~view_name ~stylesheet : Pip
         match List.assoc_opt view_name t.views with
         | None -> raise (Registry_error (Printf.sprintf "unknown view %S" view_name))
         | Some (view, fp) ->
-            let exact () = probe t (exact_key ~view_name ~stylesheet) ~fresh:(exact_fresh fp stats) in
+            let exact () = probe t (View_key (view_name, stylesheet)) ~fresh:(exact_fresh fp stats) in
             ( view,
               fp,
               match cut with
@@ -249,7 +247,7 @@ let compile ?(options = Options.default) ?metrics t ~view_name ~stylesheet : Pip
           Atomic.incr t.cache_unshareable;
           insert t key (entry Unshareable);
           compile_exact ~options ?metrics t ~view_name view fp ~stylesheet stats
-            (lookup t (exact_key ~view_name ~stylesheet) ~fresh:(exact_fresh fp stats)))
+            (lookup t (View_key (view_name, stylesheet)) ~fresh:(exact_fresh fp stats)))
 
 (** [shredded t ~stylesheet] — the stylesheet compiled for shredded
     documents, once per stylesheet text.  [metrics] records the compile
@@ -286,7 +284,7 @@ let counters t =
     ("cache_misses", Atomic.get t.cache_misses);
     ("cache_stale", Atomic.get t.cache_stale);
     ("recompilations", Atomic.get t.recompilations);
-    ("cache_evictions", locked t (fun () -> Cache.evictions t.cache));
+    ("cache_evictions", locked t (fun () -> Lru.evictions t.cache));
     ("cache_unshareable", Atomic.get t.cache_unshareable);
     ("template_optimizations", Atomic.get t.template_optimizations);
     ("shred_hits", Atomic.get t.shred_hits);

@@ -19,14 +19,14 @@ type key = { hash : int; text : string }
 
 let key text = { hash = Hashtbl.hash text; text }
 
-module Cache = Lru.Make (struct
+module Lru = Lru.Make (struct
   type t = key
 
   let equal a b = a.hash = b.hash && String.equal a.text b.text
   let hash k = k.hash
 end)
 
-type node = snapshot Cache.node
+type node = snapshot Lru.node
 
 (* what a node holds once it has left the cache, so that a slot still
    holding it keeps no page alive *)
@@ -37,7 +37,7 @@ type slot = { mutable pinned : node option }
 type t = {
   db : DB.t;
   lock : Mutex.t;  (** guards [cache]'s table, recency list and value swaps *)
-  cache : snapshot Cache.t;
+  cache : snapshot Lru.t;
   hits : int Atomic.t;
   misses : int Atomic.t;
   invalidations : int Atomic.t;
@@ -59,7 +59,7 @@ let create ?(capacity = default_capacity) db =
   {
     db;
     lock = Mutex.create ();
-    cache = Cache.create ~dead:gone capacity;
+    cache = Lru.create ~dead:gone capacity;
     hits = Atomic.make 0;
     misses = Atomic.make 0;
     invalidations = Atomic.make 0;
@@ -93,12 +93,12 @@ let hit t slot =
   match slot.pinned with
   | None -> None
   | Some node ->
-      let s = Cache.value node in
+      let s = Lru.value node in
       if s == gone then (
         slot.pinned <- None;
         None)
       else if fresh t s.deps then (
-        Cache.reference node;
+        Lru.reference node;
         Atomic.incr t.hits;
         Some s.output)
       else None
@@ -138,13 +138,13 @@ let find t ~key ?(footprint = fun () -> None) ?patch ?slot () =
      serializes DML against reads. *)
   let first =
     locked t (fun () ->
-        match Cache.find t.cache key with
+        match Lru.find t.cache key with
         | None -> `Miss
-        | Some node when fresh t (Cache.value node).deps ->
-            Cache.use t.cache node;
+        | Some node when fresh t (Lru.value node).deps ->
+            Lru.use t.cache node;
             Atomic.incr t.hits;
             pin slot node;
-            `Hit (Cache.value node).output
+            `Hit (Lru.value node).output
         | Some _ -> `Moved)
   in
   let verdict =
@@ -153,24 +153,24 @@ let find t ~key ?(footprint = fun () -> None) ?patch ?slot () =
     | `Moved ->
         let footprint = footprint () in
         locked t (fun () ->
-            match Cache.find t.cache key with
+            match Lru.find t.cache key with
             | None -> `Miss
             | Some node -> (
-                let s = Cache.value node in
+                let s = Lru.value node in
                 match (judge t footprint s, s.members, patch) with
                 | ((`Fresh | `Keep) as v), _, _ ->
                     (* kept: no write since reached what the output was computed from *)
                     if v = `Keep then (
-                      Cache.set_value node (restamp t s);
+                      Lru.set_value node (restamp t s);
                       Atomic.incr t.kept);
-                    Cache.use t.cache node;
+                    Lru.use t.cache node;
                     Atomic.incr t.hits;
                     pin slot node;
                     `Hit s.output
                 | `Patch changes, Some members, Some patch ->
                     `Patch (node, s, members, changes, patch)
                 | _ ->
-                    Cache.remove t.cache key;
+                    Lru.remove t.cache key;
                     Atomic.incr t.invalidations;
                     `Dropped))
   in
@@ -186,41 +186,41 @@ let find t ~key ?(footprint = fun () -> None) ?patch ?slot () =
       (* outside the lock: concurrent readers patch on their own, and a
          patch is installed only over the snapshot it was patched from —
          the first install wins *)
-      let unchanged () = Cache.live node && Cache.value node == seen in
+      let unchanged () = Lru.live node && Lru.value node == seen in
       match patch seen.output members changes with
       | None ->
           Atomic.incr t.invalidations;
           Atomic.incr t.misses;
-          locked t (fun () -> if unchanged () then Cache.remove t.cache key);
+          locked t (fun () -> if unchanged () then Lru.remove t.cache key);
           Dropped
       | Some (output, members) ->
           Atomic.incr t.patches;
           locked t (fun () ->
               if unchanged () then (
-                Cache.set_value node (restamp t { seen with output; members = Some members });
-                Cache.use t.cache node;
+                Lru.set_value node (restamp t { seen with output; members = Some members });
+                Lru.use t.cache node;
                 pin slot node));
           Patched output)
 
 let store t ~view ~key ~deps ?members ?slot output =
   let deps = List.map (fun tbl -> (tbl, DB.data_version t.db tbl)) deps in
-  locked t (fun () -> pin slot (Cache.add t.cache key { view; output; deps; members }))
+  locked t (fun () -> pin slot (Lru.add t.cache key { view; output; deps; members }))
 
 let invalidate_view t name =
   locked t (fun () ->
       List.iter
         (fun key ->
-          Cache.remove t.cache key;
+          Lru.remove t.cache key;
           Atomic.incr t.invalidations)
-        (Cache.keys_where t.cache (fun s -> s.view = name)))
+        (Lru.keys_where t.cache (fun s -> s.view = name)))
 
-let size t = locked t (fun () -> Cache.length t.cache)
+let size t = locked t (fun () -> Lru.length t.cache)
 
 let recording t ~key =
   locked t (fun () ->
-      match Cache.find t.cache key with
+      match Lru.find t.cache key with
       | Some node -> (
-          let s = Cache.value node in
+          let s = Lru.value node in
           match s.members with Some m -> Some (s.output, m) | None -> None)
       | None -> None)
 
@@ -229,7 +229,7 @@ let counters t =
     ("result_cache_hits", Atomic.get t.hits);
     ("result_cache_misses", Atomic.get t.misses);
     ("result_cache_invalidations", Atomic.get t.invalidations);
-    ("result_cache_evictions", locked t (fun () -> Cache.evictions t.cache));
+    ("result_cache_evictions", locked t (fun () -> Lru.evictions t.cache));
     ("result_cache_kept", Atomic.get t.kept);
     ("result_cache_patches", Atomic.get t.patches);
   ]

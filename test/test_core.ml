@@ -2898,10 +2898,8 @@ let prop_shape_cut_reference =
     (QCheck.make ~print:(Printf.sprintf "%S") gen)
     (fun text ->
       let got = Xdb_core.Shape.cut text and want = reference_cut text in
-      got = want
-      || QCheck.Test.fail_reportf "cut %s, reference %s"
-           (Alcotest.pp shape_cut_result |> fun pp -> Format.asprintf "%a" pp got)
-           (Format.asprintf "%a" (Alcotest.pp shape_cut_result) want))
+      let show = Format.asprintf "%a" (Alcotest.pp shape_cut_result) in
+      got = want || QCheck.Test.fail_reportf "cut %s, reference %s" (show got) (show want))
 
 let test_shape_cut_xsltmark () =
   List.iter
