@@ -104,7 +104,9 @@ val run_kept :
     [Database.create_table] replace them); otherwise the plan compiles
     again now, [on_compile] is called, and the new compilation is kept.
     Callers keep the catalog still for the run (the engine's read lock);
-    several domains may run one [kept] at once. *)
+    several domains may run one [kept] at once.  A compilation that went
+    stale keeps what it captured (an old index's B-tree, say) alive
+    until a run replaces it or the [kept] is dropped. *)
 
 val compile_expr : Database.t -> Layout.t -> Algebra.expr -> Value.t array -> Value.t
 (** [compile_expr db layout e] — [e] compiled once against the rows of

@@ -1303,7 +1303,7 @@ let test_result_cache_patch_install () =
   in
   let recorded = ref None in
   let out = PL.run_rewrite ~on_members:(fun m -> recorded := Some m) db c in
-  let members = Option.get !recorded and footprint () = (PL.footprint c) in
+  let members = Option.get !recorded and footprint () = PL.footprint c in
   let rc = RC.create db in
   let ctr name = List.assoc name (RC.counters rc) in
   let write () =
